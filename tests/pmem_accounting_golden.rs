@@ -1,0 +1,320 @@
+//! Golden accounting guard rail for the `pmem` data path.
+//!
+//! Everything the emulator *counts* is a hardware-independent proxy:
+//! persistence events, the ten [`PmStatsSnapshot`] counters, the dirty
+//! bitmap and the recency-ordered residual candidates. A change that
+//! only makes the emulator cheaper must leave every one of them
+//! bit-identical, so they are pinned here against constants recorded
+//! from the commit *before* the data path was reworked. A mismatch
+//! prints the whole actual table in the constants' own syntax.
+//!
+//! The index workloads run in one `#[test]`, one after the other: the
+//! allocator picks its in-flight slot from a process-global thread
+//! counter, so PM offsets are only a pure function of the seed on the
+//! first thread to allocate. The raw-pool script below never allocates
+//! and runs beside it.
+
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use pm_index_bench::crashpoint::{
+    build_index, explore, install_quiet_crash_hook, workload, ExploreOptions, ResidualConfig,
+    WorkloadOp,
+};
+use pm_index_bench::index_api::RangeIndex;
+use pm_index_bench::pmalloc::{AllocMode, PmAllocator};
+use pm_index_bench::pmem::{
+    CrashPointHit, PmConfig, PmPool, PmStatsSnapshot, CACHELINE, MEDIA_BLOCK, ROOT_AREA,
+};
+
+const KINDS: [&str; 5] = ["fptree", "nvtree", "wbtree", "bztree", "learned"];
+const OPS: u64 = 2_000;
+const KEY_RANGE: u64 = 512;
+const SEED: u64 = 0x601D;
+/// Armed boundaries (events after index creation); `u64::MAX` = the
+/// whole workload, never tripping.
+const BOUNDARIES: [u64; 4] = [211, 1_009, 2_003, u64::MAX];
+
+/// Everything the pool counted at one instant:
+/// `[events, read_ops, read_bytes, write_ops, write_bytes,
+///   media_read_bytes, media_write_bytes, clwb, clwb_redundant, ntstore,
+///   fence, dirty_words, dirty_lines, residual_lines, residual_digest]`.
+type Row = [u64; 15];
+
+fn mix(h: u64, v: u64) -> u64 {
+    (h ^ v)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .rotate_left(29)
+        .wrapping_add(0xD1B5_4A32_D192_ED03)
+}
+
+fn observe(pool: &PmPool) -> Row {
+    let s: PmStatsSnapshot = pool.stats();
+    let cands = pool.residual_candidates();
+    // Order-sensitive digest of the candidates' offsets and contents.
+    let digest = cands.iter().fold(0u64, |h, l| {
+        l.words.iter().fold(mix(h, l.off), |h, &w| mix(h, w))
+    });
+    [
+        pool.persist_event_count(),
+        s.read_ops,
+        s.read_bytes,
+        s.write_ops,
+        s.write_bytes,
+        s.media_read_bytes,
+        s.media_write_bytes,
+        s.clwb,
+        s.clwb_redundant,
+        s.ntstore,
+        s.fence,
+        pool.dirty_word_count(),
+        pool.dirty_line_count(),
+        cands.len() as u64,
+        digest,
+    ]
+}
+
+/// Run the seeded workload on a fresh `kind`, armed to lose power at
+/// `boundary`, and observe the pool at the trip (or at the end).
+fn run_kind(kind: &str, boundary: u64) -> Row {
+    let pool = Arc::new(PmPool::new(16 << 20, PmConfig::real()));
+    let alloc = PmAllocator::format(pool.clone(), AllocMode::General);
+    let idx = build_index(kind, alloc);
+    if boundary != u64::MAX {
+        pool.arm_crash_after(boundary);
+    }
+    let ops = workload(SEED, OPS, KEY_RANGE);
+    let tripped = catch_unwind(AssertUnwindSafe(|| {
+        for (i, op) in ops.iter().enumerate() {
+            match *op {
+                WorkloadOp::Insert(k, v) => idx.insert(k, v),
+                WorkloadOp::Update(k, v) => idx.update(k, v),
+                WorkloadOp::Remove(k) => idx.remove(k),
+            };
+            if i % 7 == 0 {
+                idx.lookup(op.key());
+            }
+            if i % 97 == 0 {
+                idx.scan(op.key(), 20, &mut Vec::new());
+            }
+            // The live set fits the modelled block cache; evict it now
+            // and then so index reads reach the media again.
+            if i % 53 == 0 {
+                for b in 0..512u64 {
+                    pool.read_u64((8 << 20) + b * MEDIA_BLOCK as u64);
+                }
+            }
+        }
+    }));
+    match tripped {
+        Err(p) if p.downcast_ref::<CrashPointHit>().is_none() => resume_unwind(p),
+        Err(_) => assert!(pool.crash_fired(), "{kind}: unwound without a trip"),
+        Ok(()) => assert_eq!(boundary, u64::MAX, "{kind}: boundary {boundary} never fired"),
+    }
+    let row = observe(&pool);
+    // The candidates captured at the trip are what `crash_with` uses.
+    if boundary != u64::MAX {
+        assert_eq!(pool.crash_report().expect("report").event_index, row[0]);
+    }
+    row
+}
+
+/// What one `crashpoint::explore` sweep decided:
+/// `[total_events, boundaries_tested, crashes_fired, completed_runs,
+///   clwb trips, ntstore trips, sfence trips, max_dirty_lines,
+///   max_dirty_words, probe_redundant_clwb, samples_run,
+///   exhaustive_boundaries, max_residual_candidates]` — and no failing
+/// boundary, i.e. the per-boundary verdict vector is all green.
+type Sweep = [u64; 13];
+
+fn sweep(kind: &str, residual: ResidualConfig) -> Sweep {
+    let s = explore(&ExploreOptions {
+        kind: kind.to_string(),
+        ops: 60,
+        key_range: 48,
+        seed: 21,
+        pool_mib: 16,
+        stride: 9,
+        residual,
+        ..ExploreOptions::default()
+    });
+    let failing: Vec<u64> = s.failures.iter().map(|f| f.boundary).collect();
+    assert!(failing.is_empty(), "{kind}: red boundaries {failing:?}");
+    [
+        s.total_events,
+        s.boundaries_tested,
+        s.crashes_fired,
+        s.completed_runs,
+        s.trigger_histogram[0],
+        s.trigger_histogram[1],
+        s.trigger_histogram[2],
+        s.max_dirty_lines,
+        s.max_dirty_words,
+        s.probe_redundant_clwb,
+        s.samples_run,
+        s.exhaustive_boundaries,
+        s.max_residual_candidates,
+    ]
+}
+
+/// `None` when `actual` is the golden table, else the actual table in
+/// the constants' syntax.
+fn moved<const N: usize>(what: &str, actual: &[[u64; N]], golden: &[[u64; N]]) -> Option<String> {
+    let rows: Vec<String> = actual.iter().map(|r| format!("    {r:?},")).collect();
+    (actual != golden).then(|| format!("{what} moved; actual table:\n{}", rows.join("\n")))
+}
+
+// Recorded from commit a156a18 (the parent of the data-path rework).
+#[rustfmt::skip]
+const GOLDEN_KINDS: [Row; 20] = [
+    [229, 1098, 9232, 16919, 135079, 132352, 168704, 146, 5, 0, 83, 189, 34, 34, 6305947915445621578],
+    [1027, 4580, 38656, 18065, 143022, 153088, 297728, 640, 9, 0, 387, 199, 43, 43, 5571132406160342915],
+    [2021, 9374, 79616, 19546, 153477, 210432, 459776, 1264, 18, 0, 757, 207, 51, 51, 10017637242280234628],
+    [6068, 35023, 298512, 25682, 197868, 657920, 1121024, 3830, 130, 0, 2238, 223, 68, 68, 4241511427075509273],
+    [229, 2400, 19200, 17028, 136224, 135680, 166400, 134, 2, 0, 95, 192, 36, 36, 8892888665750465592],
+    [1027, 9696, 77568, 18706, 149648, 168960, 291840, 596, 2, 0, 431, 216, 60, 60, 12571008749128085570],
+    [2021, 19736, 157888, 20649, 165192, 262144, 446720, 1177, 2, 0, 844, 239, 84, 84, 6774367785807556427],
+    [5677, 57258, 458064, 28034, 224272, 738560, 1014528, 3306, 2, 0, 2371, 308, 153, 153, 693060505903811951],
+    [231, 1245, 9893, 16793, 134372, 132352, 163328, 125, 1, 0, 106, 186, 31, 31, 13481685062997594245],
+    [1029, 4851, 38592, 17347, 138909, 143872, 273664, 557, 1, 0, 472, 187, 32, 32, 17120724689833639400],
+    [2023, 10464, 83460, 17995, 144219, 175872, 412160, 1097, 1, 0, 926, 186, 31, 31, 13481685062997594245],
+    [10832, 75953, 610016, 23377, 188413, 932608, 1630720, 5857, 1, 0, 4975, 186, 31, 31, 13481685062997594245],
+    [233, 1108, 8864, 17885, 143080, 132608, 169216, 117, 0, 0, 116, 197, 34, 34, 5587487070862108974],
+    [1031, 2754, 22032, 18688, 149504, 133120, 272128, 516, 0, 0, 515, 200, 40, 40, 8970471285369708009],
+    [2025, 5433, 43464, 19745, 157960, 140288, 400896, 1013, 0, 0, 1012, 213, 53, 53, 6288257894920268714],
+    [40840, 130694, 1045552, 60327, 482616, 1574400, 5410304, 20420, 0, 0, 20420, 494, 334, 334, 16791197435376458427],
+    [235, 1799, 14392, 16758, 137432, 135680, 162048, 118, 0, 0, 117, 196, 33, 33, 14507940570667793046],
+    [1033, 8310, 66480, 17157, 163816, 209152, 275968, 517, 0, 0, 516, 193, 33, 33, 657970459889291762],
+    [2027, 16396, 131168, 17654, 192272, 304384, 413952, 1014, 0, 0, 1013, 196, 33, 33, 2901773323763845982],
+    [2660, 22202, 177616, 17970, 212400, 368896, 503296, 1330, 0, 0, 1330, 192, 32, 32, 10133909501135342628],
+];
+
+#[rustfmt::skip]
+const GOLDEN_SWEEPS: [Sweep; 7] = [
+    [198, 22, 22, 0, 12, 0, 10, 35, 191, 6, 22, 0, 35],
+    [157, 18, 18, 0, 10, 0, 8, 35, 192, 2, 18, 0, 35],
+    [343, 39, 39, 0, 18, 0, 21, 33, 196, 1, 39, 0, 33],
+    [1272, 142, 142, 0, 71, 0, 71, 41, 227, 0, 142, 0, 41],
+    [60, 7, 7, 0, 4, 0, 3, 33, 196, 0, 7, 0, 33],
+    [198, 22, 22, 0, 12, 0, 10, 35, 191, 6, 198, 22, 35],
+    [343, 39, 39, 0, 18, 0, 21, 33, 196, 1, 351, 39, 33],
+];
+
+#[rustfmt::skip]
+const GOLDEN_RAW: [Row; 4] = [
+    [2859, 30738, 442017, 3230, 221156, 611072, 633088, 1138, 854, 562, 1159, 22416, 4338, 4338, 4304648439050459343],
+    [1500, 16082, 238598, 1781, 124378, 337664, 324608, 595, 509, 292, 613, 14002, 2765, 2765, 12793764386706407750],
+    [2859, 30738, 442017, 3230, 221156, 611072, 633088, 1138, 882, 562, 1159, 16884, 4004, 4004, 3187370865884824480],
+    [2859, 30738, 442017, 3230, 221156, 611072, 0, 1138, 0, 562, 1159, 25579, 5279, 5279, 4474642636736431032],
+];
+
+#[test]
+fn index_workloads_count_exactly_what_the_parent_counted() {
+    install_quiet_crash_hook();
+    let mut rows = Vec::new();
+    for kind in KINDS {
+        for b in BOUNDARIES {
+            rows.push(run_kind(kind, b));
+        }
+    }
+
+    let frontier = ResidualConfig::Exhaustive {
+        max_lines: 3,
+        fallback_samples: 1,
+    };
+    let mut sweeps: Vec<Sweep> = KINDS
+        .iter()
+        .map(|k| sweep(k, ResidualConfig::Frozen))
+        .collect();
+    // The frontier enumeration leans on the recency order of the
+    // residual candidates.
+    sweeps.push(sweep("fptree", frontier));
+    sweeps.push(sweep("wbtree", frontier));
+    let diffs: Vec<String> = [
+        moved("per-kind accounting", &rows, &GOLDEN_KINDS),
+        moved("crash sweeps", &sweeps, &GOLDEN_SWEEPS),
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
+    assert!(diffs.is_empty(), "{}", diffs.join("\n"));
+}
+
+/// A script over the bare pool that reaches what index code rarely
+/// does: unaligned byte ranges across words, lines and media blocks,
+/// multi-line and redundant flushes, RMWs, ntstores, typed accesses.
+fn raw_script(pool: &PmPool, rounds: u64) {
+    let span = pool.len() as u64 - ROOT_AREA - 4096;
+    let mut x = SEED;
+    let mut buf = [0u8; 700];
+    for i in 0..rounds {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let off = ROOT_AREA + (x >> 20) % span;
+        let word = off & !7;
+        let len = 1 + (x >> 8) as usize % buf.len();
+        match x % 11 {
+            0 => pool.write_u64(word, x),
+            1 => drop(pool.read_u64(word)),
+            2 => {
+                buf[..len].iter_mut().for_each(|b| *b = x as u8);
+                pool.write_bytes(off, &buf[..len]);
+            }
+            3 => pool.read_bytes(off, &mut buf[..len]),
+            4 => pool.clwb(off, len),
+            5 => pool.persist(word, 8),
+            6 => pool.ntstore_u64(word, i),
+            7 => drop(pool.cas_u64(word, 0, x)),
+            8 => drop(pool.fetch_add_u64(word, 1, Ordering::AcqRel)),
+            9 => {
+                let at = pm_index_bench::pmem::PmOff::<[u64; 4]>::new(word);
+                pool.write(at, &[x; 4]);
+                assert_eq!(pool.read(at), [x; 4]);
+            }
+            _ => pool.sfence(),
+        }
+        // Sequential runs exercise the same-block and next-block rules.
+        if x % 13 == 0 {
+            for j in 0..(CACHELINE as u64) {
+                pool.read_u64(word + j * 8);
+            }
+        }
+    }
+}
+
+#[test]
+fn raw_pool_script_counts_exactly_what_the_parent_counted() {
+    install_quiet_crash_hook();
+    let mut rows = Vec::new();
+    for (cfg, boundary) in [
+        (PmConfig::real(), u64::MAX),
+        (PmConfig::real(), 1_500),
+        (PmConfig::real().with_eviction_chaos(9), u64::MAX),
+        (PmConfig::dram(), u64::MAX),
+    ] {
+        let pool = PmPool::new(1 << 20, cfg);
+        if boundary != u64::MAX {
+            pool.arm_crash_after(boundary);
+        }
+        let r = catch_unwind(AssertUnwindSafe(|| raw_script(&pool, 6_000)));
+        assert_eq!(r.is_err(), boundary != u64::MAX);
+        let row = observe(&pool);
+        // Power-cycle with the recency-ordered frontier kept, then make
+        // sure the image that survives is the same one, too.
+        pool.crash_with(pm_index_bench::pmem::ResidualPolicy::Subset { mask: 0b1011 });
+        let image = pool
+            .snapshot_persisted()
+            .iter()
+            .fold(row[14], |h, &w| mix(h, w));
+        rows.push({
+            let mut r = row;
+            r[14] = image;
+            r
+        });
+    }
+    if let Some(diff) = moved("raw pool accounting", &rows, &GOLDEN_RAW) {
+        panic!("{diff}");
+    }
+}
