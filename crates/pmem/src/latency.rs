@@ -12,7 +12,8 @@
 //! media block touched, so a 64-byte access and a 256-byte access cost
 //! the same, exactly like DCPMM's internal granularity.
 
-use std::time::{Duration, Instant};
+use std::cell::Cell;
+use std::time::Instant;
 
 /// Per-media-block latency penalties, in nanoseconds.
 #[derive(Debug, Clone, Copy)]
@@ -57,45 +58,79 @@ impl LatencyModel {
         self.read_ns != 0 || self.write_ns != 0
     }
 
-    /// Busy-wait `blocks` read penalties. `sequential` selects the
-    /// discounted rate.
+    /// Charge `blocks` read penalties to the calling thread.
+    /// `sequential` selects the discounted rate.
     #[inline]
     pub fn charge_read(&self, blocks: u64, sequential: bool) {
         if self.read_ns != 0 {
-            spin_for(self.cost(self.read_ns, blocks, sequential));
+            self.charge(self.read_ns, blocks, sequential);
         }
     }
 
-    /// Busy-wait `blocks` write penalties.
+    /// Charge `blocks` write penalties to the calling thread.
     #[inline]
     pub fn charge_write(&self, blocks: u64, sequential: bool) {
         if self.write_ns != 0 {
-            spin_for(self.cost(self.write_ns, blocks, sequential));
+            self.charge(self.write_ns, blocks, sequential);
         }
     }
 
     #[inline]
-    fn cost(&self, ns_per_block: u32, blocks: u64, sequential: bool) -> Duration {
+    fn charge(&self, ns_per_block: u32, blocks: u64, sequential: bool) {
         let base = ns_per_block as u64 * blocks;
         let ns = if sequential {
             base * self.seq_discount_pct as u64 / 100
         } else {
             base
         };
-        Duration::from_nanos(ns)
+        DEBT.with(|d| d.charge(ns as i64, ns_per_block as i64, spin));
     }
 }
 
-/// Busy-wait for `d`. `thread::sleep` is far too coarse (µs–ms) for
-/// nanosecond-scale penalties, so we spin on `Instant`.
-#[inline]
-fn spin_for(d: Duration) {
-    if d.is_zero() {
-        return;
+thread_local! {
+    static DEBT: Debt = const { Debt(Cell::new(0)) };
+}
+
+/// A thread's latency account, in ns: positive = charged but not yet
+/// waited for, negative = credit from a wait that ran long. A busy-wait
+/// overshoots (by up to a clock read, by a time slice when preempted);
+/// carrying the overshoot forward as credit makes the time paid per
+/// charge converge to the model's value. Credit is capped at one
+/// block's charge, so a preemption cannot buy a burst of free accesses.
+struct Debt(Cell<i64>);
+
+impl Debt {
+    /// Add `ns` to the account and settle it: `wait(owed)` waits at
+    /// least `owed` ns and returns how long it really took.
+    #[inline]
+    fn charge(&self, ns: i64, max_credit: i64, wait: impl FnOnce(i64) -> i64) {
+        let owed = self.0.get() + ns;
+        self.0.set(if owed <= 0 {
+            owed
+        } else {
+            -(wait(owed) - owed).min(max_credit)
+        });
     }
+}
+
+/// Busy-wait at least `owed` ns and return the time spent
+/// (`thread::sleep` is far too coarse for nanosecond-scale penalties).
+/// About one clock read's worth of a wait — before its first read
+/// returns, after its last was taken — lies outside what it reads off
+/// the clock, and the gap between its last two reads is what one read
+/// costs right now. No `spin_loop` hint: its `pause` would widen the gap
+/// without widening the unseen part.
+#[inline(never)]
+fn spin(owed: i64) -> i64 {
     let start = Instant::now();
-    while start.elapsed() < d {
-        std::hint::spin_loop();
+    let mut prev = 0;
+    loop {
+        let seen = start.elapsed().as_nanos() as i64;
+        let spent = seen + (seen - prev);
+        if spent >= owed {
+            return spent;
+        }
+        prev = seen;
     }
 }
 
@@ -111,19 +146,31 @@ mod tests {
         m.charge_read(1_000_000, false);
         m.charge_write(1_000_000, false);
         // A million blocks at zero cost must return ~instantly.
-        assert!(t.elapsed() < Duration::from_millis(50));
+        assert!(t.elapsed() < std::time::Duration::from_millis(50));
     }
 
     #[test]
-    fn read_penalty_is_observable() {
-        let m = LatencyModel {
-            read_ns: 1_000,
-            write_ns: 0,
-            seq_discount_pct: 100,
-        };
-        let t = Instant::now();
-        m.charge_read(1_000, false); // 1 ms total
-        assert!(t.elapsed() >= Duration::from_micros(900));
+    fn a_long_stall_buys_at_most_one_block_of_credit() {
+        let d = Debt(Cell::new(0));
+        // The wait for one 170 ns block is preempted for 10 ms...
+        d.charge(170, 170, |owed| owed + 10_000_000);
+        assert_eq!(d.0.get(), -170, "credit is capped at one block");
+        // ...which prepays exactly the next block and nothing more.
+        d.charge(170, 170, |_| panic!("the credit covers this block"));
+        assert_eq!(d.0.get(), 0);
+        let mut waited = 0;
+        d.charge(170, 170, |owed| {
+            waited = owed;
+            owed + 30
+        });
+        assert_eq!(waited, 170, "the third block is waited for in full");
+        assert_eq!(d.0.get(), -30, "a normal overshoot carries over");
+        // Credit shortens the next wait instead of being dropped.
+        d.charge(68, 170, |owed| {
+            waited = owed;
+            owed
+        });
+        assert_eq!(waited, 38);
     }
 
     #[test]
@@ -136,6 +183,9 @@ mod tests {
         let t = Instant::now();
         m.charge_read(1_000, true); // 0.1 ms total
         let seq = t.elapsed();
-        assert!(seq < Duration::from_micros(800), "seq took {seq:?}");
+        assert!(
+            seq < std::time::Duration::from_micros(800),
+            "seq took {seq:?}"
+        );
     }
 }

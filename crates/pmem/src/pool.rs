@@ -12,7 +12,8 @@ use crate::inject::{
     ResidualLine, ResidualPolicy,
 };
 use crate::off::PmOff;
-use crate::stats::{PmStats, PmStatsSnapshot};
+use crate::stats::{self, PmStats, PmStatsSnapshot};
+use crossbeam_utils::CachePadded;
 
 /// CPU cache-line size; `clwb` operates at this granularity.
 pub const CACHELINE: usize = 64;
@@ -51,7 +52,8 @@ thread_local! {
     /// Direct-mapped cache of recently touched media blocks, tagged with
     /// the owning pool id so multiple pools do not alias. Entry format:
     /// `(pool_id << 40) | (block + 1)`; 0 means empty.
-    static BLOCK_CACHE: Cell<[u64; BLOCK_CACHE_SLOTS]> = const { Cell::new([0; BLOCK_CACHE_SLOTS]) };
+    static BLOCK_CACHE: [Cell<u64>; BLOCK_CACHE_SLOTS] =
+        const { [const { Cell::new(0) }; BLOCK_CACHE_SLOTS] };
     /// Last media block touched by this thread (for the sequential-access
     /// latency discount), same tag format.
     static LAST_BLOCK: Cell<u64> = const { Cell::new(0) };
@@ -82,29 +84,17 @@ pub struct PmPool {
     /// One bit per 8-byte word: set when the CPU image has been written
     /// since the word was last persisted (the durability-audit bitmap).
     dirty: Box<[AtomicU64]>,
-    /// Per cache line, the [`PmPool::write_clock`] value of the last
-    /// store that touched it. Orders residual candidates by recency so
+    /// Per cache line, the store stamp (the writing thread's own store
+    /// count on this pool, see `PmStats::count_write`) of the last store
+    /// that touched it. Orders residual candidates by recency so
     /// exhaustive torn-write enumeration can focus on the write
-    /// frontier (the lines the in-flight operation just dirtied).
+    /// frontier (the lines the in-flight operation just dirtied). Exact
+    /// for one writer; lines of different writers interleave by each
+    /// writer's own count.
     dirty_seq: Box<[AtomicU64]>,
-    /// Monotonic store counter feeding [`PmPool::dirty_seq`].
-    write_clock: AtomicU64,
-    /// Persistence events (clwb/ntstore/sfence calls) since creation.
-    events: AtomicU64,
-    /// Crash-point injection: events remaining until the trip (0 = off).
-    armed: AtomicU64,
-    /// Set once an injected crash fired; freezes the persisted image
-    /// until the next [`PmPool::crash`].
-    crashed: AtomicBool,
+    gates: CachePadded<Gates>,
     /// Durability audit captured when the injected crash fired.
     report: Mutex<Option<CrashReport>>,
-    /// Multi-threaded crash mode: when the armed crash fires, also set
-    /// [`PmPool::halted`] so other threads unwind (see
-    /// [`PmPool::set_halt_on_crash`]).
-    halt_on_crash: AtomicBool,
-    /// Fast gate checked on every PM access: when set, any access from a
-    /// non-panicking thread unwinds with [`CrashPointHit`].
-    halted: AtomicBool,
     /// Dirty lines (offset + CPU contents) captured at the instant the
     /// armed crash fired — the residual-image candidate set, snapshotted
     /// before unwinding code can dirty anything else.
@@ -112,12 +102,36 @@ pub struct PmPool {
     /// One bit per cache line: set when the line is poisoned (reads
     /// raise the emulated machine-check, [`PoisonedRead`]).
     poison: Box<[AtomicU64]>,
-    /// Fast gate: number of currently poisoned lines.
-    poison_lines: AtomicU64,
     /// Per poisoned line, which of its 8 words have been fully
     /// rewritten; at 0xFF the line's poison clears (real PM clears
     /// poison when the whole line is overwritten).
     poison_fill: Mutex<HashMap<u64, u8>>,
+}
+
+/// Lock injection bookkeeping. An injected crash unwinds through
+/// arbitrary code, so a poisoned mutex here is expected and harmless.
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// The words every access checks and only crash/poison injection
+/// writes, on a cache line of their own: the unarmed hot path never
+/// shares a line with anything a running workload modifies.
+#[derive(Default)]
+struct Gates {
+    /// When set, any access from a non-panicking thread unwinds with
+    /// [`CrashPointHit`].
+    halted: AtomicBool,
+    /// Set once an injected crash fired; freezes the persisted image
+    /// until the next [`PmPool::crash`].
+    crashed: AtomicBool,
+    /// Multi-threaded crash mode: when the armed crash fires, also set
+    /// `halted` so other threads unwind ([`PmPool::set_halt_on_crash`]).
+    halt_on_crash: AtomicBool,
+    /// Crash-point injection: events remaining until the trip (0 = off).
+    armed: AtomicU64,
+    /// Number of currently poisoned lines.
+    poison_lines: AtomicU64,
 }
 
 impl PmPool {
@@ -137,16 +151,10 @@ impl PmPool {
             chaos_ctr: AtomicU64::new(0),
             dirty: alloc(words.div_ceil(64)),
             dirty_seq: alloc(len / CACHELINE),
-            write_clock: AtomicU64::new(0),
-            events: AtomicU64::new(0),
-            armed: AtomicU64::new(0),
-            crashed: AtomicBool::new(false),
+            gates: CachePadded::new(Gates::default()),
             report: Mutex::new(None),
-            halt_on_crash: AtomicBool::new(false),
-            halted: AtomicBool::new(false),
             residual: Mutex::new(None),
             poison: alloc((len / CACHELINE).div_ceil(64)),
-            poison_lines: AtomicU64::new(0),
             poison_fill: Mutex::new(HashMap::new()),
         }
     }
@@ -182,18 +190,11 @@ impl PmPool {
     }
 
     #[inline]
-    fn media_block_of(off: u64) -> u64 {
-        off / MEDIA_BLOCK as u64
-    }
-
-    #[inline]
     fn blocks_in(off: u64, len: usize) -> u64 {
         if len == 0 {
             return 0;
         }
-        let first = Self::media_block_of(off);
-        let last = Self::media_block_of(off + len as u64 - 1);
-        last - first + 1
+        (off + len as u64 - 1) / MEDIA_BLOCK as u64 - off / MEDIA_BLOCK as u64 + 1
     }
 
     #[inline]
@@ -206,29 +207,25 @@ impl PmPool {
     #[inline]
     fn account_read(&self, off: u64, len: usize) {
         self.check_halt();
-        if self.poison_lines.load(Ordering::Relaxed) != 0 {
-            self.raise_on_poison(off, len);
-        }
-        let first = Self::media_block_of(off);
-        let nblocks = Self::blocks_in(off, len);
+        self.raise_on_poison(off, len);
+        let first = off / MEDIA_BLOCK as u64;
+        let end = first + Self::blocks_in(off, len);
         let mut missed = 0u64;
         let mut sequential = true;
         BLOCK_CACHE.with(|cache| {
-            let mut c = cache.get();
-            let last = LAST_BLOCK.with(|l| l.get());
-            for b in first..first + nblocks {
+            let last = LAST_BLOCK.get();
+            for b in first..end {
                 let tag = self.block_tag(b);
-                let slot = (b as usize) & (BLOCK_CACHE_SLOTS - 1);
-                if c[slot] != tag {
-                    c[slot] = tag;
+                let slot = &cache[(b as usize) & (BLOCK_CACHE_SLOTS - 1)];
+                if slot.get() != tag {
+                    slot.set(tag);
                     missed += 1;
                     if tag != last && tag != last + 1 {
                         sequential = false;
                     }
                 }
             }
-            LAST_BLOCK.with(|l| l.set(self.block_tag(first + nblocks - 1)));
-            cache.set(c);
+            LAST_BLOCK.set(self.block_tag(end - 1));
         });
         self.stats.count_read(len as u64, missed);
         obs::pm_read(off, len, missed * MEDIA_BLOCK as u64);
@@ -243,52 +240,44 @@ impl PmPool {
     #[inline]
     fn account_write(&self, off: u64, len: usize) {
         self.check_halt();
-        if self.poison_lines.load(Ordering::Relaxed) != 0 {
+        if self.gates.poison_lines.load(Ordering::Relaxed) != 0 {
             self.note_poison_overwrite(off, len);
         }
-        let first = Self::media_block_of(off);
-        let nblocks = Self::blocks_in(off, len);
+        let first = off / MEDIA_BLOCK as u64;
         BLOCK_CACHE.with(|cache| {
-            let mut c = cache.get();
-            for b in first..first + nblocks {
-                c[(b as usize) & (BLOCK_CACHE_SLOTS - 1)] = self.block_tag(b);
+            for b in first..first + Self::blocks_in(off, len) {
+                cache[(b as usize) & (BLOCK_CACHE_SLOTS - 1)].set(self.block_tag(b));
             }
-            cache.set(c);
         });
-        self.stats.count_write(len as u64);
+        let stamp = self.stats.count_write(len as u64);
         obs::pm_write(off, len);
-        self.mark_dirty(off, len);
+        self.mark_dirty(off, len, stamp);
     }
 
     // ----- durability audit (dirty-word tracking) --------------------------
 
-    /// Mark the words covering `[off, off + len)` as written-but-unflushed.
+    /// Mark the words covering `[off, off + len)` as written-but-unflushed
+    /// and stamp their lines with the store's recency `stamp`.
     #[inline]
-    fn mark_dirty(&self, off: u64, len: usize) {
+    fn mark_dirty(&self, off: u64, len: usize, stamp: u64) {
         if len == 0 {
             return;
         }
-        let clock = self.write_clock.fetch_add(1, Ordering::Relaxed);
-        let lfirst = off / CACHELINE as u64;
-        let llast = (off + len as u64 - 1) / CACHELINE as u64;
-        for l in lfirst..=llast {
-            self.dirty_seq[l as usize].store(clock, Ordering::Relaxed);
+        let last_byte = off + len as u64 - 1;
+        for l in off / CACHELINE as u64..=last_byte / CACHELINE as u64 {
+            self.dirty_seq[l as usize].store(stamp, Ordering::Relaxed);
         }
-        let first = off / 8;
-        let last = (off + len as u64 - 1) / 8;
-        if first / 64 == last / 64 {
-            // Common case: all touched words live in one bitmap atom.
-            let span = last - first + 1;
-            let mask = if span >= 64 {
-                u64::MAX
-            } else {
-                ((1u64 << span) - 1) << (first % 64)
-            };
-            self.dirty[(first / 64) as usize].fetch_or(mask, Ordering::Relaxed);
-        } else {
-            for w in first..=last {
-                self.dirty[(w / 64) as usize].fetch_or(1 << (w % 64), Ordering::Relaxed);
+        // One mask per bitmap atom; an atom whose bits are already set
+        // (a re-store to a dirty word) needs no RMW at all.
+        let (mut w, last) = (off / 8, last_byte / 8);
+        while w <= last {
+            let atom_last = (w | 63).min(last);
+            let mask = (u64::MAX >> (63 - (atom_last - w))) << (w % 64);
+            let atom = &self.dirty[(w / 64) as usize];
+            if atom.load(Ordering::Relaxed) & mask != mask {
+                atom.fetch_or(mask, Ordering::Relaxed);
             }
+            w = atom_last + 1;
         }
     }
 
@@ -297,22 +286,7 @@ impl PmPool {
     #[inline]
     fn line_dirty_bits(&self, line_off: u64) -> u64 {
         let w0 = line_off / 8;
-        let shift = w0 % 64;
-        self.dirty[(w0 / 64) as usize].load(Ordering::Relaxed) & (0xFF << shift)
-    }
-
-    /// Whether any cache line in `[start, end)` (both 64-aligned) has a
-    /// written-but-unflushed word.
-    #[inline]
-    fn range_has_dirty_line(&self, start: u64, end: u64) -> bool {
-        let mut line = start;
-        while line < end {
-            if self.line_dirty_bits(line) != 0 {
-                return true;
-            }
-            line += CACHELINE as u64;
-        }
-        false
+        self.dirty[(w0 / 64) as usize].load(Ordering::Relaxed) & (0xFF << (w0 % 64))
     }
 
     /// Written-but-unflushed 8-byte words (durability-audit bitmap
@@ -324,74 +298,59 @@ impl PmPool {
             .sum()
     }
 
+    /// Offsets of the cache lines with at least one dirty word, ascending.
+    fn dirty_lines(&self) -> impl Iterator<Item = u64> + '_ {
+        self.dirty.iter().enumerate().flat_map(|(i, a)| {
+            let bits = a.load(Ordering::Relaxed);
+            // An atom covers 8 lines, one 8-bit group each.
+            (0..if bits == 0 { 0 } else { 8u64 })
+                .filter(move |g| (bits >> (g * 8)) & 0xFF != 0)
+                .map(move |g| (i as u64 * 8 + g) * CACHELINE as u64)
+        })
+    }
+
     /// Cache lines containing at least one dirty word.
     pub fn dirty_line_count(&self) -> u64 {
-        let mut lines = 0u64;
-        for a in self.dirty.iter() {
-            let mut bits = a.load(Ordering::Relaxed);
-            while bits != 0 {
-                // Consume one 8-bit (one cache line) group at a time.
-                let line = (bits.trailing_zeros() / 8) as u64;
-                lines += 1;
-                bits &= !(0xFFu64 << (line * 8));
-            }
-        }
-        lines
+        self.dirty_lines().count() as u64
     }
 
     /// Pool offsets of the first `limit` dirty cache lines, for
     /// diagnostics in the crash-point explorer.
     pub fn dirty_line_offsets(&self, limit: usize) -> Vec<u64> {
-        let mut out = Vec::new();
-        'outer: for (i, a) in self.dirty.iter().enumerate() {
-            let mut bits = a.load(Ordering::Relaxed);
-            while bits != 0 {
-                let line = (bits.trailing_zeros() / 8) as u64;
-                out.push((i as u64 * 64 + line * 8) * 8);
-                if out.len() >= limit {
-                    break 'outer;
-                }
-                bits &= !(0xFFu64 << (line * 8));
-            }
-        }
-        out
-    }
-
-    fn clear_all_dirty(&self) {
-        for a in self.dirty.iter() {
-            a.store(0, Ordering::Relaxed);
-        }
+        self.dirty_lines().take(limit).collect()
     }
 
     // ----- crash-point injection -------------------------------------------
 
-    /// Count one persistence event and trip the injected crash when the
-    /// pool is armed and the countdown reaches it. Returns `true` when
-    /// the pool has already crashed (callers must suppress the
-    /// persistence effect). Panics with [`CrashPointHit`] at the trip.
+    /// Trip the injected crash when the pool is armed and the countdown
+    /// reaches this persistence event (which the caller has already
+    /// counted in `stats`, where [`PmPool::persist_event_count`] reads
+    /// it). Returns `true` when the pool has already crashed (callers
+    /// must suppress the persistence effect). Panics with
+    /// [`CrashPointHit`] at the trip.
     #[inline]
     fn persistence_event(&self, kind: PersistEventKind) -> bool {
         self.check_halt();
-        let index = self.events.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.crashed.load(Ordering::Relaxed) {
+        if self.gates.crashed.load(Ordering::Relaxed) {
             return true;
         }
-        if self.armed.load(Ordering::Relaxed) == 0 {
+        if self.gates.armed.load(Ordering::Relaxed) == 0 {
             return false;
         }
-        self.persistence_event_armed(kind, index)
+        self.persistence_event_armed(kind)
     }
 
     /// Cold path of [`PmPool::persistence_event`]: decrement the armed
     /// countdown and fire when it reaches zero.
     #[cold]
-    fn persistence_event_armed(&self, kind: PersistEventKind, index: u64) -> bool {
+    fn persistence_event_armed(&self, kind: PersistEventKind) -> bool {
         loop {
-            let cur = self.armed.load(Ordering::Relaxed);
+            let cur = self.gates.armed.load(Ordering::Relaxed);
             if cur == 0 {
                 return false; // lost a race with a concurrent trip/disarm
             }
             if self
+                .gates
                 .armed
                 .compare_exchange(cur, cur - 1, Ordering::Relaxed, Ordering::Relaxed)
                 .is_err()
@@ -409,31 +368,26 @@ impl PmPool {
             // first makes every concurrent PM access unwind before it
             // can witness the frozen world; anything a sibling fully
             // flushed before this instant is genuinely durable.
-            if self.halt_on_crash.load(Ordering::Relaxed) {
-                self.halted.store(true, Ordering::Relaxed);
+            if self.gates.halt_on_crash.load(Ordering::Relaxed) {
+                self.gates.halted.store(true, Ordering::Relaxed);
             }
             // Now freeze the persisted image so nothing that runs
             // during unwinding can persist data, then capture the
             // durability audit and the residual-image candidate set
             // (dirty lines + their CPU contents) before unwinding code
             // can dirty anything else, and unwind.
-            self.crashed.store(true, Ordering::Relaxed);
+            self.gates.crashed.store(true, Ordering::Relaxed);
             let report = CrashReport {
-                event_index: index,
+                event_index: self.persist_event_count(),
                 trigger: kind,
                 dirty_words: self.dirty_word_count(),
                 dirty_lines: self.dirty_line_count(),
                 redundant_clwb: self.stats.snapshot().clwb_redundant,
             };
-            *self.report_slot() = Some(report);
-            *self.residual_slot() = Some(self.collect_residual_candidates());
+            *lock(&self.report) = Some(report);
+            *lock(&self.residual) = Some(self.collect_residual_candidates());
             std::panic::panic_any(CrashPointHit);
         }
-    }
-
-    #[inline]
-    fn report_slot(&self) -> std::sync::MutexGuard<'_, Option<CrashReport>> {
-        self.report.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Arm the pool to simulate a power failure at the `events`-th
@@ -451,40 +405,43 @@ impl PmPool {
     /// event still trips (enable [`PmPool::set_halt_on_crash`] so the
     /// surviving threads unwind too).
     pub fn arm_crash_after(&self, events: u64) {
-        *self.report_slot() = None;
-        *self.residual_slot() = None;
-        self.crashed.store(false, Ordering::Relaxed);
-        self.halted.store(false, Ordering::Relaxed);
-        self.armed.store(events, Ordering::Relaxed);
+        *lock(&self.report) = None;
+        *lock(&self.residual) = None;
+        self.gates.crashed.store(false, Ordering::Relaxed);
+        self.gates.halted.store(false, Ordering::Relaxed);
+        self.gates.armed.store(events, Ordering::Relaxed);
     }
 
     /// Disarm a pending injected crash (no-op if none is armed).
     pub fn disarm_crash(&self) {
-        self.armed.store(0, Ordering::Relaxed);
+        self.gates.armed.store(0, Ordering::Relaxed);
     }
 
     /// Events remaining until the armed crash fires (0 = disarmed).
     pub fn crash_events_remaining(&self) -> u64 {
-        self.armed.load(Ordering::Relaxed)
+        self.gates.armed.load(Ordering::Relaxed)
     }
 
     /// Whether an injected crash has fired and the persisted image is
     /// currently frozen (cleared by [`PmPool::crash`]).
     pub fn crash_fired(&self) -> bool {
-        self.crashed.load(Ordering::Relaxed)
+        self.gates.crashed.load(Ordering::Relaxed)
     }
 
     /// The durability audit captured when the last injected crash
     /// fired. Survives [`PmPool::crash`]; cleared by the next
     /// [`PmPool::arm_crash_after`].
     pub fn crash_report(&self) -> Option<CrashReport> {
-        *self.report_slot()
+        *lock(&self.report)
     }
 
     /// Total persistence events (clwb/ntstore/sfence calls) since pool
-    /// creation. Used by probe runs to size a boundary sweep.
+    /// creation, summed over the per-thread counters: exact when the
+    /// pool is quiesced or driven by one thread. Used by probe runs to
+    /// size a boundary sweep.
+    #[inline]
     pub fn persist_event_count(&self) -> u64 {
-        self.events.load(Ordering::Relaxed)
+        self.stats.events()
     }
 
     // ----- multi-threaded crash (halt-on-crash) ----------------------------
@@ -506,21 +463,21 @@ impl PmPool {
     /// non-panicking thread. Disabled by default; disabling also clears
     /// an active halt.
     pub fn set_halt_on_crash(&self, enabled: bool) {
-        self.halt_on_crash.store(enabled, Ordering::Relaxed);
+        self.gates.halt_on_crash.store(enabled, Ordering::Relaxed);
         if !enabled {
-            self.halted.store(false, Ordering::Relaxed);
+            self.gates.halted.store(false, Ordering::Relaxed);
         }
     }
 
     /// Whether the device is currently halted (armed crash fired with
     /// halt-on-crash enabled; every PM access unwinds).
     pub fn is_halted(&self) -> bool {
-        self.halted.load(Ordering::Relaxed)
+        self.gates.halted.load(Ordering::Relaxed)
     }
 
     #[inline]
     fn check_halt(&self) {
-        if self.halted.load(Ordering::Relaxed) {
+        if self.gates.halted.load(Ordering::Relaxed) {
             self.halt_slow();
         }
     }
@@ -534,11 +491,6 @@ impl PmPool {
 
     // ----- residual image --------------------------------------------------
 
-    #[inline]
-    fn residual_slot(&self) -> std::sync::MutexGuard<'_, Option<Vec<ResidualLine>>> {
-        self.residual.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     /// Walk the dirty bitmap and capture every dirty line with its
     /// current CPU contents, ordered most-recently-written first (ties
     /// broken by offset). Recency ordering lets subset enumeration
@@ -546,22 +498,15 @@ impl PmPool {
     /// (volatile locks, runtime counters living in PM) inflate the
     /// total candidate count.
     fn collect_residual_candidates(&self) -> Vec<ResidualLine> {
-        let mut out = Vec::new();
-        for (i, a) in self.dirty.iter().enumerate() {
-            let mut bits = a.load(Ordering::Relaxed);
-            while bits != 0 {
-                let line = (bits.trailing_zeros() / 8) as u64;
-                let off = (i as u64 * 64 + line * 8) * 8;
+        let mut out: Vec<(u64, ResidualLine)> = self
+            .dirty_lines()
+            .map(|off| {
                 let w0 = (off / 8) as usize;
-                let mut words = [0u64; 8];
-                for (j, w) in words.iter_mut().enumerate() {
-                    *w = self.cpu[w0 + j].load(Ordering::Relaxed);
-                }
+                let words = std::array::from_fn(|j| self.cpu[w0 + j].load(Ordering::Relaxed));
                 let seq = self.dirty_seq[(off / CACHELINE as u64) as usize].load(Ordering::Relaxed);
-                out.push((seq, ResidualLine { off, words }));
-                bits &= !(0xFFu64 << (line * 8));
-            }
-        }
+                (seq, ResidualLine { off, words })
+            })
+            .collect();
         out.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.off.cmp(&b.1.off)));
         out.into_iter().map(|(_, l)| l).collect()
     }
@@ -579,8 +524,8 @@ impl PmPool {
     /// it is computed from the current dirty bitmap, which is what a
     /// torture-style [`PmPool::crash_with`] needs.
     pub fn residual_candidates(&self) -> Vec<ResidualLine> {
-        if self.crashed.load(Ordering::Relaxed) {
-            if let Some(c) = self.residual_slot().as_ref() {
+        if self.gates.crashed.load(Ordering::Relaxed) {
+            if let Some(c) = lock(&self.residual).as_ref() {
                 return c.clone();
             }
         }
@@ -606,13 +551,33 @@ impl PmPool {
             self.persisted[i].store(w, Ordering::Relaxed);
             self.cpu[i].store(w, Ordering::Relaxed);
         }
-        self.armed.store(0, Ordering::Relaxed);
-        self.crashed.store(false, Ordering::Relaxed);
-        self.halted.store(false, Ordering::Relaxed);
-        *self.residual_slot() = None;
-        self.clear_all_dirty();
         self.clear_all_poison();
+        self.power_off();
+    }
+
+    /// What dies with the CPU image at a power cut: the injection state
+    /// and the dirty bitmap. The captured crash report survives for
+    /// inspection, and poison survives too — media errors outlive power
+    /// cycles.
+    fn power_off(&self) {
+        self.gates.armed.store(0, Ordering::Relaxed);
+        self.gates.crashed.store(false, Ordering::Relaxed);
+        self.gates.halted.store(false, Ordering::Relaxed);
+        *lock(&self.residual) = None;
+        for a in self.dirty.iter() {
+            a.store(0, Ordering::Relaxed);
+        }
         std::sync::atomic::fence(Ordering::SeqCst);
+    }
+
+    /// Store `words` to the cache line at `line` (64-aligned) in both
+    /// images.
+    fn set_line(&self, line: u64, words: [u64; 8]) {
+        debug_assert_eq!(line % CACHELINE as u64, 0);
+        for (j, w) in words.into_iter().enumerate() {
+            self.cpu[(line / 8) as usize + j].store(w, Ordering::Relaxed);
+            self.persisted[(line / 8) as usize + j].store(w, Ordering::Relaxed);
+        }
     }
 
     /// Write the given lines into both images: these lines *did* reach
@@ -621,12 +586,7 @@ impl PmPool {
     /// [`ResidualPolicy`] selected.
     pub fn apply_residual_lines(&self, lines: &[ResidualLine]) {
         for l in lines {
-            debug_assert_eq!(l.off % CACHELINE as u64, 0);
-            let w0 = (l.off / 8) as usize;
-            for (j, &w) in l.words.iter().enumerate() {
-                self.cpu[w0 + j].store(w, Ordering::Relaxed);
-                self.persisted[w0 + j].store(w, Ordering::Relaxed);
-            }
+            self.set_line(l.off, l.words);
         }
         std::sync::atomic::fence(Ordering::SeqCst);
     }
@@ -660,11 +620,6 @@ impl PmPool {
         self.poison[(l / 64) as usize].load(Ordering::Relaxed) & (1u64 << (l % 64)) != 0
     }
 
-    #[inline]
-    fn poison_fill_slot(&self) -> std::sync::MutexGuard<'_, HashMap<u64, u8>> {
-        self.poison_fill.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     /// Poison the cache line containing `off`: the media can no longer
     /// return its data. Any read touching the line panics with
     /// [`PoisonedRead`] (the emulated machine-check) until the whole
@@ -684,30 +639,26 @@ impl PmPool {
         let l = line / CACHELINE as u64;
         let prev = self.poison[(l / 64) as usize].fetch_or(1u64 << (l % 64), Ordering::Relaxed);
         if prev & (1u64 << (l % 64)) == 0 {
-            self.poison_lines.fetch_add(1, Ordering::Relaxed);
+            self.gates.poison_lines.fetch_add(1, Ordering::Relaxed);
         }
-        self.poison_fill_slot().remove(&line);
-        let w0 = (line / 8) as usize;
-        for j in 0..8 {
-            let junk = splitmix64(0xBAD0_BAD0_0000_0000 ^ line ^ j as u64);
-            self.cpu[w0 + j].store(junk, Ordering::Relaxed);
-            self.persisted[w0 + j].store(junk, Ordering::Relaxed);
-        }
+        lock(&self.poison_fill).remove(&line);
+        let junk = |j| splitmix64(0xBAD0_BAD0_0000_0000 ^ line ^ j as u64);
+        self.set_line(line, std::array::from_fn(junk));
     }
 
     /// Currently poisoned cache lines.
     pub fn poisoned_line_count(&self) -> u64 {
-        self.poison_lines.load(Ordering::Relaxed)
+        self.gates.poison_lines.load(Ordering::Relaxed)
     }
 
     /// Clear all poison without touching data (testing/reset helper).
     pub fn clear_all_poison(&self) {
-        if self.poison_lines.swap(0, Ordering::Relaxed) != 0 {
+        if self.gates.poison_lines.swap(0, Ordering::Relaxed) != 0 {
             for a in self.poison.iter() {
                 a.store(0, Ordering::Relaxed);
             }
         }
-        self.poison_fill_slot().clear();
+        lock(&self.poison_fill).clear();
     }
 
     /// Probe whether `[off, off + len)` is readable without raising the
@@ -715,46 +666,37 @@ impl PmPool {
     /// interpreting any structure so a media error becomes a graceful
     /// [`MediaError`] ("rebuild or report") instead of consumed garbage.
     pub fn check_readable(&self, off: u64, len: usize) -> Result<(), MediaError> {
-        if self.poison_lines.load(Ordering::Relaxed) == 0 || len == 0 {
+        if self.gates.poison_lines.load(Ordering::Relaxed) == 0 || len == 0 {
             return Ok(());
         }
-        match self.first_poisoned_line(off, len) {
-            None => Ok(()),
-            Some(line) => Err(MediaError {
-                off: line,
-                context: "pm range",
-            }),
-        }
+        self.poisoned_lines(off, len).next().map_or(Ok(()), |off| {
+            let context = "pm range";
+            Err(MediaError { off, context })
+        })
     }
 
-    fn first_poisoned_line(&self, off: u64, len: usize) -> Option<u64> {
-        if len == 0 {
-            return None;
-        }
-        let mut line = off & !(CACHELINE as u64 - 1);
+    /// The poisoned cache lines touched by `[off, off + len)`, `len > 0`.
+    fn poisoned_lines(&self, off: u64, len: usize) -> impl Iterator<Item = u64> + '_ {
         let end = (off + len as u64).min(self.len as u64);
-        while line < end {
-            if self.line_poisoned(line) {
-                return Some(line);
-            }
-            line += CACHELINE as u64;
-        }
-        None
+        (off & !(CACHELINE as u64 - 1)..end)
+            .step_by(CACHELINE)
+            .filter(|&line| self.line_poisoned(line))
     }
 
-    #[cold]
-    fn raise_on_poison(&self, off: u64, len: usize) {
-        if let Some(line) = self.first_poisoned_line(off, len) {
-            std::panic::panic_any(PoisonedRead { off: line });
-        }
-    }
-
-    /// Atomic RMW ops consume the old value, so they count as reads for
-    /// poison purposes even though they account as writes.
+    /// Raise the emulated machine-check if `[off, off + len)` touches a
+    /// poisoned line. Atomic RMWs call it too: they consume the old
+    /// value, so they are reads for poison purposes though they account
+    /// as writes.
     #[inline]
-    fn check_rmw_poison(&self, off: u64) {
-        if self.poison_lines.load(Ordering::Relaxed) != 0 {
-            self.raise_on_poison(off, 8);
+    fn raise_on_poison(&self, off: u64, len: usize) {
+        #[cold]
+        fn walk(pool: &PmPool, off: u64, len: usize) {
+            if let Some(off) = pool.poisoned_lines(off, len).next() {
+                std::panic::panic_any(PoisonedRead { off });
+            }
+        }
+        if self.gates.poison_lines.load(Ordering::Relaxed) != 0 {
+            walk(self, off, len);
         }
     }
 
@@ -772,7 +714,7 @@ impl PmPool {
         if first >= last_excl {
             return;
         }
-        let mut fill = self.poison_fill_slot();
+        let mut fill = lock(&self.poison_fill);
         for w in first..last_excl {
             let line = (w * 8) & !(CACHELINE as u64 - 1);
             if !self.line_poisoned(line) {
@@ -791,7 +733,7 @@ impl PmPool {
         let l = line / CACHELINE as u64;
         let prev = self.poison[(l / 64) as usize].fetch_and(!(1u64 << (l % 64)), Ordering::Relaxed);
         if prev & (1u64 << (l % 64)) != 0 {
-            self.poison_lines.fetch_sub(1, Ordering::Relaxed);
+            self.gates.poison_lines.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
@@ -801,22 +743,13 @@ impl PmPool {
     /// re-initializes a block before handing it out — the old contents
     /// are gone, but the media is usable again.
     pub fn scrub_poison(&self, off: u64, len: usize) {
-        if self.poison_lines.load(Ordering::Relaxed) == 0 || len == 0 {
+        if self.gates.poison_lines.load(Ordering::Relaxed) == 0 || len == 0 {
             return;
         }
-        let mut line = off & !(CACHELINE as u64 - 1);
-        let end = (off + len as u64).min(self.len as u64);
-        while line < end {
-            if self.line_poisoned(line) {
-                let w0 = (line / 8) as usize;
-                for j in 0..8 {
-                    self.cpu[w0 + j].store(0, Ordering::Relaxed);
-                    self.persisted[w0 + j].store(0, Ordering::Relaxed);
-                }
-                self.poison_fill_slot().remove(&line);
-                self.clear_poison_bit(line);
-            }
-            line += CACHELINE as u64;
+        for line in self.poisoned_lines(off, len) {
+            self.set_line(line, [0; 8]);
+            lock(&self.poison_fill).remove(&line);
+            self.clear_poison_bit(line);
         }
     }
 
@@ -830,13 +763,28 @@ impl PmPool {
         self.persisted[w].store(v, Ordering::Relaxed);
     }
 
+    /// Write one whole cache line (64-aligned) back to the persisted
+    /// image, clearing its 8 dirty bits with one RMW. Returns the bits
+    /// that were set: 0 means the line was already clean.
+    #[inline]
+    fn persist_line(&self, line_off: u64) -> u64 {
+        let w0 = (line_off / 8) as usize;
+        let mask = 0xFFu64 << (w0 % 64);
+        let was = self.dirty[w0 / 64].fetch_and(!mask, Ordering::Relaxed) & mask;
+        for w in w0..w0 + 8 {
+            let v = self.cpu[w].load(Ordering::Relaxed);
+            self.persisted[w].store(v, Ordering::Relaxed);
+        }
+        was
+    }
+
     /// Eviction chaos: maybe spontaneously persist the word just written.
     #[inline]
     fn maybe_evict(&self, off: u64) {
-        if self.crashed.load(Ordering::Relaxed) {
-            return;
-        }
         if let Some(seed) = self.cfg.eviction_chaos {
+            if self.gates.crashed.load(Ordering::Relaxed) {
+                return;
+            }
             let n = self.chaos_ctr.fetch_add(1, Ordering::Relaxed);
             // SplitMix64-style mix of (seed, off, n).
             let mut x = seed ^ off.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ n;
@@ -854,16 +802,13 @@ impl PmPool {
     /// Load an aligned `u64` (relaxed; pair with your own synchronization).
     #[inline]
     pub fn read_u64(&self, off: u64) -> u64 {
-        self.account_read(off, 8);
-        self.word(off).load(Ordering::Relaxed)
+        self.load_u64(off, Ordering::Relaxed)
     }
 
     /// Store an aligned `u64` (relaxed). Volatile until flushed.
     #[inline]
     pub fn write_u64(&self, off: u64, v: u64) {
-        self.account_write(off, 8);
-        self.word(off).store(v, Ordering::Relaxed);
-        self.maybe_evict(off);
+        self.store_u64(off, v, Ordering::Relaxed);
     }
 
     /// Load an aligned `u64` with an explicit memory ordering.
@@ -884,7 +829,7 @@ impl PmPool {
     /// Compare-and-exchange on an aligned `u64`.
     #[inline]
     pub fn cas_u64(&self, off: u64, current: u64, new: u64) -> Result<u64, u64> {
-        self.check_rmw_poison(off);
+        self.raise_on_poison(off, 8);
         self.account_write(off, 8);
         let r = self
             .word(off)
@@ -895,34 +840,32 @@ impl PmPool {
         r
     }
 
+    /// The shape the atomic fetch-ops share.
+    #[inline]
+    fn fetch_op(&self, off: u64, op: impl FnOnce(&AtomicU64) -> u64) -> u64 {
+        self.raise_on_poison(off, 8);
+        self.account_write(off, 8);
+        let r = op(self.word(off));
+        self.maybe_evict(off);
+        r
+    }
+
     /// Atomic fetch-or on an aligned `u64`.
     #[inline]
     pub fn fetch_or_u64(&self, off: u64, bits: u64, order: Ordering) -> u64 {
-        self.check_rmw_poison(off);
-        self.account_write(off, 8);
-        let r = self.word(off).fetch_or(bits, order);
-        self.maybe_evict(off);
-        r
+        self.fetch_op(off, |w| w.fetch_or(bits, order))
     }
 
     /// Atomic fetch-and on an aligned `u64`.
     #[inline]
     pub fn fetch_and_u64(&self, off: u64, bits: u64, order: Ordering) -> u64 {
-        self.check_rmw_poison(off);
-        self.account_write(off, 8);
-        let r = self.word(off).fetch_and(bits, order);
-        self.maybe_evict(off);
-        r
+        self.fetch_op(off, |w| w.fetch_and(bits, order))
     }
 
     /// Atomic fetch-add on an aligned `u64`.
     #[inline]
     pub fn fetch_add_u64(&self, off: u64, v: u64, order: Ordering) -> u64 {
-        self.check_rmw_poison(off);
-        self.account_write(off, 8);
-        let r = self.word(off).fetch_add(v, order);
-        self.maybe_evict(off);
-        r
+        self.fetch_op(off, |w| w.fetch_add(v, order))
     }
 
     /// Read `dst.len()` bytes starting at `off` (any alignment).
@@ -931,7 +874,21 @@ impl PmPool {
             return;
         }
         self.account_read(off, dst.len());
-        for (o, byte) in (off..).zip(dst.iter_mut()) {
+        // Bytes up to the first word boundary, whole words, the rest.
+        let head = (off.wrapping_neg() % 8).min(dst.len() as u64);
+        let (head, rest) = dst.split_at_mut(head as usize);
+        self.read_within_words(off, head);
+        let mut w = (off as usize + head.len()) / 8;
+        let mut words = rest.chunks_exact_mut(8);
+        for chunk in &mut words {
+            chunk.copy_from_slice(&self.cpu[w].load(Ordering::Relaxed).to_le_bytes());
+            w += 1;
+        }
+        self.read_within_words(w as u64 * 8, words.into_remainder());
+    }
+
+    fn read_within_words(&self, off: u64, dst: &mut [u8]) {
+        for (o, byte) in (off..).zip(dst) {
             let w = self.cpu[(o / 8) as usize].load(Ordering::Relaxed);
             *byte = (w >> ((o % 8) * 8)) as u8;
         }
@@ -949,28 +906,25 @@ impl PmPool {
             (off as usize) + src.len() <= self.len,
             "PM write out of bounds"
         );
+        // Bytes up to the first word boundary, whole words, the rest.
+        let head = (off.wrapping_neg() % 8).min(src.len() as u64);
+        let (head, rest) = src.split_at(head as usize);
         let mut o = off;
-        let mut i = 0usize;
-        // Leading partial word.
-        while i < src.len() && !o.is_multiple_of(8) {
-            self.rmw_byte(o, src[i]);
-            o += 1;
-            i += 1;
-        }
-        // Aligned middle.
-        while i + 8 <= src.len() {
-            let w = u64::from_le_bytes(src[i..i + 8].try_into().unwrap());
+        let edge = |o: &mut u64, bytes: &[u8]| {
+            for &b in bytes {
+                self.rmw_byte(*o, b);
+                *o += 1;
+            }
+        };
+        edge(&mut o, head);
+        let mut words = rest.chunks_exact(8);
+        for chunk in &mut words {
+            let w = u64::from_le_bytes(chunk.try_into().expect("chunks of 8"));
             self.cpu[(o / 8) as usize].store(w, Ordering::Relaxed);
             self.maybe_evict(o);
             o += 8;
-            i += 8;
         }
-        // Trailing partial word.
-        while i < src.len() {
-            self.rmw_byte(o, src[i]);
-            o += 1;
-            i += 1;
-        }
+        edge(&mut o, words.remainder());
     }
 
     #[inline]
@@ -1030,39 +984,33 @@ impl PmPool {
         if len == 0 {
             return;
         }
-        self.stats.count_clwb();
+        self.stats.count(stats::CLWB, 1);
+        let start = off & !(CACHELINE as u64 - 1);
+        let end = crate::align_up(off + len as u64, CACHELINE as u64).min(self.len as u64);
+        let elided = self.cfg.persistence == PersistenceMode::Elided;
+        let blocks = if elided {
+            0
+        } else {
+            Self::blocks_in(start, (end - start) as usize)
+        };
+        let lines = || (start..end).step_by(CACHELINE);
         if obs::enabled() {
             // Trace before the persistence event so an injected crash
             // still leaves this flush in the flight-recorder tail.
-            let start = off & !(CACHELINE as u64 - 1);
-            let end = crate::align_up(off + len as u64, CACHELINE as u64).min(self.len as u64);
-            let media = if self.cfg.persistence == PersistenceMode::Elided {
-                0
-            } else {
-                Self::blocks_in(start, (end - start) as usize) * MEDIA_BLOCK as u64
-            };
-            obs::pm_clwb(off, len, media, !self.range_has_dirty_line(start, end));
+            let clean = lines().all(|l| self.line_dirty_bits(l) == 0);
+            obs::pm_clwb(off, len, blocks * MEDIA_BLOCK as u64, clean);
         }
-        if self.persistence_event(PersistEventKind::Clwb) {
-            return; // injected crash fired earlier: persisted image frozen
-        }
-        if self.cfg.persistence == PersistenceMode::Elided {
+        // `true`: an injected crash fired earlier, persisted image frozen.
+        if self.persistence_event(PersistEventKind::Clwb) || elided {
             return;
         }
-        let start = off & !(CACHELINE as u64 - 1);
-        let end = crate::align_up(off + len as u64, CACHELINE as u64).min(self.len as u64);
-        // Durability audit: a write-back whose lines are all already
+        // Durability audit: a write-back whose lines were all already
         // clean did no useful work (pmemcheck's "redundant flush").
-        if !self.range_has_dirty_line(start, end) {
-            self.stats.count_clwb_redundant();
+        if lines().fold(0, |was, l| was | self.persist_line(l)) == 0 {
+            self.stats.count(stats::CLWB_REDUNDANT, 1);
         }
-        let mut o = start;
-        while o < end {
-            self.persist_word(o);
-            o += 8;
-        }
-        let blocks = Self::blocks_in(start, (end - start) as usize);
-        self.stats.count_media_write(blocks);
+        let media_bytes = blocks * MEDIA_BLOCK as u64;
+        self.stats.count(stats::MEDIA_WRITE_BYTES, media_bytes);
         self.cfg.latency.charge_write(blocks, false);
     }
 
@@ -1077,7 +1025,7 @@ impl PmPool {
     /// and the persisted image (durable at the next fence; persisted
     /// eagerly here).
     pub fn ntstore_u64(&self, off: u64, v: u64) {
-        self.stats.count_ntstore();
+        self.stats.count(stats::NTSTORE, 1);
         obs::pm_ntstore(
             off,
             if self.cfg.persistence == PersistenceMode::Real {
@@ -1096,7 +1044,8 @@ impl PmPool {
         }
         if self.cfg.persistence == PersistenceMode::Real {
             self.persist_word(off);
-            self.stats.count_media_write(1);
+            self.stats
+                .count(stats::MEDIA_WRITE_BYTES, MEDIA_BLOCK as u64);
             self.cfg.latency.charge_write(1, true);
         }
     }
@@ -1106,7 +1055,7 @@ impl PmPool {
     /// cross-thread orderings hold).
     #[inline]
     pub fn sfence(&self) {
-        self.stats.count_fence();
+        self.stats.count(stats::FENCE, 1);
         obs::pm_fence();
         self.persistence_event(PersistEventKind::Sfence);
         std::sync::atomic::fence(Ordering::SeqCst);
@@ -1151,15 +1100,7 @@ impl PmPool {
             let v = self.persisted[i].load(Ordering::Relaxed);
             self.cpu[i].store(v, Ordering::Relaxed);
         }
-        // Power-cycle semantics: the injection state dies with the CPU
-        // image. The captured crash report survives for inspection, and
-        // poison survives too — media errors outlive power cycles.
-        self.armed.store(0, Ordering::Relaxed);
-        self.crashed.store(false, Ordering::Relaxed);
-        self.halted.store(false, Ordering::Relaxed);
-        *self.residual_slot() = None;
-        self.clear_all_dirty();
-        std::sync::atomic::fence(Ordering::SeqCst);
+        self.power_off();
     }
 
     /// Testing helper: force the entire CPU image to be persisted, as if
@@ -1170,7 +1111,9 @@ impl PmPool {
             let v = self.cpu[i].load(Ordering::Relaxed);
             self.persisted[i].store(v, Ordering::Relaxed);
         }
-        self.clear_all_dirty();
+        for a in self.dirty.iter() {
+            a.store(0, Ordering::Relaxed);
+        }
         std::sync::atomic::fence(Ordering::SeqCst);
     }
 

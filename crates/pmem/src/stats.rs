@@ -8,138 +8,157 @@
 //! figures.
 //!
 //! A single shared `AtomicU64` per counter would serialize a 40-thread
-//! benchmark on counter cache lines, so counters are striped: each
-//! thread hashes to one of [`N_STRIPES`] cache-padded cells and updates
-//! it with relaxed ordering. Snapshots sum the stripes.
+//! benchmark on counter cache lines, and even an uncontended atomic
+//! read-modify-write costs more than the access it counts. So counters
+//! are striped, and a stripe has one writer: each live thread holds one
+//! of [`N_STRIPES`] slots (handed back when the thread exits) and
+//! updates its stripe with plain loads and stores. Threads beyond that
+//! share one last stripe with atomic adds. Snapshots sum the stripes:
+//! exact whenever the counting threads are quiescent.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::array::from_fn;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use crossbeam_utils::CachePadded;
 
-/// Number of counter stripes. More than any realistic thread count on
-/// the target machines; power of two for cheap masking.
+/// Number of single-writer stripes. More than any realistic thread
+/// count on the target machines.
 const N_STRIPES: usize = 64;
 
-/// One stripe worth of counters.
-#[derive(Default)]
-struct Stripe {
-    read_ops: AtomicU64,
-    read_bytes: AtomicU64,
-    write_ops: AtomicU64,
-    write_bytes: AtomicU64,
-    media_read_bytes: AtomicU64,
-    media_write_bytes: AtomicU64,
-    clwb: AtomicU64,
-    clwb_redundant: AtomicU64,
-    ntstore: AtomicU64,
-    fence: AtomicU64,
-}
+// Counter indices within a stripe. The three persistence events come
+// first: `PmStats::events` reads them on their own cache line.
+pub(crate) const CLWB: usize = 0;
+pub(crate) const NTSTORE: usize = 1;
+pub(crate) const FENCE: usize = 2;
+pub(crate) const CLWB_REDUNDANT: usize = 3;
+const READ_OPS: usize = 4;
+const READ_BYTES: usize = 5;
+const WRITE_OPS: usize = 6;
+const WRITE_BYTES: usize = 7;
+const MEDIA_READ_BYTES: usize = 8;
+pub(crate) const MEDIA_WRITE_BYTES: usize = 9;
+const N_COUNTERS: usize = 10;
 
-/// Striped counter set owned by a pool.
+type Stripe = [AtomicU64; N_COUNTERS];
+
+/// Striped counter set owned by a pool. The counters only ever count
+/// up: the pool's persistence-event count and store stamps are read off
+/// them.
 pub(crate) struct PmStats {
+    /// `N_STRIPES` single-writer stripes, then the shared one.
     stripes: Box<[CachePadded<Stripe>]>,
+    /// Totals at the last [`PmStats::reset`], which moves this base
+    /// instead of zeroing counters that must stay monotonic.
+    base: Mutex<PmStatsSnapshot>,
 }
 
-static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
+/// Bit `i` set: stripe slot `i` is not held by any live thread.
+static FREE_SLOTS: AtomicU64 = AtomicU64::new(u64::MAX);
+
+/// A thread's hold on a stripe slot; `N_STRIPES` = the shared stripe.
+struct Slot(usize);
+
+impl Slot {
+    fn acquire() -> Self {
+        // Take the lowest free slot. Acquire pairs with the Release in
+        // `drop`: the previous holder's plain counter stores are visible
+        // before ours.
+        let take = |free: u64| (free != 0).then(|| free & (free - 1));
+        match FREE_SLOTS.fetch_update(Ordering::Acquire, Ordering::Relaxed, take) {
+            Ok(free) => Slot(free.trailing_zeros() as usize),
+            Err(_) => Slot(N_STRIPES),
+        }
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        if self.0 < N_STRIPES {
+            FREE_SLOTS.fetch_or(1 << self.0, Ordering::Release);
+        }
+    }
+}
 
 thread_local! {
-    /// Round-robin stripe assignment: consecutive threads get distinct
-    /// stripes until the stripe count wraps.
-    static THREAD_SLOT: usize =
-        NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed) & (N_STRIPES - 1);
-}
-
-#[inline]
-fn slot() -> usize {
-    THREAD_SLOT.with(|s| *s)
+    static SLOT: Slot = Slot::acquire();
 }
 
 impl PmStats {
     pub(crate) fn new() -> Self {
-        let stripes = (0..N_STRIPES)
-            .map(|_| CachePadded::new(Stripe::default()))
-            .collect();
-        Self { stripes }
+        Self {
+            stripes: (0..=N_STRIPES).map(|_| Default::default()).collect(),
+            base: Mutex::default(),
+        }
     }
 
+    /// `add(i, n)` adds `n` to counter `i` of the calling thread's
+    /// stripe and returns the counter's previous value.
     #[inline]
-    fn stripe(&self) -> &Stripe {
-        &self.stripes[slot()]
+    fn adder(&self) -> impl Fn(usize, u64) -> u64 + '_ {
+        // A thread past its TLS teardown counts on the shared stripe.
+        let slot = SLOT.try_with(|s| s.0).unwrap_or(N_STRIPES);
+        move |i, n| {
+            let c = &self.stripes[slot][i];
+            if slot == N_STRIPES {
+                return c.fetch_add(n, Ordering::Relaxed);
+            }
+            // No other live thread writes this stripe.
+            let v = c.load(Ordering::Relaxed);
+            c.store(v + n, Ordering::Relaxed);
+            v
+        }
     }
 
     #[inline]
     pub(crate) fn count_read(&self, bytes: u64, media_blocks: u64) {
-        let s = self.stripe();
-        s.read_ops.fetch_add(1, Ordering::Relaxed);
-        s.read_bytes.fetch_add(bytes, Ordering::Relaxed);
-        s.media_read_bytes
-            .fetch_add(media_blocks * super::MEDIA_BLOCK as u64, Ordering::Relaxed);
+        let add = self.adder();
+        add(READ_OPS, 1);
+        add(READ_BYTES, bytes);
+        if media_blocks != 0 {
+            add(MEDIA_READ_BYTES, media_blocks * super::MEDIA_BLOCK as u64);
+        }
     }
 
+    /// Count one store and return its stamp: how many stores this
+    /// thread's stripe had counted before it, so a thread's later store
+    /// always carries a larger stamp.
     #[inline]
-    pub(crate) fn count_write(&self, bytes: u64) {
-        let s = self.stripe();
-        s.write_ops.fetch_add(1, Ordering::Relaxed);
-        s.write_bytes.fetch_add(bytes, Ordering::Relaxed);
+    pub(crate) fn count_write(&self, bytes: u64) -> u64 {
+        let add = self.adder();
+        add(WRITE_BYTES, bytes);
+        add(WRITE_OPS, 1)
     }
 
+    /// Add `n` to one counter of the calling thread's stripe.
     #[inline]
-    pub(crate) fn count_media_write(&self, media_blocks: u64) {
-        self.stripe()
-            .media_write_bytes
-            .fetch_add(media_blocks * super::MEDIA_BLOCK as u64, Ordering::Relaxed);
+    pub(crate) fn count(&self, counter: usize, n: u64) {
+        self.adder()(counter, n);
     }
 
-    #[inline]
-    pub(crate) fn count_clwb(&self) {
-        self.stripe().clwb.fetch_add(1, Ordering::Relaxed);
+    fn total(&self, counter: usize) -> u64 {
+        self.stripes
+            .iter()
+            .map(|s| s[counter].load(Ordering::Relaxed))
+            .sum()
     }
 
-    #[inline]
-    pub(crate) fn count_clwb_redundant(&self) {
-        self.stripe().clwb_redundant.fetch_add(1, Ordering::Relaxed);
+    /// Persistence events (clwb + ntstore + fence) since creation;
+    /// [`PmStats::reset`] does not rewind it.
+    pub(crate) fn events(&self) -> u64 {
+        self.total(CLWB) + self.total(NTSTORE) + self.total(FENCE)
     }
 
-    #[inline]
-    pub(crate) fn count_ntstore(&self) {
-        self.stripe().ntstore.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn count_fence(&self) {
-        self.stripe().fence.fetch_add(1, Ordering::Relaxed);
+    fn base(&self) -> std::sync::MutexGuard<'_, PmStatsSnapshot> {
+        self.base.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     pub(crate) fn snapshot(&self) -> PmStatsSnapshot {
-        let mut out = PmStatsSnapshot::default();
-        for s in self.stripes.iter() {
-            out.read_ops += s.read_ops.load(Ordering::Relaxed);
-            out.read_bytes += s.read_bytes.load(Ordering::Relaxed);
-            out.write_ops += s.write_ops.load(Ordering::Relaxed);
-            out.write_bytes += s.write_bytes.load(Ordering::Relaxed);
-            out.media_read_bytes += s.media_read_bytes.load(Ordering::Relaxed);
-            out.media_write_bytes += s.media_write_bytes.load(Ordering::Relaxed);
-            out.clwb += s.clwb.load(Ordering::Relaxed);
-            out.clwb_redundant += s.clwb_redundant.load(Ordering::Relaxed);
-            out.ntstore += s.ntstore.load(Ordering::Relaxed);
-            out.fence += s.fence.load(Ordering::Relaxed);
-        }
-        out
+        PmStatsSnapshot::from_counts(from_fn(|i| self.total(i))).since(&self.base())
     }
 
     pub(crate) fn reset(&self) {
-        for s in self.stripes.iter() {
-            s.read_ops.store(0, Ordering::Relaxed);
-            s.read_bytes.store(0, Ordering::Relaxed);
-            s.write_ops.store(0, Ordering::Relaxed);
-            s.write_bytes.store(0, Ordering::Relaxed);
-            s.media_read_bytes.store(0, Ordering::Relaxed);
-            s.media_write_bytes.store(0, Ordering::Relaxed);
-            s.clwb.store(0, Ordering::Relaxed);
-            s.clwb_redundant.store(0, Ordering::Relaxed);
-            s.ntstore.store(0, Ordering::Relaxed);
-            s.fence.store(0, Ordering::Relaxed);
-        }
+        *self.base() = PmStatsSnapshot::from_counts(from_fn(|i| self.total(i)));
     }
 }
 
@@ -170,40 +189,48 @@ pub struct PmStatsSnapshot {
 }
 
 impl PmStatsSnapshot {
+    fn from_counts(c: [u64; N_COUNTERS]) -> Self {
+        Self {
+            read_ops: c[READ_OPS],
+            read_bytes: c[READ_BYTES],
+            write_ops: c[WRITE_OPS],
+            write_bytes: c[WRITE_BYTES],
+            media_read_bytes: c[MEDIA_READ_BYTES],
+            media_write_bytes: c[MEDIA_WRITE_BYTES],
+            clwb: c[CLWB],
+            clwb_redundant: c[CLWB_REDUNDANT],
+            ntstore: c[NTSTORE],
+            fence: c[FENCE],
+        }
+    }
+
+    fn counts(&self) -> [u64; N_COUNTERS] {
+        let mut c = [0; N_COUNTERS];
+        c[READ_OPS] = self.read_ops;
+        c[READ_BYTES] = self.read_bytes;
+        c[WRITE_OPS] = self.write_ops;
+        c[WRITE_BYTES] = self.write_bytes;
+        c[MEDIA_READ_BYTES] = self.media_read_bytes;
+        c[MEDIA_WRITE_BYTES] = self.media_write_bytes;
+        c[CLWB] = self.clwb;
+        c[CLWB_REDUNDANT] = self.clwb_redundant;
+        c[NTSTORE] = self.ntstore;
+        c[FENCE] = self.fence;
+        c
+    }
+
     /// Counter-wise difference `self - earlier` (saturating, so a
     /// concurrent reset cannot panic).
     pub fn since(&self, earlier: &PmStatsSnapshot) -> PmStatsSnapshot {
-        PmStatsSnapshot {
-            read_ops: self.read_ops.saturating_sub(earlier.read_ops),
-            read_bytes: self.read_bytes.saturating_sub(earlier.read_bytes),
-            write_ops: self.write_ops.saturating_sub(earlier.write_ops),
-            write_bytes: self.write_bytes.saturating_sub(earlier.write_bytes),
-            media_read_bytes: self
-                .media_read_bytes
-                .saturating_sub(earlier.media_read_bytes),
-            media_write_bytes: self
-                .media_write_bytes
-                .saturating_sub(earlier.media_write_bytes),
-            clwb: self.clwb.saturating_sub(earlier.clwb),
-            clwb_redundant: self.clwb_redundant.saturating_sub(earlier.clwb_redundant),
-            ntstore: self.ntstore.saturating_sub(earlier.ntstore),
-            fence: self.fence.saturating_sub(earlier.fence),
-        }
+        let (a, b) = (self.counts(), earlier.counts());
+        Self::from_counts(from_fn(|i| a[i].saturating_sub(b[i])))
     }
 
     /// Counter-wise sum `self + other`, for aggregating the pools of a
     /// multi-shard index into one set of amplification/bandwidth figures.
     pub fn merge(&mut self, other: &PmStatsSnapshot) {
-        self.read_ops += other.read_ops;
-        self.read_bytes += other.read_bytes;
-        self.write_ops += other.write_ops;
-        self.write_bytes += other.write_bytes;
-        self.media_read_bytes += other.media_read_bytes;
-        self.media_write_bytes += other.media_write_bytes;
-        self.clwb += other.clwb;
-        self.clwb_redundant += other.clwb_redundant;
-        self.ntstore += other.ntstore;
-        self.fence += other.fence;
+        let (a, b) = (self.counts(), other.counts());
+        *self = Self::from_counts(from_fn(|i| a[i] + b[i]));
     }
 
     /// Sum an iterator of snapshots (one per shard pool).
@@ -244,10 +271,10 @@ mod tests {
         st.count_read(8, 1);
         st.count_read(16, 2);
         st.count_write(8);
-        st.count_media_write(1);
-        st.count_clwb();
-        st.count_fence();
-        st.count_ntstore();
+        st.count(MEDIA_WRITE_BYTES, 256);
+        st.count(CLWB, 1);
+        st.count(FENCE, 1);
+        st.count(NTSTORE, 1);
         let s = st.snapshot();
         assert_eq!(s.read_ops, 2);
         assert_eq!(s.read_bytes, 24);

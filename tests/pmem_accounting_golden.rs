@@ -22,7 +22,6 @@ use pm_index_bench::crashpoint::{
     build_index, explore, install_quiet_crash_hook, workload, ExploreOptions, ResidualConfig,
     WorkloadOp,
 };
-use pm_index_bench::index_api::RangeIndex;
 use pm_index_bench::pmalloc::{AllocMode, PmAllocator};
 use pm_index_bench::pmem::{
     CrashPointHit, PmConfig, PmPool, PmStatsSnapshot, CACHELINE, MEDIA_BLOCK, ROOT_AREA,
@@ -110,7 +109,11 @@ fn run_kind(kind: &str, boundary: u64) -> Row {
     match tripped {
         Err(p) if p.downcast_ref::<CrashPointHit>().is_none() => resume_unwind(p),
         Err(_) => assert!(pool.crash_fired(), "{kind}: unwound without a trip"),
-        Ok(()) => assert_eq!(boundary, u64::MAX, "{kind}: boundary {boundary} never fired"),
+        Ok(()) => assert_eq!(
+            boundary,
+            u64::MAX,
+            "{kind}: boundary {boundary} never fired"
+        ),
     }
     let row = observe(&pool);
     // The candidates captured at the trip are what `crash_with` uses.
