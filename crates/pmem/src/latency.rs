@@ -42,8 +42,9 @@ impl LatencyModel {
 
     /// Rough Optane shape: reads ~170 ns/block, persisted writes
     /// ~90 ns/block, sequential accesses at 40 % of the random cost.
-    /// These values were chosen so that on the development machine the
-    /// PM:DRAM single-thread lookup ratio lands near the paper's ~2×.
+    /// Measured, not tuned (EXPERIMENTS.md E13, 2-vCPU box): an FPTree
+    /// lookup costs 3.0× the same tree with every charge elided and 3.9×
+    /// a DRAM B+-tree lookup, against the paper's ~2× on real Optane.
     pub const fn optane_like() -> Self {
         Self {
             read_ns: 170,
@@ -77,12 +78,12 @@ impl LatencyModel {
 
     #[inline]
     fn charge(&self, ns_per_block: u32, blocks: u64, sequential: bool) {
-        let base = ns_per_block as u64 * blocks;
-        let ns = if sequential {
-            base * self.seq_discount_pct as u64 / 100
+        let pct = if sequential {
+            self.seq_discount_pct
         } else {
-            base
+            100
         };
+        let ns = ns_per_block as u64 * blocks * pct as u64 / 100;
         DEBT.with(|d| d.charge(ns as i64, ns_per_block as i64, spin));
     }
 }

@@ -47,6 +47,12 @@ pub use off::{PmOff, NULL_OFF};
 pub use pool::{PmPool, PmSafe, CACHELINE, MEDIA_BLOCK, ROOT_AREA};
 pub use stats::PmStatsSnapshot;
 
+/// Lock the emulator's own bookkeeping. An injected crash unwinds
+/// through arbitrary code, so a poisoned mutex is expected and harmless.
+fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 /// Convenience: round `n` up to the next multiple of `align` (a power of two).
 #[inline]
 pub const fn align_up(n: u64, align: u64) -> u64 {

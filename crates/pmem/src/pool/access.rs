@@ -238,20 +238,14 @@ impl PmPool {
         }
         self.account_write(off, src.len());
         debug_assert!(
-            (off as usize) + src.len() <= self.len,
+            off as usize + src.len() <= self.len,
             "PM write out of bounds"
         );
         // Bytes up to the first word boundary, whole words, the rest.
         let head = (off.wrapping_neg() % 8).min(src.len() as u64);
         let (head, rest) = src.split_at(head as usize);
-        let mut o = off;
-        let edge = |o: &mut u64, bytes: &[u8]| {
-            for &b in bytes {
-                self.rmw_byte(*o, b);
-                *o += 1;
-            }
-        };
-        edge(&mut o, head);
+        self.write_within_words(off, head);
+        let mut o = off + head.len() as u64;
         let mut words = rest.chunks_exact(8);
         for chunk in &mut words {
             let w = u64::from_le_bytes(chunk.try_into().expect("chunks of 8"));
@@ -259,17 +253,19 @@ impl PmPool {
             self.maybe_evict(o);
             o += 8;
         }
-        edge(&mut o, words.remainder());
+        self.write_within_words(o, words.remainder());
     }
 
-    #[inline]
-    fn rmw_byte(&self, off: u64, b: u8) {
-        let idx = (off / 8) as usize;
-        let shift = (off % 8) * 8;
-        let w = self.cpu[idx].load(Ordering::Relaxed);
-        let w = (w & !(0xffu64 << shift)) | ((b as u64) << shift);
-        self.cpu[idx].store(w, Ordering::Relaxed);
-        self.maybe_evict(off & !7);
+    fn write_within_words(&self, off: u64, src: &[u8]) {
+        for (o, &b) in (off..).zip(src) {
+            let (word, shift) = (&self.cpu[(o / 8) as usize], (o % 8) * 8);
+            let w = word.load(Ordering::Relaxed);
+            word.store(
+                (w & !(0xff << shift)) | ((b as u64) << shift),
+                Ordering::Relaxed,
+            );
+            self.maybe_evict(o & !7);
+        }
     }
 
     /// Typed read of a [`PmSafe`] value at an 8-aligned offset.

@@ -5,8 +5,9 @@
 
 use std::sync::atomic::Ordering;
 
-use super::{lock, PmPool, CACHELINE};
+use super::{PmPool, CACHELINE};
 use crate::inject::{CrashPointHit, CrashReport, PersistEventKind, ResidualLine, ResidualPolicy};
+use crate::lock;
 
 impl PmPool {
     /// Trip the injected crash when the pool is armed and the countdown
@@ -64,14 +65,13 @@ impl PmPool {
             // (dirty lines + their CPU contents) before unwinding code
             // can dirty anything else, and unwind.
             self.gates.crashed.store(true, Ordering::Relaxed);
-            let report = CrashReport {
+            *lock(&self.report) = Some(CrashReport {
                 event_index: self.persist_event_count(),
                 trigger: kind,
                 dirty_words: self.dirty_word_count(),
                 dirty_lines: self.dirty_line_count(),
                 redundant_clwb: self.stats.snapshot().clwb_redundant,
-            };
-            *lock(&self.report) = Some(report);
+            });
             *lock(&self.residual) = Some(self.collect_residual_candidates());
             std::panic::panic_any(CrashPointHit);
         }
@@ -162,14 +162,7 @@ impl PmPool {
 
     #[inline]
     pub(super) fn check_halt(&self) {
-        if self.gates.halted.load(Ordering::Relaxed) {
-            self.halt_slow();
-        }
-    }
-
-    #[cold]
-    fn halt_slow(&self) {
-        if !std::thread::panicking() {
+        if self.gates.halted.load(Ordering::Relaxed) && !std::thread::panicking() {
             std::panic::panic_any(CrashPointHit);
         }
     }

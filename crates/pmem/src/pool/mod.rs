@@ -55,7 +55,7 @@ static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
 /// An emulated persistent-memory pool.
 ///
 /// The pool address space is `[0, len)`, byte-addressed via offsets (see
-/// [`PmOff`]). Loads and stores observe the *CPU image*; only data moved
+/// [`crate::PmOff`]). Loads and stores observe the *CPU image*; only data moved
 /// to the *persisted image* by [`PmPool::clwb`] / [`PmPool::ntstore_u64`]
 /// survives [`PmPool::crash`].
 ///
@@ -75,13 +75,11 @@ pub struct PmPool {
     /// One bit per 8-byte word: set when the CPU image has been written
     /// since the word was last persisted (the durability-audit bitmap).
     dirty: Box<[AtomicU64]>,
-    /// Per cache line, the store stamp (the writing thread's own store
-    /// count on this pool, see `PmStats::count_write`) of the last store
-    /// that touched it. Orders residual candidates by recency so
-    /// exhaustive torn-write enumeration can focus on the write
-    /// frontier (the lines the in-flight operation just dirtied). Exact
-    /// for one writer; lines of different writers interleave by each
-    /// writer's own count.
+    /// Per cache line, the stamp (`PmStats::count_write`: the writing
+    /// thread's own store count) of the last store that touched it.
+    /// Orders residual candidates by recency so exhaustive torn-write
+    /// enumeration can focus on the write frontier (the lines the
+    /// in-flight operation just dirtied); exact for one writer.
     dirty_seq: Box<[AtomicU64]>,
     gates: CachePadded<Gates>,
     /// Durability audit captured when the injected crash fired.
@@ -99,19 +97,12 @@ pub struct PmPool {
     poison_fill: Mutex<HashMap<u64, u8>>,
 }
 
-/// Lock injection bookkeeping. An injected crash unwinds through
-/// arbitrary code, so a poisoned mutex here is expected and harmless.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 /// The words every access checks and only crash/poison injection
 /// writes, on a cache line of their own: the unarmed hot path never
 /// shares a line with anything a running workload modifies.
 #[derive(Default)]
 struct Gates {
-    /// When set, any access from a non-panicking thread unwinds with
-    /// [`CrashPointHit`].
+    /// Set: any access from a non-panicking thread unwinds (the halt).
     halted: AtomicBool,
     /// Set once an injected crash fired; freezes the persisted image
     /// until the next [`PmPool::crash`].

@@ -86,11 +86,8 @@ impl PmPool {
         let start = off & !(CACHELINE as u64 - 1);
         let end = crate::align_up(off + len as u64, CACHELINE as u64).min(self.len as u64);
         let elided = self.cfg.persistence == PersistenceMode::Elided;
-        let blocks = if elided {
-            0
-        } else {
-            Self::blocks_in(start, (end - start) as usize)
-        };
+        // Media blocks written back: none when persistence is elided.
+        let blocks = Self::blocks_in(start, (end - start) as usize) * !elided as u64;
         let lines = || (start..end).step_by(CACHELINE);
         if obs::enabled() {
             // Trace before the persistence event so an injected crash
@@ -124,26 +121,17 @@ impl PmPool {
     /// eagerly here).
     pub fn ntstore_u64(&self, off: u64, v: u64) {
         self.stats.count(stats::NTSTORE, 1);
-        obs::pm_ntstore(
-            off,
-            if self.cfg.persistence == PersistenceMode::Real {
-                MEDIA_BLOCK as u64
-            } else {
-                0
-            },
-        );
+        let real = self.cfg.persistence == PersistenceMode::Real;
+        let media_bytes = MEDIA_BLOCK as u64 * real as u64;
+        obs::pm_ntstore(off, media_bytes);
         // Trip before the store: at a power cut the instruction never
         // retired, so neither image sees the value.
         let frozen = self.persistence_event(PersistEventKind::Ntstore);
         self.account_write(off, 8);
         self.word(off).store(v, Ordering::Relaxed);
-        if frozen {
-            return;
-        }
-        if self.cfg.persistence == PersistenceMode::Real {
+        if real && !frozen {
             self.persist_word(off);
-            self.stats
-                .count(stats::MEDIA_WRITE_BYTES, MEDIA_BLOCK as u64);
+            self.stats.count(stats::MEDIA_WRITE_BYTES, media_bytes);
             self.cfg.latency.charge_write(1, true);
         }
     }

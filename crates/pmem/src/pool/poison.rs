@@ -3,8 +3,9 @@
 
 use std::sync::atomic::Ordering;
 
-use super::{lock, PmPool, CACHELINE};
+use super::{PmPool, CACHELINE};
 use crate::inject::{splitmix64, MediaError, PoisonedRead};
+use crate::lock;
 
 impl PmPool {
     #[inline]
@@ -99,9 +100,6 @@ impl PmPool {
     /// write merges with unreadable bytes and cannot clear anything.
     #[cold]
     pub(super) fn note_poison_overwrite(&self, off: u64, len: usize) {
-        if len == 0 {
-            return;
-        }
         let first = off.div_ceil(8);
         let last_excl = (off + len as u64) / 8;
         if first >= last_excl {

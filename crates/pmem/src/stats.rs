@@ -7,14 +7,12 @@
 //! reports; the media totals divided by wall time give the bandwidth
 //! figures.
 //!
-//! A single shared `AtomicU64` per counter would serialize a 40-thread
-//! benchmark on counter cache lines, and even an uncontended atomic
-//! read-modify-write costs more than the access it counts. So counters
-//! are striped, and a stripe has one writer: each live thread holds one
-//! of [`N_STRIPES`] slots (handed back when the thread exits) and
-//! updates its stripe with plain loads and stores. Threads beyond that
-//! share one last stripe with atomic adds. Snapshots sum the stripes:
-//! exact whenever the counting threads are quiescent.
+//! An atomic read-modify-write costs more than the access it counts,
+//! and a shared one serializes the threads. So a stripe has one writer:
+//! each live thread holds one of [`N_STRIPES`] slots (handed back when
+//! it exits) and updates its stripe with plain loads and stores; threads
+//! beyond that share a last stripe with atomic adds. Snapshots sum the
+//! stripes: exact whenever the counting threads are quiescent.
 
 use std::array::from_fn;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -149,16 +147,12 @@ impl PmStats {
         self.total(CLWB) + self.total(NTSTORE) + self.total(FENCE)
     }
 
-    fn base(&self) -> std::sync::MutexGuard<'_, PmStatsSnapshot> {
-        self.base.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     pub(crate) fn snapshot(&self) -> PmStatsSnapshot {
-        PmStatsSnapshot::from_counts(from_fn(|i| self.total(i))).since(&self.base())
+        PmStatsSnapshot::from_counts(from_fn(|i| self.total(i))).since(&crate::lock(&self.base))
     }
 
     pub(crate) fn reset(&self) {
-        *self.base() = PmStatsSnapshot::from_counts(from_fn(|i| self.total(i)));
+        *crate::lock(&self.base) = PmStatsSnapshot::from_counts(from_fn(|i| self.total(i)));
     }
 }
 
@@ -235,29 +229,28 @@ impl PmStatsSnapshot {
 
     /// Sum an iterator of snapshots (one per shard pool).
     pub fn merged<'a, I: IntoIterator<Item = &'a PmStatsSnapshot>>(iter: I) -> PmStatsSnapshot {
-        let mut out = PmStatsSnapshot::default();
-        for s in iter {
+        iter.into_iter().fold(Self::default(), |mut out, s| {
             out.merge(s);
-        }
-        out
+            out
+        })
     }
 
     /// Read amplification: media bytes per software byte read.
     pub fn read_amplification(&self) -> f64 {
-        if self.read_bytes == 0 {
-            0.0
-        } else {
-            self.media_read_bytes as f64 / self.read_bytes as f64
-        }
+        amplification(self.media_read_bytes, self.read_bytes)
     }
 
     /// Write amplification: media bytes per software byte written.
     pub fn write_amplification(&self) -> f64 {
-        if self.write_bytes == 0 {
-            0.0
-        } else {
-            self.media_write_bytes as f64 / self.write_bytes as f64
-        }
+        amplification(self.media_write_bytes, self.write_bytes)
+    }
+}
+
+fn amplification(media_bytes: u64, bytes: u64) -> f64 {
+    if bytes == 0 {
+        0.0
+    } else {
+        media_bytes as f64 / bytes as f64
     }
 }
 
