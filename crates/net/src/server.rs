@@ -451,6 +451,29 @@ struct PendingAck {
     resp: Response,
 }
 
+/// Decode buffered frames into the connection's queue until the window
+/// is full or no whole frame is left. Returns whether any was decoded.
+fn decode_buffered(sh: &Shared, conn: &mut Conn) -> bool {
+    let mut decoded = false;
+    while conn.inflight < sh.cfg.window && !conn.close_after_flush {
+        match conn.inbuf.next_frame().map(|f| f.map(Request::decode)) {
+            Ok(Some(Ok(req))) => {
+                conn.queue.push_back(req);
+                conn.inflight += 1;
+                decoded = true;
+            }
+            Ok(None) => break,
+            // A malformed request, or an unrecoverable framing error.
+            Ok(Some(Err(_))) | Err(_) => {
+                sh.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
+                Response::basic(0, Opcode::Shutdown, Status::Bad).encode_into(&mut conn.outbuf);
+                conn.close_after_flush = true;
+            }
+        }
+    }
+    decoded
+}
+
 #[allow(clippy::too_many_lines)]
 fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>) {
     let mut conns: Vec<Option<Conn>> = Vec::new();
@@ -478,13 +501,17 @@ fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>) {
         let t_wire = Instant::now();
         for slot in conns.iter_mut() {
             let Some(conn) = slot else { continue };
-            if conn.close_after_flush || conn.eof || draining {
-                continue;
-            }
             // Backpressure: past the in-flight window (or a swollen
             // output buffer) we simply stop reading this socket; TCP
             // flow control pushes back to the client.
             if conn.inflight >= sh.cfg.window || conn.out_pending() >= sh.cfg.max_outbuf {
+                continue;
+            }
+            // Frames a full window left buffered come first: the client
+            // may have nothing more to send, so no later read would ever
+            // get to them.
+            progressed |= decode_buffered(sh, conn);
+            if conn.close_after_flush || conn.eof || draining || conn.inflight >= sh.cfg.window {
                 continue;
             }
             match conn.stream.read(&mut scratch) {
@@ -495,35 +522,7 @@ fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>) {
                 Ok(n) => {
                     progressed = true;
                     conn.inbuf.push(&scratch[..n]);
-                    loop {
-                        match conn.inbuf.next_frame() {
-                            Ok(Some(payload)) => match Request::decode(payload) {
-                                Ok(req) => {
-                                    conn.queue.push_back(req);
-                                    conn.inflight += 1;
-                                }
-                                Err(_) => {
-                                    sh.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-                                    Response::basic(0, Opcode::Shutdown, Status::Bad)
-                                        .encode_into(&mut conn.outbuf);
-                                    conn.close_after_flush = true;
-                                    break;
-                                }
-                            },
-                            Ok(None) => break,
-                            Err(_) => {
-                                // Unrecoverable framing error.
-                                sh.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-                                Response::basic(0, Opcode::Shutdown, Status::Bad)
-                                    .encode_into(&mut conn.outbuf);
-                                conn.close_after_flush = true;
-                                break;
-                            }
-                        }
-                        if conn.inflight >= sh.cfg.window {
-                            break;
-                        }
-                    }
+                    decode_buffered(sh, conn);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
                 Err(_) => {
