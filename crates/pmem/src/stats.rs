@@ -24,8 +24,7 @@ use crossbeam_utils::CachePadded;
 /// count on the target machines.
 const N_STRIPES: usize = 64;
 
-// Counter indices within a stripe. The three persistence events come
-// first: `PmStats::events` reads them on their own cache line.
+// Counter indices within a stripe.
 pub(crate) const CLWB: usize = 0;
 pub(crate) const NTSTORE: usize = 1;
 pub(crate) const FENCE: usize = 2;

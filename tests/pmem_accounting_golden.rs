@@ -279,7 +279,7 @@ fn raw_script(pool: &PmPool, rounds: u64) {
             _ => pool.sfence(),
         }
         // Sequential runs exercise the same-block and next-block rules.
-        if x % 13 == 0 {
+        if x.is_multiple_of(13) {
             for j in 0..(CACHELINE as u64) {
                 pool.read_u64(word + j * 8);
             }
