@@ -56,6 +56,11 @@ pub struct BzTree {
     mw: Arc<PmwCas>,
     layout: BzLayout,
     cfg: BzTreeConfig,
+    /// This tree's own epoch collector: retired nodes are freed into
+    /// `alloc` by its deferred closures, so they must run on this
+    /// tree's threads while it is live (its last unpin drains them) —
+    /// never when some other structure in the process unpins.
+    epoch: epoch::Collector,
 }
 
 impl BzTree {
@@ -69,6 +74,7 @@ impl BzTree {
             mw,
             layout,
             cfg,
+            epoch: epoch::Collector::new(),
         };
         let root = t.alloc_node(true, &[]);
         t.mw.init_word(ROOT_WORD, root);
@@ -112,6 +118,7 @@ impl BzTree {
             mw,
             layout,
             cfg,
+            epoch: epoch::Collector::new(),
         };
         // Reachability GC from the root.
         let mut reachable: HashSet<u64> = HashSet::new();
@@ -164,19 +171,10 @@ impl BzTree {
         off
     }
 
-    /// Free `off` after a grace period. The closure captures a `Weak`
-    /// allocator handle: if the tree (and its allocator) are gone by the
-    /// time the callback runs — e.g. a simulated crash already replaced
-    /// them — the free is skipped, leaving an unreachable block for
-    /// recovery GC instead of corrupting the successor allocator's
-    /// bitmaps in the shared pool.
+    /// Free `off` after a grace period.
     fn defer_free(&self, off: u64, guard: &epoch::Guard) {
-        let alloc = Arc::downgrade(&self.alloc);
-        guard.defer(move || {
-            if let Some(a) = alloc.upgrade() {
-                a.free(off);
-            }
-        });
+        let alloc = self.alloc.clone();
+        guard.defer(move || alloc.free(off));
     }
 
     // ----- traversal ---------------------------------------------------------
@@ -567,7 +565,7 @@ impl BzTree {
 impl RangeIndex for BzTree {
     fn insert(&self, key: Key, value: Value) -> bool {
         let _site = obs::site("bztree_insert");
-        let guard = epoch::pin();
+        let guard = self.epoch.pin();
         loop {
             let d = self.descend(key);
             if let Found::Live { .. } = self.find_in_leaf(d.leaf, key) {
@@ -587,7 +585,7 @@ impl RangeIndex for BzTree {
 
     fn lookup(&self, key: Key) -> Option<Value> {
         let _site = obs::site("bztree_lookup");
-        let _guard = epoch::pin();
+        let _guard = self.epoch.pin();
         let d = self.descend(key);
         match self.find_in_leaf(d.leaf, key) {
             Found::Live { value, .. } => Some(value),
@@ -597,7 +595,7 @@ impl RangeIndex for BzTree {
 
     fn update(&self, key: Key, value: Value) -> bool {
         let _site = obs::site("bztree_update");
-        let guard = epoch::pin();
+        let guard = self.epoch.pin();
         loop {
             let d = self.descend(key);
             let Found::Live { .. } = self.find_in_leaf(d.leaf, key) else {
@@ -617,7 +615,7 @@ impl RangeIndex for BzTree {
 
     fn remove(&self, key: Key) -> bool {
         let _site = obs::site("bztree_remove");
-        let guard = epoch::pin();
+        let guard = self.epoch.pin();
         loop {
             let d = self.descend(key);
             let Found::Live { meta_off, meta, .. } = self.find_in_leaf(d.leaf, key) else {
@@ -644,7 +642,7 @@ impl RangeIndex for BzTree {
         if count == 0 {
             return 0;
         }
-        let _guard = epoch::pin();
+        let _guard = self.epoch.pin();
         let mut cursor = start;
         loop {
             let d = self.descend(cursor);

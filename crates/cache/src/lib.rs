@@ -11,7 +11,7 @@
 //! * **Mutations** go to the inner index FIRST. Only after the inner
 //!   operation returns — i.e. after the PM store + fence that makes it
 //!   durable — does the cache invalidate. The durable-ack oracle
-//!   (`crashpoint`, `net::explore_net`) therefore sees exactly the same
+//!   (`crashpoint`, `net::crash::Net`) therefore sees exactly the same
 //!   persistence-event stream with or without the cache.
 //!
 //! ## Coherence: generation-stamped fills

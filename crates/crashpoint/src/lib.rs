@@ -4,31 +4,50 @@
 //! the interleavings that actually break persistent-memory indexes are
 //! the ones *inside* an operation, between one persistence event and
 //! the next (cf. RECIPE, SOSP 2019, and pmemcheck). This crate drives
-//! [`pmem`]'s crash-point injection over every such window:
+//! [`pmem`]'s crash-point injection over every such window, with **one
+//! sweep driver** ([`sweep`]) and one [`Scenario`] per layer of the
+//! stack:
 //!
-//! 1. **Probe**: run a deterministic mixed workload once, counting the
-//!    persistence events (`clwb` / `ntstore` / `sfence`) it generates.
-//! 2. **Sweep**: for every boundary `1..=N` (optionally strided), replay
-//!    the identical workload on a fresh pool armed to lose power at that
-//!    exact event. The in-flight operation unwinds via a
-//!    [`pmem::CrashPointHit`] panic with the persisted image frozen.
-//! 3. **Recover & verify**: discard the volatile image, run
-//!    [`PmAllocator::recover`] plus the index's recovery procedure, and
-//!    check the oracle invariant — *exactly the acknowledged operations
-//!    survive; the unacknowledged in-flight operation is atomic (fully
-//!    applied or fully absent)* — plus index well-formedness (sorted,
-//!    duplicate-free scans) and post-recovery usability.
+//! 1. **Probe**: run the scenario once, unarmed, counting the
+//!    persistence events (`clwb` / `ntstore` / `sfence`) each of its
+//!    pools sees *from the arming point* (set-up is not swept).
+//! 2. **Sweep**: for every selected boundary of every armable pool,
+//!    build a fresh environment, arm that pool to lose power at that
+//!    exact event and drive the scenario again. The in-flight operation
+//!    unwinds via a [`pmem::CrashPointHit`] panic with the persisted
+//!    image frozen.
+//! 3. **Recover & verify**: snapshot every pool's power-cut image, drop
+//!    the front-end, and for each residual sample restore the images
+//!    and let the scenario recover and check the oracle invariant —
+//!    *exactly the acknowledged operations survive; the unacknowledged
+//!    in-flight operation is atomic (fully applied or fully absent)* —
+//!    plus index well-formedness (sorted, duplicate-free scans) and
+//!    post-recovery usability ([`verify_recovered`]).
+//!
+//! Scenarios: [`single::Single`] (one index on one pool, optionally
+//! under eviction chaos), [`mt::Mt`] (2–8 threads on one index, the
+//! device halted at the trip), [`sharded::Sharded`] (a
+//! range-partitioned engine, one shard armed at a time, siblings
+//! checked byte for byte), [`migration::Migration`] (an online
+//! shard-range migration in flight) and `net::crash::Net` (the same
+//! workload through a live TCP server: acked implies durable).
+//!
+//! **Determinism contract.** A single-threaded scenario is a pure
+//! function of its [`SweepOptions`]: the same options give the same
+//! per-pool event counts on every run, whatever else the process is
+//! doing, so every selected boundary fires (`completed_runs == 0`) and
+//! a failure replays from its seed and boundary. `mt` and `net` are
+//! timing-dependent by design; boundaries past what an armed run
+//! happens to emit complete and are verified for exact equality.
 //!
 //! ## Residual-image models
 //!
 //! The frozen image (only explicitly flushed lines survive) is one
 //! legal outcome of a power cut; on real hardware, any subset of the
 //! dirty-but-unflushed cache lines may also have reached media. Each
-//! boundary can therefore be verified under several residual images
-//! without replaying the workload — the harness snapshots the persisted
-//! image and the dirty-line candidates at the trip instant, then per
-//! sample restores the snapshot and applies a [`ResidualPolicy`]-chosen
-//! subset (see [`ResidualConfig`]):
+//! boundary can therefore be verified under several residual images of
+//! the armed pool without replaying the workload (see
+//! [`ResidualConfig`]):
 //!
 //! * **Frozen** — the pessimistic baseline above, always included.
 //! * **Sampled** — seeded random subsets, each dirty line persisting
@@ -41,13 +60,8 @@
 //! With `poison` set, one line that *failed* to persist comes back
 //! unreadable (an emulated media error): recovery must detect it via
 //! the fallible `try_recover` paths and report a [`MediaError`] —
-//! returning garbage, or letting the raw [`PoisonedRead`] machine-check
-//! escape, is a failure.
-//!
-//! The [`mt`] module arms the same injection while 2–8 threads hammer
-//! one shared index (halt-on-crash cuts the survivors down), then
-//! checks a relaxed oracle: acknowledged operations survive, each
-//! thread's in-flight operation is atomic, no torn values.
+//! returning garbage, or letting the raw [`pmem::PoisonedRead`]
+//! machine-check escape, is a failure.
 //!
 //! A durability audit rides along: each crash snapshots the number of
 //! written-but-unflushed words/lines and the cumulative redundant-flush
@@ -59,73 +73,100 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Once};
 
 use bztree::{BzTree, BzTreeConfig};
+use engine::Shard;
 use fptree::{FpTree, FpTreeConfig};
 use index_api::RangeIndex;
-use pmalloc::{AllocMode, PmAllocator};
-use pmem::{
-    CrashPointHit, CrashReport, MediaError, PersistEventKind, PmConfig, PmPool, PoisonedRead,
-    ResidualPolicy,
-};
-
 use learned::{LearnedConfig, LearnedIndex};
 use nvtree::{NvTree, NvTreeConfig};
+use pmalloc::{AllocMode, PmAllocator};
+use pmem::{CrashPointHit, MediaError, PmConfig, PmPool};
 use wbtree::{WbTree, WbTreeConfig};
 
 pub mod migration;
 pub mod mt;
 pub mod sharded;
+pub mod single;
+mod sweep;
+
+pub use sweep::{
+    sweep, Acked, BoundaryFailure, BoundaryVerdict, Counters, ResidualConfig, Scenario,
+    SweepOptions, SweepSummary,
+};
 
 /// The five persistent indexes the explorer knows how to build.
 pub const PM_KINDS: [&str; 5] = ["fptree", "nvtree", "wbtree", "bztree", "learned"];
 
-/// Small learned-index shape for crash exploration: tiny ε and delta
-/// capacity so 1k-op sweeps cross many merge/retrain/publish windows,
-/// and small chunks so the model spans multiple chunks + directories.
-fn small_learned_cfg() -> LearnedConfig {
-    LearnedConfig {
-        epsilon: 4,
-        delta_min_cap: 24,
-        chunk_entries: 64,
-    }
+/// Create or recover one concrete index type, type-erased.
+fn open<T: RangeIndex + 'static, C>(
+    alloc: Arc<PmAllocator>,
+    cfg: C,
+    recover: bool,
+    create: fn(Arc<PmAllocator>, C) -> Arc<T>,
+    try_recover: fn(Arc<PmAllocator>, C) -> Result<Arc<T>, MediaError>,
+) -> Result<Arc<dyn RangeIndex>, MediaError> {
+    Ok(if recover {
+        try_recover(alloc, cfg)?
+    } else {
+        create(alloc, cfg)
+    })
 }
 
-/// Build a fresh index with deliberately small nodes so short workloads
-/// exercise splits and other structure-modifying operations (the same
-/// configs the integration tests use).
-pub fn build_index(kind: &str, alloc: Arc<PmAllocator>) -> Arc<dyn RangeIndex> {
+/// Create (or recover) `kind` with the one small-node config every
+/// sweep and integration test uses: deliberately small nodes so short
+/// workloads exercise splits and other structure-modifying operations,
+/// and for the learned index a tiny ε and delta capacity so they cross
+/// many merge/retrain/publish windows over several chunks.
+fn open_small(
+    kind: &str,
+    alloc: Arc<PmAllocator>,
+    recover: bool,
+) -> Result<Arc<dyn RangeIndex>, MediaError> {
     match kind {
-        "fptree" => FpTree::create(
-            alloc,
-            FpTreeConfig {
+        "fptree" => {
+            let cfg = FpTreeConfig {
                 leaf_entries: 16,
                 inner_fanout: 8,
                 ..FpTreeConfig::default()
-            },
-        ),
-        "nvtree" => NvTree::create(
-            alloc,
-            NvTreeConfig {
+            };
+            open(alloc, cfg, recover, FpTree::create, FpTree::try_recover)
+        }
+        "nvtree" => {
+            let cfg = NvTreeConfig {
                 leaf_entries: 16,
                 pln_entries: 16,
-            },
-        ),
-        "wbtree" => WbTree::create(
-            alloc,
-            WbTreeConfig {
+            };
+            open(alloc, cfg, recover, NvTree::create, NvTree::try_recover)
+        }
+        "wbtree" => {
+            let cfg = WbTreeConfig {
                 node_entries: 8,
                 use_slot_array: true,
-            },
-        ),
-        "bztree" => BzTree::create(
-            alloc,
-            BzTreeConfig {
+            };
+            open(alloc, cfg, recover, WbTree::create, WbTree::try_recover)
+        }
+        "bztree" => {
+            let cfg = BzTreeConfig {
                 node_entries: 16,
                 split_threshold_pct: 70,
-            },
-        ),
-        "learned" => LearnedIndex::create(alloc, small_learned_cfg()),
+            };
+            open(alloc, cfg, recover, BzTree::create, BzTree::try_recover)
+        }
+        "learned" => {
+            let cfg = LearnedConfig {
+                epsilon: 4,
+                delta_min_cap: 24,
+                chunk_entries: 64,
+            };
+            let (create, try_recover) = (LearnedIndex::create, LearnedIndex::try_recover);
+            open(alloc, cfg, recover, create, try_recover)
+        }
         other => panic!("unknown PM index kind: {other}"),
     }
+}
+
+/// Build a fresh small-node index (see [`PM_KINDS`]).
+pub fn build_index(kind: &str, alloc: Arc<PmAllocator>) -> Arc<dyn RangeIndex> {
+    open_small(kind, alloc, false).expect("creating an index reads no poisoned line")
 }
 
 /// Recovery entry point matching [`build_index`]. Panics on a media
@@ -136,51 +177,44 @@ pub fn recover_index(kind: &str, alloc: Arc<PmAllocator>) -> Arc<dyn RangeIndex>
 
 /// Fallible recovery entry point matching [`build_index`]: a poisoned
 /// line on the recovery path comes back as a reported [`MediaError`]
-/// instead of garbage or a raw [`PoisonedRead`] panic.
+/// instead of garbage or a raw [`pmem::PoisonedRead`] panic.
 pub fn try_recover_index(
     kind: &str,
     alloc: Arc<PmAllocator>,
 ) -> Result<Arc<dyn RangeIndex>, MediaError> {
-    Ok(match kind {
-        "fptree" => FpTree::try_recover(
-            alloc,
-            FpTreeConfig {
-                leaf_entries: 16,
-                inner_fanout: 8,
-                ..FpTreeConfig::default()
-            },
-        )? as Arc<dyn RangeIndex>,
-        "nvtree" => NvTree::try_recover(
-            alloc,
-            NvTreeConfig {
-                leaf_entries: 16,
-                pln_entries: 16,
-            },
-        )?,
-        "wbtree" => WbTree::try_recover(
-            alloc,
-            WbTreeConfig {
-                node_entries: 8,
-                use_slot_array: true,
-            },
-        )?,
-        "bztree" => BzTree::try_recover(
-            alloc,
-            BzTreeConfig {
-                node_entries: 16,
-                split_threshold_pct: 70,
-            },
-        )?,
-        "learned" => LearnedIndex::try_recover(alloc, small_learned_cfg())?,
-        other => panic!("unknown PM index kind: {other}"),
+    open_small(kind, alloc, true)
+}
+
+/// `n` fresh shards, each a small-node index of `opts.kind` on its own
+/// freshly formatted `opts.pool_mib` pool and allocator.
+pub fn fresh_shards(opts: &SweepOptions, n: usize, cfg: PmConfig) -> Vec<Shard> {
+    (0..n)
+        .map(|_| {
+            let pool = Arc::new(PmPool::new(opts.pool_mib << 20, cfg.clone()));
+            let alloc = PmAllocator::format(pool.clone(), AllocMode::General);
+            Shard {
+                index: build_index(&opts.kind, alloc.clone()),
+                pool: Some(pool),
+                alloc: Some(alloc),
+            }
+        })
+        .collect()
+}
+
+/// Recover one pool's full stack (allocator + index) from its persisted
+/// image, reporting the first media error hit on either layer.
+pub fn try_recover_shard(kind: &str, pool: Arc<PmPool>) -> Result<Shard, MediaError> {
+    let alloc = PmAllocator::try_recover(pool.clone(), AllocMode::General)?;
+    Ok(Shard {
+        index: try_recover_index(kind, alloc.clone())?,
+        pool: Some(pool),
+        alloc: Some(alloc),
     })
 }
 
-/// Recover the full stack (allocator + index) from the pool's persisted
-/// image, reporting the first media error hit on either layer.
+/// [`try_recover_shard`], keeping only the index.
 pub fn try_recover_stack(kind: &str, pool: Arc<PmPool>) -> Result<Arc<dyn RangeIndex>, MediaError> {
-    let alloc = PmAllocator::try_recover(pool, AllocMode::General)?;
-    try_recover_index(kind, alloc)
+    try_recover_shard(kind, pool).map(|s| s.index)
 }
 
 // ---------------------------------------------------------------------------
@@ -204,12 +238,22 @@ impl WorkloadOp {
         }
     }
 
-    /// Short label for reports.
-    pub fn kind_str(&self) -> &'static str {
+    /// The same operation on key `f(key)`.
+    pub fn map_key(self, f: impl FnOnce(u64) -> u64) -> WorkloadOp {
         match self {
-            WorkloadOp::Insert(..) => "insert",
-            WorkloadOp::Update(..) => "update",
-            WorkloadOp::Remove(..) => "remove",
+            WorkloadOp::Insert(k, v) => WorkloadOp::Insert(f(k), v),
+            WorkloadOp::Update(k, v) => WorkloadOp::Update(f(k), v),
+            WorkloadOp::Remove(k) => WorkloadOp::Remove(f(k)),
+        }
+    }
+
+    /// Counter names of this op type's probe footprint: how many ran,
+    /// and the persistence events (crash windows) they generated.
+    pub fn footprint_counters(&self) -> (&'static str, &'static str) {
+        match self {
+            WorkloadOp::Insert(..) => ("insert ops", "insert events"),
+            WorkloadOp::Update(..) => ("update ops", "update events"),
+            WorkloadOp::Remove(..) => ("remove ops", "remove events"),
         }
     }
 }
@@ -236,11 +280,7 @@ pub fn workload(seed: u64, n_ops: u64, key_range: u64) -> Vec<WorkloadOp> {
 
 /// Apply one op, returning whether it was acknowledged, and fold the
 /// acknowledged effect into the oracle model.
-pub(crate) fn apply_op(
-    idx: &dyn RangeIndex,
-    model: &mut BTreeMap<u64, u64>,
-    op: WorkloadOp,
-) -> bool {
+pub fn apply_op(idx: &dyn RangeIndex, model: &mut BTreeMap<u64, u64>, op: WorkloadOp) -> bool {
     match op {
         WorkloadOp::Insert(k, v) => {
             let acked = idx.insert(k, v);
@@ -286,227 +326,8 @@ pub fn install_quiet_crash_hook() {
 }
 
 // ---------------------------------------------------------------------------
-// Exploration
+// Oracle
 // ---------------------------------------------------------------------------
-
-/// How the post-crash image is constructed at each explored boundary.
-///
-/// `Frozen` is the PR-1 model: only flushed lines survive. `Sampled`
-/// draws `samples` independent residual images per boundary, each
-/// persisting every dirty-but-unflushed line with probability
-/// `p_per_256 / 256` (torn multi-line structures). `Exhaustive`
-/// enumerates *all* `2^j` subsets of the `j = min(k, max_lines)`
-/// most-recently-written dirty lines (the in-flight operation's write
-/// frontier) — the complete torn-write space when `k <= max_lines` —
-/// plus seeded samples over the full set when older lines remain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResidualConfig {
-    /// Only flushed lines survive (the frozen persisted image).
-    Frozen,
-    /// `samples` seeded random subsets per boundary (plus the frozen
-    /// baseline), each line kept with probability `p_per_256 / 256`.
-    Sampled { samples: u32, p_per_256: u32 },
-    /// All `2^j` subsets of the `j = min(k, max_lines)` most recent
-    /// dirty lines; when `k > max_lines`, also `fallback_samples`
-    /// seeded 50% samples over the full candidate set.
-    Exhaustive {
-        max_lines: u32,
-        fallback_samples: u32,
-    },
-}
-
-/// Derive the per-sample seed from the sweep seed, boundary and sample
-/// index (splitmix64 finalizer — decorrelates consecutive inputs).
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The residual policies to run for one boundary with `k` dirty-line
-/// candidates. Returns the policy list and whether it is exhaustive.
-pub(crate) fn sample_policies(
-    cfg: ResidualConfig,
-    sweep_seed: u64,
-    boundary: u64,
-    k: usize,
-) -> (Vec<ResidualPolicy>, bool) {
-    let seeded = |n: u32, p: u32| -> Vec<ResidualPolicy> {
-        let mut v = vec![ResidualPolicy::Frozen];
-        v.extend((0..n).map(|s| ResidualPolicy::Sampled {
-            seed: mix64(sweep_seed ^ mix64(boundary) ^ s as u64),
-            p_per_256: p,
-        }));
-        v
-    };
-    match cfg {
-        ResidualConfig::Frozen => (vec![ResidualPolicy::Frozen], false),
-        ResidualConfig::Sampled { samples, p_per_256 } => (seeded(samples, p_per_256), false),
-        ResidualConfig::Exhaustive {
-            max_lines,
-            fallback_samples,
-        } => {
-            // Candidates are recency-ordered (pmem sorts them most
-            // recently written first), so enumerating masks over the
-            // first j lines covers every residual image of the write
-            // frontier. With k <= j that is the complete torn-write
-            // space; beyond that, seeded samples stress the older
-            // (long-unflushed) lines too.
-            let j = k.min(max_lines.min(16) as usize);
-            let mut v: Vec<ResidualPolicy> = (0..(1u64 << j))
-                .map(|mask| ResidualPolicy::Subset { mask })
-                .collect();
-            if k > j {
-                v.extend(seeded(fallback_samples, 128).into_iter().skip(1));
-            }
-            (v, true)
-        }
-    }
-}
-
-/// Parameters of one exploration sweep.
-#[derive(Debug, Clone)]
-pub struct ExploreOptions {
-    /// Index kind (see [`PM_KINDS`]).
-    pub kind: String,
-    /// Number of workload operations.
-    pub ops: u64,
-    /// Key range (small ranges force collisions and splits).
-    pub key_range: u64,
-    /// Workload seed.
-    pub seed: u64,
-    /// Pool size in MiB.
-    pub pool_mib: usize,
-    /// Eviction-chaos seed overlay (None = off).
-    pub chaos_seed: Option<u64>,
-    /// Explore every `stride`-th boundary (1 = every boundary).
-    pub stride: u64,
-    /// Cap on explored boundaries (None = all).
-    pub max_boundaries: Option<u64>,
-    /// Post-crash image model (see [`ResidualConfig`]).
-    pub residual: ResidualConfig,
-    /// Additionally poison one lost line per sampled image, and require
-    /// recovery to either succeed without touching it or report a
-    /// [`MediaError`] — never return garbage.
-    pub poison: bool,
-}
-
-impl Default for ExploreOptions {
-    fn default() -> Self {
-        ExploreOptions {
-            kind: "wbtree".to_string(),
-            ops: 1000,
-            key_range: 512,
-            seed: 1,
-            pool_mib: 32,
-            chaos_seed: None,
-            stride: 1,
-            max_boundaries: None,
-            residual: ResidualConfig::Frozen,
-            poison: false,
-        }
-    }
-}
-
-/// Persistence-event footprint of one operation type, from the probe.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct OpEventStats {
-    /// Operations of this type in the workload.
-    pub count: u64,
-    /// Persistence events they generated (crash windows they expose).
-    pub events: u64,
-}
-
-/// A boundary+sample whose recovered state violated the oracle
-/// invariant. `policy` and `poisoned_off` pin down the exact residual
-/// image, so `--seed` + boundary + policy reproduce the failure.
-#[derive(Debug, Clone)]
-pub struct BoundaryFailure {
-    /// The armed boundary (1-based persistence-event index after setup).
-    pub boundary: u64,
-    /// The residual policy of the failing sample.
-    pub policy: ResidualPolicy,
-    /// Line poisoned in the failing sample, if any.
-    pub poisoned_off: Option<u64>,
-    /// Crash audit at the trip, if the crash fired.
-    pub report: Option<CrashReport>,
-    /// Human-readable description of the violation.
-    pub detail: String,
-    /// The `obs` flight-recorder tail captured at the trip instant (the
-    /// last PM events before power was cut), when tracing was enabled.
-    pub flight_tail: Option<String>,
-}
-
-/// Outcome of a full sweep over one index configuration.
-#[derive(Debug, Clone)]
-pub struct ExploreSummary {
-    /// Index kind explored.
-    pub kind: String,
-    /// Whether eviction chaos was overlaid.
-    pub chaos: bool,
-    /// Total persistence events of the probe run (the boundary space).
-    pub total_events: u64,
-    /// Boundaries actually explored (after stride / cap).
-    pub boundaries_tested: u64,
-    /// Boundaries where the injected crash fired mid-run.
-    pub crashes_fired: u64,
-    /// Boundary runs that completed without tripping (event-sequence
-    /// divergence; still verified for exact equality).
-    pub completed_runs: u64,
-    /// Crashes per trigger kind \[clwb, ntstore, sfence\].
-    pub trigger_histogram: [u64; 3],
-    /// Largest dirty-line count observed at any crash point.
-    pub max_dirty_lines: u64,
-    /// Largest dirty-word count observed at any crash point.
-    pub max_dirty_words: u64,
-    /// Redundant flushes over the whole probe run.
-    pub probe_redundant_clwb: u64,
-    /// Probe-run event footprint per op type.
-    pub per_op: BTreeMap<&'static str, OpEventStats>,
-    /// Residual samples recovered and verified (≥ boundaries when
-    /// sampling is on).
-    pub samples_run: u64,
-    /// Boundaries that received exhaustive subset enumeration of the
-    /// write frontier (all `2^j` masks over the most recent lines).
-    pub exhaustive_boundaries: u64,
-    /// Largest residual candidate set (dirty lines) at any crash.
-    pub max_residual_candidates: u64,
-    /// Samples that had a line poisoned.
-    pub poison_injected: u64,
-    /// Poisoned samples where recovery reported the media error (the
-    /// rest recovered without ever touching the poisoned line).
-    pub poison_reported: u64,
-    /// Oracle violations (empty = the index survived every window).
-    pub failures: Vec<BoundaryFailure>,
-    /// Flight-recorder tail of the first fired crash (tracing only):
-    /// demonstrates what the recorder would pin down on a violation.
-    pub first_crash_flight_tail: Option<String>,
-}
-
-impl ExploreSummary {
-    /// True when every explored boundary recovered correctly.
-    pub fn is_green(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-struct Env {
-    pool: Arc<PmPool>,
-    idx: Arc<dyn RangeIndex>,
-}
-
-fn fresh_env(opts: &ExploreOptions) -> Env {
-    let cfg = match opts.chaos_seed {
-        Some(s) => PmConfig::real().with_eviction_chaos(s),
-        None => PmConfig::real(),
-    };
-    let pool = Arc::new(PmPool::new(opts.pool_mib << 20, cfg));
-    let alloc = PmAllocator::format(pool.clone(), AllocMode::General);
-    let idx = build_index(&opts.kind, alloc);
-    Env { pool, idx }
-}
 
 /// What the in-flight (unacknowledged) operation is allowed to have
 /// done to its key: nothing (`pre`) or everything (`post`).
@@ -625,307 +446,28 @@ pub fn verify_recovered(
     Ok(())
 }
 
-/// Probe run: execute the whole workload once, uninjected, and return
-/// the total persistence-event count plus per-op-type event stats.
-fn probe(
-    opts: &ExploreOptions,
-    ops: &[WorkloadOp],
-) -> (u64, u64, BTreeMap<&'static str, OpEventStats>) {
-    let env = fresh_env(opts);
-    let base = env.pool.persist_event_count();
-    let mut model = BTreeMap::new();
-    let mut per_op: BTreeMap<&'static str, OpEventStats> = BTreeMap::new();
-    let mut last = base;
+/// Run one step of a scenario; `None` when the injected crash cut it
+/// short (any other panic propagates).
+pub fn until_cut<R>(step: impl FnOnce() -> R) -> Option<R> {
+    match catch_unwind(AssertUnwindSafe(step)) {
+        Ok(r) => Some(r),
+        Err(payload) if payload.is::<CrashPointHit>() => None,
+        Err(payload) => resume_unwind(payload),
+    }
+}
+
+/// Apply `ops` in order, folding acknowledged effects into
+/// `acked.model`, until the injected crash cuts one: its allowance is
+/// recorded in `acked.inflight` and `false` returned.
+pub fn apply_until_cut(idx: &dyn RangeIndex, ops: &[WorkloadOp], acked: &mut Acked) -> bool {
     for &op in ops {
-        apply_op(&*env.idx, &mut model, op);
-        let now = env.pool.persist_event_count();
-        let entry = per_op.entry(op.kind_str()).or_default();
-        entry.count += 1;
-        entry.events += now - last;
-        last = now;
-    }
-    let redundant = env.pool.stats().clwb_redundant;
-    (last - base, redundant, per_op)
-}
-
-/// Run the workload against a fresh armed environment. Returns the
-/// oracle model of acknowledged ops, the in-flight allowance if the
-/// crash fired, and the environment for recovery.
-fn armed_run(
-    opts: &ExploreOptions,
-    ops: &[WorkloadOp],
-    boundary: u64,
-) -> (Env, BTreeMap<u64, u64>, Option<InflightAllowance>) {
-    let env = fresh_env(opts);
-    env.pool.arm_crash_after(boundary);
-    let mut model = BTreeMap::new();
-    let mut inflight = None;
-    for &op in ops {
-        let allowance = InflightAllowance::for_op(op, &model);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            apply_op(&*env.idx, &mut model, op);
-        }));
-        if let Err(payload) = result {
-            if payload.downcast_ref::<CrashPointHit>().is_none() {
-                resume_unwind(payload);
-            }
-            inflight = Some(allowance);
-            break;
+        let allowance = InflightAllowance::for_op(op, &acked.model);
+        if until_cut(|| apply_op(idx, &mut acked.model, op)).is_none() {
+            acked.inflight.push(allowance);
+            return false;
         }
     }
-    if inflight.is_none() {
-        env.pool.disarm_crash();
-    }
-    (env, model, inflight)
-}
-
-/// Everything one explored boundary produced, across all its samples.
-#[derive(Debug, Default)]
-pub(crate) struct BoundaryOutcome {
-    pub report: Option<CrashReport>,
-    pub flight_tail: Option<String>,
-    pub candidates: u64,
-    pub samples_run: u64,
-    pub exhaustive: bool,
-    pub poison_injected: u64,
-    pub poison_reported: u64,
-    pub failures: Vec<BoundaryFailure>,
-}
-
-/// Recover one residual sample and verify it, classifying every way it
-/// can end: oracle pass/violation, reported media error, a raw
-/// [`PoisonedRead`] escaping (garbage surfaced — always a failure), or
-/// a recovery panic under the torn image (also a failure: a correct PM
-/// index must tolerate any subset of unflushed lines persisting).
-///
-/// Shared by the single-threaded sweep and the multi-threaded runner.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_sample(
-    kind: &str,
-    pool: &Arc<PmPool>,
-    model: &BTreeMap<u64, u64>,
-    inflight: &[InflightAllowance],
-    poisoned_off: Option<u64>,
-    out: &mut BoundaryOutcome,
-    boundary: u64,
-    policy: ResidualPolicy,
-    report: Option<CrashReport>,
-    flight_tail: Option<&str>,
-) {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        try_recover_stack(kind, pool.clone()).map(|idx| verify_recovered(&*idx, model, inflight))
-    }));
-    out.samples_run += 1;
-    let detail = match outcome {
-        Ok(Ok(Ok(()))) => return,
-        Ok(Ok(Err(detail))) => detail,
-        Ok(Err(media)) => {
-            if poisoned_off.is_some() {
-                // Graceful degradation: the poisoned line was on the
-                // recovery path and got reported, not read.
-                out.poison_reported += 1;
-                return;
-            }
-            format!("media error reported with no poison injected: {media}")
-        }
-        Err(payload) => {
-            if let Some(p) = payload.downcast_ref::<PoisonedRead>() {
-                format!(
-                    "poisoned line {:#x} surfaced as a raw read at {:#x} instead of a \
-                     reported media error",
-                    poisoned_off.unwrap_or(0),
-                    p.off
-                )
-            } else if let Some(s) = payload.downcast_ref::<&str>() {
-                format!("panic during recovery/verify: {s}")
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                format!("panic during recovery/verify: {s}")
-            } else {
-                "panic during recovery/verify (non-string payload)".to_string()
-            }
-        }
-    };
-    out.failures.push(BoundaryFailure {
-        boundary,
-        policy,
-        poisoned_off,
-        report,
-        detail,
-        flight_tail: flight_tail.map(str::to_string),
-    });
-}
-
-/// Apply `policy` to the snapshotted crash image and optionally poison
-/// one lost line; returns the poisoned offset. Shared image-building
-/// step for every sample of a boundary.
-pub(crate) fn build_sample_image(
-    pool: &Arc<PmPool>,
-    persisted: &[u64],
-    candidates: &[pmem::ResidualLine],
-    policy: ResidualPolicy,
-    poison: bool,
-    poison_seed: u64,
-) -> Option<u64> {
-    pool.restore_persisted(persisted);
-    let keep = policy.select(candidates.len());
-    let kept: Vec<pmem::ResidualLine> = candidates
-        .iter()
-        .zip(keep.iter())
-        .filter(|(_, &k)| k)
-        .map(|(l, _)| *l)
-        .collect();
-    pool.apply_residual_lines(&kept);
-    if !poison {
-        return None;
-    }
-    // Media failure at the torn location: one of the lines that did
-    // NOT make it to media comes back unreadable instead of stale.
-    let lost: Vec<u64> = candidates
-        .iter()
-        .zip(keep.iter())
-        .filter(|(_, &k)| !k)
-        .map(|(l, _)| l.off)
-        .collect();
-    if lost.is_empty() {
-        return None;
-    }
-    let victim = lost[(mix64(poison_seed) % lost.len() as u64) as usize];
-    pool.poison_line(victim);
-    Some(victim)
-}
-
-/// Explore one boundary: replay armed, then recover and verify every
-/// residual sample of the crash image (restore → apply subset →
-/// optional poison → recover → oracle).
-fn explore_boundary(opts: &ExploreOptions, ops: &[WorkloadOp], boundary: u64) -> BoundaryOutcome {
-    let (env, model, inflight) = armed_run(opts, ops, boundary);
-    let Env { pool, idx } = env;
-    let report = pool.crash_report();
-    // Snapshot the flight recorder at the trip instant, before the
-    // recovery attempts below overwrite the ring with their own events.
-    let flight_tail = (obs::enabled() && report.is_some()).then(|| obs::flight_tail_text(16));
-    // Capture the crash image before any front-end destructor runs:
-    // the candidate set was frozen at the trip instant, the persisted
-    // image is immune to post-crash writes.
-    let candidates = pool.residual_candidates();
-    let persisted = pool.snapshot_persisted();
-    drop(idx);
-
-    let mut out = BoundaryOutcome {
-        report,
-        flight_tail,
-        candidates: candidates.len() as u64,
-        ..BoundaryOutcome::default()
-    };
-    let inflight_slice: Vec<InflightAllowance> = inflight.into_iter().collect();
-    let (policies, exhaustive) = if report.is_some() {
-        sample_policies(opts.residual, opts.seed, boundary, candidates.len())
-    } else {
-        // The run completed (event-sequence divergence): verify exact
-        // equality of the cleanly-persisted image once.
-        (vec![ResidualPolicy::Frozen], false)
-    };
-    out.exhaustive = exhaustive;
-    for (s, &policy) in policies.iter().enumerate() {
-        let poisoned_off = build_sample_image(
-            &pool,
-            &persisted,
-            &candidates,
-            policy,
-            // The frozen baseline stays poison-free so the pure torn-
-            // write model is always covered too.
-            opts.poison && policy != ResidualPolicy::Frozen,
-            opts.seed ^ mix64(boundary) ^ (s as u64).rotate_left(32),
-        );
-        if poisoned_off.is_some() {
-            out.poison_injected += 1;
-        }
-        let tail = out.flight_tail.clone();
-        run_sample(
-            &opts.kind,
-            &pool,
-            &model,
-            &inflight_slice,
-            poisoned_off,
-            &mut out,
-            boundary,
-            policy,
-            report,
-            tail.as_deref(),
-        );
-    }
-    out
-}
-
-/// Run a full crash-point exploration sweep.
-///
-/// Installs the quiet panic hook, probes the workload's event count,
-/// then for each selected boundary replays the workload with an
-/// injected power failure and verifies recovery. Never panics on an
-/// oracle violation: failures are collected in the summary so a CLI can
-/// report all of them.
-pub fn explore(opts: &ExploreOptions) -> ExploreSummary {
-    install_quiet_crash_hook();
-    let ops = workload(opts.seed, opts.ops, opts.key_range);
-    let (total_events, probe_redundant_clwb, per_op) = probe(opts, &ops);
-
-    let mut summary = ExploreSummary {
-        kind: opts.kind.clone(),
-        chaos: opts.chaos_seed.is_some(),
-        total_events,
-        boundaries_tested: 0,
-        crashes_fired: 0,
-        completed_runs: 0,
-        trigger_histogram: [0; 3],
-        max_dirty_lines: 0,
-        max_dirty_words: 0,
-        probe_redundant_clwb,
-        per_op,
-        samples_run: 0,
-        exhaustive_boundaries: 0,
-        max_residual_candidates: 0,
-        poison_injected: 0,
-        poison_reported: 0,
-        failures: Vec::new(),
-        first_crash_flight_tail: None,
-    };
-
-    let stride = opts.stride.max(1);
-    let mut boundary = 1;
-    while boundary <= total_events {
-        if let Some(cap) = opts.max_boundaries {
-            if summary.boundaries_tested >= cap {
-                break;
-            }
-        }
-        let outcome = explore_boundary(opts, &ops, boundary);
-        summary.boundaries_tested += 1;
-        match &outcome.report {
-            Some(r) => {
-                summary.crashes_fired += 1;
-                let slot = match r.trigger {
-                    PersistEventKind::Clwb => 0,
-                    PersistEventKind::Ntstore => 1,
-                    PersistEventKind::Sfence => 2,
-                };
-                summary.trigger_histogram[slot] += 1;
-                summary.max_dirty_lines = summary.max_dirty_lines.max(r.dirty_lines);
-                summary.max_dirty_words = summary.max_dirty_words.max(r.dirty_words);
-            }
-            None => summary.completed_runs += 1,
-        }
-        if summary.first_crash_flight_tail.is_none() {
-            summary.first_crash_flight_tail = outcome.flight_tail.clone();
-        }
-        summary.samples_run += outcome.samples_run;
-        summary.exhaustive_boundaries += outcome.exhaustive as u64;
-        summary.max_residual_candidates = summary.max_residual_candidates.max(outcome.candidates);
-        summary.poison_injected += outcome.poison_injected;
-        summary.poison_reported += outcome.poison_reported;
-        summary.failures.extend(outcome.failures);
-        boundary += stride;
-    }
-    summary
+    true
 }
 
 #[cfg(test)]
@@ -971,91 +513,22 @@ mod tests {
     }
 
     #[test]
-    fn sample_policies_enumerate_small_sets_and_frontier_large_ones() {
-        // k <= max_lines: the full 2^k subset space, nothing else.
-        let (p, exhaustive) = sample_policies(
-            ResidualConfig::Exhaustive {
-                max_lines: 6,
-                fallback_samples: 2,
-            },
-            1,
-            10,
-            3,
-        );
-        assert!(exhaustive);
-        assert_eq!(p.len(), 8);
-        for (mask, pol) in p.iter().enumerate() {
-            assert_eq!(*pol, ResidualPolicy::Subset { mask: mask as u64 });
-        }
-        // k > max_lines: all 2^j masks over the j most recent lines,
-        // plus the seeded fallback samples over the full set.
-        let (p, exhaustive) = sample_policies(
-            ResidualConfig::Exhaustive {
-                max_lines: 4,
-                fallback_samples: 2,
-            },
-            1,
-            10,
-            40,
-        );
-        assert!(exhaustive);
-        assert_eq!(p.len(), 16 + 2);
-        assert!(matches!(p[15], ResidualPolicy::Subset { mask: 15 }));
-        assert!(matches!(p[16], ResidualPolicy::Sampled { .. }));
-        // Seeds differ per boundary so no two boundaries share a sample.
-        let (q, _) = sample_policies(
-            ResidualConfig::Exhaustive {
-                max_lines: 4,
-                fallback_samples: 2,
-            },
-            1,
-            11,
-            40,
-        );
-        assert_ne!(p[16], q[16]);
-    }
-
-    #[test]
     fn probe_counts_events_for_every_kind() {
         for kind in PM_KINDS {
-            let opts = ExploreOptions {
-                kind: kind.to_string(),
-                ops: 60,
-                key_range: 32,
-                pool_mib: 16,
-                ..ExploreOptions::default()
-            };
-            let ops = workload(opts.seed, opts.ops, opts.key_range);
-            let (events, _, per_op) = probe(&opts, &ops);
-            assert!(events > 0, "{kind}: no persistence events?");
-            assert!(per_op.contains_key("insert"), "{kind}: no insert stats");
-        }
-    }
-
-    #[test]
-    fn smoke_sweep_is_green_for_every_kind() {
-        // A bounded sweep (strided) across all four indexes; the full
-        // boundary-by-boundary matrix lives in the integration tests
-        // and the CLI.
-        for kind in PM_KINDS {
-            let opts = ExploreOptions {
-                kind: kind.to_string(),
-                ops: 40,
-                key_range: 24,
-                pool_mib: 16,
-                stride: 7,
-                ..ExploreOptions::default()
-            };
-            let summary = explore(&opts);
-            assert!(summary.total_events > 0);
-            assert!(summary.boundaries_tested > 0);
-            assert!(
-                summary.is_green(),
-                "{kind}: {} oracle violations, first: {:?}",
-                summary.failures.len(),
-                summary.failures.first()
+            let s = sweep(
+                &single::Single { chaos_seed: None },
+                &SweepOptions {
+                    kind: kind.to_string(),
+                    ops: 60,
+                    key_range: 32,
+                    pool_mib: 16,
+                    max_boundaries: Some(0),
+                    ..SweepOptions::default()
+                },
             );
-            assert!(summary.crashes_fired > 0, "{kind}: injection never fired");
+            assert!(s.probe_events[0] > 0, "{kind}: no persistence events?");
+            assert!(s.counter("insert events") > 0, "{kind}: no insert stats");
+            assert_eq!(s.boundaries_tested, 0);
         }
     }
 }

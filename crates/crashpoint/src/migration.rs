@@ -1,9 +1,9 @@
 //! Crash-point exploration of the engine's online shard-range
 //! migration (copy → single fenced routing publish → GC).
 //!
-//! A deterministic single-threaded scenario interleaves the standard
-//! workload with a scripted migration of the tail half of shard 0's
-//! range into a fresh destination shard:
+//! A deterministic single-threaded script interleaves the standard
+//! workload with a migration of the tail half of shard 0's range into a
+//! fresh destination shard:
 //!
 //! 1. first quarter of the workload on the base engine,
 //! 2. `begin_migration` (destination pool formatted + claim written),
@@ -13,10 +13,9 @@
 //! 6. `gc` of the source leftovers,
 //! 7. the final quarter.
 //!
-//! The sweep arms ONE pool (each base pool and the destination) at
-//! every `stride`-th persistence boundary, replays the scenario until
-//! the armed pool trips, restores every pool to its power-cut image,
-//! recovers with [`engine::ShardedIndex::recover_routed`], and checks:
+//! The sweep arms ONE pool (each base pool, then the destination) at a
+//! time, and after the cut recovers with
+//! [`engine::ShardedIndex::recover_routed`] and checks:
 //!
 //! * **the durability oracle** ([`crate::verify_recovered`]): every
 //!   acked op survives, the one in-flight op is atomic, scans are
@@ -28,68 +27,52 @@
 //! * **idempotence**: crash-recover a second time and require an
 //!   identical routing table and a still-green oracle.
 
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use engine::{
-    shard_start, Migrator, RouteEntry, Shard, ShardedIndex, MIG_ACTIVE, MIG_MAGIC, MIG_SETTLED,
+    shard_start, RouteEntry, Shard, ShardedIndex, MIG_ACTIVE, MIG_MAGIC, MIG_SETTLED,
     SLOT_MIG_MAGIC, SLOT_MIG_STATE,
 };
 use pmalloc::{AllocMode, PmAllocator};
-use pmem::{CrashPointHit, PmConfig, PmPool};
+use pmem::{MediaError, PmConfig, PmPool};
 
-use crate::sharded::spread_op;
-use crate::{build_index, try_recover_index, verify_recovered, workload, InflightAllowance};
+use crate::sharded::spread_workload;
+use crate::{
+    apply_until_cut, build_index, fresh_shards, try_recover_shard, until_cut, verify_recovered,
+    Acked, Counters, Scenario, SweepOptions, WorkloadOp,
+};
 
-/// Scale knobs for one migration exploration sweep.
-#[derive(Debug, Clone)]
-pub struct MigrationExploreOptions {
-    /// Inner index kind (`fptree` / `nvtree` / `wbtree` / `bztree` /
-    /// `learned`).
-    pub kind: String,
+/// A sharded engine with one shard-range migration in flight; the
+/// destination is the last pool. Counts `preparing_recoveries` (cut
+/// before the publish word landed: destination dropped at recovery) and
+/// `claimed_recoveries` (destination routed).
+#[derive(Debug, Clone, Copy)]
+pub struct Migration {
     /// Base shards (the destination adds one more pool to the sweep).
     pub base_shards: usize,
-    /// Operations in the deterministic workload.
-    pub ops: u64,
-    /// Distinct keys before spreading (small = collisions + splits).
-    pub key_range: u64,
-    /// Workload seed.
-    pub seed: u64,
-    /// Capacity of EACH pool, in MiB.
-    pub pool_mib: usize,
     /// Records copied per migration chunk.
     pub chunk: usize,
     /// Workload ops interleaved between copy chunks.
     pub ops_per_chunk: usize,
-    /// Test every `stride`-th boundary of the armed pool (1 = all).
-    pub stride: u64,
-    /// Cap on boundaries tested per armed pool (0 = no cap).
-    pub max_boundaries: u64,
-    /// Which pools to arm: `0..base_shards` are the base pools,
-    /// `base_shards` is the destination (empty = all of them).
-    pub arm_pools: Vec<usize>,
 }
 
-impl Default for MigrationExploreOptions {
+impl Default for Migration {
     fn default() -> Self {
-        MigrationExploreOptions {
-            kind: "wbtree".to_string(),
+        Migration {
             base_shards: 2,
-            ops: 400,
-            key_range: 96,
-            seed: 0xC0FFEE,
-            pool_mib: 8,
             chunk: 24,
             ops_per_chunk: 4,
-            stride: 1,
-            max_boundaries: 0,
-            arm_pools: Vec::new(),
         }
     }
 }
 
-impl MigrationExploreOptions {
+/// The base engine plus the still-unformatted destination pool.
+pub struct MigrationEnv {
+    engine: Arc<ShardedIndex>,
+    dst_pool: Arc<PmPool>,
+}
+
+impl Migration {
     /// The migration splits shard 0's range at its midpoint.
     fn split_at(&self) -> u64 {
         let end = if self.base_shards == 1 {
@@ -99,520 +82,221 @@ impl MigrationExploreOptions {
         };
         end / 2 + 1
     }
-}
 
-/// One oracle/routing violation found by the sweep.
-#[derive(Debug, Clone)]
-pub struct MigrationBoundaryFailure {
-    /// Armed pool (base shard id, or `base_shards` = destination).
-    pub pool: usize,
-    /// The persistence-event boundary the crash fired after.
-    pub boundary: u64,
-    /// What went wrong.
-    pub detail: String,
-}
+    /// The workload + migration script; `None` as soon as the armed
+    /// pool cuts a step. Single-threaded, so each pool's persistence
+    /// event stream is reproducible across replays.
+    fn script(
+        &self,
+        env: &MigrationEnv,
+        opts: &SweepOptions,
+        ops: &[WorkloadOp],
+        acked: &mut Acked,
+    ) -> Option<()> {
+        let engine = &env.engine;
+        let mut rest = ops;
+        // Apply up to `n` more workload ops.
+        let mut serve = |n: usize, acked: &mut Acked| {
+            let (now, later) = rest.split_at(n.min(rest.len()));
+            rest = later;
+            apply_until_cut(&**engine, now, acked).then_some(())
+        };
+        let q = (ops.len() / 4).max(1);
 
-/// Aggregate result of a migration exploration sweep.
-#[derive(Debug)]
-pub struct MigrationExploreSummary {
-    pub kind: String,
-    pub base_shards: usize,
-    /// Per-pool persistence-event totals from the uninjected probe run
-    /// (base pools first, destination last).
-    pub probe_events: Vec<u64>,
-    /// Boundaries actually tested (across all armed pools).
-    pub boundaries_tested: u64,
-    /// Boundaries whose armed run tripped mid-scenario.
-    pub crashes_fired: u64,
-    /// Boundaries whose armed run completed without tripping.
-    pub completed_runs: u64,
-    /// Runs that crashed before the publish word landed (destination
-    /// dropped at recovery).
-    pub preparing_recoveries: u64,
-    /// Runs recovered with the destination claimed (`ACTIVE`/`SETTLED`).
-    pub claimed_recoveries: u64,
-    pub failures: Vec<MigrationBoundaryFailure>,
-}
-
-impl MigrationExploreSummary {
-    /// Whether the sweep found zero violations.
-    pub fn is_green(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-struct RunEnv {
-    base_pools: Vec<Arc<PmPool>>,
-    dst_pool: Arc<PmPool>,
-}
-
-fn fresh_pools(opts: &MigrationExploreOptions) -> RunEnv {
-    let mk = || Arc::new(PmPool::new(opts.pool_mib << 20, PmConfig::real()));
-    RunEnv {
-        base_pools: (0..opts.base_shards).map(|_| mk()).collect(),
-        dst_pool: mk(),
-    }
-}
-
-/// Outcome of one scenario replay: the acked-op model and the (at most
-/// one) in-flight allowance when the armed pool tripped.
-struct RunOutcome {
-    model: BTreeMap<u64, u64>,
-    inflight: Vec<InflightAllowance>,
-    fired: bool,
-}
-
-/// Run one scenario step, converting a [`CrashPointHit`] unwind into
-/// `false` (any other panic propagates).
-fn crash_step(fired: &mut bool, f: impl FnOnce()) -> bool {
-    debug_assert!(!*fired);
-    match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(()) => true,
-        Err(payload) => {
-            if payload.downcast_ref::<CrashPointHit>().is_none() {
-                std::panic::resume_unwind(payload);
-            }
-            *fired = true;
-            false
-        }
-    }
-}
-
-/// Build the base engine on the base pools (formatting them). Done
-/// before arming, like the other sweeps: the boundary space starts at
-/// the first workload op.
-fn build_base(env: &RunEnv, opts: &MigrationExploreOptions) -> Arc<ShardedIndex> {
-    let parts: Vec<Shard> = env
-        .base_pools
-        .iter()
-        .map(|p| {
-            let alloc = PmAllocator::format(Arc::clone(p), AllocMode::General);
-            Shard {
+        serve(q, acked)?;
+        let mut migrator = until_cut(|| {
+            let alloc = PmAllocator::format(env.dst_pool.clone(), AllocMode::General);
+            let dst = Shard {
                 index: build_index(&opts.kind, alloc.clone()),
-                pool: Some(Arc::clone(p)),
+                pool: Some(env.dst_pool.clone()),
                 alloc: Some(alloc),
-            }
-        })
-        .collect();
-    ShardedIndex::from_parts(parts)
-}
-
-/// Replay the deterministic workload+migration scenario until a
-/// [`CrashPointHit`] unwinds out of a step (or the run completes).
-/// Single-threaded, so the persistence-event stream per pool is
-/// reproducible across replays.
-fn run_scenario(
-    env: &RunEnv,
-    engine: &Arc<ShardedIndex>,
-    opts: &MigrationExploreOptions,
-    ops: &[crate::WorkloadOp],
-) -> RunOutcome {
-    let mut model = BTreeMap::new();
-    let mut inflight: Vec<InflightAllowance> = Vec::new();
-    let mut fired = false;
-    let mut cursor = 0usize;
-    let q = (ops.len() / 4).max(1);
-
-    macro_rules! bail {
-        () => {
-            return RunOutcome {
-                model,
-                inflight,
-                fired,
-            }
-        };
-    }
-
-    // Apply up to `n` workload ops; false when the armed pool tripped
-    // (the cut op's allowance is recorded).
-    let run_ops = |n: usize,
-                   cursor: &mut usize,
-                   fired: &mut bool,
-                   model: &mut BTreeMap<u64, u64>,
-                   inflight: &mut Vec<InflightAllowance>|
-     -> bool {
-        for _ in 0..n {
-            if *cursor >= ops.len() {
-                break;
-            }
-            let op = ops[*cursor];
-            *cursor += 1;
-            let allowance = InflightAllowance::for_op(op, model);
-            match catch_unwind(AssertUnwindSafe(|| crate::apply_op(&**engine, model, op))) {
-                Ok(_) => {}
-                Err(payload) => {
-                    if payload.downcast_ref::<CrashPointHit>().is_none() {
-                        std::panic::resume_unwind(payload);
-                    }
-                    inflight.push(allowance);
-                    *fired = true;
-                    return false;
-                }
-            }
-        }
-        true
-    };
-
-    // Phase 1: first quarter on the base layout.
-    if !run_ops(q, &mut cursor, &mut fired, &mut model, &mut inflight) {
-        bail!();
-    }
-
-    // Phase 2: destination stack + begin_migration (claim write).
-    let mut migrator_slot: Option<Migrator> = None;
-    if !crash_step(&mut fired, || {
-        let alloc = PmAllocator::format(Arc::clone(&env.dst_pool), AllocMode::General);
-        let shard = Shard {
-            index: build_index(&opts.kind, alloc.clone()),
-            pool: Some(Arc::clone(&env.dst_pool)),
-            alloc: Some(alloc),
-        };
-        migrator_slot = Some(engine.begin_migration(opts.split_at(), shard));
-    }) {
-        bail!();
-    }
-    let mut migrator = migrator_slot.expect("begun above");
-
-    // Phase 3: copy chunks interleaved with the second quarter.
-    let mut copied_all = false;
-    let mut served = 0usize;
-    while !copied_all {
-        if !crash_step(&mut fired, || {
-            copied_all = migrator.copy_chunk(opts.chunk);
-        }) {
-            bail!();
-        }
-        if served < q {
-            let n = opts.ops_per_chunk.min(q - served);
+            };
+            engine.begin_migration(self.split_at(), dst)
+        })?;
+        let mut served = 0;
+        loop {
+            let copied_all = until_cut(|| migrator.copy_chunk(self.chunk))?;
+            let n = self.ops_per_chunk.min(q - served);
             served += n;
-            if !run_ops(n, &mut cursor, &mut fired, &mut model, &mut inflight) {
-                bail!();
-            }
-        }
-    }
-    if served < q
-        && !run_ops(
-            q - served,
-            &mut cursor,
-            &mut fired,
-            &mut model,
-            &mut inflight,
-        )
-    {
-        bail!();
-    }
-
-    // Phase 4: publish (the commit word + routing flip).
-    if !crash_step(&mut fired, || migrator.publish()) {
-        bail!();
-    }
-
-    // Phase 5: third quarter through the new routing table.
-    if !run_ops(q, &mut cursor, &mut fired, &mut model, &mut inflight) {
-        bail!();
-    }
-
-    // Phase 6: GC the source leftovers.
-    if !crash_step(&mut fired, || migrator.gc()) {
-        bail!();
-    }
-
-    // Phase 7: the rest of the workload.
-    run_ops(
-        ops.len(),
-        &mut cursor,
-        &mut fired,
-        &mut model,
-        &mut inflight,
-    );
-    RunOutcome {
-        model,
-        inflight,
-        fired,
-    }
-}
-
-/// Recover the whole routed engine from the restored pool images.
-fn recover_engine(
-    opts: &MigrationExploreOptions,
-    env: &RunEnv,
-) -> Result<Arc<ShardedIndex>, String> {
-    let kind = opts.kind.clone();
-    ShardedIndex::recover_routed(
-        env.base_pools.clone(),
-        vec![Arc::clone(&env.dst_pool)],
-        false,
-        move |_, pool| {
-            let alloc = PmAllocator::try_recover(pool, AllocMode::General)?;
-            Ok((try_recover_index(&kind, alloc.clone())?, alloc))
-        },
-    )
-    .map_err(|e| format!("recovery failed: {e:?}"))
-}
-
-/// Check the routing invariant: the destination shard is routed iff its
-/// persisted claim is `ACTIVE`/`SETTLED`, and the routed ranges exactly
-/// match the claim (or the arithmetic base partition when dropped).
-fn check_routes(
-    opts: &MigrationExploreOptions,
-    env: &RunEnv,
-    routes: &[RouteEntry],
-) -> Result<(), String> {
-    let n = opts.base_shards;
-    let claimed = env.dst_pool.read_root(SLOT_MIG_MAGIC) == MIG_MAGIC
-        && matches!(
-            env.dst_pool.read_root(SLOT_MIG_STATE),
-            MIG_ACTIVE | MIG_SETTLED
-        );
-    let mut want: Vec<RouteEntry> = (0..n)
-        .map(|i| RouteEntry {
-            start: shard_start(i, n),
-            last: if i + 1 == n {
-                u64::MAX
-            } else {
-                shard_start(i + 1, n) - 1
-            },
-            shard: i,
-        })
-        .collect();
-    if claimed {
-        let split = opts.split_at();
-        let end = want[0].last;
-        want[0].last = split - 1;
-        want.insert(
-            1,
-            RouteEntry {
-                start: split,
-                last: end,
-                shard: n,
-            },
-        );
-    }
-    if routes != want.as_slice() {
-        return Err(format!(
-            "routing table mismatch (claimed={claimed}): got {routes:?}, want {want:?}"
-        ));
-    }
-    Ok(())
-}
-
-/// Explore one (armed pool, boundary) point.
-fn explore_point(
-    opts: &MigrationExploreOptions,
-    ops: &[crate::WorkloadOp],
-    armed: usize,
-    boundary: u64,
-    summary: &mut MigrationExploreSummary,
-) -> (Vec<MigrationBoundaryFailure>, bool) {
-    let fail = |detail: String| MigrationBoundaryFailure {
-        pool: armed,
-        boundary,
-        detail,
-    };
-    let env = fresh_pools(opts);
-    let engine = build_base(&env, opts);
-    let all_pools: Vec<Arc<PmPool>> = env
-        .base_pools
-        .iter()
-        .cloned()
-        .chain(std::iter::once(Arc::clone(&env.dst_pool)))
-        .collect();
-    all_pools[armed].arm_crash_after(boundary);
-
-    let outcome = run_scenario(&env, &engine, opts, ops);
-    if !outcome.fired {
-        all_pools[armed].disarm_crash();
-    }
-
-    // Power-cut-instant images on every device, captured before any
-    // front-end destructor can issue further flushes, then recovery.
-    let cut_images: Vec<Vec<u64>> = all_pools.iter().map(|p| p.snapshot_persisted()).collect();
-    drop(engine);
-    for (p, img) in all_pools.iter().zip(&cut_images) {
-        p.restore_persisted(img);
-    }
-
-    let mut failures = Vec::new();
-    let recovered = match recover_engine(opts, &env) {
-        Ok(e) => e,
-        Err(e) => {
-            failures.push(fail(e));
-            return (failures, outcome.fired);
-        }
-    };
-    let claimed = env.dst_pool.read_root(SLOT_MIG_MAGIC) == MIG_MAGIC
-        && matches!(
-            env.dst_pool.read_root(SLOT_MIG_STATE),
-            MIG_ACTIVE | MIG_SETTLED
-        );
-    if claimed {
-        summary.claimed_recoveries += 1;
-    } else {
-        summary.preparing_recoveries += 1;
-    }
-    if let Err(e) = check_routes(opts, &env, &recovered.routes()) {
-        failures.push(fail(e));
-    }
-    if let Err(e) = verify_recovered(&*recovered, &outcome.model, &outcome.inflight) {
-        failures.push(fail(e));
-    }
-    let routes_first = recovered.routes();
-    drop(recovered);
-
-    // Double recovery: power-cycle every pool again (recovery's own
-    // writes that were persisted survive; its volatile state is lost)
-    // and require the identical routing table and a green oracle.
-    for p in &all_pools {
-        p.crash();
-    }
-    let recovered2 = match recover_engine(opts, &env) {
-        Ok(e) => e,
-        Err(e) => {
-            failures.push(fail(format!("second {e}")));
-            return (failures, outcome.fired);
-        }
-    };
-    if recovered2.routes() != routes_first {
-        failures.push(fail(format!(
-            "double recovery changed the routing table: {:?} then {:?}",
-            routes_first,
-            recovered2.routes()
-        )));
-    }
-    if let Err(e) = verify_recovered(&*recovered2, &outcome.model, &outcome.inflight) {
-        failures.push(fail(format!("after second recovery: {e}")));
-    }
-    (failures, outcome.fired)
-}
-
-/// Uninjected probe: per-pool persistence-event totals for the
-/// scenario (counted from the post-build arming point), sizing each
-/// armed pool's boundary sweep.
-fn probe(opts: &MigrationExploreOptions, ops: &[crate::WorkloadOp]) -> Vec<u64> {
-    let env = fresh_pools(opts);
-    let engine = build_base(&env, opts);
-    let at_arm: Vec<u64> = env
-        .base_pools
-        .iter()
-        .map(|p| p.persist_event_count())
-        .collect();
-    let outcome = run_scenario(&env, &engine, opts, ops);
-    assert!(!outcome.fired, "probe run must not crash");
-    env.base_pools
-        .iter()
-        .zip(&at_arm)
-        .map(|(p, &base)| p.persist_event_count() - base)
-        .chain(std::iter::once(env.dst_pool.persist_event_count()))
-        .collect()
-}
-
-/// Run the full sweep: arm each pool (base shards, then the migration
-/// destination) at every `stride`-th persistence boundary and verify
-/// oracle + routing invariant + double-recovery idempotence.
-pub fn explore_migration(opts: &MigrationExploreOptions) -> MigrationExploreSummary {
-    assert!(opts.base_shards >= 1, "need at least one base shard");
-    crate::install_quiet_crash_hook();
-    let ops: Vec<crate::WorkloadOp> = workload(opts.seed, opts.ops, opts.key_range)
-        .into_iter()
-        .map(|op| spread_op(op, opts.key_range))
-        .collect();
-    let probe_events = probe(opts, &ops);
-
-    let armed_pools: Vec<usize> = if opts.arm_pools.is_empty() {
-        (0..=opts.base_shards).collect()
-    } else {
-        opts.arm_pools.clone()
-    };
-
-    let mut summary = MigrationExploreSummary {
-        kind: opts.kind.clone(),
-        base_shards: opts.base_shards,
-        probe_events: probe_events.clone(),
-        boundaries_tested: 0,
-        crashes_fired: 0,
-        completed_runs: 0,
-        preparing_recoveries: 0,
-        claimed_recoveries: 0,
-        failures: Vec::new(),
-    };
-
-    for &armed in &armed_pools {
-        assert!(armed <= opts.base_shards, "armed pool {armed} out of range");
-        let total = probe_events[armed];
-        let mut tested = 0u64;
-        let mut boundary = 1u64;
-        while boundary <= total {
-            if opts.max_boundaries > 0 && tested >= opts.max_boundaries {
+            serve(n, acked)?;
+            if copied_all {
                 break;
             }
-            let (failures, fired) = explore_point(opts, &ops, armed, boundary, &mut summary);
-            summary.boundaries_tested += 1;
-            if fired {
-                summary.crashes_fired += 1;
-            } else {
-                summary.completed_runs += 1;
-            }
-            summary.failures.extend(failures);
-            tested += 1;
-            boundary += opts.stride.max(1);
         }
+        serve(q - served, acked)?;
+        until_cut(|| migrator.publish())?;
+        serve(q, acked)?;
+        until_cut(|| migrator.gc())?;
+        serve(usize::MAX, acked)
     }
-    summary
+
+    /// Recover the whole routed engine from the pools' current images.
+    fn recover(
+        &self,
+        opts: &SweepOptions,
+        pools: &[Arc<PmPool>],
+    ) -> Result<Arc<ShardedIndex>, MediaError> {
+        let (base, dst) = pools.split_at(self.base_shards);
+        ShardedIndex::recover_routed(base.to_vec(), dst.to_vec(), false, |_, pool| {
+            let s = try_recover_shard(&opts.kind, pool)?;
+            Ok((s.index, s.alloc.expect("recovered with its allocator")))
+        })
+    }
+
+    /// The routing invariant: the destination shard is routed iff its
+    /// persisted claim is `ACTIVE`/`SETTLED`, and the routed ranges
+    /// exactly match the claim (or the arithmetic base partition when
+    /// it was dropped).
+    fn check_routes(&self, claimed: bool, routes: &[RouteEntry]) -> Result<(), String> {
+        let n = self.base_shards;
+        let mut want: Vec<RouteEntry> = (0..n)
+            .map(|i| RouteEntry {
+                start: shard_start(i, n),
+                last: if i + 1 == n {
+                    u64::MAX
+                } else {
+                    shard_start(i + 1, n) - 1
+                },
+                shard: i,
+            })
+            .collect();
+        if claimed {
+            let split = self.split_at();
+            let end = want[0].last;
+            want[0].last = split - 1;
+            want.insert(
+                1,
+                RouteEntry {
+                    start: split,
+                    last: end,
+                    shard: n,
+                },
+            );
+        }
+        if routes != want.as_slice() {
+            return Err(format!(
+                "routing table mismatch (claimed={claimed}): got {routes:?}, want {want:?}"
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Whether the destination pool's persisted migration claim is live.
+fn claimed(dst_pool: &PmPool) -> bool {
+    dst_pool.read_root(SLOT_MIG_MAGIC) == MIG_MAGIC
+        && matches!(dst_pool.read_root(SLOT_MIG_STATE), MIG_ACTIVE | MIG_SETTLED)
+}
+
+impl Scenario for Migration {
+    type Env = MigrationEnv;
+
+    /// The base engine is built (its pools formatted) before arming,
+    /// like every sweep: the boundary space starts at the first
+    /// workload op. The destination is formatted by the script.
+    fn build(&self, opts: &SweepOptions) -> (MigrationEnv, Vec<Arc<PmPool>>) {
+        assert!(self.base_shards >= 1, "need at least one base shard");
+        let base = fresh_shards(opts, self.base_shards, PmConfig::real());
+        let engine = ShardedIndex::from_parts(base);
+        let dst_pool = Arc::new(PmPool::new(opts.pool_mib << 20, PmConfig::real()));
+        let mut pools = engine.pools();
+        pools.push(dst_pool.clone());
+        (MigrationEnv { engine, dst_pool }, pools)
+    }
+
+    fn drive(&self, env: &mut MigrationEnv, opts: &SweepOptions, _c: &mut Counters) -> Acked {
+        let mut acked = Acked::default();
+        self.script(env, opts, &spread_workload(opts), &mut acked);
+        acked
+    }
+
+    fn check(
+        &self,
+        opts: &SweepOptions,
+        pools: &[Arc<PmPool>],
+        _armed: usize,
+        acked: &Acked,
+        counters: &mut Counters,
+    ) -> Result<Result<(), String>, MediaError> {
+        let recovered = self.recover(opts, pools)?;
+        let claimed = claimed(&pools[self.base_shards]);
+        let which = if claimed {
+            "claimed_recoveries"
+        } else {
+            "preparing_recoveries"
+        };
+        *counters.entry(which).or_default() += 1;
+        let routes = recovered.routes();
+        let first = self
+            .check_routes(claimed, &routes)
+            .and_then(|()| verify_recovered(&*recovered, &acked.model, &acked.inflight));
+        if first.is_err() {
+            return Ok(first);
+        }
+        drop(recovered);
+
+        // Double recovery: power-cycle every pool again (recovery's own
+        // writes that were persisted survive; its volatile state is
+        // lost) and require the identical routing table and a green
+        // oracle.
+        for p in pools {
+            p.crash();
+        }
+        let again = self.recover(opts, pools)?;
+        if again.routes() != routes {
+            return Ok(Err(format!(
+                "double recovery changed the routing table: {routes:?} then {:?}",
+                again.routes()
+            )));
+        }
+        Ok(verify_recovered(&*again, &acked.model, &acked.inflight)
+            .map_err(|e| format!("after second recovery: {e}")))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep;
 
-    fn quick_opts(kind: &str) -> MigrationExploreOptions {
-        MigrationExploreOptions {
+    fn quick_opts(kind: &str, stride: u64) -> SweepOptions {
+        SweepOptions {
             kind: kind.to_string(),
             ops: 120,
             key_range: 48,
-            stride: 131,
-            ..MigrationExploreOptions::default()
+            seed: 0xC0FFEE,
+            pool_mib: 8,
+            stride,
+            ..SweepOptions::default()
         }
     }
 
     #[test]
     fn uninjected_scenario_is_green_end_to_end() {
-        crate::install_quiet_crash_hook();
-        let opts = quick_opts("wbtree");
-        let ops: Vec<crate::WorkloadOp> = workload(opts.seed, opts.ops, opts.key_range)
-            .into_iter()
-            .map(|op| spread_op(op, opts.key_range))
-            .collect();
-        let env = fresh_pools(&opts);
-        let engine = build_base(&env, &opts);
-        let outcome = run_scenario(&env, &engine, &opts, &ops);
-        assert!(!outcome.fired);
+        // The probe alone: no boundary explored, the script completes.
+        let scn = Migration::default();
+        let opts = quick_opts("wbtree", 1);
+        let (mut env, pools) = scn.build(&opts);
+        let acked = scn.drive(&mut env, &opts, &mut Counters::new());
+        assert!(acked.inflight.is_empty() && acked.errors.is_empty());
         // The migration completed: claim must be SETTLED.
         assert_eq!(env.dst_pool.read_root(SLOT_MIG_MAGIC), MIG_MAGIC);
         assert_eq!(env.dst_pool.read_root(SLOT_MIG_STATE), MIG_SETTLED);
-        // And a plain recovery reproduces the model.
-        let cut: Vec<Vec<u64>> = env
-            .base_pools
-            .iter()
-            .chain(std::iter::once(&env.dst_pool))
-            .map(|p| p.snapshot_persisted())
-            .collect();
-        drop(engine);
-        for (p, img) in env
-            .base_pools
-            .iter()
-            .chain(std::iter::once(&env.dst_pool))
-            .zip(&cut)
-        {
+        // And a plain recovery of the cut images reproduces the model.
+        let cut: Vec<Vec<u64>> = pools.iter().map(|p| p.snapshot_persisted()).collect();
+        drop(env);
+        for (p, img) in pools.iter().zip(&cut) {
             p.restore_persisted(img);
         }
-        let rec = recover_engine(&opts, &env).expect("clean recovery");
-        assert_eq!(rec.routes().len(), opts.base_shards + 1);
-        verify_recovered(&*rec, &outcome.model, &outcome.inflight).expect("oracle green");
+        let mut counters = Counters::new();
+        let verdict = scn.check(&opts, &pools, 0, &acked, &mut counters);
+        assert_eq!(verdict, Ok(Ok(())));
+        assert_eq!(counters["claimed_recoveries"], 1);
     }
 
     #[test]
     fn strided_migration_sweep_is_green_for_wbtree() {
-        let summary = explore_migration(&quick_opts("wbtree"));
+        let summary = sweep(&Migration::default(), &quick_opts("wbtree", 131));
         assert!(
             summary.is_green(),
             "{:?}",
@@ -620,21 +304,19 @@ mod tests {
         );
         assert!(summary.crashes_fired > 0, "no boundary tripped");
         assert!(
-            summary.preparing_recoveries > 0,
+            summary.counter("preparing_recoveries") > 0,
             "sweep must hit pre-publish boundaries"
         );
         assert!(
-            summary.claimed_recoveries > 0,
+            summary.counter("claimed_recoveries") > 0,
             "sweep must hit post-publish boundaries"
         );
-        assert_eq!(summary.probe_events.len(), summary.base_shards + 1);
+        assert_eq!(summary.probe_events.len(), 3);
     }
 
     #[test]
     fn strided_migration_sweep_is_green_for_learned() {
-        let mut opts = quick_opts("learned");
-        opts.stride = 211;
-        let summary = explore_migration(&opts);
+        let summary = sweep(&Migration::default(), &quick_opts("learned", 211));
         assert!(
             summary.is_green(),
             "{:?}",

@@ -15,110 +15,44 @@
 //! [`pmem::PmPool::set_halt_on_crash`]) at their next PM access, which
 //! also unwedges threads spinning on a leaf lock the crashed thread
 //! still holds.
+//!
+//! Concurrent schedules make the probe's event count only an estimate,
+//! so instead of striding, `max_boundaries` (default 8) pseudo-random
+//! boundaries are picked inside it, seeded so the whole matrix replays
+//! from the seed alone; a pick past what an armed run emits completes
+//! and is verified for exact equality.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use pmalloc::{AllocMode, PmAllocator};
-use pmem::{CrashPointHit, CrashReport, PmConfig, PmPool, ResidualPolicy};
+use engine::Shard;
+use index_api::RangeIndex;
+use pmem::{CrashPointHit, MediaError, PmPool};
 
+use crate::single::{check_one_pool, Single};
+use crate::sweep::{mix64, panic_text};
 use crate::{
-    apply_op, build_index, build_sample_image, install_quiet_crash_hook, mix64, run_sample,
-    sample_policies, workload, BoundaryOutcome, InflightAllowance, ResidualConfig, WorkloadOp,
+    apply_op, workload, Acked, Counters, InflightAllowance, Scenario, SweepOptions, WorkloadOp,
 };
 
-/// Parameters of one multi-threaded crash-consistency run.
-#[derive(Debug, Clone)]
-pub struct MtOptions {
-    /// Index kind (see [`crate::PM_KINDS`]).
-    pub kind: String,
-    /// Concurrent workload threads (2–8).
+/// One index on one pool under `threads` concurrent writers; counts
+/// `threads_cut`.
+#[derive(Debug, Clone, Copy)]
+pub struct Mt {
+    /// Concurrent workload threads (2–8), each running `opts.ops`
+    /// operations on its own `opts.key_range`-wide key stripe.
     pub threads: usize,
-    /// Operations each thread attempts.
-    pub ops_per_thread: u64,
-    /// Width of each thread's private key stripe.
-    pub stripe: u64,
-    /// Base seed (workloads, boundary picks, residual samples).
-    pub seed: u64,
-    /// Pool size in MiB.
-    pub pool_mib: usize,
-    /// Number of pseudo-random crash boundaries to test.
-    pub boundaries: u64,
-    /// Post-crash image model.
-    pub residual: ResidualConfig,
-    /// Poison one lost line per sampled image.
-    pub poison: bool,
-}
-
-impl Default for MtOptions {
-    fn default() -> Self {
-        MtOptions {
-            kind: "wbtree".to_string(),
-            threads: 4,
-            ops_per_thread: 250,
-            stripe: 128,
-            seed: 1,
-            pool_mib: 32,
-            boundaries: 8,
-            residual: ResidualConfig::Sampled {
-                samples: 3,
-                p_per_256: 128,
-            },
-            poison: false,
-        }
-    }
-}
-
-/// Outcome of a multi-threaded crash-consistency run.
-#[derive(Debug, Clone)]
-pub struct MtSummary {
-    /// Index kind exercised.
-    pub kind: String,
-    /// Workload threads per boundary.
-    pub threads: usize,
-    /// Boundaries armed and run.
-    pub boundaries_tested: u64,
-    /// Boundaries where the armed crash fired mid-run.
-    pub crashes_fired: u64,
-    /// Threads cut mid-operation across all boundaries (each
-    /// contributes one in-flight allowance to its oracle check).
-    pub threads_cut: u64,
-    /// Residual samples recovered and verified.
-    pub samples_run: u64,
-    /// Largest residual candidate set at any crash.
-    pub max_residual_candidates: u64,
-    /// Samples that had a line poisoned.
-    pub poison_injected: u64,
-    /// Poisoned samples where recovery reported the media error.
-    pub poison_reported: u64,
-    /// Oracle violations (empty = green).
-    pub failures: Vec<crate::BoundaryFailure>,
-}
-
-impl MtSummary {
-    /// True when every boundary and sample recovered correctly.
-    pub fn is_green(&self) -> bool {
-        self.failures.is_empty()
-    }
 }
 
 /// The workload of one thread: the shared generator, with every key
 /// shifted into the thread's private stripe.
-fn thread_workload(opts: &MtOptions, tid: usize) -> Vec<WorkloadOp> {
-    let base = tid as u64 * opts.stripe;
-    workload(
-        mix64(opts.seed ^ (tid as u64)),
-        opts.ops_per_thread,
-        opts.stripe,
-    )
-    .into_iter()
-    .map(|op| match op {
-        WorkloadOp::Insert(k, v) => WorkloadOp::Insert(base + k, v),
-        WorkloadOp::Update(k, v) => WorkloadOp::Update(base + k, v),
-        WorkloadOp::Remove(k) => WorkloadOp::Remove(base + k),
-    })
-    .collect()
+fn thread_workload(opts: &SweepOptions, tid: u64) -> Vec<WorkloadOp> {
+    let base = tid * opts.key_range;
+    workload(mix64(opts.seed ^ tid), opts.ops, opts.key_range)
+        .into_iter()
+        .map(|op| op.map_key(|k| base + k))
+        .collect()
 }
 
 /// What one worker thread saw before it stopped: its acknowledged
@@ -130,231 +64,121 @@ struct ThreadOutcome {
     bug: Option<String>,
 }
 
-fn run_worker(idx: &dyn index_api::RangeIndex, pool: &PmPool, ops: &[WorkloadOp]) -> ThreadOutcome {
-    let mut model = BTreeMap::new();
-    let mut inflight = None;
-    let mut bug = None;
+fn run_worker(idx: &dyn RangeIndex, pool: &PmPool, ops: &[WorkloadOp]) -> ThreadOutcome {
+    let mut out = ThreadOutcome {
+        model: BTreeMap::new(),
+        inflight: None,
+        bug: None,
+    };
     for &op in ops {
-        let allowance = InflightAllowance::for_op(op, &model);
-        match catch_unwind(AssertUnwindSafe(|| apply_op(idx, &mut model, op))) {
-            Ok(_) => {
-                if pool.crash_fired() {
-                    // The cut landed inside or immediately after this
-                    // op (its tail needed no PM access, so the halt
-                    // could not unwind it). The acknowledgement never
-                    // escaped the dying machine; hold the op to the
-                    // atomic present-or-absent allowance instead.
-                    inflight = Some(allowance);
-                    break;
-                }
+        let allowance = InflightAllowance::for_op(op, &out.model);
+        match catch_unwind(AssertUnwindSafe(|| apply_op(idx, &mut out.model, op))) {
+            // The cut landed inside or immediately after this op (its
+            // tail needed no PM access, so the halt could not unwind
+            // it). The acknowledgement never escaped the dying machine;
+            // hold the op to the atomic present-or-absent allowance.
+            Ok(_) if pool.crash_fired() => out.inflight = Some(allowance),
+            Ok(_) => continue,
+            // CrashPointHit is the armed trip or the halt cutting this
+            // thread. Any other panic raced the power cut (e.g. an
+            // expect on volatile state another cut thread abandoned)
+            // only if the crash really fired; otherwise it is a genuine
+            // concurrency bug.
+            Err(p) if p.is::<CrashPointHit>() || pool.crash_fired() => {
+                out.inflight = Some(allowance)
             }
-            Err(payload) => {
-                // CrashPointHit is the armed trip or the halt cutting
-                // this thread. Any other panic raced the power cut
-                // (e.g. an expect on volatile state another cut thread
-                // abandoned) only if the crash really fired; otherwise
-                // it is a genuine concurrency bug.
-                if payload.downcast_ref::<CrashPointHit>().is_some() || pool.crash_fired() {
-                    inflight = Some(allowance);
-                } else if let Some(s) = payload.downcast_ref::<&str>() {
-                    bug = Some(format!("worker panic: {s}"));
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    bug = Some(format!("worker panic: {s}"));
-                } else {
-                    bug = Some("worker panic (non-string payload)".to_string());
-                }
-                break;
-            }
+            Err(p) => out.bug = Some(format!("worker panic: {}", panic_text(&*p))),
         }
+        break;
     }
-    ThreadOutcome {
-        model,
-        inflight,
-        bug,
-    }
+    out
 }
 
-/// Run one armed boundary with `opts.threads` concurrent workers.
-fn run_boundary(opts: &MtOptions, boundary: u64) -> (BoundaryOutcome, u64) {
-    let pool = Arc::new(PmPool::new(opts.pool_mib << 20, PmConfig::real()));
-    let alloc = PmAllocator::format(pool.clone(), AllocMode::General);
-    let idx = build_index(&opts.kind, alloc);
-    let per_thread: Vec<Vec<WorkloadOp>> = (0..opts.threads)
-        .map(|tid| thread_workload(opts, tid))
-        .collect();
+impl Scenario for Mt {
+    type Env = Shard;
 
-    pool.set_halt_on_crash(true);
-    pool.arm_crash_after(boundary);
-    let outcomes: Vec<ThreadOutcome> = std::thread::scope(|s| {
-        let handles: Vec<_> = per_thread
-            .iter()
-            .map(|ops| {
-                let idx = &idx;
-                let pool = &pool;
-                s.spawn(move || run_worker(&**idx, pool, ops))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker catch_unwind never re-panics"))
-            .collect()
-    });
-    let report: Option<CrashReport> = pool.crash_report();
-    // Snapshot the merged flight recorder at the trip instant, before
-    // recovery traffic overwrites the per-thread rings.
-    let flight_tail = (obs::enabled() && report.is_some()).then(|| obs::flight_tail_text(16));
-    if report.is_none() {
-        pool.disarm_crash();
-    }
-    // Capture the crash image, then un-halt so the front-end
-    // destructors can touch the pool again.
-    let candidates = pool.residual_candidates();
-    let persisted = pool.snapshot_persisted();
-    pool.set_halt_on_crash(false);
-    drop(idx);
-
-    let mut model = BTreeMap::new();
-    let mut inflight: Vec<InflightAllowance> = Vec::new();
-    let mut out = BoundaryOutcome {
-        report,
-        flight_tail,
-        candidates: candidates.len() as u64,
-        ..BoundaryOutcome::default()
-    };
-    for (tid, t) in outcomes.iter().enumerate() {
-        model.extend(&t.model);
-        if let Some(a) = t.inflight {
-            inflight.push(a);
-        }
-        if let Some(bug) = &t.bug {
-            out.failures.push(crate::BoundaryFailure {
-                boundary,
-                policy: ResidualPolicy::Frozen,
-                poisoned_off: None,
-                report,
-                detail: format!("thread {tid}: {bug}"),
-                flight_tail: out.flight_tail.clone(),
-            });
-        }
-    }
-    let threads_cut = inflight.len() as u64;
-
-    let (policies, exhaustive) = if report.is_some() {
-        sample_policies(opts.residual, opts.seed, boundary, candidates.len())
-    } else {
-        (vec![ResidualPolicy::Frozen], false)
-    };
-    out.exhaustive = exhaustive;
-    for (s, &policy) in policies.iter().enumerate() {
-        let poisoned_off = build_sample_image(
-            &pool,
-            &persisted,
-            &candidates,
-            policy,
-            opts.poison && policy != ResidualPolicy::Frozen,
-            opts.seed ^ mix64(boundary) ^ (s as u64).rotate_left(32),
+    fn build(&self, opts: &SweepOptions) -> (Shard, Vec<Arc<PmPool>>) {
+        assert!(
+            (2..=8).contains(&self.threads),
+            "threads must be in 2..=8, got {}",
+            self.threads
         );
-        if poisoned_off.is_some() {
-            out.poison_injected += 1;
-        }
-        let tail = out.flight_tail.clone();
-        run_sample(
-            &opts.kind,
-            &pool,
-            &model,
-            &inflight,
-            poisoned_off,
-            &mut out,
-            boundary,
-            policy,
-            report,
-            tail.as_deref(),
-        );
+        Single::default().build(opts)
     }
-    (out, threads_cut)
-}
 
-/// Run the full multi-threaded crash matrix: probe the event count of
-/// one uninjected concurrent run, then arm `opts.boundaries`
-/// pseudo-random boundaries within it and verify every residual sample
-/// of each crash.
-pub fn mt_crash_run(opts: &MtOptions) -> MtSummary {
-    assert!(
-        (2..=8).contains(&opts.threads),
-        "threads must be in 2..=8, got {}",
-        opts.threads
-    );
-    install_quiet_crash_hook();
-
-    // Probe: one full concurrent run without injection, to size the
-    // boundary space. Concurrent schedules make the event count only
-    // an estimate — boundaries past the actual count simply complete
-    // and are verified for exact equality.
-    let total_events = {
-        let pool = Arc::new(PmPool::new(opts.pool_mib << 20, PmConfig::real()));
-        let alloc = PmAllocator::format(pool.clone(), AllocMode::General);
-        let idx = build_index(&opts.kind, alloc);
-        let per_thread: Vec<Vec<WorkloadOp>> = (0..opts.threads)
+    fn drive(&self, env: &mut Shard, opts: &SweepOptions, counters: &mut Counters) -> Acked {
+        let (idx, pool) = (&*env.index, env.pool.as_deref().expect("a PM shard"));
+        let per_thread: Vec<Vec<WorkloadOp>> = (0..self.threads as u64)
             .map(|tid| thread_workload(opts, tid))
             .collect();
-        std::thread::scope(|s| {
-            for ops in &per_thread {
-                let idx = &idx;
-                s.spawn(move || {
-                    let mut model = BTreeMap::new();
-                    for &op in ops {
-                        apply_op(&**idx, &mut model, op);
-                    }
-                });
-            }
+        pool.set_halt_on_crash(true);
+        let outcomes: Vec<ThreadOutcome> = std::thread::scope(|s| {
+            let handles: Vec<_> = per_thread
+                .iter()
+                .map(|ops| s.spawn(move || run_worker(idx, pool, ops)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker catch_unwind never re-panics"))
+                .collect()
         });
-        pool.persist_event_count().max(1)
-    };
+        // Every worker is joined: un-halt so the driver's snapshot and
+        // the front-end destructors can touch the pool again.
+        pool.set_halt_on_crash(false);
 
-    let mut summary = MtSummary {
-        kind: opts.kind.clone(),
-        threads: opts.threads,
-        boundaries_tested: 0,
-        crashes_fired: 0,
-        threads_cut: 0,
-        samples_run: 0,
-        max_residual_candidates: 0,
-        poison_injected: 0,
-        poison_reported: 0,
-        failures: Vec::new(),
-    };
-    for b in 0..opts.boundaries {
-        // Spread boundaries over the probed event space, seeded so the
-        // whole matrix replays from `--seed` alone.
-        let boundary = 1 + mix64(opts.seed ^ mix64(b)) % total_events;
-        let (out, threads_cut) = run_boundary(opts, boundary);
-        summary.boundaries_tested += 1;
-        summary.crashes_fired += out.report.is_some() as u64;
-        summary.threads_cut += threads_cut;
-        summary.samples_run += out.samples_run;
-        summary.max_residual_candidates = summary.max_residual_candidates.max(out.candidates);
-        summary.poison_injected += out.poison_injected;
-        summary.poison_reported += out.poison_reported;
-        summary.failures.extend(out.failures);
+        let mut acked = Acked::default();
+        for (tid, t) in outcomes.into_iter().enumerate() {
+            acked.model.extend(t.model);
+            acked.inflight.extend(t.inflight);
+            acked
+                .errors
+                .extend(t.bug.map(|bug| format!("thread {tid}: {bug}")));
+        }
+        *counters.entry("threads_cut").or_default() += acked.inflight.len() as u64;
+        acked
     }
-    summary
+
+    fn check(
+        &self,
+        opts: &SweepOptions,
+        pools: &[Arc<PmPool>],
+        _armed: usize,
+        acked: &Acked,
+        _counters: &mut Counters,
+    ) -> Result<Result<(), String>, MediaError> {
+        check_one_pool(opts, pools, acked)
+    }
+
+    fn boundaries(&self, opts: &SweepOptions, events: u64) -> Vec<u64> {
+        (0..opts.max_boundaries.unwrap_or(8))
+            .map(|b| 1 + mix64(opts.seed ^ mix64(b)) % events.max(1))
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{sweep, ResidualConfig};
+
+    fn opts(kind: &str, ops: u64, boundaries: u64, seed: u64) -> SweepOptions {
+        SweepOptions {
+            kind: kind.to_string(),
+            ops,
+            key_range: 128,
+            seed,
+            max_boundaries: Some(boundaries),
+            residual: ResidualConfig::Sampled {
+                samples: 3,
+                p_per_256: 128,
+            },
+            ..SweepOptions::default()
+        }
+    }
 
     #[test]
     fn four_threads_survive_sampled_crashes() {
-        let opts = MtOptions {
-            kind: "wbtree".to_string(),
-            threads: 4,
-            ops_per_thread: 120,
-            boundaries: 4,
-            seed: 11,
-            ..MtOptions::default()
-        };
-        let s = mt_crash_run(&opts);
+        let s = sweep(&Mt { threads: 4 }, &opts("wbtree", 120, 4, 11));
         assert_eq!(s.boundaries_tested, 4);
         assert!(s.crashes_fired > 0, "no boundary tripped mid-run");
         assert!(s.samples_run >= s.boundaries_tested);
@@ -368,16 +192,11 @@ mod tests {
 
     #[test]
     fn two_threads_with_poison_never_surface_garbage() {
-        let opts = MtOptions {
-            kind: "fptree".to_string(),
-            threads: 2,
-            ops_per_thread: 100,
-            boundaries: 3,
-            seed: 23,
+        let opts = SweepOptions {
             poison: true,
-            ..MtOptions::default()
+            ..opts("fptree", 100, 3, 23)
         };
-        let s = mt_crash_run(&opts);
+        let s = sweep(&Mt { threads: 2 }, &opts);
         assert!(
             s.is_green(),
             "{} violations, first: {:?}",

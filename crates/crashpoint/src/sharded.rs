@@ -3,10 +3,10 @@
 //! A [`engine::ShardedIndex`] runs N independent inner indexes on N
 //! independent pools. A real power cut hits the whole machine at once,
 //! but the interesting failure modes are *per shard*: one shard's pool
-//! stops mid-operation while the others were quiescent at the cut. This
-//! module arms the crash injector on ONE shard's pool at a time, replays
-//! the deterministic workload through the sharded front-end, and on the
-//! trip verifies two things:
+//! stops mid-operation while the others were quiescent at the cut. The
+//! sweep arms ONE shard's pool at a time, replays the deterministic
+//! workload through the sharded front-end, and on the trip verifies two
+//! things:
 //!
 //! 1. **The cross-shard oracle**: every operation acknowledged through
 //!    the sharded front-end — regardless of which shard it routed to —
@@ -14,9 +14,9 @@
 //!    atomic (pre- or post-state); scans across all shards are sorted
 //!    and ghost-free; the recovered index stays writable.
 //! 2. **Shard isolation**: untouched shards' persisted images are
-//!    bit-identical to their power-cut-instant snapshots *after the
-//!    armed shard has fully recovered*. Recovery of one shard must not
-//!    write a sibling's media — each shard owns its pool and allocator
+//!    bit-identical to their power-cut-instant images *after the armed
+//!    shard has fully recovered*. Recovery of one shard must not write
+//!    a sibling's media — each shard owns its pool and allocator
 //!    outright, and this check proves it at the byte level.
 //!
 //! The workload keys are spread across the full u64 keyspace with a
@@ -25,325 +25,107 @@
 //! spread key, while the engine's multiplicative partitioning routes the
 //! stream uniformly across every shard.
 
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use engine::{Shard, ShardedIndex};
-use pmalloc::{AllocMode, PmAllocator};
-use pmem::{CrashPointHit, MediaError, PmConfig, PmPool};
+use engine::ShardedIndex;
+use pmem::{MediaError, PmConfig, PmPool};
 
 use crate::{
-    apply_op, build_index, try_recover_index, verify_recovered, workload, InflightAllowance,
-    WorkloadOp,
+    apply_until_cut, fresh_shards, try_recover_shard, verify_recovered, workload, Acked, Counters,
+    Scenario, SweepOptions, WorkloadOp,
 };
 
-/// Scale knobs for one sharded exploration sweep.
-#[derive(Debug, Clone)]
-pub struct ShardedExploreOptions {
-    /// Inner index kind (`fptree` / `nvtree` / `wbtree` / `bztree`).
-    pub kind: String,
+/// A range-partitioned engine, one shard armed at a time; counts
+/// `isolation_checks`.
+#[derive(Debug, Clone, Copy)]
+pub struct Sharded {
     /// Number of shards (each on its own pool + allocator).
     pub shards: usize,
-    /// Operations in the deterministic workload.
-    pub ops: u64,
-    /// Distinct keys before spreading (small = collisions + splits).
-    pub key_range: u64,
-    /// Workload seed.
-    pub seed: u64,
-    /// Capacity of EACH shard's pool, in MiB.
-    pub pool_mib: usize,
-    /// Test every `stride`-th boundary of the armed shard (1 = all).
-    pub stride: u64,
-    /// Cap on boundaries tested per armed shard (0 = no cap).
-    pub max_boundaries: u64,
-    /// Which shards to arm (empty = every shard).
-    pub arm_shards: Vec<usize>,
-}
-
-impl Default for ShardedExploreOptions {
-    fn default() -> Self {
-        ShardedExploreOptions {
-            kind: "wbtree".to_string(),
-            shards: 4,
-            ops: 400,
-            key_range: 96,
-            seed: 0xC0FFEE,
-            pool_mib: 8,
-            stride: 1,
-            max_boundaries: 0,
-            arm_shards: Vec::new(),
-        }
-    }
-}
-
-/// One oracle or isolation violation found by the sweep.
-#[derive(Debug, Clone)]
-pub struct ShardedBoundaryFailure {
-    /// The shard whose pool was armed.
-    pub shard: usize,
-    /// The persistence-event boundary the crash fired after.
-    pub boundary: u64,
-    /// What went wrong.
-    pub detail: String,
-}
-
-/// Aggregate result of a sharded exploration sweep.
-#[derive(Debug)]
-pub struct ShardedExploreSummary {
-    /// Inner index kind.
-    pub kind: String,
-    /// Shard count.
-    pub shards: usize,
-    /// Per-shard persistence-event totals from the uninjected probe run.
-    pub probe_events: Vec<u64>,
-    /// Boundaries actually tested (across all armed shards).
-    pub boundaries_tested: u64,
-    /// Boundaries whose armed run tripped mid-workload.
-    pub crashes_fired: u64,
-    /// Boundaries whose armed run completed without tripping.
-    pub completed_runs: u64,
-    /// Untouched-shard snapshot comparisons performed.
-    pub isolation_checks: u64,
-    /// Oracle and isolation violations.
-    pub failures: Vec<ShardedBoundaryFailure>,
-}
-
-impl ShardedExploreSummary {
-    /// Whether the sweep found zero violations.
-    pub fn is_green(&self) -> bool {
-        self.failures.is_empty()
-    }
 }
 
 /// Spread a narrow workload key across the full keyspace (injective,
 /// order-preserving) so the partitioned router exercises every shard.
-/// Shared with the network crash harness (`net::crash`), which replays
-/// the same deterministic workload through the TCP serving path.
 pub fn spread_key(k: u64, key_range: u64) -> u64 {
     k * (u64::MAX / key_range.max(1))
 }
 
-/// [`spread_key`] applied to an op's key (value untouched).
-pub fn spread_op(op: WorkloadOp, key_range: u64) -> WorkloadOp {
-    match op {
-        WorkloadOp::Insert(k, v) => WorkloadOp::Insert(spread_key(k, key_range), v),
-        WorkloadOp::Update(k, v) => WorkloadOp::Update(spread_key(k, key_range), v),
-        WorkloadOp::Remove(k) => WorkloadOp::Remove(spread_key(k, key_range)),
-    }
-}
-
-/// Fresh sharded environment: `shards` independent pool + allocator +
-/// inner-index stacks behind one [`ShardedIndex`].
-fn fresh_sharded_env(opts: &ShardedExploreOptions) -> Arc<ShardedIndex> {
-    let parts: Vec<Shard> = (0..opts.shards)
-        .map(|_| {
-            let pool = Arc::new(PmPool::new(opts.pool_mib << 20, PmConfig::real()));
-            let alloc = PmAllocator::format(pool.clone(), AllocMode::General);
-            Shard {
-                index: build_index(&opts.kind, alloc.clone()),
-                pool: Some(pool),
-                alloc: Some(alloc),
-            }
-        })
-        .collect();
-    ShardedIndex::from_parts(parts)
-}
-
-/// Recover one shard's full stack from its pool's persisted image.
-fn recover_shard_stack(
-    kind: &str,
-    pool: Arc<PmPool>,
-) -> Result<(Arc<dyn index_api::RangeIndex>, Arc<PmAllocator>), MediaError> {
-    let alloc = PmAllocator::try_recover(pool, AllocMode::General)?;
-    Ok((try_recover_index(kind, alloc.clone())?, alloc))
-}
-
-/// Uninjected probe: per-shard persistence-event totals for the whole
-/// workload, which size each armed shard's boundary sweep.
-fn probe(opts: &ShardedExploreOptions, ops: &[WorkloadOp]) -> Vec<u64> {
-    let idx = fresh_sharded_env(opts);
-    let mut model = BTreeMap::new();
-    for &op in ops {
-        apply_op(&*idx, &mut model, op);
-    }
-    idx.pools()
-        .iter()
-        .map(|p| p.persist_event_count())
+/// The deterministic workload of `opts` with every key spread over the
+/// keyspace (values untouched). Shared by every scenario that drives a
+/// sharded engine, the network one in `net::crash` included.
+pub fn spread_workload(opts: &SweepOptions) -> Vec<WorkloadOp> {
+    workload(opts.seed, opts.ops, opts.key_range)
+        .into_iter()
+        .map(|op| op.map_key(|k| spread_key(k, opts.key_range)))
         .collect()
 }
 
-/// Explore one (armed shard, boundary) point. Returns the failures it
-/// found (empty = green) plus whether the armed crash actually fired.
-fn explore_point(
-    opts: &ShardedExploreOptions,
-    ops: &[WorkloadOp],
-    armed: usize,
-    boundary: u64,
-    isolation_checks: &mut u64,
-) -> (Vec<ShardedBoundaryFailure>, bool) {
-    let fail = |detail: String| ShardedBoundaryFailure {
-        shard: armed,
-        boundary,
-        detail,
-    };
+impl Scenario for Sharded {
+    type Env = Arc<ShardedIndex>;
 
-    let idx = fresh_sharded_env(opts);
-    let pools = idx.pools();
-    pools[armed].arm_crash_after(boundary);
+    fn build(&self, opts: &SweepOptions) -> (Self::Env, Vec<Arc<PmPool>>) {
+        let idx = ShardedIndex::from_parts(fresh_shards(opts, self.shards, PmConfig::real()));
+        let pools = idx.pools();
+        (idx, pools)
+    }
 
-    // Replay the workload through the sharded front-end until the armed
-    // shard's pool trips (or the run completes).
-    let mut model = BTreeMap::new();
-    let mut inflight: Vec<InflightAllowance> = Vec::new();
-    for &op in ops {
-        let allowance = InflightAllowance::for_op(op, &model);
-        match catch_unwind(AssertUnwindSafe(|| apply_op(&*idx, &mut model, op))) {
-            Ok(_) => {}
-            Err(payload) => {
-                if payload.downcast_ref::<CrashPointHit>().is_none() {
-                    std::panic::resume_unwind(payload);
-                }
-                // The cut op necessarily routed to the armed shard:
-                // only that pool counts events.
-                inflight.push(allowance);
-                break;
+    fn drive(&self, idx: &mut Self::Env, opts: &SweepOptions, _c: &mut Counters) -> Acked {
+        let mut acked = Acked::default();
+        // A cut op necessarily routed to the armed shard: only that
+        // pool counts down events.
+        apply_until_cut(&**idx, &spread_workload(opts), &mut acked);
+        acked
+    }
+
+    fn check(
+        &self,
+        opts: &SweepOptions,
+        pools: &[Arc<PmPool>],
+        armed: usize,
+        acked: &Acked,
+        counters: &mut Counters,
+    ) -> Result<Result<(), String>, MediaError> {
+        // Recover the armed shard FIRST, alone, then prove its recovery
+        // never wrote a sibling's media.
+        let siblings = || pools.iter().enumerate().filter(|&(i, _)| i != armed);
+        let cut: Vec<Vec<u64>> = siblings().map(|(_, p)| p.snapshot_persisted()).collect();
+        let armed_shard = try_recover_shard(&opts.kind, pools[armed].clone())?;
+        for ((i, pool), cut) in siblings().zip(&cut) {
+            *counters.entry("isolation_checks").or_default() += 1;
+            if pool.snapshot_persisted() != *cut {
+                return Ok(Err(format!(
+                    "isolation violation: recovering shard {armed} mutated shard {i}'s \
+                     persisted image"
+                )));
             }
         }
-    }
-    let fired = !inflight.is_empty();
-    if !fired {
-        pools[armed].disarm_crash();
-    }
-
-    // Power-cut-instant media images, captured before any front-end
-    // destructor can issue further flushes. On a real cut nothing after
-    // this instant reaches media on ANY device.
-    let cut_images: Vec<Vec<u64>> = pools.iter().map(|p| p.snapshot_persisted()).collect();
-    drop(idx);
-    for (p, img) in pools.iter().zip(&cut_images) {
-        p.restore_persisted(img);
-    }
-
-    let mut failures = Vec::new();
-
-    // Recover the armed shard FIRST, alone, then prove its recovery
-    // never wrote a sibling's media.
-    let armed_stack = match recover_shard_stack(&opts.kind, pools[armed].clone()) {
-        Ok(s) => s,
-        Err(e) => {
-            failures.push(fail(format!("armed shard failed to recover: {e:?}")));
-            return (failures, fired);
-        }
-    };
-    for (i, img) in cut_images.iter().enumerate() {
-        if i == armed {
-            continue;
-        }
-        *isolation_checks += 1;
-        if pools[i].snapshot_persisted() != *img {
-            failures.push(fail(format!(
-                "isolation violation: recovering shard {armed} mutated shard {i}'s persisted image"
-            )));
-        }
-    }
-
-    // Recover the remaining shards and reassemble the sharded index in
-    // shard order.
-    let mut parts = Vec::with_capacity(opts.shards);
-    for (i, pool) in pools.iter().enumerate() {
-        let (index, alloc) = if i == armed {
-            armed_stack.clone()
-        } else {
-            match recover_shard_stack(&opts.kind, pool.clone()) {
-                Ok(s) => s,
-                Err(e) => {
-                    failures.push(fail(format!(
-                        "untouched shard {i} failed to recover: {e:?}"
-                    )));
-                    return (failures, fired);
-                }
+        // Recover the remaining shards and reassemble in shard order.
+        let mut parts = Vec::with_capacity(pools.len());
+        for (i, pool) in siblings() {
+            match try_recover_shard(&opts.kind, pool.clone()) {
+                Ok(shard) => parts.push(shard),
+                Err(e) => return Ok(Err(format!("untouched shard {i} failed to recover: {e}"))),
             }
-        };
-        parts.push(Shard {
-            index,
-            pool: Some(pool.clone()),
-            alloc: Some(alloc),
-        });
-    }
-    let recovered = ShardedIndex::from_parts(parts);
-    if let Err(e) = verify_recovered(&*recovered, &model, &inflight) {
-        failures.push(fail(e));
-    }
-    (failures, fired)
-}
-
-/// Run the full sweep: for each armed shard, crash at every
-/// `stride`-th persistence boundary of that shard's pool and verify the
-/// cross-shard oracle plus shard isolation.
-pub fn explore_sharded(opts: &ShardedExploreOptions) -> ShardedExploreSummary {
-    assert!(opts.shards >= 1, "need at least one shard");
-    crate::install_quiet_crash_hook();
-    let ops: Vec<WorkloadOp> = workload(opts.seed, opts.ops, opts.key_range)
-        .into_iter()
-        .map(|op| spread_op(op, opts.key_range))
-        .collect();
-    let probe_events = probe(opts, &ops);
-
-    let armed_shards: Vec<usize> = if opts.arm_shards.is_empty() {
-        (0..opts.shards).collect()
-    } else {
-        opts.arm_shards.clone()
-    };
-
-    let mut summary = ShardedExploreSummary {
-        kind: opts.kind.clone(),
-        shards: opts.shards,
-        probe_events: probe_events.clone(),
-        boundaries_tested: 0,
-        crashes_fired: 0,
-        completed_runs: 0,
-        isolation_checks: 0,
-        failures: Vec::new(),
-    };
-
-    for &armed in &armed_shards {
-        assert!(armed < opts.shards, "armed shard {armed} out of range");
-        let total = probe_events[armed];
-        let mut tested = 0u64;
-        let mut boundary = 1u64;
-        while boundary <= total {
-            if opts.max_boundaries > 0 && tested >= opts.max_boundaries {
-                break;
-            }
-            let (failures, fired) =
-                explore_point(opts, &ops, armed, boundary, &mut summary.isolation_checks);
-            summary.boundaries_tested += 1;
-            if fired {
-                summary.crashes_fired += 1;
-            } else {
-                summary.completed_runs += 1;
-            }
-            summary.failures.extend(failures);
-            tested += 1;
-            boundary += opts.stride.max(1);
         }
+        parts.insert(armed, armed_shard);
+        let recovered = ShardedIndex::from_parts(parts);
+        Ok(verify_recovered(&*recovered, &acked.model, &acked.inflight))
     }
-    summary
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep;
 
-    fn quick_opts(kind: &str) -> ShardedExploreOptions {
-        ShardedExploreOptions {
+    fn quick_opts(kind: &str) -> SweepOptions {
+        SweepOptions {
             kind: kind.to_string(),
-            shards: 3,
             ops: 120,
             key_range: 48,
+            seed: 0xC0FFEE,
+            pool_mib: 8,
             stride: 97,
-            ..ShardedExploreOptions::default()
+            ..SweepOptions::default()
         }
     }
 
@@ -363,14 +145,14 @@ mod tests {
     #[test]
     fn strided_sweep_is_green_for_every_pm_kind() {
         for kind in crate::PM_KINDS {
-            let summary = explore_sharded(&quick_opts(kind));
+            let summary = sweep(&Sharded { shards: 3 }, &quick_opts(kind));
             assert!(
                 summary.is_green(),
                 "{kind}: {:?}",
                 &summary.failures[..summary.failures.len().min(3)]
             );
             assert!(summary.crashes_fired > 0, "{kind}: no boundary tripped");
-            assert!(summary.isolation_checks > 0, "{kind}");
+            assert!(summary.counter("isolation_checks") > 0, "{kind}");
             assert_eq!(summary.probe_events.len(), 3);
             assert!(
                 summary.probe_events.iter().all(|&e| e > 0),
@@ -382,12 +164,15 @@ mod tests {
 
     #[test]
     fn arm_shard_subset_is_respected() {
-        let mut opts = quick_opts("wbtree");
-        opts.arm_shards = vec![1];
-        opts.max_boundaries = 2;
-        opts.stride = 40;
-        let summary = explore_sharded(&opts);
+        let opts = SweepOptions {
+            arm_pools: vec![1],
+            max_boundaries: Some(2),
+            stride: 40,
+            ..quick_opts("wbtree")
+        };
+        let summary = sweep(&Sharded { shards: 3 }, &opts);
         assert!(summary.is_green(), "{:?}", summary.failures);
         assert_eq!(summary.boundaries_tested, 2);
+        assert!(summary.verdicts.iter().all(|v| v.0 == 1));
     }
 }

@@ -1,19 +1,18 @@
 //! Crash-point exploration **through the serving path**: the
 //! durable-ack oracle.
 //!
-//! The in-process sweeps (`crashpoint::{explore, sharded}`) prove the
-//! indexes recover from a cut at any persistence boundary. This module
-//! proves the *protocol* claim layered on top: a client that received
+//! The in-process scenarios (`crashpoint::{single, sharded, ..}`) prove
+//! the indexes recover from a cut at any persistence boundary. This
+//! [`Scenario`] proves the *protocol* claim layered on top: a client that received
 //! an ack over TCP holds a durable write, no matter where the power cut
 //! lands — inside an index operation, inside the group-durability
 //! batch fence, or between batches.
 //!
 //! Each explored point stands up a real [`Server`] on loopback over a
 //! fresh sharded environment (small-node inner indexes, the same
-//! configuration as the in-process sweeps), arms
-//! `PmPool::arm_crash_after(boundary)` on one shard's pool, and replays
-//! the deterministic `crashpoint::workload` over a single pipelined
-//! connection. When the boundary trips, the server halts exactly like a
+//! configuration as the in-process sweeps); the sweep driver arms one
+//! shard's pool, and the deterministic `crashpoint` workload is
+//! replayed over a single pipelined connection. When the boundary trips, the server halts exactly like a
 //! power cut (buffered acks are dropped, sockets close); the client is
 //! left holding two facts:
 //!
@@ -31,43 +30,30 @@
 //! "torn in-flight").
 
 use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crashpoint::sharded::spread_op;
+use crashpoint::sharded::spread_workload;
 use crashpoint::{
-    build_index, install_quiet_crash_hook, try_recover_stack, verify_recovered, workload,
-    InflightAllowance, WorkloadOp,
+    fresh_shards, try_recover_shard, verify_recovered, Acked, Counters, InflightAllowance,
+    Scenario, SweepOptions, WorkloadOp,
 };
-use engine::{Shard, ShardedIndex};
-use pmalloc::{AllocMode, PmAllocator};
-use pmem::{PmConfig, PmPool};
+use engine::ShardedIndex;
+use index_api::RangeIndex;
+use pmem::{MediaError, PmConfig, PmPool};
 
 use crate::client::ClientConn;
 use crate::server::{Server, ServerConfig};
 use crate::wire::{ReqOp, Response, Status};
 
-/// Scale knobs for one durable-ack sweep.
-#[derive(Debug, Clone)]
-pub struct NetExploreOptions {
-    /// Inner index kind (`fptree` / `nvtree` / `wbtree` / `bztree`).
-    pub kind: String,
+/// A sharded engine behind one live TCP server, one shard armed at a
+/// time. Counts `acked_total` (acks received over all runs, the probe
+/// included) and `max_unacked` (deepest unacked suffix at a cut).
+#[derive(Debug, Clone, Copy)]
+pub struct Net {
     /// Shards behind the server (each on its own pool).
     pub shards: usize,
-    /// Operations in the deterministic workload.
-    pub ops: u64,
-    /// Distinct keys before spreading (small = collisions + splits).
-    pub key_range: u64,
-    /// Workload seed.
-    pub seed: u64,
-    /// Capacity of EACH shard's pool, in MiB.
-    pub pool_mib: usize,
-    /// Test every `stride`-th boundary of the armed pool (1 = all).
-    pub stride: u64,
-    /// Cap on boundaries tested (0 = no cap).
-    pub max_boundaries: u64,
-    /// Which shard's pool to arm.
-    pub armed_shard: usize,
     /// Server group-durability batch size.
     pub batch_max: usize,
     /// Client pipelining window (how deep the unacked suffix can get).
@@ -79,18 +65,10 @@ pub struct NetExploreOptions {
     pub cache_mb: usize,
 }
 
-impl Default for NetExploreOptions {
+impl Default for Net {
     fn default() -> Self {
-        NetExploreOptions {
-            kind: "wbtree".to_string(),
+        Net {
             shards: 2,
-            ops: 400,
-            key_range: 96,
-            seed: 0xC0FFEE,
-            pool_mib: 8,
-            stride: 1,
-            max_boundaries: 0,
-            armed_shard: 0,
             batch_max: 8,
             window: 32,
             cache_mb: 0,
@@ -98,89 +76,13 @@ impl Default for NetExploreOptions {
     }
 }
 
-/// One durable-ack violation found by the sweep.
-#[derive(Debug, Clone)]
-pub struct NetBoundaryFailure {
-    /// The persistence-event boundary the crash was armed after.
-    pub boundary: u64,
-    /// What went wrong.
-    pub detail: String,
-}
-
-/// Aggregate result of a durable-ack sweep.
-#[derive(Debug)]
-pub struct NetExploreSummary {
-    /// Inner index kind.
-    pub kind: String,
-    /// Shard count.
-    pub shards: usize,
-    /// Armed pool's event total from the uninjected probe run.
-    pub probe_events: u64,
-    /// Boundaries actually tested.
-    pub boundaries_tested: u64,
-    /// Boundaries whose armed run tripped mid-workload.
-    pub crashes_fired: u64,
-    /// Boundaries whose armed run completed and drained cleanly.
-    pub completed_runs: u64,
-    /// Acks received across all armed runs.
-    pub acked_total: u64,
-    /// Deepest unacked suffix reconciled at a cut.
-    pub max_unacked: usize,
-    /// Durable-ack violations.
-    pub failures: Vec<NetBoundaryFailure>,
-}
-
-impl NetExploreSummary {
-    /// Whether the sweep found zero violations.
-    pub fn is_green(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-struct Env {
-    index: Arc<ShardedIndex>,
+/// A listening server, the index it fronts (kept alive past the
+/// server's exit so no destructor runs before the cut images are
+/// taken) and that index's pools.
+pub struct NetEnv {
+    server: Option<Server>,
+    _served: Arc<dyn RangeIndex>,
     pools: Vec<Arc<PmPool>>,
-}
-
-fn fresh_env(opts: &NetExploreOptions) -> Env {
-    let parts: Vec<Shard> = (0..opts.shards)
-        .map(|_| {
-            let pool = Arc::new(PmPool::new(opts.pool_mib << 20, PmConfig::real()));
-            let alloc = PmAllocator::format(pool.clone(), AllocMode::General);
-            Shard {
-                index: build_index(&opts.kind, alloc.clone()),
-                pool: Some(pool),
-                alloc: Some(alloc),
-            }
-        })
-        .collect();
-    let index = ShardedIndex::from_parts(parts);
-    let pools = index.pools();
-    Env { index, pools }
-}
-
-/// The index the server should front: raw, or wrapped in the DRAM
-/// hot-key tier when `cache_mb > 0`. Only the serving path goes through
-/// the cache — crash images and recovery stay on the raw pools.
-fn served_index(opts: &NetExploreOptions, env: &Env) -> Arc<dyn index_api::RangeIndex> {
-    if opts.cache_mb > 0 {
-        Arc::new(cache::CachedIndex::new(
-            env.index.clone() as Arc<dyn index_api::RangeIndex>,
-            opts.cache_mb << 20,
-        ))
-    } else {
-        env.index.clone()
-    }
-}
-
-fn server_cfg(opts: &NetExploreOptions) -> ServerConfig {
-    ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 1,
-        batch_max: opts.batch_max,
-        window: opts.window.max(1),
-        ..ServerConfig::default()
-    }
 }
 
 fn to_reqop(op: WorkloadOp) -> ReqOp {
@@ -209,285 +111,197 @@ fn fold_acked(model: &mut BTreeMap<u64, u64>, op: WorkloadOp, status: Status) {
 /// Fold an *unacked* op under the assumption it fully applied against
 /// model state `m` (FIFO execution makes this deterministic).
 fn fold_assumed(m: &mut BTreeMap<u64, u64>, op: WorkloadOp) {
-    match op {
-        WorkloadOp::Insert(k, v) => {
-            m.entry(k).or_insert(v);
-        }
-        WorkloadOp::Update(k, v) => {
-            if let Some(slot) = m.get_mut(&k) {
-                *slot = v;
+    let applied = InflightAllowance::for_op(op, m);
+    match applied.post {
+        Some(v) => m.insert(applied.key, v),
+        None => m.remove(&applied.key),
+    };
+}
+
+impl Net {
+    /// Pipeline `ops` over one connection until all are answered or the
+    /// server closes, folding acks into `acked.model` in ack (== send)
+    /// order and leaving the sent-but-unanswered suffix in
+    /// `acked.unacked`. Returns the number of acks received.
+    fn pump_workload(
+        &self,
+        addr: &str,
+        ops: &[WorkloadOp],
+        acked: &mut Acked,
+    ) -> std::io::Result<u64> {
+        let mut acks = 0;
+        let mut conn = ClientConn::connect(addr)?;
+        // (req_id, op) in send order; acks must arrive FIFO on one conn.
+        let mut sent: VecDeque<(u64, WorkloadOp)> = VecDeque::new();
+        let mut on_resp = |resp: Response, sent: &mut VecDeque<(u64, WorkloadOp)>| {
+            let Some((id, op)) = sent.pop_front() else {
+                return acked
+                    .errors
+                    .push(format!("unsolicited ack {}", resp.req_id));
+            };
+            if resp.req_id != id {
+                let got = resp.req_id;
+                return acked
+                    .errors
+                    .push(format!("non-FIFO ack: got {got} want {id}"));
+            }
+            if !matches!(resp.status, Status::Ok | Status::Miss) {
+                let status = resp.status;
+                return acked
+                    .errors
+                    .push(format!("req {id} failed with {status:?}"));
+            }
+            acks += 1;
+            fold_acked(&mut acked.model, op, resp.status);
+        };
+
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut next = 0usize;
+        while (next < ops.len() || !sent.is_empty()) && !conn.server_closed {
+            if Instant::now() > deadline {
+                return Err(std::io::Error::other("run timed out"));
+            }
+            let mut progressed = false;
+            while next < ops.len() && sent.len() < self.window {
+                sent.push_back((conn.send(to_reqop(ops[next])), ops[next]));
+                next += 1;
+                progressed = true;
+            }
+            for r in conn.pump()? {
+                on_resp(r, &mut sent);
+                progressed = true;
+            }
+            if !progressed {
+                std::thread::yield_now();
             }
         }
-        WorkloadOp::Remove(k) => {
-            m.remove(&k);
+        // Flush any acks raced with the close.
+        if let Ok(resps) = conn.pump() {
+            resps.into_iter().for_each(|r| on_resp(r, &mut sent));
         }
+        acked.unacked = sent.into_iter().map(|(_, op)| op).collect();
+        Ok(acks)
     }
 }
 
-/// What one armed run over the wire produced.
-struct RunOutcome {
-    /// Oracle model of acked effects, folded in ack (== send) order.
-    model: BTreeMap<u64, u64>,
-    /// Sent-but-unacked ops, in send order.
-    unacked: Vec<WorkloadOp>,
-    acked: u64,
-    fired: bool,
-    /// Client-side protocol violations (non-FIFO ack, bad status).
-    errors: Vec<String>,
-}
+impl Scenario for Net {
+    type Env = NetEnv;
 
-/// Drive the workload through a fresh armed server; returns the client's
-/// view plus the quiesced pools for recovery.
-fn armed_run(
-    opts: &NetExploreOptions,
-    ops: &[WorkloadOp],
-    boundary: u64,
-) -> std::io::Result<(RunOutcome, Vec<Arc<PmPool>>)> {
-    let env = fresh_env(opts);
-    let server = Server::start(
-        served_index(opts, &env),
-        env.pools.clone(),
-        server_cfg(opts),
-    )?;
-    env.pools[opts.armed_shard].arm_crash_after(boundary);
-    let addr = server.local_addr().to_string();
-
-    let mut conn = ClientConn::connect(&addr)?;
-    let mut out = RunOutcome {
-        model: BTreeMap::new(),
-        unacked: Vec::new(),
-        acked: 0,
-        fired: false,
-        errors: Vec::new(),
-    };
-    // (req_id, op) in send order; acks must arrive FIFO on one conn.
-    let mut sent: std::collections::VecDeque<(u64, WorkloadOp)> = std::collections::VecDeque::new();
-    let deadline = Instant::now() + Duration::from_secs(20);
-
-    let handle_resp = |resp: Response,
-                       sent: &mut std::collections::VecDeque<(u64, WorkloadOp)>,
-                       out: &mut RunOutcome| {
-        let Some((id, op)) = sent.pop_front() else {
-            out.errors.push(format!("unsolicited ack {}", resp.req_id));
-            return;
-        };
-        if resp.req_id != id {
-            out.errors
-                .push(format!("non-FIFO ack: got {} want {id}", resp.req_id));
-            return;
-        }
-        if !matches!(resp.status, Status::Ok | Status::Miss) {
-            out.errors
-                .push(format!("req {id} failed with {:?}", resp.status));
-            return;
-        }
-        out.acked += 1;
-        fold_acked(&mut out.model, op, resp.status);
-    };
-
-    let mut next = 0usize;
-    while (next < ops.len() || !sent.is_empty()) && !conn.server_closed {
-        if Instant::now() > deadline {
-            out.errors.push("armed run timed out".into());
-            break;
-        }
-        let mut progressed = false;
-        while next < ops.len() && sent.len() < opts.window {
-            let op = ops[next];
-            let id = conn.send(to_reqop(op));
-            sent.push_back((id, op));
-            next += 1;
-            progressed = true;
-        }
-        let resps = conn.pump()?;
-        for r in resps {
-            handle_resp(r, &mut sent, &mut out);
-            progressed = true;
-        }
-        if !progressed {
-            std::thread::yield_now();
-        }
-    }
-    // Flush any acks raced with the close.
-    let _ = conn.pump().map(|rs| {
-        for r in rs {
-            handle_resp(r, &mut sent, &mut out);
-        }
-    });
-    out.unacked = sent.into_iter().map(|(_, op)| op).collect();
-
-    out.fired = env.pools[opts.armed_shard].crash_fired();
-    if !out.fired {
-        env.pools[opts.armed_shard].disarm_crash();
-        server.handle().drain();
-    }
-    let report = server.join();
-    if out.fired != report.halted {
-        out.errors.push(format!(
-            "halt disagreement: pool fired={} server halted={}",
-            out.fired, report.halted
-        ));
-    }
-
-    // Power-cut-instant media images: nothing after the cut reaches
-    // media, including front-end destructor flushes.
-    let pools = env.pools.clone();
-    let cut_images: Vec<Vec<u64>> = pools.iter().map(|p| p.snapshot_persisted()).collect();
-    drop(env);
-    for (p, img) in pools.iter().zip(&cut_images) {
-        p.restore_persisted(img);
-    }
-    Ok((out, pools))
-}
-
-/// Recover all shards and check the acked model + unacked prefix oracle.
-fn verify_point(
-    opts: &NetExploreOptions,
-    outcome: &RunOutcome,
-    pools: &[Arc<PmPool>],
-) -> Result<(), String> {
-    let mut parts = Vec::with_capacity(pools.len());
-    for (i, pool) in pools.iter().enumerate() {
-        let index = try_recover_stack(&opts.kind, pool.clone())
-            .map_err(|e| format!("shard {i} failed to recover: {e:?}"))?;
-        let alloc = None; // recovery closed over its own allocator
-        parts.push(Shard {
-            index,
-            pool: Some(pool.clone()),
-            alloc,
-        });
-    }
-    let recovered = ShardedIndex::from_parts(parts);
-
-    let mut last_err = String::new();
-    for j in 0..=outcome.unacked.len() {
-        let mut m = outcome.model.clone();
-        for &op in &outcome.unacked[..j] {
-            fold_assumed(&mut m, op);
-        }
-        let inflight: Vec<InflightAllowance> = outcome
-            .unacked
-            .get(j)
-            .map(|&op| InflightAllowance::for_op(op, &m))
-            .into_iter()
-            .collect();
-        match verify_recovered(&*recovered, &m, &inflight) {
-            Ok(()) => return Ok(()),
-            Err(e) => last_err = format!("prefix j={j}: {e}"),
-        }
-    }
-    Err(format!(
-        "no executed-prefix length reconciles the recovered state \
-         ({} acked, {} unacked): {last_err}",
-        outcome.model.len(),
-        outcome.unacked.len()
-    ))
-}
-
-/// Run the durable-ack sweep: crash at every `stride`-th persistence
-/// boundary of the armed shard's pool while the deterministic workload
-/// flows through a real TCP server, then verify acked-implies-durable.
-pub fn explore_net(opts: &NetExploreOptions) -> std::io::Result<NetExploreSummary> {
-    assert!(opts.shards >= 1 && opts.armed_shard < opts.shards);
-    install_quiet_crash_hook();
-    let ops: Vec<WorkloadOp> = workload(opts.seed, opts.ops, opts.key_range)
-        .into_iter()
-        .map(|op| spread_op(op, opts.key_range))
-        .collect();
-
-    // Uninjected probe through the server path sizes the sweep. Batch
-    // composition is timing-dependent, so an armed run may generate
-    // slightly more or fewer events than the probe; late boundaries
-    // then simply complete without firing, which the summary reports.
-    let probe_env_events = probe_pool_events(opts, &ops)?;
-
-    let mut summary = NetExploreSummary {
-        kind: opts.kind.clone(),
-        shards: opts.shards,
-        probe_events: probe_env_events,
-        boundaries_tested: 0,
-        crashes_fired: 0,
-        completed_runs: 0,
-        acked_total: 0,
-        max_unacked: 0,
-        failures: Vec::new(),
-    };
-
-    let mut boundary = 1u64;
-    let mut tested = 0u64;
-    while boundary <= probe_env_events {
-        if opts.max_boundaries > 0 && tested >= opts.max_boundaries {
-            break;
-        }
-        let (outcome, pools) = armed_run(opts, &ops, boundary)?;
-        summary.boundaries_tested += 1;
-        summary.acked_total += outcome.acked;
-        if outcome.fired {
-            summary.crashes_fired += 1;
-            summary.max_unacked = summary.max_unacked.max(outcome.unacked.len());
+    fn build(&self, opts: &SweepOptions) -> (NetEnv, Vec<Arc<PmPool>>) {
+        let index = ShardedIndex::from_parts(fresh_shards(opts, self.shards, PmConfig::real()));
+        let pools = index.pools();
+        // Only the serving path goes through the cache — crash images
+        // and recovery stay on the raw pools.
+        let served: Arc<dyn RangeIndex> = if self.cache_mb > 0 {
+            Arc::new(cache::CachedIndex::new(index, self.cache_mb << 20))
         } else {
-            summary.completed_runs += 1;
-        }
-        for e in &outcome.errors {
-            summary.failures.push(NetBoundaryFailure {
-                boundary,
-                detail: format!("protocol: {e}"),
-            });
-        }
-        if let Err(detail) = verify_point(opts, &outcome, &pools) {
-            summary
-                .failures
-                .push(NetBoundaryFailure { boundary, detail });
-        }
-        tested += 1;
-        boundary += opts.stride.max(1);
+            index
+        };
+        let cfg = ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            batch_max: self.batch_max,
+            window: self.window.max(1),
+            ..ServerConfig::default()
+        };
+        let server = Server::start(served.clone(), pools.clone(), cfg).expect("bind loopback");
+        let env = NetEnv {
+            server: Some(server),
+            _served: served,
+            pools: pools.clone(),
+        };
+        (env, pools)
     }
-    Ok(summary)
-}
 
-/// Persistence-event total of the armed pool for one uninjected
-/// serve-path run (sizes the boundary sweep).
-fn probe_pool_events(opts: &NetExploreOptions, ops: &[WorkloadOp]) -> std::io::Result<u64> {
-    let env = fresh_env(opts);
-    let server = Server::start(
-        served_index(opts, &env),
-        env.pools.clone(),
-        server_cfg(opts),
-    )?;
-    let addr = server.local_addr().to_string();
-    let mut conn = ClientConn::connect(&addr)?;
-    let mut sent = 0usize;
-    let mut acked = 0usize;
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while acked < ops.len() && Instant::now() < deadline {
-        while sent < ops.len() && sent - acked < opts.window {
-            conn.send(to_reqop(ops[sent]));
-            sent += 1;
+    fn drive(&self, env: &mut NetEnv, opts: &SweepOptions, counters: &mut Counters) -> Acked {
+        let server = env.server.take().expect("one run per environment");
+        let mut acked = Acked::default();
+        let addr = server.local_addr().to_string();
+        match self.pump_workload(&addr, &spread_workload(opts), &mut acked) {
+            Ok(acks) => *counters.entry("acked_total").or_default() += acks,
+            Err(e) => acked.errors.push(format!("client io: {e}")),
         }
-        acked += conn.pump()?.len();
-        if conn.server_closed {
-            break;
+        // A run that completed drains gracefully; after a cut the server
+        // has halted like the machine it models (buffered acks dropped,
+        // sockets closed) and is already on its way out.
+        server.handle().drain();
+        let halted = server.join().halted;
+        let fired = env.pools.iter().any(|p| p.crash_fired());
+        if fired != halted {
+            acked.errors.push(format!(
+                "halt disagreement: pool fired={fired} server halted={halted}"
+            ));
         }
+        if fired {
+            let deepest = counters.entry("max_unacked").or_default();
+            *deepest = (*deepest).max(acked.unacked.len() as u64);
+        }
+        acked
     }
-    server.handle().drain();
-    let _ = server.join();
-    Ok(env.pools[opts.armed_shard].persist_event_count())
+
+    /// Recover all shards and check the acked model + unacked prefix
+    /// oracle.
+    fn check(
+        &self,
+        opts: &SweepOptions,
+        pools: &[Arc<PmPool>],
+        _armed: usize,
+        acked: &Acked,
+        _counters: &mut Counters,
+    ) -> Result<Result<(), String>, MediaError> {
+        let parts = pools
+            .iter()
+            .map(|pool| try_recover_shard(&opts.kind, pool.clone()))
+            .collect::<Result<Vec<_>, _>>()?;
+        let recovered = ShardedIndex::from_parts(parts);
+
+        let mut last_err = String::new();
+        for j in 0..=acked.unacked.len() {
+            let mut m = acked.model.clone();
+            for &op in &acked.unacked[..j] {
+                fold_assumed(&mut m, op);
+            }
+            let inflight: Vec<InflightAllowance> = acked
+                .unacked
+                .get(j)
+                .map(|&op| InflightAllowance::for_op(op, &m))
+                .into_iter()
+                .collect();
+            match verify_recovered(&*recovered, &m, &inflight) {
+                Ok(()) => return Ok(Ok(())),
+                Err(e) => last_err = format!("prefix j={j}: {e}"),
+            }
+        }
+        Ok(Err(format!(
+            "no executed-prefix length reconciles the recovered state \
+             ({} acked, {} unacked): {last_err}",
+            acked.model.len(),
+            acked.unacked.len()
+        )))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crashpoint::sweep;
+
+    fn strided(kind: &str, stride: u64) -> SweepOptions {
+        SweepOptions {
+            kind: kind.into(),
+            ops: 120,
+            key_range: 48,
+            seed: 0xC0FFEE,
+            pool_mib: 8,
+            stride,
+            arm_pools: vec![0],
+            ..SweepOptions::default()
+        }
+    }
 
     #[test]
     fn strided_net_sweep_is_green_for_wbtree() {
-        let opts = NetExploreOptions {
-            kind: "wbtree".into(),
-            ops: 120,
-            key_range: 48,
-            stride: 211,
-            ..NetExploreOptions::default()
-        };
-        let summary = explore_net(&opts).expect("sweep IO");
+        let summary = sweep(&Net::default(), &strided("wbtree", 211));
         assert!(
             summary.is_green(),
             "{:?}",
@@ -501,15 +315,11 @@ mod tests {
         // Same sweep through the DRAM hot-key tier: acked-implies-durable
         // must hold even though lookups may be served from DRAM, because
         // every mutation is write-through (PM first, ack after).
-        let opts = NetExploreOptions {
-            kind: "fptree".into(),
-            ops: 120,
-            key_range: 48,
-            stride: 223,
+        let scn = Net {
             cache_mb: 4,
-            ..NetExploreOptions::default()
+            ..Net::default()
         };
-        let summary = explore_net(&opts).expect("sweep IO");
+        let summary = sweep(&scn, &strided("fptree", 223));
         assert!(
             summary.is_green(),
             "{:?}",

@@ -25,6 +25,5 @@ pub mod server;
 pub mod wire;
 
 pub use client::{run_load, send_shutdown, ClientConn, LoadConfig, LoadResult};
-pub use crash::{explore_net, NetExploreOptions, NetExploreSummary};
 pub use server::{DrainReport, ServeStats, Server, ServerConfig, ServerHandle};
 pub use wire::{Opcode, ReqOp, Request, Response, Status, WireError};

@@ -39,6 +39,11 @@ pub struct NvTree {
     /// `htm` crate; NV-Tree itself is lock-based, and its SMOs —
     /// replace-splits and rebuilds — are serialized).
     smo: Htm,
+    /// This tree's own epoch collector: retired leaves are freed into
+    /// `alloc` by its deferred closures, so they must run on this
+    /// tree's threads while it is live (its last unpin drains them) —
+    /// never when some other structure in the process unpins.
+    epoch: epoch::Collector,
     snap: Atomic<Snapshot>,
     cfg: NvTreeConfig,
     flag_words: u64,
@@ -136,6 +141,7 @@ impl NvTree {
         NvTree {
             alloc,
             smo: Htm::new(),
+            epoch: epoch::Collector::new(),
             snap: Atomic::null(),
             cfg,
             flag_words,
@@ -356,16 +362,8 @@ impl NvTree {
         }
 
         // Retire the old leaf once concurrent readers have moved on.
-        // Weak handle: if a simulated crash already dropped this tree
-        // and recovered a new allocator on the same pool, the straggler
-        // callback must not clear the successor's bitmaps; recovery GC
-        // reclaims the block instead.
-        let alloc = Arc::downgrade(&self.alloc);
-        guard.defer(move || {
-            if let Some(a) = alloc.upgrade() {
-                a.free(old);
-            }
-        });
+        let alloc = self.alloc.clone();
+        guard.defer(move || alloc.free(old));
     }
 
     /// Allocate and fully persist a compacted leaf.
@@ -402,7 +400,7 @@ impl NvTree {
             WriteKind::Update => "nvtree_update",
             WriteKind::Remove => "nvtree_remove",
         });
-        let guard = epoch::pin();
+        let guard = self.epoch.pin();
         {
             let leaf = self.locate_and_lock(key, &guard);
             let latest = self.read_latest(leaf, key).flatten();
@@ -449,7 +447,7 @@ impl RangeIndex for NvTree {
 
     fn lookup(&self, key: Key) -> Option<Value> {
         let _site = obs::site("nvtree_lookup");
-        let guard = epoch::pin();
+        let guard = self.epoch.pin();
         self.smo.speculative_read(|_| {
             let leaf = self.route(key, &guard)?;
             let v1 = self.pool().load_u64(leaf + VLOCK_OFF, Ordering::Acquire);
@@ -478,7 +476,7 @@ impl RangeIndex for NvTree {
         if count == 0 {
             return 0;
         }
-        let guard = epoch::pin();
+        let guard = self.epoch.pin();
         let pool = self.pool();
         let mut leaf = self.smo.speculative_read(|_| self.route(start, &guard));
         while leaf != 0 && out.len() < count {
@@ -508,7 +506,7 @@ impl RangeIndex for NvTree {
     }
 
     fn footprint(&self) -> Footprint {
-        let guard = epoch::pin();
+        let guard = self.epoch.pin();
         let shared = self.snap.load(Ordering::Acquire, &guard);
         let dram = unsafe { shared.as_ref() }
             .map(|s| s.dram_bytes())

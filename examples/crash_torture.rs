@@ -24,22 +24,24 @@
 //! on failure the tool prints the exact command that replays the
 //! failing round.
 
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use pm_index_bench::bztree::{BzTree, BzTreeConfig};
-use pm_index_bench::crashpoint::{install_quiet_crash_hook, InflightAllowance, WorkloadOp};
+use pm_index_bench::crashpoint::{
+    apply_op, apply_until_cut, install_quiet_crash_hook, verify_recovered, workload, Acked,
+    PM_KINDS as KINDS,
+};
 use pm_index_bench::fptree::{FpTree, FpTreeConfig};
 use pm_index_bench::index_api::RangeIndex;
 use pm_index_bench::learned::{LearnedConfig, LearnedIndex};
 use pm_index_bench::nvtree::{NvTree, NvTreeConfig};
 use pm_index_bench::pmalloc::{AllocMode, PmAllocator};
-use pm_index_bench::pmem::{CrashPointHit, PmConfig, PmPool, ResidualPolicy};
+use pm_index_bench::pmem::{PmConfig, PmPool, ResidualPolicy};
 use pm_index_bench::wbtree::{WbTree, WbTreeConfig};
 
-const KINDS: [&str; 5] = ["fptree", "nvtree", "wbtree", "bztree", "learned"];
-
+// Default (large-node) configs, unlike the sweeps' small ones: the
+// torture's long workloads reach splits anyway.
 fn create(kind: &str, alloc: Arc<PmAllocator>) -> Arc<dyn RangeIndex> {
     match kind {
         "fptree" => FpTree::create(alloc, FpTreeConfig::default()),
@@ -62,81 +64,28 @@ fn recover(kind: &str, alloc: Arc<PmAllocator>) -> Arc<dyn RangeIndex> {
     }
 }
 
-fn gen_ops(seed: u64, n_ops: u64) -> Vec<WorkloadOp> {
-    let mut ops = Vec::with_capacity(n_ops as usize);
-    let mut x = seed | 1;
-    for i in 0..n_ops {
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let k = (x >> 16) % 4_096;
-        ops.push(match x % 10 {
-            0..=5 => WorkloadOp::Insert(k, i),
-            6..=7 => WorkloadOp::Update(k, i + 1_000_000),
-            _ => WorkloadOp::Remove(k),
-        });
-    }
-    ops
-}
-
-fn apply(idx: &dyn RangeIndex, model: &mut BTreeMap<u64, u64>, op: WorkloadOp) {
-    match op {
-        WorkloadOp::Insert(k, v) => {
-            if idx.insert(k, v) {
-                model.insert(k, v);
-            }
-        }
-        WorkloadOp::Update(k, v) => {
-            if idx.update(k, v) {
-                *model.get_mut(&k).expect("update ack implies present") = v;
-            }
-        }
-        WorkloadOp::Remove(k) => {
-            if idx.remove(k) {
-                model.remove(&k).expect("remove ack implies present");
-            }
-        }
-    }
-}
-
-fn verify(
+/// Pull the plug with a sampled torn image (each dirty line left at the
+/// cut persists with p = 1/2 — a different image every round,
+/// replayable from the seed), recover, and hold the result to the
+/// sweeps' oracle.
+fn cut_and_verify(
     kind: &str,
-    idx: &dyn RangeIndex,
-    model: &BTreeMap<u64, u64>,
-    inflight: Option<InflightAllowance>,
-) {
-    for (&k, &v) in model {
-        if inflight.map(|a| a.key) == Some(k) {
-            continue;
-        }
-        assert_eq!(idx.lookup(k), Some(v), "{kind}: key {k} lost or stale");
+    idx: Arc<dyn RangeIndex>,
+    pool: &Arc<PmPool>,
+    seed: u64,
+    acked: &Acked,
+) -> Arc<dyn RangeIndex> {
+    drop(idx);
+    pool.crash_with(ResidualPolicy::Sampled {
+        seed,
+        p_per_256: 128,
+    });
+    let alloc = PmAllocator::recover(pool.clone(), AllocMode::General);
+    let idx = recover(kind, alloc);
+    if let Err(e) = verify_recovered(&*idx, &acked.model, &acked.inflight) {
+        panic!("{kind}: {e}");
     }
-    if let Some(a) = inflight {
-        assert!(
-            a.allows(idx.lookup(a.key)),
-            "{kind}: in-flight key {} not atomic (found {:?}, allowed {:?}/{:?})",
-            a.key,
-            idx.lookup(a.key),
-            a.pre,
-            a.post
-        );
-    }
-    let mut out = Vec::new();
-    idx.scan(0, 100_000, &mut out);
-    assert!(
-        out.windows(2).all(|w| w[0].0 < w[1].0),
-        "{kind}: scan order"
-    );
-    for (k, v) in out {
-        match inflight {
-            Some(a) if a.key == k => assert!(a.allows(Some(v)), "{kind}: in-flight ghost {k}"),
-            _ => assert_eq!(
-                model.get(&k),
-                Some(&v),
-                "{kind}: ghost record {k} after crash"
-            ),
-        }
-    }
+    idx
 }
 
 fn torture(kind: &str, round_seed: u64) {
@@ -149,62 +98,33 @@ fn torture(kind: &str, round_seed: u64) {
     let idx = create(kind, alloc);
 
     let n_ops = 2_000 + (seed % 3_000);
-    let ops = gen_ops(seed, n_ops);
+    let ops = workload(seed, n_ops, 4_096);
 
     // Phase 1: arm a mid-operation power failure at a pseudo-random
     // persistence event, then replay; the armed event count is small
     // enough that the crash reliably fires inside the stream.
     pool.arm_crash_after(1 + (seed.rotate_left(17) % (n_ops * 2)));
-    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut inflight = None;
-    for &op in &ops {
-        let allowance = InflightAllowance::for_op(op, &model);
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| apply(&*idx, &mut model, op))) {
-            if payload.downcast_ref::<CrashPointHit>().is_none() {
-                resume_unwind(payload);
-            }
-            inflight = Some(allowance);
-            break;
-        }
-    }
-    if inflight.is_none() {
+    let mut acked = Acked::default();
+    if apply_until_cut(&*idx, &ops, &mut acked) {
         pool.disarm_crash();
     }
-
-    // Pull the plug and recover. The sampled policy persists each
-    // dirty line left at the cut with p = 1/2 — a different torn image
-    // every round, replayable from the seed.
-    drop(idx);
-    pool.crash_with(ResidualPolicy::Sampled {
-        seed: seed ^ 0x7061_7274_6961_6c31,
-        p_per_256: 128,
-    });
-    let alloc = PmAllocator::recover(pool.clone(), AllocMode::General);
-    let idx = recover(kind, alloc);
-    verify(kind, &*idx, &model, inflight);
+    let idx = cut_and_verify(kind, idx, &pool, seed ^ 0x7061_7274_6961_6c31, &acked);
 
     // The in-flight op may have landed either way; sync the model with
     // whichever atomic outcome the recovered tree kept.
-    if let Some(a) = inflight {
+    for a in acked.inflight.drain(..) {
         match idx.lookup(a.key) {
-            Some(v) => model.insert(a.key, v),
-            None => model.remove(&a.key),
+            Some(v) => acked.model.insert(a.key, v),
+            None => acked.model.remove(&a.key),
         };
     }
 
-    // Phase 2: finish the remaining workload on the recovered tree,
+    // Phase 2: run the whole workload again on the recovered tree,
     // then the classic end-of-workload plug pull with exact verify.
     for &op in &ops {
-        apply(&*idx, &mut model, op);
+        apply_op(&*idx, &mut acked.model, op);
     }
-    drop(idx);
-    pool.crash_with(ResidualPolicy::Sampled {
-        seed: seed ^ 0x7061_7274_6961_6c32,
-        p_per_256: 128,
-    });
-    let alloc = PmAllocator::recover(pool, AllocMode::General);
-    let idx = recover(kind, alloc);
-    verify(kind, &*idx, &model, None);
+    cut_and_verify(kind, idx, &pool, seed ^ 0x7061_7274_6961_6c32, &acked);
 }
 
 fn main() {

@@ -63,7 +63,7 @@
 //!
 //! `mtcrash` flags: `--kind <name|all>`, `--threads N`, `--ops N` (per
 //! thread), `--boundaries N`, `--seed N`, `--samples N`, `--p-per-256 N`,
-//! `--poison`.
+//! `--exhaustive LINES`, `--poison`.
 //!
 //! `shardcrash` flags: `--kind <name|all>`, `--shards N`, `--ops N`,
 //! `--key-range N`, `--seed N`, `--stride N`, `--max-boundaries N` (per
@@ -81,15 +81,23 @@
 //! `cachestat` flags: `--records N`, `--ops N`, `--cache-mb N`.
 //!
 //! Every run prints its seed; any failure is exactly reproducible by
-//! re-running with the printed flags.
+//! re-running with the printed flags. An unknown flag, a missing or
+//! non-integer value or an unknown `--kind` exits 2 before anything
+//! runs.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use pm_index_bench::bztree::{BzTree, BzTreeConfig};
-use pm_index_bench::crashpoint::{self, ExploreOptions, ResidualConfig, PM_KINDS};
+use pm_index_bench::crashpoint::migration::Migration;
+use pm_index_bench::crashpoint::mt::Mt;
+use pm_index_bench::crashpoint::sharded::Sharded;
+use pm_index_bench::crashpoint::single::Single;
+use pm_index_bench::crashpoint::{sweep, ResidualConfig, SweepOptions, SweepSummary, PM_KINDS};
 use pm_index_bench::fptree::{FpTree, FpTreeConfig};
 use pm_index_bench::index_api::RangeIndex;
 use pm_index_bench::learned::{LearnedConfig, LearnedIndex};
+use pm_index_bench::net::crash::Net;
 use pm_index_bench::nvtree::{NvTree, NvTreeConfig};
 use pm_index_bench::pibench::report::Table;
 use pm_index_bench::pmalloc::{AllocMode, PmAllocator};
@@ -98,15 +106,27 @@ use pm_index_bench::wbtree::{WbTree, WbTreeConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        None | Some("footprint") => footprint(if args.is_empty() { &[] } else { &args[1..] }),
-        Some("crashpoints") => crashpoints(&args[1..]),
-        Some("mtcrash") => mtcrash(&args[1..]),
-        Some("shardcrash") => shardcrash(&args[1..]),
-        Some("netcrash") => netcrash(&args[1..]),
-        Some("migcrash") => migcrash(&args[1..]),
-        Some("cachestat") => cachestat(&args[1..]),
-        Some(other) => {
+    let (cmd, rest) = match args.split_first() {
+        Some((cmd, rest)) => (cmd.as_str(), rest),
+        None => ("footprint", &[][..]),
+    };
+    let flags = |values: &str, switches: &str| {
+        Flags::parse(rest, values, switches).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        })
+    };
+    if let Some(row) = SWEEPS.iter().find(|row| row.name == cmd) {
+        crash_sweep(row, &flags(row.values, row.switches));
+        return;
+    }
+    match cmd {
+        "footprint" => flags("", "")
+            .kinds("fptree")
+            .into_iter()
+            .for_each(footprint_one),
+        "cachestat" => cachestat(&flags("--records --ops --cache-mb", "")),
+        other => {
             eprintln!(
                 "unknown subcommand {other:?}; expected `footprint`, `crashpoints`, `mtcrash`, \
                  `shardcrash`, `netcrash`, `migcrash` or `cachestat`"
@@ -116,23 +136,68 @@ fn main() {
     }
 }
 
-fn footprint(args: &[String]) {
-    let kind_arg = args
-        .iter()
-        .position(|a| a == "--kind")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "fptree".to_string());
-    let kinds: Vec<&'static str> = if kind_arg == "all" {
-        PM_KINDS.to_vec()
-    } else if let Some(k) = PM_KINDS.iter().find(|k| **k == kind_arg) {
-        vec![*k]
-    } else {
-        eprintln!("--kind expects one of {PM_KINDS:?} or `all`, got {kind_arg:?}");
-        std::process::exit(2);
-    };
-    for kind in kinds {
-        footprint_one(kind);
+/// The parsed flags of one subcommand: `--kind <name|all>`, integer
+/// value flags and bare switches.
+struct Flags {
+    kind: Option<String>,
+    values: BTreeMap<String, u64>,
+    switches: BTreeSet<String>,
+}
+
+impl Flags {
+    /// Parse `args` against the space-separated integer flags and
+    /// switches a subcommand takes (`--kind` is always one); the error
+    /// is the message to print before exiting 2.
+    fn parse(args: &[String], values: &str, switches: &str) -> Result<Flags, String> {
+        let known = |list: &str, name: &str| list.split(' ').any(|flag| flag == name);
+        let mut flags = Flags {
+            kind: None,
+            values: BTreeMap::new(),
+            switches: BTreeSet::new(),
+        };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let name = arg.as_str();
+            if known(switches, name) {
+                flags.switches.insert(arg.clone());
+                continue;
+            }
+            if name != "--kind" && !known(values, name) {
+                return Err(format!(
+                    "unknown flag {arg:?}; expected one of: --kind {values} {switches}"
+                ));
+            }
+            let v = it.next().ok_or(format!("{name} expects a value"))?;
+            if name == "--kind" {
+                if v != "all" && !PM_KINDS.contains(&v.as_str()) {
+                    return Err(format!(
+                        "--kind expects one of {PM_KINDS:?} or `all`, got {v:?}"
+                    ));
+                }
+                flags.kind = Some(v.clone());
+            } else {
+                let n = v
+                    .parse()
+                    .map_err(|_| format!("{name} expects an integer, got {v:?}"))?;
+                flags.values.insert(arg.clone(), n);
+            }
+        }
+        Ok(flags)
+    }
+
+    fn get(&self, name: &str) -> Option<u64> {
+        self.values.get(name).copied()
+    }
+
+    fn on(&self, name: &str) -> bool {
+        self.switches.contains(name)
+    }
+
+    /// The index kinds `--kind` selects.
+    fn kinds(&self, default: &str) -> Vec<&'static str> {
+        let kind = self.kind.as_deref().unwrap_or(default);
+        let all = kind == "all";
+        PM_KINDS.into_iter().filter(|k| all || *k == kind).collect()
     }
 }
 
@@ -238,67 +303,294 @@ fn footprint_one(kind: &'static str) {
     println!();
 }
 
-fn flag_value(args: &[String], name: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("{name} expects an integer, got {v:?}");
-                std::process::exit(2);
-            })
-        })
+// ---------------------------------------------------------------------------
+// Crash sweeps: one driver loop over a table of scenarios
+// ---------------------------------------------------------------------------
+
+/// One table column: header and cell.
+type Column = (&'static str, fn(&Flags, &SweepSummary) -> String);
+
+/// One crash-sweep subcommand.
+struct SweepRow {
+    name: &'static str,
+    /// Integer flags it takes besides `--kind`, and its switches
+    /// (space-separated).
+    values: &'static str,
+    switches: &'static str,
+    /// Defaults of `--ops`, `--key-range`, each pool's MiB and the
+    /// residual model.
+    ops: u64,
+    key_range: u64,
+    pool_mib: usize,
+    residual: ResidualConfig,
+    /// What the banner says about the scenario.
+    describe: fn(&Flags) -> String,
+    /// Build the scenario from the flags and sweep it: one summary per
+    /// table row.
+    run: fn(&Flags, SweepOptions) -> Vec<SweepSummary>,
+    title: &'static str,
+    /// The columns between `index` and `failures`.
+    columns: &'static [Column],
+    /// RESULT text: what kind of violation a red sweep found, and what
+    /// a green one proved.
+    violations: &'static str,
+    green: &'static str,
 }
 
-fn parse_kinds(args: &[String]) -> Vec<&'static str> {
-    let kind_arg = args
-        .iter()
-        .position(|a| a == "--kind")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
-    if kind_arg == "all" {
-        PM_KINDS.to_vec()
-    } else if let Some(k) = PM_KINDS.iter().find(|k| **k == kind_arg) {
-        vec![*k]
-    } else {
-        eprintln!("--kind expects one of {PM_KINDS:?} or `all`, got {kind_arg:?}");
-        std::process::exit(2);
+fn joined(xs: &[impl ToString]) -> String {
+    let xs: Vec<String> = xs.iter().map(ToString::to_string).collect();
+    xs.join("/")
+}
+
+const PROBE: Column = ("probe events", |_, s| joined(&s.probe_events));
+const BOUNDARIES: Column = ("boundaries", |_, s| s.boundaries_tested.to_string());
+const CRASHES: Column = ("crashes", |_, s| s.crashes_fired.to_string());
+const SAMPLES: Column = ("samples", |_, s| s.samples_run.to_string());
+const MAX_CANDS: Column = ("max cands", |_, s| s.max_residual_candidates.to_string());
+const POISON: Column = ("poison inj/rep", |_, s| {
+    format!("{}/{}", s.poison_injected, s.poison_reported)
+});
+
+fn shards(f: &Flags, default: u64) -> usize {
+    f.get("--shards").unwrap_or(default).max(1) as usize
+}
+
+fn threads(f: &Flags) -> usize {
+    f.get("--threads").unwrap_or(4) as usize
+}
+
+fn net_scenario(f: &Flags) -> Net {
+    Net {
+        shards: shards(f, 2),
+        batch_max: f.get("--batch-max").unwrap_or(8) as usize,
+        window: f.get("--window").unwrap_or(32) as usize,
+        cache_mb: match f.get("--cache-mb") {
+            Some(mb) => mb as usize,
+            None if f.on("--cache") => 4,
+            None => 0,
+        },
     }
 }
 
+static SWEEPS: [SweepRow; 5] = [
+    SweepRow {
+        name: "crashpoints",
+        values: "--ops --key-range --seed --stride --max-boundaries --samples --p-per-256 --exhaustive",
+        switches: "--chaos --poison --trace",
+        ops: 200,
+        key_range: 128,
+        pool_mib: 32,
+        residual: ResidualConfig::Frozen,
+        describe: |f| format!("trace {}", f.on("--trace")),
+        run: |f, o| {
+            let chaos_seed = f.on("--chaos").then_some(o.seed ^ 0x9e3779b97f4a7c15);
+            vec![sweep(&Single { chaos_seed }, &o)]
+        },
+        title: "Crash-point exploration",
+        columns: &[
+            ("chaos", |f, _| f.on("--chaos").to_string()),
+            ("events", PROBE.1),
+            BOUNDARIES,
+            CRASHES,
+            SAMPLES,
+            ("exhaustive", |_, s| s.exhaustive_boundaries.to_string()),
+            MAX_CANDS,
+            POISON,
+            ("max dirty lines", |_, s| s.max_dirty_lines.to_string()),
+            ("redundant clwb", |_, s| s.probe_redundant_clwb.to_string()),
+        ],
+        violations: "oracle",
+        green: "every explored crash image recovered correctly — no \
+                acknowledged-but-unflushed state, no torn structure, no \
+                garbage from poisoned lines.",
+    },
+    SweepRow {
+        name: "mtcrash",
+        values: "--threads --ops --boundaries --seed --samples --p-per-256 --exhaustive",
+        switches: "--poison",
+        ops: 200,
+        key_range: 128,
+        pool_mib: 32,
+        // Sampled torn writes unless the flags pick another model.
+        residual: ResidualConfig::Sampled {
+            samples: 3,
+            p_per_256: 128,
+        },
+        describe: |f| format!("{} threads", threads(f)),
+        run: |f, mut o| {
+            o.max_boundaries = f.get("--boundaries");
+            vec![sweep(&Mt { threads: threads(f) }, &o)]
+        },
+        title: "Multi-threaded crash consistency",
+        columns: &[
+            ("threads", |f, _| threads(f).to_string()),
+            BOUNDARIES,
+            CRASHES,
+            ("threads cut", |_, s| s.counter("threads_cut").to_string()),
+            SAMPLES,
+            MAX_CANDS,
+            POISON,
+        ],
+        violations: "concurrent-crash",
+        green: "every concurrent crash recovered to a state satisfying \
+                the relaxed oracle — acknowledged operations survive, in-flight \
+                operations are atomic, no torn values.",
+    },
+    SweepRow {
+        name: "shardcrash",
+        values: "--shards --ops --key-range --seed --stride --max-boundaries",
+        switches: "",
+        ops: 400,
+        key_range: 96,
+        pool_mib: 8,
+        residual: ResidualConfig::Frozen,
+        describe: |f| format!("{} shards (one pool + allocator each)", shards(f, 4)),
+        run: |f, o| {
+            let shards = shards(f, 4);
+            vec![sweep(&Sharded { shards }, &o)]
+        },
+        title: "Sharded crash consistency",
+        columns: &[
+            ("shards", |f, _| shards(f, 4).to_string()),
+            ("probe events/shard", PROBE.1),
+            BOUNDARIES,
+            CRASHES,
+            ("isolation checks", |_, s| {
+                s.counter("isolation_checks").to_string()
+            }),
+        ],
+        violations: "cross-shard",
+        green: "every armed-shard crash recovered correctly — \
+                acknowledged operations on every shard survive, the in-flight \
+                op is atomic, and untouched shards stay bit-identical through \
+                the armed shard's recovery.",
+    },
+    SweepRow {
+        name: "netcrash",
+        values: "--shards --ops --key-range --seed --stride --max-boundaries --batch-max --window --cache-mb",
+        switches: "--cache",
+        ops: 400,
+        key_range: 96,
+        pool_mib: 8,
+        residual: ResidualConfig::Frozen,
+        describe: |f| {
+            let n = net_scenario(f);
+            format!(
+                "{} shards behind one TCP server (batch-max {}, window {}, cache {} MiB), \
+                 arming each shard in turn",
+                n.shards, n.batch_max, n.window, n.cache_mb
+            )
+        },
+        // One sweep, and one table row, per armed shard.
+        run: |f, o| {
+            let net = net_scenario(f);
+            let arm = |shard| SweepOptions {
+                arm_pools: vec![shard],
+                ..o.clone()
+            };
+            (0..net.shards).map(|i| sweep(&net, &arm(i))).collect()
+        },
+        title: "Crash-through-the-server durability",
+        columns: &[
+            ("armed shard", |_, s| joined(&s.armed_pools)),
+            ("probe events", |_, s| {
+                let armed = s.armed_pools.iter().map(|&p| s.probe_events[p]);
+                joined(&armed.collect::<Vec<_>>())
+            }),
+            BOUNDARIES,
+            CRASHES,
+            ("completed", |_, s| s.completed_runs.to_string()),
+            ("acks", |_, s| s.counter("acked_total").to_string()),
+            ("max unacked", |_, s| s.counter("max_unacked").to_string()),
+        ],
+        violations: "durable-ack",
+        green: "every boundary cut behind the serving layer recovered \
+                correctly — every acked write survives, the unacked pipeline \
+                reconciles as a clean prefix, nothing is torn.",
+    },
+    SweepRow {
+        name: "migcrash",
+        values: "--shards --ops --key-range --seed --stride --max-boundaries",
+        switches: "",
+        ops: 400,
+        key_range: 96,
+        pool_mib: 8,
+        residual: ResidualConfig::Frozen,
+        describe: |f| {
+            format!(
+                "{} base shards + 1 migration destination, arming each pool in turn",
+                shards(f, 2)
+            )
+        },
+        run: |f, o| {
+            let scenario = Migration {
+                base_shards: shards(f, 2),
+                ..Migration::default()
+            };
+            vec![sweep(&scenario, &o)]
+        },
+        title: "Crash-mid-migration consistency",
+        columns: &[
+            PROBE,
+            BOUNDARIES,
+            CRASHES,
+            ("preparing rec", |_, s| {
+                s.counter("preparing_recoveries").to_string()
+            }),
+            ("claimed rec", |_, s| {
+                s.counter("claimed_recoveries").to_string()
+            }),
+        ],
+        violations: "migration",
+        green: "every mid-migration cut recovered correctly — the \
+                routing table is never half-copied, acked writes survive on \
+                whichever side of the publish the cut landed, and recovery is \
+                idempotent.",
+    },
+];
+
 /// The residual model selected by `--samples` / `--p-per-256` /
 /// `--exhaustive` (`--poison` implies sampling so there are lost lines
-/// to poison).
-fn parse_residual(args: &[String], poison: bool) -> ResidualConfig {
-    let samples = flag_value(args, "--samples");
-    let p_per_256 = flag_value(args, "--p-per-256").unwrap_or(128) as u32;
-    if let Some(max_lines) = flag_value(args, "--exhaustive") {
+/// to poison), else the row's default.
+fn residual(f: &Flags, default: ResidualConfig) -> ResidualConfig {
+    let samples = f.get("--samples");
+    if let Some(max_lines) = f.get("--exhaustive") {
         ResidualConfig::Exhaustive {
             max_lines: max_lines as u32,
             fallback_samples: samples.unwrap_or(2) as u32,
         }
-    } else if samples.is_some() || poison {
+    } else if samples.is_some() || f.on("--poison") {
         ResidualConfig::Sampled {
             samples: samples.unwrap_or(4) as u32,
-            p_per_256,
+            p_per_256: f.get("--p-per-256").unwrap_or(128) as u32,
         }
     } else {
-        ResidualConfig::Frozen
+        default
     }
 }
 
-fn crashpoints(args: &[String]) {
-    let kinds = parse_kinds(args);
-    let ops = flag_value(args, "--ops").unwrap_or(200);
-    let key_range = flag_value(args, "--key-range").unwrap_or(128);
-    let seed = flag_value(args, "--seed").unwrap_or(1);
-    let stride = flag_value(args, "--stride").unwrap_or(1);
-    let max_boundaries = flag_value(args, "--max-boundaries");
-    let chaos = args.iter().any(|a| a == "--chaos");
-    let poison = args.iter().any(|a| a == "--poison");
-    let trace = args.iter().any(|a| a == "--trace");
-    let residual = parse_residual(args, poison);
+fn print_tail(tail: &str) {
+    for line in tail.lines() {
+        println!("    {line}");
+    }
+}
+
+/// Run one row of [`SWEEPS`] over the selected kinds; exits 1 on any
+/// violation.
+fn crash_sweep(row: &SweepRow, f: &Flags) {
+    let seed = f.get("--seed").unwrap_or(1);
+    let base = SweepOptions {
+        ops: f.get("--ops").unwrap_or(row.ops),
+        key_range: f.get("--key-range").unwrap_or(row.key_range),
+        seed,
+        pool_mib: row.pool_mib,
+        stride: f.get("--stride").unwrap_or(1),
+        max_boundaries: f.get("--max-boundaries"),
+        residual: residual(f, row.residual),
+        poison: f.on("--poison"),
+        ..SweepOptions::default()
+    };
+    let trace = f.on("--trace");
     if trace {
         // Flight recorder on: every crash snapshots the last PM events
         // before the cut, and any oracle violation prints that tail.
@@ -306,436 +598,94 @@ fn crashpoints(args: &[String]) {
         pm_index_bench::obs::set_enabled(true);
     }
     println!(
-        "crashpoints: seed {seed}, residual model {residual:?}, poison {poison}, trace {trace}"
+        "{}: seed {seed}, residual model {:?}, poison {}, {}",
+        row.name,
+        base.residual,
+        base.poison,
+        (row.describe)(f)
     );
 
-    let mut table = Table::new(vec![
-        "index",
-        "chaos",
-        "events",
-        "boundaries",
-        "crashes",
-        "samples",
-        "exhaustive",
-        "max cands",
-        "poison inj/rep",
-        "max dirty lines",
-        "redundant clwb",
-        "failures",
-    ]);
+    let mut headers = vec!["index"];
+    headers.extend(row.columns.iter().map(|c| c.0));
+    headers.push("failures");
+    let mut table = Table::new(headers);
     let mut any_failures = false;
-    for kind in kinds {
-        let opts = ExploreOptions {
+    for kind in f.kinds("all") {
+        let opts = SweepOptions {
             kind: kind.to_string(),
-            ops,
-            key_range,
-            seed,
-            chaos_seed: chaos.then_some(seed ^ 0x9e3779b97f4a7c15),
-            stride,
-            max_boundaries,
-            residual,
-            poison,
-            ..ExploreOptions::default()
+            ..base.clone()
         };
-        let s = crashpoint::explore(&opts);
-        println!(
-            "{kind}: {} events over {} ops; per-op windows: {}",
-            s.total_events,
-            ops,
-            s.per_op
-                .iter()
-                .map(|(k, v)| format!("{k} {} ops / {} events", v.count, v.events))
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        for f in &s.failures {
-            any_failures = true;
-            println!(
-                "  FAIL at boundary {} ({}) under {:?}{}: {}",
-                f.boundary,
-                f.report
-                    .map(|r| r.trigger.to_string())
-                    .unwrap_or_else(|| "no trip".to_string()),
-                f.policy,
-                f.poisoned_off
-                    .map(|o| format!(", poisoned line {o:#x}"))
-                    .unwrap_or_default(),
-                f.detail
-            );
-            if let Some(tail) = &f.flight_tail {
-                println!("  flight recorder (last PM events before the cut):");
-                for line in tail.lines() {
-                    println!("    {line}");
-                }
-            }
-        }
-        if trace {
-            match &s.first_crash_flight_tail {
-                Some(tail) => {
-                    println!("{kind}: flight recorder at the first fired crash:");
-                    for line in tail.lines() {
-                        println!("    {line}");
-                    }
-                }
-                None => println!("{kind}: no crash fired, flight recorder empty"),
-            }
-        }
-        table.row(vec![
-            s.kind.clone(),
-            s.chaos.to_string(),
-            s.total_events.to_string(),
-            s.boundaries_tested.to_string(),
-            s.crashes_fired.to_string(),
-            s.samples_run.to_string(),
-            s.exhaustive_boundaries.to_string(),
-            s.max_residual_candidates.to_string(),
-            format!("{}/{}", s.poison_injected, s.poison_reported),
-            s.max_dirty_lines.to_string(),
-            s.probe_redundant_clwb.to_string(),
-            s.failures.len().to_string(),
-        ]);
-    }
-    println!("\nCrash-point exploration:\n");
-    print!("{}", table.to_text());
-    if any_failures {
-        println!(
-            "\nRESULT: oracle violations found (see FAIL lines above). \
-             Reproduce with --seed {seed}."
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "\nRESULT: every explored crash image recovered correctly — no \
-         acknowledged-but-unflushed state, no torn structure, no \
-         garbage from poisoned lines."
-    );
-}
-
-fn mtcrash(args: &[String]) {
-    let kinds = parse_kinds(args);
-    let threads = flag_value(args, "--threads").unwrap_or(4) as usize;
-    let ops_per_thread = flag_value(args, "--ops").unwrap_or(200);
-    let boundaries = flag_value(args, "--boundaries").unwrap_or(8);
-    let seed = flag_value(args, "--seed").unwrap_or(1);
-    let poison = args.iter().any(|a| a == "--poison");
-    let residual = if poison
-        || args
-            .iter()
-            .any(|a| a == "--samples" || a == "--exhaustive" || a == "--p-per-256")
-    {
-        parse_residual(args, poison)
-    } else {
-        crashpoint::mt::MtOptions::default().residual // sampled torn writes
-    };
-    println!(
-        "mtcrash: seed {seed}, {threads} threads, residual model {residual:?}, poison {poison}"
-    );
-
-    let mut table = Table::new(vec![
-        "index",
-        "threads",
-        "boundaries",
-        "crashes",
-        "threads cut",
-        "samples",
-        "max cands",
-        "poison inj/rep",
-        "failures",
-    ]);
-    let mut any_failures = false;
-    for kind in kinds {
-        let opts = crashpoint::mt::MtOptions {
-            kind: kind.to_string(),
-            threads,
-            ops_per_thread,
-            boundaries,
-            seed,
-            residual,
-            poison,
-            ..crashpoint::mt::MtOptions::default()
-        };
-        let s = crashpoint::mt::mt_crash_run(&opts);
-        for f in &s.failures {
-            any_failures = true;
-            println!(
-                "  {kind} FAIL at boundary {} under {:?}{}: {}",
-                f.boundary,
-                f.policy,
-                f.poisoned_off
-                    .map(|o| format!(", poisoned line {o:#x}"))
-                    .unwrap_or_default(),
-                f.detail
-            );
-        }
-        table.row(vec![
-            s.kind.clone(),
-            s.threads.to_string(),
-            s.boundaries_tested.to_string(),
-            s.crashes_fired.to_string(),
-            s.threads_cut.to_string(),
-            s.samples_run.to_string(),
-            s.max_residual_candidates.to_string(),
-            format!("{}/{}", s.poison_injected, s.poison_reported),
-            s.failures.len().to_string(),
-        ]);
-    }
-    println!("\nMulti-threaded crash consistency:\n");
-    print!("{}", table.to_text());
-    if any_failures {
-        println!(
-            "\nRESULT: concurrent-crash violations found (see FAIL lines \
-             above). Reproduce with --seed {seed}."
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "\nRESULT: every concurrent crash recovered to a state satisfying \
-         the relaxed oracle — acknowledged operations survive, in-flight \
-         operations are atomic, no torn values."
-    );
-}
-
-fn shardcrash(args: &[String]) {
-    let kinds = parse_kinds(args);
-    let shards = flag_value(args, "--shards").unwrap_or(4).max(1) as usize;
-    let ops = flag_value(args, "--ops").unwrap_or(400);
-    let key_range = flag_value(args, "--key-range").unwrap_or(96);
-    let seed = flag_value(args, "--seed").unwrap_or(1);
-    let stride = flag_value(args, "--stride").unwrap_or(1);
-    let max_boundaries = flag_value(args, "--max-boundaries").unwrap_or(0);
-    println!("shardcrash: seed {seed}, {shards} shards (one pool + allocator each)");
-
-    let mut table = Table::new(vec![
-        "index",
-        "shards",
-        "probe events/shard",
-        "boundaries",
-        "crashes",
-        "isolation checks",
-        "failures",
-    ]);
-    let mut any_failures = false;
-    for kind in kinds {
-        let opts = crashpoint::sharded::ShardedExploreOptions {
-            kind: kind.to_string(),
-            shards,
-            ops,
-            key_range,
-            seed,
-            stride,
-            max_boundaries,
-            ..crashpoint::sharded::ShardedExploreOptions::default()
-        };
-        let s = crashpoint::sharded::explore_sharded(&opts);
-        for f in &s.failures {
-            any_failures = true;
-            println!(
-                "  {kind} FAIL: shard {} armed, boundary {}: {}",
-                f.shard, f.boundary, f.detail
-            );
-        }
-        table.row(vec![
-            s.kind.clone(),
-            s.shards.to_string(),
-            s.probe_events
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join("/"),
-            s.boundaries_tested.to_string(),
-            s.crashes_fired.to_string(),
-            s.isolation_checks.to_string(),
-            s.failures.len().to_string(),
-        ]);
-    }
-    println!("\nSharded crash consistency:\n");
-    print!("{}", table.to_text());
-    if any_failures {
-        println!(
-            "\nRESULT: cross-shard violations found (see FAIL lines above). \
-             Reproduce with --seed {seed}."
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "\nRESULT: every armed-shard crash recovered correctly — \
-         acknowledged operations on every shard survive, the in-flight \
-         op is atomic, and untouched shards stay bit-identical through \
-         the armed shard's recovery."
-    );
-}
-
-fn netcrash(args: &[String]) {
-    let kinds = parse_kinds(args);
-    let shards = flag_value(args, "--shards").unwrap_or(2).max(1) as usize;
-    let ops = flag_value(args, "--ops").unwrap_or(400);
-    let key_range = flag_value(args, "--key-range").unwrap_or(96);
-    let seed = flag_value(args, "--seed").unwrap_or(1);
-    let stride = flag_value(args, "--stride").unwrap_or(1);
-    let max_boundaries = flag_value(args, "--max-boundaries").unwrap_or(0);
-    let batch_max = flag_value(args, "--batch-max").unwrap_or(8) as usize;
-    let window = flag_value(args, "--window").unwrap_or(32) as usize;
-    let cache_mb = match flag_value(args, "--cache-mb") {
-        Some(mb) => mb as usize,
-        None if args.iter().any(|a| a == "--cache") => 4,
-        None => 0,
-    };
-    println!(
-        "netcrash: seed {seed}, {shards} shards behind one TCP server \
-         (batch-max {batch_max}, window {window}, cache {cache_mb} MiB), \
-         arming each shard in turn"
-    );
-
-    let mut table = Table::new(vec![
-        "index",
-        "armed shard",
-        "probe events",
-        "boundaries",
-        "crashes",
-        "completed",
-        "acks",
-        "max unacked",
-        "failures",
-    ]);
-    let mut any_failures = false;
-    for kind in kinds {
-        for armed_shard in 0..shards {
-            let opts = pm_index_bench::net::NetExploreOptions {
-                kind: kind.to_string(),
-                shards,
-                ops,
-                key_range,
-                seed,
-                stride,
-                max_boundaries,
-                armed_shard,
-                batch_max,
-                window,
-                cache_mb,
-                ..pm_index_bench::net::NetExploreOptions::default()
-            };
-            let s = pm_index_bench::net::explore_net(&opts).unwrap_or_else(|e| {
-                eprintln!("{kind}: server io error: {e}");
-                std::process::exit(1);
-            });
-            for f in &s.failures {
-                any_failures = true;
+        for s in (row.run)(f, opts) {
+            if s.counter("insert ops") > 0 {
+                let per_op = |op: &str, ops: &str, events: &str| {
+                    let (ops, events) = (s.counter(ops), s.counter(events));
+                    format!("{op} {ops} ops / {events} events")
+                };
                 println!(
-                    "  {kind} FAIL: shard {armed_shard} armed, boundary {}: {}",
-                    f.boundary, f.detail
+                    "{kind}: {} events over {} ops; per-op windows: {}, {}, {}",
+                    joined(&s.probe_events),
+                    base.ops,
+                    per_op("insert", "insert ops", "insert events"),
+                    per_op("remove", "remove ops", "remove events"),
+                    per_op("update", "update ops", "update events"),
                 );
             }
-            table.row(vec![
-                s.kind.clone(),
-                armed_shard.to_string(),
-                s.probe_events.to_string(),
-                s.boundaries_tested.to_string(),
-                s.crashes_fired.to_string(),
-                s.completed_runs.to_string(),
-                s.acked_total.to_string(),
-                s.max_unacked.to_string(),
-                s.failures.len().to_string(),
-            ]);
+            for fail in &s.failures {
+                any_failures = true;
+                println!(
+                    "  {kind} FAIL: pool {} armed, boundary {} ({}) under {:?}{}: {}",
+                    fail.pool,
+                    fail.boundary,
+                    fail.report
+                        .map_or("no trip".to_string(), |r| r.trigger.to_string()),
+                    fail.policy,
+                    fail.poisoned_off
+                        .map(|o| format!(", poisoned line {o:#x}"))
+                        .unwrap_or_default(),
+                    fail.detail
+                );
+                if let Some(tail) = &fail.flight_tail {
+                    println!("  flight recorder (last PM events before the cut):");
+                    print_tail(tail);
+                }
+            }
+            if trace {
+                match &s.first_crash_flight_tail {
+                    Some(tail) => {
+                        println!("{kind}: flight recorder at the first fired crash:");
+                        print_tail(tail);
+                    }
+                    None => println!("{kind}: no crash fired, flight recorder empty"),
+                }
+            }
+            let mut cells = vec![s.kind.clone()];
+            cells.extend(row.columns.iter().map(|c| (c.1)(f, &s)));
+            cells.push(s.failures.len().to_string());
+            table.row(cells);
         }
     }
-    println!("\nCrash-through-the-server durability:\n");
+    println!("\n{}:\n", row.title);
     print!("{}", table.to_text());
     if any_failures {
         println!(
-            "\nRESULT: durable-ack violations found (see FAIL lines above). \
-             Reproduce with --seed {seed}."
+            "\nRESULT: {} violations found (see FAIL lines above). \
+             Reproduce with --seed {seed}.",
+            row.violations
         );
         std::process::exit(1);
     }
-    println!(
-        "\nRESULT: every boundary cut behind the serving layer recovered \
-         correctly — every acked write survives, the unacked pipeline \
-         reconciles as a clean prefix, nothing is torn."
-    );
+    println!("\nRESULT: {}", row.green);
 }
 
-fn migcrash(args: &[String]) {
-    let kinds = parse_kinds(args);
-    let base_shards = flag_value(args, "--shards").unwrap_or(2).max(1) as usize;
-    let ops = flag_value(args, "--ops").unwrap_or(400);
-    let key_range = flag_value(args, "--key-range").unwrap_or(96);
-    let seed = flag_value(args, "--seed").unwrap_or(1);
-    let stride = flag_value(args, "--stride").unwrap_or(1);
-    let max_boundaries = flag_value(args, "--max-boundaries").unwrap_or(0);
-    println!(
-        "migcrash: seed {seed}, {base_shards} base shards + 1 migration \
-         destination, arming each pool in turn"
-    );
-
-    let mut table = Table::new(vec![
-        "index",
-        "probe events",
-        "boundaries",
-        "crashes",
-        "preparing rec",
-        "claimed rec",
-        "failures",
-    ]);
-    let mut any_failures = false;
-    for kind in kinds {
-        let opts = crashpoint::migration::MigrationExploreOptions {
-            kind: kind.to_string(),
-            base_shards,
-            ops,
-            key_range,
-            seed,
-            stride,
-            max_boundaries,
-            ..crashpoint::migration::MigrationExploreOptions::default()
-        };
-        let s = crashpoint::migration::explore_migration(&opts);
-        for f in &s.failures {
-            any_failures = true;
-            println!(
-                "  {kind} FAIL: pool {} armed, boundary {}: {}",
-                f.pool, f.boundary, f.detail
-            );
-        }
-        table.row(vec![
-            s.kind.clone(),
-            s.probe_events
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join("/"),
-            s.boundaries_tested.to_string(),
-            s.crashes_fired.to_string(),
-            s.preparing_recoveries.to_string(),
-            s.claimed_recoveries.to_string(),
-            s.failures.len().to_string(),
-        ]);
-    }
-    println!("\nCrash-mid-migration consistency:\n");
-    print!("{}", table.to_text());
-    if any_failures {
-        println!(
-            "\nRESULT: migration violations found (see FAIL lines above). \
-             Reproduce with --seed {seed}."
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "\nRESULT: every mid-migration cut recovered correctly — the \
-         routing table is never half-copied, acked writes survive on \
-         whichever side of the publish the cut landed, and recovery is \
-         idempotent."
-    );
-}
-
-fn cachestat(args: &[String]) {
+fn cachestat(f: &Flags) {
     use pm_index_bench::cache::CachedIndex;
     use pm_index_bench::pibench::dist::Distribution;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    let records = flag_value(args, "--records").unwrap_or(50_000);
-    let ops = flag_value(args, "--ops").unwrap_or(200_000);
-    let cache_mb = flag_value(args, "--cache-mb").unwrap_or(16) as usize;
+    let records = f.get("--records").unwrap_or(50_000);
+    let ops = f.get("--ops").unwrap_or(200_000);
+    let cache_mb = f.get("--cache-mb").unwrap_or(16) as usize;
 
     let pool = Arc::new(PmPool::new(256 << 20, PmConfig::real()));
     let alloc = PmAllocator::format(pool.clone(), AllocMode::General);

@@ -1,0 +1,30 @@
+#!/bin/sh
+# Code lines per crate and example: non-blank, non-comment lines before
+# the first `#[cfg(test)]` of each .rs file (ROADMAP: "line count is a
+# tracked number"). With arguments, counts just those files/directories.
+#
+#   scripts/loc.sh                      # every crate, example and tests/common
+#   scripts/loc.sh crates/crashpoint/src crates/net/src/crash.rs
+set -eu
+cd "$(dirname "$0")/.."
+
+count() {
+    find "$@" -name '*.rs' -print0 | xargs -0 awk '
+        FNR == 1 { live = 1 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { live = 0 }
+        live && !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { n++ }
+        END { print n + 0 }'
+}
+
+if [ "$#" -gt 0 ]; then
+    count "$@"
+    exit 0
+fi
+
+total=0
+for unit in crates/*/src examples/*.rs tests/common src; do
+    n=$(count "$unit")
+    total=$((total + n))
+    printf '%7d  %s\n' "$n" "$unit"
+done
+printf '%7d  total\n' "$total"

@@ -1,67 +1,117 @@
 //! Minimal vendored stand-in for `crossbeam-epoch`, providing the
-//! surface this workspace uses: `pin`, `Guard::{defer, defer_destroy}`,
-//! `Atomic`, `Owned`, `Shared` and `unprotected`.
+//! surface this workspace uses: `Collector`, `pin`,
+//! `Guard::{defer, defer_destroy}`, `Atomic`, `Owned`, `Shared` and
+//! `unprotected`.
 //!
 //! Reclamation strategy: instead of upstream's per-thread epoch
-//! machinery, deferred closures are tagged with a global sequence
-//! number taken at `defer` time and executed once no *active* guard
-//! was pinned at or before that tag. This is strictly more
-//! conservative than epoch-based reclamation (a closure never runs
-//! while any guard that could have observed the unlinked pointer is
-//! still pinned), at the cost of a global mutex on pin/unpin — an
-//! acceptable trade for a test/bench substrate whose deferred work is
-//! rare (SMO garbage only).
+//! machinery, deferred closures are tagged with a sequence number
+//! taken at `defer` time and executed once no *active* guard of the
+//! same [`Collector`] was pinned at or before that tag. This is
+//! strictly more conservative than epoch-based reclamation (a closure
+//! never runs while any guard that could have observed the unlinked
+//! pointer is still pinned), at the cost of a mutex per collector on
+//! pin/unpin — an acceptable trade for a test/bench substrate whose
+//! deferred work is rare (SMO garbage only).
+//!
+//! As upstream, collectors are independent: a guard of one never
+//! delays, and never runs, another's deferred closures. A guard keeps
+//! its collector alive, and a collector's last unpin runs everything
+//! it still holds, so a data structure that owns a collector and pins
+//! only inside its own methods has its deferred closures run on its
+//! own threads, with nothing left pending once it is idle (and so
+//! nothing when it drops). The free [`pin`] uses one process-wide
+//! default collector.
 
 use std::collections::BTreeSet;
 use std::marker::PhantomData;
 use std::mem;
 use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicPtr, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 // ---------------------------------------------------------------------------
-// Global registry
+// Collector
 // ---------------------------------------------------------------------------
 
-static NEXT_SEQ: AtomicU64 = AtomicU64::new(1);
+type Deferred = Box<dyn FnOnce() + Send>;
 
 struct Registry {
+    /// Next sequence number (guards and defer tags share the space).
+    next_seq: u64,
     /// Sequence numbers of currently pinned guards.
     active: BTreeSet<u64>,
     /// Deferred closures tagged with the sequence current at defer time.
-    deferred: Vec<(u64, Box<dyn FnOnce() + Send>)>,
+    deferred: Vec<(u64, Deferred)>,
 }
 
-static REGISTRY: Mutex<Option<Registry>> = Mutex::new(None);
+impl Registry {
+    fn take_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq
+    }
 
-fn with_registry<R>(f: impl FnOnce(&mut Registry) -> R) -> R {
-    let mut slot = REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
-    let reg = slot.get_or_insert_with(|| Registry {
-        active: BTreeSet::new(),
-        deferred: Vec::new(),
-    });
-    f(reg)
-}
-
-/// Run every deferred closure whose tag precedes the oldest active
-/// guard. Closures run outside the registry lock so they may pin.
-fn collect() {
-    let ready: Vec<Box<dyn FnOnce() + Send>> = with_registry(|reg| {
-        let min_active = reg.active.iter().next().copied().unwrap_or(u64::MAX);
-        let mut ready = Vec::new();
-        let mut keep = Vec::new();
-        for (tag, f) in reg.deferred.drain(..) {
-            if tag < min_active {
-                ready.push(f);
-            } else {
-                keep.push((tag, f));
-            }
+    /// Remove and return every deferred closure whose tag precedes the
+    /// oldest active guard.
+    fn take_ready(&mut self) -> Vec<Deferred> {
+        if self.deferred.is_empty() {
+            return Vec::new(); // the common unpin: nothing was retired
         }
-        reg.deferred = keep;
-        ready
-    });
-    for f in ready {
-        f();
+        let min_active = self.active.first().copied().unwrap_or(u64::MAX);
+        let (ready, keep): (Vec<_>, Vec<_>) = mem::take(&mut self.deferred)
+            .into_iter()
+            .partition(|(tag, _)| *tag < min_active);
+        self.deferred = keep;
+        ready.into_iter().map(|(_, f)| f).collect()
+    }
+}
+
+struct Global {
+    registry: Mutex<Registry>,
+}
+
+impl Global {
+    fn with<R>(&self, f: impl FnOnce(&mut Registry) -> R) -> R {
+        f(&mut self.registry.lock().unwrap_or_else(|p| p.into_inner()))
+    }
+}
+
+/// An independent garbage collector: guards pinned through it only
+/// order, and only run, closures deferred through it.
+#[derive(Clone)]
+pub struct Collector {
+    global: Arc<Global>,
+}
+
+impl Collector {
+    /// A fresh collector with nothing pinned or deferred.
+    pub fn new() -> Self {
+        Collector {
+            global: Arc::new(Global {
+                registry: Mutex::new(Registry {
+                    next_seq: 0,
+                    active: BTreeSet::new(),
+                    deferred: Vec::new(),
+                }),
+            }),
+        }
+    }
+
+    /// Pin the current thread in this collector.
+    pub fn pin(&self) -> Guard {
+        let seq = self.global.with(|reg| {
+            let seq = reg.take_seq();
+            reg.active.insert(seq);
+            seq
+        });
+        Guard {
+            pinned: Some((self.global.clone(), seq)),
+        }
+    }
+}
+
+impl Default for Collector {
+    fn default() -> Self {
+        Collector::new()
     }
 }
 
@@ -70,19 +120,17 @@ fn collect() {
 // ---------------------------------------------------------------------------
 
 /// A pinned region. Dropping the guard unpins and may run deferred
-/// closures that became unreachable.
+/// closures of its collector that became unreachable.
 pub struct Guard {
-    /// `None` for the `unprotected()` guard.
-    seq: Option<u64>,
+    /// The collector pinned and this guard's sequence number; `None`
+    /// for the `unprotected()` guard.
+    pinned: Option<(Arc<Global>, u64)>,
 }
 
-/// Pin the current thread.
+/// Pin the current thread in the process-wide default collector.
 pub fn pin() -> Guard {
-    let seq = NEXT_SEQ.fetch_add(1, Ordering::Relaxed);
-    with_registry(|reg| {
-        reg.active.insert(seq);
-    });
-    Guard { seq: Some(seq) }
+    static DEFAULT: OnceLock<Collector> = OnceLock::new();
+    DEFAULT.get_or_init(Collector::new).pin()
 }
 
 /// Returns a guard that performs no pinning; deferred functions run
@@ -92,7 +140,7 @@ pub fn pin() -> Guard {
 /// The caller must guarantee no other thread can concurrently access
 /// the data structures touched through this guard.
 pub unsafe fn unprotected() -> &'static Guard {
-    static UNPROTECTED: Guard = Guard { seq: None };
+    static UNPROTECTED: Guard = Guard { pinned: None };
     &UNPROTECTED
 }
 
@@ -103,21 +151,19 @@ impl Guard {
         F: FnOnce() -> R,
         F: Send + 'static,
     {
-        match self.seq {
+        match &self.pinned {
             None => {
                 f();
             }
-            Some(_) => {
-                let tag = NEXT_SEQ.fetch_add(1, Ordering::Relaxed);
-                with_registry(|reg| {
-                    reg.deferred.push((
-                        tag,
-                        Box::new(move || {
-                            f();
-                        }),
-                    ));
-                });
-            }
+            Some((global, _)) => global.with(|reg| {
+                let tag = reg.take_seq();
+                reg.deferred.push((
+                    tag,
+                    Box::new(move || {
+                        f();
+                    }),
+                ));
+            }),
         }
     }
 
@@ -136,19 +182,27 @@ impl Guard {
         });
     }
 
-    /// Flush/repin hooks kept for API compatibility.
+    /// Run the collector's deferred closures that are ready now.
     pub fn flush(&self) {
-        collect();
+        if let Some((global, _)) = &self.pinned {
+            for f in global.with(Registry::take_ready) {
+                f();
+            }
+        }
     }
 }
 
 impl Drop for Guard {
     fn drop(&mut self) {
-        if let Some(seq) = self.seq {
-            with_registry(|reg| {
+        if let Some((global, seq)) = self.pinned.take() {
+            let ready = global.with(|reg| {
                 reg.active.remove(&seq);
+                reg.take_ready()
             });
-            collect();
+            // Outside the registry lock, so a closure may pin.
+            for f in ready {
+                f();
+            }
         }
     }
 }
@@ -342,6 +396,28 @@ mod tests {
         // Trigger a collection cycle.
         drop(pin());
         assert_eq!(ran.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn collectors_are_independent_and_the_last_unpin_drains() {
+        let ran = Arc::new(AtomicUsize::new(0));
+        let count = |ran: &Arc<AtomicUsize>| {
+            let r = ran.clone();
+            move || {
+                r.fetch_add(1, Ordering::SeqCst);
+            }
+        };
+        let foreign = pin(); // older than every defer below, elsewhere
+        let c = Collector::new();
+        let held = c.pin();
+        c.pin().defer(count(&ran));
+        assert_eq!(ran.load(Ordering::SeqCst), 0, "`held` predates the defer");
+        // Handles may go first: a guard keeps its collector alive, and
+        // the collector's last unpin runs everything it still holds.
+        drop(c);
+        drop(held);
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
+        drop(foreign);
     }
 
     #[test]

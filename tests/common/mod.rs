@@ -3,108 +3,23 @@
 //!
 //! Each integration test binary uses a different subset of these
 //! helpers, so the rest would trip `dead_code` per binary.
-#![allow(dead_code)]
+#![allow(dead_code, unused_imports)]
 
 use std::sync::Arc;
 
-use pm_index_bench::bztree::{BzTree, BzTreeConfig};
+/// Small node configs so integration workloads exercise many splits
+/// and merges, and the matching recovery entry point: the one table
+/// the crash sweeps use.
+pub use pm_index_bench::crashpoint::{
+    build_index as create_small, recover_index as recover_small, PM_KINDS,
+};
 use pm_index_bench::dram_index::DramTree;
-use pm_index_bench::fptree::{FpTree, FpTreeConfig};
 use pm_index_bench::index_api::RangeIndex;
-use pm_index_bench::learned::{LearnedConfig, LearnedIndex};
-use pm_index_bench::nvtree::{NvTree, NvTreeConfig};
 use pm_index_bench::pmalloc::{AllocMode, PmAllocator};
 use pm_index_bench::pmem::{PmConfig, PmPool};
-use pm_index_bench::wbtree::{WbTree, WbTreeConfig};
 
-/// PM index kinds.
-pub const PM_KINDS: [&str; 5] = ["fptree", "nvtree", "wbtree", "bztree", "learned"];
 /// All kinds including the volatile baseline.
 pub const ALL_KINDS: [&str; 6] = ["fptree", "nvtree", "wbtree", "bztree", "learned", "dram"];
-
-/// Tight learned-index knobs: tiny ε, small delta log, multi-chunk
-/// layouts — so integration workloads exercise many merges.
-fn small_learned_cfg() -> LearnedConfig {
-    LearnedConfig {
-        epsilon: 4,
-        delta_min_cap: 24,
-        chunk_entries: 64,
-    }
-}
-
-/// Small node configs so integration workloads exercise many splits.
-pub fn create_small(kind: &str, alloc: Arc<PmAllocator>) -> Arc<dyn RangeIndex> {
-    match kind {
-        "fptree" => FpTree::create(
-            alloc,
-            FpTreeConfig {
-                leaf_entries: 16,
-                inner_fanout: 8,
-                ..FpTreeConfig::default()
-            },
-        ),
-        "nvtree" => NvTree::create(
-            alloc,
-            NvTreeConfig {
-                leaf_entries: 16,
-                pln_entries: 16,
-            },
-        ),
-        "wbtree" => WbTree::create(
-            alloc,
-            WbTreeConfig {
-                node_entries: 8,
-                use_slot_array: true,
-            },
-        ),
-        "bztree" => BzTree::create(
-            alloc,
-            BzTreeConfig {
-                node_entries: 16,
-                split_threshold_pct: 70,
-            },
-        ),
-        "learned" => LearnedIndex::create(alloc, small_learned_cfg()),
-        other => panic!("not a PM index: {other}"),
-    }
-}
-
-/// Matching recovery entry points for [`create_small`].
-pub fn recover_small(kind: &str, alloc: Arc<PmAllocator>) -> Arc<dyn RangeIndex> {
-    match kind {
-        "fptree" => FpTree::recover(
-            alloc,
-            FpTreeConfig {
-                leaf_entries: 16,
-                inner_fanout: 8,
-                ..FpTreeConfig::default()
-            },
-        ),
-        "nvtree" => NvTree::recover(
-            alloc,
-            NvTreeConfig {
-                leaf_entries: 16,
-                pln_entries: 16,
-            },
-        ),
-        "wbtree" => WbTree::recover(
-            alloc,
-            WbTreeConfig {
-                node_entries: 8,
-                use_slot_array: true,
-            },
-        ),
-        "bztree" => BzTree::recover(
-            alloc,
-            BzTreeConfig {
-                node_entries: 16,
-                split_threshold_pct: 70,
-            },
-        ),
-        "learned" => LearnedIndex::recover(alloc, small_learned_cfg()),
-        other => panic!("not a PM index: {other}"),
-    }
-}
 
 /// A fresh small-node index on its own pool.
 pub fn fresh(

@@ -12,24 +12,26 @@ mod common;
 use std::sync::Arc;
 
 use common::{create_small, recover_small, PM_KINDS};
-use pm_index_bench::crashpoint::{explore, ExploreOptions, ResidualConfig};
+use pm_index_bench::crashpoint::single::Single;
+use pm_index_bench::crashpoint::{sweep, ResidualConfig, SweepOptions};
 use pm_index_bench::pmalloc::{AllocMode, PmAllocator};
 use pm_index_bench::pmem::{PmConfig, PmPool};
 
-fn sweep(kind: &str, chaos: bool) {
-    let opts = ExploreOptions {
+fn strided_sweep(kind: &str, chaos: bool) {
+    let opts = SweepOptions {
         kind: kind.to_string(),
         ops: 100,
         key_range: 64,
         seed: 3,
         pool_mib: 16,
-        chaos_seed: chaos.then_some(0xC4A05),
         stride: 5,
-        max_boundaries: None,
-        ..ExploreOptions::default()
+        ..SweepOptions::default()
     };
-    let summary = explore(&opts);
-    assert!(summary.total_events > 0, "{kind}: empty boundary space");
+    let scenario = Single {
+        chaos_seed: chaos.then_some(0xC4A05),
+    };
+    let summary = sweep(&scenario, &opts);
+    assert!(summary.probe_events[0] > 0, "{kind}: empty boundary space");
     assert!(
         summary.crashes_fired > 0,
         "{kind} chaos={chaos}: injection never fired"
@@ -45,7 +47,7 @@ fn sweep(kind: &str, chaos: bool) {
 #[test]
 fn crash_at_every_strided_boundary_recovers() {
     for kind in PM_KINDS {
-        sweep(kind, false);
+        strided_sweep(kind, false);
     }
 }
 
@@ -55,7 +57,7 @@ fn sampled_residual_images_recover_at_every_strided_boundary() {
     // independently persists with p = 1/2, several seeded samples per
     // boundary. Every sampled image must satisfy the same oracle.
     for kind in PM_KINDS {
-        let opts = ExploreOptions {
+        let opts = SweepOptions {
             kind: kind.to_string(),
             ops: 60,
             key_range: 48,
@@ -66,9 +68,9 @@ fn sampled_residual_images_recover_at_every_strided_boundary() {
                 samples: 3,
                 p_per_256: 128,
             },
-            ..ExploreOptions::default()
+            ..SweepOptions::default()
         };
-        let summary = explore(&opts);
+        let summary = sweep(&Single::default(), &opts);
         assert!(summary.crashes_fired > 0, "{kind}: injection never fired");
         assert!(
             summary.samples_run > summary.boundaries_tested,
@@ -91,7 +93,7 @@ fn exhaustive_subset_enumeration_covers_the_write_frontier() {
     // samples over the older long-unflushed lines. Every enumerated
     // image must satisfy the oracle.
     for kind in PM_KINDS {
-        let opts = ExploreOptions {
+        let opts = SweepOptions {
             kind: kind.to_string(),
             ops: 40,
             key_range: 32,
@@ -103,9 +105,9 @@ fn exhaustive_subset_enumeration_covers_the_write_frontier() {
                 max_lines: 4,
                 fallback_samples: 2,
             },
-            ..ExploreOptions::default()
+            ..SweepOptions::default()
         };
-        let summary = explore(&opts);
+        let summary = sweep(&Single::default(), &opts);
         assert!(
             summary.exhaustive_boundaries > 0,
             "{kind}: frontier enumeration never engaged \
@@ -134,7 +136,7 @@ fn poisoned_lost_lines_are_reported_never_garbage() {
     // unreadable. Recovery must either avoid it or report a MediaError —
     // returning garbage or a raw PoisonedRead panic is a failure.
     for kind in PM_KINDS {
-        let opts = ExploreOptions {
+        let opts = SweepOptions {
             kind: kind.to_string(),
             ops: 50,
             key_range: 32,
@@ -146,9 +148,9 @@ fn poisoned_lost_lines_are_reported_never_garbage() {
                 p_per_256: 64,
             },
             poison: true,
-            ..ExploreOptions::default()
+            ..SweepOptions::default()
         };
-        let summary = explore(&opts);
+        let summary = sweep(&Single::default(), &opts);
         assert!(
             summary.poison_injected > 0,
             "{kind}: poison was never injected"
@@ -165,7 +167,7 @@ fn poisoned_lost_lines_are_reported_never_garbage() {
 #[test]
 fn crash_at_every_strided_boundary_recovers_under_eviction_chaos() {
     for kind in PM_KINDS {
-        sweep(kind, true);
+        strided_sweep(kind, true);
     }
 }
 
@@ -175,18 +177,16 @@ fn durability_audit_never_sees_huge_unflushed_state() {
     // acknowledged-but-unflushed state *could* exist. It must stay small
     // (a handful of lines under mutation), never O(dataset).
     for kind in PM_KINDS {
-        let opts = ExploreOptions {
+        let opts = SweepOptions {
             kind: kind.to_string(),
             ops: 80,
             key_range: 48,
             seed: 5,
             pool_mib: 16,
-            chaos_seed: None,
             stride: 9,
-            max_boundaries: None,
-            ..ExploreOptions::default()
+            ..SweepOptions::default()
         };
-        let summary = explore(&opts);
+        let summary = sweep(&Single::default(), &opts);
         assert!(summary.is_green(), "{kind}: {:?}", summary.failures.first());
         assert!(
             summary.max_dirty_lines < 4_096,

@@ -3,19 +3,22 @@
 //! publish → GC) is in flight must never lose an acked write or leave
 //! the routing table half-copied, and recovery must be idempotent.
 //!
-//! The heavy lifting lives in `crashpoint::migration::explore_migration`
-//! (which also checks double recovery per boundary); these tests pin the
+//! The heavy lifting lives in the `crashpoint::migration::Migration`
+//! scenario (which also checks double recovery per sample); these tests pin the
 //! sweep green across index kinds and both sides of the publish point.
 
-use pm_index_bench::crashpoint::migration::{explore_migration, MigrationExploreOptions};
+use pm_index_bench::crashpoint::migration::Migration;
+use pm_index_bench::crashpoint::{sweep, SweepOptions};
 
-fn strided_opts(kind: &str, stride: u64) -> MigrationExploreOptions {
-    MigrationExploreOptions {
+fn strided_opts(kind: &str, stride: u64) -> SweepOptions {
+    SweepOptions {
         kind: kind.into(),
         ops: 160,
         key_range: 64,
+        seed: 0xC0FFEE,
+        pool_mib: 8,
         stride,
-        ..MigrationExploreOptions::default()
+        ..SweepOptions::default()
     }
 }
 
@@ -24,11 +27,11 @@ fn strided_opts(kind: &str, stride: u64) -> MigrationExploreOptions {
 /// destination cleanly.
 #[test]
 fn base_pool_cuts_recover_for_fptree() {
-    let opts = MigrationExploreOptions {
+    let opts = SweepOptions {
         arm_pools: vec![0, 1],
         ..strided_opts("fptree", 97)
     };
-    let s = explore_migration(&opts);
+    let s = sweep(&Migration::default(), &opts);
     assert!(s.is_green(), "{:?}", &s.failures[..s.failures.len().min(3)]);
     assert!(s.crashes_fired > 0, "no boundary tripped");
 }
@@ -38,18 +41,18 @@ fn base_pool_cuts_recover_for_fptree() {
 /// a half-copied route.
 #[test]
 fn destination_pool_cuts_straddle_the_publish_point() {
-    let opts = MigrationExploreOptions {
+    let opts = SweepOptions {
         arm_pools: vec![2], // dst pool sits after the base shards
         ..strided_opts("wbtree", 61)
     };
-    let s = explore_migration(&opts);
+    let s = sweep(&Migration::default(), &opts);
     assert!(s.is_green(), "{:?}", &s.failures[..s.failures.len().min(3)]);
     assert!(s.crashes_fired > 0, "no boundary tripped");
     assert!(
-        s.preparing_recoveries > 0 && s.claimed_recoveries > 0,
+        s.counter("preparing_recoveries") > 0 && s.counter("claimed_recoveries") > 0,
         "sweep did not straddle the publish point: {} preparing, {} claimed",
-        s.preparing_recoveries,
-        s.claimed_recoveries
+        s.counter("preparing_recoveries"),
+        s.counter("claimed_recoveries")
     );
 }
 
@@ -57,7 +60,7 @@ fn destination_pool_cuts_straddle_the_publish_point() {
 /// sweep — the striped delta must re-route cleanly after a mid-copy cut.
 #[test]
 fn learned_index_survives_mid_migration_cuts() {
-    let s = explore_migration(&strided_opts("learned", 151));
+    let s = sweep(&Migration::default(), &strided_opts("learned", 151));
     assert!(s.is_green(), "{:?}", &s.failures[..s.failures.len().min(3)]);
     assert!(s.crashes_fired > 0, "no boundary tripped");
 }

@@ -5,31 +5,31 @@
 //! thread's single in-flight operation is atomically present-or-absent,
 //! and no torn value is ever returned.
 
-use pm_index_bench::crashpoint::mt::{mt_crash_run, MtOptions};
-use pm_index_bench::crashpoint::ResidualConfig;
+use pm_index_bench::crashpoint::mt::Mt;
+use pm_index_bench::crashpoint::{sweep, ResidualConfig, SweepOptions};
 
 #[test]
 fn four_threads_crash_consistent_on_every_pm_index() {
     for kind in ["fptree", "nvtree", "wbtree", "bztree", "learned"] {
-        let opts = MtOptions {
+        let opts = SweepOptions {
             kind: kind.to_string(),
-            threads: 4,
-            ops_per_thread: 150,
-            boundaries: 5,
+            ops: 150,
+            key_range: 128,
+            max_boundaries: Some(5),
             seed: 42,
             residual: ResidualConfig::Sampled {
                 samples: 2,
                 p_per_256: 128,
             },
-            ..MtOptions::default()
+            ..SweepOptions::default()
         };
-        let summary = mt_crash_run(&opts);
+        let summary = sweep(&Mt { threads: 4 }, &opts);
         assert!(
             summary.crashes_fired > 0,
             "{kind}: no concurrent crash ever fired"
         );
         assert!(
-            summary.threads_cut > 0,
+            summary.counter("threads_cut") > 0,
             "{kind}: the crash never cut down a sibling thread"
         );
         assert!(
@@ -51,16 +51,20 @@ fn eight_threads_with_poison_stay_green() {
     // Top of the supported thread range, with media errors layered on:
     // a lost line per sampled image comes back poisoned. Recovery must
     // report it or avoid it — never return garbage.
-    let opts = MtOptions {
+    let opts = SweepOptions {
         kind: "wbtree".to_string(),
-        threads: 8,
-        ops_per_thread: 80,
-        boundaries: 4,
+        ops: 80,
+        key_range: 128,
+        max_boundaries: Some(4),
         seed: 7,
+        residual: ResidualConfig::Sampled {
+            samples: 3,
+            p_per_256: 128,
+        },
         poison: true,
-        ..MtOptions::default()
+        ..SweepOptions::default()
     };
-    let summary = mt_crash_run(&opts);
+    let summary = sweep(&Mt { threads: 8 }, &opts);
     assert!(summary.crashes_fired > 0, "no concurrent crash fired");
     assert!(
         summary.is_green(),

@@ -9,22 +9,28 @@
 //! tier-1 tests here stride through the boundary space so all five PM
 //! index kinds stay covered in minutes.
 
-use pm_index_bench::net::{explore_net, NetExploreOptions};
+use pm_index_bench::crashpoint::{sweep, SweepOptions};
+use pm_index_bench::net::crash::Net;
 
-fn strided(kind: &str, stride: u64, armed_shard: usize) -> NetExploreOptions {
-    NetExploreOptions {
+fn strided(kind: &str, stride: u64, armed_shard: usize) -> SweepOptions {
+    SweepOptions {
         kind: kind.to_string(),
         stride,
-        armed_shard,
+        arm_pools: vec![armed_shard],
         ops: 150,
         key_range: 48,
-        shards: 2,
-        ..NetExploreOptions::default()
+        seed: 0xC0FFEE,
+        pool_mib: 8,
+        ..SweepOptions::default()
     }
 }
 
-fn run_green(opts: &NetExploreOptions) {
-    let summary = explore_net(opts).expect("server io");
+fn run_green(opts: &SweepOptions) {
+    run_green_with(&Net::default(), opts)
+}
+
+fn run_green_with(net: &Net, opts: &SweepOptions) {
+    let summary = sweep(net, opts);
     assert!(
         summary.is_green(),
         "{}: {} durable-ack violations, first: boundary {} — {}",
@@ -37,14 +43,14 @@ fn run_green(opts: &NetExploreOptions) {
         summary.boundaries_tested > 0,
         "{}: no boundaries tested (probe saw {} events)",
         opts.kind,
-        summary.probe_events
+        summary.probe_events[opts.arm_pools[0]]
     );
     assert!(
         summary.crashes_fired > 0,
         "{}: sweep never tripped a crash point ({} boundaries, {} events)",
         opts.kind,
         summary.boundaries_tested,
-        summary.probe_events
+        summary.probe_events[opts.arm_pools[0]]
     );
     eprintln!(
         "{}: {} boundaries, {} fired, {} completed, {} acks, deepest unacked suffix {}",
@@ -52,8 +58,8 @@ fn run_green(opts: &NetExploreOptions) {
         summary.boundaries_tested,
         summary.crashes_fired,
         summary.completed_runs,
-        summary.acked_total,
-        summary.max_unacked
+        summary.counter("acked_total"),
+        summary.counter("max_unacked")
     );
 }
 
@@ -90,8 +96,10 @@ fn strided_net_sweep_learned() {
 /// reconcile every recovered image.
 #[test]
 fn deep_pipeline_sweep_wbtree() {
-    let mut opts = strided("wbtree", 307, 0);
-    opts.batch_max = 32;
-    opts.window = 64;
-    run_green(&opts);
+    let deep = Net {
+        batch_max: 32,
+        window: 64,
+        ..Net::default()
+    };
+    run_green_with(&deep, &strided("wbtree", 307, 0));
 }

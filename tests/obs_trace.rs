@@ -7,7 +7,7 @@ mod common;
 use std::sync::Mutex;
 
 use common::fresh;
-use pm_index_bench::crashpoint::{self, ExploreOptions};
+use pm_index_bench::crashpoint::{self, single::Single, SweepOptions};
 use pm_index_bench::obs;
 use pm_index_bench::pibench::{
     prefill, run, trace, BenchConfig, Distribution, KeySpace, OpKind, OpMix,
@@ -100,14 +100,15 @@ fn injected_crashpoint_run_dumps_flight_tail() {
     let _g = lock();
     obs::reset();
     obs::set_enabled(true);
-    let summary = crashpoint::explore(&ExploreOptions {
+    let opts = SweepOptions {
         kind: "wbtree".to_string(),
         ops: 40,
         key_range: 24,
         pool_mib: 16,
         max_boundaries: Some(3),
-        ..ExploreOptions::default()
-    });
+        ..SweepOptions::default()
+    };
+    let summary = crashpoint::sweep(&Single::default(), &opts);
     obs::set_enabled(false);
     assert!(summary.crashes_fired > 0, "injection never fired");
     assert!(summary.is_green(), "{:?}", summary.failures.first());

@@ -18,9 +18,9 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use pm_index_bench::crashpoint::single::Single;
 use pm_index_bench::crashpoint::{
-    build_index, explore, install_quiet_crash_hook, workload, ExploreOptions, ResidualConfig,
-    WorkloadOp,
+    self, build_index, install_quiet_crash_hook, workload, ResidualConfig, SweepOptions, WorkloadOp,
 };
 use pm_index_bench::pmalloc::{AllocMode, PmAllocator};
 use pm_index_bench::pmem::{
@@ -123,7 +123,7 @@ fn run_kind(kind: &str, boundary: u64) -> Row {
     row
 }
 
-/// What one `crashpoint::explore` sweep decided:
+/// What one `crashpoint` sweep of the `Single` scenario decided:
 /// `[total_events, boundaries_tested, crashes_fired, completed_runs,
 ///   clwb trips, ntstore trips, sfence trips, max_dirty_lines,
 ///   max_dirty_words, probe_redundant_clwb, samples_run,
@@ -132,7 +132,7 @@ fn run_kind(kind: &str, boundary: u64) -> Row {
 type Sweep = [u64; 13];
 
 fn sweep(kind: &str, residual: ResidualConfig) -> Sweep {
-    let s = explore(&ExploreOptions {
+    let opts = SweepOptions {
         kind: kind.to_string(),
         ops: 60,
         key_range: 48,
@@ -140,12 +140,13 @@ fn sweep(kind: &str, residual: ResidualConfig) -> Sweep {
         pool_mib: 16,
         stride: 9,
         residual,
-        ..ExploreOptions::default()
-    });
+        ..SweepOptions::default()
+    };
+    let s = crashpoint::sweep(&Single::default(), &opts);
     let failing: Vec<u64> = s.failures.iter().map(|f| f.boundary).collect();
     assert!(failing.is_empty(), "{kind}: red boundaries {failing:?}");
     [
-        s.total_events,
+        s.probe_events[0],
         s.boundaries_tested,
         s.crashes_fired,
         s.completed_runs,
