@@ -1,11 +1,11 @@
 //! Criterion microbenchmarks for the substrates and single-threaded
-//! index hot paths. These complement the experiment targets (e01–e13)
+//! index hot paths. These complement the experiments (`e00_run_all`)
 //! with statistically rigorous per-operation timings.
 
 use std::sync::Arc;
 
+use bench::registry::{self, ALL_KINDS};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use index_api::RangeIndex;
 use pibench::keys::mix;
 use pmalloc::{AllocMode, PmAllocator};
 use pmem::{PmConfig, PmPool};
@@ -56,50 +56,10 @@ fn allocator(c: &mut Criterion) {
     g.finish();
 }
 
-type IndexBuilder = Box<dyn Fn() -> Arc<dyn RangeIndex>>;
-
 fn index_ops(c: &mut Criterion) {
     const N: u64 = 100_000;
-    let builders: Vec<(&str, IndexBuilder)> = vec![
-        (
-            "fptree",
-            Box::new(|| {
-                let pool = Arc::new(PmPool::new(128 << 20, PmConfig::real()));
-                let alloc = PmAllocator::format(pool, AllocMode::General);
-                fptree::FpTree::create(alloc, fptree::FpTreeConfig::default()) as _
-            }),
-        ),
-        (
-            "nvtree",
-            Box::new(|| {
-                let pool = Arc::new(PmPool::new(128 << 20, PmConfig::real()));
-                let alloc = PmAllocator::format(pool, AllocMode::General);
-                nvtree::NvTree::create(alloc, nvtree::NvTreeConfig::default()) as _
-            }),
-        ),
-        (
-            "wbtree",
-            Box::new(|| {
-                let pool = Arc::new(PmPool::new(128 << 20, PmConfig::real()));
-                let alloc = PmAllocator::format(pool, AllocMode::General);
-                wbtree::WbTree::create(alloc, wbtree::WbTreeConfig::default()) as _
-            }),
-        ),
-        (
-            "bztree",
-            Box::new(|| {
-                let pool = Arc::new(PmPool::new(128 << 20, PmConfig::real()));
-                let alloc = PmAllocator::format(pool, AllocMode::General);
-                bztree::BzTree::create(alloc, bztree::BzTreeConfig::default()) as _
-            }),
-        ),
-        (
-            "dram",
-            Box::new(|| Arc::new(dram_index::DramTree::new()) as _),
-        ),
-    ];
-    for (name, make) in builders {
-        let idx = make();
+    for name in ALL_KINDS {
+        let idx = registry::build(name, N, PmConfig::real()).index;
         for i in 0..N {
             idx.insert(mix(i), i);
         }

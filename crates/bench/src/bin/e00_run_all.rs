@@ -1,56 +1,35 @@
-//! Run every experiment (E1–E20) and write the collected reports to
-//! `results/experiments.txt` (and stdout), plus one machine-readable
-//! `results/BENCH_E*.json` per experiment so the perf trajectory can be
-//! tracked across commits. Scale via `PIBENCH_*` environment variables
-//! (see the `bench` crate docs) or `--shards N` / `--only eNN[,eMM...]`
-//! flags.
-//!
-//! Experiments with unmet environment prerequisites (e.g. E18 when the
-//! `pmserve`/`pmload` binaries are not built) are skipped with a logged
-//! reason instead of erroring out mid-sweep.
+//! Run the experiments (E1–E20, or the `--only eNN[,eMM...]` subset)
+//! and write the collected reports to `results/experiments.txt` (and
+//! stdout), plus one machine-readable `results/BENCH_E*.json` per
+//! experiment so the perf trajectory can be tracked across commits.
+//! Scale: `--records N --ops N --threads N --shards N`, `--quick`
+//! (10× fewer records and ops), `--csv`.
 
 use std::io::Write;
 
+use bench::exp::EXPERIMENTS;
+use pibench::cli::{fail, Flags};
+
 fn main() {
-    let mut ctx = bench::cli::ExpCtx::from_env();
-    let mut only: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--shards" => {
-                let v = args.next().expect("--shards needs a value");
-                ctx.shards = v
-                    .parse::<usize>()
-                    .expect("--shards must be a number")
-                    .max(1);
-            }
-            "--only" => only = Some(args.next().expect("--only needs an experiment id")),
-            other => {
-                eprintln!("unknown flag {other:?} (supported: --shards N, --only eNN[,eMM...])");
-                std::process::exit(2);
-            }
-        }
+    let flags = Flags::from_env(bench::cli::FLAGS);
+    let ctx = bench::cli::ExpCtx::from_flags(&flags);
+    let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+    let only: Vec<&str> = match flags.text("--only") {
+        Some(list) => list.split(',').collect(),
+        None => ids.clone(),
+    };
+    if let Some(bad) = only.iter().find(|id| !ids.contains(id)) {
+        let ids = ids.join(",");
+        fail(&format!("--only expects ids among {ids}, got {bad:?}"));
     }
     let mut all_out = String::new();
     std::fs::create_dir_all("results").expect("create results dir");
-    for exp in bench::exp::all() {
-        let id = exp.id;
-        if only
-            .as_deref()
-            .is_some_and(|o| !o.split(',').any(|sel| sel.trim() == id))
-        {
-            continue;
-        }
-        if let Err(reason) = (exp.prereq)(&ctx) {
-            eprintln!(">> skipping {id}: {reason}");
-            all_out.push_str(&format!("== {id} skipped: {reason} ==\n\n"));
-            continue;
-        }
+    for (id, run) in EXPERIMENTS.iter().filter(|e| only.contains(&e.0)) {
         eprintln!(">> running {id} …");
         let t0 = std::time::Instant::now();
-        let out = (exp.f)(&ctx);
+        let out = run(&ctx);
         eprintln!("   {id} done in {:.1}s", t0.elapsed().as_secs_f64());
-        print!("{out}");
+        print!("{}", out.text);
         all_out.push_str(&out.text);
         let json_path = format!("results/BENCH_{}.json", id.to_uppercase());
         std::fs::write(&json_path, format!("{}\n", out.json))

@@ -6,128 +6,82 @@
 //!         --mix 90,10,0,0,0 --dist uniform --ops 1000000 \
 //!         [--dram] [--csv] [--json out.json]
 //! ```
+//!
+//! `--index` takes one of the five PM kinds or `dram`; `--mix` is
+//! `lookup,insert,update,remove,scan` percentages; `--dist` one of
+//! `uniform|selfsimilar|zipfian|storm` (`--theta X` skews zipfian,
+//! default 0.99). `--trace PATH` / `--sample-ms N` turn the `obs` layer
+//! on around the measured phase; `--cache [--cache-mb N]` fronts the
+//! index with the DRAM hot-key tier. A bad flag or value prints one line
+//! and exits 2 before anything is built.
+//!
+//! ```text
+//! pibench --index learned --records 20000 --dist storm --cache-mb 16
+//! ```
 
 use std::sync::Arc;
 
+use bench::registry::{self, ALL_KINDS};
 use cache::CachedIndex;
 use index_api::RangeIndex;
-use pibench::report::{fmt_bytes, fmt_ns, JsonObj, Table};
-use pibench::{prefill, run, trace, BenchConfig, Distribution, KeySpace, OpMix};
-use pmem::{PmConfig, PmStatsSnapshot};
+use pibench::cli::{fail, Arg, Flags, Spec};
+use pibench::report::{cache_rows, fmt_bytes, latency_json, latency_rows, JsonObj, Table};
+use pibench::{prefill, run, trace, BenchConfig, Distribution, KeySpace, OpKind, OpMix};
+use pmem::PmConfig;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: pibench --index <fptree|nvtree|wbtree|bztree|learned|dram> \
-         [--records N] [--threads N] [--shards N] [--ops N] \
-         [--mix L,I,U,R,S] [--dist uniform|selfsimilar|zipfian|storm] \
-         [--scan-len N] [--seed N] [--dram] [--csv] [--json PATH] \
-         [--trace PATH] [--sample-ms N] [--cache] [--cache-mb N]"
-    );
-    std::process::exit(2);
-}
+const FLAGS: Spec = &[
+    ("--index", Arg::OneOf(&ALL_KINDS)),
+    ("--records", Arg::Int(1)),
+    ("--threads", Arg::Int(1)),
+    ("--shards", Arg::Int(1)),
+    ("--ops", Arg::Int(1)),
+    ("--mix", Arg::Text),
+    ("--dist", Arg::OneOf(&pibench::dist::NAMES)),
+    ("--theta", Arg::Float),
+    ("--scan-len", Arg::Int(0)),
+    ("--seed", Arg::Int(0)),
+    ("--dram", Arg::Switch),
+    ("--csv", Arg::Switch),
+    ("--json", Arg::Text),
+    ("--trace", Arg::Text),
+    ("--sample-ms", Arg::Int(1)),
+    ("--cache", Arg::Switch),
+    ("--cache-mb", Arg::Int(1)),
+];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut index_kind = String::new();
-    let mut records: u64 = 1_000_000;
-    let mut threads: usize = 1;
-    let mut ops: u64 = 1_000_000;
-    let mut mix = OpMix::pure(pibench::OpKind::Lookup);
-    let mut dist = Distribution::Uniform;
-    let mut scan_len = 100usize;
-    let mut seed = 0x5EEDu64;
-    let mut shards: usize = 1;
-    let mut dram_mode = false;
-    let mut csv = false;
-    let mut json_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut sample_ms: Option<u64> = None;
-    let mut use_cache = false;
-    let mut cache_mb: usize = 64;
-    let mut storm = false;
+    let f = Flags::from_env(FLAGS);
+    let Some(index_kind) = f.text("--index") else {
+        fail(&format!(
+            "--index is required: one of {}",
+            ALL_KINDS.join("|")
+        ));
+    };
+    let records = f.int("--records").unwrap_or(1_000_000);
+    let threads = f.int("--threads").unwrap_or(1) as usize;
+    let shards = f.int("--shards").unwrap_or(1) as usize;
+    let ops = f.int("--ops").unwrap_or(1_000_000);
+    let mix = f.parsed("--mix", OpMix::parse);
+    let theta = f.float("--theta");
+    let dist = f.parsed("--dist", |name| Distribution::parse(name, theta, records));
+    let (json_path, trace_path) = (f.text("--json"), f.text("--trace"));
+    let sample_ms = f.int("--sample-ms");
+    let cache_mb = f.int("--cache-mb").unwrap_or(64) as usize;
+    let use_cache = f.on("--cache") || f.on("--cache-mb");
 
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = || it.next().cloned().unwrap_or_else(|| usage());
-        match a.as_str() {
-            "--index" => index_kind = val(),
-            "--records" => records = val().parse().unwrap_or_else(|_| usage()),
-            "--threads" => threads = val().parse().unwrap_or_else(|_| usage()),
-            "--ops" => ops = val().parse().unwrap_or_else(|_| usage()),
-            "--scan-len" => scan_len = val().parse().unwrap_or_else(|_| usage()),
-            "--seed" => seed = val().parse().unwrap_or_else(|_| usage()),
-            "--shards" => shards = val().parse().unwrap_or_else(|_| usage()),
-            "--json" => json_path = Some(val()),
-            "--trace" => trace_path = Some(val()),
-            "--sample-ms" => sample_ms = Some(val().parse().unwrap_or_else(|_| usage())),
-            "--dram" => dram_mode = true,
-            "--csv" => csv = true,
-            "--cache" => use_cache = true,
-            "--cache-mb" => {
-                cache_mb = val().parse().unwrap_or_else(|_| usage());
-                use_cache = true;
-            }
-            "--mix" => {
-                let v = val();
-                let parts: Vec<u8> = v.split(',').filter_map(|p| p.parse().ok()).collect();
-                if parts.len() != 5 {
-                    usage();
-                }
-                mix = OpMix {
-                    lookup: parts[0],
-                    insert: parts[1],
-                    update: parts[2],
-                    remove: parts[3],
-                    scan: parts[4],
-                };
-            }
-            "--dist" => {
-                dist = match val().as_str() {
-                    "uniform" => Distribution::Uniform,
-                    "selfsimilar" => Distribution::self_similar_80_20(),
-                    "zipfian" => Distribution::Zipfian { theta: 0.9 },
-                    // Resolved after the loop: the hot-window size
-                    // depends on --records, which may come later.
-                    "storm" => {
-                        storm = true;
-                        Distribution::Uniform
-                    }
-                    _ => usage(),
-                }
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument {other}");
-                usage();
-            }
-        }
-    }
-    if index_kind.is_empty() || shards == 0 {
-        usage();
-    }
-    mix.validate();
-    if storm {
-        // 90% of accesses hammer a contiguous 1% of the key space —
-        // the hot-key storm the DRAM tier is built for.
-        dist = Distribution::HotStorm {
-            hot: (records / 100).max(1),
-            frac: 0.9,
-        };
-    }
-
-    let pm_cfg = if dram_mode {
+    let pm_cfg = if f.on("--dram") {
         PmConfig::dram()
     } else {
         PmConfig::optane_like()
     };
     eprintln!("building {index_kind} (shards={shards}) and prefilling {records} records …");
     let built = if shards > 1 {
-        bench::registry::build_sharded(&index_kind, shards, records, pm_cfg)
+        registry::build_sharded(index_kind, shards, records, pm_cfg).into()
     } else {
-        bench::registry::build(&index_kind, records, pm_cfg)
+        registry::build(index_kind, records, pm_cfg)
     };
     let ks = KeySpace::new(records);
-    let load = prefill(&*built.index, &ks, threads.max(1));
+    let load = prefill(&*built.index, &ks, threads);
     eprintln!(
         "prefill took {:.2}s ({:.3} Mops/s)",
         load.as_secs_f64(),
@@ -147,11 +101,11 @@ fn main() {
         records,
         ops_per_thread: Some((ops / threads as u64).max(1)),
         duration: None,
-        mix,
-        distribution: dist,
-        scan_len,
+        mix: mix.unwrap_or(OpMix::pure(OpKind::Lookup)),
+        distribution: dist.unwrap_or(Distribution::Uniform),
+        scan_len: f.int("--scan-len").unwrap_or(100) as usize,
         latency_sample_shift: 3,
-        seed,
+        seed: f.int("--seed").unwrap_or(0x5EED),
         negative_lookups: false,
     };
     // Tracing / sampling is scoped to the measured phase: prefill
@@ -162,20 +116,7 @@ fn main() {
         obs::set_enabled(true);
         sample_ms.map(|ms| {
             let pools = built.pools.clone();
-            obs::Sampler::start(ms, move || {
-                let s = PmStatsSnapshot::merged(
-                    pools.iter().map(|p| p.stats()).collect::<Vec<_>>().iter(),
-                );
-                obs::PmCounters {
-                    read_bytes: s.read_bytes,
-                    write_bytes: s.write_bytes,
-                    media_read_bytes: s.media_read_bytes,
-                    media_write_bytes: s.media_write_bytes,
-                    clwb: s.clwb,
-                    ntstore: s.ntstore,
-                    fence: s.fence,
-                }
-            })
+            obs::Sampler::start(ms, move || trace::pool_counters(&pools))
         })
     } else {
         None
@@ -189,92 +130,45 @@ fn main() {
     }
 
     let mut t = Table::new(vec!["metric", "value"]);
-    t.row(vec!["index".to_string(), under_test.name().to_string()]);
-    t.row(vec!["threads".to_string(), threads.to_string()]);
-    t.row(vec!["shards".to_string(), shards.to_string()]);
-    t.row(vec![
-        "elapsed".to_string(),
-        format!("{:.3}s", r.elapsed.as_secs_f64()),
-    ]);
-    t.row(vec!["total ops".to_string(), r.total_ops().to_string()]);
-    t.row(vec![
-        "throughput".to_string(),
-        format!("{:.3} Mops/s", r.mops()),
-    ]);
-    t.row(vec!["misses".to_string(), r.misses.to_string()]);
-    for k in pibench::workload::OP_KINDS {
-        let n = r.ops[k as usize];
-        if n == 0 {
-            continue;
-        }
-        let h = &r.latency[k as usize];
-        t.row(vec![
-            format!("{} p50/p99/p99.9", k.label()),
-            format!(
-                "{} / {} / {}",
-                fmt_ns(h.percentile(50.0)),
-                fmt_ns(h.percentile(99.0)),
-                fmt_ns(h.percentile(99.9))
-            ),
-        ]);
-    }
+    t.kv("index", under_test.name());
+    t.kv("threads", threads);
+    t.kv("shards", shards);
+    t.kv("elapsed", format!("{:.3}s", r.elapsed.as_secs_f64()));
+    t.kv("total ops", r.total_ops());
+    t.kv("throughput", format!("{:.3} Mops/s", r.mops()));
+    t.kv("misses", r.misses);
+    latency_rows(&mut t, &r.latency);
     if !built.pools.is_empty() {
-        t.row(vec![
-            "PM media read".to_string(),
-            format!(
-                "{} ({:.0} B/op)",
-                fmt_bytes(r.pm.media_read_bytes),
-                r.pm_read_bytes_per_op()
-            ),
-        ]);
-        t.row(vec![
-            "PM media write".to_string(),
-            format!(
-                "{} ({:.0} B/op)",
-                fmt_bytes(r.pm.media_write_bytes),
-                r.pm_write_bytes_per_op()
-            ),
-        ]);
-        t.row(vec![
-            "PM bandwidth".to_string(),
+        let (rd, wr) = (r.pm.media_read_bytes, r.pm.media_write_bytes);
+        let per_op = |bytes, per| format!("{} ({per:.0} B/op)", fmt_bytes(bytes));
+        t.kv("PM media read", per_op(rd, r.pm_read_bytes_per_op()));
+        t.kv("PM media write", per_op(wr, r.pm_write_bytes_per_op()));
+        t.kv(
+            "PM bandwidth",
             format!(
                 "{:.3} / {:.3} GiB/s (r/w)",
                 r.pm_read_gibps(),
                 r.pm_write_gibps()
             ),
-        ]);
-        t.row(vec![
-            "clwb / fence".to_string(),
-            format!("{} / {}", r.pm.clwb, r.pm.fence),
-        ]);
+        );
+        t.kv("clwb / fence", format!("{} / {}", r.pm.clwb, r.pm.fence));
     }
-    let f = under_test.footprint();
-    t.row(vec![
-        "footprint".to_string(),
+    let fp = under_test.footprint();
+    t.kv(
+        "footprint",
         format!(
             "PM {} / DRAM {}",
-            fmt_bytes(f.pm_bytes),
-            fmt_bytes(f.dram_bytes)
+            fmt_bytes(fp.pm_bytes),
+            fmt_bytes(fp.dram_bytes)
         ),
-    ]);
+    );
     let cache_counters = cached.as_ref().map(|c| c.counters());
     if let Some(cc) = &cache_counters {
-        t.row(vec![
-            "cache hits/misses".to_string(),
-            format!(
-                "{} / {} ({:.1}% hit)",
-                cc.hits,
-                cc.misses,
-                cc.hit_rate() * 100.0
-            ),
-        ]);
-        t.row(vec![
-            "cache evict/inval".to_string(),
-            format!("{} / {}", cc.evictions, cc.invalidations),
-        ]);
+        let churn = [cc.fills, cc.evictions, cc.invalidations];
+        cache_rows(&mut t, cc.hits, cc.misses, churn);
     }
     print!("{}", t.to_text());
-    if csv {
+    if f.on("--csv") {
         print!("{}", t.to_csv());
     }
 
@@ -299,7 +193,7 @@ fn main() {
             );
         }
     }
-    if let Some(path) = &trace_path {
+    if let Some(path) = trace_path {
         let events = obs::flight_events(usize::MAX);
         let json = trace::chrome_trace_json(&events, &obs::site_names());
         std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
@@ -313,16 +207,16 @@ fn main() {
     }
     if let Some(path) = json_path {
         let json = result_json(
-            &index_kind,
+            index_kind,
             shards,
             &cfg,
             &r,
-            f,
+            fp,
             &sites,
             series.as_ref(),
             cache_counters.as_ref().map(|cc| (cache_mb, cc)),
         );
-        std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
         eprintln!("json written to {path}");
     }
 }
@@ -351,20 +245,7 @@ fn result_json(
         .f64("throughput_mops", r.mops())
         .u64("misses", r.misses);
 
-    let mut latency = JsonObj::new();
-    for k in pibench::workload::OP_KINDS {
-        if r.ops[k as usize] == 0 {
-            continue;
-        }
-        let h = &r.latency[k as usize];
-        let mut pcts = JsonObj::new();
-        pcts.u64("p50", h.percentile(50.0))
-            .u64("p99", h.percentile(99.0))
-            .u64("p999", h.percentile(99.9))
-            .f64("mean", h.mean());
-        latency.obj(k.label(), pcts);
-    }
-    o.obj("latency_ns", latency);
+    o.obj("latency_ns", latency_json(&r.latency));
 
     let mut pm = JsonObj::new();
     pm.u64("media_read_bytes", r.pm.media_read_bytes)

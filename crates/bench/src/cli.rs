@@ -1,5 +1,6 @@
-//! Experiment scale configuration from the environment.
+//! Experiment scale configuration from `e00_run_all`'s flags.
 
+use pibench::cli::{Arg, Flags, Spec};
 use pibench::{BenchConfig, Distribution, OpMix};
 
 /// Scale knobs shared by all experiments.
@@ -18,28 +19,32 @@ pub struct ExpCtx {
     pub csv: bool,
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// The flags of `e00_run_all`: the one way to set an experiment's
+/// scale.
+pub const FLAGS: Spec<'static> = &[
+    ("--records", Arg::Int(1)),
+    ("--ops", Arg::Int(1)),
+    ("--threads", Arg::Int(1)),
+    ("--shards", Arg::Int(1)),
+    ("--quick", Arg::Switch),
+    ("--csv", Arg::Switch),
+    ("--only", Arg::Text),
+];
 
 impl ExpCtx {
-    /// Read scale from `PIBENCH_*` environment variables.
-    pub fn from_env() -> ExpCtx {
-        let quick = std::env::var("PIBENCH_QUICK").is_ok_and(|v| v == "1");
-        let base_records = if quick { 30_000 } else { 300_000 };
-        let records = env_u64("PIBENCH_RECORDS", base_records);
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
+    /// Scale from [`FLAGS`]: 300 000 records (`--quick`: 30 000), as
+    /// many ops per point, up to min(8, cores) threads, one shard.
+    pub fn from_flags(f: &Flags) -> ExpCtx {
+        let records = f
+            .int("--records")
+            .unwrap_or(if f.on("--quick") { 30_000 } else { 300_000 });
+        let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
         ExpCtx {
             records,
-            ops_per_point: env_u64("PIBENCH_OPS", records),
-            max_threads: env_u64("PIBENCH_THREADS", cores.min(8) as u64) as usize,
-            shards: env_u64("PIBENCH_SHARDS", 1).max(1) as usize,
-            csv: std::env::var("PIBENCH_CSV").is_ok_and(|v| v == "1"),
+            ops_per_point: f.int("--ops").unwrap_or(records),
+            max_threads: f.int("--threads").map_or(cores.min(8), |t| t as usize),
+            shards: f.int("--shards").unwrap_or(1) as usize,
+            csv: f.on("--csv"),
         }
     }
 

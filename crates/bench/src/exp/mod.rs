@@ -1,18 +1,21 @@
-//! The experiments (E1–E20), one function per table/figure.
+//! The experiments (E1–E20): one row of [`EXPERIMENTS`] each.
 //!
-//! Every function returns the rendered report so the `e00_run_all`
-//! binary can collect them into a results file; bench targets print to
-//! stdout.
+//! A row's function returns the rendered report; `e00_run_all` runs
+//! the selected rows and collects them into `results/`. Most rows are
+//! declared over the two sweep shapes of [`sweep`]; adding an experiment
+//! is a function over them (or its own table) and one row here.
 
-use std::path::PathBuf;
-use std::sync::Arc;
-
-use pibench::report::{fmt_bytes, fmt_mops, fmt_ns, JsonObj, Table};
-use pibench::{prefill, run, trace, BenchConfig, Distribution, KeySpace, OpKind, OpMix, RunResult};
-use pmem::{PmConfig, PmPool};
+use pibench::report::{JsonObj, Table};
+use pmem::PmConfig;
 
 use crate::cli::ExpCtx;
-use crate::registry::{self, Built, ALL_KINDS, PM_KINDS};
+
+mod paper;
+mod stack;
+pub mod sweep;
+
+pub use paper::*;
+pub use stack::*;
 
 /// Device config used by the PM experiments: full emulation with the
 /// calibrated Optane-like latency model.
@@ -20,52 +23,21 @@ pub fn pm_cfg() -> PmConfig {
     PmConfig::optane_like()
 }
 
-/// Build + prefill one index, honoring the context's shard axis:
-/// `--shards N > 1` routes the build through the range-partitioned
-/// engine layer (N pools, N allocators, one `RangeIndex` front-end).
-fn fresh(kind: &str, ctx: &ExpCtx, pm: PmConfig) -> (Built, KeySpace) {
-    let b = if ctx.shards > 1 {
-        registry::build_sharded(kind, ctx.shards, ctx.records, pm)
-    } else {
-        registry::build(kind, ctx.records, pm)
-    };
-    let ks = KeySpace::new(ctx.records);
-    prefill(&*b.index, &ks, ctx.max_threads);
-    (b, ks)
-}
-
-fn run_point(b: &Built, ks: &KeySpace, cfg: &BenchConfig) -> RunResult {
-    run(&*b.index, ks, &b.pools, cfg)
-}
-
 /// One rendered experiment: the human-readable report plus a
 /// machine-readable JSON document (for `BENCH_E*.json` trajectory
 /// tracking across PRs).
 pub struct ExpReport {
-    /// Experiment title line.
-    pub title: String,
-    /// Text table (plus optional CSV block), as printed by the bench
-    /// targets.
+    /// Title, scale line and text table (plus optional CSV block).
     pub text: String,
     /// JSON object: run parameters plus the table as row objects.
     pub json: String,
-}
-
-impl std::fmt::Display for ExpReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.text)
-    }
-}
-
-fn render(title: &str, ctx: &ExpCtx, table: &Table) -> ExpReport {
-    render_extra(title, ctx, table, &[])
 }
 
 /// Render a report, appending `extra` raw-JSON fields to the document
 /// (e.g. E17 attaches the per-index site-attribution arrays). The JSON
 /// goes through the shared [`JsonObj`] builder, the same emitter the
 /// `pibench --json` path uses.
-fn render_extra(title: &str, ctx: &ExpCtx, table: &Table, extra: &[(String, String)]) -> ExpReport {
+fn render(title: &str, ctx: &ExpCtx, table: &Table, extra: &[(String, String)]) -> ExpReport {
     let mut out = format!(
         "== {title} ==\n(records={}, ops/point={}, max_threads={}, shards={})\n\n{}",
         ctx.records,
@@ -90,1200 +62,45 @@ fn render_extra(title: &str, ctx: &ExpCtx, table: &Table, extra: &[(String, Stri
         o.raw(key, value);
     }
     ExpReport {
-        title: title.to_string(),
         text: out,
         json: o.finish(),
     }
 }
 
-/// Ops used by the throughput experiments, in run order: read-only
-/// first, then mutating (inserts grow the tree, removes run last).
-const E1_OPS: [OpKind; 5] = [
-    OpKind::Lookup,
-    OpKind::Scan,
-    OpKind::Update,
-    OpKind::Insert,
-    OpKind::Remove,
+/// One registered experiment: its short id (`e01` …, also the
+/// `BENCH_E*.json` stem) and its entry point.
+pub type Experiment = (&'static str, fn(&ExpCtx) -> ExpReport);
+
+/// All experiments, in id order.
+pub static EXPERIMENTS: [Experiment; 20] = [
+    ("e01", e01),
+    ("e02", e02),
+    ("e03", e03),
+    ("e04", e04),
+    ("e05", e05),
+    ("e06", e06),
+    ("e07", e07),
+    ("e08", e08),
+    ("e09", e09),
+    ("e10", e10),
+    ("e11", e11),
+    ("e12", e12),
+    ("e13", e13),
+    ("e14", e14),
+    ("e15", e15),
+    ("e16", e16),
+    ("e17", e17),
+    ("e18", e18),
+    ("e19", e19),
+    ("e20", e20),
 ];
-
-/// E1 — single-threaded throughput per operation (uniform).
-pub fn e01(ctx: &ExpCtx) -> ExpReport {
-    let mut t = Table::new(vec![
-        "index", "lookup", "scan", "update", "insert", "remove",
-    ]);
-    for kind in ALL_KINDS {
-        let (b, ks) = fresh(kind, ctx, pm_cfg());
-        let mut cells = vec![kind.to_string()];
-        for op in E1_OPS {
-            let cfg = ctx.point(1, OpMix::pure(op), Distribution::Uniform);
-            let r = run_point(&b, &ks, &cfg);
-            cells.push(fmt_mops(r.mops()));
-        }
-        t.row(cells);
-    }
-    render("E1: single-threaded throughput (Mops/s, uniform)", ctx, &t)
-}
-
-/// Shared machinery for the scalability sweeps (E2/E3).
-fn scalability(ctx: &ExpCtx, ops: &[OpKind], dist: Distribution, title: &str) -> ExpReport {
-    let ladder = ctx.thread_ladder();
-    let mut header = vec!["index".to_string(), "op".to_string()];
-    header.extend(ladder.iter().map(|t| format!("{t}t")));
-    let mut t = Table::new(header);
-    for kind in ALL_KINDS {
-        for &op in ops {
-            // wB+Tree is single-threaded by design; the paper only ran
-            // it at one thread. We still sweep it (mutex-serialized) so
-            // the flat line is visible in the data.
-            let mutating = matches!(op, OpKind::Insert | OpKind::Remove);
-            let mut cells = vec![kind.to_string(), op.label().to_string()];
-            // Reuse one prefilled index for non-growing ops.
-            let mut reuse: Option<(Built, KeySpace)> = if mutating {
-                None
-            } else {
-                Some(fresh(kind, ctx, pm_cfg()))
-            };
-            for &threads in &ladder {
-                let pair;
-                let (b, ks) = match &reuse {
-                    Some(p) => p,
-                    None => {
-                        pair = fresh(kind, ctx, pm_cfg());
-                        &pair
-                    }
-                };
-                let cfg = ctx.point(threads, OpMix::pure(op), dist);
-                let r = run_point(b, ks, &cfg);
-                cells.push(fmt_mops(r.mops()));
-                if mutating {
-                    reuse = None; // rebuilt next iteration
-                }
-            }
-            t.row(cells);
-        }
-    }
-    render(title, ctx, &t)
-}
-
-/// E2 — multi-threaded scalability under the uniform distribution.
-pub fn e02(ctx: &ExpCtx) -> ExpReport {
-    scalability(
-        ctx,
-        &[OpKind::Lookup, OpKind::Insert, OpKind::Update, OpKind::Scan],
-        Distribution::Uniform,
-        "E2: scalability, uniform distribution (Mops/s)",
-    )
-}
-
-/// E3 — multi-threaded scalability under self-similar 80/20 skew.
-pub fn e03(ctx: &ExpCtx) -> ExpReport {
-    scalability(
-        ctx,
-        &[OpKind::Lookup, OpKind::Update, OpKind::Scan],
-        Distribution::self_similar_80_20(),
-        "E3: scalability, self-similar 80/20 skew (Mops/s)",
-    )
-}
-
-/// E4 — mixed lookup/insert workloads across thread counts.
-pub fn e04(ctx: &ExpCtx) -> ExpReport {
-    let ladder = ctx.thread_ladder();
-    let mut header = vec!["index".to_string(), "mix".to_string()];
-    header.extend(ladder.iter().map(|t| format!("{t}t")));
-    let mut t = Table::new(header);
-    for kind in ALL_KINDS {
-        for lookup_pct in [90u8, 50, 10] {
-            let mut cells = vec![
-                kind.to_string(),
-                format!("{lookup_pct}r/{}w", 100 - lookup_pct),
-            ];
-            for &threads in &ladder {
-                let (b, ks) = fresh(kind, ctx, pm_cfg()); // inserts grow: rebuild per point
-                let cfg = ctx.point(
-                    threads,
-                    OpMix::read_insert(lookup_pct),
-                    Distribution::Uniform,
-                );
-                let r = run_point(&b, &ks, &cfg);
-                cells.push(fmt_mops(r.mops()));
-            }
-            t.row(cells);
-        }
-    }
-    render(
-        "E4: mixed lookup/insert workloads (Mops/s, uniform)",
-        ctx,
-        &t,
-    )
-}
-
-/// E5 — tail latency percentiles.
-pub fn e05(ctx: &ExpCtx) -> ExpReport {
-    let mut t = Table::new(vec![
-        "index", "op", "threads", "p50", "p90", "p99", "p99.9", "p99.99", "max",
-    ]);
-    for kind in ALL_KINDS {
-        let (b, ks) = fresh(kind, ctx, pm_cfg());
-        for threads in [1usize, ctx.mid_threads()] {
-            for op in [OpKind::Lookup, OpKind::Insert, OpKind::Scan] {
-                let mut cfg = ctx.point(threads, OpMix::pure(op), Distribution::Uniform);
-                cfg.latency_sample_shift = 3; // ~12.5% sampling, as in the paper's 10%
-                let r = run_point(&b, &ks, &cfg);
-                let h = &r.latency[op as usize];
-                t.row(vec![
-                    kind.to_string(),
-                    op.label().to_string(),
-                    threads.to_string(),
-                    fmt_ns(h.percentile(50.0)),
-                    fmt_ns(h.percentile(90.0)),
-                    fmt_ns(h.percentile(99.0)),
-                    fmt_ns(h.percentile(99.9)),
-                    fmt_ns(h.percentile(99.99)),
-                    fmt_ns(h.max()),
-                ]);
-            }
-        }
-    }
-    render("E5: tail latency (uniform)", ctx, &t)
-}
-
-/// E6 — PM traffic per operation (read/write amplification).
-pub fn e06(ctx: &ExpCtx) -> ExpReport {
-    let mut t = Table::new(vec![
-        "index",
-        "op",
-        "readB/op",
-        "writeB/op",
-        "read-amp",
-        "write-amp",
-        "clwb/op",
-        "fence/op",
-    ]);
-    for kind in PM_KINDS {
-        let (b, ks) = fresh(kind, ctx, pm_cfg());
-        for op in [OpKind::Lookup, OpKind::Insert, OpKind::Scan] {
-            let cfg = ctx.point(ctx.mid_threads(), OpMix::pure(op), Distribution::Uniform);
-            let r = run_point(&b, &ks, &cfg);
-            let n = r.total_ops().max(1);
-            t.row(vec![
-                kind.to_string(),
-                op.label().to_string(),
-                format!("{:.0}", r.pm_read_bytes_per_op()),
-                format!("{:.0}", r.pm_write_bytes_per_op()),
-                format!("{:.2}", r.pm.read_amplification()),
-                format!("{:.2}", r.pm.write_amplification()),
-                format!("{:.2}", r.pm.clwb as f64 / n as f64),
-                format!("{:.2}", r.pm.fence as f64 / n as f64),
-            ]);
-        }
-    }
-    render(
-        "E6: PM media traffic per operation (mid thread count)",
-        ctx,
-        &t,
-    )
-}
-
-/// E7 — PM bandwidth consumption.
-pub fn e07(ctx: &ExpCtx) -> ExpReport {
-    let mut t = Table::new(vec!["index", "op", "readGiB/s", "writeGiB/s", "Mops/s"]);
-    for kind in PM_KINDS {
-        let (b, ks) = fresh(kind, ctx, pm_cfg());
-        for op in [OpKind::Lookup, OpKind::Insert, OpKind::Scan] {
-            let cfg = ctx.point(ctx.mid_threads(), OpMix::pure(op), Distribution::Uniform);
-            let r = run_point(&b, &ks, &cfg);
-            t.row(vec![
-                kind.to_string(),
-                op.label().to_string(),
-                format!("{:.3}", r.pm_read_gibps()),
-                format!("{:.3}", r.pm_write_gibps()),
-                fmt_mops(r.mops()),
-            ]);
-        }
-    }
-    render("E7: PM bandwidth during each workload", ctx, &t)
-}
-
-/// E8 — memory consumption after loading (the paper's space table).
-pub fn e08(ctx: &ExpCtx) -> ExpReport {
-    let mut t = Table::new(vec![
-        "index",
-        "PM",
-        "DRAM",
-        "PM B/rec",
-        "raw data",
-        "bound chunks",
-    ]);
-    let raw = ctx.records * 16;
-    for kind in ALL_KINDS {
-        let (b, _ks) = fresh(kind, ctx, pm_cfg());
-        let f = b.index.footprint();
-        let chunks = if b.allocs.is_empty() {
-            "-".to_string()
-        } else {
-            b.allocs
-                .iter()
-                .map(|a| a.stats().bound_chunks)
-                .sum::<u64>()
-                .to_string()
-        };
-        t.row(vec![
-            kind.to_string(),
-            fmt_bytes(f.pm_bytes),
-            fmt_bytes(f.dram_bytes),
-            format!("{:.1}", f.pm_bytes as f64 / ctx.records as f64),
-            fmt_bytes(raw),
-            chunks,
-        ]);
-    }
-    render("E8: memory consumption after prefill", ctx, &t)
-}
-
-/// E9 — fingerprinting ablation (FPTree ± fingerprints, positive and
-/// negative lookups).
-pub fn e09(ctx: &ExpCtx) -> ExpReport {
-    let mut t = Table::new(vec!["variant", "lookups", "threads", "Mops/s", "readB/op"]);
-    for variant in ["fptree", "fptree-nofp"] {
-        let b = registry::build(variant, ctx.records, pm_cfg());
-        let ks = KeySpace::new(ctx.records);
-        prefill(&*b.index, &ks, ctx.max_threads);
-        for negative in [false, true] {
-            for threads in [1usize, ctx.mid_threads()] {
-                let mut cfg =
-                    ctx.point(threads, OpMix::pure(OpKind::Lookup), Distribution::Uniform);
-                cfg.negative_lookups = negative;
-                let r = run_point(&b, &ks, &cfg);
-                t.row(vec![
-                    variant.to_string(),
-                    if negative { "negative" } else { "positive" }.to_string(),
-                    threads.to_string(),
-                    fmt_mops(r.mops()),
-                    format!("{:.0}", r.pm_read_bytes_per_op()),
-                ]);
-            }
-        }
-    }
-    render("E9: fingerprinting ablation (FPTree)", ctx, &t)
-}
-
-/// E10 — allocator impact on insert throughput (general vs. striped
-/// magazines).
-pub fn e10(ctx: &ExpCtx) -> ExpReport {
-    let ladder = ctx.thread_ladder();
-    let mut header = vec!["index".to_string(), "allocator".to_string()];
-    header.extend(ladder.iter().map(|t| format!("{t}t")));
-    let mut t = Table::new(header);
-    for kind in ["fptree", "bztree"] {
-        for (mode, label) in [
-            (pmalloc::AllocMode::General, "general"),
-            (pmalloc::AllocMode::Striped, "striped"),
-        ] {
-            let mut cells = vec![kind.to_string(), label.to_string()];
-            for &threads in &ladder {
-                let b = registry::build_with_mode(kind, ctx.records, pm_cfg(), mode);
-                let ks = KeySpace::new(ctx.records);
-                prefill(&*b.index, &ks, ctx.max_threads);
-                let cfg = ctx.point(threads, OpMix::pure(OpKind::Insert), Distribution::Uniform);
-                let r = run_point(&b, &ks, &cfg);
-                cells.push(fmt_mops(r.mops()));
-            }
-            t.row(cells);
-        }
-    }
-    render(
-        "E10: PM allocator ablation, insert throughput (Mops/s)",
-        ctx,
-        &t,
-    )
-}
-
-/// E11 — recovery time vs. data size.
-pub fn e11(ctx: &ExpCtx) -> ExpReport {
-    let mut t = Table::new(vec!["index", "records", "recovery", "ms/Mrec"]);
-    for kind in PM_KINDS {
-        for frac in [4u64, 2, 1] {
-            let records = (ctx.records / frac).max(1);
-            let b = registry::build(kind, records, pm_cfg());
-            let ks = KeySpace::new(records);
-            prefill(&*b.index, &ks, ctx.max_threads);
-            let pool: Arc<PmPool> = b.pool().cloned().expect("pm index has a pool");
-            drop(b);
-            pool.crash();
-            let (b2, took) = registry::recover(kind, pool);
-            // Sanity: a few keys must be present after recovery.
-            for i in (0..records).step_by((records / 7 + 1) as usize) {
-                assert_eq!(
-                    b2.index.lookup(ks.key(i)),
-                    Some(ks.value_for(ks.key(i))),
-                    "{kind} lost key {i} across recovery"
-                );
-            }
-            t.row(vec![
-                kind.to_string(),
-                records.to_string(),
-                format!("{:.2}ms", took.as_secs_f64() * 1e3),
-                format!("{:.2}", took.as_secs_f64() * 1e3 / (records as f64 / 1e6)),
-            ]);
-        }
-    }
-    render("E11: restart/recovery time vs data size", ctx, &t)
-}
-
-/// E12 — node-size sensitivity.
-pub fn e12(ctx: &ExpCtx) -> ExpReport {
-    let mut t = Table::new(vec!["index", "entries", "lookup", "insert", "scan"]);
-    let sweeps: [(&str, &[usize]); 4] = [
-        ("fptree", &[16, 32, 64]),
-        ("nvtree", &[32, 64, 128]),
-        ("wbtree", &[15, 31, 62]),
-        ("bztree", &[30, 62, 124]),
-    ];
-    for (kind, sizes) in sweeps {
-        for &entries in sizes {
-            let b = registry::build_with_node_size(kind, ctx.records, pm_cfg(), entries);
-            let ks = KeySpace::new(ctx.records);
-            prefill(&*b.index, &ks, ctx.max_threads);
-            let mut cells = vec![kind.to_string(), entries.to_string()];
-            for op in [OpKind::Lookup, OpKind::Insert, OpKind::Scan] {
-                let cfg = ctx.point(1, OpMix::pure(op), Distribution::Uniform);
-                let r = run_point(&b, &ks, &cfg);
-                cells.push(fmt_mops(r.mops()));
-            }
-            t.row(cells);
-        }
-    }
-    render(
-        "E12: node-size sensitivity (single thread, Mops/s)",
-        ctx,
-        &t,
-    )
-}
-
-/// E13 — PM indexes on DRAM (persistence elided) vs. the volatile
-/// baseline.
-pub fn e13(ctx: &ExpCtx) -> ExpReport {
-    let ladder = ctx.thread_ladder();
-    let mut header = vec!["index".to_string(), "op".to_string()];
-    header.extend(ladder.iter().map(|t| format!("{t}t")));
-    let mut t = Table::new(header);
-    let kinds = ["fptree", "nvtree", "wbtree", "bztree", "dram"];
-    for kind in kinds {
-        for op in [OpKind::Lookup, OpKind::Insert, OpKind::Scan] {
-            let mutating = op == OpKind::Insert;
-            let mut cells = vec![
-                if kind == "dram" {
-                    "dram-btree".to_string()
-                } else {
-                    format!("{kind}@dram")
-                },
-                op.label().to_string(),
-            ];
-            let reuse: Option<(Built, KeySpace)> = if mutating {
-                None
-            } else {
-                Some(fresh(kind, ctx, PmConfig::dram()))
-            };
-            for &threads in &ladder {
-                let pair;
-                let (b, ks) = match &reuse {
-                    Some(p) => p,
-                    None => {
-                        pair = fresh(kind, ctx, PmConfig::dram());
-                        &pair
-                    }
-                };
-                let cfg = ctx.point(threads, OpMix::pure(op), Distribution::Uniform);
-                let r = run_point(b, ks, &cfg);
-                cells.push(fmt_mops(r.mops()));
-            }
-            t.row(cells);
-        }
-    }
-    render(
-        "E13: PM indexes with persistence elided (DRAM) vs volatile baseline (Mops/s)",
-        ctx,
-        &t,
-    )
-}
-
-/// An experiment entry point.
-pub type ExpFn = fn(&ExpCtx) -> ExpReport;
-
-/// E14 — variable-length key support: inline vs pointer-stored keys
-/// (same 8-byte keys forced through the out-of-line path, as in the
-/// paper's var-key methodology).
-pub fn e14(ctx: &ExpCtx) -> ExpReport {
-    let mut t = Table::new(vec!["variant", "op", "Mops/s", "readB/op"]);
-    for variant in ["fptree", "fptree-varkey"] {
-        let b = registry::build(variant, ctx.records, pm_cfg());
-        let ks = KeySpace::new(ctx.records);
-        prefill(&*b.index, &ks, ctx.max_threads);
-        for op in [OpKind::Lookup, OpKind::Insert, OpKind::Scan] {
-            let cfg = ctx.point(1, OpMix::pure(op), Distribution::Uniform);
-            let r = run_point(&b, &ks, &cfg);
-            t.row(vec![
-                variant.to_string(),
-                op.label().to_string(),
-                fmt_mops(r.mops()),
-                format!("{:.0}", r.pm_read_bytes_per_op()),
-            ]);
-        }
-    }
-    render(
-        "E14: variable-length key support (inline vs pointer, 1 thread)",
-        ctx,
-        &t,
-    )
-}
-
-/// E15 — wB+Tree slot-array ablation: slot+bitmap (binary search, more
-/// fences) vs bitmap-only (linear search, fewer fences).
-pub fn e15(ctx: &ExpCtx) -> ExpReport {
-    let mut t = Table::new(vec!["variant", "op", "Mops/s", "fence/op", "clwb/op"]);
-    for variant in ["wbtree", "wbtree-noslots"] {
-        let b = registry::build(variant, ctx.records, pm_cfg());
-        let ks = KeySpace::new(ctx.records);
-        prefill(&*b.index, &ks, ctx.max_threads);
-        for op in [OpKind::Lookup, OpKind::Insert] {
-            let cfg = ctx.point(1, OpMix::pure(op), Distribution::Uniform);
-            let r = run_point(&b, &ks, &cfg);
-            let n = r.total_ops().max(1);
-            t.row(vec![
-                variant.to_string(),
-                op.label().to_string(),
-                fmt_mops(r.mops()),
-                format!("{:.2}", r.pm.fence as f64 / n as f64),
-                format!("{:.2}", r.pm.clwb as f64 / n as f64),
-            ]);
-        }
-    }
-    render("E15: wB+Tree slot-array ablation (1 thread)", ctx, &t)
-}
-
-/// E16 — sharding: shard-count × thread-count sweep through the engine
-/// layer. Every shard is an independent pool + allocator, so this
-/// isolates how much of the scalability ceiling is shared-resource
-/// contention (allocator class locks, pool state) rather than the index
-/// algorithm itself.
-pub fn e16(ctx: &ExpCtx) -> ExpReport {
-    let ladder = ctx.thread_ladder();
-    let mut shard_ladder = vec![1usize, 2, 4];
-    if !shard_ladder.contains(&ctx.shards) {
-        shard_ladder.push(ctx.shards);
-        shard_ladder.sort_unstable();
-    }
-    let mut header = vec!["index".to_string(), "op".to_string(), "shards".to_string()];
-    header.extend(ladder.iter().map(|t| format!("{t}t")));
-    let mut t = Table::new(header);
-    for kind in ["fptree", "bztree"] {
-        for op in [OpKind::Insert, OpKind::Lookup] {
-            let mutating = op == OpKind::Insert;
-            for &shards in &shard_ladder {
-                let mut cells = vec![kind.to_string(), op.label().to_string(), shards.to_string()];
-                // Reuse one prefilled build for non-growing ops.
-                let mut reuse: Option<(Built, KeySpace)> = None;
-                for &threads in &ladder {
-                    if reuse.is_none() {
-                        let b = registry::build_sharded(kind, shards, ctx.records, pm_cfg());
-                        let ks = KeySpace::new(ctx.records);
-                        prefill(&*b.index, &ks, ctx.max_threads);
-                        reuse = Some((b, ks));
-                    }
-                    let (b, ks) = reuse.as_ref().unwrap();
-                    let cfg = ctx.point(threads, OpMix::pure(op), Distribution::Uniform);
-                    let r = run_point(b, ks, &cfg);
-                    cells.push(fmt_mops(r.mops()));
-                    if mutating {
-                        reuse = None; // inserts grew the tree: rebuild
-                    }
-                }
-                t.row(cells);
-            }
-        }
-    }
-    render(
-        "E16: sharded engine, shard-count x thread-count (Mops/s, uniform)",
-        ctx,
-        &t,
-    )
-}
-
-/// E17 — per-site PM traffic attribution: FPTree vs BzTree uniform
-/// inserts with the `obs` tracing layer enabled around the measured
-/// phase. The paper reports *how much* media traffic each index
-/// generates (E6); this shows *where* it comes from — leaf appends vs
-/// structure modification vs allocator metadata — via the scoped
-/// `obs::site(..)` annotations inside the index crates.
-pub fn e17(ctx: &ExpCtx) -> ExpReport {
-    let mut t = Table::new(vec![
-        "index",
-        "site",
-        "events",
-        "clwb",
-        "redundant",
-        "ntstore",
-        "media_write",
-        "share%",
-    ]);
-    let mut extra: Vec<(String, String)> = Vec::new();
-    for kind in ["fptree", "bztree"] {
-        let (b, ks) = fresh(kind, ctx, pm_cfg());
-        // Trace only the measured insert phase: prefill traffic above is
-        // deliberately outside the enabled window.
-        obs::reset();
-        obs::set_enabled(true);
-        let cfg = ctx.point(1, OpMix::pure(OpKind::Insert), Distribution::Uniform);
-        let _ = run_point(&b, &ks, &cfg);
-        obs::set_enabled(false);
-        let sites = obs::site_table();
-        let total_wr: u64 = sites.iter().map(|s| s.media_write_bytes).sum();
-        for s in &sites {
-            if s.events == 0 {
-                continue;
-            }
-            let share = if total_wr == 0 {
-                0.0
-            } else {
-                100.0 * s.media_write_bytes as f64 / total_wr as f64
-            };
-            t.row(vec![
-                kind.to_string(),
-                s.name.clone(),
-                s.events.to_string(),
-                s.clwb.to_string(),
-                s.clwb_redundant.to_string(),
-                s.ntstore.to_string(),
-                fmt_bytes(s.media_write_bytes),
-                format!("{share:.1}"),
-            ]);
-        }
-        extra.push((format!("{kind}_sites"), trace::site_table_json(&sites)));
-    }
-    render_extra(
-        "E17: per-site PM write attribution, uniform inserts (1 thread)",
-        ctx,
-        &t,
-        &extra,
-    )
-}
-
-/// The E18 workload mix, shared by the local baseline and the remote
-/// driver: 60% lookups, 10% each of insert/update/remove/scan — all
-/// five wire op types on every point.
-fn e18_mix() -> OpMix {
-    let m = OpMix {
-        lookup: 60,
-        insert: 10,
-        update: 10,
-        remove: 10,
-        scan: 10,
-    };
-    m.validate();
-    m
-}
-
-/// Locate the `pmserve`/`pmload` binaries: next to the running
-/// executable (workspace bins share `target/<profile>/`) or one
-/// directory up (bench targets run from `target/<profile>/deps/`).
-fn net_bins() -> Result<(PathBuf, PathBuf), String> {
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let mut dir = exe.parent();
-    while let Some(d) = dir {
-        let (s, l) = (d.join("pmserve"), d.join("pmload"));
-        if s.is_file() && l.is_file() {
-            return Ok((s, l));
-        }
-        if d.file_name().is_none() || !d.ends_with("deps") {
-            break;
-        }
-        dir = d.parent();
-    }
-    Err(format!(
-        "pmserve/pmload not built next to {} (run `cargo build --release -p net --bins` first)",
-        exe.display()
-    ))
-}
-
-/// Spawn `pmserve` and wait for its readiness line, returning the child
-/// and the bound address.
-fn spawn_pmserve(
-    serve: &std::path::Path,
-    ctx: &ExpCtx,
-    workers: usize,
-    batch_max: usize,
-) -> Result<(std::process::Child, String), String> {
-    use std::io::{BufRead, BufReader};
-    let mut child = std::process::Command::new(serve)
-        .args([
-            "--index",
-            "fptree",
-            "--shards",
-            &ctx.shards.max(2).to_string(),
-            "--records",
-            &ctx.records.to_string(),
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            &workers.to_string(),
-            "--batch-max",
-            &batch_max.to_string(),
-        ])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .map_err(|e| format!("spawn {}: {e}", serve.display()))?;
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut line = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut line)
-        .map_err(|e| format!("read pmserve readiness line: {e}"))?;
-    match line.trim().strip_prefix("pmserve listening on ") {
-        Some(addr) => Ok((child, addr.to_string())),
-        None => {
-            let _ = child.kill();
-            let _ = child.wait();
-            Err(format!("unexpected pmserve readiness line {line:?}"))
-        }
-    }
-}
-
-/// One parsed `RESULT` line from a `pmload` run.
-struct LoadPoint {
-    mops: f64,
-    p50: u64,
-    p99: u64,
-    p999: u64,
-    acked: u64,
-    errors: u64,
-}
-
-/// Run `pmload` against `addr` and parse its `RESULT` line (the flat
-/// key=value twin of its JSON document, emitted for exactly this kind
-/// of subprocess consumer).
-fn run_pmload(
-    load: &std::path::Path,
-    addr: &str,
-    ctx: &ExpCtx,
-    conns: usize,
-    ops: u64,
-    open_loop_qps: Option<f64>,
-    shutdown: bool,
-) -> Result<LoadPoint, String> {
-    let mut cmd = std::process::Command::new(load);
-    cmd.args([
-        "--addr",
-        addr,
-        "--records",
-        &ctx.records.to_string(),
-        "--ops",
-        &ops.to_string(),
-        "--conns",
-        &conns.to_string(),
-        "--window",
-        "32",
-        "--mix",
-        "60,10,10,10,10",
-    ]);
-    if let Some(qps) = open_loop_qps {
-        cmd.args(["--open-loop-qps", &qps.to_string()]);
-    }
-    if shutdown {
-        cmd.arg("--shutdown");
-    }
-    let out = cmd
-        .stderr(std::process::Stdio::null())
-        .output()
-        .map_err(|e| format!("spawn {}: {e}", load.display()))?;
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let line = stdout
-        .lines()
-        .rev()
-        .find(|l| l.starts_with("RESULT "))
-        .ok_or_else(|| format!("no RESULT line in pmload output (status {})", out.status))?;
-    let field = |key: &str| -> Result<f64, String> {
-        line.split_whitespace()
-            .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('=')?.parse().ok())
-            .ok_or_else(|| format!("RESULT line missing {key}: {line}"))
-    };
-    let p = LoadPoint {
-        mops: field("mops")?,
-        p50: field("p50_ns")? as u64,
-        p99: field("p99_ns")? as u64,
-        p999: field("p999_ns")? as u64,
-        acked: field("acked")? as u64,
-        errors: field("errors")? as u64,
-    };
-    if !out.status.success() && p.errors == 0 {
-        return Err(format!("pmload exited with {}: {line}", out.status));
-    }
-    Ok(p)
-}
-
-/// E18 — remote serving layer vs. local direct calls: the same mixed
-/// workload through `pmserve`/`pmload` over loopback TCP (closed-loop
-/// across batch sizes and connection counts, plus one open-loop Poisson
-/// point) against the in-process baseline. The paper benchmarks indexes
-/// behind function calls; this measures what the missing deployment
-/// path — wire codec, group-durability batching, backpressure — costs.
-pub fn e18(ctx: &ExpCtx) -> ExpReport {
-    let mut t = Table::new(vec![
-        "path", "loop", "conns", "batch", "Mops/s", "p50", "p99", "p99.9", "acked", "errors",
-    ]);
-    let mix = e18_mix();
-    let conn_ladder = [1usize, ctx.max_threads.clamp(2, 4)];
-
-    // Local baseline: the identical sharded build driven by direct
-    // in-process calls, one "connection" = one worker thread.
-    for &threads in &conn_ladder {
-        let b = registry::build_sharded("fptree", ctx.shards.max(2), ctx.records, pm_cfg());
-        let ks = KeySpace::new(ctx.records);
-        prefill(&*b.index, &ks, ctx.max_threads);
-        let cfg = ctx.point(threads, mix, Distribution::Uniform);
-        let r = run_point(&b, &ks, &cfg);
-        let mut h = pibench::hist::LatencyHistogram::new();
-        for hh in &r.latency {
-            h.merge(hh);
-        }
-        t.row(vec![
-            "local".to_string(),
-            "closed".to_string(),
-            threads.to_string(),
-            "-".to_string(),
-            fmt_mops(r.mops()),
-            fmt_ns(h.percentile(50.0)),
-            fmt_ns(h.percentile(99.0)),
-            fmt_ns(h.percentile(99.9)),
-            r.total_ops().to_string(),
-            "0".to_string(),
-        ]);
-    }
-
-    // Remote: restart the server per batch size (it is a server-side
-    // knob), sweep connection counts per server, then one open-loop
-    // Poisson point at the largest batch.
-    match net_bins() {
-        Ok((serve, load)) => {
-            let remote_ops = ctx.ops_per_point.clamp(1_000, 100_000);
-            for (bi, batch) in [1usize, 32, 128].into_iter().enumerate() {
-                let point = (|| -> Result<(), String> {
-                    let (mut child, addr) = spawn_pmserve(&serve, ctx, conn_ladder[1], batch)?;
-                    for &conns in &conn_ladder {
-                        let p = run_pmload(&load, &addr, ctx, conns, remote_ops, None, false)?;
-                        t.row(vec![
-                            "remote".to_string(),
-                            "closed".to_string(),
-                            conns.to_string(),
-                            batch.to_string(),
-                            fmt_mops(p.mops),
-                            fmt_ns(p.p50),
-                            fmt_ns(p.p99),
-                            fmt_ns(p.p999),
-                            p.acked.to_string(),
-                            p.errors.to_string(),
-                        ]);
-                    }
-                    if bi == 2 {
-                        // Open loop: Poisson arrivals at a rate the closed
-                        // loop sustains comfortably, so the row reads as
-                        // latency-under-offered-load, not saturation.
-                        let qps = 25_000.0;
-                        let p = run_pmload(
-                            &load,
-                            &addr,
-                            ctx,
-                            conn_ladder[1],
-                            remote_ops.min(50_000),
-                            Some(qps),
-                            false,
-                        )?;
-                        t.row(vec![
-                            "remote".to_string(),
-                            format!("open {qps:.0}qps"),
-                            conn_ladder[1].to_string(),
-                            batch.to_string(),
-                            fmt_mops(p.mops),
-                            fmt_ns(p.p50),
-                            fmt_ns(p.p99),
-                            fmt_ns(p.p999),
-                            p.acked.to_string(),
-                            p.errors.to_string(),
-                        ]);
-                    }
-                    // Graceful drain over the wire, then reap the child.
-                    let _ = run_pmload(&load, &addr, ctx, 1, 1, None, true);
-                    let _ = child.wait();
-                    Ok(())
-                })();
-                if let Err(e) = point {
-                    t.row(vec![
-                        "remote".to_string(),
-                        "closed".to_string(),
-                        "-".to_string(),
-                        batch.to_string(),
-                        format!("FAILED: {e}"),
-                        "-".to_string(),
-                        "-".to_string(),
-                        "-".to_string(),
-                        "-".to_string(),
-                        "-".to_string(),
-                    ]);
-                }
-            }
-        }
-        Err(reason) => {
-            t.row(vec![
-                "remote".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                format!("skipped: {reason}"),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-            ]);
-        }
-    }
-    render(
-        "E18: remote serving layer vs local direct calls (fptree, mixed 60/10/10/10/10)",
-        ctx,
-        &t,
-    )
-}
-
-/// E19 — the learned index against the PM trees on its home turf and
-/// off it: pure uniform lookups (one segment predict + ε-window search
-/// in DRAM, a single PM value read, no pointer chase), a lookup-heavy
-/// 90/10 mix, an insert-heavy 10/90 mix (every insert pays a delta-log
-/// append and amortized merges), and a scan-heavy 20/80 mix (the
-/// model's sorted run is scan-friendly; the delta overlay is not).
-/// The JSON report attaches the trained model's shape — segment count,
-/// ε, delta-log occupancy, merge count — from a prefilled
-/// default-config instance.
-pub fn e19(ctx: &ExpCtx) -> ExpReport {
-    let scan_heavy = OpMix {
-        lookup: 20,
-        insert: 0,
-        update: 0,
-        remove: 0,
-        scan: 80,
-    };
-    scan_heavy.validate();
-    let mixes: [(&str, OpMix); 4] = [
-        ("lookup", OpMix::pure(OpKind::Lookup)),
-        ("lookup-heavy", OpMix::read_insert(90)),
-        ("insert-heavy", OpMix::read_insert(10)),
-        ("scan-heavy", scan_heavy),
-    ];
-    let threads = ctx.mid_threads();
-    let mut header = vec!["index".to_string()];
-    header.extend(mixes.iter().map(|(name, _)| name.to_string()));
-    let mut t = Table::new(header);
-    for kind in PM_KINDS {
-        let mut cells = vec![kind.to_string()];
-        for (_, mix) in &mixes {
-            // Fresh per point: the mixes with inserts grow the index.
-            let (b, ks) = fresh(kind, ctx, pm_cfg());
-            let cfg = ctx.point(threads, *mix, Distribution::Uniform);
-            let r = run_point(&b, &ks, &cfg);
-            cells.push(fmt_mops(r.mops()));
-        }
-        t.row(cells);
-    }
-
-    // Model-shape sidecar: what the learned index actually trained on
-    // this record count (the dyn-erased harness path can't see it).
-    let stats = {
-        let pool = Arc::new(PmPool::new(registry::pool_bytes(ctx.records), pm_cfg()));
-        let alloc = pmalloc::PmAllocator::format(pool.clone(), pmalloc::AllocMode::General);
-        let idx = learned::LearnedIndex::create(alloc, learned::LearnedConfig::default());
-        let ks = KeySpace::new(ctx.records);
-        prefill(&*idx, &ks, ctx.max_threads);
-        idx.model_stats()
-    };
-    let mut model = JsonObj::new();
-    model
-        .u64("epoch", stats.epoch)
-        .u64("model_keys", stats.model_keys as u64)
-        .u64("segments", stats.segments as u64)
-        .u64("epsilon", stats.epsilon)
-        .u64("delta_len", stats.delta_len as u64)
-        .u64("delta_cap", stats.delta_cap as u64)
-        .u64("merges", stats.merges);
-    render_extra(
-        &format!("E19: learned index vs PM trees ({threads} threads, Mops/s, uniform)"),
-        ctx,
-        &t,
-        &[("learned_model".to_string(), model.finish())],
-    )
-}
-
-/// The E20 access pattern: 90% lookups / 10% updates, the read-mostly
-/// mix the DRAM hot-key tier targets.
-fn e20_mix() -> OpMix {
-    let m = OpMix {
-        lookup: 90,
-        insert: 0,
-        update: 10,
-        remove: 0,
-        scan: 0,
-    };
-    m.validate();
-    m
-}
-
-/// Throughput of `threads` workers hammering `engine` with the E20 mix
-/// under `sampler` (keys are `index * stride`). Used by the migration
-/// ladder, which needs a *contiguous* hot key range — `pibench::run`'s
-/// [`KeySpace`] permutes keys across the space, which would smear the
-/// hot set over every shard.
-fn e20_drive(
-    engine: &Arc<engine::ShardedIndex>,
-    sampler: &pibench::dist::Sampler,
-    stride: u64,
-    threads: usize,
-    total_ops: u64,
-) -> f64 {
-    use index_api::RangeIndex;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-    let per_thread = (total_ops / threads as u64).max(1);
-    let t0 = std::time::Instant::now();
-    std::thread::scope(|s| {
-        for tid in 0..threads as u64 {
-            let engine = engine.clone();
-            let sampler = *sampler;
-            s.spawn(move || {
-                let mut rng = SmallRng::seed_from_u64(0x20E0 + tid);
-                for i in 0..per_thread {
-                    let key = sampler.sample(&mut rng) * stride;
-                    if i % 10 == 0 {
-                        engine.update(key, i);
-                    } else {
-                        engine.lookup(key);
-                    }
-                }
-            });
-        }
-    });
-    (per_thread * threads as u64) as f64 / t0.elapsed().as_secs_f64() / 1e6
-}
-
-/// E20 — the DRAM hot-key tier and online shard-range migration under
-/// skew. Three parts: (a) cached vs uncached throughput on the same
-/// fptree build under self-similar 80/20 and hot-storm access; (b) tail
-/// latency of the cached storm vs the uncached *uniform* baseline (the
-/// tier's promise: a hot-key storm should not be worse than an even
-/// load); (c) a migration-under-load ladder — throughput before,
-/// during, and after an online split of the hot shard, driven through
-/// [`engine::Migrator`] while workers hammer a contiguous hot range.
-pub fn e20(ctx: &ExpCtx) -> ExpReport {
-    use cache::CachedIndex;
-    use index_api::RangeIndex;
-
-    let threads = ctx.mid_threads();
-    let mix = e20_mix();
-    let mut t = Table::new(vec![
-        "part", "config", "dist", "Mops/s", "p50", "p99", "hit%",
-    ]);
-    let storm = Distribution::HotStorm {
-        hot: (ctx.records / 100).max(1),
-        frac: 0.9,
-    };
-    let dists: [(&str, Distribution); 2] = [
-        ("selfsimilar", Distribution::self_similar_80_20()),
-        ("storm", storm),
-    ];
-
-    // Part A: cached vs uncached under skew (equal threads, same kind).
-    let mut part_a = JsonObj::new();
-    let mut storm_cached_p99 = 0u64;
-    for (dname, dist) in dists {
-        let mut pair = [0.0f64; 2];
-        for cached in [false, true] {
-            let (b, ks) = fresh("fptree", ctx, pm_cfg());
-            let handle = cached.then(|| Arc::new(CachedIndex::new(b.index.clone(), 64 << 20)));
-            let under_test: Arc<dyn RangeIndex> = match &handle {
-                Some(c) => c.clone(),
-                None => b.index.clone(),
-            };
-            let cfg = ctx.point(threads, mix, dist);
-            let r = run(&*under_test, &ks, &b.pools, &cfg);
-            let h = &r.latency[OpKind::Lookup as usize];
-            pair[cached as usize] = r.mops();
-            if cached && dname == "storm" {
-                storm_cached_p99 = h.percentile(99.0);
-            }
-            let hit = handle
-                .map(|c| format!("{:.1}", c.counters().hit_rate() * 100.0))
-                .unwrap_or_else(|| "-".to_string());
-            t.row(vec![
-                "A".to_string(),
-                if cached { "cached-64MiB" } else { "uncached" }.to_string(),
-                dname.to_string(),
-                fmt_mops(r.mops()),
-                fmt_ns(h.percentile(50.0)),
-                fmt_ns(h.percentile(99.0)),
-                hit,
-            ]);
-        }
-        part_a
-            .f64(&format!("{dname}_uncached_mops"), pair[0])
-            .f64(&format!("{dname}_cached_mops"), pair[1])
-            .f64(&format!("{dname}_speedup"), pair[1] / pair[0].max(1e-9));
-    }
-
-    // Part B: the uncached uniform baseline the storm tail is held to.
-    let uniform_p99 = {
-        let (b, ks) = fresh("fptree", ctx, pm_cfg());
-        let cfg = ctx.point(threads, mix, Distribution::Uniform);
-        let r = run(&*b.index, &ks, &b.pools, &cfg);
-        let h = &r.latency[OpKind::Lookup as usize];
-        t.row(vec![
-            "B".to_string(),
-            "uncached".to_string(),
-            "uniform".to_string(),
-            fmt_mops(r.mops()),
-            fmt_ns(h.percentile(50.0)),
-            fmt_ns(h.percentile(99.0)),
-            "-".to_string(),
-        ]);
-        h.percentile(99.0)
-    };
-
-    // Part C: online split of the hot shard while workers hammer a
-    // *contiguous* hot range at the bottom of shard 0.
-    let kind = "fptree";
-    let base_shards = 2usize;
-    let stride = u64::MAX / ctx.records;
-    let per: Vec<engine::Shard> = (0..base_shards)
-        .map(|_| registry::split_shard(kind, ctx.records, base_shards, pm_cfg()))
-        .collect();
-    let eng = engine::ShardedIndex::from_parts(per);
-    for i in 0..ctx.records {
-        eng.insert(i * stride, i);
-    }
-    let hot = (ctx.records / 10).max(2); // hot range: bottom 10%, all in shard 0
-    let sampler = Distribution::HotStorm { hot, frac: 0.9 }.sampler(ctx.records);
-    let window = ctx.ops_per_point;
-    let before = e20_drive(&eng, &sampler, stride, threads, window);
-    let split_at = (hot / 2) * stride; // cleave the hot range itself
-    let mut mig = eng.begin_migration(
-        split_at,
-        registry::split_shard(kind, ctx.records, base_shards, pm_cfg()),
-    );
-    let (during, mig_ms) = std::thread::scope(|s| {
-        let h = s.spawn(move || {
-            let m0 = std::time::Instant::now();
-            mig.run(256);
-            m0.elapsed().as_secs_f64() * 1e3
-        });
-        let d = e20_drive(&eng, &sampler, stride, threads, window);
-        (d, h.join().expect("migration thread"))
-    });
-    let after = e20_drive(&eng, &sampler, stride, threads, window);
-    let routes_after = eng.routes().len();
-    assert_eq!(routes_after, base_shards + 1, "split must add a route");
-    for (phase, mops) in [("before", before), ("during", during), ("after", after)] {
-        t.row(vec![
-            "C".to_string(),
-            format!("migrate-{phase}"),
-            "storm(contig)".to_string(),
-            fmt_mops(mops),
-            "-".to_string(),
-            "-".to_string(),
-            "-".to_string(),
-        ]);
-    }
-    let mut mig_json = JsonObj::new();
-    mig_json
-        .u64("base_shards", base_shards as u64)
-        .u64("hot_keys", hot)
-        .f64("before_mops", before)
-        .f64("during_mops", during)
-        .f64("after_mops", after)
-        .f64("migration_ms", mig_ms)
-        .u64("routes_after", routes_after as u64);
-
-    let mut tails = JsonObj::new();
-    tails
-        .u64("storm_p99_cached_ns", storm_cached_p99)
-        .u64("uniform_p99_uncached_ns", uniform_p99);
-
-    render_extra(
-        &format!(
-            "E20: DRAM hot-key tier + online shard split under skew ({threads} threads, fptree)"
-        ),
-        ctx,
-        &t,
-        &[
-            ("cache_tier".to_string(), part_a.finish()),
-            ("tail".to_string(), tails.finish()),
-            ("migration".to_string(), mig_json.finish()),
-        ],
-    )
-}
-
-/// One registered experiment: id, entry point, and an environment
-/// prerequisite. `e00_run_all` calls `prereq` first and skips the
-/// experiment with the returned reason instead of dying mid-sweep.
-pub struct Experiment {
-    /// Short id (`e01` …), also the `BENCH_E*.json` stem.
-    pub id: &'static str,
-    /// The experiment entry point.
-    pub f: ExpFn,
-    /// Environment check; `Err(reason)` ⇒ skip.
-    pub prereq: fn(&ExpCtx) -> Result<(), String>,
-}
-
-fn no_prereq(_: &ExpCtx) -> Result<(), String> {
-    Ok(())
-}
-
-fn e18_prereq(_: &ExpCtx) -> Result<(), String> {
-    net_bins().map(|_| ())
-}
-
-/// All experiments in order, with ids and prerequisites (for
-/// `e00_run_all`).
-pub fn all() -> Vec<Experiment> {
-    let plain = |id, f| Experiment {
-        id,
-        f,
-        prereq: no_prereq,
-    };
-    vec![
-        plain("e01", e01 as ExpFn),
-        plain("e02", e02),
-        plain("e03", e03),
-        plain("e04", e04),
-        plain("e05", e05),
-        plain("e06", e06),
-        plain("e07", e07),
-        plain("e08", e08),
-        plain("e09", e09),
-        plain("e10", e10),
-        plain("e11", e11),
-        plain("e12", e12),
-        plain("e13", e13),
-        plain("e14", e14),
-        plain("e15", e15),
-        plain("e16", e16),
-        plain("e17", e17),
-        Experiment {
-            id: "e18",
-            f: e18,
-            prereq: e18_prereq,
-        },
-        plain("e19", e19),
-        plain("e20", e20),
-    ]
-}
 
 #[cfg(test)]
 mod tests {
+    use super::sweep::{fresh, run_point};
     use super::*;
+    use crate::registry::{ALL_KINDS, PM_KINDS};
+    use pibench::{Distribution, OpKind, OpMix};
 
     fn tiny() -> ExpCtx {
         ExpCtx {
@@ -1292,6 +109,50 @@ mod tests {
             max_threads: 2,
             shards: 1,
             csv: true,
+        }
+    }
+
+    #[test]
+    fn experiment_ids_are_unique_sorted_and_every_row_runs() {
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+        // One thread: twenty experiments build BzTree some 25 times, and
+        // two threads prefilling a small BzTree livelock about once in a
+        // few thousand builds (ROADMAP item 1(c)); the smoke tests below keep
+        // the two-thread paths covered.
+        let ctx = ExpCtx {
+            records: 1_500,
+            ops_per_point: 1_000,
+            max_threads: 1,
+            ..tiny()
+        };
+        for (id, run) in &EXPERIMENTS {
+            eprintln!("running {id}");
+            let r = run(&ctx);
+            let number: u32 = id[1..].parse().unwrap();
+            assert!(r.text.starts_with(&format!("== E{number}:")), "{}", r.text);
+            assert!(r.json.contains("\"rows\":[{"), "{id}: {}", r.json);
+        }
+    }
+
+    #[test]
+    fn e18_smoke() {
+        let r = e18(&ExpCtx {
+            csv: false,
+            ..tiny()
+        });
+        let rows: Vec<&str> = r.text.lines().filter(|l| l.contains("closed")).collect();
+        let (local, remote) = (
+            rows.iter().filter(|l| l.contains("local")).count(),
+            rows.iter().filter(|l| l.contains("remote")).count(),
+        );
+        // Two connection counts locally, and against each of three batch
+        // sizes; one open-loop point on top.
+        assert_eq!((local, remote), (2, 6), "{}", r.text);
+        assert!(r.text.contains("open 25000qps"), "{}", r.text);
+        assert!(!r.text.contains("skipped") && !r.text.contains("FAILED"));
+        for row in r.json.split("},{") {
+            assert!(row.contains("\"errors\":\"0\""), "{row}");
         }
     }
 

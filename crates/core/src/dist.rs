@@ -35,10 +35,37 @@ pub enum Distribution {
     },
 }
 
+/// The distribution names [`Distribution::parse`] accepts.
+pub const NAMES: [&str; 4] = ["uniform", "selfsimilar", "zipfian", "storm"];
+
 impl Distribution {
     /// The paper's default skewed workload.
     pub fn self_similar_80_20() -> Distribution {
         Distribution::SelfSimilar { skew: 0.2 }
+    }
+
+    /// The hot-key storm every tool means by `storm`: 90% of accesses
+    /// hammer a contiguous 1% of `records`.
+    pub fn storm(records: u64) -> Distribution {
+        Distribution::HotStorm {
+            hot: (records / 100).max(1),
+            frac: 0.9,
+        }
+    }
+
+    /// The distribution a tool's `--dist name [--theta x]` names, over
+    /// `records` prefilled records (zipfian's θ defaults to YCSB's
+    /// 0.99); the error says what the flag expects.
+    pub fn parse(name: &str, theta: Option<f64>, records: u64) -> Result<Distribution, String> {
+        let theta = theta.unwrap_or(0.99);
+        match name {
+            "uniform" => Ok(Distribution::Uniform),
+            "selfsimilar" => Ok(Distribution::self_similar_80_20()),
+            "zipfian" if theta > 0.0 && theta < 1.0 => Ok(Distribution::Zipfian { theta }),
+            "zipfian" => Err(format!("zipfian expects --theta in (0, 1), got {theta}")),
+            "storm" => Ok(Distribution::storm(records)),
+            _ => Err(format!("expects one of {}, got {name:?}", NAMES.join("|"))),
+        }
     }
 
     /// Build a sampler for indexes in `[0, n)`.

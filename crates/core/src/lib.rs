@@ -20,10 +20,14 @@
 //!   device counters) and index memory footprints.
 //! * **Reporting** ([`report`]): aligned text tables and CSV rows, the
 //!   same series the paper's figures plot.
+//! * **Command lines** ([`cli`]): the one table-driven flag parser of
+//!   every tool (`pibench`, `pmserve`, `pmload`, `e00_run_all`, the
+//!   examples), beside [`OpMix::parse`] and [`Distribution::parse`].
 //! * **Tracing** ([`trace`]): exporters for the `obs` observability
 //!   subsystem — Chrome-trace/Perfetto JSON, time-series CSV and the
 //!   per-site traffic attribution table.
 
+pub mod cli;
 pub mod dist;
 pub mod hist;
 pub mod keys;
@@ -35,5 +39,5 @@ pub mod workload;
 pub use dist::Distribution;
 pub use hist::LatencyHistogram;
 pub use keys::KeySpace;
-pub use runner::{prefill, run, run_avg_mops, BenchConfig, RunResult};
+pub use runner::{prefill, run, BenchConfig, RunResult};
 pub use workload::{OpKind, OpMix};

@@ -2,6 +2,9 @@
 
 use std::fmt::Write as _;
 
+use crate::hist::LatencyHistogram;
+use crate::workload::OP_KINDS;
+
 /// A simple aligned table builder.
 pub struct Table {
     header: Vec<String>,
@@ -23,6 +26,11 @@ impl Table {
         assert_eq!(cells.len(), self.header.len(), "row arity mismatch");
         self.rows.push(cells);
         self
+    }
+
+    /// Append a `metric, value` row to a two-column table.
+    pub fn kv(&mut self, key: &str, value: impl ToString) -> &mut Self {
+        self.row(vec![key.to_string(), value.to_string()])
     }
 
     /// Render as an aligned text table.
@@ -241,6 +249,49 @@ pub fn json_string(s: &str) -> String {
     }
     out.push('"');
     out
+}
+
+/// One `<op> p50/p99/p99.9` row per op kind that recorded a latency
+/// (`hists` in [`OP_KINDS`] order), on a `metric, value` table.
+pub fn latency_rows(t: &mut Table, hists: &[LatencyHistogram]) {
+    for (kind, h) in OP_KINDS.iter().zip(hists).filter(|(_, h)| !h.is_empty()) {
+        let pct = |p| fmt_ns(h.percentile(p));
+        t.kv(
+            &format!("{} p50/p99/p99.9", kind.label()),
+            format!("{} / {} / {}", pct(50.0), pct(99.0), pct(99.9)),
+        );
+    }
+}
+
+/// The `latency_ns` object of a result document: per op kind that
+/// recorded a latency, its sample count, percentiles and mean.
+pub fn latency_json(hists: &[LatencyHistogram]) -> JsonObj {
+    let mut latency = JsonObj::new();
+    for (kind, h) in OP_KINDS.iter().zip(hists).filter(|(_, h)| !h.is_empty()) {
+        let mut one = JsonObj::new();
+        one.u64("count", h.len())
+            .u64("p50", h.percentile(50.0))
+            .u64("p99", h.percentile(99.0))
+            .u64("p999", h.percentile(99.9))
+            .f64("mean", h.mean());
+        latency.obj(kind.label(), one);
+    }
+    latency
+}
+
+/// The DRAM cache tier's counters as two rows of a `metric, value`
+/// table (plain numbers: this crate does not link `cache`).
+pub fn cache_rows(t: &mut Table, hits: u64, misses: u64, churn: [u64; 3]) {
+    let rate = 100.0 * hits as f64 / (hits + misses).max(1) as f64;
+    t.kv(
+        "cache hits / misses",
+        format!("{hits} / {misses} ({rate:.1}% hit rate)"),
+    );
+    let [fills, evictions, invalidations] = churn;
+    t.kv(
+        "cache fills / evictions / invalidations",
+        format!("{fills} / {evictions} / {invalidations}"),
+    );
 }
 
 /// Format an ops/s figure the way the paper's axes do (Mops/s).

@@ -107,6 +107,7 @@ impl RunResult {
 
 /// Prefill `records` keys with `threads` workers. Returns the load time.
 pub fn prefill(index: &dyn RangeIndex, keyspace: &KeySpace, threads: usize) -> Duration {
+    assert!(threads >= 1, "prefill needs a worker");
     let n = keyspace.prefilled();
     let start = Instant::now();
     std::thread::scope(|s| {
@@ -116,8 +117,10 @@ pub fn prefill(index: &dyn RangeIndex, keyspace: &KeySpace, threads: usize) -> D
                 let mut i = t;
                 while i < n {
                     let k = keyspace.key(i);
+                    // Checked in release builds too: a collision would
+                    // silently measure a smaller table.
                     let inserted = index.insert(k, keyspace.value_for(k));
-                    debug_assert!(inserted, "prefill key collision at {i}");
+                    assert!(inserted, "prefill key collision at {i}");
                     i += threads as u64;
                 }
             });
@@ -241,25 +244,6 @@ pub fn run(
         pm,
     }
 }
-
-/// Convenience: averaged throughput over `repeats` runs (the paper
-/// averages three).
-pub fn run_avg_mops(
-    index: &dyn RangeIndex,
-    keyspace: &KeySpace,
-    pools: &[Arc<PmPool>],
-    cfg: &BenchConfig,
-    repeats: usize,
-) -> f64 {
-    let mut total = 0.0;
-    for _ in 0..repeats {
-        total += run(index, keyspace, pools, cfg).mops();
-    }
-    total / repeats as f64
-}
-
-/// Shared handle wrapper so factories can hand out `Arc<dyn RangeIndex>`.
-pub type IndexHandle = Arc<dyn RangeIndex>;
 
 #[cfg(test)]
 mod tests {

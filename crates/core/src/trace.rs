@@ -10,8 +10,27 @@
 //!
 //! All JSON goes through the shared [`JsonObj`]/[`JsonArr`] builders.
 
+use std::sync::Arc;
+
 use crate::report::{fmt_bytes, JsonArr, JsonObj, Table};
 use obs::{Event, EventKind, SiteAgg, TimeSeries};
+use pmem::{PmPool, PmStatsSnapshot};
+
+/// The merged device counters of `pools`, as the `obs::Sampler`
+/// closure of a tool's `--sample-ms` reports them.
+pub fn pool_counters(pools: &[Arc<PmPool>]) -> obs::PmCounters {
+    let snaps: Vec<PmStatsSnapshot> = pools.iter().map(|p| p.stats()).collect();
+    let s = PmStatsSnapshot::merged(snaps.iter());
+    obs::PmCounters {
+        read_bytes: s.read_bytes,
+        write_bytes: s.write_bytes,
+        media_read_bytes: s.media_read_bytes,
+        media_write_bytes: s.media_write_bytes,
+        clwb: s.clwb,
+        ntstore: s.ntstore,
+        fence: s.fence,
+    }
+}
 
 fn event_json(e: &Event, site_names: &[String]) -> JsonObj {
     let site = site_names
@@ -103,12 +122,19 @@ pub fn timeseries_csv(ts: &TimeSeries) -> String {
     t.to_csv()
 }
 
-/// Per-site attribution table. `share%` is each site's fraction of all
-/// media write bytes in `sites`; rows arrive media-write-heavy first
-/// (the order [`obs::site_table`] produces). Zero-traffic sites are
-/// dropped.
-pub fn site_table(sites: &[SiteAgg]) -> Table {
+/// The sites that saw traffic, each with its fraction of all media
+/// write bytes in `sites`, in the order given (media-write-heavy first
+/// from [`obs::site_table`]).
+pub fn write_shares(sites: &[SiteAgg]) -> Vec<(&SiteAgg, f64)> {
     let total_wr: u64 = sites.iter().map(|s| s.media_write_bytes).sum();
+    let share = |s: &SiteAgg| s.media_write_bytes as f64 / total_wr.max(1) as f64;
+    let live = sites.iter().filter(|s| s.events > 0);
+    live.map(|s| (s, share(s))).collect()
+}
+
+/// Per-site attribution table; `share%` is each site's part of all
+/// media write bytes.
+pub fn site_table(sites: &[SiteAgg]) -> Table {
     let mut t = Table::new(vec![
         "site",
         "events",
@@ -120,15 +146,7 @@ pub fn site_table(sites: &[SiteAgg]) -> Table {
         "media_write",
         "share%",
     ]);
-    for s in sites {
-        if s.events == 0 {
-            continue;
-        }
-        let share = if total_wr == 0 {
-            0.0
-        } else {
-            100.0 * s.media_write_bytes as f64 / total_wr as f64
-        };
+    for (s, share) in write_shares(sites) {
         t.row(vec![
             s.name.clone(),
             s.events.to_string(),
@@ -138,7 +156,7 @@ pub fn site_table(sites: &[SiteAgg]) -> Table {
             s.fence.to_string(),
             fmt_bytes(s.media_read_bytes),
             fmt_bytes(s.media_write_bytes),
-            format!("{share:.1}"),
+            format!("{:.1}", 100.0 * share),
         ]);
     }
     t
@@ -146,12 +164,8 @@ pub fn site_table(sites: &[SiteAgg]) -> Table {
 
 /// The site table as JSON rows with raw byte counts (for result files).
 pub fn site_table_json(sites: &[SiteAgg]) -> String {
-    let total_wr: u64 = sites.iter().map(|s| s.media_write_bytes).sum();
     let mut arr = JsonArr::new();
-    for s in sites {
-        if s.events == 0 {
-            continue;
-        }
+    for (s, share) in write_shares(sites) {
         let mut o = JsonObj::new();
         o.str("site", &s.name)
             .u64("events", s.events)
@@ -163,14 +177,7 @@ pub fn site_table_json(sites: &[SiteAgg]) -> String {
             .u64("clwb_redundant", s.clwb_redundant)
             .u64("ntstore", s.ntstore)
             .u64("fence", s.fence)
-            .f64(
-                "media_write_share",
-                if total_wr == 0 {
-                    0.0
-                } else {
-                    s.media_write_bytes as f64 / total_wr as f64
-                },
-            );
+            .f64("media_write_share", share);
         arr.push_obj(o);
     }
     arr.finish()

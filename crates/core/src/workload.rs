@@ -90,6 +90,32 @@ impl OpMix {
         }
     }
 
+    /// Parse `L,I,U,R,S` (percent lookups, inserts, updates, removes,
+    /// scans); the error says what a mix flag expects.
+    pub fn parse(s: &str) -> Result<OpMix, String> {
+        let parts: Vec<Option<u8>> = s.split(',').map(|p| p.trim().parse().ok()).collect();
+        match parts[..] {
+            [Some(lookup), Some(insert), Some(update), Some(remove), Some(scan)]
+                if [lookup, insert, update, remove, scan]
+                    .iter()
+                    .map(|&p| u32::from(p))
+                    .sum::<u32>()
+                    == 100 =>
+            {
+                Ok(OpMix {
+                    lookup,
+                    insert,
+                    update,
+                    remove,
+                    scan,
+                })
+            }
+            _ => Err(format!(
+                "expects five percentages lookup,insert,update,remove,scan summing to 100, got {s:?}"
+            )),
+        }
+    }
+
     /// Validate that percentages sum to 100.
     pub fn validate(&self) {
         let sum = self.lookup as u32

@@ -72,144 +72,47 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Once};
 
-use bztree::{BzTree, BzTreeConfig};
 use engine::Shard;
-use fptree::{FpTree, FpTreeConfig};
 use index_api::RangeIndex;
-use learned::{LearnedConfig, LearnedIndex};
-use nvtree::{NvTree, NvTreeConfig};
-use pmalloc::{AllocMode, PmAllocator};
+use pmalloc::AllocMode;
 use pmem::{CrashPointHit, MediaError, PmConfig, PmPool};
-use wbtree::{WbTree, WbTreeConfig};
 
+mod kinds;
 pub mod migration;
 pub mod mt;
 pub mod sharded;
 pub mod single;
 mod sweep;
 
+pub use kinds::{fresh_shard, kind, kinds_and, try_recover_shard_as, Kind, Shape, KINDS, PM_KINDS};
 pub use sweep::{
     sweep, Acked, BoundaryFailure, BoundaryVerdict, Counters, ResidualConfig, Scenario,
     SweepOptions, SweepSummary,
 };
 
-/// The five persistent indexes the explorer knows how to build.
-pub const PM_KINDS: [&str; 5] = ["fptree", "nvtree", "wbtree", "bztree", "learned"];
-
-/// Create or recover one concrete index type, type-erased.
-fn open<T: RangeIndex + 'static, C>(
-    alloc: Arc<PmAllocator>,
-    cfg: C,
-    recover: bool,
-    create: fn(Arc<PmAllocator>, C) -> Arc<T>,
-    try_recover: fn(Arc<PmAllocator>, C) -> Result<Arc<T>, MediaError>,
-) -> Result<Arc<dyn RangeIndex>, MediaError> {
-    Ok(if recover {
-        try_recover(alloc, cfg)?
-    } else {
-        create(alloc, cfg)
-    })
-}
-
-/// Create (or recover) `kind` with the one small-node config every
-/// sweep and integration test uses: deliberately small nodes so short
-/// workloads exercise splits and other structure-modifying operations,
-/// and for the learned index a tiny ε and delta capacity so they cross
-/// many merge/retrain/publish windows over several chunks.
-fn open_small(
-    kind: &str,
-    alloc: Arc<PmAllocator>,
-    recover: bool,
-) -> Result<Arc<dyn RangeIndex>, MediaError> {
-    match kind {
-        "fptree" => {
-            let cfg = FpTreeConfig {
-                leaf_entries: 16,
-                inner_fanout: 8,
-                ..FpTreeConfig::default()
-            };
-            open(alloc, cfg, recover, FpTree::create, FpTree::try_recover)
-        }
-        "nvtree" => {
-            let cfg = NvTreeConfig {
-                leaf_entries: 16,
-                pln_entries: 16,
-            };
-            open(alloc, cfg, recover, NvTree::create, NvTree::try_recover)
-        }
-        "wbtree" => {
-            let cfg = WbTreeConfig {
-                node_entries: 8,
-                use_slot_array: true,
-            };
-            open(alloc, cfg, recover, WbTree::create, WbTree::try_recover)
-        }
-        "bztree" => {
-            let cfg = BzTreeConfig {
-                node_entries: 16,
-                split_threshold_pct: 70,
-            };
-            open(alloc, cfg, recover, BzTree::create, BzTree::try_recover)
-        }
-        "learned" => {
-            let cfg = LearnedConfig {
-                epsilon: 4,
-                delta_min_cap: 24,
-                chunk_entries: 64,
-            };
-            let (create, try_recover) = (LearnedIndex::create, LearnedIndex::try_recover);
-            open(alloc, cfg, recover, create, try_recover)
-        }
-        other => panic!("unknown PM index kind: {other}"),
-    }
-}
-
-/// Build a fresh small-node index (see [`PM_KINDS`]).
-pub fn build_index(kind: &str, alloc: Arc<PmAllocator>) -> Arc<dyn RangeIndex> {
-    open_small(kind, alloc, false).expect("creating an index reads no poisoned line")
+/// Build a fresh [`Shape::Small`] index (see [`PM_KINDS`]).
+pub fn build_index(kind: &str, alloc: Arc<pmalloc::PmAllocator>) -> Arc<dyn RangeIndex> {
+    self::kind(kind).create(alloc, Shape::Small)
 }
 
 /// Recovery entry point matching [`build_index`]. Panics on a media
-/// error; see [`try_recover_index`].
-pub fn recover_index(kind: &str, alloc: Arc<PmAllocator>) -> Arc<dyn RangeIndex> {
-    try_recover_index(kind, alloc).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible recovery entry point matching [`build_index`]: a poisoned
-/// line on the recovery path comes back as a reported [`MediaError`]
-/// instead of garbage or a raw [`pmem::PoisonedRead`] panic.
-pub fn try_recover_index(
-    kind: &str,
-    alloc: Arc<PmAllocator>,
-) -> Result<Arc<dyn RangeIndex>, MediaError> {
-    open_small(kind, alloc, true)
+/// error; see [`Kind::try_recover`].
+pub fn recover_index(kind: &str, alloc: Arc<pmalloc::PmAllocator>) -> Arc<dyn RangeIndex> {
+    let recovered = self::kind(kind).try_recover(alloc, Shape::Small);
+    recovered.unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// `n` fresh shards, each a small-node index of `opts.kind` on its own
 /// freshly formatted `opts.pool_mib` pool and allocator.
 pub fn fresh_shards(opts: &SweepOptions, n: usize, cfg: PmConfig) -> Vec<Shard> {
-    (0..n)
-        .map(|_| {
-            let pool = Arc::new(PmPool::new(opts.pool_mib << 20, cfg.clone()));
-            let alloc = PmAllocator::format(pool.clone(), AllocMode::General);
-            Shard {
-                index: build_index(&opts.kind, alloc.clone()),
-                pool: Some(pool),
-                alloc: Some(alloc),
-            }
-        })
-        .collect()
+    let (shape, mode, bytes) = (Shape::Small, AllocMode::General, opts.pool_mib << 20);
+    let one = || fresh_shard(&opts.kind, shape, mode, bytes, cfg.clone());
+    (0..n).map(|_| one()).collect()
 }
 
-/// Recover one pool's full stack (allocator + index) from its persisted
-/// image, reporting the first media error hit on either layer.
+/// [`try_recover_shard_as`] for the small-node config the sweeps build.
 pub fn try_recover_shard(kind: &str, pool: Arc<PmPool>) -> Result<Shard, MediaError> {
-    let alloc = PmAllocator::try_recover(pool.clone(), AllocMode::General)?;
-    Ok(Shard {
-        index: try_recover_index(kind, alloc.clone())?,
-        pool: Some(pool),
-        alloc: Some(alloc),
-    })
+    try_recover_shard_as(kind, Shape::Small, pool)
 }
 
 /// [`try_recover_shard`], keeping only the index.

@@ -7,80 +7,58 @@
 //! pmload --addr ... --conns 1 --oracle             # model-checked run
 //! ```
 //!
-//! Emits a human table on stderr, one JSON document line on stdout
-//! (same latency-percentile shape as local `pibench` runs), and one
-//! `RESULT key=value ...` line on stdout for shell-side consumers.
-//! With `--shutdown` it asks the server to drain after the run.
+//! Emits a human table on stderr and one JSON document line on stdout
+//! (same latency-percentile shape as local `pibench` runs). `--dist`
+//! takes `uniform|selfsimilar|zipfian|storm` with the same meaning (and
+//! `--theta`, default 0.99) as `pibench`'s. With `--shutdown` it asks
+//! the server to drain after the run. A bad flag or value prints one
+//! line and exits 2.
 
 use std::time::Duration;
 
 use net::client::{run_load, send_shutdown, LoadConfig};
-use pibench::dist::Distribution;
-use pibench::report::{JsonObj, Table};
-use pibench::workload::OP_KINDS;
+use pibench::cli::{fail, Arg, Flags, Spec};
+use pibench::report::{latency_json, latency_rows, JsonObj, Table};
+use pibench::{Distribution, OpMix};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: pmload --addr HOST:PORT [--records N] [--ops N] [--conns N] [--window N]\n\
-         \x20              [--mix L,I,U,R,S] [--dist uniform|selfsimilar|zipfian] [--theta F]\n\
-         \x20              [--scan-len N] [--seed N] [--open-loop-qps Q] [--oracle] [--shutdown]"
-    );
-    std::process::exit(2)
-}
+const FLAGS: Spec = &[
+    ("--addr", Arg::Text),
+    ("--records", Arg::Int(1)),
+    ("--ops", Arg::Int(1)),
+    ("--conns", Arg::Int(1)),
+    ("--window", Arg::Int(1)),
+    ("--mix", Arg::Text),
+    ("--dist", Arg::OneOf(&pibench::dist::NAMES)),
+    ("--theta", Arg::Float),
+    ("--scan-len", Arg::Int(0)),
+    ("--seed", Arg::Int(0)),
+    ("--open-loop-qps", Arg::Float),
+    ("--oracle", Arg::Switch),
+    ("--shutdown", Arg::Switch),
+];
 
-#[allow(clippy::too_many_lines)]
 fn main() {
-    let mut cfg = LoadConfig::default();
-    let mut theta = 0.99f64;
-    let mut dist_name = "uniform".to_string();
-    let mut shutdown = false;
-
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| usage());
-        match arg.as_str() {
-            "--addr" => cfg.addr = val(),
-            "--records" => cfg.records = val().parse().unwrap_or_else(|_| usage()),
-            "--ops" => cfg.ops = val().parse().unwrap_or_else(|_| usage()),
-            "--conns" => cfg.conns = val().parse().unwrap_or_else(|_| usage()),
-            "--window" => cfg.window = val().parse().unwrap_or_else(|_| usage()),
-            "--mix" => {
-                let parts: Vec<u8> = val()
-                    .split(',')
-                    .map(|p| p.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-                if parts.len() != 5 {
-                    usage();
-                }
-                cfg.mix.lookup = parts[0];
-                cfg.mix.insert = parts[1];
-                cfg.mix.update = parts[2];
-                cfg.mix.remove = parts[3];
-                cfg.mix.scan = parts[4];
-                cfg.mix.validate();
-            }
-            "--dist" => dist_name = val(),
-            "--theta" => theta = val().parse().unwrap_or_else(|_| usage()),
-            "--scan-len" => cfg.scan_len = val().parse().unwrap_or_else(|_| usage()),
-            "--seed" => cfg.seed = val().parse().unwrap_or_else(|_| usage()),
-            "--open-loop-qps" => {
-                cfg.open_loop_qps = Some(val().parse().unwrap_or_else(|_| usage()))
-            }
-            "--oracle" => cfg.oracle = true,
-            "--shutdown" => shutdown = true,
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-    }
-    cfg.dist = match dist_name.as_str() {
-        "uniform" => Distribution::Uniform,
-        "selfsimilar" => Distribution::self_similar_80_20(),
-        "zipfian" => Distribution::Zipfian { theta },
-        _ => usage(),
+    let f = Flags::from_env(FLAGS);
+    let d = LoadConfig::default();
+    let records = f.int("--records").unwrap_or(d.records);
+    let theta = f.float("--theta");
+    let cfg = LoadConfig {
+        addr: f.text("--addr").map_or(d.addr, str::to_string),
+        records,
+        ops: f.int("--ops").unwrap_or(d.ops),
+        conns: f.int("--conns").map_or(d.conns, |n| n as usize),
+        window: f.int("--window").map_or(d.window, |n| n as usize),
+        mix: f.parsed("--mix", OpMix::parse).unwrap_or(d.mix),
+        dist: f
+            .parsed("--dist", |name| Distribution::parse(name, theta, records))
+            .unwrap_or(d.dist),
+        scan_len: f.int("--scan-len").map_or(d.scan_len, |n| n as usize),
+        seed: f.int("--seed").unwrap_or(d.seed),
+        open_loop_qps: f.float("--open-loop-qps"),
+        oracle: f.on("--oracle"),
     };
     if cfg.oracle && cfg.conns != 1 {
-        eprintln!("pmload: --oracle requires --conns 1 (FIFO execution order)");
-        std::process::exit(2);
+        fail("--oracle expects --conns 1 (FIFO execution order)");
     }
 
     let r = run_load(&cfg).unwrap_or_else(|e| {
@@ -94,48 +72,23 @@ fn main() {
         "closed"
     };
     let mut t = Table::new(vec!["metric", "value"]);
-    t.row(vec!["loop".to_string(), loop_mode.to_string()]);
-    t.row(vec![
-        "conns x window".to_string(),
-        format!("{} x {}", cfg.conns, cfg.window),
-    ]);
-    t.row(vec!["sent".to_string(), r.sent.to_string()]);
-    t.row(vec!["acked".to_string(), r.acked.to_string()]);
-    t.row(vec!["misses".to_string(), r.misses.to_string()]);
-    t.row(vec!["errors".to_string(), r.errors.to_string()]);
-    t.row(vec![
-        "throughput".to_string(),
-        format!("{:.3} Mops/s", r.mops()),
-    ]);
-    for kind in OP_KINDS {
-        let h = &r.hists[kind as usize];
-        if h.is_empty() {
-            continue;
-        }
-        t.row(vec![
-            format!("{} p50/p99/p99.9", kind.label()),
-            format!(
-                "{} / {} / {} ns",
-                h.percentile(50.0),
-                h.percentile(99.0),
-                h.percentile(99.9)
-            ),
-        ]);
-    }
+    t.kv("loop", loop_mode);
+    t.kv("conns x window", format!("{} x {}", cfg.conns, cfg.window));
+    t.kv("sent", r.sent);
+    t.kv("acked", r.acked);
+    t.kv("misses", r.misses);
+    t.kv("errors", r.errors);
+    t.kv("throughput", format!("{:.3} Mops/s", r.mops()));
+    latency_rows(&mut t, &r.hists);
     if cfg.oracle {
-        t.row(vec![
-            "oracle".to_string(),
-            format!(
-                "{} checked, {} violations",
-                r.oracle_checked, r.oracle_violations
-            ),
-        ]);
+        let (checked, violations) = (r.oracle_checked, r.oracle_violations);
+        t.kv(
+            "oracle",
+            format!("{checked} checked, {violations} violations"),
+        );
     }
     if r.server_closed {
-        t.row(vec![
-            "server".to_string(),
-            "closed mid-run (drain or halt)".to_string(),
-        ]);
+        t.kv("server", "closed mid-run (drain or halt)");
     }
     eprint!("{}", t.to_text());
 
@@ -157,21 +110,7 @@ fn main() {
     if let Some(q) = cfg.open_loop_qps {
         o.f64("target_qps", q);
     }
-    let mut lat = JsonObj::new();
-    for kind in OP_KINDS {
-        let h = &r.hists[kind as usize];
-        if h.is_empty() {
-            continue;
-        }
-        let mut l = JsonObj::new();
-        l.u64("count", h.len() as u64)
-            .u64("p50", h.percentile(50.0))
-            .u64("p99", h.percentile(99.0))
-            .u64("p999", h.percentile(99.9))
-            .f64("mean", h.mean());
-        lat.obj(kind.label(), l);
-    }
-    o.obj("latency_ns", lat);
+    o.obj("latency_ns", latency_json(&r.hists));
     if cfg.oracle {
         let mut or = JsonObj::new();
         or.u64("checked", r.oracle_checked)
@@ -180,26 +119,7 @@ fn main() {
     }
     println!("{}", o.finish());
 
-    // Flat line for shell/e18 consumers (no JSON parser needed).
-    let all = {
-        let mut h = pibench::hist::LatencyHistogram::new();
-        for hh in &r.hists {
-            h.merge(hh);
-        }
-        h
-    };
-    println!(
-        "RESULT loop={loop_mode} acked={} errors={} mops={:.4} p50_ns={} p99_ns={} p999_ns={} oracle_violations={}",
-        r.acked,
-        r.errors,
-        r.mops(),
-        all.percentile(50.0),
-        all.percentile(99.0),
-        all.percentile(99.9),
-        r.oracle_violations
-    );
-
-    if shutdown {
+    if f.on("--shutdown") {
         if let Err(e) = send_shutdown(&cfg.addr) {
             eprintln!("pmload: shutdown request failed: {e}");
         } else {

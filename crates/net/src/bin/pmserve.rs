@@ -19,10 +19,30 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use index_api::RangeIndex;
-use net::build::{build_sharded, recover_sharded, SERVE_KINDS};
+use net::build::{build_sharded, recover_sharded, ALL_KINDS};
 use net::server::{Server, ServerConfig};
-use pibench::report::Table;
-use pmem::{PmConfig, PmStatsSnapshot};
+use pibench::cli::{Arg, Flags, Spec};
+use pibench::report::{cache_rows, Table};
+use pibench::workload::OP_KINDS;
+use pibench::{trace, KeySpace};
+use pmem::PmConfig;
+
+const FLAGS: Spec = &[
+    ("--index", Arg::OneOf(&ALL_KINDS)),
+    ("--shards", Arg::Int(1)),
+    ("--records", Arg::Int(1)),
+    ("--addr", Arg::Text),
+    ("--workers", Arg::Int(0)),
+    ("--batch-max", Arg::Int(1)),
+    ("--window", Arg::Int(1)),
+    ("--max-conns", Arg::Int(1)),
+    ("--pm", Arg::OneOf(&["real", "optane"])),
+    ("--sample-ms", Arg::Int(1)),
+    ("--selfcheck", Arg::Switch),
+    ("--trace", Arg::Switch),
+    ("--cache", Arg::Switch),
+    ("--cache-mb", Arg::Int(1)),
+];
 
 static TERM: AtomicBool = AtomicBool::new(false);
 
@@ -44,75 +64,36 @@ fn install_signal_handlers() {
     }
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: pmserve [--index KIND] [--shards N] [--records N] [--addr HOST:PORT]\n\
-         \x20               [--workers N] [--batch-max N] [--window N] [--max-conns N]\n\
-         \x20               [--pm real|optane] [--sample-ms N] [--selfcheck] [--trace]\n\
-         \x20               [--cache] [--cache-mb N]\n\
-         \x20 KIND one of {SERVE_KINDS:?}"
-    );
-    std::process::exit(2)
-}
-
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let mut index_kind = "fptree".to_string();
-    let mut shards = 4usize;
-    let mut records = 100_000u64;
-    let mut addr = "127.0.0.1:7777".to_string();
-    let mut cfg = ServerConfig::default();
-    let mut pm = PmConfig::optane_like();
-    let mut sample_ms: Option<u64> = None;
-    let mut selfcheck = false;
-    let mut trace = false;
-    let mut use_cache = false;
-    let mut cache_mb = 64usize;
-
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| usage());
-        match arg.as_str() {
-            "--index" => index_kind = val(),
-            "--shards" => shards = val().parse().unwrap_or_else(|_| usage()),
-            "--records" => records = val().parse().unwrap_or_else(|_| usage()),
-            "--addr" => addr = val(),
-            "--workers" => cfg.workers = val().parse().unwrap_or_else(|_| usage()),
-            "--batch-max" => cfg.batch_max = val().parse().unwrap_or_else(|_| usage()),
-            "--window" => cfg.window = val().parse().unwrap_or_else(|_| usage()),
-            "--max-conns" => cfg.max_conns = val().parse().unwrap_or_else(|_| usage()),
-            "--pm" => {
-                pm = match val().as_str() {
-                    "real" => PmConfig::real(),
-                    "optane" => PmConfig::optane_like(),
-                    _ => usage(),
-                }
-            }
-            "--sample-ms" => sample_ms = Some(val().parse().unwrap_or_else(|_| usage())),
-            "--selfcheck" => selfcheck = true,
-            "--trace" => trace = true,
-            "--cache" => use_cache = true,
-            "--cache-mb" => {
-                cache_mb = val().parse().unwrap_or_else(|_| usage());
-                use_cache = true;
-            }
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-    }
-    if !SERVE_KINDS.contains(&index_kind.as_str()) {
-        usage();
-    }
-    cfg.addr = addr;
+    let f = Flags::from_env(FLAGS);
+    let index_kind = f.text("--index").unwrap_or("fptree");
+    let shards = f.int("--shards").unwrap_or(4) as usize;
+    let records = f.int("--records").unwrap_or(100_000);
+    let d = ServerConfig::default();
+    let cfg = ServerConfig {
+        addr: f.text("--addr").unwrap_or("127.0.0.1:7777").to_string(),
+        workers: f.int("--workers").map_or(d.workers, |n| n as usize),
+        batch_max: f.int("--batch-max").map_or(d.batch_max, |n| n as usize),
+        window: f.int("--window").map_or(d.window, |n| n as usize),
+        max_conns: f.int("--max-conns").map_or(d.max_conns, |n| n as usize),
+        ..d
+    };
+    let pm = match f.text("--pm") {
+        Some("real") => PmConfig::real(),
+        _ => PmConfig::optane_like(),
+    };
+    let sample_ms = f.int("--sample-ms");
+    let trace = f.on("--trace");
+    let cache_mb = f.int("--cache-mb").unwrap_or(64) as usize;
+    let use_cache = f.on("--cache") || f.on("--cache-mb");
 
     install_signal_handlers();
 
     eprintln!("pmserve: building {index_kind} x{shards}, prefilling {records} records");
-    let env = build_sharded(&index_kind, shards, records, pm);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2);
-    net::build::prefill(&env.index, records, threads);
+    let env = build_sharded(index_kind, shards, records, pm);
+    let threads = std::thread::available_parallelism().map_or(2, |n| n.get());
+    pibench::prefill(&*env.index, &KeySpace::new(records), threads);
     for p in &env.pools {
         p.reset_stats();
     }
@@ -160,17 +141,7 @@ fn main() {
         let net_series = net_series.clone();
         obs::Sampler::start(ms, move || {
             net_series.lock().unwrap().push(stats.batch_counters());
-            let s =
-                PmStatsSnapshot::merged(pools.iter().map(|p| p.stats()).collect::<Vec<_>>().iter());
-            obs::PmCounters {
-                read_bytes: s.read_bytes,
-                write_bytes: s.write_bytes,
-                media_read_bytes: s.media_read_bytes,
-                media_write_bytes: s.media_write_bytes,
-                clwb: s.clwb,
-                ntstore: s.ntstore,
-                fence: s.fence,
-            }
+            trace::pool_counters(&pools)
         })
     });
 
@@ -218,95 +189,56 @@ fn main() {
         eprint!("{}", t.to_text());
     }
     if trace {
-        let sites = obs::site_table();
-        let mut t = Table::new(vec!["site", "events", "read B", "write B"]);
-        for s in &sites {
-            t.row(vec![
-                s.name.clone(),
-                s.events.to_string(),
-                s.read_bytes.to_string(),
-                s.write_bytes.to_string(),
-            ]);
-        }
         eprintln!("\nper-site PM traffic attribution:");
-        eprint!("{}", t.to_text());
+        eprint!("{}", trace::site_table(&obs::site_table()).to_text());
     }
 
     let st = &report.stats;
     let total = st.total_served();
     let (batches, batch_ops, fences) = st.batch_counters();
     let mut t = Table::new(vec!["metric", "value"]);
-    t.row(vec!["served ops".to_string(), total.to_string()]);
-    for (i, label) in ["lookup", "insert", "update", "remove", "scan"]
-        .iter()
-        .enumerate()
-    {
-        t.row(vec![
-            format!("  {label}"),
-            st.served[i].load(Ordering::Relaxed).to_string(),
-        ]);
+    t.kv("served ops", total);
+    for kind in OP_KINDS {
+        let served = st.served[kind as usize].load(Ordering::Relaxed);
+        t.kv(&format!("  {}", kind.label()), served);
     }
-    t.row(vec![
-        "acked writes".to_string(),
-        st.acked_writes.load(Ordering::Relaxed).to_string(),
-    ]);
-    t.row(vec![
-        "batches".to_string(),
-        format!(
-            "{batches} (avg {:.1} writes, {fences} fence epochs)",
-            if batches > 0 {
-                batch_ops as f64 / batches as f64
-            } else {
-                0.0
-            }
-        ),
-    ]);
-    t.row(vec![
-        "conns".to_string(),
+    t.kv("acked writes", st.acked_writes.load(Ordering::Relaxed));
+    let avg = batch_ops as f64 / batches.max(1) as f64;
+    t.kv(
+        "batches",
+        format!("{batches} (avg {avg:.1} writes, {fences} fence epochs)"),
+    );
+    t.kv(
+        "conns",
         format!(
             "{} accepted, {} overload-rejected, {} shed",
             st.conns_accepted.load(Ordering::Relaxed),
             st.overload_rejected.load(Ordering::Relaxed),
             st.shed_conns.load(Ordering::Relaxed)
         ),
-    ]);
-    t.row(vec![
-        "time split".to_string(),
+    );
+    t.kv(
+        "time split",
         format!(
             "wire {}ms, index {}ms, fence {}ms",
             st.wire_ns.load(Ordering::Relaxed) / 1_000_000,
             st.index_ns.load(Ordering::Relaxed) / 1_000_000,
             st.fence_ns.load(Ordering::Relaxed) / 1_000_000
         ),
-    ]);
+    );
     if let Some(c) = &cached {
         let cc = c.counters();
-        t.row(vec![
-            "cache".to_string(),
-            format!(
-                "{} hits / {} misses ({:.1}% hit rate)",
-                cc.hits,
-                cc.misses,
-                cc.hit_rate() * 100.0
-            ),
-        ]);
-        t.row(vec![
-            "  churn".to_string(),
-            format!(
-                "{} fills, {} evictions, {} invalidations",
-                cc.fills, cc.evictions, cc.invalidations
-            ),
-        ]);
+        let churn = [cc.fills, cc.evictions, cc.invalidations];
+        cache_rows(&mut t, cc.hits, cc.misses, churn);
     }
-    t.row(vec![
-        "halted".to_string(),
+    t.kv(
+        "halted",
         if report.halted {
             "yes (crash point)"
         } else {
             "no"
-        }
-        .to_string(),
-    ]);
+        },
+    );
     eprintln!("\npmserve drained:");
     eprint!("{}", t.to_text());
 
@@ -315,7 +247,7 @@ fn main() {
         std::process::exit(3);
     }
 
-    if selfcheck {
+    if f.on("--selfcheck") {
         if env.pools.is_empty() {
             eprintln!("selfcheck: skipped (dram index has no pools)");
         } else {
@@ -328,7 +260,7 @@ fn main() {
             for p in &pools {
                 p.crash();
             }
-            let rec = recover_sharded(&index_kind, pools);
+            let rec = recover_sharded(index_kind, pools);
             let mut post = Vec::new();
             rec.index.scan(0, usize::MAX >> 1, &mut post);
             if live != post {

@@ -1,30 +1,24 @@
-//! Index construction for the serving binaries.
+//! Index construction for everything above the library stack.
 //!
-//! `pmserve` must stand up the same default-configuration sharded
-//! indexes the local benchmarks use, but `net` deliberately does not
-//! depend on the `bench` crate (the harness sits *above* the serving
-//! layer — E18 drives these binaries as subprocesses). So the small
-//! amount of construction logic lives here: default-config inner
-//! indexes, one pool + allocator per shard, behind one
+//! `pmserve`, the repo benchmark, the experiment harness and `pibench`
+//! all stand up indexes here, so every tool measures the same build:
+//! an inner index of the named kind from the one kind table
+//! ([`crashpoint::KINDS`]) or the volatile `dram` baseline, one pool +
+//! allocator per shard, sized by one heuristic, behind one
 //! [`engine::ShardedIndex`].
 
 use std::sync::Arc;
 
-use bztree::{BzTree, BzTreeConfig};
+use crashpoint::{fresh_shard, kinds_and, try_recover_shard_as, Shape};
 use dram_index::DramTree;
 use engine::{Shard, ShardedIndex};
-use fptree::{FpTree, FpTreeConfig};
-use index_api::RangeIndex;
-use learned::{LearnedConfig, LearnedIndex};
-use nvtree::{NvTree, NvTreeConfig};
 use pmalloc::{AllocMode, PmAllocator};
 use pmem::{PmConfig, PmPool, ROOT_AREA};
-use wbtree::{WbTree, WbTreeConfig};
 
-/// Index kinds `pmserve` can serve.
-pub const SERVE_KINDS: [&str; 6] = ["fptree", "nvtree", "wbtree", "bztree", "learned", "dram"];
+/// The five PM kinds plus the volatile baseline.
+pub const ALL_KINDS: [&str; 6] = kinds_and("dram");
 
-/// A served index with its backing pools/allocators (empty for DRAM).
+/// A sharded index with its backing pools/allocators (empty for DRAM).
 pub struct BuiltEnv {
     /// The index behind the server.
     pub index: Arc<ShardedIndex>,
@@ -34,119 +28,70 @@ pub struct BuiltEnv {
     pub allocs: Vec<Arc<PmAllocator>>,
 }
 
-/// Per-shard pool capacity for `total_records` split over `shards`:
-/// generous per-record budget plus fixed per-pool overhead (root area,
-/// allocator metadata), matching the local harness's sizing heuristic.
+impl From<Arc<ShardedIndex>> for BuiltEnv {
+    fn from(index: Arc<ShardedIndex>) -> BuiltEnv {
+        BuiltEnv {
+            pools: index.pools(),
+            allocs: index.allocs(),
+            index,
+        }
+    }
+}
+
+/// Capacity of ONE of `shards` pools jointly holding `total_records`.
+/// The per-record budget is generous (nodes are half-full on average,
+/// BzTree keeps version chains until consolidation) and carries growth
+/// headroom for insert-heavy phases; it splits across shards. The fixed
+/// per-pool overhead (reserved root area, allocator metadata, first-chunk
+/// slack) does not, so N small pools don't under-provision.
 pub fn pool_bytes_for_shard(total_records: u64, shards: usize) -> usize {
     assert!(shards >= 1);
     let budget = (total_records as usize) * 320 + (64 << 20);
     budget.div_ceil(shards) + ROOT_AREA as usize + (4 << 20)
 }
 
-fn make_index(kind: &str, alloc: &Arc<PmAllocator>) -> Arc<dyn RangeIndex> {
-    match kind {
-        "fptree" => FpTree::create(alloc.clone(), FpTreeConfig::default()),
-        "nvtree" => NvTree::create(alloc.clone(), NvTreeConfig::default()),
-        "wbtree" => WbTree::create(alloc.clone(), WbTreeConfig::default()),
-        "bztree" => BzTree::create(alloc.clone(), BzTreeConfig::default()),
-        "learned" => LearnedIndex::create(alloc.clone(), LearnedConfig::default()),
-        other => panic!("unknown index kind {other:?} (expected one of {SERVE_KINDS:?})"),
+/// One fresh shard of `kind` (any row of the kind table, or `dram`) on
+/// its own pool of `pool_bytes`.
+pub fn shard(kind: &str, shape: Shape, mode: AllocMode, pool_bytes: usize, pm: PmConfig) -> Shard {
+    if kind == "dram" {
+        return Shard {
+            index: Arc::new(DramTree::new()),
+            pool: None,
+            alloc: None,
+        };
     }
-}
-
-fn reopen_index(kind: &str, alloc: &Arc<PmAllocator>) -> Arc<dyn RangeIndex> {
-    match kind {
-        "fptree" => FpTree::recover(alloc.clone(), FpTreeConfig::default()),
-        "nvtree" => NvTree::recover(alloc.clone(), NvTreeConfig::default()),
-        "wbtree" => WbTree::recover(alloc.clone(), WbTreeConfig::default()),
-        "bztree" => BzTree::recover(alloc.clone(), BzTreeConfig::default()),
-        "learned" => LearnedIndex::recover(alloc.clone(), LearnedConfig::default()),
-        other => panic!("unknown index kind {other:?}"),
-    }
+    fresh_shard(kind, shape, mode, pool_bytes, pm)
 }
 
 /// Build a fresh default-config sharded index of `kind` sized for
-/// `records`, on `shards` independent pools.
+/// `records`, on `shards` independent pools. `shards == 1` still wraps,
+/// so the shard axis is uniform in reports (`sharded-<kind>`).
 pub fn build_sharded(kind: &str, shards: usize, records: u64, pm: PmConfig) -> BuiltEnv {
-    assert!(shards >= 1);
-    let parts: Vec<Shard> = (0..shards)
-        .map(|_| {
-            if kind == "dram" {
-                Shard {
-                    index: Arc::new(DramTree::new()),
-                    pool: None,
-                    alloc: None,
-                }
-            } else {
-                let pool = Arc::new(PmPool::new(
-                    pool_bytes_for_shard(records, shards),
-                    pm.clone(),
-                ));
-                let alloc = PmAllocator::format(pool.clone(), AllocMode::General);
-                Shard {
-                    index: make_index(kind, &alloc),
-                    pool: Some(pool),
-                    alloc: Some(alloc),
-                }
-            }
-        })
-        .collect();
-    let index = ShardedIndex::from_parts(parts);
-    let pools = index.pools();
-    let allocs = index.allocs();
-    BuiltEnv {
-        index,
-        pools,
-        allocs,
-    }
+    let bytes = pool_bytes_for_shard(records, shards);
+    let one = || shard(kind, Shape::Default, AllocMode::General, bytes, pm.clone());
+    ShardedIndex::from_parts((0..shards).map(|_| one()).collect()).into()
 }
 
-/// Reopen every shard of a crashed default-config sharded index (the
-/// `pmserve --selfcheck` restart path).
+/// Reopen every shard of a crashed default-config sharded index, one
+/// thread per shard (the `pmserve --selfcheck` restart path).
 pub fn recover_sharded(kind: &str, pools: Vec<Arc<PmPool>>) -> BuiltEnv {
-    let index = ShardedIndex::recover_with(pools, true, |_, pool| {
-        let alloc = PmAllocator::try_recover(pool, AllocMode::General)?;
-        Ok((reopen_index(kind, &alloc), alloc))
+    ShardedIndex::recover_with(pools, true, |_, pool| {
+        let s = try_recover_shard_as(kind, Shape::Default, pool)?;
+        Ok((s.index, s.alloc.expect("recovered with its allocator")))
     })
-    .expect("shard recovery hit a media error");
-    let pools = index.pools();
-    let allocs = index.allocs();
-    BuiltEnv {
-        index,
-        pools,
-        allocs,
-    }
-}
-
-/// Prefill `records` keys (the pibench keyspace: `mix(0..records)` with
-/// derived values) using `threads` concurrent inserters.
-pub fn prefill(index: &Arc<ShardedIndex>, records: u64, threads: usize) {
-    let threads = threads.max(1);
-    let ks = pibench::keys::KeySpace::new(records);
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let index = index.clone();
-            let ks = &ks;
-            scope.spawn(move || {
-                let mut i = t as u64;
-                while i < records {
-                    let k = ks.key(i);
-                    assert!(index.insert(k, ks.value_for(k)), "prefill collision at {i}");
-                    i += threads as u64;
-                }
-            });
-        }
-    });
+    .expect("shard recovery hit a media error")
+    .into()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use index_api::RangeIndex;
 
     #[test]
     fn build_prefill_recover_roundtrip() {
         let env = build_sharded("wbtree", 2, 2_000, PmConfig::real());
-        prefill(&env.index, 2_000, 2);
+        pibench::prefill(&*env.index, &pibench::KeySpace::new(2_000), 2);
         let ks = pibench::keys::KeySpace::new(2_000);
         assert_eq!(env.index.lookup(ks.key(7)), Some(ks.value_for(ks.key(7))));
         let pools = env.pools.clone();
@@ -164,7 +109,7 @@ mod tests {
     #[test]
     fn dram_env_has_no_pools() {
         let env = build_sharded("dram", 3, 500, PmConfig::real());
-        prefill(&env.index, 500, 1);
+        pibench::prefill(&*env.index, &pibench::KeySpace::new(500), 1);
         assert!(env.pools.is_empty());
         assert_eq!(env.index.shard_count(), 3);
     }

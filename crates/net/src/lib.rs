@@ -13,8 +13,8 @@
 //! consistent with the offline, shims-only workspace.
 //!
 //! Binaries: `pmserve` (serve an index over TCP) and `pmload` (drive a
-//! remote server), wired together as experiment E18 and the CI network
-//! smoke job.
+//! remote server), wired together by the CI network smoke job;
+//! experiment E18 drives [`Server`] and [`run_load`] in one process.
 
 #![warn(missing_docs)]
 

@@ -27,42 +27,17 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use pm_index_bench::bztree::{BzTree, BzTreeConfig};
 use pm_index_bench::crashpoint::{
-    apply_op, apply_until_cut, install_quiet_crash_hook, verify_recovered, workload, Acked,
-    PM_KINDS as KINDS,
+    apply_op, apply_until_cut, install_quiet_crash_hook, kind as kind_row, verify_recovered,
+    workload, Acked, Shape, PM_KINDS as KINDS,
 };
-use pm_index_bench::fptree::{FpTree, FpTreeConfig};
 use pm_index_bench::index_api::RangeIndex;
-use pm_index_bench::learned::{LearnedConfig, LearnedIndex};
-use pm_index_bench::nvtree::{NvTree, NvTreeConfig};
+use pm_index_bench::pibench::cli::{Arg, Flags};
 use pm_index_bench::pmalloc::{AllocMode, PmAllocator};
 use pm_index_bench::pmem::{PmConfig, PmPool, ResidualPolicy};
-use pm_index_bench::wbtree::{WbTree, WbTreeConfig};
 
-// Default (large-node) configs, unlike the sweeps' small ones: the
-// torture's long workloads reach splits anyway.
-fn create(kind: &str, alloc: Arc<PmAllocator>) -> Arc<dyn RangeIndex> {
-    match kind {
-        "fptree" => FpTree::create(alloc, FpTreeConfig::default()),
-        "nvtree" => NvTree::create(alloc, NvTreeConfig::default()),
-        "wbtree" => WbTree::create(alloc, WbTreeConfig::default()),
-        "bztree" => BzTree::create(alloc, BzTreeConfig::default()),
-        "learned" => LearnedIndex::create(alloc, LearnedConfig::default()),
-        _ => unreachable!(),
-    }
-}
-
-fn recover(kind: &str, alloc: Arc<PmAllocator>) -> Arc<dyn RangeIndex> {
-    match kind {
-        "fptree" => FpTree::recover(alloc, FpTreeConfig::default()),
-        "nvtree" => NvTree::recover(alloc, NvTreeConfig::default()),
-        "wbtree" => WbTree::recover(alloc, WbTreeConfig::default()),
-        "bztree" => BzTree::recover(alloc, BzTreeConfig::default()),
-        "learned" => LearnedIndex::recover(alloc, LearnedConfig::default()),
-        _ => unreachable!(),
-    }
-}
+// The indexes run in their default (large-node) shape, unlike the
+// sweeps' small one: the torture's long workloads reach splits anyway.
 
 /// Pull the plug with a sampled torn image (each dirty line left at the
 /// cut persists with p = 1/2 — a different image every round,
@@ -81,7 +56,9 @@ fn cut_and_verify(
         p_per_256: 128,
     });
     let alloc = PmAllocator::recover(pool.clone(), AllocMode::General);
-    let idx = recover(kind, alloc);
+    let idx = kind_row(kind)
+        .try_recover(alloc, Shape::Default)
+        .unwrap_or_else(|e| panic!("{kind}: {e}"));
     if let Err(e) = verify_recovered(&*idx, &acked.model, &acked.inflight) {
         panic!("{kind}: {e}");
     }
@@ -95,7 +72,7 @@ fn torture(kind: &str, round_seed: u64) {
         PmConfig::real().with_eviction_chaos(seed),
     ));
     let alloc = PmAllocator::format(pool.clone(), AllocMode::General);
-    let idx = create(kind, alloc);
+    let idx = kind_row(kind).create(alloc, Shape::Default);
 
     let n_ops = 2_000 + (seed % 3_000);
     let ops = workload(seed, n_ops, 4_096);
@@ -128,50 +105,20 @@ fn torture(kind: &str, round_seed: u64) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // First positional arg = rounds; skip flag values so `--seed 7`
-    // is never misread as a round count.
-    let mut rounds: u64 = 5;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--kind" || args[i] == "--seed" {
-            i += 2;
-            continue;
-        }
-        if let Ok(r) = args[i].parse() {
-            rounds = r;
-            break;
-        }
-        i += 1;
-    }
-    let kinds: Vec<&str> = match args.iter().position(|a| a == "--kind") {
-        Some(i) => {
-            let kind = args.get(i + 1).map(String::as_str).unwrap_or("");
-            match KINDS.iter().find(|k| **k == kind) {
-                Some(k) => vec![*k],
-                None => {
-                    eprintln!("--kind expects one of {KINDS:?}, got {kind:?}");
-                    std::process::exit(2);
-                }
-            }
-        }
+    let flags = Flags::from_env(&[
+        ("rounds", Arg::Int(1)),
+        ("--kind", Arg::OneOf(&KINDS)),
+        ("--seed", Arg::Int(0)),
+    ]);
+    let rounds = flags.int("rounds").unwrap_or(5);
+    let kinds: Vec<&str> = match flags.text("--kind") {
+        Some(kind) => vec![kind],
         None => KINDS.to_vec(),
     };
-
     // `--seed` offsets the round-seed stream; round r of base seed S
     // is exactly round 0 of base seed S + r, so a failure replays as a
     // single round.
-    let base_seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--seed expects an integer, got {v:?}");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(0u64);
+    let base_seed = flags.int("--seed").unwrap_or(0);
 
     install_quiet_crash_hook();
     // Flight recorder: keep the last PM events of every round so an

@@ -1,4 +1,5 @@
-//! Head-to-head comparison of all five indexes using the PiBench API:
+//! Head-to-head comparison of every index kind (the five PM indexes
+//! of the kind table and the DRAM baseline) using the PiBench API:
 //! the scenario from the paper's introduction — an OLTP-ish mixed
 //! workload over a prefilled table, on emulated Optane-like PM.
 //!
@@ -6,37 +7,15 @@
 //! cargo run --release --example index_shootout
 //! ```
 
-use std::sync::Arc;
-
-use pm_index_bench::bztree::{BzTree, BzTreeConfig};
-use pm_index_bench::dram_index::DramTree;
-use pm_index_bench::fptree::{FpTree, FpTreeConfig};
-use pm_index_bench::index_api::RangeIndex;
-use pm_index_bench::nvtree::{NvTree, NvTreeConfig};
+use pm_index_bench::crashpoint::Shape;
+use pm_index_bench::net::build::{pool_bytes_for_shard, shard, ALL_KINDS};
 use pm_index_bench::pibench::report::Table;
-use pm_index_bench::pibench::{prefill, run, BenchConfig, Distribution, KeySpace, OpMix};
-use pm_index_bench::pmalloc::{AllocMode, PmAllocator};
-use pm_index_bench::pmem::{PmConfig, PmPool};
-use pm_index_bench::wbtree::{WbTree, WbTreeConfig};
+use pm_index_bench::pibench::{prefill, run, BenchConfig, Distribution, KeySpace, OpKind, OpMix};
+use pm_index_bench::pmalloc::AllocMode;
+use pm_index_bench::pmem::PmConfig;
 
 const RECORDS: u64 = 200_000;
 const OPS: u64 = 200_000;
-
-fn build(kind: &str) -> (Arc<dyn RangeIndex>, Option<Arc<PmPool>>) {
-    if kind == "dram-btree" {
-        return (Arc::new(DramTree::new()), None);
-    }
-    let pool = Arc::new(PmPool::new(256 << 20, PmConfig::optane_like()));
-    let alloc = PmAllocator::format(pool.clone(), AllocMode::General);
-    let idx: Arc<dyn RangeIndex> = match kind {
-        "fptree" => FpTree::create(alloc, FpTreeConfig::default()),
-        "nvtree" => NvTree::create(alloc, NvTreeConfig::default()),
-        "wbtree" => WbTree::create(alloc, WbTreeConfig::default()),
-        "bztree" => BzTree::create(alloc, BzTreeConfig::default()),
-        _ => unreachable!(),
-    };
-    (idx, Some(pool))
-}
 
 fn main() {
     let threads = std::thread::available_parallelism()
@@ -59,8 +38,11 @@ fn main() {
         "p99 insert",
         "PM writeB/op",
     ]);
-    for kind in ["fptree", "nvtree", "wbtree", "bztree", "dram-btree"] {
-        let (idx, pool) = build(kind);
+    for kind in ALL_KINDS {
+        let bytes = pool_bytes_for_shard(RECORDS, 1);
+        let (shape, mode) = (Shape::Default, AllocMode::General);
+        let built = shard(kind, shape, mode, bytes, PmConfig::optane_like());
+        let (idx, pool) = (built.index, built.pool);
         let ks = KeySpace::new(RECORDS);
         prefill(&*idx, &ks, threads);
         let cfg = BenchConfig {
@@ -79,14 +61,8 @@ fn main() {
         table.row(vec![
             kind.to_string(),
             format!("{:.3}", r.mops()),
-            format!(
-                "{}ns",
-                r.latency[pm_index_bench::pibench::OpKind::Lookup as usize].percentile(99.0)
-            ),
-            format!(
-                "{}ns",
-                r.latency[pm_index_bench::pibench::OpKind::Insert as usize].percentile(99.0)
-            ),
+            format!("{}ns", r.latency[OpKind::Lookup as usize].percentile(99.0)),
+            format!("{}ns", r.latency[OpKind::Insert as usize].percentile(99.0)),
             format!("{:.0}", r.pm_write_bytes_per_op()),
         ]);
     }

@@ -85,146 +85,82 @@
 //! non-integer value or an unknown `--kind` exits 2 before anything
 //! runs.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use pm_index_bench::bztree::{BzTree, BzTreeConfig};
 use pm_index_bench::crashpoint::migration::Migration;
 use pm_index_bench::crashpoint::mt::Mt;
 use pm_index_bench::crashpoint::sharded::Sharded;
 use pm_index_bench::crashpoint::single::Single;
-use pm_index_bench::crashpoint::{sweep, ResidualConfig, SweepOptions, SweepSummary, PM_KINDS};
-use pm_index_bench::fptree::{FpTree, FpTreeConfig};
+use pm_index_bench::crashpoint::{
+    fresh_shard, kind as kind_row, kinds_and, sweep, ResidualConfig, Shape, SweepOptions,
+    SweepSummary, PM_KINDS,
+};
 use pm_index_bench::index_api::RangeIndex;
 use pm_index_bench::learned::{LearnedConfig, LearnedIndex};
 use pm_index_bench::net::crash::Net;
-use pm_index_bench::nvtree::{NvTree, NvTreeConfig};
-use pm_index_bench::pibench::report::Table;
+use pm_index_bench::pibench::cli::{self, Arg, Flags, Spec};
+use pm_index_bench::pibench::report::{cache_rows, Table};
 use pm_index_bench::pmalloc::{AllocMode, PmAllocator};
 use pm_index_bench::pmem::{PmConfig, PmPool};
-use pm_index_bench::wbtree::{WbTree, WbTreeConfig};
+
+type Flag = (&'static str, Arg);
+
+/// `--kind <name|all>`, taken by every subcommand but `cachestat`.
+const KIND: Flag = ("--kind", Arg::OneOf(&kinds_and("all")));
+const OPS: Flag = ("--ops", Arg::Int(1));
+const KEY_RANGE: Flag = ("--key-range", Arg::Int(1));
+const SEED: Flag = ("--seed", Arg::Int(0));
+const STRIDE: Flag = ("--stride", Arg::Int(1));
+const MAX_BOUNDARIES: Flag = ("--max-boundaries", Arg::Int(0));
+const SHARDS: Flag = ("--shards", Arg::Int(1));
+const THREADS: Flag = ("--threads", Arg::Int(1));
+const SAMPLES: Flag = ("--samples", Arg::Int(0));
+const P_PER_256: Flag = ("--p-per-256", Arg::Int(0));
+const EXHAUSTIVE: Flag = ("--exhaustive", Arg::Int(0));
+const POISON: Flag = ("--poison", Arg::Switch);
+const CACHE_MB: Flag = ("--cache-mb", Arg::Int(0));
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli::args();
     let (cmd, rest) = match args.split_first() {
         Some((cmd, rest)) => (cmd.as_str(), rest),
         None => ("footprint", &[][..]),
     };
-    let flags = |values: &str, switches: &str| {
-        Flags::parse(rest, values, switches).unwrap_or_else(|msg| {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        })
-    };
+    let flags = |spec: Spec| Flags::parse(rest, spec).unwrap_or_else(|msg| cli::fail(&msg));
     if let Some(row) = SWEEPS.iter().find(|row| row.name == cmd) {
-        crash_sweep(row, &flags(row.values, row.switches));
+        crash_sweep(row, &flags(row.flags));
         return;
     }
     match cmd {
-        "footprint" => flags("", "")
-            .kinds("fptree")
+        "footprint" => kinds(&flags(&[KIND]), "fptree")
             .into_iter()
             .for_each(footprint_one),
-        "cachestat" => cachestat(&flags("--records --ops --cache-mb", "")),
-        other => {
-            eprintln!(
-                "unknown subcommand {other:?}; expected `footprint`, `crashpoints`, `mtcrash`, \
-                 `shardcrash`, `netcrash`, `migcrash` or `cachestat`"
-            );
-            std::process::exit(2);
-        }
+        "cachestat" => cachestat(&flags(&[("--records", Arg::Int(1)), OPS, CACHE_MB])),
+        other => cli::fail(&format!(
+            "unknown subcommand {other:?}; expected `footprint`, `crashpoints`, `mtcrash`, \
+             `shardcrash`, `netcrash`, `migcrash` or `cachestat`"
+        )),
     }
 }
 
-/// The parsed flags of one subcommand: `--kind <name|all>`, integer
-/// value flags and bare switches.
-struct Flags {
-    kind: Option<String>,
-    values: BTreeMap<String, u64>,
-    switches: BTreeSet<String>,
-}
-
-impl Flags {
-    /// Parse `args` against the space-separated integer flags and
-    /// switches a subcommand takes (`--kind` is always one); the error
-    /// is the message to print before exiting 2.
-    fn parse(args: &[String], values: &str, switches: &str) -> Result<Flags, String> {
-        let known = |list: &str, name: &str| list.split(' ').any(|flag| flag == name);
-        let mut flags = Flags {
-            kind: None,
-            values: BTreeMap::new(),
-            switches: BTreeSet::new(),
-        };
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            let name = arg.as_str();
-            if known(switches, name) {
-                flags.switches.insert(arg.clone());
-                continue;
-            }
-            if name != "--kind" && !known(values, name) {
-                return Err(format!(
-                    "unknown flag {arg:?}; expected one of: --kind {values} {switches}"
-                ));
-            }
-            let v = it.next().ok_or(format!("{name} expects a value"))?;
-            if name == "--kind" {
-                if v != "all" && !PM_KINDS.contains(&v.as_str()) {
-                    return Err(format!(
-                        "--kind expects one of {PM_KINDS:?} or `all`, got {v:?}"
-                    ));
-                }
-                flags.kind = Some(v.clone());
-            } else {
-                let n = v
-                    .parse()
-                    .map_err(|_| format!("{name} expects an integer, got {v:?}"))?;
-                flags.values.insert(arg.clone(), n);
-            }
-        }
-        Ok(flags)
-    }
-
-    fn get(&self, name: &str) -> Option<u64> {
-        self.values.get(name).copied()
-    }
-
-    fn on(&self, name: &str) -> bool {
-        self.switches.contains(name)
-    }
-
-    /// The index kinds `--kind` selects.
-    fn kinds(&self, default: &str) -> Vec<&'static str> {
-        let kind = self.kind.as_deref().unwrap_or(default);
-        let all = kind == "all";
-        PM_KINDS.into_iter().filter(|k| all || *k == kind).collect()
-    }
-}
-
-/// Default-config instance of `kind`; the learned index additionally
-/// hands back its concrete handle so the model stats stay reachable
-/// behind the type-erased probe loop.
-fn footprint_index(
-    kind: &str,
-    alloc: Arc<PmAllocator>,
-) -> (Arc<dyn RangeIndex>, Option<Arc<LearnedIndex>>) {
-    match kind {
-        "fptree" => (FpTree::create(alloc, FpTreeConfig::default()), None),
-        "nvtree" => (NvTree::create(alloc, NvTreeConfig::default()), None),
-        "wbtree" => (WbTree::create(alloc, WbTreeConfig::default()), None),
-        "bztree" => (BzTree::create(alloc, BzTreeConfig::default()), None),
-        "learned" => {
-            let t = LearnedIndex::create(alloc, LearnedConfig::default());
-            (t.clone(), Some(t))
-        }
-        other => panic!("not a PM index: {other}"),
-    }
+/// The index kinds `--kind` selects.
+fn kinds(f: &Flags, default: &str) -> Vec<&'static str> {
+    let kind = f.text("--kind").unwrap_or(default);
+    let all = kind == "all";
+    PM_KINDS.into_iter().filter(|k| all || *k == kind).collect()
 }
 
 fn footprint_one(kind: &'static str) {
     let pool = Arc::new(PmPool::new(96 << 20, PmConfig::real()));
     let alloc = PmAllocator::format(pool.clone(), AllocMode::General);
-    let (tree, learned) = footprint_index(kind, alloc);
+    // The learned index keeps its concrete handle so the model stats
+    // stay reachable behind the type-erased probe loop.
+    let learned =
+        (kind == "learned").then(|| LearnedIndex::create(alloc.clone(), LearnedConfig::default()));
+    let tree: Arc<dyn RangeIndex> = match &learned {
+        Some(t) => t.clone(),
+        None => kind_row(kind).create(alloc, Shape::Default),
+    };
     for k in 0..100_000u64 {
         tree.insert(k * 2, k);
     }
@@ -313,10 +249,8 @@ type Column = (&'static str, fn(&Flags, &SweepSummary) -> String);
 /// One crash-sweep subcommand.
 struct SweepRow {
     name: &'static str,
-    /// Integer flags it takes besides `--kind`, and its switches
-    /// (space-separated).
-    values: &'static str,
-    switches: &'static str,
+    /// The flags it takes.
+    flags: Spec<'static>,
     /// Defaults of `--ops`, `--key-range`, each pool's MiB and the
     /// residual model.
     ops: u64,
@@ -345,26 +279,26 @@ fn joined(xs: &[impl ToString]) -> String {
 const PROBE: Column = ("probe events", |_, s| joined(&s.probe_events));
 const BOUNDARIES: Column = ("boundaries", |_, s| s.boundaries_tested.to_string());
 const CRASHES: Column = ("crashes", |_, s| s.crashes_fired.to_string());
-const SAMPLES: Column = ("samples", |_, s| s.samples_run.to_string());
+const SAMPLES_RUN: Column = ("samples", |_, s| s.samples_run.to_string());
 const MAX_CANDS: Column = ("max cands", |_, s| s.max_residual_candidates.to_string());
-const POISON: Column = ("poison inj/rep", |_, s| {
+const POISONED: Column = ("poison inj/rep", |_, s| {
     format!("{}/{}", s.poison_injected, s.poison_reported)
 });
 
 fn shards(f: &Flags, default: u64) -> usize {
-    f.get("--shards").unwrap_or(default).max(1) as usize
+    f.int("--shards").unwrap_or(default) as usize
 }
 
 fn threads(f: &Flags) -> usize {
-    f.get("--threads").unwrap_or(4) as usize
+    f.int("--threads").unwrap_or(4) as usize
 }
 
 fn net_scenario(f: &Flags) -> Net {
     Net {
         shards: shards(f, 2),
-        batch_max: f.get("--batch-max").unwrap_or(8) as usize,
-        window: f.get("--window").unwrap_or(32) as usize,
-        cache_mb: match f.get("--cache-mb") {
+        batch_max: f.int("--batch-max").unwrap_or(8) as usize,
+        window: f.int("--window").unwrap_or(32) as usize,
+        cache_mb: match f.int("--cache-mb") {
             Some(mb) => mb as usize,
             None if f.on("--cache") => 4,
             None => 0,
@@ -375,8 +309,20 @@ fn net_scenario(f: &Flags) -> Net {
 static SWEEPS: [SweepRow; 5] = [
     SweepRow {
         name: "crashpoints",
-        values: "--ops --key-range --seed --stride --max-boundaries --samples --p-per-256 --exhaustive",
-        switches: "--chaos --poison --trace",
+        flags: &[
+            KIND,
+            OPS,
+            KEY_RANGE,
+            SEED,
+            STRIDE,
+            MAX_BOUNDARIES,
+            SAMPLES,
+            P_PER_256,
+            EXHAUSTIVE,
+            POISON,
+            ("--chaos", Arg::Switch),
+            ("--trace", Arg::Switch),
+        ],
         ops: 200,
         key_range: 128,
         pool_mib: 32,
@@ -392,10 +338,10 @@ static SWEEPS: [SweepRow; 5] = [
             ("events", PROBE.1),
             BOUNDARIES,
             CRASHES,
-            SAMPLES,
+            SAMPLES_RUN,
             ("exhaustive", |_, s| s.exhaustive_boundaries.to_string()),
             MAX_CANDS,
-            POISON,
+            POISONED,
             ("max dirty lines", |_, s| s.max_dirty_lines.to_string()),
             ("redundant clwb", |_, s| s.probe_redundant_clwb.to_string()),
         ],
@@ -406,8 +352,17 @@ static SWEEPS: [SweepRow; 5] = [
     },
     SweepRow {
         name: "mtcrash",
-        values: "--threads --ops --boundaries --seed --samples --p-per-256 --exhaustive",
-        switches: "--poison",
+        flags: &[
+            KIND,
+            THREADS,
+            OPS,
+            ("--boundaries", Arg::Int(0)),
+            SEED,
+            SAMPLES,
+            P_PER_256,
+            EXHAUSTIVE,
+            POISON,
+        ],
         ops: 200,
         key_range: 128,
         pool_mib: 32,
@@ -418,8 +373,9 @@ static SWEEPS: [SweepRow; 5] = [
         },
         describe: |f| format!("{} threads", threads(f)),
         run: |f, mut o| {
-            o.max_boundaries = f.get("--boundaries");
-            vec![sweep(&Mt { threads: threads(f) }, &o)]
+            o.max_boundaries = f.int("--boundaries");
+            let threads = threads(f);
+            vec![sweep(&Mt { threads }, &o)]
         },
         title: "Multi-threaded crash consistency",
         columns: &[
@@ -427,9 +383,9 @@ static SWEEPS: [SweepRow; 5] = [
             BOUNDARIES,
             CRASHES,
             ("threads cut", |_, s| s.counter("threads_cut").to_string()),
-            SAMPLES,
+            SAMPLES_RUN,
             MAX_CANDS,
-            POISON,
+            POISONED,
         ],
         violations: "concurrent-crash",
         green: "every concurrent crash recovered to a state satisfying \
@@ -438,8 +394,7 @@ static SWEEPS: [SweepRow; 5] = [
     },
     SweepRow {
         name: "shardcrash",
-        values: "--shards --ops --key-range --seed --stride --max-boundaries",
-        switches: "",
+        flags: &[KIND, SHARDS, OPS, KEY_RANGE, SEED, STRIDE, MAX_BOUNDARIES],
         ops: 400,
         key_range: 96,
         pool_mib: 8,
@@ -467,8 +422,19 @@ static SWEEPS: [SweepRow; 5] = [
     },
     SweepRow {
         name: "netcrash",
-        values: "--shards --ops --key-range --seed --stride --max-boundaries --batch-max --window --cache-mb",
-        switches: "--cache",
+        flags: &[
+            KIND,
+            SHARDS,
+            OPS,
+            KEY_RANGE,
+            SEED,
+            STRIDE,
+            MAX_BOUNDARIES,
+            ("--batch-max", Arg::Int(1)),
+            ("--window", Arg::Int(1)),
+            CACHE_MB,
+            ("--cache", Arg::Switch),
+        ],
         ops: 400,
         key_range: 96,
         pool_mib: 8,
@@ -510,8 +476,7 @@ static SWEEPS: [SweepRow; 5] = [
     },
     SweepRow {
         name: "migcrash",
-        values: "--shards --ops --key-range --seed --stride --max-boundaries",
-        switches: "",
+        flags: &[KIND, SHARDS, OPS, KEY_RANGE, SEED, STRIDE, MAX_BOUNDARIES],
         ops: 400,
         key_range: 96,
         pool_mib: 8,
@@ -553,8 +518,8 @@ static SWEEPS: [SweepRow; 5] = [
 /// `--exhaustive` (`--poison` implies sampling so there are lost lines
 /// to poison), else the row's default.
 fn residual(f: &Flags, default: ResidualConfig) -> ResidualConfig {
-    let samples = f.get("--samples");
-    if let Some(max_lines) = f.get("--exhaustive") {
+    let samples = f.int("--samples");
+    if let Some(max_lines) = f.int("--exhaustive") {
         ResidualConfig::Exhaustive {
             max_lines: max_lines as u32,
             fallback_samples: samples.unwrap_or(2) as u32,
@@ -562,7 +527,7 @@ fn residual(f: &Flags, default: ResidualConfig) -> ResidualConfig {
     } else if samples.is_some() || f.on("--poison") {
         ResidualConfig::Sampled {
             samples: samples.unwrap_or(4) as u32,
-            p_per_256: f.get("--p-per-256").unwrap_or(128) as u32,
+            p_per_256: f.int("--p-per-256").unwrap_or(128) as u32,
         }
     } else {
         default
@@ -578,14 +543,14 @@ fn print_tail(tail: &str) {
 /// Run one row of [`SWEEPS`] over the selected kinds; exits 1 on any
 /// violation.
 fn crash_sweep(row: &SweepRow, f: &Flags) {
-    let seed = f.get("--seed").unwrap_or(1);
+    let seed = f.int("--seed").unwrap_or(1);
     let base = SweepOptions {
-        ops: f.get("--ops").unwrap_or(row.ops),
-        key_range: f.get("--key-range").unwrap_or(row.key_range),
+        ops: f.int("--ops").unwrap_or(row.ops),
+        key_range: f.int("--key-range").unwrap_or(row.key_range),
         seed,
         pool_mib: row.pool_mib,
-        stride: f.get("--stride").unwrap_or(1),
-        max_boundaries: f.get("--max-boundaries"),
+        stride: f.int("--stride").unwrap_or(1),
+        max_boundaries: f.int("--max-boundaries"),
         residual: residual(f, row.residual),
         poison: f.on("--poison"),
         ..SweepOptions::default()
@@ -610,7 +575,7 @@ fn crash_sweep(row: &SweepRow, f: &Flags) {
     headers.push("failures");
     let mut table = Table::new(headers);
     let mut any_failures = false;
-    for kind in f.kinds("all") {
+    for kind in kinds(f, "all") {
         let opts = SweepOptions {
             kind: kind.to_string(),
             ..base.clone()
@@ -683,25 +648,21 @@ fn cachestat(f: &Flags) {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    let records = f.get("--records").unwrap_or(50_000);
-    let ops = f.get("--ops").unwrap_or(200_000);
-    let cache_mb = f.get("--cache-mb").unwrap_or(16) as usize;
+    let records = f.int("--records").unwrap_or(50_000);
+    let ops = f.int("--ops").unwrap_or(200_000);
+    let cache_mb = f.int("--cache-mb").unwrap_or(16) as usize;
 
-    let pool = Arc::new(PmPool::new(256 << 20, PmConfig::real()));
-    let alloc = PmAllocator::format(pool.clone(), AllocMode::General);
-    let inner = FpTree::create(alloc, FpTreeConfig::default());
+    let (shape, mode) = (Shape::Default, AllocMode::General);
+    let shard = fresh_shard("fptree", shape, mode, 256 << 20, PmConfig::real());
+    let pool = shard.pool.expect("a PM shard");
     for k in 0..records {
-        inner.insert(k, k);
+        shard.index.insert(k, k);
     }
-    let cached = CachedIndex::new(inner as Arc<dyn RangeIndex>, cache_mb << 20);
+    let cached = CachedIndex::new(shard.index, cache_mb << 20);
 
     // 90/10 lookup/update under a hot-key storm: the worst case the
     // tier is built for, so the hit rate must be substantial.
-    let sampler = Distribution::HotStorm {
-        hot: (records / 100).max(1),
-        frac: 0.9,
-    }
-    .sampler(records);
+    let sampler = Distribution::storm(records).sampler(records);
     let mut rng = SmallRng::seed_from_u64(0xCAC4E);
     pool.reset_stats();
     let t0 = std::time::Instant::now();
@@ -718,32 +679,13 @@ fn cachestat(f: &Flags) {
     let cc = cached.counters();
     let pm = pool.stats();
     let mut t = Table::new(vec!["metric", "value"]);
-    t.row(vec!["ops".to_string(), ops.to_string()]);
-    t.row(vec![
-        "Mops/s".to_string(),
-        format!("{:.2}", ops as f64 / dt / 1e6),
-    ]);
-    t.row(vec![
-        "cache slots".to_string(),
-        cached.cache().capacity().to_string(),
-    ]);
-    t.row(vec!["hits".to_string(), cc.hits.to_string()]);
-    t.row(vec!["misses".to_string(), cc.misses.to_string()]);
-    t.row(vec![
-        "hit rate".to_string(),
-        format!("{:.1}%", cc.hit_rate() * 100.0),
-    ]);
-    t.row(vec!["fills".to_string(), cc.fills.to_string()]);
-    t.row(vec!["evictions".to_string(), cc.evictions.to_string()]);
-    t.row(vec![
-        "invalidations".to_string(),
-        cc.invalidations.to_string(),
-    ]);
-    t.row(vec!["PM read bytes".to_string(), pm.read_bytes.to_string()]);
-    t.row(vec![
-        "PM write bytes".to_string(),
-        pm.write_bytes.to_string(),
-    ]);
+    t.kv("ops", ops);
+    t.kv("Mops/s", format!("{:.2}", ops as f64 / dt / 1e6));
+    t.kv("cache slots", cached.cache().capacity());
+    let churn = [cc.fills, cc.evictions, cc.invalidations];
+    cache_rows(&mut t, cc.hits, cc.misses, churn);
+    t.kv("PM read bytes", pm.read_bytes);
+    t.kv("PM write bytes", pm.write_bytes);
     println!(
         "cachestat: {records} records, {cache_mb} MiB tier, hot-storm 90/10 \
          lookup/update:\n"

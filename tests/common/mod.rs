@@ -19,7 +19,7 @@ use pm_index_bench::pmalloc::{AllocMode, PmAllocator};
 use pm_index_bench::pmem::{PmConfig, PmPool};
 
 /// All kinds including the volatile baseline.
-pub const ALL_KINDS: [&str; 6] = ["fptree", "nvtree", "wbtree", "bztree", "learned", "dram"];
+pub use pm_index_bench::net::build::ALL_KINDS;
 
 /// A fresh small-node index on its own pool.
 pub fn fresh(
