@@ -146,9 +146,9 @@ mod tests {
             rows.iter().filter(|l| l.contains("local")).count(),
             rows.iter().filter(|l| l.contains("remote")).count(),
         );
-        // Two connection counts locally, and against each of three batch
-        // sizes; one open-loop point on top.
-        assert_eq!((local, remote), (2, 6), "{}", r.text);
+        // Two connection counts locally and against the server; one
+        // open-loop point on top.
+        assert_eq!((local, remote), (2, 2), "{}", r.text);
         assert!(r.text.contains("open 25000qps"), "{}", r.text);
         assert!(!r.text.contains("skipped") && !r.text.contains("FAILED"));
         for row in r.json.split("},{") {

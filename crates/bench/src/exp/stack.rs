@@ -89,8 +89,8 @@ pub fn e17(ctx: &ExpCtx) -> ExpReport {
 }
 
 /// One E18 row: where the ops ran and how they were offered (`path`,
-/// `loop`, `conns`, `batch`), and what the run measured.
-fn e18_row(t: &mut Table, setup: [&str; 4], run: (f64, &[LatencyHistogram], u64, u64)) {
+/// `loop`, `conns`), and what the run measured.
+fn e18_row(t: &mut Table, setup: [&str; 3], run: (f64, &[LatencyHistogram], u64, u64)) {
     let (mops, hists, acked, errors) = run;
     let mut all = LatencyHistogram::new();
     for h in hists {
@@ -111,14 +111,14 @@ fn e18_row(t: &mut Table, setup: [&str; 4], run: (f64, &[LatencyHistogram], u64,
 /// E18 — remote serving layer vs. local direct calls: the same mixed
 /// workload (60% lookups, 10% each of insert/update/remove/scan — all
 /// five wire op types on every point) through a `net::Server` over
-/// loopback TCP, driven by `net::run_load` (closed-loop across batch
-/// sizes and connection counts, plus one open-loop Poisson point),
-/// against the in-process baseline. The paper benchmarks indexes behind
+/// loopback TCP, driven by `net::run_load` (closed-loop across
+/// connection counts, plus one open-loop Poisson point), against the
+/// in-process baseline. The paper benchmarks indexes behind
 /// function calls; this measures what the missing deployment path —
 /// wire codec, group-durability batching, backpressure — costs.
 pub fn e18(ctx: &ExpCtx) -> ExpReport {
     let mut t = Table::new(vec![
-        "path", "loop", "conns", "batch", "Mops/s", "p50", "p99", "p99.9", "acked", "errors",
+        "path", "loop", "conns", "Mops/s", "p50", "p99", "p99.9", "acked", "errors",
     ]);
     let mix = LoadConfig::default().mix;
     let conn_ladder = [1usize, ctx.max_threads.clamp(2, 4)];
@@ -129,53 +129,47 @@ pub fn e18(ctx: &ExpCtx) -> ExpReport {
     for threads in conn_ladder {
         let (b, ks) = build(ctx);
         let r = run_point(&b, &ks, &ctx.point(threads, mix, Uniform));
-        let setup = ["local", "closed", &threads.to_string(), "-"];
+        let setup = ["local", "closed", &threads.to_string()];
         e18_row(&mut t, setup, (r.mops(), &r.latency, r.total_ops(), 0));
     }
 
-    // Remote: a fresh server per batch size (it is a server-side knob),
-    // the connection counts swept against it, then one open-loop
-    // Poisson point at the largest batch.
+    // Remote: one server, the connection counts swept against it, then
+    // one open-loop Poisson point.
     let remote_ops = ctx.ops_per_point.clamp(1_000, 100_000);
-    for batch in [1usize, 32, 128] {
-        let (b, _ks) = build(ctx);
-        let cfg = ServerConfig {
-            workers: conn_ladder[1],
-            batch_max: batch,
-            ..ServerConfig::default()
-        };
-        let server = Server::start(b.index.clone(), b.pools.clone(), cfg).expect("bind loopback");
-        let load = |conns: usize, ops: u64, open_loop_qps: Option<f64>| -> LoadResult {
-            run_load(&LoadConfig {
-                addr: server.local_addr().to_string(),
-                records: ctx.records,
-                ops,
-                conns,
-                window: 32,
-                mix,
-                open_loop_qps,
-                ..LoadConfig::default()
-            })
-            .expect("loopback load")
-        };
-        let mut row = |how: &str, conns: usize, r: LoadResult| {
-            let setup = ["remote", how, &conns.to_string(), &batch.to_string()];
-            e18_row(&mut t, setup, (r.mops(), &r.hists, r.acked, r.errors));
-        };
-        for conns in conn_ladder {
-            row("closed", conns, load(conns, remote_ops, None));
-        }
-        if batch == 128 {
-            // Open loop: Poisson arrivals at a rate the closed loop
-            // sustains comfortably, so the row reads as
-            // latency-under-offered-load, not saturation.
-            let qps = 25_000.0;
-            let r = load(conn_ladder[1], remote_ops.min(50_000), Some(qps));
-            row(&format!("open {qps:.0}qps"), conn_ladder[1], r);
-        }
-        server.handle().drain();
-        server.join();
+    let (b, _ks) = build(ctx);
+    let cfg = ServerConfig {
+        workers: conn_ladder[1],
+        ..ServerConfig::default()
+    };
+    let server = Server::start(b.index.clone(), b.pools.clone(), cfg).expect("bind loopback");
+    let load = |conns: usize, ops: u64, open_loop_qps: Option<f64>| -> LoadResult {
+        run_load(&LoadConfig {
+            addr: server.local_addr().to_string(),
+            records: ctx.records,
+            ops,
+            conns,
+            window: 32,
+            mix,
+            open_loop_qps,
+            ..LoadConfig::default()
+        })
+        .expect("loopback load")
+    };
+    let mut row = |how: &str, conns: usize, r: LoadResult| {
+        let setup = ["remote", how, &conns.to_string()];
+        e18_row(&mut t, setup, (r.mops(), &r.hists, r.acked, r.errors));
+    };
+    for conns in conn_ladder {
+        row("closed", conns, load(conns, remote_ops, None));
     }
+    // Open loop: Poisson arrivals at a rate the closed loop sustains
+    // comfortably, so the row reads as latency-under-offered-load, not
+    // saturation.
+    let qps = 25_000.0;
+    let r = load(conn_ladder[1], remote_ops.min(50_000), Some(qps));
+    row(&format!("open {qps:.0}qps"), conn_ladder[1], r);
+    server.handle().drain();
+    server.join();
     let title = "E18: remote serving layer vs local direct calls (fptree, mixed 60/10/10/10/10)";
     render(title, ctx, &t, &[])
 }

@@ -42,16 +42,12 @@
 //! CLOCK second-chance over the bucket's reference bits.
 //!
 //! Scans bypass the cache entirely (the inner index is the only source
-//! of ordered truth). [`SkewEstimator`] provides the windowed hot-range
-//! detection that drives `engine`'s online shard splitting.
+//! of ordered truth).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use index_api::{Footprint, Key, RangeIndex, Value};
-
-pub mod skew;
-pub use skew::SkewEstimator;
 
 /// Slots per bucket (set-associativity of the cache).
 pub const WAYS: usize = 8;

@@ -56,12 +56,13 @@
 //! double recovery is idempotent. The `crashpoint::migration` sweep
 //! verifies the whole protocol at every persistence-event boundary.
 //!
-//! ## Skew detection
+//! ## What a routed op touches
 //!
-//! Every operation feeds a [`cache::SkewEstimator`] plus a per-shard
-//! load counter; [`ShardedIndex::hot_hint`] turns "one range absorbs
-//! most of the window" into a concrete `(shard, split_at)` proposal for
-//! the migration machinery.
+//! Route, execute, return: a point op takes the routing `RwLock` for
+//! reading (its reader count is the only shared word the engine writes)
+//! and calls the owning shard's index. Nothing is sampled on the op
+//! path; whoever wants a split picks `split_at` and calls
+//! [`ShardedIndex::begin_migration`].
 //!
 //! ## Cross-shard scan continuation
 //!
@@ -69,10 +70,8 @@
 //! each shard's contribution to its routed range — which also hides
 //! not-yet-GC'd source leftovers after a publish.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cache::SkewEstimator;
 use index_api::{Footprint, Key, RangeIndex, Value};
 use parking_lot::{Mutex, RwLock};
 use pmalloc::PmAllocator;
@@ -93,10 +92,6 @@ pub const MIG_MAGIC: u64 = 0x454e_4753_4841_5244;
 pub const MIG_PREPARING: u64 = 1;
 pub const MIG_ACTIVE: u64 = 2;
 pub const MIG_SETTLED: u64 = 3;
-
-/// Traffic share of the window above which [`ShardedIndex::hot_hint`]
-/// proposes a split.
-pub const HOT_SPLIT_SHARE: f64 = 0.5;
 
 /// One shard: an inner index plus the PM state backing it (absent for
 /// DRAM-only inners).
@@ -233,8 +228,6 @@ struct Claim {
 
 struct EngineState {
     shards: Vec<Shard>,
-    /// Per-shard op counters (parallel to `shards`; drives `hot_hint`).
-    loads: Vec<Arc<AtomicU64>>,
     routes: Vec<RouteEntry>,
     migration: Option<Arc<Migration>>,
     next_seq: u64,
@@ -244,7 +237,6 @@ struct EngineState {
 /// implements the full [`RangeIndex`] contract.
 pub struct ShardedIndex {
     state: RwLock<EngineState>,
-    skew: SkewEstimator,
     name: &'static str,
 }
 
@@ -254,47 +246,30 @@ impl ShardedIndex {
     /// responsible for routing prefill through this wrapper so that
     /// invariant holds).
     pub fn from_parts(shards: Vec<Shard>) -> Arc<Self> {
+        let routes = base_routes(shards.len());
+        Self::assemble(shards, routes, 1)
+    }
+
+    fn assemble(shards: Vec<Shard>, routes: Vec<RouteEntry>, next_seq: u64) -> Arc<Self> {
         assert!(!shards.is_empty(), "ShardedIndex needs at least one shard");
         let name = sharded_name(shards[0].index.name());
-        let n = shards.len();
-        let loads = (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect();
         Arc::new(Self {
             state: RwLock::new(EngineState {
                 shards,
-                loads,
-                routes: base_routes(n),
+                routes,
                 migration: None,
-                next_seq: 1,
+                next_seq,
             }),
-            skew: SkewEstimator::new(1 << 16),
             name,
         })
     }
 
-    /// Re-open every shard from its pool's persisted image. `f` recovers
-    /// one shard (allocator first, then index) and is called once per
-    /// pool — sequentially when `parallel` is false, on one scoped
-    /// thread per shard otherwise. The first [`MediaError`] aborts the
-    /// open (on the parallel path the error of the lowest-indexed
-    /// failing shard is reported, so both paths fail deterministically).
-    ///
-    /// Positional: pool `i` is shard `i` of the arithmetic partition.
-    /// Deployments that migrate must use [`Self::recover_routed`].
-    pub fn recover_with<F>(
-        pools: Vec<Arc<PmPool>>,
-        parallel: bool,
-        f: F,
-    ) -> Result<Arc<Self>, MediaError>
-    where
-        F: Fn(usize, Arc<PmPool>) -> Result<(Arc<dyn RangeIndex>, Arc<PmAllocator>), MediaError>
-            + Sync,
-    {
-        let _site = obs::site("engine_recovery");
-        assert!(!pools.is_empty(), "ShardedIndex needs at least one shard");
-        let shards = Self::recover_shards(&pools, parallel, &f)?;
-        Ok(Self::from_parts(shards))
-    }
-
+    /// Recover one shard per pool with `f` (allocator first, then
+    /// index), called once per pool — sequentially when `parallel` is
+    /// false, on one scoped thread per shard otherwise. The first
+    /// [`MediaError`] aborts the open (on the parallel path the error of
+    /// the lowest-indexed failing shard is reported, so both paths fail
+    /// deterministically).
     fn recover_shards<F>(
         pools: &[Arc<PmPool>],
         parallel: bool,
@@ -337,13 +312,16 @@ impl ShardedIndex {
             .collect())
     }
 
-    /// Routing-aware recovery. `base_pools` are the original arithmetic
-    /// shards, positionally; `claim_pools` are migration destinations
-    /// (any order). A claim pool whose root area carries a valid
-    /// `ACTIVE`/`SETTLED` claim is recovered and its range overlaid on
-    /// the routing table (in claim-sequence order); anything else —
-    /// `PREPARING`, torn, or never written — is dropped: its contents
-    /// were never published, so they are logically invisible.
+    /// Re-open every shard from its pool's persisted image (`f` recovers
+    /// one, see `recover_shards`). `base_pools` are the original
+    /// arithmetic shards, positionally; `claim_pools` are migration
+    /// destinations (any order; empty for a deployment that never
+    /// migrated, whose routing table is then the arithmetic partition).
+    /// A claim pool whose root area carries a valid `ACTIVE`/`SETTLED`
+    /// claim is recovered and its range overlaid on the routing table
+    /// (in claim-sequence order); anything else — `PREPARING`, torn, or
+    /// never written — is dropped: its contents were never published,
+    /// so they are logically invisible.
     ///
     /// For `ACTIVE` claims the interrupted GC is re-run (idempotent)
     /// and the claim is settled, so recovering twice is a no-op.
@@ -389,19 +367,7 @@ impl ShardedIndex {
             overlay_route(&mut routes, c.start, c.last, base_pools.len() + i);
         }
         let next_seq = claims.iter().map(|c| c.seq + 1).max().unwrap_or(1);
-        let n = shards.len();
-        let name = sharded_name(shards[0].index.name());
-        let engine = Arc::new(Self {
-            state: RwLock::new(EngineState {
-                shards,
-                loads: (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect(),
-                routes,
-                migration: None,
-                next_seq,
-            }),
-            skew: SkewEstimator::new(1 << 16),
-            name,
-        });
+        let engine = Self::assemble(shards, routes, next_seq);
         // Finish interrupted GC: an ACTIVE claim owns its range but the
         // source leftovers may still be on media. Scrub + settle, in
         // sequence order (idempotent; double recovery re-runs safely).
@@ -426,21 +392,6 @@ impl ShardedIndex {
     /// Snapshot of the routing table (sorted, contiguous cover).
     pub fn routes(&self) -> Vec<RouteEntry> {
         self.state.read().routes.clone()
-    }
-
-    /// Per-shard operation counts since construction.
-    pub fn shard_loads(&self) -> Vec<u64> {
-        self.state
-            .read()
-            .loads
-            .iter()
-            .map(|l| l.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// The windowed skew estimator fed by every routed operation.
-    pub fn skew(&self) -> &SkewEstimator {
-        &self.skew
     }
 
     /// Index of the shard owning `key` (routing-table lookup).
@@ -500,30 +451,6 @@ impl ShardedIndex {
         }
     }
 
-    #[inline]
-    fn note(&self, st: &EngineState, key: Key, shard: usize) {
-        self.skew.record(key);
-        st.loads[shard].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A `(shard, split_at)` proposal when the hottest observed range
-    /// absorbs ≥ `HOT_SPLIT_SHARE` of the traffic window and the owning
-    /// route entry is splittable. The split lands at the midpoint of
-    /// the overlap between the hot range and the entry.
-    pub fn hot_hint(&self) -> Option<(usize, Key)> {
-        let hot = self.skew.hottest().filter(|h| h.share >= HOT_SPLIT_SHARE)?;
-        let st = self.state.read();
-        if st.migration.is_some() {
-            return None;
-        }
-        let mid = hot.start + (hot.last - hot.start) / 2;
-        let e = st.routes[route_idx(&st.routes, mid)];
-        let lo = e.start.max(hot.start);
-        let hi = e.last.min(hot.last);
-        let split = lo + (hi - lo) / 2;
-        (split > e.start).then_some((e.shard, split))
-    }
-
     /// Start migrating `[split_at, last-of-entry]` to `dst` (a freshly
     /// built shard; its pool — when present — receives the durable
     /// claim). `split_at` must lie strictly inside its route entry.
@@ -549,7 +476,6 @@ impl ShardedIndex {
         }
         let dst_idx = st.shards.len();
         st.shards.push(dst);
-        st.loads.push(Arc::new(AtomicU64::new(0)));
         let mig = Arc::new(Migration {
             start: split_at,
             last: e.last,
@@ -715,7 +641,6 @@ impl RangeIndex for ShardedIndex {
     fn insert(&self, key: Key, value: Value) -> bool {
         let st = self.state.read();
         let shard = st.routes[route_idx(&st.routes, key)].shard;
-        self.note(&st, key, shard);
         match st.migration.as_ref().filter(|m| m.covers(key)) {
             Some(mig) => {
                 let _g = mig.lock.lock();
@@ -735,14 +660,12 @@ impl RangeIndex for ShardedIndex {
     fn lookup(&self, key: Key) -> Option<Value> {
         let st = self.state.read();
         let shard = st.routes[route_idx(&st.routes, key)].shard;
-        self.note(&st, key, shard);
         st.shards[shard].index.lookup(key)
     }
 
     fn update(&self, key: Key, value: Value) -> bool {
         let st = self.state.read();
         let shard = st.routes[route_idx(&st.routes, key)].shard;
-        self.note(&st, key, shard);
         match st.migration.as_ref().filter(|m| m.covers(key)) {
             Some(mig) => {
                 let _g = mig.lock.lock();
@@ -764,7 +687,6 @@ impl RangeIndex for ShardedIndex {
     fn remove(&self, key: Key) -> bool {
         let st = self.state.read();
         let shard = st.routes[route_idx(&st.routes, key)].shard;
-        self.note(&st, key, shard);
         match st.migration.as_ref().filter(|m| m.covers(key)) {
             Some(mig) => {
                 let _g = mig.lock.lock();
@@ -1038,11 +960,15 @@ mod tests {
                     p
                 })
                 .collect();
-            let idx = ShardedIndex::recover_with(pools.clone(), parallel, |_, pool| {
+            let recover = |_, pool| {
                 let alloc = PmAllocator::try_recover(pool, AllocMode::General)?;
                 Ok((Arc::new(MapIndex::new()) as Arc<dyn RangeIndex>, alloc))
-            })
-            .expect("recovery succeeds");
+            };
+            let idx = ShardedIndex::recover_routed(pools.clone(), Vec::new(), parallel, recover)
+                .expect("recovery succeeds");
+            // No claim pools: pool `i` is shard `i` of the arithmetic
+            // partition and nothing is scrubbed.
+            assert_eq!(idx.routes(), base_routes(3));
             assert_eq!(idx.shard_count(), 3);
             assert_eq!(idx.pools().len(), 3);
             assert_eq!(idx.allocs().len(), 3);
@@ -1054,33 +980,6 @@ mod tests {
     fn sharded_name_table() {
         let idx = map_sharded(2);
         assert_eq!(idx.name(), "sharded-map-index");
-    }
-
-    #[test]
-    fn loads_and_skew_accumulate() {
-        let idx = map_sharded(2);
-        for k in 0..100u64 {
-            idx.insert(k, k); // all shard 0
-        }
-        let loads = idx.shard_loads();
-        assert_eq!(loads[0], 100);
-        assert_eq!(loads[1], 0);
-        assert!(idx.skew().window_total() > 0);
-        // Everything landed in histogram slot 0 → maximally skewed.
-        assert!(idx.skew().is_skewed(0.9));
-    }
-
-    #[test]
-    fn hot_hint_proposes_a_split_inside_the_hot_entry() {
-        let idx = map_sharded(2);
-        // Hammer a narrow range in the middle of shard 0.
-        let base = u64::MAX / 4;
-        for i in 0..5_000u64 {
-            idx.insert(base + i, i);
-        }
-        let (shard, split) = idx.hot_hint().expect("hot traffic must hint");
-        assert_eq!(shard, 0);
-        assert!(split > 0 && split <= idx.routes()[0].last);
     }
 
     #[test]

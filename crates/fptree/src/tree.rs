@@ -113,11 +113,6 @@ impl FpTree {
         self.alloc.pool()
     }
 
-    /// The HTM domain (exposed for abort-rate analysis in experiments).
-    pub fn htm_stats(&self) -> htm::HtmStats {
-        self.htm.stats()
-    }
-
     // ----- leaf primitives -------------------------------------------------
 
     /// Try to acquire a leaf's version lock. Returns the pre-lock (even)

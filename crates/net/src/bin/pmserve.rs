@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! pmserve --index fptree --shards 4 --records 100000 --addr 127.0.0.1:7777 \
-//!         --workers 4 --batch-max 32 --sample-ms 500 --selfcheck
+//!         --workers 4 --window 256 --sample-ms 500 --selfcheck
 //! ```
 //!
 //! Prints `pmserve listening on <addr>` once ready (drivers parse this
@@ -33,7 +33,6 @@ const FLAGS: Spec = &[
     ("--records", Arg::Int(1)),
     ("--addr", Arg::Text),
     ("--workers", Arg::Int(0)),
-    ("--batch-max", Arg::Int(1)),
     ("--window", Arg::Int(1)),
     ("--max-conns", Arg::Int(1)),
     ("--pm", Arg::OneOf(&["real", "optane"])),
@@ -74,10 +73,8 @@ fn main() {
     let cfg = ServerConfig {
         addr: f.text("--addr").unwrap_or("127.0.0.1:7777").to_string(),
         workers: f.int("--workers").map_or(d.workers, |n| n as usize),
-        batch_max: f.int("--batch-max").map_or(d.batch_max, |n| n as usize),
         window: f.int("--window").map_or(d.window, |n| n as usize),
         max_conns: f.int("--max-conns").map_or(d.max_conns, |n| n as usize),
-        ..d
     };
     let pm = match f.text("--pm") {
         Some("real") => PmConfig::real(),

@@ -54,8 +54,6 @@ use crate::wire::{ReqOp, Response, Status};
 pub struct Net {
     /// Shards behind the server (each on its own pool).
     pub shards: usize,
-    /// Server group-durability batch size.
-    pub batch_max: usize,
     /// Client pipelining window (how deep the unacked suffix can get).
     pub window: usize,
     /// DRAM hot-key cache in front of the served index, in MiB (0 = off).
@@ -69,7 +67,6 @@ impl Default for Net {
     fn default() -> Self {
         Net {
             shards: 2,
-            batch_max: 8,
             window: 32,
             cache_mb: 0,
         }
@@ -200,7 +197,6 @@ impl Scenario for Net {
         let cfg = ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 1,
-            batch_max: self.batch_max,
             window: self.window.max(1),
             ..ServerConfig::default()
         };

@@ -13,15 +13,19 @@
 //! ## Group durability
 //!
 //! Write operations (insert/update/delete) are executed immediately but
-//! their acks are *held back*: the worker accumulates up to
-//! `batch_max` executed writes, notes which shard pools they touched,
-//! then issues **one fence epoch** — `PmPool::fence_epoch` on each
-//! touched pool, under the `net_batch_fence` obs site — and only then
-//! releases the whole batch of acks to the output buffers. An acked
-//! write therefore always sits behind a completed fence epoch on its
-//! shard's pool, which is what the crash harness
-//! (`crashpoint::net`) proves end to end: arm any persistence boundary
-//! through this path and every acked write survives `try_recover`.
+//! their acks are *held back*: the worker executes until every
+//! connection's queue is empty, noting which shard pools the writes
+//! touched, then issues **one fence epoch** per loop iteration —
+//! `PmPool::fence_epoch` on each touched pool, under the
+//! `net_batch_fence` obs site — and only then releases the held acks to
+//! the output buffers. There is no size cap on a batch: output buffers
+//! reach the sockets only in the write phase, which follows the commit,
+//! so a fence issued earlier in the iteration could not deliver any ack
+//! sooner. An acked write therefore always sits behind a completed
+//! fence epoch on its shard's pool, which is what the crash harness
+//! ([`crate::crash::Net`]) proves end to end: arm any persistence
+//! boundary through this path and every acked write survives
+//! `try_recover`.
 //!
 //! If a crash point trips inside an operation or inside the fence
 //! epoch itself, the worker unwinds via [`CrashPointHit`], the server
@@ -33,7 +37,7 @@
 //!
 //! Per connection: at most `window` decoded-but-unanswered requests
 //! (beyond it the worker stops reading that socket, pushing back
-//! through TCP flow control), and at most `max_outbuf` bytes of
+//! through TCP flow control), and at most `MAX_OUTBUF` (4 MiB) of
 //! buffered responses (beyond it the connection is shed as a slow
 //! reader). Globally: at most `max_conns` connections; excess accepts
 //! receive a [`Status::Overload`] load-shed frame and are closed.
@@ -65,25 +69,23 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads (thread-per-core; 0 = available parallelism).
     pub workers: usize,
-    /// Max executed writes per group-durability fence epoch.
-    pub batch_max: usize,
     /// Per-connection bound on decoded-but-unanswered requests.
     pub window: usize,
     /// Admission-control cap on concurrent connections.
     pub max_conns: usize,
-    /// Slow-reader shed threshold: max buffered response bytes.
-    pub max_outbuf: usize,
 }
+
+/// Slow-reader shed threshold: max buffered response bytes per
+/// connection.
+const MAX_OUTBUF: usize = 4 << 20;
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 0,
-            batch_max: 32,
             window: 256,
             max_conns: 1024,
-            max_outbuf: 4 << 20,
         }
     }
 }
@@ -95,8 +97,6 @@ pub struct ServeStats {
     /// Requests served per op kind (lookup, insert, update, remove,
     /// scan — `pibench::OpKind` order).
     pub served: [AtomicU64; 5],
-    /// Clean negative outcomes (miss / duplicate insert).
-    pub misses: AtomicU64,
     /// Write acks released (always behind a fence epoch).
     pub acked_writes: AtomicU64,
     /// Group-durability batches committed.
@@ -504,7 +504,7 @@ fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>) {
             // Backpressure: past the in-flight window (or a swollen
             // output buffer) we simply stop reading this socket; TCP
             // flow control pushes back to the client.
-            if conn.inflight >= sh.cfg.window || conn.out_pending() >= sh.cfg.max_outbuf {
+            if conn.inflight >= sh.cfg.window || conn.out_pending() >= MAX_OUTBUF {
                 continue;
             }
             // Frames a full window left buffered come first: the client
@@ -536,12 +536,11 @@ fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>) {
             .fetch_add(t_wire.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
         // Execute phase: round-robin one queued request per connection
-        // until queues drain, committing a fence epoch whenever the
-        // write batch fills.
+        // until queues drain. Write acks are held for the commit below.
         loop {
             let mut any = false;
-            for ci in 0..conns.len() {
-                let Some(conn) = &mut conns[ci] else { continue };
+            for (ci, slot) in conns.iter_mut().enumerate() {
+                let Some(conn) = slot else { continue };
                 let Some(req) = conn.queue.pop_front() else {
                     continue;
                 };
@@ -578,19 +577,9 @@ fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>) {
                         obs::count_op();
                     }
                 }
-                if resp.status == Status::Miss {
-                    sh.stats.misses.fetch_add(1, Ordering::Relaxed);
-                }
                 if req.op.is_write() && !sh.pools.is_empty() {
-                    // Group durability: hold the ack until the batch's
-                    // fence epoch commits.
                     touched[sh.shard_of(key_of(&req.op))] = true;
                     pending.push(PendingAck { conn: ci, resp });
-                    if pending.len() >= sh.cfg.batch_max
-                        && !commit_batch(sh, &mut conns, &mut pending, &mut touched)
-                    {
-                        continue 'outer;
-                    }
                 } else {
                     conn.push_response(&resp);
                 }
@@ -600,8 +589,9 @@ fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>) {
             }
         }
 
-        // Commit the partial batch: nothing more is queued right now,
-        // so waiting longer would only add latency (linger = 0).
+        // Group durability: one fence epoch covers every write this
+        // iteration executed. Nothing more is queued right now, so
+        // waiting longer would only add latency (linger = 0).
         if !pending.is_empty() && !commit_batch(sh, &mut conns, &mut pending, &mut touched) {
             continue 'outer;
         }
@@ -629,7 +619,7 @@ fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>) {
             }
             // Slow-reader shedding: the client is not draining its
             // socket and the buffered backlog keeps growing.
-            if conn.out_pending() > sh.cfg.max_outbuf {
+            if conn.out_pending() > MAX_OUTBUF {
                 sh.stats.shed_conns.fetch_add(1, Ordering::Relaxed);
                 sh.stats.conns_active.fetch_sub(1, Ordering::Relaxed);
                 *slot = None;

@@ -31,7 +31,13 @@ fn pmserve_rejects_input_it_used_to_assert_on() {
         &["--pm", "fast"],
         "--pm expects one of real|optane",
     );
-    rejected(pmserve, &["--batch-max", "0"], "--batch-max expects");
+    // A removed flag: one fence epoch per loop iteration is the only
+    // policy.
+    rejected(
+        pmserve,
+        &["--batch-max", "8"],
+        "unknown flag \"--batch-max\"",
+    );
     rejected(pmserve, &["--conns", "2"], "unknown flag \"--conns\"");
 }
 

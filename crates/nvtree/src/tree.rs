@@ -388,11 +388,6 @@ impl NvTree {
         leaf
     }
 
-    /// SMO statistics (rebuild/abort analysis in experiments).
-    pub fn smo_stats(&self) -> htm::HtmStats {
-        self.smo.stats()
-    }
-
     /// Shared implementation of the three write paths.
     fn write_op(&self, key: Key, value: Value, kind: WriteKind) -> bool {
         let _site = obs::site(match kind {

@@ -71,8 +71,8 @@
 //!
 //! `netcrash` flags: `--kind <name|all>`, `--shards N`, `--ops N`,
 //! `--key-range N`, `--seed N`, `--stride N`, `--max-boundaries N`,
-//! `--batch-max N`, `--window N`, `--cache`, `--cache-mb N` (each
-//! shard's pool is armed in turn).
+//! `--window N`, `--cache`, `--cache-mb N` (each shard's pool is armed
+//! in turn).
 //!
 //! `migcrash` flags: `--kind <name|all>`, `--shards N` (base shards),
 //! `--ops N`, `--key-range N`, `--seed N`, `--stride N`,
@@ -296,7 +296,6 @@ fn threads(f: &Flags) -> usize {
 fn net_scenario(f: &Flags) -> Net {
     Net {
         shards: shards(f, 2),
-        batch_max: f.int("--batch-max").unwrap_or(8) as usize,
         window: f.int("--window").unwrap_or(32) as usize,
         cache_mb: match f.int("--cache-mb") {
             Some(mb) => mb as usize,
@@ -430,7 +429,6 @@ static SWEEPS: [SweepRow; 5] = [
             SEED,
             STRIDE,
             MAX_BOUNDARIES,
-            ("--batch-max", Arg::Int(1)),
             ("--window", Arg::Int(1)),
             CACHE_MB,
             ("--cache", Arg::Switch),
@@ -442,9 +440,9 @@ static SWEEPS: [SweepRow; 5] = [
         describe: |f| {
             let n = net_scenario(f);
             format!(
-                "{} shards behind one TCP server (batch-max {}, window {}, cache {} MiB), \
+                "{} shards behind one TCP server (window {}, cache {} MiB), \
                  arming each shard in turn",
-                n.shards, n.batch_max, n.window, n.cache_mb
+                n.shards, n.window, n.cache_mb
             )
         },
         // One sweep, and one table row, per armed shard.

@@ -49,6 +49,11 @@ fn bad_flags_exit_2_before_anything_runs() {
     // A flag of another sweep is as unknown as a typo.
     rejected(&["shardcrash", "--threads", "4"], "unknown flag");
     rejected(&["cachestat", "--record", "10"], "unknown flag");
+    // A removed flag: the server has no batch size to sweep.
+    rejected(
+        &["netcrash", "--batch-max", "8"],
+        "unknown flag \"--batch-max\"",
+    );
     rejected(&["crashpoint"], "unknown subcommand");
 }
 

@@ -91,13 +91,13 @@ fn strided_net_sweep_learned() {
     run_green(&strided("learned", 181, 0));
 }
 
-/// A deeper client pipeline and bigger server batches shift more ops
+/// A deeper client pipeline (and with it bigger server batches: one
+/// fence epoch covers whatever a loop iteration read) shifts more ops
 /// into the unacked window at the cut; the prefix oracle must still
 /// reconcile every recovered image.
 #[test]
 fn deep_pipeline_sweep_wbtree() {
     let deep = Net {
-        batch_max: 32,
         window: 64,
         ..Net::default()
     };

@@ -52,7 +52,7 @@ fn build_sharded(kind: &str, shards: usize) -> Arc<ShardedIndex> {
 }
 
 fn recover_sharded(kind: &str, pools: Vec<Arc<PmPool>>, parallel: bool) -> Arc<ShardedIndex> {
-    ShardedIndex::recover_with(pools, parallel, |_, pool| {
+    ShardedIndex::recover_routed(pools, Vec::new(), parallel, |_, pool| {
         let alloc = PmAllocator::try_recover(pool, AllocMode::General)?;
         Ok((recover_small(kind, alloc.clone()), alloc))
     })
