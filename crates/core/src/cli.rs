@@ -24,6 +24,8 @@ pub enum Arg {
     Switch,
     /// An integer no smaller than the bound (`Int(1)` rejects zero).
     Int(u64),
+    /// An integer within the inclusive bounds.
+    IntIn(u64, u64),
     /// A finite number.
     Float,
     /// Free text: an address, a path, or a list a typed parser checks
@@ -65,6 +67,7 @@ fn usage(spec: Spec) -> String {
         Arg::Switch => name.to_string(),
         Arg::Int(0) => format!("{name} N"),
         Arg::Int(min) => format!("{name} N>={min}"),
+        Arg::IntIn(min, max) => format!("{name} {min}<=N<={max}"),
         Arg::Float => format!("{name} X"),
         Arg::Text => format!("{name} TEXT"),
         Arg::OneOf(names) => format!("{name} {}", names.join("|")),
@@ -79,6 +82,12 @@ impl Arg {
             Arg::Int(min) => match v.parse() {
                 Ok(n) if n >= min => Ok(Value::Int(n)),
                 _ => Err(format!("{name} expects an integer >= {min}, got {v:?}")),
+            },
+            Arg::IntIn(min, max) => match v.parse() {
+                Ok(n) if (min..=max).contains(&n) => Ok(Value::Int(n)),
+                _ => Err(format!(
+                    "{name} expects an integer in {min}..={max}, got {v:?}"
+                )),
             },
             Arg::Float => match v.parse::<f64>() {
                 Ok(x) if x.is_finite() => Ok(Value::Float(x)),

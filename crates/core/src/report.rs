@@ -3,7 +3,7 @@
 use std::fmt::Write as _;
 
 use crate::hist::LatencyHistogram;
-use crate::workload::OP_KINDS;
+use index_api::OP_KINDS;
 
 /// A simple aligned table builder.
 pub struct Table {

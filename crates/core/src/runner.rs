@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use index_api::RangeIndex;
+use index_api::{Outcome, RangeIndex, OP_KINDS};
 use pmem::{PmPool, PmStatsSnapshot};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use crate::dist::Distribution;
 use crate::hist::LatencyHistogram;
 use crate::keys::KeySpace;
-use crate::workload::{Op, OpMix, OpStream, OP_KINDS};
+use crate::workload::{OpMix, OpStream};
 
 /// Benchmark configuration.
 #[derive(Debug, Clone)]
@@ -194,13 +194,7 @@ pub fn run(
                     let kind = op.kind() as usize;
                     let sampled = seq & sample_mask == 0;
                     let t0 = if sampled { Some(Instant::now()) } else { None };
-                    let hit = match op {
-                        Op::Lookup(k) => index.lookup(k).is_some(),
-                        Op::Insert(k, v) => index.insert(k, v),
-                        Op::Update(k, v) => index.update(k, v),
-                        Op::Remove(k) => index.remove(k),
-                        Op::Scan(k, n) => index.scan(k, n, &mut scan_buf) > 0,
-                    };
+                    let outcome = op.apply(*index, &mut scan_buf);
                     if let Some(t0) = t0 {
                         let dur = t0.elapsed().as_nanos() as u64;
                         out.hist[kind].record(dur);
@@ -208,8 +202,11 @@ pub fn run(
                     }
                     obs::count_op();
                     out.ops[kind] += 1;
-                    if !hit {
+                    if !outcome.hit() {
                         local_misses += 1;
+                    }
+                    if let Outcome::Rows(rows) = outcome {
+                        scan_buf = rows;
                     }
                     seq += 1;
                 }

@@ -6,42 +6,9 @@ use rand::Rng;
 use crate::dist::Sampler;
 use crate::keys::KeySpace;
 
-/// Operation types, in the order metrics are reported.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpKind {
-    /// Point lookup.
-    Lookup = 0,
-    /// Insert of a fresh key.
-    Insert = 1,
-    /// Value update of an existing key.
-    Update = 2,
-    /// Delete.
-    Remove = 3,
-    /// Range scan.
-    Scan = 4,
-}
-
-/// All op kinds, for iteration/reporting.
-pub const OP_KINDS: [OpKind; 5] = [
-    OpKind::Lookup,
-    OpKind::Insert,
-    OpKind::Update,
-    OpKind::Remove,
-    OpKind::Scan,
-];
-
-impl OpKind {
-    /// Short label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            OpKind::Lookup => "lookup",
-            OpKind::Insert => "insert",
-            OpKind::Update => "update",
-            OpKind::Remove => "remove",
-            OpKind::Scan => "scan",
-        }
-    }
-}
+/// The operation contract lives in `index_api`; the harness generates
+/// operations, it does not define them.
+pub use index_api::{Op, OpKind};
 
 /// An operation mix as percentages summing to 100.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,34 +117,6 @@ impl OpMix {
     }
 }
 
-/// A fully resolved operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Op {
-    /// Point lookup of a key.
-    Lookup(u64),
-    /// Insert `key → value`.
-    Insert(u64, u64),
-    /// Update `key → value`.
-    Update(u64, u64),
-    /// Remove a key.
-    Remove(u64),
-    /// Scan `count` records from a start key.
-    Scan(u64, usize),
-}
-
-impl Op {
-    /// The kind of this op.
-    pub fn kind(&self) -> OpKind {
-        match self {
-            Op::Lookup(_) => OpKind::Lookup,
-            Op::Insert(..) => OpKind::Insert,
-            Op::Update(..) => OpKind::Update,
-            Op::Remove(_) => OpKind::Remove,
-            Op::Scan(..) => OpKind::Scan,
-        }
-    }
-}
-
 /// Per-thread operation generator.
 pub struct OpStream<'a> {
     mix: OpMix,
@@ -238,6 +177,7 @@ impl<'a> OpStream<'a> {
 mod tests {
     use super::*;
     use crate::dist::Distribution;
+    use index_api::OP_KINDS;
     use rand::SeedableRng;
 
     #[test]

@@ -68,12 +68,12 @@
 //! count, so acknowledged-but-unflushed state is caught even when it
 //! happens not to change the recovered image.
 
-use std::collections::BTreeMap;
+use std::fmt::Debug;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Once};
 
 use engine::Shard;
-use index_api::RangeIndex;
+use index_api::{Op, Oracle, Outcome, RangeIndex};
 use pmalloc::AllocMode;
 use pmem::{CrashPointHit, MediaError, PmConfig, PmPool};
 
@@ -124,47 +124,11 @@ pub fn try_recover_stack(kind: &str, pool: Arc<PmPool>) -> Result<Arc<dyn RangeI
 // Deterministic workload
 // ---------------------------------------------------------------------------
 
-/// One generated operation (the value is fixed by the op index, so the
-/// oracle can predict every acknowledged effect).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkloadOp {
-    Insert(u64, u64),
-    Update(u64, u64),
-    Remove(u64),
-}
-
-impl WorkloadOp {
-    /// The key the operation targets.
-    pub fn key(&self) -> u64 {
-        match *self {
-            WorkloadOp::Insert(k, _) | WorkloadOp::Update(k, _) | WorkloadOp::Remove(k) => k,
-        }
-    }
-
-    /// The same operation on key `f(key)`.
-    pub fn map_key(self, f: impl FnOnce(u64) -> u64) -> WorkloadOp {
-        match self {
-            WorkloadOp::Insert(k, v) => WorkloadOp::Insert(f(k), v),
-            WorkloadOp::Update(k, v) => WorkloadOp::Update(f(k), v),
-            WorkloadOp::Remove(k) => WorkloadOp::Remove(f(k)),
-        }
-    }
-
-    /// Counter names of this op type's probe footprint: how many ran,
-    /// and the persistence events (crash windows) they generated.
-    pub fn footprint_counters(&self) -> (&'static str, &'static str) {
-        match self {
-            WorkloadOp::Insert(..) => ("insert ops", "insert events"),
-            WorkloadOp::Update(..) => ("update ops", "update events"),
-            WorkloadOp::Remove(..) => ("remove ops", "remove events"),
-        }
-    }
-}
-
-/// The deterministic mixed workload (same LCG and op mix as the
-/// `crash_recovery` integration tests: 60% insert / 20% update / 20%
-/// remove over a narrow key range to force collisions and splits).
-pub fn workload(seed: u64, n_ops: u64, key_range: u64) -> Vec<WorkloadOp> {
+/// The deterministic mixed workload (60% insert / 20% update / 20%
+/// remove over a narrow key range to force collisions and splits); the
+/// value is fixed by the op index, so the oracle can predict every
+/// acknowledged effect.
+pub fn workload(seed: u64, n_ops: u64, key_range: u64) -> Vec<Op> {
     let mut ops = Vec::with_capacity(n_ops as usize);
     let mut x = seed | 1;
     for i in 0..n_ops {
@@ -173,40 +137,12 @@ pub fn workload(seed: u64, n_ops: u64, key_range: u64) -> Vec<WorkloadOp> {
             .wrapping_add(1442695040888963407);
         let k = (x >> 16) % key_range;
         ops.push(match x % 10 {
-            0..=5 => WorkloadOp::Insert(k, i),
-            6..=7 => WorkloadOp::Update(k, i + 1),
-            _ => WorkloadOp::Remove(k),
+            0..=5 => Op::Insert(k, i),
+            6..=7 => Op::Update(k, i + 1),
+            _ => Op::Remove(k),
         });
     }
     ops
-}
-
-/// Apply one op, returning whether it was acknowledged, and fold the
-/// acknowledged effect into the oracle model.
-pub fn apply_op(idx: &dyn RangeIndex, model: &mut BTreeMap<u64, u64>, op: WorkloadOp) -> bool {
-    match op {
-        WorkloadOp::Insert(k, v) => {
-            let acked = idx.insert(k, v);
-            if acked {
-                model.insert(k, v);
-            }
-            acked
-        }
-        WorkloadOp::Update(k, v) => {
-            let acked = idx.update(k, v);
-            if acked {
-                model.insert(k, v);
-            }
-            acked
-        }
-        WorkloadOp::Remove(k) => {
-            let acked = idx.remove(k);
-            if acked {
-                model.remove(&k);
-            }
-            acked
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -245,18 +181,14 @@ pub struct InflightAllowance {
 }
 
 impl InflightAllowance {
-    /// Compute the allowance for `op` against the pre-crash model.
-    pub fn for_op(op: WorkloadOp, model: &BTreeMap<u64, u64>) -> Self {
+    /// Apply `op` to `model`: what a cut of `op` may leave behind, and
+    /// what `op` must report if it completes.
+    pub fn for_op(op: Op, model: &mut Oracle) -> (Self, Outcome) {
         let key = op.key();
-        let pre = model.get(&key).copied();
-        let post = match op {
-            // Insert acks only if absent; on an occupied key it is a
-            // no-op, so "fully applied" equals the pre-state.
-            WorkloadOp::Insert(_, v) => Some(pre.unwrap_or(v)),
-            WorkloadOp::Update(_, v) => pre.map(|_| v),
-            WorkloadOp::Remove(_) => None,
-        };
-        InflightAllowance { key, pre, post }
+        let pre = model.lookup(key);
+        let want = model.apply(op);
+        let post = model.lookup(key);
+        (InflightAllowance { key, pre, post }, want)
     }
 
     /// Whether `observed` is an atomic outcome of the cut operation.
@@ -274,12 +206,12 @@ impl InflightAllowance {
 /// well-formed and writable.
 pub fn verify_recovered(
     idx: &dyn RangeIndex,
-    model: &BTreeMap<u64, u64>,
+    model: &Oracle,
     inflight: &[InflightAllowance],
 ) -> Result<(), String> {
     let allowance = |k: u64| inflight.iter().find(|a| a.key == k);
     // Point lookups: every acknowledged record must be present.
-    for (&k, &v) in model {
+    for (k, v) in model.iter() {
         if allowance(k).is_some() {
             continue;
         }
@@ -306,8 +238,9 @@ pub fn verify_recovered(
     if !out.windows(2).all(|w| w[0].0 < w[1].0) {
         return Err("scan output not strictly sorted".to_string());
     }
-    let observed: BTreeMap<u64, u64> = out.into_iter().collect();
-    for (&k, &v) in &observed {
+    let mut observed = Oracle::new();
+    observed.extend(out);
+    for (k, v) in observed.iter() {
         match allowance(k) {
             Some(a) => {
                 if !a.allows(Some(v)) {
@@ -317,20 +250,20 @@ pub fn verify_recovered(
                 }
             }
             None => {
-                if model.get(&k) != Some(&v) {
+                if model.lookup(k) != Some(v) {
                     return Err(format!(
                         "scan ghost: key {k} -> {v} not in acknowledged state ({:?})",
-                        model.get(&k)
+                        model.lookup(k)
                     ));
                 }
             }
         }
     }
-    for &k in model.keys() {
+    for (k, _) in model.iter() {
         if allowance(k).is_some() {
             continue;
         }
-        if !observed.contains_key(&k) {
+        if observed.lookup(k).is_none() {
             return Err(format!("scan lost acknowledged key {k}"));
         }
     }
@@ -359,16 +292,26 @@ pub fn until_cut<R>(step: impl FnOnce() -> R) -> Option<R> {
     }
 }
 
-/// Apply `ops` in order, folding acknowledged effects into
-/// `acked.model`, until the injected crash cuts one: its allowance is
-/// recorded in `acked.inflight` and `false` returned.
-pub fn apply_until_cut(idx: &dyn RangeIndex, ops: &[WorkloadOp], acked: &mut Acked) -> bool {
+/// The ack-disagreement rule: an acknowledgement (`got`) that differs
+/// from what the oracle says `op` must report (`want`) is a violation
+/// to report, never a fact to fold into the model.
+pub fn ack_mismatch<T: PartialEq + Debug>(op: Op, got: &T, want: &T) -> Option<String> {
+    (got != want).then(|| format!("{op:?} acknowledged {got:?}, the oracle says {want:?}"))
+}
+
+/// Apply `ops` in order to the index and to `acked.model` (an
+/// acknowledgement the model disagrees with goes to `acked.errors`)
+/// until the injected crash cuts one: its allowance is recorded in
+/// `acked.inflight` and `false` returned.
+pub fn apply_until_cut(idx: &dyn RangeIndex, ops: &[Op], acked: &mut Acked) -> bool {
+    let mut rows = Vec::new();
     for &op in ops {
-        let allowance = InflightAllowance::for_op(op, &acked.model);
-        if until_cut(|| apply_op(idx, &mut acked.model, op)).is_none() {
+        let (allowance, want) = InflightAllowance::for_op(op, &mut acked.model);
+        let Some(got) = until_cut(|| op.apply(idx, &mut rows)) else {
             acked.inflight.push(allowance);
             return false;
-        }
+        };
+        acked.errors.extend(ack_mismatch(op, &got, &want));
     }
     true
 }
@@ -376,43 +319,83 @@ pub fn apply_until_cut(idx: &dyn RangeIndex, ops: &[WorkloadOp], acked: &mut Ack
 #[cfg(test)]
 mod tests {
     use super::*;
+    use index_api::OpKind;
 
     #[test]
     fn workload_is_deterministic_and_mixed() {
         let a = workload(9, 500, 128);
         let b = workload(9, 500, 128);
         assert_eq!(a, b);
-        let inserts = a
-            .iter()
-            .filter(|o| matches!(o, WorkloadOp::Insert(..)))
-            .count();
-        let updates = a
-            .iter()
-            .filter(|o| matches!(o, WorkloadOp::Update(..)))
-            .count();
-        let removes = a
-            .iter()
-            .filter(|o| matches!(o, WorkloadOp::Remove(..)))
-            .count();
+        let count = |kind| a.iter().filter(|o| o.kind() == kind).count();
+        let (inserts, updates, removes) = (
+            count(OpKind::Insert),
+            count(OpKind::Update),
+            count(OpKind::Remove),
+        );
         assert!(inserts > updates && updates > 0 && removes > 0);
+        assert_eq!(inserts + updates + removes, a.len(), "writes only");
     }
 
     #[test]
     fn inflight_allowance_covers_all_op_shapes() {
-        let mut model = BTreeMap::new();
+        let mut model = Oracle::new();
         model.insert(5, 50);
+        let cut = |op| InflightAllowance::for_op(op, &mut model.clone()).0;
         // Insert on an occupied key is a no-op either way.
-        let a = InflightAllowance::for_op(WorkloadOp::Insert(5, 99), &model);
+        let a = cut(Op::Insert(5, 99));
         assert!(a.allows(Some(50)) && !a.allows(Some(99)) && !a.allows(None));
         // Insert on a fresh key: absent or fully inserted.
-        let a = InflightAllowance::for_op(WorkloadOp::Insert(6, 60), &model);
+        let a = cut(Op::Insert(6, 60));
         assert!(a.allows(None) && a.allows(Some(60)) && !a.allows(Some(61)));
         // Update of an existing key: old or new value, never absent.
-        let a = InflightAllowance::for_op(WorkloadOp::Update(5, 51), &model);
+        let a = cut(Op::Update(5, 51));
         assert!(a.allows(Some(50)) && a.allows(Some(51)) && !a.allows(None));
+        // Update of an absent key changes nothing.
+        let a = cut(Op::Update(6, 61));
+        assert!(a.allows(None) && !a.allows(Some(61)));
         // Remove: present-with-old-value or gone.
-        let a = InflightAllowance::for_op(WorkloadOp::Remove(5), &model);
+        let a = cut(Op::Remove(5));
         assert!(a.allows(Some(50)) && a.allows(None) && !a.allows(Some(51)));
+    }
+
+    #[test]
+    fn an_ack_the_oracle_disagrees_with_is_reported_not_folded() {
+        /// Acknowledges every insert, present key or not.
+        struct Overwrites(index_api::testing::MapIndex);
+        impl RangeIndex for Overwrites {
+            fn insert(&self, k: u64, v: u64) -> bool {
+                self.0.insert(k, v) || self.0.update(k, v)
+            }
+            fn lookup(&self, k: u64) -> Option<u64> {
+                self.0.lookup(k)
+            }
+            fn update(&self, k: u64, v: u64) -> bool {
+                self.0.update(k, v)
+            }
+            fn remove(&self, k: u64) -> bool {
+                self.0.remove(k)
+            }
+            fn scan(&self, k: u64, n: usize, out: &mut Vec<(u64, u64)>) -> usize {
+                self.0.scan(k, n, out)
+            }
+            fn name(&self) -> &'static str {
+                "overwrites"
+            }
+        }
+        let mut acked = Acked::default();
+        let ops = [Op::Insert(1, 10), Op::Insert(1, 11), Op::Remove(1)];
+        assert!(apply_until_cut(
+            &Overwrites(Default::default()),
+            &ops,
+            &mut acked
+        ));
+        assert_eq!(acked.errors.len(), 1, "{:?}", acked.errors);
+        assert!(
+            acked.errors[0].contains("Insert(1, 11)"),
+            "{:?}",
+            acked.errors
+        );
+        assert!(acked.model.is_empty() && acked.inflight.is_empty());
     }
 
     #[test]

@@ -33,13 +33,14 @@ use engine::{
     shard_start, RouteEntry, Shard, ShardedIndex, MIG_ACTIVE, MIG_MAGIC, MIG_SETTLED,
     SLOT_MIG_MAGIC, SLOT_MIG_STATE,
 };
+use index_api::Op;
 use pmalloc::{AllocMode, PmAllocator};
 use pmem::{MediaError, PmConfig, PmPool};
 
 use crate::sharded::spread_workload;
 use crate::{
     apply_until_cut, build_index, fresh_shards, try_recover_shard, until_cut, verify_recovered,
-    Acked, Counters, Scenario, SweepOptions, WorkloadOp,
+    Acked, Counters, Scenario, SweepOptions,
 };
 
 /// A sharded engine with one shard-range migration in flight; the
@@ -90,7 +91,7 @@ impl Migration {
         &self,
         env: &MigrationEnv,
         opts: &SweepOptions,
-        ops: &[WorkloadOp],
+        ops: &[Op],
         acked: &mut Acked,
     ) -> Option<()> {
         let engine = &env.engine;

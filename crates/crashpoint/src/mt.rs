@@ -22,19 +22,16 @@
 //! from the seed alone; a pick past what an armed run emits completes
 //! and is verified for exact equality.
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use engine::Shard;
-use index_api::RangeIndex;
+use index_api::{Op, RangeIndex};
 use pmem::{CrashPointHit, MediaError, PmPool};
 
 use crate::single::{check_one_pool, Single};
 use crate::sweep::{mix64, panic_text};
-use crate::{
-    apply_op, workload, Acked, Counters, InflightAllowance, Scenario, SweepOptions, WorkloadOp,
-};
+use crate::{ack_mismatch, workload, Acked, Counters, InflightAllowance, Scenario, SweepOptions};
 
 /// One index on one pool under `threads` concurrent writers; counts
 /// `threads_cut`.
@@ -47,7 +44,7 @@ pub struct Mt {
 
 /// The workload of one thread: the shared generator, with every key
 /// shifted into the thread's private stripe.
-fn thread_workload(opts: &SweepOptions, tid: u64) -> Vec<WorkloadOp> {
+fn thread_workload(opts: &SweepOptions, tid: u64) -> Vec<Op> {
     let base = tid * opts.key_range;
     workload(mix64(opts.seed ^ tid), opts.ops, opts.key_range)
         .into_iter()
@@ -55,39 +52,34 @@ fn thread_workload(opts: &SweepOptions, tid: u64) -> Vec<WorkloadOp> {
         .collect()
 }
 
-/// What one worker thread saw before it stopped: its acknowledged
-/// model, the op it was cut inside (if any), and a real bug if it
-/// panicked for any reason other than the injected crash.
-struct ThreadOutcome {
-    model: BTreeMap<u64, u64>,
-    inflight: Option<InflightAllowance>,
-    bug: Option<String>,
-}
-
-fn run_worker(idx: &dyn RangeIndex, pool: &PmPool, ops: &[WorkloadOp]) -> ThreadOutcome {
-    let mut out = ThreadOutcome {
-        model: BTreeMap::new(),
-        inflight: None,
-        bug: None,
-    };
+/// What one worker thread saw before it stopped: the oracle of its
+/// stripe, the op it was cut inside (if any), and as an error a real
+/// bug: a panic for any reason other than the injected crash, or an
+/// acknowledgement the oracle disagrees with.
+fn run_worker(idx: &dyn RangeIndex, pool: &PmPool, ops: &[Op]) -> Acked {
+    let mut out = Acked::default();
+    let mut rows = Vec::new();
     for &op in ops {
-        let allowance = InflightAllowance::for_op(op, &out.model);
-        match catch_unwind(AssertUnwindSafe(|| apply_op(idx, &mut out.model, op))) {
+        let (allowance, want) = InflightAllowance::for_op(op, &mut out.model);
+        match catch_unwind(AssertUnwindSafe(|| op.apply(idx, &mut rows))) {
             // The cut landed inside or immediately after this op (its
             // tail needed no PM access, so the halt could not unwind
             // it). The acknowledgement never escaped the dying machine;
             // hold the op to the atomic present-or-absent allowance.
-            Ok(_) if pool.crash_fired() => out.inflight = Some(allowance),
-            Ok(_) => continue,
+            Ok(_) if pool.crash_fired() => out.inflight.push(allowance),
+            Ok(got) => match ack_mismatch(op, &got, &want) {
+                None => continue,
+                Some(bug) => out.errors.push(bug),
+            },
             // CrashPointHit is the armed trip or the halt cutting this
             // thread. Any other panic raced the power cut (e.g. an
             // expect on volatile state another cut thread abandoned)
             // only if the crash really fired; otherwise it is a genuine
             // concurrency bug.
-            Err(p) if p.is::<CrashPointHit>() || pool.crash_fired() => {
-                out.inflight = Some(allowance)
-            }
-            Err(p) => out.bug = Some(format!("worker panic: {}", panic_text(&*p))),
+            Err(p) if p.is::<CrashPointHit>() || pool.crash_fired() => out.inflight.push(allowance),
+            Err(p) => out
+                .errors
+                .push(format!("worker panic: {}", panic_text(&*p))),
         }
         break;
     }
@@ -108,11 +100,11 @@ impl Scenario for Mt {
 
     fn drive(&self, env: &mut Shard, opts: &SweepOptions, counters: &mut Counters) -> Acked {
         let (idx, pool) = (&*env.index, env.pool.as_deref().expect("a PM shard"));
-        let per_thread: Vec<Vec<WorkloadOp>> = (0..self.threads as u64)
+        let per_thread: Vec<Vec<Op>> = (0..self.threads as u64)
             .map(|tid| thread_workload(opts, tid))
             .collect();
         pool.set_halt_on_crash(true);
-        let outcomes: Vec<ThreadOutcome> = std::thread::scope(|s| {
+        let outcomes: Vec<Acked> = std::thread::scope(|s| {
             let handles: Vec<_> = per_thread
                 .iter()
                 .map(|ops| s.spawn(move || run_worker(idx, pool, ops)))
@@ -128,11 +120,12 @@ impl Scenario for Mt {
 
         let mut acked = Acked::default();
         for (tid, t) in outcomes.into_iter().enumerate() {
-            acked.model.extend(t.model);
+            acked.model.extend(t.model.iter());
             acked.inflight.extend(t.inflight);
+            let bugs = t.errors.into_iter();
             acked
                 .errors
-                .extend(t.bug.map(|bug| format!("thread {tid}: {bug}")));
+                .extend(bugs.map(|bug| format!("thread {tid}: {bug}")));
         }
         *counters.entry("threads_cut").or_default() += acked.inflight.len() as u64;
         acked

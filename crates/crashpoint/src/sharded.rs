@@ -28,11 +28,12 @@
 use std::sync::Arc;
 
 use engine::ShardedIndex;
+use index_api::Op;
 use pmem::{MediaError, PmConfig, PmPool};
 
 use crate::{
     apply_until_cut, fresh_shards, try_recover_shard, verify_recovered, workload, Acked, Counters,
-    Scenario, SweepOptions, WorkloadOp,
+    Scenario, SweepOptions,
 };
 
 /// A range-partitioned engine, one shard armed at a time; counts
@@ -52,7 +53,7 @@ pub fn spread_key(k: u64, key_range: u64) -> u64 {
 /// The deterministic workload of `opts` with every key spread over the
 /// keyspace (values untouched). Shared by every scenario that drives a
 /// sharded engine, the network one in `net::crash` included.
-pub fn spread_workload(opts: &SweepOptions) -> Vec<WorkloadOp> {
+pub fn spread_workload(opts: &SweepOptions) -> Vec<Op> {
     workload(opts.seed, opts.ops, opts.key_range)
         .into_iter()
         .map(|op| op.map_key(|k| spread_key(k, opts.key_range)))

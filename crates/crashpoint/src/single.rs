@@ -9,9 +9,20 @@ use engine::Shard;
 use pmem::{MediaError, PmConfig, PmPool};
 
 use crate::{
-    apply_op, apply_until_cut, fresh_shards, try_recover_stack, verify_recovered, workload, Acked,
-    Counters, Scenario, SweepOptions,
+    apply_until_cut, fresh_shards, try_recover_stack, verify_recovered, workload, Acked, Counters,
+    Scenario, SweepOptions,
 };
+
+/// Counter names of each op kind's probe footprint, in `OpKind` order:
+/// how many ran, and the persistence events (crash windows) they
+/// generated.
+const FOOTPRINT_COUNTERS: [(&str, &str); 5] = [
+    ("lookup ops", "lookup events"),
+    ("insert ops", "insert events"),
+    ("update ops", "update events"),
+    ("remove ops", "remove events"),
+    ("scan ops", "scan events"),
+];
 
 /// One index, one pool, one thread.
 #[derive(Debug, Clone, Copy, Default)]
@@ -55,10 +66,10 @@ impl Scenario for Single {
         // The unarmed probe run also records the event footprint per
         // op type: how many crash windows each kind of op exposes.
         let mut last = pool.persist_event_count();
-        for op in ops {
-            apply_op(&*env.index, &mut acked.model, op);
+        for op in &ops {
+            apply_until_cut(&*env.index, std::slice::from_ref(op), &mut acked);
             let now = pool.persist_event_count();
-            let (count, events) = op.footprint_counters();
+            let (count, events) = FOOTPRINT_COUNTERS[op.kind() as usize];
             *counters.entry(count).or_default() += 1;
             *counters.entry(events).or_default() += now - last;
             last = now;

@@ -18,11 +18,12 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
+use index_api::{Op, Oracle};
 use pmem::{
     CrashReport, MediaError, PersistEventKind, PmPool, PoisonedRead, ResidualLine, ResidualPolicy,
 };
 
-use crate::{install_quiet_crash_hook, InflightAllowance, WorkloadOp};
+use crate::{install_quiet_crash_hook, InflightAllowance};
 
 /// How the post-crash image of the armed pool is constructed at each
 /// explored boundary.
@@ -246,16 +247,20 @@ impl SweepSummary {
 /// What one run of a scenario acknowledged before it was cut.
 #[derive(Debug, Clone, Default)]
 pub struct Acked {
-    /// Oracle model of every acknowledged effect.
-    pub model: BTreeMap<u64, u64>,
+    /// The oracle with every acknowledged op applied — and the cut
+    /// ones, whose keys [`crate::verify_recovered`] judges by
+    /// `inflight` instead.
+    pub model: Oracle,
     /// Operations cut mid-flight, each atomic (pre- or post-state): at
     /// most one per workload thread.
     pub inflight: Vec<InflightAllowance>,
     /// Over a wire: requests sent but never answered, in send order
     /// (some executed prefix of them may have become durable).
-    pub unacked: Vec<WorkloadOp>,
-    /// Violations seen while driving, before any recovery: a worker
-    /// panic that is not the injected crash, a protocol error.
+    pub unacked: Vec<Op>,
+    /// Violations seen while driving, before any recovery: an
+    /// acknowledgement the oracle disagrees with
+    /// ([`crate::ack_mismatch`]), a worker panic that is not the
+    /// injected crash, a protocol error.
     pub errors: Vec<String>,
 }
 

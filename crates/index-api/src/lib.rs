@@ -9,14 +9,25 @@
 //!   harness can hold `dyn RangeIndex`.
 //! * [`Footprint`] — PM/DRAM space reporting for the memory-consumption
 //!   table.
-//! * [`oracle`] — a `BTreeMap`-backed reference model and a conformance
-//!   driver used by every index's test suite and by the cross-index
-//!   integration tests.
+//! * [`Op`] / [`Outcome`] — the operation contract: one resolved
+//!   operation, what it reports, and the one executor ([`Op::apply`])
+//!   every harness, server and crash sweep drives an index through.
+//! * [`Oracle`] — the `BTreeMap`-backed reference model
+//!   ([`Oracle::apply`]) those outcomes are judged against, plus the
+//!   conformance driver used by every index's test suite.
+//!
+//! No other crate restates what an operation does: they convert
+//! (`net::wire`), generate (`pibench::workload`, `crashpoint`) or
+//! compare, and import the rest from here.
 
 use std::fmt;
 
+mod op;
 pub mod oracle;
 pub mod testing;
+
+pub use op::{Op, OpKind, Outcome, OP_KINDS};
+pub use oracle::Oracle;
 
 /// Fixed-size key type used throughout the evaluation (the paper's
 /// default workload uses 8-byte integer keys).

@@ -1,34 +1,22 @@
 //! Reference model and conformance driver.
 //!
 //! Every index in the workspace is validated against [`Oracle`], a
-//! `BTreeMap` with the exact [`crate::RangeIndex`] semantics. The
-//! driver generates a deterministic random operation stream and asserts
-//! result-for-result agreement, including scan contents and order.
+//! `BTreeMap` with the exact [`crate::RangeIndex`] semantics: it is the
+//! one statement of what insert-on-present, update-on-absent,
+//! remove-on-absent and a scan mean. The driver generates a
+//! deterministic random operation stream and asserts outcome-for-outcome
+//! agreement between [`Op::apply`] and [`Oracle::apply`], including
+//! scan contents and order.
 
 use std::collections::BTreeMap;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{Key, RangeIndex, Value};
-
-/// One benchmark/model operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Op {
-    /// Insert a key/value pair.
-    Insert(Key, Value),
-    /// Point lookup.
-    Lookup(Key),
-    /// Update an existing key's value.
-    Update(Key, Value),
-    /// Delete a key.
-    Remove(Key),
-    /// Scan `count` records starting at the key.
-    Scan(Key, usize),
-}
+use crate::{Key, Op, Outcome, RangeIndex, Value};
 
 /// The `BTreeMap`-backed reference model.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Oracle {
     map: BTreeMap<Key, Value>,
 }
@@ -74,11 +62,12 @@ impl Oracle {
 
     /// Model semantics of [`RangeIndex::scan`].
     pub fn scan(&self, start: Key, count: usize) -> Vec<(Key, Value)> {
-        self.map
-            .range(start..)
-            .take(count)
-            .map(|(&k, &v)| (k, v))
-            .collect()
+        self.range(start).take(count).collect()
+    }
+
+    /// Records with `key >= start`, in key order.
+    pub fn range(&self, start: Key) -> impl Iterator<Item = (Key, Value)> + '_ {
+        self.map.range(start..).map(|(&k, &v)| (k, v))
     }
 
     /// Number of live records.
@@ -93,7 +82,25 @@ impl Oracle {
 
     /// Iterate all records in key order.
     pub fn iter(&self) -> impl Iterator<Item = (Key, Value)> + '_ {
-        self.map.iter().map(|(&k, &v)| (k, v))
+        self.range(Key::MIN)
+    }
+
+    /// What `op` must report, with its effect applied to the model.
+    pub fn apply(&mut self, op: Op) -> Outcome {
+        match op {
+            Op::Lookup(k) => Outcome::Value(self.lookup(k)),
+            Op::Insert(k, v) => Outcome::Acked(self.insert(k, v)),
+            Op::Update(k, v) => Outcome::Acked(self.update(k, v)),
+            Op::Remove(k) => Outcome::Acked(self.remove(k)),
+            Op::Scan(k, n) => Outcome::Rows(self.scan(k, n)),
+        }
+    }
+}
+
+/// Bulk load: later records overwrite earlier ones with the same key.
+impl Extend<(Key, Value)> for Oracle {
+    fn extend<I: IntoIterator<Item = (Key, Value)>>(&mut self, records: I) {
+        self.map.extend(records);
     }
 }
 
@@ -117,36 +124,13 @@ pub fn random_ops(seed: u64, n: usize, key_range: u64) -> Vec<Op> {
         .collect()
 }
 
-/// Apply one op to an index and the model, asserting identical results.
-pub fn apply_and_compare(index: &(impl RangeIndex + ?Sized), model: &mut Oracle, op: Op) {
-    match op {
-        Op::Insert(k, v) => {
-            assert_eq!(index.insert(k, v), model.insert(k, v), "insert({k})");
-        }
-        Op::Lookup(k) => {
-            assert_eq!(index.lookup(k), model.lookup(k), "lookup({k})");
-        }
-        Op::Update(k, v) => {
-            assert_eq!(index.update(k, v), model.update(k, v), "update({k})");
-        }
-        Op::Remove(k) => {
-            assert_eq!(index.remove(k), model.remove(k), "remove({k})");
-        }
-        Op::Scan(k, n) => {
-            let mut got = Vec::new();
-            index.scan(k, n, &mut got);
-            let want = model.scan(k, n);
-            assert_eq!(got, want, "scan({k}, {n})");
-        }
-    }
-}
-
 /// Run a full conformance pass: `n` random ops over `key_range` keys,
-/// checking every result and a final full sweep.
-pub fn check_conformance(index: &(impl RangeIndex + ?Sized), seed: u64, n: usize, key_range: u64) {
+/// checking every outcome and a final full sweep.
+pub fn check_conformance(index: &dyn RangeIndex, seed: u64, n: usize, key_range: u64) {
     let mut model = Oracle::new();
+    let mut buf = Vec::new();
     for op in random_ops(seed, n, key_range) {
-        apply_and_compare(index, &mut model, op);
+        assert_eq!(op.apply(index, &mut buf), model.apply(op), "{op:?}");
     }
     // Final sweep: everything in the model must be scannable in order.
     let want: Vec<_> = model.iter().collect();
@@ -192,18 +176,26 @@ mod tests {
 
     #[test]
     fn op_mix_covers_all_variants() {
-        let ops = random_ops(3, 2_000, 100);
         let mut seen = [false; 5];
-        for op in ops {
-            let i = match op {
-                Op::Insert(..) => 0,
-                Op::Lookup(..) => 1,
-                Op::Update(..) => 2,
-                Op::Remove(..) => 3,
-                Op::Scan(..) => 4,
-            };
-            seen[i] = true;
+        for op in random_ops(3, 2_000, 100) {
+            seen[op.kind() as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "mix missing a variant: {seen:?}");
+    }
+
+    #[test]
+    fn apply_reports_and_folds_each_op() {
+        let mut o = Oracle::new();
+        assert_eq!(o.apply(Op::Insert(5, 50)), Outcome::Acked(true));
+        assert_eq!(o.apply(Op::Insert(5, 51)), Outcome::Acked(false));
+        assert_eq!(o.apply(Op::Update(6, 60)), Outcome::Acked(false));
+        assert_eq!(o.apply(Op::Update(5, 55)), Outcome::Acked(true));
+        assert_eq!(o.apply(Op::Lookup(5)), Outcome::Value(Some(55)));
+        assert_eq!(o.apply(Op::Scan(0, 9)), Outcome::Rows(vec![(5, 55)]));
+        assert_eq!(o.apply(Op::Remove(5)), Outcome::Acked(true));
+        assert_eq!(o.apply(Op::Remove(5)), Outcome::Acked(false));
+        assert_eq!(o.apply(Op::Lookup(5)), Outcome::Value(None));
+        o.extend([(1, 10), (2, 20), (1, 11)]);
+        assert_eq!(o.iter().collect::<Vec<_>>(), [(1, 11), (2, 20)]);
     }
 }

@@ -2,22 +2,18 @@
 //!
 //! [`MapIndex`] is the reference `RangeIndex` used across the workspace's
 //! test suites (trait-contract tests, runner plumbing tests, sharded-engine
-//! proptests). It lives here so each crate does not grow its own slightly
-//! divergent copy of the same `Mutex<BTreeMap>` wrapper.
+//! proptests): the [`Oracle`] behind a lock, so the double and the model
+//! cannot disagree about the contract.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-use crate::{Footprint, Key, RangeIndex, Value};
+use crate::{Footprint, Key, Oracle, RangeIndex, Value};
 
-/// Minimal reference implementation of [`RangeIndex`] backed by a
-/// `Mutex<BTreeMap>`. Follows the trait contract exactly: `insert`
-/// rejects duplicates without modifying the value, `update` only
-/// touches existing keys.
+/// Minimal reference implementation of [`RangeIndex`]: a
+/// `Mutex<Oracle>`.
 #[derive(Default)]
 pub struct MapIndex {
-    map: Mutex<BTreeMap<Key, Value>>,
+    model: Mutex<Oracle>,
 }
 
 impl MapIndex {
@@ -25,9 +21,13 @@ impl MapIndex {
         Self::default()
     }
 
+    fn model(&self) -> MutexGuard<'_, Oracle> {
+        self.model.lock().unwrap()
+    }
+
     /// Number of records currently stored.
     pub fn len(&self) -> usize {
-        self.map.lock().unwrap().len()
+        self.model().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -37,38 +37,24 @@ impl MapIndex {
 
 impl RangeIndex for MapIndex {
     fn insert(&self, key: Key, value: Value) -> bool {
-        match self.map.lock().unwrap().entry(key) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(e) => {
-                e.insert(value);
-                true
-            }
-        }
+        self.model().insert(key, value)
     }
 
     fn lookup(&self, key: Key) -> Option<Value> {
-        self.map.lock().unwrap().get(&key).copied()
+        self.model().lookup(key)
     }
 
     fn update(&self, key: Key, value: Value) -> bool {
-        let mut m = self.map.lock().unwrap();
-        match m.get_mut(&key) {
-            Some(v) => {
-                *v = value;
-                true
-            }
-            None => false,
-        }
+        self.model().update(key, value)
     }
 
     fn remove(&self, key: Key) -> bool {
-        self.map.lock().unwrap().remove(&key).is_some()
+        self.model().remove(key)
     }
 
     fn scan(&self, start: Key, count: usize, out: &mut Vec<(Key, Value)>) -> usize {
         out.clear();
-        let m = self.map.lock().unwrap();
-        out.extend(m.range(start..).take(count).map(|(&k, &v)| (k, v)));
+        out.extend(self.model().range(start).take(count));
         out.len()
     }
 
@@ -77,10 +63,9 @@ impl RangeIndex for MapIndex {
     }
 
     fn footprint(&self) -> Footprint {
-        let m = self.map.lock().unwrap();
         Footprint {
             pm_bytes: 0,
-            dram_bytes: (m.len() * 16) as u64,
+            dram_bytes: (self.len() * 16) as u64,
         }
     }
 }

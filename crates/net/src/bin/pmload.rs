@@ -30,7 +30,8 @@ const FLAGS: Spec = &[
     ("--mix", Arg::Text),
     ("--dist", Arg::OneOf(&pibench::dist::NAMES)),
     ("--theta", Arg::Float),
-    ("--scan-len", Arg::Int(0)),
+    // A longer scan has no wire form (`ReqOp::try_from`).
+    ("--scan-len", Arg::IntIn(0, net::wire::MAX_SCAN as u64)),
     ("--seed", Arg::Int(0)),
     ("--open-loop-qps", Arg::Float),
     ("--oracle", Arg::Switch),

@@ -18,12 +18,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use index_api::RangeIndex;
+use index_api::{RangeIndex, OP_KINDS};
 use net::build::{build_sharded, recover_sharded, ALL_KINDS};
 use net::server::{Server, ServerConfig};
 use pibench::cli::{Arg, Flags, Spec};
 use pibench::report::{cache_rows, Table};
-use pibench::workload::OP_KINDS;
 use pibench::{trace, KeySpace};
 use pmem::PmConfig;
 

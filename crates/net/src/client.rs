@@ -13,20 +13,21 @@
 //!   loop, the classic coordinated-omission fix.
 //!
 //! With a single connection the driver can also run in **oracle mode**:
-//! the server executes one connection's requests in FIFO order, so a
-//! local `BTreeMap` model replayed in send order predicts every
-//! response (status, lookup value, full scan body) exactly. CI uses
-//! this to check ack-count == oracle count over all five op types.
+//! the server executes one connection's requests in FIFO order, so
+//! `index_api::Oracle` applied in send order predicts every response
+//! (status, lookup value, full scan body) exactly. CI uses this to
+//! check ack-count == oracle count over all five op types.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use index_api::Oracle;
 use pibench::dist::{Arrivals, Distribution};
 use pibench::hist::LatencyHistogram;
 use pibench::keys::KeySpace;
-use pibench::workload::{Op, OpMix, OpStream};
+use pibench::workload::{OpMix, OpStream};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -231,74 +232,13 @@ impl LoadResult {
     }
 }
 
-/// Expected outcome of one request, computed by replaying the op
-/// against the oracle model at send time (valid because a single
-/// connection's requests execute FIFO on the server).
-enum Expect {
-    Status(Status),
-    Lookup(Option<u64>),
-    Scan(Vec<(u64, u64)>),
-}
-
-fn apply_model(model: &mut BTreeMap<u64, u64>, op: &Op, scan_cap: usize) -> Expect {
-    match *op {
-        Op::Lookup(k) => Expect::Lookup(model.get(&k).copied()),
-        Op::Insert(k, v) => {
-            if let std::collections::btree_map::Entry::Vacant(e) = model.entry(k) {
-                e.insert(v);
-                Expect::Status(Status::Ok)
-            } else {
-                Expect::Status(Status::Miss)
-            }
-        }
-        Op::Update(k, v) => {
-            if let Some(slot) = model.get_mut(&k) {
-                *slot = v;
-                Expect::Status(Status::Ok)
-            } else {
-                Expect::Status(Status::Miss)
-            }
-        }
-        Op::Remove(k) => {
-            if model.remove(&k).is_some() {
-                Expect::Status(Status::Ok)
-            } else {
-                Expect::Status(Status::Miss)
-            }
-        }
-        Op::Scan(start, n) => Expect::Scan(
-            model
-                .range(start..)
-                .take(n.min(scan_cap))
-                .map(|(k, v)| (*k, *v))
-                .collect(),
-        ),
-    }
-}
-
-fn check_expect(expect: &Expect, resp: &Response) -> bool {
-    match expect {
-        Expect::Status(s) => resp.status == *s,
-        Expect::Lookup(Some(v)) => resp.status == Status::Ok && resp.value == Some(*v),
-        Expect::Lookup(None) => resp.status == Status::Miss,
-        Expect::Scan(pairs) => resp.status == Status::Ok && resp.pairs == *pairs,
-    }
-}
-
-fn to_reqop(op: &Op) -> ReqOp {
-    match *op {
-        Op::Lookup(k) => ReqOp::Lookup(k),
-        Op::Insert(k, v) => ReqOp::Insert(k, v),
-        Op::Update(k, v) => ReqOp::Update(k, v),
-        Op::Remove(k) => ReqOp::Remove(k),
-        Op::Scan(k, n) => ReqOp::Scan(k, n as u32),
-    }
-}
-
 struct InFlight {
     kind: usize,
     t_ns: u64,
-    expect: Option<Expect>,
+    /// Oracle mode: the response the model predicts. It is computed at
+    /// send time, which is valid because a single connection's requests
+    /// execute FIFO on the server.
+    expect: Option<Response>,
 }
 
 struct ConnOutcome {
@@ -388,13 +328,13 @@ fn drive_conn(
         cfg.scan_len,
     );
     let mut arrivals = qps.map(Arrivals::poisson);
-    let mut model: Option<BTreeMap<u64, u64>> = cfg.oracle.then(|| {
-        (0..cfg.records)
-            .map(|i| {
-                let k = keyspace.key(i);
-                (k, keyspace.value_for(k))
-            })
-            .collect()
+    let mut model: Option<Oracle> = cfg.oracle.then(|| {
+        let mut prefilled = Oracle::new();
+        prefilled.extend((0..cfg.records).map(|i| {
+            let k = keyspace.key(i);
+            (k, keyspace.value_for(k))
+        }));
+        prefilled
     });
 
     let mut out = ConnOutcome {
@@ -430,10 +370,12 @@ fn drive_conn(
                 now_ns
             };
             let op = stream.next_op(&mut rng);
+            let req = ReqOp::try_from(op)
+                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+            let req_id = conn.send(req);
             let expect = model
                 .as_mut()
-                .map(|m| apply_model(m, &op, crate::wire::MAX_SCAN as usize));
-            let req_id = conn.send(to_reqop(&op));
+                .map(|m| Response::of(req_id, req.opcode(), m.apply(op)));
             inflight.insert(
                 req_id,
                 InFlight {
@@ -473,7 +415,7 @@ fn drive_conn(
             out.hists[inf.kind].record(now_ns.saturating_sub(inf.t_ns));
             if let Some(expect) = &inf.expect {
                 out.oracle_checked += 1;
-                if !check_expect(expect, &resp) {
+                if *expect != resp {
                     out.oracle_violations += 1;
                 }
             }

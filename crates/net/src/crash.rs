@@ -29,23 +29,22 @@
 //! boundary is reported as a durable-ack violation ("acked-but-lost" or
 //! "torn in-flight").
 
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crashpoint::sharded::spread_workload;
 use crashpoint::{
-    fresh_shards, try_recover_shard, verify_recovered, Acked, Counters, InflightAllowance,
-    Scenario, SweepOptions, WorkloadOp,
+    ack_mismatch, fresh_shards, try_recover_shard, verify_recovered, Acked, Counters,
+    InflightAllowance, Scenario, SweepOptions,
 };
 use engine::ShardedIndex;
-use index_api::RangeIndex;
+use index_api::{Op, RangeIndex};
 use pmem::{MediaError, PmConfig, PmPool};
 
 use crate::client::ClientConn;
 use crate::server::{Server, ServerConfig};
-use crate::wire::{ReqOp, Response, Status};
+use crate::wire::{ReqOp, Request, Response};
 
 /// A sharded engine behind one live TCP server, one shard armed at a
 /// time. Counts `acked_total` (acks received over all runs, the probe
@@ -82,74 +81,27 @@ pub struct NetEnv {
     pools: Vec<Arc<PmPool>>,
 }
 
-fn to_reqop(op: WorkloadOp) -> ReqOp {
-    match op {
-        WorkloadOp::Insert(k, v) => ReqOp::Insert(k, v),
-        WorkloadOp::Update(k, v) => ReqOp::Update(k, v),
-        WorkloadOp::Remove(k) => ReqOp::Remove(k),
-    }
-}
-
-/// Fold an op the server acked with `status` into the oracle model.
-fn fold_acked(model: &mut BTreeMap<u64, u64>, op: WorkloadOp, status: Status) {
-    if status != Status::Ok {
-        return; // Miss: clean no-op (duplicate insert, absent key).
-    }
-    match op {
-        WorkloadOp::Insert(k, v) | WorkloadOp::Update(k, v) => {
-            model.insert(k, v);
-        }
-        WorkloadOp::Remove(k) => {
-            model.remove(&k);
-        }
-    }
-}
-
-/// Fold an *unacked* op under the assumption it fully applied against
-/// model state `m` (FIFO execution makes this deterministic).
-fn fold_assumed(m: &mut BTreeMap<u64, u64>, op: WorkloadOp) {
-    let applied = InflightAllowance::for_op(op, m);
-    match applied.post {
-        Some(v) => m.insert(applied.key, v),
-        None => m.remove(&applied.key),
-    };
-}
-
 impl Net {
     /// Pipeline `ops` over one connection until all are answered or the
-    /// server closes, folding acks into `acked.model` in ack (== send)
-    /// order and leaving the sent-but-unanswered suffix in
+    /// server closes, applying each acked op to `acked.model` in ack
+    /// (== send) order — a response that is not the one the oracle
+    /// predicts (out of order, a failure status, a wrong verdict) is a
+    /// violation — and leaving the sent-but-unanswered suffix in
     /// `acked.unacked`. Returns the number of acks received.
-    fn pump_workload(
-        &self,
-        addr: &str,
-        ops: &[WorkloadOp],
-        acked: &mut Acked,
-    ) -> std::io::Result<u64> {
+    fn pump_workload(&self, addr: &str, ops: &[Op], acked: &mut Acked) -> std::io::Result<u64> {
         let mut acks = 0;
         let mut conn = ClientConn::connect(addr)?;
-        // (req_id, op) in send order; acks must arrive FIFO on one conn.
-        let mut sent: VecDeque<(u64, WorkloadOp)> = VecDeque::new();
-        let mut on_resp = |resp: Response, sent: &mut VecDeque<(u64, WorkloadOp)>| {
-            let Some((id, op)) = sent.pop_front() else {
+        // Requests in send order; acks must arrive FIFO on one conn.
+        let mut sent: VecDeque<(Request, Op)> = VecDeque::new();
+        let mut on_resp = |resp: Response, sent: &mut VecDeque<(Request, Op)>| {
+            let Some((req, op)) = sent.pop_front() else {
                 return acked
                     .errors
                     .push(format!("unsolicited ack {}", resp.req_id));
             };
-            if resp.req_id != id {
-                let got = resp.req_id;
-                return acked
-                    .errors
-                    .push(format!("non-FIFO ack: got {got} want {id}"));
-            }
-            if !matches!(resp.status, Status::Ok | Status::Miss) {
-                let status = resp.status;
-                return acked
-                    .errors
-                    .push(format!("req {id} failed with {status:?}"));
-            }
             acks += 1;
-            fold_acked(&mut acked.model, op, resp.status);
+            let want = Response::of(req.req_id, req.op.opcode(), acked.model.apply(op));
+            acked.errors.extend(ack_mismatch(op, &resp, &want));
         };
 
         let deadline = Instant::now() + Duration::from_secs(20);
@@ -160,7 +112,9 @@ impl Net {
             }
             let mut progressed = false;
             while next < ops.len() && sent.len() < self.window {
-                sent.push_back((conn.send(to_reqop(ops[next])), ops[next]));
+                let req = ReqOp::try_from(ops[next]).map_err(std::io::Error::other)?;
+                let req_id = conn.send(req);
+                sent.push_back((Request { req_id, op: req }, ops[next]));
                 next += 1;
                 progressed = true;
             }
@@ -252,15 +206,16 @@ impl Scenario for Net {
         let recovered = ShardedIndex::from_parts(parts);
 
         let mut last_err = String::new();
+        // FIFO execution: the executed prefix is applied exactly as the
+        // oracle applies it. `for_op` applies op `j` to `m`, so round
+        // `j + 1` starts from a prefix one op longer (and the recovered
+        // state of the cut op's key is judged by its allowance only).
+        let mut m = acked.model.clone();
         for j in 0..=acked.unacked.len() {
-            let mut m = acked.model.clone();
-            for &op in &acked.unacked[..j] {
-                fold_assumed(&mut m, op);
-            }
             let inflight: Vec<InflightAllowance> = acked
                 .unacked
                 .get(j)
-                .map(|&op| InflightAllowance::for_op(op, &m))
+                .map(|&op| InflightAllowance::for_op(op, &mut m).0)
                 .into_iter()
                 .collect();
             match verify_recovered(&*recovered, &m, &inflight) {

@@ -60,7 +60,7 @@ use std::time::{Duration, Instant};
 use index_api::RangeIndex;
 use pmem::{CrashPointHit, PmPool};
 
-use crate::wire::{FrameBuf, Opcode, ReqOp, Request, Response, Status};
+use crate::wire::{FrameBuf, Opcode, Request, Response, Status};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -94,8 +94,7 @@ impl Default for ServerConfig {
 /// live by `pmserve --sample-ms`.
 #[derive(Debug, Default)]
 pub struct ServeStats {
-    /// Requests served per op kind (lookup, insert, update, remove,
-    /// scan — `pibench::OpKind` order).
+    /// Requests served per op kind, indexed by `index_api::OpKind`.
     pub served: [AtomicU64; 5],
     /// Write acks released (always behind a fence epoch).
     pub acked_writes: AtomicU64,
@@ -157,16 +156,6 @@ struct Shared {
     stats: Arc<ServeStats>,
     drain: AtomicBool,
     halt: AtomicBool,
-}
-
-impl Shared {
-    fn shard_of(&self, key: u64) -> usize {
-        if self.pools.is_empty() {
-            0
-        } else {
-            engine::shard_of(key, self.pools.len())
-        }
-    }
 }
 
 /// Cloneable handle for initiating graceful drain from another thread
@@ -382,69 +371,6 @@ impl Conn {
     }
 }
 
-/// Execute one request against the index. May unwind with
-/// [`CrashPointHit`] when a crash point is armed on the touched pool.
-fn exec(idx: &dyn RangeIndex, req: &Request) -> Response {
-    let (status, value, pairs) = match req.op {
-        ReqOp::Lookup(k) => match idx.lookup(k) {
-            Some(v) => (Status::Ok, Some(v), Vec::new()),
-            None => (Status::Miss, None, Vec::new()),
-        },
-        ReqOp::Insert(k, v) => (
-            if idx.insert(k, v) {
-                Status::Ok
-            } else {
-                Status::Miss
-            },
-            None,
-            Vec::new(),
-        ),
-        ReqOp::Update(k, v) => (
-            if idx.update(k, v) {
-                Status::Ok
-            } else {
-                Status::Miss
-            },
-            None,
-            Vec::new(),
-        ),
-        ReqOp::Remove(k) => (
-            if idx.remove(k) {
-                Status::Ok
-            } else {
-                Status::Miss
-            },
-            None,
-            Vec::new(),
-        ),
-        ReqOp::Scan(start, count) => {
-            let mut out = Vec::new();
-            idx.scan(start, count as usize, &mut out);
-            (Status::Ok, None, out)
-        }
-        ReqOp::Shutdown => (Status::Ok, None, Vec::new()),
-    };
-    Response {
-        req_id: req.req_id,
-        op: req.op.opcode(),
-        status,
-        value,
-        pairs,
-    }
-}
-
-fn op_kind_slot(op: &ReqOp) -> Option<usize> {
-    // pibench::OpKind order: Lookup, Insert, Update, Remove, Scan.
-    Some(match op {
-        ReqOp::Lookup(..) => 0,
-        ReqOp::Insert(..) => 1,
-        ReqOp::Update(..) => 2,
-        ReqOp::Remove(..) => 3,
-        ReqOp::Scan(..) => 4,
-        ReqOp::Shutdown => return None,
-    })
-}
-
 /// One executed-but-unacked write waiting for its batch's fence epoch.
 struct PendingAck {
     conn: usize,
@@ -546,18 +472,20 @@ fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>) {
                 };
                 any = true;
                 progressed = true;
-                if let ReqOp::Shutdown = req.op {
+                let Some(op) = req.op.op() else {
                     sh.drain.store(true, Ordering::SeqCst);
                     conn.push_response(&Response::basic(req.req_id, Opcode::Shutdown, Status::Ok));
                     continue;
-                }
+                };
                 let t0 = Instant::now();
+                // May unwind with `CrashPointHit` when a crash point is
+                // armed on the touched pool.
                 let result = {
                     let _site = obs::enabled().then(|| obs::site("net_exec"));
-                    catch_unwind(AssertUnwindSafe(|| exec(&*sh.index, &req)))
+                    catch_unwind(AssertUnwindSafe(|| op.apply(&*sh.index, &mut Vec::new())))
                 };
                 let resp = match result {
-                    Ok(r) => r,
+                    Ok(outcome) => Response::of(req.req_id, req.op.opcode(), outcome),
                     Err(payload) => {
                         if payload.downcast_ref::<CrashPointHit>().is_none() {
                             resume_unwind(payload);
@@ -570,15 +498,14 @@ fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>) {
                 };
                 let dt = t0.elapsed().as_nanos() as u64;
                 sh.stats.index_ns.fetch_add(dt, Ordering::Relaxed);
-                if let Some(slot) = op_kind_slot(&req.op) {
-                    sh.stats.served[slot].fetch_add(1, Ordering::Relaxed);
-                    if obs::enabled() {
-                        obs::op_complete(slot as u8, dt);
-                        obs::count_op();
-                    }
+                let kind = op.kind() as usize;
+                sh.stats.served[kind].fetch_add(1, Ordering::Relaxed);
+                if obs::enabled() {
+                    obs::op_complete(kind as u8, dt);
+                    obs::count_op();
                 }
-                if req.op.is_write() && !sh.pools.is_empty() {
-                    touched[sh.shard_of(key_of(&req.op))] = true;
+                if op.is_write() && !sh.pools.is_empty() {
+                    touched[engine::shard_of(op.key(), sh.pools.len())] = true;
                     pending.push(PendingAck { conn: ci, resp });
                 } else {
                     conn.push_response(&resp);
@@ -664,15 +591,6 @@ fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>) {
                 std::thread::sleep(Duration::from_micros(200));
             }
         }
-    }
-}
-
-fn key_of(op: &ReqOp) -> u64 {
-    match *op {
-        ReqOp::Lookup(k) | ReqOp::Remove(k) => k,
-        ReqOp::Insert(k, _) | ReqOp::Update(k, _) => k,
-        ReqOp::Scan(k, _) => k,
-        ReqOp::Shutdown => 0,
     }
 }
 

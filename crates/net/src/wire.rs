@@ -30,6 +30,13 @@
 //! unknown opcodes, truncated or over-long bodies, absurd scan counts —
 //! returns a [`WireError`] instead of panicking, and the server answers
 //! with [`Status::Bad`] before closing the connection.
+//!
+//! The operation contract itself is `index_api`'s: [`ReqOp`] is
+//! [`Op`] in wire form (a bounded `u32` scan count, plus the `Shutdown`
+//! control message) and a [`Response`] is an [`Outcome`] in wire form
+//! ([`Response::of`]). Both conversions live here and nowhere else.
+
+use index_api::{Op, Outcome};
 
 /// Largest accepted frame payload (1 MiB bounds a scan response).
 pub const MAX_FRAME: usize = 1 << 20;
@@ -169,13 +176,37 @@ impl ReqOp {
         }
     }
 
-    /// Whether the operation mutates the index (and therefore rides a
-    /// group-durability fence epoch before its ack).
-    pub fn is_write(&self) -> bool {
-        matches!(
-            self,
-            ReqOp::Insert(..) | ReqOp::Update(..) | ReqOp::Remove(..)
-        )
+    /// The index operation this request carries (`None` for the
+    /// `Shutdown` control message).
+    pub fn op(&self) -> Option<Op> {
+        Some(match *self {
+            ReqOp::Lookup(k) => Op::Lookup(k),
+            ReqOp::Insert(k, v) => Op::Insert(k, v),
+            ReqOp::Update(k, v) => Op::Update(k, v),
+            ReqOp::Remove(k) => Op::Remove(k),
+            ReqOp::Scan(k, n) => Op::Scan(k, n as usize),
+            ReqOp::Shutdown => return None,
+        })
+    }
+}
+
+/// The one place an operation becomes a request: a scan longer than
+/// [`MAX_SCAN`] has no wire form, because the server would refuse the
+/// frame and close the connection.
+impl TryFrom<Op> for ReqOp {
+    type Error = WireError;
+
+    fn try_from(op: Op) -> Result<ReqOp, WireError> {
+        Ok(match op {
+            Op::Lookup(k) => ReqOp::Lookup(k),
+            Op::Insert(k, v) => ReqOp::Insert(k, v),
+            Op::Update(k, v) => ReqOp::Update(k, v),
+            Op::Remove(k) => ReqOp::Remove(k),
+            Op::Scan(k, n) => match u32::try_from(n) {
+                Ok(count) if count <= MAX_SCAN => ReqOp::Scan(k, count),
+                too_long => return Err(WireError::ScanTooLarge(too_long.unwrap_or(u32::MAX))),
+            },
+        })
     }
 }
 
@@ -203,6 +234,26 @@ impl Response {
             status,
             value: None,
             pairs: Vec::new(),
+        }
+    }
+
+    /// The response that carries `outcome` of request `req_id`: the
+    /// server builds its answers with it, a checking client what it
+    /// expects to read. A refused write and an absent key are `Miss`,
+    /// everything else `Ok`; the rows move into the response.
+    pub fn of(req_id: u64, op: Opcode, outcome: Outcome) -> Response {
+        let hit = |yes| if yes { Status::Ok } else { Status::Miss };
+        let (status, value, pairs) = match outcome {
+            Outcome::Acked(applied) => (hit(applied), None, Vec::new()),
+            Outcome::Value(v) => (hit(v.is_some()), v, Vec::new()),
+            Outcome::Rows(rows) => (Status::Ok, None, rows),
+        };
+        Response {
+            req_id,
+            op,
+            status,
+            value,
+            pairs,
         }
     }
 }
@@ -429,6 +480,12 @@ mod tests {
         let payload = fb.next_frame().unwrap().unwrap().to_vec();
         assert_eq!(Request::decode(&payload).unwrap(), req);
         assert!(fb.next_frame().unwrap().is_none());
+        // Every request but `Shutdown` is an index operation, and that
+        // operation's wire form is the request.
+        assert_eq!(op.op().is_none(), op == ReqOp::Shutdown);
+        if let Some(index_op) = op.op() {
+            assert_eq!(ReqOp::try_from(index_op), Ok(op));
+        }
     }
 
     #[test]

@@ -71,6 +71,14 @@ fn pmload_rejects_input_it_used_to_panic_on() {
         "--oracle expects --conns 1",
     );
     rejected(pmload, &["--shards", "2"], "unknown flag \"--shards\"");
+    // One past the wire's scan bound used to die mid-run with protocol
+    // errors (the count was truncated, refused, and the connection
+    // closed).
+    rejected(
+        pmload,
+        &["--scan-len", "70000"],
+        "--scan-len expects an integer in 0..=65536",
+    );
 }
 
 #[test]

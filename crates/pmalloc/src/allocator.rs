@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use pmem::{align_up, MediaError, PmPool, MEDIA_BLOCK, ROOT_AREA};
+use pmem::{align_up, MediaError, PmPool, ThreadSlots, MEDIA_BLOCK, ROOT_AREA};
 
 use crate::classes::{class_for_size, class_size, CLASS_SIZES, NUM_CLASSES};
 use crate::AllocError;
@@ -99,28 +99,13 @@ pub struct PmAllocator {
     free_counts: Vec<AtomicU32>,
     /// Volatile next-free-bit hints per chunk.
     scan_hints: Vec<AtomicU32>,
+    /// Which in-flight slot and magazine row each thread uses.
+    stripes: ThreadSlots,
     inflight_locks: Vec<Mutex<()>>,
     magazines: Vec<Mutex<Vec<u64>>>, // stripe * NUM_CLASSES + class
     allocs: AtomicU64,
     frees: AtomicU64,
     live_bytes: AtomicU64,
-}
-
-fn stripe_of_thread() -> usize {
-    use std::cell::Cell;
-    use std::sync::atomic::AtomicUsize;
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    STRIPE.with(|s| {
-        let mut v = s.get();
-        if v == usize::MAX {
-            v = NEXT.fetch_add(1, Ordering::Relaxed) % INFLIGHT_SLOTS;
-            s.set(v);
-        }
-        v
-    })
 }
 
 impl PmAllocator {
@@ -208,6 +193,7 @@ impl PmAllocator {
             free_chunks: Mutex::new(Vec::with_capacity(n)),
             free_counts: (0..n).map(|_| AtomicU32::new(0)).collect(),
             scan_hints: (0..n).map(|_| AtomicU32::new(0)).collect(),
+            stripes: ThreadSlots::new(INFLIGHT_SLOTS),
             inflight_locks: (0..INFLIGHT_SLOTS).map(|_| Mutex::new(())).collect(),
             magazines: (0..INFLIGHT_SLOTS * NUM_CLASSES)
                 .map(|_| Mutex::new(Vec::new()))
@@ -429,7 +415,7 @@ impl PmAllocator {
         let off = match self.mode {
             AllocMode::General => self.alloc_from_class(class)?,
             AllocMode::Striped => {
-                let stripe = stripe_of_thread();
+                let stripe = self.stripes.slot();
                 let mag = &self.magazines[stripe * NUM_CLASSES + class];
                 // Bind the pop so the guard drops here: `match
                 // mag.lock().pop()` would keep the magazine locked
@@ -477,7 +463,7 @@ impl PmAllocator {
     /// recovery — no leak, no dangling pointer.
     pub fn alloc_linked(&self, size: usize, dest: u64) -> Result<u64, AllocError> {
         let _site = obs::site("pmalloc_alloc_linked");
-        let stripe = stripe_of_thread();
+        let stripe = self.stripes.slot();
         let _guard = self.inflight_locks[stripe].lock();
         let slot = Self::inflight_off_static(stripe as u64);
         // Record intent before the allocation becomes visible in the
@@ -503,7 +489,7 @@ impl PmAllocator {
     /// it remains allocated, or `dest` is zero and the block is free.
     pub fn free_linked(&self, dest: u64) {
         let _site = obs::site("pmalloc_free_linked");
-        let stripe = stripe_of_thread();
+        let stripe = self.stripes.slot();
         let _guard = self.inflight_locks[stripe].lock();
         let block = self.pool.read_u64(dest);
         assert!(block != 0, "free_linked of null link");
@@ -527,7 +513,7 @@ impl PmAllocator {
             AllocMode::General => self.clear_bit_persist(off),
             AllocMode::Striped => {
                 let (_, class, _) = self.locate(off);
-                let stripe = stripe_of_thread();
+                let stripe = self.stripes.slot();
                 let mag = &self.magazines[stripe * NUM_CLASSES + class];
                 let mut m = mag.lock();
                 m.push(off);

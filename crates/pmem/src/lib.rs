@@ -35,6 +35,7 @@ mod inject;
 mod latency;
 mod off;
 mod pool;
+mod slots;
 mod stats;
 
 pub use config::{PersistenceMode, PmConfig};
@@ -45,6 +46,7 @@ pub use inject::{
 pub use latency::LatencyModel;
 pub use off::{PmOff, NULL_OFF};
 pub use pool::{PmPool, PmSafe, CACHELINE, MEDIA_BLOCK, ROOT_AREA};
+pub use slots::ThreadSlots;
 pub use stats::PmStatsSnapshot;
 
 /// Lock the emulator's own bookkeeping. An injected crash unwinds

@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use pmalloc::PmAllocator;
-use pmem::{MediaError, PmPool};
+use pmem::{MediaError, PmPool, ThreadSlots};
 
 /// Maximum words per operation (BzTree needs at most 3).
 pub const MAX_WORDS: usize = 4;
@@ -91,6 +91,8 @@ pub struct PmwCas {
     pool: Arc<PmPool>,
     /// Pool offset of the descriptor area.
     base: u64,
+    /// Which descriptor each thread uses.
+    stripes: ThreadSlots,
     /// Volatile claim locks, one per descriptor.
     claims: Vec<Mutex<()>>,
 }
@@ -144,6 +146,7 @@ impl PmwCas {
         PmwCas {
             pool,
             base,
+            stripes: ThreadSlots::new(N_DESC),
             claims: (0..N_DESC).map(|_| Mutex::new(())).collect(),
         }
     }
@@ -172,23 +175,6 @@ impl PmwCas {
         (self.pool.read_u64(self.d_off(idx) + 8) as usize).min(MAX_WORDS)
     }
 
-    fn stripe() -> usize {
-        use std::cell::Cell;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        thread_local! {
-            static SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
-        }
-        SLOT.with(|s| {
-            let mut v = s.get();
-            if v == usize::MAX {
-                v = NEXT.fetch_add(1, Ordering::Relaxed) % N_DESC;
-                s.set(v);
-            }
-            v
-        })
-    }
-
     /// Atomically (and durably) swap `entries`. Returns `true` when all
     /// expected values matched and the new values are installed.
     ///
@@ -200,7 +186,7 @@ impl PmwCas {
         debug_assert!(entries
             .iter()
             .all(|e| e.old & (DESC_FLAG | DIRTY) == 0 && e.new & (DESC_FLAG | DIRTY) == 0));
-        let idx = Self::stripe();
+        let idx = self.stripes.slot();
         let _claim = self.claims[idx].lock();
         let pool = &*self.pool;
         let d = self.d_off(idx);

@@ -28,8 +28,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use pm_index_bench::crashpoint::{
-    apply_op, apply_until_cut, install_quiet_crash_hook, kind as kind_row, verify_recovered,
-    workload, Acked, Shape, PM_KINDS as KINDS,
+    apply_until_cut, install_quiet_crash_hook, kind as kind_row, verify_recovered, workload, Acked,
+    Shape, PM_KINDS as KINDS,
 };
 use pm_index_bench::index_api::RangeIndex;
 use pm_index_bench::pibench::cli::{Arg, Flags};
@@ -59,6 +59,9 @@ fn cut_and_verify(
     let idx = kind_row(kind)
         .try_recover(alloc, Shape::Default)
         .unwrap_or_else(|e| panic!("{kind}: {e}"));
+    if let Some(e) = acked.errors.first() {
+        panic!("{kind}: {e}");
+    }
     if let Err(e) = verify_recovered(&*idx, &acked.model, &acked.inflight) {
         panic!("{kind}: {e}");
     }
@@ -90,17 +93,13 @@ fn torture(kind: &str, round_seed: u64) {
     // The in-flight op may have landed either way; sync the model with
     // whichever atomic outcome the recovered tree kept.
     for a in acked.inflight.drain(..) {
-        match idx.lookup(a.key) {
-            Some(v) => acked.model.insert(a.key, v),
-            None => acked.model.remove(&a.key),
-        };
+        acked.model.remove(a.key);
+        acked.model.extend(idx.lookup(a.key).map(|v| (a.key, v)));
     }
 
     // Phase 2: run the whole workload again on the recovered tree,
     // then the classic end-of-workload plug pull with exact verify.
-    for &op in &ops {
-        apply_op(&*idx, &mut acked.model, op);
-    }
+    apply_until_cut(&*idx, &ops, &mut acked);
     cut_and_verify(kind, idx, &pool, seed ^ 0x7061_7274_6961_6c32, &acked);
 }
 

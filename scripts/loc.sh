@@ -3,7 +3,8 @@
 # the first `#[cfg(test)]` of each .rs file (ROADMAP: "line count is a
 # tracked number"). With arguments, counts just those files/directories.
 #
-#   scripts/loc.sh                      # every crate, example and tests/common
+#   scripts/loc.sh                      # every crate, example and tests/common,
+#                                       # then benchmark/src on a line of its own
 #   scripts/loc.sh crates/crashpoint/src crates/net/src/crash.rs
 set -eu
 cd "$(dirname "$0")/.."
@@ -28,3 +29,6 @@ for unit in crates/*/src examples/*.rs tests/common src; do
     printf '%7d  %s\n' "$n" "$unit"
 done
 printf '%7d  total\n' "$total"
+# The repo benchmark is a package of its own that PRs may not edit
+# (BENCHMARK.json `paths`): tracked beside the total, not inside it.
+printf '%7d  benchmark/src (read-only, not in the total)\n' "$(count benchmark/src)"

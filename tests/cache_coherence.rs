@@ -6,34 +6,24 @@
 
 mod common;
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use common::PM_KINDS;
 use pm_index_bench::cache::CachedIndex;
-use pm_index_bench::index_api::RangeIndex;
+use pm_index_bench::index_api::{Op, Oracle, RangeIndex};
 use pm_index_bench::pmem::PmConfig;
 use proptest::prelude::*;
 
-#[derive(Debug, Clone, Copy)]
-enum CacheOp {
-    Insert(u64, u64),
-    Update(u64, u64),
-    Remove(u64),
-    Lookup(u64),
-    Scan(u64, usize),
-}
-
-fn arb_cache_op() -> impl Strategy<Value = CacheOp> {
+fn arb_cache_op() -> impl Strategy<Value = Op> {
     // Narrow key range so lookups repeatedly hit cached entries that
     // mutations then invalidate — the stale-read failure mode.
     let key = 0u64..200;
     prop_oneof![
-        3 => (key.clone(), any::<u64>()).prop_map(|(k, v)| CacheOp::Insert(k, v)),
-        3 => key.clone().prop_map(CacheOp::Lookup),
-        2 => (key.clone(), any::<u64>()).prop_map(|(k, v)| CacheOp::Update(k, v)),
-        2 => key.clone().prop_map(CacheOp::Remove),
-        1 => (key, 1usize..30).prop_map(|(k, n)| CacheOp::Scan(k, n)),
+        3 => (key.clone(), any::<u64>()).prop_map(|(k, v)| Op::Insert(k, v)),
+        3 => key.clone().prop_map(Op::Lookup),
+        2 => (key.clone(), any::<u64>()).prop_map(|(k, v)| Op::Update(k, v)),
+        2 => key.clone().prop_map(Op::Remove),
+        1 => (key, 1usize..30).prop_map(|(k, n)| Op::Scan(k, n)),
     ]
 }
 
@@ -43,52 +33,19 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// Every lookup and scan through the cache matches a plain
-    /// `BTreeMap` model *at every step* — a stale cache line surviving
+    /// Every outcome through the cache — write acks, lookups, scans —
+    /// matches the oracle *at every step*: a stale cache line surviving
     /// a write-through mutation would diverge immediately.
     #[test]
     fn cached_ops_match_oracle(ops in proptest::collection::vec(arb_cache_op(), 1..400)) {
         for kind in PM_KINDS {
             let (inner, _pool) = common::fresh(kind, 64, PmConfig::real());
             let cached = CachedIndex::new(inner, 1 << 20);
-            let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut model = Oracle::new();
+            let mut rows = Vec::new();
             for &op in &ops {
-                match op {
-                    CacheOp::Insert(k, v) => {
-                        let done = cached.insert(k, v);
-                        prop_assert_eq!(done, !model.contains_key(&k), "{} insert({k})", kind);
-                        model.entry(k).or_insert(v);
-                    }
-                    CacheOp::Update(k, v) => {
-                        let done = cached.update(k, v);
-                        prop_assert_eq!(done, model.contains_key(&k), "{} update({k})", kind);
-                        if let Some(slot) = model.get_mut(&k) {
-                            *slot = v;
-                        }
-                    }
-                    CacheOp::Remove(k) => {
-                        let done = cached.remove(k);
-                        prop_assert_eq!(done, model.remove(&k).is_some(), "{} remove({k})", kind);
-                    }
-                    CacheOp::Lookup(k) => {
-                        prop_assert_eq!(
-                            cached.lookup(k),
-                            model.get(&k).copied(),
-                            "{} lookup({k}) served stale data",
-                            kind
-                        );
-                    }
-                    CacheOp::Scan(k, n) => {
-                        let mut got = Vec::new();
-                        cached.scan(k, n, &mut got);
-                        let want: Vec<(u64, u64)> = model
-                            .range(k..)
-                            .take(n)
-                            .map(|(&k, &v)| (k, v))
-                            .collect();
-                        prop_assert_eq!(got, want, "{} scan({k},{n})", kind);
-                    }
-                }
+                let got = op.apply(&cached, &mut rows);
+                prop_assert_eq!(got, model.apply(op), "{} {:?} through the cache", kind, op);
             }
         }
     }
@@ -104,21 +61,18 @@ proptest! {
         // Smallest tier the constructor accepts: slot pressure forces
         // CLOCK evictions with only ~hundreds of keys in play.
         let cached = CachedIndex::new(inner.clone(), 1);
-        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut model = Oracle::new();
         for (i, &v) in seed_vals.iter().enumerate() {
             let k = i as u64;
-            cached.insert(k, v);
-            model.insert(k, v);
+            prop_assert_eq!(cached.insert(k, v), model.insert(k, v), "insert({})", k);
         }
         for (i, &k) in probes.iter().enumerate() {
             // Interleave mutations so eviction races invalidation.
             if i % 7 == 0 {
                 let v = k.wrapping_mul(0x9e37);
-                if cached.update(k, v) {
-                    model.insert(k, v);
-                }
+                prop_assert_eq!(cached.update(k, v), model.update(k, v), "update({})", k);
             }
-            prop_assert_eq!(cached.lookup(k), model.get(&k).copied(), "lookup({k})");
+            prop_assert_eq!(cached.lookup(k), model.lookup(k), "lookup({k})");
             prop_assert_eq!(cached.lookup(k), inner.lookup(k), "cache vs inner ({k})");
         }
     }

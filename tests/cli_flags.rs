@@ -15,6 +15,7 @@ const SPEC: Spec = &[
     ("rounds", Arg::Int(1)),
     ("--threads", Arg::Int(1)),
     ("--seed", Arg::Int(0)),
+    ("--scan-len", Arg::IntIn(0, 9)),
     ("--theta", Arg::Float),
     ("--addr", Arg::Text),
     ("--index", Arg::OneOf(&ALL_KINDS)),
@@ -59,6 +60,8 @@ fn flags_of_every_type_parse() {
     assert!(f.on("--dram") && !f.on("--seed"));
     assert_eq!(f.int("--seed"), None);
     assert_eq!(parse(&["--seed", "0"]).unwrap().int("--seed"), Some(0));
+    let bound = parse(&["--scan-len", "9"]).unwrap();
+    assert_eq!(bound.int("--scan-len"), Some(9));
     assert_eq!(
         f.parsed("--addr", |s| Ok::<usize, String>(s.len())),
         Some(3)
@@ -75,6 +78,10 @@ fn bad_command_lines_are_one_line_errors_naming_the_flag() {
     rejected(&["--threads", "many"], "--threads expects an integer");
     rejected(&["--threads", "0"], "--threads expects an integer >= 1");
     rejected(&["0"], "rounds expects an integer >= 1");
+    rejected(
+        &["--scan-len", "10"],
+        "--scan-len expects an integer in 0..=9",
+    );
     rejected(&["3", "4"], "unknown flag \"4\"");
     rejected(&["--theta", "x"], "--theta expects a number");
     rejected(&["--theta", "inf"], "--theta expects a number");

@@ -4,46 +4,25 @@
 
 mod common;
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use common::{create_small, recover_small, PM_KINDS};
+use pm_index_bench::crashpoint::workload;
+use pm_index_bench::index_api::{Oracle, RangeIndex};
 use pm_index_bench::pmalloc::{AllocMode, PmAllocator};
 use pm_index_bench::pmem::{PmConfig, PmPool};
 
-/// Deterministic mixed workload recording acknowledged effects.
-fn apply_workload(
-    idx: &dyn pm_index_bench::index_api::RangeIndex,
-    seed: u64,
-    n_ops: u64,
-    key_range: u64,
-) -> BTreeMap<u64, u64> {
-    let mut model = BTreeMap::new();
-    let mut x = seed | 1;
-    for i in 0..n_ops {
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let k = (x >> 16) % key_range;
-        match x % 10 {
-            0..=5 => {
-                if idx.insert(k, i) {
-                    model.insert(k, i);
-                }
-            }
-            6..=7 => {
-                if idx.update(k, i + 1) {
-                    model.insert(k, i + 1);
-                }
-            }
-            _ => {
-                if idx.remove(k) {
-                    model.remove(&k);
-                }
-            }
-        }
+/// Run the sweeps' deterministic mixed workload (`crashpoint::workload`)
+/// on `idx` and on `model`; every acknowledgement must be the oracle's.
+fn apply_workload(idx: &dyn RangeIndex, model: &mut Oracle, seed: u64, n_ops: u64, key_range: u64) {
+    let mut rows = Vec::new();
+    for op in workload(seed, n_ops, key_range) {
+        assert_eq!(
+            op.apply(idx, &mut rows),
+            model.apply(op),
+            "seed={seed} {op:?}"
+        );
     }
-    model
 }
 
 fn crash_roundtrip(kind: &str, chaos: Option<u64>, seed: u64) {
@@ -54,12 +33,13 @@ fn crash_roundtrip(kind: &str, chaos: Option<u64>, seed: u64) {
     let pool = Arc::new(PmPool::new(64 << 20, cfg));
     let alloc = PmAllocator::format(pool.clone(), AllocMode::General);
     let idx = create_small(kind, alloc);
-    let model = apply_workload(&*idx, seed, 5_000, 2_048);
+    let mut model = Oracle::new();
+    apply_workload(&*idx, &mut model, seed, 5_000, 2_048);
     drop(idx);
     pool.crash();
     let alloc = PmAllocator::recover(pool, AllocMode::General);
     let idx = recover_small(kind, alloc);
-    for (&k, &v) in &model {
+    for (k, v) in model.iter() {
         assert_eq!(idx.lookup(k), Some(v), "{kind} seed={seed}: key {k}");
     }
     let mut out = Vec::new();
@@ -100,22 +80,17 @@ fn double_crash_recovery_is_stable() {
         let pool = Arc::new(PmPool::new(64 << 20, PmConfig::real()));
         let alloc = PmAllocator::format(pool.clone(), AllocMode::General);
         let idx = create_small(kind, alloc);
-        let mut model = apply_workload(&*idx, 7, 3_000, 1_024);
+        let mut model = Oracle::new();
+        apply_workload(&*idx, &mut model, 7, 3_000, 1_024);
         drop(idx);
         pool.crash();
 
+        // The second workload's acks depend on the recovered state: one
+        // model carried across the crash predicts them all.
         let alloc = PmAllocator::recover(pool.clone(), AllocMode::General);
         let idx = recover_small(kind, alloc);
-        let more = apply_workload(&*idx, 8, 3_000, 1_024);
-        // Second workload overlays the first (insert acks depend on the
-        // recovered state, so replay both models in order).
-        for (k, v) in more {
-            model.insert(k, v);
-        }
-        // Note: removes in the second phase removed from `model` only if
-        // tracked; rebuild the truth from the index instead.
-        let mut truth = Vec::new();
-        idx.scan(0, usize::MAX >> 1, &mut truth);
+        apply_workload(&*idx, &mut model, 8, 3_000, 1_024);
+        let truth: Vec<_> = model.iter().collect();
         drop(idx);
         pool.crash();
 

@@ -8,11 +8,10 @@
 //! from the commit *before* the data path was reworked. A mismatch
 //! prints the whole actual table in the constants' own syntax.
 //!
-//! The index workloads run in one `#[test]`, one after the other: the
-//! allocator picks its in-flight slot from a process-global thread
-//! counter, so PM offsets are only a pure function of the seed on the
-//! first thread to allocate. The raw-pool script below never allocates
-//! and runs beside it.
+//! One `#[test]` per index kind, on whatever threads the harness picks:
+//! the allocator and PMwCAS assign their per-thread slots per instance
+//! (`pmem::ThreadSlots`), so the PM offsets a workload writes are a pure
+//! function of its seed, whatever else the process has allocated.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -20,7 +19,7 @@ use std::sync::Arc;
 
 use pm_index_bench::crashpoint::single::Single;
 use pm_index_bench::crashpoint::{
-    self, build_index, install_quiet_crash_hook, workload, ResidualConfig, SweepOptions, WorkloadOp,
+    self, build_index, install_quiet_crash_hook, workload, ResidualConfig, SweepOptions,
 };
 use pm_index_bench::pmalloc::{AllocMode, PmAllocator};
 use pm_index_bench::pmem::{
@@ -86,11 +85,7 @@ fn run_kind(kind: &str, boundary: u64) -> Row {
     let ops = workload(SEED, OPS, KEY_RANGE);
     let tripped = catch_unwind(AssertUnwindSafe(|| {
         for (i, op) in ops.iter().enumerate() {
-            match *op {
-                WorkloadOp::Insert(k, v) => idx.insert(k, v),
-                WorkloadOp::Update(k, v) => idx.update(k, v),
-                WorkloadOp::Remove(k) => idx.remove(k),
-            };
+            op.apply(&*idx, &mut Vec::new());
             if i % 7 == 0 {
                 idx.lookup(op.key());
             }
@@ -213,36 +208,61 @@ const GOLDEN_RAW: [Row; 4] = [
     [2859, 30738, 442017, 3230, 221156, 611072, 0, 1138, 0, 562, 1159, 25579, 5279, 5279, 4474642636736431032],
 ];
 
-#[test]
-fn index_workloads_count_exactly_what_the_parent_counted() {
+/// Kind `i` of [`KINDS`]: its four armed workloads and its frozen crash
+/// sweep, plus the frontier sweep `GOLDEN_SWEEPS[frontier]` if it has
+/// one (the enumeration leans on the recency order of the residual
+/// candidates).
+fn kind_counts_what_the_parent_counted(i: usize, frontier: Option<usize>) {
     install_quiet_crash_hook();
-    let mut rows = Vec::new();
-    for kind in KINDS {
-        for b in BOUNDARIES {
-            rows.push(run_kind(kind, b));
-        }
+    let kind = KINDS[i];
+    let rows: Vec<Row> = BOUNDARIES.iter().map(|&b| run_kind(kind, b)).collect();
+    let mut sweeps = vec![sweep(kind, ResidualConfig::Frozen)];
+    let mut golden_sweeps = vec![GOLDEN_SWEEPS[i]];
+    if let Some(at) = frontier {
+        let exhaustive = ResidualConfig::Exhaustive {
+            max_lines: 3,
+            fallback_samples: 1,
+        };
+        sweeps.push(sweep(kind, exhaustive));
+        golden_sweeps.push(GOLDEN_SWEEPS[at]);
     }
-
-    let frontier = ResidualConfig::Exhaustive {
-        max_lines: 3,
-        fallback_samples: 1,
-    };
-    let mut sweeps: Vec<Sweep> = KINDS
-        .iter()
-        .map(|k| sweep(k, ResidualConfig::Frozen))
-        .collect();
-    // The frontier enumeration leans on the recency order of the
-    // residual candidates.
-    sweeps.push(sweep("fptree", frontier));
-    sweeps.push(sweep("wbtree", frontier));
     let diffs: Vec<String> = [
-        moved("per-kind accounting", &rows, &GOLDEN_KINDS),
-        moved("crash sweeps", &sweeps, &GOLDEN_SWEEPS),
+        moved(
+            "per-kind accounting",
+            &rows,
+            &GOLDEN_KINDS[4 * i..4 * i + 4],
+        ),
+        moved("crash sweeps", &sweeps, &golden_sweeps),
     ]
     .into_iter()
     .flatten()
     .collect();
-    assert!(diffs.is_empty(), "{}", diffs.join("\n"));
+    assert!(diffs.is_empty(), "{kind}: {}", diffs.join("\n"));
+}
+
+#[test]
+fn fptree_counts_exactly_what_the_parent_counted() {
+    kind_counts_what_the_parent_counted(0, Some(5));
+}
+
+#[test]
+fn nvtree_counts_exactly_what_the_parent_counted() {
+    kind_counts_what_the_parent_counted(1, None);
+}
+
+#[test]
+fn wbtree_counts_exactly_what_the_parent_counted() {
+    kind_counts_what_the_parent_counted(2, Some(6));
+}
+
+#[test]
+fn bztree_counts_exactly_what_the_parent_counted() {
+    kind_counts_what_the_parent_counted(3, None);
+}
+
+#[test]
+fn learned_counts_exactly_what_the_parent_counted() {
+    kind_counts_what_the_parent_counted(4, None);
 }
 
 /// A script over the bare pool that reaches what index code rarely

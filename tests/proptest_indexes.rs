@@ -3,11 +3,10 @@
 
 mod common;
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use common::{create_small, recover_small, ALL_KINDS, PM_KINDS};
-use pm_index_bench::index_api::oracle::{apply_and_compare, Op, Oracle};
+use pm_index_bench::index_api::{Op, Oracle};
 use pm_index_bench::pmalloc::{AllocMode, PmAllocator};
 use pm_index_bench::pmem::{PmConfig, PmPool};
 use proptest::prelude::*;
@@ -35,8 +34,9 @@ proptest! {
         for kind in ALL_KINDS {
             let (idx, _pool) = common::fresh(kind, 64, PmConfig::real());
             let mut model = Oracle::new();
+            let mut rows = Vec::new();
             for &op in &ops {
-                apply_and_compare(&*idx, &mut model, op);
+                prop_assert_eq!(op.apply(&*idx, &mut rows), model.apply(op), "{} {:?}", kind, op);
             }
         }
     }
@@ -53,41 +53,18 @@ proptest! {
             ));
             let alloc = PmAllocator::format(pool.clone(), AllocMode::General);
             let idx = create_small(kind, alloc);
-            let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+            // Every outcome, lookups and scans included, is checked on
+            // the way: the model below is exactly what was acknowledged.
+            let mut model = Oracle::new();
+            let mut rows = Vec::new();
             for &op in &ops {
-                match op {
-                    Op::Insert(k, v) => {
-                        if idx.insert(k, v) {
-                            model.insert(k, v);
-                        }
-                    }
-                    Op::Update(k, v) => {
-                        if idx.update(k, v) {
-                            model.insert(k, v);
-                        }
-                    }
-                    Op::Remove(k) => {
-                        if idx.remove(k) {
-                            model.remove(&k);
-                        }
-                    }
-                    Op::Lookup(k) => {
-                        prop_assert_eq!(idx.lookup(k), model.get(&k).copied(), "{}", kind);
-                    }
-                    Op::Scan(k, n) => {
-                        let mut out = Vec::new();
-                        idx.scan(k, n, &mut out);
-                        let want: Vec<(u64, u64)> =
-                            model.range(k..).take(n).map(|(&k, &v)| (k, v)).collect();
-                        prop_assert_eq!(out, want, "{}", kind);
-                    }
-                }
+                prop_assert_eq!(op.apply(&*idx, &mut rows), model.apply(op), "{} {:?}", kind, op);
             }
             drop(idx);
             pool.crash();
             let alloc = PmAllocator::recover(pool, AllocMode::General);
             let idx = recover_small(kind, alloc);
-            for (&k, &v) in &model {
+            for (k, v) in model.iter() {
                 prop_assert_eq!(idx.lookup(k), Some(v), "{} lost {} after crash", kind, k);
             }
             let mut out = Vec::new();

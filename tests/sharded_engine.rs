@@ -11,8 +11,7 @@ use std::sync::Arc;
 
 use common::{create_small, recover_small, PM_KINDS};
 use pm_index_bench::engine::{shard_of, shard_start, Shard, ShardedIndex};
-use pm_index_bench::index_api::oracle::{self, Op, Oracle};
-use pm_index_bench::index_api::RangeIndex;
+use pm_index_bench::index_api::{oracle, Oracle, RangeIndex};
 use pm_index_bench::pmalloc::{AllocMode, PmAllocator};
 use pm_index_bench::pmem::{PmConfig, PmPool};
 use proptest::prelude::*;
@@ -22,16 +21,6 @@ use proptest::prelude::*;
 /// straddle every shard boundary.
 fn spread(k: u64, key_range: u64) -> u64 {
     k * (u64::MAX / key_range)
-}
-
-fn spread_op(op: Op, key_range: u64) -> Op {
-    match op {
-        Op::Insert(k, v) => Op::Insert(spread(k, key_range), v),
-        Op::Lookup(k) => Op::Lookup(spread(k, key_range)),
-        Op::Update(k, v) => Op::Update(spread(k, key_range), v),
-        Op::Remove(k) => Op::Remove(spread(k, key_range)),
-        Op::Scan(k, n) => Op::Scan(spread(k, key_range), n),
-    }
 }
 
 /// A sharded stack of `kind` with small nodes, one 16 MiB pool per
@@ -66,8 +55,10 @@ fn sharded_conformance_for_every_pm_kind() {
         for shards in [2usize, 5] {
             let idx = build_sharded(kind, shards);
             let mut model = Oracle::new();
+            let mut rows = Vec::new();
             for op in oracle::random_ops(0xD1CE ^ shards as u64, 3_000, KEY_RANGE) {
-                oracle::apply_and_compare(&*idx, &mut model, spread_op(op, KEY_RANGE));
+                let op = op.map_key(|k| spread(k, KEY_RANGE));
+                assert_eq!(op.apply(&*idx, &mut rows), model.apply(op), "{kind} {op:?}");
             }
             // Final sweep across all shards must match the model.
             let want: Vec<_> = model.iter().collect();
