@@ -31,6 +31,8 @@ use pibench::workload::{OpMix, OpStream};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use crate::server::IDLE_SPIN;
+use crate::wait::{wait, PollFd, POLLIN, POLLOUT};
 use crate::wire::{FrameBuf, ReqOp, Request, Response, Status};
 
 /// A pipelined client connection (nonblocking socket, caller-polled).
@@ -125,6 +127,13 @@ impl ClientConn {
         Ok(out)
     }
 
+    /// Block until [`Self::pump`] could move bytes or `timeout` passes
+    /// (`None`: until it could).
+    fn wait_io(&self, timeout: Option<Duration>) {
+        let write = if self.unflushed() > 0 { POLLOUT } else { 0 };
+        wait(&mut [PollFd::new(&self.stream, POLLIN | write)], timeout);
+    }
+
     /// Pump until a response arrives or `timeout` passes.
     pub fn recv_timeout(&mut self, timeout: Duration) -> std::io::Result<Option<Response>> {
         let deadline = Instant::now() + timeout;
@@ -135,10 +144,11 @@ impl ClientConn {
                 // callers needing bulk traffic use pump() directly.
                 return Ok(Some(r));
             }
-            if self.server_closed || Instant::now() >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if self.server_closed || left.is_zero() {
                 return Ok(None);
             }
-            std::thread::sleep(Duration::from_micros(100));
+            self.wait_io(Some(left));
         }
     }
 }
@@ -350,7 +360,7 @@ fn drive_conn(
     let mut inflight: HashMap<u64, InFlight> = HashMap::new();
     let t0 = Instant::now();
     let mut next_arrival: Option<u64> = arrivals.as_mut().map(|a| a.next(&mut rng));
-    let mut idle = 0u32;
+    let mut idle_since: Option<Instant> = None;
 
     while (out.sent < ops || !inflight.is_empty()) && !conn.server_closed {
         let mut progressed = false;
@@ -422,14 +432,14 @@ fn drive_conn(
         }
 
         if progressed {
-            idle = 0;
+            idle_since = None;
+        } else if idle_since.get_or_insert_with(Instant::now).elapsed() < IDLE_SPIN {
+            std::thread::yield_now();
         } else {
-            idle = idle.saturating_add(1);
-            if idle < 64 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_micros(50));
-            }
+            // Nothing to do until the server answers or, with a send
+            // still allowed, until it falls due.
+            let due = next_arrival.filter(|_| out.sent < ops && inflight.len() < cfg.window);
+            conn.wait_io(due.map(|at| Duration::from_nanos(at).saturating_sub(t0.elapsed())));
         }
     }
     out.server_closed |= conn.server_closed;

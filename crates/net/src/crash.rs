@@ -150,7 +150,11 @@ impl Scenario for Net {
         };
         let cfg = ServerConfig {
             addr: "127.0.0.1:0".into(),
-            workers: 1,
+            // The one connection lands on the first worker; the second
+            // never has anything to do and is blocked in `wait` when the
+            // cut comes, so every boundary also checks that a halt
+            // raised on one worker wakes and stops another.
+            workers: 2,
             window: self.window.max(1),
             ..ServerConfig::default()
         };

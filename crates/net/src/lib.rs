@@ -22,6 +22,7 @@ pub mod build;
 pub mod client;
 pub mod crash;
 pub mod server;
+mod wait;
 pub mod wire;
 
 pub use client::{run_load, send_shutdown, ClientConn, LoadConfig, LoadResult};

@@ -49,9 +49,22 @@
 //! acking everything already read — including the final fence epoch —
 //! flushes, closes, and joins. `Server::join` returns the final
 //! [`ServeStats`] snapshot.
+//!
+//! ## Idle path
+//!
+//! A worker whose iteration moved nothing keeps polling its sockets
+//! (`yield_now` between passes) for [`IDLE_SPIN`] of idle *time*, then
+//! blocks in `poll(2)` ([`crate::wait`]) on exactly the sockets it would
+//! act on — `POLLIN` where it would read, `POLLOUT` where output is
+//! pending — plus its wake channel. Whatever another thread must notice
+//! (`drain`, `halt`, a handed-over connection) goes through
+//! [`Shared::signal`], which makes the change and then pokes every wake
+//! channel; the acceptor blocks the same way on listener + waker. No
+//! thread sleeps on a timer.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -60,6 +73,7 @@ use std::time::{Duration, Instant};
 use index_api::RangeIndex;
 use pmem::{CrashPointHit, PmPool};
 
+use crate::wait::{drain, poke, wait, wake_channel, PollFd, POLLIN, POLLOUT};
 use crate::wire::{FrameBuf, Opcode, Request, Response, Status};
 
 /// Server tuning knobs.
@@ -78,6 +92,19 @@ pub struct ServerConfig {
 /// Slow-reader shed threshold: max buffered response bytes per
 /// connection.
 const MAX_OUTBUF: usize = 4 << 20;
+
+/// How long a worker with nothing to do keeps polling before it blocks.
+/// A budget of idle time, not of iterations: it has to outlast the gaps
+/// of a live connection, because a worker that blocks in a gap is woken
+/// onto the busy-polling client's core and then yields a timeslice
+/// away, so the budget is about what a wake-up can cost — one scheduler
+/// timeslice. At 20 k req/s (Poisson, 50 µs mean gap) no gap outlasts
+/// 1 ms; 200 µs is outlived by 2 % of gaps, which puts the wake-up into
+/// p99, and 64 yields or 100 µs by 14–28 %, which puts it into p95 (the
+/// ladder is in EXPERIMENTS.md E18). Blocking is for a server that is
+/// actually idle. `run_load`'s driver spins the same budget, for the
+/// same reason, on its side of the socket.
+pub(crate) const IDLE_SPIN: Duration = Duration::from_millis(1);
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -156,6 +183,24 @@ struct Shared {
     stats: Arc<ServeStats>,
     drain: AtomicBool,
     halt: AtomicBool,
+    /// Poke ends of the wake channels: one per worker, then the
+    /// acceptor's.
+    wakers: Vec<UnixStream>,
+}
+
+impl Shared {
+    /// The one way a thread tells the others anything — raise `drain` or
+    /// `halt`, hand a connection over: make the change, then poke every
+    /// wake channel, so a thread blocked in `wait` sees it as surely as
+    /// one that is polling.
+    fn signal(&self, change: impl FnOnce(&Shared)) {
+        change(self);
+        self.wakers.iter().for_each(poke);
+    }
+
+    fn stopping(&self) -> bool {
+        self.drain.load(Ordering::SeqCst) || self.halt.load(Ordering::SeqCst)
+    }
 }
 
 /// Cloneable handle for initiating graceful drain from another thread
@@ -168,12 +213,13 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// Begin graceful drain: stop accepting, finish acked work, exit.
     pub fn drain(&self) {
-        self.shared.drain.store(true, Ordering::SeqCst);
+        self.shared
+            .signal(|sh| sh.drain.store(true, Ordering::SeqCst));
     }
 
     /// Whether the server has begun draining (or halted).
     pub fn draining(&self) -> bool {
-        self.shared.drain.load(Ordering::SeqCst) || self.shared.halt.load(Ordering::SeqCst)
+        self.shared.stopping()
     }
 
     /// Live counters.
@@ -209,6 +255,11 @@ impl Server {
         } else {
             cfg.workers
         };
+        let (wakers, mut woken): (Vec<_>, Vec<_>) = (0..=workers_n)
+            .map(|_| wake_channel())
+            .collect::<std::io::Result<Vec<_>>>()?
+            .into_iter()
+            .unzip();
         let shared = Arc::new(Shared {
             index,
             pools,
@@ -216,18 +267,20 @@ impl Server {
             stats: Arc::new(ServeStats::default()),
             drain: AtomicBool::new(false),
             halt: AtomicBool::new(false),
+            wakers,
         });
 
+        let acceptor_woken = woken.pop().expect("one channel more than workers");
         let mut senders = Vec::with_capacity(workers_n);
         let mut workers = Vec::with_capacity(workers_n);
-        for w in 0..workers_n {
+        for (w, woken) in woken.into_iter().enumerate() {
             let (tx, rx) = mpsc::channel::<TcpStream>();
             senders.push(tx);
             let sh = shared.clone();
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("net-worker-{w}"))
-                    .spawn(move || worker_loop(&sh, &rx))
+                    .spawn(move || worker_loop(&sh, &rx, &woken))
                     .expect("spawn net worker"),
             );
         }
@@ -235,7 +288,7 @@ impl Server {
         let sh = shared.clone();
         let acceptor = std::thread::Builder::new()
             .name("net-acceptor".into())
-            .spawn(move || accept_loop(&sh, &listener, &senders))
+            .spawn(move || accept_loop(&sh, &listener, &senders, &acceptor_woken))
             .expect("spawn net acceptor");
 
         Ok(Server {
@@ -285,7 +338,8 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.shared.drain.store(true, Ordering::SeqCst);
+        self.shared
+            .signal(|sh| sh.drain.store(true, Ordering::SeqCst));
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
@@ -295,10 +349,15 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(sh: &Shared, listener: &TcpListener, senders: &[mpsc::Sender<TcpStream>]) {
+fn accept_loop(
+    sh: &Shared,
+    listener: &TcpListener,
+    senders: &[mpsc::Sender<TcpStream>],
+    woken: &UnixStream,
+) {
     let mut next = 0usize;
     loop {
-        if sh.drain.load(Ordering::SeqCst) || sh.halt.load(Ordering::SeqCst) {
+        if sh.stopping() {
             return;
         }
         match listener.accept() {
@@ -321,17 +380,28 @@ fn accept_loop(sh: &Shared, listener: &TcpListener, senders: &[mpsc::Sender<TcpS
                 }
                 sh.stats.conns_active.fetch_add(1, Ordering::Relaxed);
                 sh.stats.conns_accepted.fetch_add(1, Ordering::Relaxed);
-                if senders[next % senders.len()].send(stream).is_err() {
+                let mut adopted = false;
+                sh.signal(|_| adopted = senders[next % senders.len()].send(stream).is_ok());
+                if !adopted {
                     // Worker gone (halt): stop accepting.
                     return;
                 }
                 next = next.wrapping_add(1);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
+                wait(
+                    &mut [PollFd::new(listener, POLLIN), PollFd::new(woken, POLLIN)],
+                    None,
+                );
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+            // The listener may stay ready while `accept` keeps failing
+            // (out of descriptors): back off on the waker alone.
+            Err(_) => wait(
+                &mut [PollFd::new(woken, POLLIN)],
+                Some(Duration::from_millis(1)),
+            ),
         }
+        drain(woken);
     }
 }
 
@@ -363,6 +433,17 @@ impl Conn {
 
     fn out_pending(&self) -> usize {
         self.outbuf.len() - self.outpos
+    }
+
+    /// Whether the read phase would read this socket now. Backpressure:
+    /// past the in-flight window (or a swollen output buffer) we simply
+    /// stop reading; TCP flow control pushes back to the client.
+    fn wants_read(&self, sh: &Shared, draining: bool) -> bool {
+        !(self.close_after_flush
+            || self.eof
+            || draining
+            || self.inflight >= sh.cfg.window
+            || self.out_pending() >= MAX_OUTBUF)
     }
 
     fn push_response(&mut self, r: &Response) {
@@ -401,12 +482,12 @@ fn decode_buffered(sh: &Shared, conn: &mut Conn) -> bool {
 }
 
 #[allow(clippy::too_many_lines)]
-fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>) {
+fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>, woken: &UnixStream) {
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut scratch = vec![0u8; 64 << 10];
     let mut pending: Vec<PendingAck> = Vec::new();
     let mut touched: Vec<bool> = vec![false; sh.pools.len()];
-    let mut idle_spins = 0u32;
+    let mut idle_since: Option<Instant> = None;
 
     'outer: loop {
         if sh.halt.load(Ordering::SeqCst) {
@@ -423,21 +504,20 @@ fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>) {
 
         let draining = sh.drain.load(Ordering::SeqCst);
 
-        // Read + decode phase.
+        // Read + decode phase. `wire_ns` is charged only for a phase
+        // that moved bytes or decoded a frame, never for idle polling.
         let t_wire = Instant::now();
+        let mut moved = false;
         for slot in conns.iter_mut() {
             let Some(conn) = slot else { continue };
-            // Backpressure: past the in-flight window (or a swollen
-            // output buffer) we simply stop reading this socket; TCP
-            // flow control pushes back to the client.
             if conn.inflight >= sh.cfg.window || conn.out_pending() >= MAX_OUTBUF {
                 continue;
             }
             // Frames a full window left buffered come first: the client
             // may have nothing more to send, so no later read would ever
             // get to them.
-            progressed |= decode_buffered(sh, conn);
-            if conn.close_after_flush || conn.eof || draining || conn.inflight >= sh.cfg.window {
+            moved |= decode_buffered(sh, conn);
+            if !conn.wants_read(sh, draining) {
                 continue;
             }
             match conn.stream.read(&mut scratch) {
@@ -446,7 +526,7 @@ fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>) {
                     progressed = true;
                 }
                 Ok(n) => {
-                    progressed = true;
+                    moved = true;
                     conn.inbuf.push(&scratch[..n]);
                     decode_buffered(sh, conn);
                 }
@@ -457,9 +537,12 @@ fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>) {
                 }
             }
         }
-        sh.stats
-            .wire_ns
-            .fetch_add(t_wire.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        if moved {
+            progressed = true;
+            sh.stats
+                .wire_ns
+                .fetch_add(t_wire.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        }
 
         // Execute phase: round-robin one queued request per connection
         // until queues drain. Write acks are held for the commit below.
@@ -473,7 +556,7 @@ fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>) {
                 any = true;
                 progressed = true;
                 let Some(op) = req.op.op() else {
-                    sh.drain.store(true, Ordering::SeqCst);
+                    sh.signal(|sh| sh.drain.store(true, Ordering::SeqCst));
                     conn.push_response(&Response::basic(req.req_id, Opcode::Shutdown, Status::Ok));
                     continue;
                 };
@@ -492,7 +575,7 @@ fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>) {
                         }
                         // Power cut through the serving path: halt
                         // everything, ack nothing more.
-                        sh.halt.store(true, Ordering::SeqCst);
+                        sh.signal(|sh| sh.halt.store(true, Ordering::SeqCst));
                         continue 'outer;
                     }
                 };
@@ -525,21 +608,27 @@ fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>) {
 
         // Write phase.
         let t_wire = Instant::now();
+        let mut moved = false;
         for slot in conns.iter_mut() {
             let Some(conn) = slot else { continue };
             if conn.out_pending() > 0 {
                 match conn.stream.write(&conn.outbuf[conn.outpos..]) {
                     Ok(n) => {
                         conn.outpos += n;
-                        progressed = true;
+                        moved = true;
                         if conn.outpos == conn.outbuf.len() {
                             conn.outbuf.clear();
                             conn.outpos = 0;
                         }
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                    // The peer is gone and will never take the rest:
+                    // drop it, or this connection is never done and the
+                    // worker never idle.
                     Err(_) => {
                         conn.eof = true;
+                        conn.outbuf.clear();
+                        conn.outpos = 0;
                         progressed = true;
                     }
                 }
@@ -560,9 +649,12 @@ fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>) {
                 progressed = true;
             }
         }
-        sh.stats
-            .wire_ns
-            .fetch_add(t_wire.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        if moved {
+            progressed = true;
+            sh.stats
+                .wire_ns
+                .fetch_add(t_wire.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        }
         conns.retain(|c| c.is_some());
 
         // Drain completion: everything read has been executed, acked
@@ -582,14 +674,22 @@ fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>) {
         }
 
         if progressed {
-            idle_spins = 0;
+            idle_since = None;
+        } else if t_wire.duration_since(*idle_since.get_or_insert(t_wire)) < IDLE_SPIN {
+            std::thread::yield_now();
         } else {
-            idle_spins = idle_spins.saturating_add(1);
-            if idle_spins < 64 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_micros(200));
-            }
+            // Idle past the budget: block until a socket is ready for
+            // what the phases above would do with it, or a poke.
+            let mut fds = vec![PollFd::new(woken, POLLIN)];
+            fds.extend(conns.iter().flatten().map(|c| {
+                let reads = c.wants_read(sh, draining);
+                let read = if reads { POLLIN } else { 0 };
+                let write = if c.out_pending() > 0 { POLLOUT } else { 0 };
+                PollFd::new(&c.stream, read | write)
+            }));
+            wait(&mut fds, None);
+            drain(woken);
+            idle_since = None;
         }
     }
 }
@@ -626,7 +726,7 @@ fn commit_batch(
             if payload.downcast_ref::<CrashPointHit>().is_none() {
                 resume_unwind(payload);
             }
-            sh.halt.store(true, Ordering::SeqCst);
+            sh.signal(|sh| sh.halt.store(true, Ordering::SeqCst));
             pending.clear();
             touched.iter_mut().for_each(|t| *t = false);
             return false;
