@@ -104,7 +104,6 @@ fn main() {
         mix: mix.unwrap_or(OpMix::pure(OpKind::Lookup)),
         distribution: dist.unwrap_or(Distribution::Uniform),
         scan_len: f.int("--scan-len").unwrap_or(100) as usize,
-        latency_sample_shift: 3,
         seed: f.int("--seed").unwrap_or(0x5EED),
         negative_lookups: false,
     };
@@ -248,14 +247,13 @@ fn result_json(
     o.obj("latency_ns", latency_json(&r.latency));
 
     let mut pm = JsonObj::new();
-    pm.u64("media_read_bytes", r.pm.media_read_bytes)
-        .u64("media_write_bytes", r.pm.media_write_bytes)
-        .f64("read_bytes_per_op", r.pm_read_bytes_per_op())
+    for (name, n) in r.pm.named() {
+        pm.u64(name, n);
+    }
+    pm.f64("read_bytes_per_op", r.pm_read_bytes_per_op())
         .f64("write_bytes_per_op", r.pm_write_bytes_per_op())
         .f64("read_amplification", r.pm.read_amplification())
-        .f64("write_amplification", r.pm.write_amplification())
-        .u64("clwb", r.pm.clwb)
-        .u64("fence", r.pm.fence);
+        .f64("write_amplification", r.pm.write_amplification());
     o.obj("pm", pm);
 
     let mut fp = JsonObj::new();

@@ -77,7 +77,6 @@ impl ExpCtx {
             mix,
             distribution: dist,
             scan_len: 100,
-            latency_sample_shift: 3,
             seed: 0x5EED,
             negative_lookups: false,
         }

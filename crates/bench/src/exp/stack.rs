@@ -71,14 +71,15 @@ pub fn e17(ctx: &ExpCtx) -> ExpReport {
         obs::set_enabled(false);
         let sites = obs::site_table();
         for (s, share) in trace::write_shares(&sites) {
+            let c = &s.counts;
             t.row(vec![
                 kind.to_string(),
                 s.name.clone(),
-                s.events.to_string(),
-                s.clwb.to_string(),
-                s.clwb_redundant.to_string(),
-                s.ntstore.to_string(),
-                fmt_bytes(s.media_write_bytes),
+                c.events().to_string(),
+                c.clwb.to_string(),
+                c.clwb_redundant.to_string(),
+                c.ntstore.to_string(),
+                fmt_bytes(c.media_write_bytes),
                 format!("{:.1}", 100.0 * share),
             ]);
         }

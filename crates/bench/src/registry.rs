@@ -128,5 +128,9 @@ mod tests {
         assert!(dram.pools.is_empty());
         assert!(dram.index.insert(7, 7));
         assert_eq!(dram.index.lookup(7), Some(7));
+        // A wrapper's name is built from the name it wraps: there is no
+        // second list of kinds for a combination to fall out of.
+        let cached = cache::CachedIndex::new(dram.index, 1 << 16);
+        assert_eq!(cached.name(), "cached-sharded-dram-btree");
     }
 }

@@ -43,17 +43,15 @@ pub use tree::BzTree;
 pub struct BzTreeConfig {
     /// Record slots per node (sorted base + append area combined).
     pub node_entries: usize,
-    /// Consolidation keeps nodes at most this fraction full (percent);
-    /// denser nodes are split instead.
-    pub split_threshold_pct: usize,
 }
+
+/// Consolidation keeps nodes at most this fraction full (percent);
+/// denser nodes are split instead.
+pub(crate) const SPLIT_THRESHOLD_PCT: usize = 70;
 
 impl Default for BzTreeConfig {
     fn default() -> Self {
-        Self {
-            node_entries: 62,
-            split_threshold_pct: 70,
-        }
+        Self { node_entries: 62 }
     }
 }
 
@@ -69,6 +67,5 @@ mod tests {
     fn default_config() {
         let c = super::BzTreeConfig::default();
         assert_eq!(c.node_entries, 62);
-        assert!(c.split_threshold_pct < 100);
     }
 }

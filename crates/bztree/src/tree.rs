@@ -13,7 +13,7 @@ use crate::node::{
     build_node, read_info, read_status, BzLayout, FROZEN, ST_ABORTED, ST_DELETED, ST_FREE,
     ST_RESERVED, ST_STATE_MASK, ST_VISIBLE,
 };
-use crate::{fingerprint, BzTreeConfig};
+use crate::{fingerprint, BzTreeConfig, SPLIT_THRESHOLD_PCT};
 
 // Root-area slots owned by BzTree (the PMwCAS area uses slot 32).
 const SLOT_ROOT: u64 = 33;
@@ -55,7 +55,6 @@ pub struct BzTree {
     alloc: Arc<PmAllocator>,
     mw: Arc<PmwCas>,
     layout: BzLayout,
-    cfg: BzTreeConfig,
     /// This tree's own epoch collector: retired nodes are freed into
     /// `alloc` by its deferred closures, so they must run on this
     /// tree's threads while it is live (its last unpin drains them) —
@@ -73,7 +72,6 @@ impl BzTree {
             alloc,
             mw,
             layout,
-            cfg,
             epoch: epoch::Collector::new(),
         };
         let root = t.alloc_node(true, &[]);
@@ -117,7 +115,6 @@ impl BzTree {
             alloc,
             mw,
             layout,
-            cfg,
             epoch: epoch::Collector::new(),
         };
         // Reachability GC from the root.
@@ -463,7 +460,7 @@ impl BzTree {
             }
         }
         let live = self.live_records(node);
-        let threshold = self.layout.entries * self.cfg.split_threshold_pct / 100;
+        let threshold = self.layout.entries * SPLIT_THRESHOLD_PCT / 100;
         if live.len() <= threshold {
             // Consolidate: swap in a compacted copy.
             let new = self.alloc_node(is_leaf, &live);
@@ -686,10 +683,7 @@ mod tests {
     }
 
     fn small_cfg() -> BzTreeConfig {
-        BzTreeConfig {
-            node_entries: 8,
-            split_threshold_pct: 70,
-        }
+        BzTreeConfig { node_entries: 8 }
     }
 
     #[test]

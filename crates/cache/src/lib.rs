@@ -47,7 +47,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use index_api::{Footprint, Key, RangeIndex, Value};
+use index_api::{prefixed_name, Footprint, Key, RangeIndex, Value};
 
 /// Slots per bucket (set-associativity of the cache).
 pub const WAYS: usize = 8;
@@ -304,28 +304,6 @@ impl HotCache {
     }
 }
 
-/// Static `name()` table so the wrapped index still returns a
-/// `&'static str` (required by the trait).
-fn cached_name(inner: &'static str) -> &'static str {
-    match inner {
-        "fptree" => "cached-fptree",
-        "fptree-nofp" => "cached-fptree-nofp",
-        "fptree-varkey" => "cached-fptree-varkey",
-        "nvtree" => "cached-nvtree",
-        "wbtree" => "cached-wbtree",
-        "wbtree-noslots" => "cached-wbtree-noslots",
-        "bztree" => "cached-bztree",
-        "learned" => "cached-learned",
-        "dram-btree" => "cached-dram-btree",
-        "sharded-fptree" => "cached-sharded-fptree",
-        "sharded-nvtree" => "cached-sharded-nvtree",
-        "sharded-wbtree" => "cached-sharded-wbtree",
-        "sharded-bztree" => "cached-sharded-bztree",
-        "sharded-learned" => "cached-sharded-learned",
-        _ => "cached",
-    }
-}
-
 /// Read-through / write-through wrapper: [`HotCache`] in front of any
 /// [`RangeIndex`]. Durability semantics are the inner index's,
 /// unchanged — see the module docs.
@@ -338,7 +316,7 @@ pub struct CachedIndex {
 impl CachedIndex {
     /// Wrap `inner` with a cache budgeted to `cache_bytes` of DRAM.
     pub fn new(inner: Arc<dyn RangeIndex>, cache_bytes: usize) -> CachedIndex {
-        let name = cached_name(inner.name());
+        let name = prefixed_name("cached", inner.name());
         CachedIndex {
             inner,
             cache: HotCache::with_capacity(cache_bytes),
@@ -504,10 +482,8 @@ mod tests {
     #[test]
     fn names_and_footprint() {
         let c = cached(1 << 16);
-        assert_eq!(c.name(), "cached");
+        assert_eq!(c.name(), "cached-map-index");
         assert!(c.footprint().dram_bytes >= c.cache.footprint_bytes());
-        assert_eq!(cached_name("fptree"), "cached-fptree");
-        assert_eq!(cached_name("sharded-learned"), "cached-sharded-learned");
     }
 
     #[test]

@@ -14,6 +14,10 @@ use crate::hist::LatencyHistogram;
 use crate::keys::KeySpace;
 use crate::workload::{OpMix, OpStream};
 
+/// One in `2^LATENCY_SAMPLE_SHIFT` operations is timed for latency (the
+/// paper samples 10%; 3 ⇒ 12.5%).
+const LATENCY_SAMPLE_SHIFT: u32 = 3;
+
 /// Benchmark configuration.
 #[derive(Debug, Clone)]
 pub struct BenchConfig {
@@ -31,9 +35,6 @@ pub struct BenchConfig {
     pub distribution: Distribution,
     /// Records per scan.
     pub scan_len: usize,
-    /// Sample one in `2^latency_sample_shift` operations for latency
-    /// (the paper samples 10%; 3 ⇒ 12.5%).
-    pub latency_sample_shift: u32,
     /// RNG seed (per-thread streams derive from it).
     pub seed: u64,
     /// Lookups target absent keys (fingerprint experiment E9).
@@ -50,7 +51,6 @@ impl Default for BenchConfig {
             mix: OpMix::pure(crate::OpKind::Lookup),
             distribution: Distribution::Uniform,
             scan_len: 100,
-            latency_sample_shift: 3,
             seed: 0x5EED,
             negative_lookups: false,
         }
@@ -151,7 +151,7 @@ pub fn run(
     let sampler = cfg.distribution.sampler(keyspace.prefilled());
     let stop = AtomicBool::new(false);
     let misses = AtomicU64::new(0);
-    let sample_mask = (1u64 << cfg.latency_sample_shift) - 1;
+    let sample_mask = (1u64 << LATENCY_SAMPLE_SHIFT) - 1;
 
     for p in pools {
         p.reset_stats();
@@ -222,8 +222,7 @@ pub fn run(
     });
 
     let elapsed = start.elapsed();
-    let snaps: Vec<PmStatsSnapshot> = pools.iter().map(|p| p.stats()).collect();
-    let pm = PmStatsSnapshot::merged(snaps.iter());
+    let pm = crate::trace::pool_counters(pools);
 
     let mut ops = [0u64; 5];
     let mut latency: [LatencyHistogram; 5] = std::array::from_fn(|_| LatencyHistogram::new());

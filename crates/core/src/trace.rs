@@ -13,23 +13,14 @@
 use std::sync::Arc;
 
 use crate::report::{fmt_bytes, JsonArr, JsonObj, Table};
-use obs::{Event, EventKind, SiteAgg, TimeSeries};
-use pmem::{PmPool, PmStatsSnapshot};
+use obs::{Event, EventKind, PmCounts, SiteAgg, TimeSeries};
+use pmem::PmPool;
 
-/// The merged device counters of `pools`, as the `obs::Sampler`
-/// closure of a tool's `--sample-ms` reports them.
-pub fn pool_counters(pools: &[Arc<PmPool>]) -> obs::PmCounters {
-    let snaps: Vec<PmStatsSnapshot> = pools.iter().map(|p| p.stats()).collect();
-    let s = PmStatsSnapshot::merged(snaps.iter());
-    obs::PmCounters {
-        read_bytes: s.read_bytes,
-        write_bytes: s.write_bytes,
-        media_read_bytes: s.media_read_bytes,
-        media_write_bytes: s.media_write_bytes,
-        clwb: s.clwb,
-        ntstore: s.ntstore,
-        fence: s.fence,
-    }
+/// The merged device counters of `pools`: what [`crate::run`] reports
+/// and the `obs::Sampler` closure of a tool's `--sample-ms` samples.
+pub fn pool_counters(pools: &[Arc<PmPool>]) -> PmCounts {
+    let snaps: Vec<PmCounts> = pools.iter().map(|p| p.stats()).collect();
+    PmCounts::merged(&snaps)
 }
 
 fn event_json(e: &Event, site_names: &[String]) -> JsonObj {
@@ -87,37 +78,30 @@ pub fn chrome_trace_json(events: &[Event], site_names: &[String]) -> String {
 /// Render a sampled [`TimeSeries`] as CSV: one row per interval with
 /// both raw deltas and the derived rates the figures plot.
 pub fn timeseries_csv(ts: &TimeSeries) -> String {
-    let mut t = Table::new(vec![
-        "t_ms",
-        "dt_ms",
-        "ops",
-        "mops",
-        "media_read_bytes",
-        "media_write_bytes",
+    let mut header = vec!["t_ms", "dt_ms", "ops", "mops"];
+    header.extend(PmCounts::NAMES);
+    header.extend([
         "read_gibps",
         "write_gibps",
         "write_amplification",
-        "clwb",
-        "ntstore",
-        "fence",
         "fence_per_s",
     ]);
+    let mut t = Table::new(header);
     for p in &ts.points {
-        t.row(vec![
+        let mut row = vec![
             p.t_ms.to_string(),
             p.dt_ms.to_string(),
             p.ops.to_string(),
             format!("{:.4}", p.mops()),
-            p.media_read_bytes.to_string(),
-            p.media_write_bytes.to_string(),
+        ];
+        row.extend(p.pm.to_array().map(|n| n.to_string()));
+        row.extend([
             format!("{:.4}", p.read_gibps()),
             format!("{:.4}", p.write_gibps()),
-            format!("{:.3}", p.write_amplification()),
-            p.clwb.to_string(),
-            p.ntstore.to_string(),
-            p.fence.to_string(),
+            format!("{:.3}", p.pm.write_amplification()),
             format!("{:.0}", p.fence_rate()),
         ]);
+        t.row(row);
     }
     t.to_csv()
 }
@@ -126,9 +110,9 @@ pub fn timeseries_csv(ts: &TimeSeries) -> String {
 /// write bytes in `sites`, in the order given (media-write-heavy first
 /// from [`obs::site_table`]).
 pub fn write_shares(sites: &[SiteAgg]) -> Vec<(&SiteAgg, f64)> {
-    let total_wr: u64 = sites.iter().map(|s| s.media_write_bytes).sum();
-    let share = |s: &SiteAgg| s.media_write_bytes as f64 / total_wr.max(1) as f64;
-    let live = sites.iter().filter(|s| s.events > 0);
+    let total_wr: u64 = sites.iter().map(|s| s.counts.media_write_bytes).sum();
+    let share = |s: &SiteAgg| s.counts.media_write_bytes as f64 / total_wr.max(1) as f64;
+    let live = sites.iter().filter(|s| s.counts.events() > 0);
     live.map(|s| (s, share(s))).collect()
 }
 
@@ -147,15 +131,16 @@ pub fn site_table(sites: &[SiteAgg]) -> Table {
         "share%",
     ]);
     for (s, share) in write_shares(sites) {
+        let c = &s.counts;
         t.row(vec![
             s.name.clone(),
-            s.events.to_string(),
-            s.clwb.to_string(),
-            s.clwb_redundant.to_string(),
-            s.ntstore.to_string(),
-            s.fence.to_string(),
-            fmt_bytes(s.media_read_bytes),
-            fmt_bytes(s.media_write_bytes),
+            c.events().to_string(),
+            c.clwb.to_string(),
+            c.clwb_redundant.to_string(),
+            c.ntstore.to_string(),
+            c.fence.to_string(),
+            fmt_bytes(c.media_read_bytes),
+            fmt_bytes(c.media_write_bytes),
             format!("{:.1}", 100.0 * share),
         ]);
     }
@@ -167,17 +152,11 @@ pub fn site_table_json(sites: &[SiteAgg]) -> String {
     let mut arr = JsonArr::new();
     for (s, share) in write_shares(sites) {
         let mut o = JsonObj::new();
-        o.str("site", &s.name)
-            .u64("events", s.events)
-            .u64("read_bytes", s.read_bytes)
-            .u64("write_bytes", s.write_bytes)
-            .u64("media_read_bytes", s.media_read_bytes)
-            .u64("media_write_bytes", s.media_write_bytes)
-            .u64("clwb", s.clwb)
-            .u64("clwb_redundant", s.clwb_redundant)
-            .u64("ntstore", s.ntstore)
-            .u64("fence", s.fence)
-            .f64("media_write_share", share);
+        o.str("site", &s.name).u64("events", s.counts.events());
+        for (name, n) in s.counts.named() {
+            o.u64(name, n);
+        }
+        o.f64("media_write_share", share);
         arr.push_obj(o);
     }
     arr.finish()
@@ -228,10 +207,12 @@ mod tests {
                 t_ms: 100,
                 dt_ms: 100,
                 ops: 50_000,
-                media_write_bytes: 1 << 20,
-                clwb: 10,
-                fence: 10,
-                ..Default::default()
+                pm: PmCounts {
+                    media_write_bytes: 1 << 20,
+                    clwb: 10,
+                    fence: 10,
+                    ..Default::default()
+                },
             }],
         };
         let csv = timeseries_csv(&ts);
@@ -241,25 +222,24 @@ mod tests {
         assert!(row.starts_with("100,100,50000,0.5000"), "{row}");
     }
 
+    fn site(name: &str, clwb: u64, media_write_bytes: u64) -> SiteAgg {
+        let counts = PmCounts {
+            clwb,
+            media_write_bytes,
+            ..Default::default()
+        };
+        SiteAgg {
+            name: name.into(),
+            counts,
+        }
+    }
+
     #[test]
     fn site_table_shares_sum_to_100() {
         let sites = vec![
-            SiteAgg {
-                name: "leaf_split".into(),
-                events: 10,
-                media_write_bytes: 3 << 10,
-                ..Default::default()
-            },
-            SiteAgg {
-                name: "other".into(),
-                events: 5,
-                media_write_bytes: 1 << 10,
-                ..Default::default()
-            },
-            SiteAgg {
-                name: "silent".into(),
-                ..Default::default()
-            },
+            site("leaf_split", 10, 3 << 10),
+            site("other", 5, 1 << 10),
+            site("silent", 0, 0),
         ];
         let t = site_table(&sites);
         let text = t.to_text();
@@ -269,6 +249,11 @@ mod tests {
         assert!(!text.contains("silent"));
         let json = site_table_json(&sites);
         assert!(json.contains(r#""media_write_share":0.75"#));
+        // Every counter is a key, beside the row's own three.
+        assert!(json.starts_with(r#"[{"site":"leaf_split","events":10,"read_ops":0,"#));
+        assert!(PmCounts::NAMES
+            .iter()
+            .all(|n| json.contains(&format!(r#""{n}":"#))));
         assert!(!json.contains("silent"));
     }
 }

@@ -145,17 +145,10 @@ pub static KINDS: [Kind; 8] = [
     Kind {
         name: "bztree",
         open: |alloc, shape, recover| {
-            let default = BzTreeConfig::default();
             let cfg = match shape {
-                Shape::Default => default,
-                Shape::Small => BzTreeConfig {
-                    node_entries: 16,
-                    split_threshold_pct: 70,
-                },
-                Shape::NodeEntries(node_entries) => BzTreeConfig {
-                    node_entries,
-                    ..default
-                },
+                Shape::Default => BzTreeConfig::default(),
+                Shape::Small => BzTreeConfig { node_entries: 16 },
+                Shape::NodeEntries(node_entries) => BzTreeConfig { node_entries },
             };
             open(alloc, cfg, recover, BzTree::create, BzTree::try_recover)
         },

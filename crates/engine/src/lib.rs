@@ -72,7 +72,7 @@
 
 use std::sync::Arc;
 
-use index_api::{Footprint, Key, RangeIndex, Value};
+use index_api::{prefixed_name, Footprint, Key, RangeIndex, Value};
 use parking_lot::{Mutex, RwLock};
 use pmalloc::PmAllocator;
 use pmem::{MediaError, PmPool, PmStatsSnapshot};
@@ -117,22 +117,6 @@ pub fn shard_of(key: Key, n: usize) -> usize {
 pub fn shard_start(i: usize, n: usize) -> Key {
     debug_assert!(i < n);
     (((i as u128) << 64).div_ceil(n as u128)) as Key
-}
-
-fn sharded_name(inner: &str) -> &'static str {
-    match inner {
-        "fptree" => "sharded-fptree",
-        "fptree-nofp" => "sharded-fptree-nofp",
-        "fptree-varkey" => "sharded-fptree-varkey",
-        "nvtree" => "sharded-nvtree",
-        "wbtree" => "sharded-wbtree",
-        "wbtree-noslots" => "sharded-wbtree-noslots",
-        "bztree" => "sharded-bztree",
-        "learned" => "sharded-learned",
-        "dram-btree" => "sharded-dram-btree",
-        "map-index" => "sharded-map-index",
-        _ => "sharded",
-    }
 }
 
 /// One routing-table row: keys in `[start, last]` (inclusive) belong to
@@ -252,7 +236,7 @@ impl ShardedIndex {
 
     fn assemble(shards: Vec<Shard>, routes: Vec<RouteEntry>, next_seq: u64) -> Arc<Self> {
         assert!(!shards.is_empty(), "ShardedIndex needs at least one shard");
-        let name = sharded_name(shards[0].index.name());
+        let name = prefixed_name("sharded", shards[0].index.name());
         Arc::new(Self {
             state: RwLock::new(EngineState {
                 shards,

@@ -21,6 +21,7 @@
 //! compare, and import the rest from here.
 
 use std::fmt;
+use std::sync::Mutex;
 
 mod op;
 pub mod oracle;
@@ -92,9 +93,37 @@ pub trait RangeIndex: Send + Sync {
     }
 }
 
+/// The name of a wrapper around the index called `inner`:
+/// `"{prefix}-{inner}"`, as the `&'static str` [`RangeIndex::name`]
+/// returns. Each distinct name is allocated once and kept for the life of
+/// the process; asking again returns the same string (crash sweeps build
+/// tens of thousands of wrappers over a handful of names).
+pub fn prefixed_name(prefix: &str, inner: &str) -> &'static str {
+    static NAMES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+    let name = format!("{prefix}-{inner}");
+    // A panic cannot leave the list half-updated: `push` is the only write.
+    let mut names = NAMES.lock().unwrap_or_else(|p| p.into_inner());
+    if let Some(known) = names.iter().find(|n| **n == name) {
+        return known;
+    }
+    let leaked: &'static str = name.leak();
+    names.push(leaked);
+    leaked
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn prefixed_names_are_interned() {
+        let a = prefixed_name("cached", "sharded-fptree-nofp");
+        assert_eq!(a, "cached-sharded-fptree-nofp");
+        let b = prefixed_name("cached", &String::from("sharded-fptree-nofp"));
+        assert!(std::ptr::eq(a, b), "the second call must not leak again");
+        let sharded = prefixed_name("sharded", "learned");
+        assert_eq!(prefixed_name("cached", sharded), "cached-sharded-learned");
+    }
 
     #[test]
     fn map_index_passes_conformance() {

@@ -25,12 +25,14 @@
 //! Exporters (Chrome-trace JSON, CSV) live in the `pibench` core crate,
 //! which owns the shared JSON/CSV machinery.
 
+mod counts;
 mod ring;
 mod sampler;
 mod site;
 
+pub use counts::PmCounts;
 pub use ring::{Event, EventKind, MAX_TRACE_LEN, OP_LABELS};
-pub use sampler::{PmCounters, SamplePoint, Sampler, TimeSeries};
+pub use sampler::{SamplePoint, Sampler, TimeSeries};
 pub use site::{SiteAgg, SiteGuard, MAX_SITES, SITE_OTHER};
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -81,11 +83,13 @@ pub fn pm_read(off: u64, len: usize, media_bytes: u64) {
     if !enabled() {
         return;
     }
-    ring::record_pm(EventKind::Read, off, len as u64, media_bytes, |c| {
-        c.events += 1;
-        c.read_bytes += len as u64;
-        c.media_read_bytes += media_bytes;
-    });
+    let counts = PmCounts {
+        read_ops: 1,
+        read_bytes: len as u64,
+        media_read_bytes: media_bytes,
+        ..PmCounts::default()
+    };
+    ring::record_pm(EventKind::Read, off, len as u64, media_bytes, &counts);
 }
 
 /// Tap: a software write of `len` bytes at `off` (store-buffer level;
@@ -95,10 +99,12 @@ pub fn pm_write(off: u64, len: usize) {
     if !enabled() {
         return;
     }
-    ring::record_pm(EventKind::Write, off, len as u64, 0, |c| {
-        c.events += 1;
-        c.write_bytes += len as u64;
-    });
+    let counts = PmCounts {
+        write_ops: 1,
+        write_bytes: len as u64,
+        ..PmCounts::default()
+    };
+    ring::record_pm(EventKind::Write, off, len as u64, 0, &counts);
 }
 
 /// Tap: a `clwb`/`clflushopt` covering `len` bytes at `off`, writing
@@ -114,12 +120,13 @@ pub fn pm_clwb(off: u64, len: usize, media_bytes: u64, redundant: bool) {
     } else {
         EventKind::Clwb
     };
-    ring::record_pm(kind, off, len as u64, media_bytes, |c| {
-        c.events += 1;
-        c.clwb += 1;
-        c.clwb_redundant += redundant as u64;
-        c.media_write_bytes += media_bytes;
-    });
+    let counts = PmCounts {
+        clwb: 1,
+        clwb_redundant: redundant as u64,
+        media_write_bytes: media_bytes,
+        ..PmCounts::default()
+    };
+    ring::record_pm(kind, off, len as u64, media_bytes, &counts);
 }
 
 /// Tap: a non-temporal store at `off` writing `media_bytes` to media.
@@ -130,11 +137,12 @@ pub fn pm_ntstore(off: u64, media_bytes: u64) {
     if !enabled() {
         return;
     }
-    ring::record_pm(EventKind::Ntstore, off, 8, media_bytes, |c| {
-        c.events += 1;
-        c.ntstore += 1;
-        c.media_write_bytes += media_bytes;
-    });
+    let counts = PmCounts {
+        ntstore: 1,
+        media_write_bytes: media_bytes,
+        ..PmCounts::default()
+    };
+    ring::record_pm(EventKind::Ntstore, off, 8, media_bytes, &counts);
 }
 
 /// Tap: a store fence.
@@ -143,10 +151,11 @@ pub fn pm_fence() {
     if !enabled() {
         return;
     }
-    ring::record_pm(EventKind::Fence, 0, 0, 0, |c| {
-        c.events += 1;
-        c.fence += 1;
-    });
+    let counts = PmCounts {
+        fence: 1,
+        ..PmCounts::default()
+    };
+    ring::record_pm(EventKind::Fence, 0, 0, 0, &counts);
 }
 
 /// Tap: one completed benchmark operation (for the throughput series).
@@ -243,7 +252,7 @@ mod tests {
         count_op();
         assert!(flight_events(16).is_empty());
         assert_eq!(total_ops(), 0);
-        assert!(site_table().iter().all(|s| s.events == 0));
+        assert!(site_table().iter().all(|s| s.counts.events() == 0));
     }
 
     #[test]
@@ -276,11 +285,19 @@ mod tests {
             .iter()
             .find(|s| s.name == "unit_test_site")
             .expect("site interned");
-        assert_eq!(test_site.clwb, 1);
-        assert_eq!(test_site.media_write_bytes, 256);
-        assert_eq!(test_site.fence, 1);
+        let expect = PmCounts {
+            write_ops: 1,
+            write_bytes: 16,
+            clwb: 1,
+            media_write_bytes: 256,
+            fence: 1,
+            ..PmCounts::default()
+        };
+        assert_eq!(test_site.counts, expect);
+        assert_eq!(expect.events(), 3, "one event per tap call");
         let other = table.iter().find(|s| s.name == SITE_OTHER).unwrap();
-        assert_eq!(other.media_read_bytes, 256);
+        assert_eq!(other.counts.media_read_bytes, 256);
+        assert_eq!(other.counts.events(), 1);
         assert_eq!(total_ops(), 1);
 
         let text = flight_tail_text(8);
@@ -306,7 +323,7 @@ mod tests {
         }
         set_enabled(false);
         let table = site_table();
-        let get = |n: &str| table.iter().find(|s| s.name == n).map(|s| s.fence);
+        let get = |n: &str| table.iter().find(|s| s.name == n).map(|s| s.counts.fence);
         assert_eq!(get("outer_site"), Some(2));
         assert_eq!(get("inner_site"), Some(1));
         reset();

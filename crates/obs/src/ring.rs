@@ -13,7 +13,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::site;
+use crate::counts::PmCells;
+use crate::{site, PmCounts};
 
 /// Events retained per thread ring (power of two). The rings double as
 /// the flight recorder, so this bounds the "last N events" context a
@@ -122,84 +123,6 @@ impl Event {
     }
 }
 
-/// Per-site counter deltas a tap accumulates (see `record_pm`).
-#[derive(Default)]
-pub(crate) struct SiteCounts {
-    pub events: u64,
-    pub read_bytes: u64,
-    pub write_bytes: u64,
-    pub media_read_bytes: u64,
-    pub media_write_bytes: u64,
-    pub clwb: u64,
-    pub clwb_redundant: u64,
-    pub ntstore: u64,
-    pub fence: u64,
-}
-
-/// Per-thread per-site aggregate cell. Only the owning thread writes,
-/// so relaxed atomics cost a plain add; readers sum across threads.
-#[derive(Default)]
-pub(crate) struct SiteCell {
-    pub events: AtomicU64,
-    pub read_bytes: AtomicU64,
-    pub write_bytes: AtomicU64,
-    pub media_read_bytes: AtomicU64,
-    pub media_write_bytes: AtomicU64,
-    pub clwb: AtomicU64,
-    pub clwb_redundant: AtomicU64,
-    pub ntstore: AtomicU64,
-    pub fence: AtomicU64,
-}
-
-impl SiteCell {
-    fn add(&self, c: &SiteCounts) {
-        // Uncontended (thread-private writer): each relaxed fetch_add
-        // compiles to an ordinary add on x86.
-        if c.events != 0 {
-            self.events.fetch_add(c.events, Ordering::Relaxed);
-        }
-        if c.read_bytes != 0 {
-            self.read_bytes.fetch_add(c.read_bytes, Ordering::Relaxed);
-        }
-        if c.write_bytes != 0 {
-            self.write_bytes.fetch_add(c.write_bytes, Ordering::Relaxed);
-        }
-        if c.media_read_bytes != 0 {
-            self.media_read_bytes
-                .fetch_add(c.media_read_bytes, Ordering::Relaxed);
-        }
-        if c.media_write_bytes != 0 {
-            self.media_write_bytes
-                .fetch_add(c.media_write_bytes, Ordering::Relaxed);
-        }
-        if c.clwb != 0 {
-            self.clwb.fetch_add(c.clwb, Ordering::Relaxed);
-        }
-        if c.clwb_redundant != 0 {
-            self.clwb_redundant
-                .fetch_add(c.clwb_redundant, Ordering::Relaxed);
-        }
-        if c.ntstore != 0 {
-            self.ntstore.fetch_add(c.ntstore, Ordering::Relaxed);
-        }
-        if c.fence != 0 {
-            self.fence.fetch_add(c.fence, Ordering::Relaxed);
-        }
-    }
-
-    fn clear(&self) {
-        self.events.store(0, Ordering::Relaxed);
-        self.read_bytes.store(0, Ordering::Relaxed);
-        self.write_bytes.store(0, Ordering::Relaxed);
-        self.media_read_bytes.store(0, Ordering::Relaxed);
-        self.media_write_bytes.store(0, Ordering::Relaxed);
-        self.clwb.store(0, Ordering::Relaxed);
-        self.clwb_redundant.store(0, Ordering::Relaxed);
-        self.ntstore.store(0, Ordering::Relaxed);
-        self.fence.store(0, Ordering::Relaxed);
-    }
-}
-
 /// One ring slot: `w[0]` is the seqlock word (absolute event index + 1,
 /// 0 = empty/in-progress), `w[1..4]` the payload.
 struct Slot {
@@ -219,7 +142,8 @@ pub(crate) struct ThreadRing {
     /// Next absolute event index; only the owning thread stores it.
     head: AtomicU64,
     slots: Box<[Slot]>,
-    pub(crate) sites: Box<[SiteCell]>,
+    /// This thread's counters per site id.
+    sites: Box<[PmCells]>,
     ops: AtomicU64,
 }
 
@@ -229,7 +153,7 @@ impl ThreadRing {
             tid,
             head: AtomicU64::new(0),
             slots: (0..MAX_TRACE_LEN).map(|_| Slot::default()).collect(),
-            sites: (0..site::MAX_SITES).map(|_| SiteCell::default()).collect(),
+            sites: (0..site::MAX_SITES).map(|_| PmCells::default()).collect(),
             ops: AtomicU64::new(0),
         }
     }
@@ -303,19 +227,11 @@ pub(crate) fn with_handle<R>(f: impl FnOnce(&Handle) -> R) -> R {
 
 /// Record one PM event: ring entry + per-site counter update.
 #[inline]
-pub(crate) fn record_pm(
-    kind: EventKind,
-    off: u64,
-    len: u64,
-    media_bytes: u64,
-    fill: impl FnOnce(&mut SiteCounts),
-) {
-    let mut c = SiteCounts::default();
-    fill(&mut c);
+pub(crate) fn record_pm(kind: EventKind, off: u64, len: u64, media_bytes: u64, counts: &PmCounts) {
     let ts = crate::now_ns();
     with_handle(|h| {
         let site = h.current_site.get();
-        h.ring.sites[site as usize].add(&c);
+        h.ring.sites[site as usize].add(counts);
         h.ring
             .push(ts, off, pack(kind as u8, site, media_bytes, len));
     });
@@ -355,21 +271,12 @@ pub(crate) fn reset_rings() {
 }
 
 /// Sum the per-thread per-site cells across every registered ring into
-/// one [`SiteCounts`] per site id (first `n` sites).
-pub(crate) fn site_sums(n: usize) -> Vec<SiteCounts> {
-    let mut sums: Vec<SiteCounts> = (0..n).map(|_| SiteCounts::default()).collect();
+/// one [`PmCounts`] per site id (first `n` sites).
+pub(crate) fn site_sums(n: usize) -> Vec<PmCounts> {
+    let mut sums = vec![PmCounts::default(); n];
     for ring in registry().iter() {
-        for (i, cell) in ring.sites.iter().take(n).enumerate() {
-            let s = &mut sums[i];
-            s.events += cell.events.load(Ordering::Relaxed);
-            s.read_bytes += cell.read_bytes.load(Ordering::Relaxed);
-            s.write_bytes += cell.write_bytes.load(Ordering::Relaxed);
-            s.media_read_bytes += cell.media_read_bytes.load(Ordering::Relaxed);
-            s.media_write_bytes += cell.media_write_bytes.load(Ordering::Relaxed);
-            s.clwb += cell.clwb.load(Ordering::Relaxed);
-            s.clwb_redundant += cell.clwb_redundant.load(Ordering::Relaxed);
-            s.ntstore += cell.ntstore.load(Ordering::Relaxed);
-            s.fence += cell.fence.load(Ordering::Relaxed);
+        for (sum, cell) in sums.iter_mut().zip(ring.sites.iter()) {
+            sum.merge(&cell.load());
         }
     }
     sums

@@ -1,7 +1,7 @@
 //! Background time-series sampler.
 //!
 //! A sampler thread wakes every `interval_ms`, reads a caller-supplied
-//! cumulative [`PmCounters`] source (obs cannot depend on `pmem`, so
+//! cumulative [`PmCounts`] source (obs cannot depend on `pmem`, so
 //! the caller closes over its pools and merges their snapshots) plus
 //! the global op counter, and appends the *delta* since the previous
 //! wake as one [`SamplePoint`]. The result is a [`TimeSeries`] of
@@ -13,33 +13,16 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Cumulative PM counters at one instant (typically a merged
-/// `PmStatsSnapshot` across all pools of the index under test).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PmCounters {
-    pub read_bytes: u64,
-    pub write_bytes: u64,
-    pub media_read_bytes: u64,
-    pub media_write_bytes: u64,
-    pub clwb: u64,
-    pub ntstore: u64,
-    pub fence: u64,
-}
+use crate::PmCounts;
 
-/// One sampling interval: all fields are deltas over `dt_ms`, except
-/// `t_ms` (milliseconds from sampler start to the interval's *end*).
+/// One sampling interval: `ops` and `pm` are deltas over `dt_ms`;
+/// `t_ms` is milliseconds from sampler start to the interval's *end*.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SamplePoint {
     pub t_ms: u64,
     pub dt_ms: u64,
     pub ops: u64,
-    pub read_bytes: u64,
-    pub write_bytes: u64,
-    pub media_read_bytes: u64,
-    pub media_write_bytes: u64,
-    pub clwb: u64,
-    pub ntstore: u64,
-    pub fence: u64,
+    pub pm: PmCounts,
 }
 
 impl SamplePoint {
@@ -54,26 +37,16 @@ impl SamplePoint {
 
     /// Media read / write bandwidth over this interval, GiB/s.
     pub fn read_gibps(&self) -> f64 {
-        self.media_read_bytes as f64 / self.dt_s() / (1u64 << 30) as f64
+        self.pm.media_read_bytes as f64 / self.dt_s() / (1u64 << 30) as f64
     }
 
     pub fn write_gibps(&self) -> f64 {
-        self.media_write_bytes as f64 / self.dt_s() / (1u64 << 30) as f64
+        self.pm.media_write_bytes as f64 / self.dt_s() / (1u64 << 30) as f64
     }
 
     /// Fences per second over this interval.
     pub fn fence_rate(&self) -> f64 {
-        self.fence as f64 / self.dt_s()
-    }
-
-    /// Media write amplification over this interval (media bytes per
-    /// software byte written); 0 when nothing was written.
-    pub fn write_amplification(&self) -> f64 {
-        if self.write_bytes == 0 {
-            0.0
-        } else {
-            self.media_write_bytes as f64 / self.write_bytes as f64
-        }
+        self.pm.fence as f64 / self.dt_s()
     }
 }
 
@@ -129,7 +102,7 @@ pub struct Sampler {
 impl Sampler {
     /// Start sampling every `interval_ms` (clamped to ≥ 1 ms).
     /// `source` returns the *cumulative* counters at each wake.
-    pub fn start(interval_ms: u64, source: impl Fn() -> PmCounters + Send + 'static) -> Sampler {
+    pub fn start(interval_ms: u64, source: impl Fn() -> PmCounts + Send + 'static) -> Sampler {
         let interval_ms = interval_ms.max(1);
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
@@ -172,7 +145,7 @@ impl Drop for Sampler {
 fn sample_loop(
     interval_ms: u64,
     stop: &AtomicBool,
-    source: &dyn Fn() -> PmCounters,
+    source: &dyn Fn() -> PmCounts,
 ) -> Vec<SamplePoint> {
     let t0 = Instant::now();
     let mut prev = source();
@@ -194,13 +167,7 @@ fn sample_loop(
                 t_ms: now.duration_since(t0).as_millis() as u64,
                 dt_ms,
                 ops: ops.saturating_sub(prev_ops),
-                read_bytes: cur.read_bytes.saturating_sub(prev.read_bytes),
-                write_bytes: cur.write_bytes.saturating_sub(prev.write_bytes),
-                media_read_bytes: cur.media_read_bytes.saturating_sub(prev.media_read_bytes),
-                media_write_bytes: cur.media_write_bytes.saturating_sub(prev.media_write_bytes),
-                clwb: cur.clwb.saturating_sub(prev.clwb),
-                ntstore: cur.ntstore.saturating_sub(prev.ntstore),
-                fence: cur.fence.saturating_sub(prev.fence),
+                pm: cur.since(&prev),
             });
         }
         if stopping {
@@ -257,9 +224,9 @@ mod tests {
     fn sampler_collects_counter_deltas() {
         let counter = Arc::new(AtomicU64::new(0));
         let src = counter.clone();
-        let sampler = Sampler::start(5, move || PmCounters {
+        let sampler = Sampler::start(5, move || PmCounts {
             media_write_bytes: src.load(Ordering::Relaxed),
-            ..PmCounters::default()
+            ..PmCounts::default()
         });
         for _ in 0..10 {
             counter.fetch_add(1024, Ordering::Relaxed);
@@ -267,11 +234,11 @@ mod tests {
         }
         let ts = sampler.stop();
         assert!(!ts.points.is_empty());
-        let total: u64 = ts.points.iter().map(|p| p.media_write_bytes).sum();
+        let total: u64 = ts.points.iter().map(|p| p.pm.media_write_bytes).sum();
         // All increments that happened between the first and last wake
         // are accounted; allow the first pre-start increment to be lost.
         assert!(total >= 1024 * 8, "total={total}");
         assert!(total <= 1024 * 10);
-        assert!(ts.points.iter().all(|p| p.write_amplification() == 0.0));
+        assert!(ts.points.iter().all(|p| p.pm.write_amplification() == 0.0));
     }
 }

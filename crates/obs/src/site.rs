@@ -8,7 +8,7 @@
 
 use std::sync::Mutex;
 
-use crate::ring;
+use crate::{ring, PmCounts};
 
 /// Maximum distinct sites; names interned beyond this fold into
 /// [`SITE_OTHER`]. 64 is far above the current taxonomy (~25 sites).
@@ -83,24 +83,12 @@ pub(crate) fn enter(name: &'static str) -> SiteGuard {
     SiteGuard { prev: Some(prev) }
 }
 
-/// One row of the per-site traffic table (counters summed over all
-/// threads since the last `obs::reset`).
+/// One row of the per-site traffic table: the counters attributed to
+/// `name`, summed over all threads since the last `obs::reset`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SiteAgg {
     pub name: String,
-    /// Traced PM events attributed to this site.
-    pub events: u64,
-    /// Software bytes read / written under this site.
-    pub read_bytes: u64,
-    pub write_bytes: u64,
-    /// Media traffic (256 B granularity) under this site.
-    pub media_read_bytes: u64,
-    pub media_write_bytes: u64,
-    /// Flush / ordering primitives issued under this site.
-    pub clwb: u64,
-    pub clwb_redundant: u64,
-    pub ntstore: u64,
-    pub fence: u64,
+    pub counts: PmCounts,
 }
 
 pub(crate) fn names() -> Vec<String> {
@@ -115,25 +103,10 @@ pub(crate) fn table() -> Vec<SiteAgg> {
     let mut rows: Vec<SiteAgg> = names
         .into_iter()
         .zip(sums)
-        .map(|(name, c)| SiteAgg {
-            name,
-            events: c.events,
-            read_bytes: c.read_bytes,
-            write_bytes: c.write_bytes,
-            media_read_bytes: c.media_read_bytes,
-            media_write_bytes: c.media_write_bytes,
-            clwb: c.clwb,
-            clwb_redundant: c.clwb_redundant,
-            ntstore: c.ntstore,
-            fence: c.fence,
-        })
+        .map(|(name, counts)| SiteAgg { name, counts })
         .collect();
-    rows.sort_by(|a, b| {
-        b.media_write_bytes
-            .cmp(&a.media_write_bytes)
-            .then_with(|| b.events.cmp(&a.events))
-            .then_with(|| a.name.cmp(&b.name))
-    });
+    let weight = |s: &SiteAgg| (s.counts.media_write_bytes, s.counts.events());
+    rows.sort_by(|a, b| weight(b).cmp(&weight(a)).then_with(|| a.name.cmp(&b.name)));
     rows
 }
 

@@ -47,7 +47,11 @@ pub use latency::LatencyModel;
 pub use off::{PmOff, NULL_OFF};
 pub use pool::{PmPool, PmSafe, CACHELINE, MEDIA_BLOCK, ROOT_AREA};
 pub use slots::ThreadSlots;
-pub use stats::PmStatsSnapshot;
+
+/// A point-in-time aggregate of a pool's counters: the one PM counter
+/// set, declared in `obs` (which this crate taps into) so the site table
+/// and the sampler hold the same type.
+pub use obs::PmCounts as PmStatsSnapshot;
 
 /// Lock the emulator's own bookkeeping. An injected crash unwinds
 /// through arbitrary code, so a poisoned mutex is expected and harmless.

@@ -13,7 +13,8 @@ use crossbeam_utils::CachePadded;
 
 use crate::config::PmConfig;
 use crate::inject::{CrashReport, ResidualLine};
-use crate::stats::{PmStats, PmStatsSnapshot};
+use crate::stats::PmStats;
+use crate::PmStatsSnapshot;
 
 mod access;
 mod inject;

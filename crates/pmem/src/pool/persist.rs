@@ -92,7 +92,8 @@ impl PmPool {
         if obs::enabled() {
             // Trace before the persistence event so an injected crash
             // still leaves this flush in the flight-recorder tail.
-            let clean = lines().all(|l| self.line_dirty_bits(l) == 0);
+            // (An elided pool never cleans a line, so it audits none.)
+            let clean = !elided && lines().all(|l| self.line_dirty_bits(l) == 0);
             obs::pm_clwb(off, len, blocks * MEDIA_BLOCK as u64, clean);
         }
         // `true`: an injected crash fired earlier, persisted image frozen.

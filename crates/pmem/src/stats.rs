@@ -1,11 +1,6 @@
-//! Access statistics with striped, cache-padded counters.
-//!
-//! Every PM access is counted twice: once at *software* granularity (the
-//! bytes the program asked for) and once at *media* granularity (the
-//! 256-byte blocks the device actually touches, like DCPMM's XPLine).
-//! The ratio of the two is the read/write amplification the paper
-//! reports; the media totals divided by wall time give the bandwidth
-//! figures.
+//! Access statistics with striped, cache-padded counters. The counter
+//! set itself is [`obs::PmCounts`], which the crate re-exports as
+//! `PmStatsSnapshot`; this module counts into it.
 //!
 //! An atomic read-modify-write costs more than the access it counts,
 //! and a shared one serializes the threads. So a stripe has one writer:
@@ -20,22 +15,24 @@ use std::sync::Mutex;
 
 use crossbeam_utils::CachePadded;
 
+use crate::PmStatsSnapshot;
+
 /// Number of single-writer stripes. More than any realistic thread
 /// count on the target machines.
 const N_STRIPES: usize = 64;
 
-// Counter indices within a stripe.
-pub(crate) const CLWB: usize = 0;
-pub(crate) const NTSTORE: usize = 1;
-pub(crate) const FENCE: usize = 2;
-pub(crate) const CLWB_REDUNDANT: usize = 3;
-const READ_OPS: usize = 4;
-const READ_BYTES: usize = 5;
-const WRITE_OPS: usize = 6;
-const WRITE_BYTES: usize = 7;
-const MEDIA_READ_BYTES: usize = 8;
-pub(crate) const MEDIA_WRITE_BYTES: usize = 9;
-const N_COUNTERS: usize = 10;
+// Counter indices within a stripe: positions in `PmCounts::NAMES`.
+const READ_OPS: usize = 0;
+const READ_BYTES: usize = 1;
+const WRITE_OPS: usize = 2;
+const WRITE_BYTES: usize = 3;
+const MEDIA_READ_BYTES: usize = 4;
+pub(crate) const MEDIA_WRITE_BYTES: usize = 5;
+pub(crate) const CLWB: usize = 6;
+pub(crate) const CLWB_REDUNDANT: usize = 7;
+pub(crate) const NTSTORE: usize = 8;
+pub(crate) const FENCE: usize = 9;
+const N_COUNTERS: usize = PmStatsSnapshot::NAMES.len();
 
 type Stripe = [AtomicU64; N_COUNTERS];
 
@@ -146,110 +143,17 @@ impl PmStats {
         self.total(CLWB) + self.total(NTSTORE) + self.total(FENCE)
     }
 
+    /// Every counter's total since creation.
+    fn totals(&self) -> PmStatsSnapshot {
+        PmStatsSnapshot::from_array(from_fn(|i| self.total(i)))
+    }
+
     pub(crate) fn snapshot(&self) -> PmStatsSnapshot {
-        PmStatsSnapshot::from_counts(from_fn(|i| self.total(i))).since(&crate::lock(&self.base))
+        self.totals().since(&crate::lock(&self.base))
     }
 
     pub(crate) fn reset(&self) {
-        *crate::lock(&self.base) = PmStatsSnapshot::from_counts(from_fn(|i| self.total(i)));
-    }
-}
-
-/// A point-in-time aggregate of a pool's counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PmStatsSnapshot {
-    /// Number of load operations issued against PM.
-    pub read_ops: u64,
-    /// Bytes the software asked to read.
-    pub read_bytes: u64,
-    /// Number of store operations issued against PM.
-    pub write_ops: u64,
-    /// Bytes the software asked to write.
-    pub write_bytes: u64,
-    /// Bytes the emulated media served for reads (256 B granularity).
-    pub media_read_bytes: u64,
-    /// Bytes the emulated media absorbed from write-backs (256 B granularity).
-    pub media_write_bytes: u64,
-    /// `clwb`/`clflushopt` instructions issued.
-    pub clwb: u64,
-    /// Redundant write-backs: `clwb` calls whose covered cache lines
-    /// were all already clean (pmemcheck-style durability audit).
-    pub clwb_redundant: u64,
-    /// Non-temporal stores issued.
-    pub ntstore: u64,
-    /// Store fences issued.
-    pub fence: u64,
-}
-
-impl PmStatsSnapshot {
-    fn from_counts(c: [u64; N_COUNTERS]) -> Self {
-        Self {
-            read_ops: c[READ_OPS],
-            read_bytes: c[READ_BYTES],
-            write_ops: c[WRITE_OPS],
-            write_bytes: c[WRITE_BYTES],
-            media_read_bytes: c[MEDIA_READ_BYTES],
-            media_write_bytes: c[MEDIA_WRITE_BYTES],
-            clwb: c[CLWB],
-            clwb_redundant: c[CLWB_REDUNDANT],
-            ntstore: c[NTSTORE],
-            fence: c[FENCE],
-        }
-    }
-
-    fn counts(&self) -> [u64; N_COUNTERS] {
-        let mut c = [0; N_COUNTERS];
-        c[READ_OPS] = self.read_ops;
-        c[READ_BYTES] = self.read_bytes;
-        c[WRITE_OPS] = self.write_ops;
-        c[WRITE_BYTES] = self.write_bytes;
-        c[MEDIA_READ_BYTES] = self.media_read_bytes;
-        c[MEDIA_WRITE_BYTES] = self.media_write_bytes;
-        c[CLWB] = self.clwb;
-        c[CLWB_REDUNDANT] = self.clwb_redundant;
-        c[NTSTORE] = self.ntstore;
-        c[FENCE] = self.fence;
-        c
-    }
-
-    /// Counter-wise difference `self - earlier` (saturating, so a
-    /// concurrent reset cannot panic).
-    pub fn since(&self, earlier: &PmStatsSnapshot) -> PmStatsSnapshot {
-        let (a, b) = (self.counts(), earlier.counts());
-        Self::from_counts(from_fn(|i| a[i].saturating_sub(b[i])))
-    }
-
-    /// Counter-wise sum `self + other`, for aggregating the pools of a
-    /// multi-shard index into one set of amplification/bandwidth figures.
-    pub fn merge(&mut self, other: &PmStatsSnapshot) {
-        let (a, b) = (self.counts(), other.counts());
-        *self = Self::from_counts(from_fn(|i| a[i] + b[i]));
-    }
-
-    /// Sum an iterator of snapshots (one per shard pool).
-    pub fn merged<'a, I: IntoIterator<Item = &'a PmStatsSnapshot>>(iter: I) -> PmStatsSnapshot {
-        iter.into_iter().fold(Self::default(), |mut out, s| {
-            out.merge(s);
-            out
-        })
-    }
-
-    /// Read amplification: media bytes per software byte read.
-    pub fn read_amplification(&self) -> f64 {
-        amplification(self.media_read_bytes, self.read_bytes)
-    }
-
-    /// Write amplification: media bytes per software byte written.
-    pub fn write_amplification(&self) -> f64 {
-        amplification(self.media_write_bytes, self.write_bytes)
-    }
-}
-
-fn amplification(media_bytes: u64, bytes: u64) -> f64 {
-    if bytes == 0 {
-        0.0
-    } else {
-        media_bytes as f64 / bytes as f64
+        *crate::lock(&self.base) = self.totals();
     }
 }
 
@@ -264,75 +168,30 @@ mod tests {
         st.count_read(16, 2);
         st.count_write(8);
         st.count(MEDIA_WRITE_BYTES, 256);
-        st.count(CLWB, 1);
-        st.count(FENCE, 1);
-        st.count(NTSTORE, 1);
-        let s = st.snapshot();
-        assert_eq!(s.read_ops, 2);
-        assert_eq!(s.read_bytes, 24);
-        assert_eq!(s.media_read_bytes, 3 * 256);
-        assert_eq!(s.write_ops, 1);
-        assert_eq!(s.write_bytes, 8);
-        assert_eq!(s.media_write_bytes, 256);
-        assert_eq!(s.clwb, 1);
-        assert_eq!(s.fence, 1);
-        assert_eq!(s.ntstore, 1);
-        st.reset();
-        assert_eq!(st.snapshot(), PmStatsSnapshot::default());
-    }
-
-    #[test]
-    fn since_subtracts() {
-        let st = PmStats::new();
-        st.count_read(8, 1);
-        let a = st.snapshot();
-        st.count_read(8, 1);
-        let b = st.snapshot();
-        let d = b.since(&a);
-        assert_eq!(d.read_ops, 1);
-        assert_eq!(d.read_bytes, 8);
-    }
-
-    #[test]
-    fn amplification_ratios() {
-        let s = PmStatsSnapshot {
-            read_bytes: 64,
-            media_read_bytes: 256,
+        st.count(CLWB, 2);
+        st.count(CLWB_REDUNDANT, 1);
+        st.count(FENCE, 3);
+        st.count(NTSTORE, 4);
+        // Every index constant lands in the field it is named after.
+        let expect = PmStatsSnapshot {
+            read_ops: 2,
+            read_bytes: 24,
+            media_read_bytes: 3 * 256,
+            write_ops: 1,
             write_bytes: 8,
             media_write_bytes: 256,
-            ..Default::default()
-        };
-        assert_eq!(s.read_amplification(), 4.0);
-        assert_eq!(s.write_amplification(), 32.0);
-        assert_eq!(PmStatsSnapshot::default().read_amplification(), 0.0);
-    }
-
-    #[test]
-    fn merge_sums_counterwise() {
-        let a = PmStatsSnapshot {
-            read_ops: 1,
-            read_bytes: 8,
-            media_read_bytes: 256,
             clwb: 2,
-            ..Default::default()
+            clwb_redundant: 1,
+            fence: 3,
+            ntstore: 4,
         };
-        let b = PmStatsSnapshot {
-            read_ops: 3,
-            read_bytes: 24,
-            media_read_bytes: 512,
-            fence: 1,
-            ..Default::default()
-        };
-        let m = PmStatsSnapshot::merged([&a, &b]);
-        assert_eq!(m.read_ops, 4);
-        assert_eq!(m.read_bytes, 32);
-        assert_eq!(m.media_read_bytes, 768);
-        assert_eq!(m.clwb, 2);
-        assert_eq!(m.fence, 1);
-        assert_eq!(
-            PmStatsSnapshot::merged(std::iter::empty()),
-            PmStatsSnapshot::default()
-        );
+        assert_eq!(st.snapshot(), expect);
+        st.count_read(8, 0);
+        let later = st.snapshot().since(&expect);
+        assert_eq!((later.read_ops, later.read_bytes), (1, 8));
+        st.reset();
+        assert_eq!(st.snapshot(), PmStatsSnapshot::default());
+        assert_eq!(st.events(), 9, "reset does not rewind the event count");
     }
 
     mod algebra {
@@ -348,18 +207,8 @@ mod tests {
         /// Arbitrary snapshot with counters bounded so that merging a
         /// handful can never overflow `u64` (merge uses plain `+=`).
         fn arb_snapshot() -> impl Strategy<Value = PmStatsSnapshot> {
-            vec(any::<u32>(), 10..11).prop_map(|v| PmStatsSnapshot {
-                read_ops: v[0] as u64,
-                read_bytes: v[1] as u64,
-                write_ops: v[2] as u64,
-                write_bytes: v[3] as u64,
-                media_read_bytes: v[4] as u64,
-                media_write_bytes: v[5] as u64,
-                clwb: v[6] as u64,
-                clwb_redundant: v[7] as u64,
-                ntstore: v[8] as u64,
-                fence: v[9] as u64,
-            })
+            vec(any::<u32>(), N_COUNTERS..N_COUNTERS + 1)
+                .prop_map(|v| PmStatsSnapshot::from_array(from_fn(|i| v[i] as u64)))
         }
 
         fn plus(a: &PmStatsSnapshot, b: &PmStatsSnapshot) -> PmStatsSnapshot {

@@ -53,7 +53,6 @@ fn main() {
             mix,
             distribution: Distribution::Uniform,
             scan_len: 100,
-            latency_sample_shift: 3,
             seed: 1,
             negative_lookups: false,
         };

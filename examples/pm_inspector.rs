@@ -101,7 +101,7 @@ use pm_index_bench::net::crash::Net;
 use pm_index_bench::pibench::cli::{self, Arg, Flags, Spec};
 use pm_index_bench::pibench::report::{cache_rows, Table};
 use pm_index_bench::pmalloc::{AllocMode, PmAllocator};
-use pm_index_bench::pmem::{PmConfig, PmPool};
+use pm_index_bench::pmem::{PmConfig, PmPool, PmStatsSnapshot};
 
 type Flag = (&'static str, Arg);
 
@@ -165,34 +165,15 @@ fn footprint_one(kind: &'static str) {
         tree.insert(k * 2, k);
     }
 
-    let mut table = Table::new(vec![
-        "operation",
-        "PM reads",
-        "read B",
-        "PM writes",
-        "write B",
-        "clwb",
-        "clwb redundant",
-        "fence",
-        "media rd B",
-        "media wr B",
-    ]);
+    let mut header = vec!["operation"];
+    header.extend(PmStatsSnapshot::NAMES);
+    let mut table = Table::new(header);
     let mut probe = |label: &str, f: &dyn Fn()| {
         pool.reset_stats();
         f();
-        let s = pool.stats();
-        table.row(vec![
-            label.to_string(),
-            s.read_ops.to_string(),
-            s.read_bytes.to_string(),
-            s.write_ops.to_string(),
-            s.write_bytes.to_string(),
-            s.clwb.to_string(),
-            s.clwb_redundant.to_string(),
-            s.fence.to_string(),
-            s.media_read_bytes.to_string(),
-            s.media_write_bytes.to_string(),
-        ]);
+        let mut row = vec![label.to_string()];
+        row.extend(pool.stats().to_array().map(|n| n.to_string()));
+        table.row(row);
     };
 
     probe("lookup (hit)", &|| {

@@ -1,7 +1,10 @@
 #!/bin/sh
 # Code lines per crate and example: non-blank, non-comment lines before
-# the first `#[cfg(test)]` of each .rs file (ROADMAP: "line count is a
-# tracked number"). With arguments, counts just those files/directories.
+# the first `#[cfg(test)]` item of each .rs file (ROADMAP: "line count is
+# a tracked number"). A `#[cfg(test)]` on a `mod name;` line skips that
+# declaration only — the tests are in `name.rs`, the code goes on — and
+# a file named `tests.rs` is such a module: not counted.
+# With arguments, counts just those files/directories.
 #
 #   scripts/loc.sh                      # every crate, example and tests/common,
 #                                       # then benchmark/src on a line of its own
@@ -10,9 +13,10 @@ set -eu
 cd "$(dirname "$0")/.."
 
 count() {
-    find "$@" -name '*.rs' -print0 | xargs -0 awk '
-        FNR == 1 { live = 1 }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { live = 0 }
+    find "$@" -name '*.rs' ! -name tests.rs -print0 | xargs -0 awk '
+        FNR == 1 { live = 1; attr = 0 }
+        attr { attr = 0; if (/^[[:space:]]*mod [a-z_0-9]+;/) next; live = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { attr = live; next }
         live && !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { n++ }
         END { print n + 0 }'
 }

@@ -12,7 +12,7 @@ use pm_index_bench::obs;
 use pm_index_bench::pibench::{
     prefill, run, trace, BenchConfig, Distribution, KeySpace, OpKind, OpMix,
 };
-use pm_index_bench::pmem::PmConfig;
+use pm_index_bench::pmem::{PmConfig, PmPool, PmStatsSnapshot};
 
 /// `obs` is process-global state (one enabled flag, one site interner,
 /// shared rings); tests that flip it must not interleave.
@@ -31,7 +31,6 @@ fn insert_cfg(records: u64, ops: u64) -> BenchConfig {
         mix: OpMix::pure(OpKind::Insert),
         distribution: Distribution::Uniform,
         scan_len: 25,
-        latency_sample_shift: 2,
         seed: 7,
         negative_lookups: false,
     }
@@ -59,19 +58,20 @@ fn insert_media_writes_are_fully_attributed() {
     let delta = &r.pm;
     assert!(r.total_ops() > 0);
 
-    // Every media write byte the device saw must land in the site
-    // table, and >= 95% must be attributed to *named* sites (not the
-    // "other" catch-all) — the acceptance bar for the annotations.
+    // Every counter the device moved must land in the site table: the
+    // taps sit beside the pool's own counting, one for one. And >= 95%
+    // of the media write bytes must be attributed to *named* sites (not
+    // the "other" catch-all) — the acceptance bar for the annotations.
     let sites = obs::site_table();
-    let attributed: u64 = sites.iter().map(|s| s.media_write_bytes).sum();
     assert_eq!(
-        attributed, delta.media_write_bytes,
-        "site table must account for all media write bytes"
+        PmStatsSnapshot::merged(sites.iter().map(|s| &s.counts)),
+        *delta,
+        "site table and pool must agree on all ten counters"
     );
     let named: u64 = sites
         .iter()
         .filter(|s| s.name != obs::SITE_OTHER)
-        .map(|s| s.media_write_bytes)
+        .map(|s| s.counts.media_write_bytes)
         .sum();
     assert!(
         named as f64 >= 0.95 * delta.media_write_bytes as f64,
@@ -81,7 +81,7 @@ fn insert_media_writes_are_fully_attributed() {
     assert!(
         sites
             .iter()
-            .any(|s| s.name == "fptree_insert" && s.media_write_bytes > 0),
+            .any(|s| s.name == "fptree_insert" && s.counts.media_write_bytes > 0),
         "insert traffic must surface under the fptree_insert site"
     );
 
@@ -93,6 +93,27 @@ fn insert_media_writes_are_fully_attributed() {
     assert!(json.starts_with(r#"{"traceEvents":["#));
     assert!(json.contains(r#""ph":"X""#), "op spans present");
     assert!(json.contains(r#""ph":"i""#), "pm instants present");
+}
+
+/// An elided (`--dram`) pool counts flushes but audits and writes back
+/// none; the taps must say the same.
+#[test]
+fn an_elided_pool_and_its_site_table_agree() {
+    let _g = lock();
+    let pool = PmPool::new(1 << 20, PmConfig::dram());
+    obs::reset();
+    pool.reset_stats();
+    obs::set_enabled(true);
+    pool.write_u64(4096, 7);
+    pool.persist(4096, 8);
+    pool.clwb(8192, 64); // never written: clean, yet not "redundant" here
+    pool.ntstore_u64(4160, 9);
+    assert_eq!(pool.read_u64(4096), 7);
+    obs::set_enabled(false);
+    let sites = obs::site_table();
+    let traced = PmStatsSnapshot::merged(sites.iter().map(|s| &s.counts));
+    assert_eq!(traced, pool.stats());
+    assert_eq!(traced.events(), 7);
 }
 
 #[test]
@@ -131,5 +152,5 @@ fn disabled_tracing_records_nothing() {
     run(&*idx, &ks, pool.as_slice(), &insert_cfg(2_000, 2_000));
     assert!(obs::flight_events(usize::MAX).is_empty());
     assert_eq!(obs::total_ops(), 0);
-    assert!(obs::site_table().iter().all(|s| s.events == 0));
+    assert!(obs::site_table().iter().all(|s| s.counts.events() == 0));
 }

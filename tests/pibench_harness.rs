@@ -15,7 +15,6 @@ fn cfg(threads: usize, records: u64, ops: u64, mix: OpMix) -> BenchConfig {
         mix,
         distribution: Distribution::Uniform,
         scan_len: 25,
-        latency_sample_shift: 2,
         seed: 99,
         negative_lookups: false,
     }
