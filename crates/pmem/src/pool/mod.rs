@@ -6,7 +6,7 @@
 //! crashes and residual images) and [`poison`] (media errors).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 
 use crossbeam_utils::CachePadded;
@@ -82,6 +82,11 @@ pub struct PmPool {
     /// enumeration can focus on the write frontier (the lines the
     /// in-flight operation just dirtied); exact for one writer.
     dirty_seq: Box<[AtomicU64]>,
+    /// One lock byte per cache line, held while a write-back copies the
+    /// line into the persisted image: two threads flushing one line
+    /// copy it one after the other, so neither can write back a word it
+    /// loaded before its neighbour's flushed store.
+    wb_lock: Box<[AtomicU8]>,
     gates: CachePadded<Gates>,
     /// Durability audit captured when the injected crash fired.
     report: Mutex<Option<CrashReport>>,
@@ -134,6 +139,7 @@ impl PmPool {
             chaos_ctr: AtomicU64::new(0),
             dirty: alloc(words.div_ceil(64)),
             dirty_seq: alloc(len / CACHELINE),
+            wb_lock: (0..len / CACHELINE).map(|_| AtomicU8::new(0)).collect(),
             gates: CachePadded::new(Gates::default()),
             report: Mutex::new(None),
             residual: Mutex::new(None),

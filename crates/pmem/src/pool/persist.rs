@@ -49,14 +49,33 @@ impl PmPool {
         self.dirty_lines().take(limit).collect()
     }
 
+    /// Run one write-back of the cache line holding word `w` under the
+    /// line's lock. The copy is a load/store pair per word, so two
+    /// unordered copies of one line could interleave and store a word
+    /// loaded before a neighbour's flushed store after that flush
+    /// landed; the lock makes them take turns. The acquire makes this
+    /// copy see every store the previous holder's copy saw.
+    #[inline]
+    fn write_back<R>(&self, w: usize, copy: impl FnOnce() -> R) -> R {
+        let lock = &self.wb_lock[w / 8];
+        while lock.swap(1, Ordering::Acquire) != 0 {
+            std::hint::spin_loop();
+        }
+        let r = copy();
+        lock.store(0, Ordering::Release);
+        r
+    }
+
     /// Persist one aligned word into the persisted image (8-byte failure
     /// atomicity: words are never torn).
     #[inline]
     pub(super) fn persist_word(&self, off: u64) {
         let w = (off / 8) as usize;
-        self.dirty[w / 64].fetch_and(!(1u64 << (w % 64)), Ordering::Relaxed);
-        let v = self.cpu[w].load(Ordering::Relaxed);
-        self.persisted[w].store(v, Ordering::Relaxed);
+        self.write_back(w, || {
+            self.dirty[w / 64].fetch_and(!(1u64 << (w % 64)), Ordering::Relaxed);
+            let v = self.cpu[w].load(Ordering::Relaxed);
+            self.persisted[w].store(v, Ordering::Relaxed);
+        })
     }
 
     /// Write one whole cache line (64-aligned) back to the persisted
@@ -66,12 +85,14 @@ impl PmPool {
     fn persist_line(&self, line_off: u64) -> u64 {
         let w0 = (line_off / 8) as usize;
         let mask = 0xFFu64 << (w0 % 64);
-        let was = self.dirty[w0 / 64].fetch_and(!mask, Ordering::Relaxed) & mask;
-        for w in w0..w0 + 8 {
-            let v = self.cpu[w].load(Ordering::Relaxed);
-            self.persisted[w].store(v, Ordering::Relaxed);
-        }
-        was
+        self.write_back(w0, || {
+            let was = self.dirty[w0 / 64].fetch_and(!mask, Ordering::Relaxed) & mask;
+            for w in w0..w0 + 8 {
+                let v = self.cpu[w].load(Ordering::Relaxed);
+                self.persisted[w].store(v, Ordering::Relaxed);
+            }
+            was
+        })
     }
 
     /// Write back the cachelines covering `[off, off + len)` to the
