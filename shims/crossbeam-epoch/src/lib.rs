@@ -380,10 +380,13 @@ mod tests {
 
     #[test]
     fn deferred_runs_after_last_guard_drops() {
+        // A collector of its own: sibling tests pin the default one on
+        // other threads, and a guard of theirs would hold this defer.
+        let c = Collector::new();
         let ran = Arc::new(AtomicUsize::new(0));
-        let outer = pin();
+        let outer = c.pin();
         {
-            let inner = pin();
+            let inner = c.pin();
             let r = ran.clone();
             inner.defer(move || {
                 r.fetch_add(1, Ordering::SeqCst);
@@ -394,7 +397,7 @@ mod tests {
         }
         drop(outer);
         // Trigger a collection cycle.
-        drop(pin());
+        drop(c.pin());
         assert_eq!(ran.load(Ordering::SeqCst), 1);
     }
 
