@@ -138,15 +138,7 @@ impl BzTree {
                 }
             }
         }
-        let mut leaked = Vec::new();
-        t.alloc.for_each_allocated(|off| {
-            if !reachable.contains(&off) {
-                leaked.push(off);
-            }
-        });
-        for off in leaked {
-            t.alloc.free(off);
-        }
+        t.alloc.free_unreachable(&reachable);
         Ok(Arc::new(t))
     }
 

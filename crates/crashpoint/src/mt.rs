@@ -27,10 +27,10 @@ use std::sync::Arc;
 
 use engine::Shard;
 use index_api::{Op, RangeIndex};
-use pmem::{CrashPointHit, MediaError, PmPool};
+use pmem::{splitmix64, CrashPointHit, MediaError, PmPool};
 
 use crate::single::{check_one_pool, Single};
-use crate::sweep::{mix64, panic_text};
+use crate::sweep::panic_text;
 use crate::{ack_mismatch, workload, Acked, Counters, InflightAllowance, Scenario, SweepOptions};
 
 /// One index on one pool under `threads` concurrent writers; counts
@@ -46,7 +46,7 @@ pub struct Mt {
 /// shifted into the thread's private stripe.
 fn thread_workload(opts: &SweepOptions, tid: u64) -> Vec<Op> {
     let base = tid * opts.key_range;
-    workload(mix64(opts.seed ^ tid), opts.ops, opts.key_range)
+    workload(splitmix64(opts.seed ^ tid), opts.ops, opts.key_range)
         .into_iter()
         .map(|op| op.map_key(|k| base + k))
         .collect()
@@ -144,7 +144,7 @@ impl Scenario for Mt {
 
     fn boundaries(&self, opts: &SweepOptions, events: u64) -> Vec<u64> {
         (0..opts.max_boundaries.unwrap_or(8))
-            .map(|b| 1 + mix64(opts.seed ^ mix64(b)) % events.max(1))
+            .map(|b| 1 + splitmix64(opts.seed ^ splitmix64(b)) % events.max(1))
             .collect()
     }
 }

@@ -20,7 +20,8 @@ use std::sync::Arc;
 
 use index_api::{Op, Oracle};
 use pmem::{
-    CrashReport, MediaError, PersistEventKind, PmPool, PoisonedRead, ResidualLine, ResidualPolicy,
+    splitmix64, CrashReport, MediaError, PersistEventKind, PmPool, PoisonedRead, ResidualLine,
+    ResidualPolicy,
 };
 
 use crate::{install_quiet_crash_hook, InflightAllowance};
@@ -53,16 +54,6 @@ pub enum ResidualConfig {
     },
 }
 
-/// splitmix64 finalizer: derives per-sample, per-thread and per-pick
-/// seeds from the sweep seed (decorrelates consecutive inputs).
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The residual policies to run for one boundary with `k` dirty-line
 /// candidates. Returns the policy list and whether it is exhaustive.
 fn sample_policies(
@@ -74,7 +65,7 @@ fn sample_policies(
     let seeded = |n: u32, p: u32| -> Vec<ResidualPolicy> {
         let mut v = vec![ResidualPolicy::Frozen];
         v.extend((0..n).map(|s| ResidualPolicy::Sampled {
-            seed: mix64(sweep_seed ^ mix64(boundary) ^ s as u64),
+            seed: splitmix64(sweep_seed ^ splitmix64(boundary) ^ s as u64),
             p_per_256: p,
         }));
         v
@@ -437,7 +428,7 @@ fn explore_boundary<S: Scenario>(
             // The frozen baseline stays poison-free so the pure torn-
             // write model is always covered too.
             opts.poison && policy != ResidualPolicy::Frozen,
-            opts.seed ^ mix64(boundary) ^ (s as u64).rotate_left(32),
+            opts.seed ^ splitmix64(boundary) ^ (s as u64).rotate_left(32),
         );
         summary.poison_injected += poisoned_off.is_some() as u64;
         summary.samples_run += 1;
@@ -479,7 +470,7 @@ fn apply_residual(
     }
     // Media failure at the torn location: one of the lines that did
     // NOT make it to media comes back unreadable instead of stale.
-    let victim = lost[(mix64(poison_seed) % lost.len() as u64) as usize]
+    let victim = lost[(splitmix64(poison_seed) % lost.len() as u64) as usize]
         .0
         .off;
     pool.poison_line(victim);

@@ -32,34 +32,21 @@
 //! other fields. The entry write + flush *is* the commit point; no
 //! tail counter is maintained.
 //!
-//! Appends are **concurrent**: the delta buffer is range-striped into
-//! [`STRIPES`] mutexes whose bounds follow the trained segments'
-//! quantiles (recomputed at every merge, so stripes track the observed
-//! key distribution), and a writer claims its log slot with a CAS on
-//! the volatile tail counter *inside* its stripe lock. Same-key
-//! entries therefore land in acknowledgement order, while writers in
-//! different stripes append in parallel; only the merge itself takes
-//! the exclusive path.
-//!
-//! Recovery scans the **whole** log capacity and applies every entry
-//! that validates, *skipping* torn holes: with several in-flight
-//! appends a power cut can tear more than one slot, and acknowledged
-//! entries after a hole must still replay. Last-valid-wins per key is
-//! correct because same-key slot order is acknowledgement order (see
-//! above), and a skipped hole can never be followed by a *later* valid
-//! entry for the same key — the later op could only have started after
-//! the hole's op was acknowledged, i.e. durable. A merge invalidates
-//! the whole log by bumping the epoch (no erase writes needed, which
-//! also makes log-chunk reuse safe).
+//! Writers serialize on the index's write lock and append at the next
+//! free slot, so the log is in acknowledgement order and a power cut
+//! can tear only the one in-flight slot. Recovery reads the whole log
+//! capacity and replays every entry that validates, in slot order. A
+//! merge invalidates the whole log by bumping the epoch (no erase
+//! writes needed, which also makes log-chunk reuse safe).
 
-use std::collections::{BTreeMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::{btree_map, BTreeMap, HashSet};
+use std::iter::Peekable;
 use std::sync::Arc;
 
 use index_api::{Footprint, Key, RangeIndex, Value};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use pmalloc::PmAllocator;
-use pmem::{MediaError, PmPool};
+use pmem::{splitmix64, MediaError, PmPool};
 
 use crate::pla::{self, Segment};
 use crate::LearnedConfig;
@@ -79,43 +66,8 @@ const LOG_ENTRY_BYTES: usize = 32;
 const PAIR_BYTES: usize = 16;
 const SEG_REC_WORDS: usize = 4; // first_key, base, slope bits, reserved
 
-/// Delta-buffer stripes (fine-grained append locking).
-const STRIPES: usize = 16;
-
-/// Returned by the striped mutation path when the delta log is full:
-/// the caller must upgrade to the exclusive merge path and retry.
-struct NeedMerge;
-
-/// `STRIPES - 1` ascending split keys. With enough trained segments
-/// the bounds follow segment quantiles (equal *model* mass per
-/// stripe, which tracks the observed key distribution); a young or
-/// tiny model falls back to an even key-space split.
-fn compute_stripe_bounds(segs: &[Segment]) -> Vec<u64> {
-    let mut bounds = Vec::with_capacity(STRIPES - 1);
-    if segs.len() >= 2 * STRIPES {
-        for i in 1..STRIPES {
-            bounds.push(segs[i * segs.len() / STRIPES].first_key);
-        }
-    } else {
-        let step = u64::MAX / STRIPES as u64;
-        for i in 1..STRIPES {
-            bounds.push(step * i as u64);
-        }
-    }
-    bounds
-}
-
-/// SplitMix64 finalizer (log-entry and descriptor checksums).
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 fn entry_sum(key: u64, value: u64, meta: u64) -> u64 {
-    mix64(key ^ value.rotate_left(32) ^ meta.wrapping_mul(0xD6E8_FEB8_6659_FD93))
+    splitmix64(key ^ value.rotate_left(32) ^ meta.wrapping_mul(0xD6E8_FEB8_6659_FD93))
 }
 
 fn encode_cfg(cfg: &LearnedConfig) -> u64 {
@@ -158,7 +110,7 @@ impl Desc {
     fn checksum(w: &[u64; DESC_WORDS]) -> u64 {
         w[..DESC_WORDS - 1]
             .iter()
-            .fold(0u64, |acc, &x| mix64(acc ^ x))
+            .fold(0u64, |acc, &x| splitmix64(acc ^ x))
     }
 
     fn from_words(w: &[u64; DESC_WORDS]) -> Desc {
@@ -216,14 +168,41 @@ struct Core {
     log_dir: u64,
     log_chunks: Vec<u64>,
     log_cap: usize,
-    /// Next free log slot; CAS-claimed by writers inside a stripe lock.
-    log_len: AtomicUsize,
-    /// Un-merged mutations, range-striped by key: `Some(v)` = live,
-    /// `None` = tombstone. Stripe `i` owns `[bounds[i-1], bounds[i])`
-    /// (open-ended at the extremes).
-    stripes: Vec<Mutex<BTreeMap<Key, Option<Value>>>>,
-    stripe_bounds: Vec<u64>,
+    /// Next free log slot.
+    log_len: usize,
+    /// Un-merged mutations: `Some(v)` = live, `None` = tombstone.
+    delta: BTreeMap<Key, Option<Value>>,
     merges: u64,
+}
+
+/// The live records from a start key on, ascending: the model run
+/// merged with the delta map, where a delta entry shadows the model
+/// record with the same key (an update, or a tombstone hiding it).
+/// A model value is read from PM only when its record is taken.
+struct Merged<'a> {
+    core: &'a Core,
+    rank: usize,
+    delta: Peekable<btree_map::Range<'a, Key, Option<Value>>>,
+}
+
+impl Iterator for Merged<'_> {
+    type Item = (Key, Value);
+
+    fn next(&mut self) -> Option<(Key, Value)> {
+        loop {
+            let model = self.core.keys.get(self.rank).copied();
+            let Some((&key, &slot)) = self.delta.next_if(|&(&d, _)| model.is_none_or(|m| d <= m))
+            else {
+                let key = model?;
+                self.rank += 1;
+                return Some((key, self.core.value_at(self.rank - 1)));
+            };
+            self.rank += usize::from(model == Some(key));
+            if let Some(value) = slot {
+                return Some((key, value));
+            }
+        }
+    }
 }
 
 impl Core {
@@ -238,43 +217,53 @@ impl Core {
         self.pool().read_u64(off)
     }
 
-    fn stripe_of(&self, key: Key) -> usize {
-        self.stripe_bounds.partition_point(|&b| b <= key)
-    }
-
     fn model_find(&self, key: Key) -> Option<usize> {
         pla::find(&self.segs, &self.keys, key, self.cfg.epsilon)
     }
 
     fn get(&self, key: Key) -> Option<Value> {
-        let shadow = self.stripes[self.stripe_of(key)].lock().get(&key).copied();
-        match shadow {
-            Some(slot) => slot,
+        match self.delta.get(&key) {
+            Some(&slot) => slot,
             None => self.model_find(key).map(|r| self.value_at(r)),
         }
     }
 
-    fn delta_len(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().len()).sum()
+    fn merged_from(&self, start: Key) -> Merged<'_> {
+        Merged {
+            core: self,
+            rank: pla::lower_bound(&self.segs, &self.keys, start, self.cfg.epsilon),
+            delta: self.delta.range(start..).peekable(),
+        }
     }
 
-    /// CAS-claim the next free log slot; full log means the caller
-    /// must merge. Called with the key's stripe lock held, which makes
-    /// same-key slot order acknowledgement order.
-    fn claim_slot(&self) -> Result<usize, NeedMerge> {
-        self.log_len
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |l| {
-                (l < self.log_cap).then_some(l + 1)
-            })
-            .map_err(|_| NeedMerge)
+    /// The one write path: when `key` exists exactly if `must_exist`,
+    /// log `put` for it (`Some(v)` stores `v`, `None` removes the key)
+    /// and apply it to the delta; a full log is merged first.
+    fn mutate(&mut self, key: Key, put: Option<Value>, must_exist: bool) -> bool {
+        let exists = match self.delta.get(&key) {
+            Some(slot) => slot.is_some(),
+            None => self.model_find(key).is_some(),
+        };
+        if exists != must_exist {
+            return false;
+        }
+        if self.log_len >= self.log_cap {
+            self.merge();
+        }
+        self.append_entry(key, put);
+        self.delta.insert(key, put);
+        true
     }
 
-    /// Write + flush one log entry into its claimed `slot`; the flush
+    /// Write + flush one log entry into the next free slot; the flush
     /// is the commit point for the mutation.
-    fn append_entry(&self, slot: usize, op: u64, key: Key, value: Value) {
+    fn append_entry(&mut self, key: Key, put: Option<Value>) {
         let _site = obs::site("learned_delta_append");
+        let (op, value) = put.map_or((OP_DEL, 0), |v| (OP_PUT, v));
         let ce = self.cfg.chunk_entries;
-        let off = self.log_chunks[slot / ce] + ((slot % ce) * LOG_ENTRY_BYTES) as u64;
+        let off =
+            self.log_chunks[self.log_len / ce] + ((self.log_len % ce) * LOG_ENTRY_BYTES) as u64;
+        self.log_len += 1;
         let meta = self.epoch << 8 | op;
         let mut buf = [0u8; LOG_ENTRY_BYTES];
         buf[0..8].copy_from_slice(&key.to_le_bytes());
@@ -285,102 +274,9 @@ impl Core {
         self.pool().persist(off, LOG_ENTRY_BYTES);
     }
 
-    fn try_insert(&self, key: Key, value: Value) -> Result<bool, NeedMerge> {
-        let mut stripe = self.stripes[self.stripe_of(key)].lock();
-        let present = match stripe.get(&key) {
-            Some(slot) => slot.is_some(),
-            None => self.model_find(key).is_some(),
-        };
-        if present {
-            return Ok(false);
-        }
-        let slot = self.claim_slot()?;
-        self.append_entry(slot, OP_PUT, key, value);
-        stripe.insert(key, Some(value));
-        Ok(true)
-    }
-
-    fn try_update(&self, key: Key, value: Value) -> Result<bool, NeedMerge> {
-        let mut stripe = self.stripes[self.stripe_of(key)].lock();
-        let present = match stripe.get(&key) {
-            Some(slot) => slot.is_some(),
-            None => self.model_find(key).is_some(),
-        };
-        if !present {
-            return Ok(false);
-        }
-        let slot = self.claim_slot()?;
-        self.append_entry(slot, OP_PUT, key, value);
-        stripe.insert(key, Some(value));
-        Ok(true)
-    }
-
-    fn try_remove(&self, key: Key) -> Result<bool, NeedMerge> {
-        let mut stripe = self.stripes[self.stripe_of(key)].lock();
-        let present = match stripe.get(&key) {
-            Some(slot) => slot.is_some(),
-            None => self.model_find(key).is_some(),
-        };
-        if !present {
-            return Ok(false);
-        }
-        let slot = self.claim_slot()?;
-        self.append_entry(slot, OP_DEL, key, 0);
-        stripe.insert(key, None);
-        Ok(true)
-    }
-
     fn scan(&self, start: Key, count: usize, out: &mut Vec<(Key, Value)>) -> usize {
         out.clear();
-        if count == 0 {
-            return 0;
-        }
-        // Snapshot the striped delta at-or-after `start`. Stripes
-        // cover ascending disjoint ranges, so visiting them in order
-        // yields a sorted view.
-        let mut delta: Vec<(Key, Option<Value>)> = Vec::new();
-        for s in self.stripe_of(start)..self.stripes.len() {
-            let stripe = self.stripes[s].lock();
-            delta.extend(stripe.range(start..).map(|(&k, &v)| (k, v)));
-        }
-        let mut r = pla::lower_bound(&self.segs, &self.keys, start, self.cfg.epsilon);
-        let mut di = delta.iter().peekable();
-        while out.len() < count {
-            let mk = self.keys.get(r).copied();
-            let dk = di.peek().map(|&&(k, _)| k);
-            match (mk, dk) {
-                (None, None) => break,
-                (Some(k), None) => {
-                    out.push((k, self.value_at(r)));
-                    r += 1;
-                }
-                (None, Some(_)) => {
-                    let &(k, v) = di.next().unwrap();
-                    if let Some(v) = v {
-                        out.push((k, v));
-                    }
-                }
-                (Some(mkey), Some(dkey)) => {
-                    if dkey < mkey {
-                        let &(k, v) = di.next().unwrap();
-                        if let Some(v) = v {
-                            out.push((k, v));
-                        }
-                    } else if dkey == mkey {
-                        // Delta shadows the model record (update or
-                        // tombstone).
-                        let &(k, v) = di.next().unwrap();
-                        r += 1;
-                        if let Some(v) = v {
-                            out.push((k, v));
-                        }
-                    } else {
-                        out.push((mkey, self.value_at(r)));
-                        r += 1;
-                    }
-                }
-            }
-        }
+        out.extend(self.merged_from(start).take(count));
         out.len()
     }
 
@@ -392,16 +288,6 @@ impl Core {
     fn desired_cap(&self, n: usize) -> usize {
         let ce = self.cfg.chunk_entries;
         (self.cfg.delta_min_cap.max(n / 4)).div_ceil(ce) * ce
-    }
-
-    /// Drain every stripe into one sorted map (exclusive access only:
-    /// `&mut self` means the enclosing `RwLock` is held for write).
-    fn collect_delta(&mut self) -> BTreeMap<Key, Option<Value>> {
-        let mut delta = BTreeMap::new();
-        for stripe in &mut self.stripes {
-            delta.append(stripe.get_mut());
-        }
-        delta
     }
 
     /// Write `words` to a fresh allocation and flush it.
@@ -466,49 +352,10 @@ impl Core {
     /// GC collects).
     fn merge(&mut self) {
         let _site = obs::site("learned_merge");
-        // 1. Merge the immutable run with the delta buffer (values read
-        //    back from PM; keys come from the DRAM mirror). Draining
-        //    the stripes here empties them for the next generation.
-        let delta = self.collect_delta();
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.keys.len() + delta.len());
-        {
-            let mut r = 0usize;
-            let mut di = delta.iter().peekable();
-            loop {
-                let mk = self.keys.get(r).copied();
-                let dk = di.peek().map(|(&k, _)| k);
-                match (mk, dk) {
-                    (None, None) => break,
-                    (Some(k), None) => {
-                        merged.push((k, self.value_at(r)));
-                        r += 1;
-                    }
-                    (None, Some(_)) => {
-                        let (&k, &v) = di.next().unwrap();
-                        if let Some(v) = v {
-                            merged.push((k, v));
-                        }
-                    }
-                    (Some(mkey), Some(dkey)) => {
-                        if dkey < mkey {
-                            let (&k, &v) = di.next().unwrap();
-                            if let Some(v) = v {
-                                merged.push((k, v));
-                            }
-                        } else if dkey == mkey {
-                            let (&k, &v) = di.next().unwrap();
-                            r += 1;
-                            if let Some(v) = v {
-                                merged.push((k, v));
-                            }
-                        } else {
-                            merged.push((mkey, self.value_at(r)));
-                            r += 1;
-                        }
-                    }
-                }
-            }
-        }
+        // 1. Merge the immutable run with the delta map (values read
+        //    back from PM; keys come from the DRAM mirror).
+        let mut merged = Vec::with_capacity(self.keys.len() + self.delta.len());
+        merged.extend(self.merged_from(0));
         // 2. Retrain the ε-bounded segments.
         let new_keys: Vec<u64> = merged.iter().map(|&(k, _)| k).collect();
         let new_segs = pla::build_segments(&new_keys, self.cfg.epsilon);
@@ -571,8 +418,8 @@ impl Core {
         self.log_dir = log_dir;
         self.log_chunks = log_chunks;
         self.log_cap = new_cap;
-        self.log_len.store(0, Ordering::SeqCst);
-        self.stripe_bounds = compute_stripe_bounds(&self.segs);
+        self.log_len = 0;
+        self.delta.clear();
         self.merges += 1;
         // 6. Retire the old generation (crash-safe: recovery GC redoes
         //    any free we don't reach).
@@ -604,18 +451,18 @@ impl Core {
             model_keys: self.keys.len() as u64,
             segments: self.segs.len() as u64,
             epsilon: self.cfg.epsilon,
-            delta_len: self.delta_len() as u64,
+            delta_len: self.delta.len() as u64,
             delta_cap: self.log_cap as u64,
             merges: self.merges,
         }
     }
 }
 
-/// PGM-style learned range index on PM (see module docs). Reads share
-/// the outer lock; mutations also run under the *shared* side and
-/// serialize only per key-range stripe (CAS-claimed log slots), so
-/// appends to disjoint regions proceed in parallel. Only a merge — a
-/// whole-model retrain — takes the exclusive side.
+/// PGM-style learned range index on PM (see module docs): one
+/// `RwLock` around the model and its one delta map. Lookups and scans
+/// share it; inserts, updates and removes take it exclusively, so
+/// writers serialize, each appending one log entry (and merging when
+/// the log is full).
 pub struct LearnedIndex {
     core: RwLock<Core>,
 }
@@ -639,9 +486,8 @@ impl LearnedIndex {
             log_dir: 0,
             log_chunks: Vec::new(),
             log_cap: 0,
-            log_len: AtomicUsize::new(0),
-            stripes: (0..STRIPES).map(|_| Mutex::new(BTreeMap::new())).collect(),
-            stripe_bounds: compute_stripe_bounds(&[]),
+            log_len: 0,
+            delta: BTreeMap::new(),
             merges: 0,
         };
         core.log_cap = core.desired_cap(0);
@@ -678,8 +524,8 @@ impl LearnedIndex {
 
     /// Fallible recovery: probes every reachable block for media errors
     /// before interpreting it, rebuilds the DRAM mirrors (keys,
-    /// segments, delta map) from the published generation, replays the
-    /// delta log up to its first invalid entry, garbage-collects
+    /// segments, delta map) from the published generation, replays
+    /// every valid entry of the delta log, garbage-collects
     /// allocations the crash left unreachable (half-built merge
     /// output), and completes an interrupted merge whose log had
     /// already filled.
@@ -745,13 +591,7 @@ impl LearnedIndex {
                 });
             }
         }
-        // Delta log: replay every acknowledged entry. The scan covers
-        // the full capacity and *skips* invalid slots rather than
-        // stopping — concurrent striped appends mean a power cut can
-        // tear several in-flight slots at once, and the acknowledged
-        // entries beyond a hole must still be applied. Last-valid-wins
-        // per key is safe because same-key slots are claimed in
-        // acknowledgement order under the stripe lock.
+        // Delta log: replay every acknowledged entry, in slot order.
         let log_chunks = read_dir(desc.log_dir, desc.log_chunks, "learned log directory")?;
         for &off in &log_chunks {
             pool.check_readable(off, ce * LOG_ENTRY_BYTES)
@@ -771,7 +611,7 @@ impl LearnedIndex {
                 || !(op == OP_PUT || op == OP_DEL)
                 || sum != entry_sum(key, value, meta)
             {
-                continue; // torn hole or stale-epoch garbage
+                continue; // the torn in-flight slot or stale-epoch garbage
             }
             delta.insert(key, (op == OP_PUT).then_some(value));
             log_len = i + 1;
@@ -790,24 +630,7 @@ impl LearnedIndex {
         reachable.extend(data_chunks.iter().copied());
         reachable.extend(seg_chunks.iter().copied());
         reachable.extend(log_chunks.iter().copied());
-        let mut stale = Vec::new();
-        alloc.for_each_allocated(|off| {
-            if !reachable.contains(&off) {
-                stale.push(off);
-            }
-        });
-        for off in stale {
-            alloc.free(off);
-        }
-        // Re-stripe the recovered delta with the same bounds the live
-        // index would be using for this generation's segments.
-        let stripe_bounds = compute_stripe_bounds(&segs);
-        let mut stripes: Vec<Mutex<BTreeMap<Key, Option<Value>>>> =
-            (0..STRIPES).map(|_| Mutex::new(BTreeMap::new())).collect();
-        for (k, v) in delta {
-            let s = stripe_bounds.partition_point(|&b| b <= k);
-            stripes[s].get_mut().insert(k, v);
-        }
+        alloc.free_unreachable(&reachable);
         let mut core = Core {
             alloc,
             cfg,
@@ -822,14 +645,13 @@ impl LearnedIndex {
             log_dir: desc.log_dir,
             log_chunks,
             log_cap,
-            log_len: AtomicUsize::new(log_len),
-            stripes,
-            stripe_bounds,
+            log_len,
+            delta,
             merges: 0,
         };
         // The crash may have landed after the log filled but before the
         // merge published: finish it now so the next append has room.
-        if core.log_len.load(Ordering::SeqCst) >= core.log_cap {
+        if core.log_len >= core.log_cap {
             core.merge();
         }
         Ok(Arc::new(LearnedIndex {
@@ -841,27 +663,12 @@ impl LearnedIndex {
     pub fn model_stats(&self) -> ModelStats {
         self.core.read().stats()
     }
-
-    /// Run a striped mutation under the shared lock; when the log is
-    /// full, upgrade to the exclusive path, merge, and retry.
-    fn mutate(&self, f: impl Fn(&Core) -> Result<bool, NeedMerge>) -> bool {
-        loop {
-            if let Ok(done) = f(&self.core.read()) {
-                return done;
-            }
-            let mut core = self.core.write();
-            // Another writer may have merged while we waited.
-            if core.log_len.load(Ordering::SeqCst) >= core.log_cap {
-                core.merge();
-            }
-        }
-    }
 }
 
 impl RangeIndex for LearnedIndex {
     fn insert(&self, key: Key, value: Value) -> bool {
         let _site = obs::site("learned_insert");
-        self.mutate(|core| core.try_insert(key, value))
+        self.core.write().mutate(key, Some(value), false)
     }
 
     fn lookup(&self, key: Key) -> Option<Value> {
@@ -871,12 +678,12 @@ impl RangeIndex for LearnedIndex {
 
     fn update(&self, key: Key, value: Value) -> bool {
         let _site = obs::site("learned_update");
-        self.mutate(|core| core.try_update(key, value))
+        self.core.write().mutate(key, Some(value), true)
     }
 
     fn remove(&self, key: Key) -> bool {
         let _site = obs::site("learned_remove");
-        self.mutate(|core| core.try_remove(key))
+        self.core.write().mutate(key, None, true)
     }
 
     fn scan(&self, start: Key, count: usize, out: &mut Vec<(Key, Value)>) -> usize {
@@ -894,7 +701,7 @@ impl RangeIndex for LearnedIndex {
             pm_bytes: core.alloc.live_bytes(),
             dram_bytes: (core.keys.len() * 8
                 + core.segs.len() * std::mem::size_of::<Segment>()
-                + core.delta_len() * 48) as u64,
+                + core.delta.len() * 48) as u64,
         }
     }
 }

@@ -86,7 +86,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use index_api::{oracle, RangeIndex};
+    use index_api::{oracle, Key, RangeIndex};
     use pmalloc::{AllocMode, PmAllocator};
     use pmem::{PmConfig, PmPool};
 
@@ -152,6 +152,80 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(t.scan(98, 4, &mut out), 4);
         assert_eq!(out, vec![(98, 98), (101, 1), (102, 7), (104, 104)]);
+    }
+
+    /// A model of at least `n` even keys whose delta holds one entry:
+    /// the inserts stop right after the merge that absorbed the rest,
+    /// so a few hundred more mutations stay in the delta.
+    fn model_with_room(n: u64) -> (Arc<LearnedIndex>, Arc<PmPool>, oracle::Oracle) {
+        let (t, pool) = fresh(32, small_cfg());
+        let mut model = oracle::Oracle::new();
+        for k in (0..).map(|k: u64| k * 2) {
+            let merges = t.model_stats().merges;
+            assert!(t.insert(k, k) && model.insert(k, k));
+            if k >= 2 * n && t.model_stats().merges > merges {
+                break;
+            }
+        }
+        assert_eq!(t.model_stats().delta_len, 1);
+        (t, pool, model)
+    }
+
+    #[test]
+    fn lazy_scan_handles_every_model_and_delta_edge() {
+        let (t, _pool, mut model) = model_with_room(1_000);
+        let s = t.model_stats();
+        let last = 2 * (s.model_keys - 1);
+        // Delta keys between model keys and past `last` (the last model
+        // key), and tombstones and updates shadowing model keys.
+        let mut ops = 0;
+        let odd = |from: Key| (from..from + 80).step_by(2);
+        for k in odd(101).chain(odd(last + 1)) {
+            assert!(t.insert(k, k + 7) && model.insert(k, k + 7));
+            ops += 1;
+        }
+        for k in (200..=240).step_by(2) {
+            assert!(t.remove(k) && model.remove(k));
+            assert!(t.update(k + 100, 1) && model.update(k + 100, 1));
+            ops += 2;
+        }
+        let after = t.model_stats();
+        assert_eq!(after.merges, s.merges, "the edits must stay in the delta");
+        assert!(ops < after.delta_cap && after.delta_len as usize > 50);
+        let mut out = Vec::new();
+        let mut check = |start: Key, count: usize| {
+            t.scan(start, count, &mut out);
+            assert_eq!(out, model.scan(start, count), "scan({start}, {count})");
+        };
+        check(100, 5); // a delta larger than `count`, interleaved with the model
+        check(196, 10); // tombstones hide model keys 200..=240
+        check(last - 4, 10); // `count` reached inside the delta past the model
+        check(last + 5, 10); // start past the last model key
+        check(last + 81, 3); // past everything
+        for start in (0..last + 90).step_by(37) {
+            for count in [0, 1, 3, 17, 64] {
+                check(start, count);
+            }
+        }
+    }
+
+    #[test]
+    fn scan_reads_at_most_count_model_values() {
+        let (t, pool, _) = model_with_room(1_000);
+        for k in (1..400).step_by(2) {
+            t.insert(k, k);
+        }
+        assert!(
+            t.model_stats().delta_len > 150,
+            "a delta far larger than one scan"
+        );
+        let mut out = Vec::new();
+        for start in [0, 300, 1_000, 1_999] {
+            let before = pool.stats().read_ops;
+            assert_eq!(t.scan(start, 50, &mut out), 50);
+            let reads = pool.stats().read_ops - before;
+            assert!(reads <= 50, "scan({start}, 50) read {reads} PM words");
+        }
     }
 
     #[test]
@@ -229,9 +303,11 @@ mod tests {
         let pool = Arc::new(PmPool::new(64 << 20, PmConfig::real()));
         let alloc = PmAllocator::format(pool.clone(), AllocMode::General);
         let t = LearnedIndex::create(alloc, cfg);
-        // Keys spread across the whole key space so concurrent appends
-        // land in different stripes; the tiny delta cap forces many
-        // merges (exclusive path) while the appends race (shared path).
+        // Eight writers over the whole key space take turns on the
+        // write lock, and the tiny delta cap makes some of them merge
+        // while the others wait: every acknowledged op must survive the
+        // power cut. Adjacent log slots share a cache line, so this is
+        // also the learned view of pmem's per-line write-back ordering.
         let key = |tid: u64, i: u64| (i * 8 + tid) * (u64::MAX / 20_000);
         std::thread::scope(|s| {
             for tid in 0..8u64 {

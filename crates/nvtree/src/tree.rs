@@ -114,15 +114,7 @@ impl NvTree {
         }
         // GC: anything allocated but not in the chain is a leaked
         // replacement; reclaim it. (The tree owns its pool exclusively.)
-        let mut leaked = Vec::new();
-        t.alloc.for_each_allocated(|off| {
-            if !reachable.contains(&off) {
-                leaked.push(off);
-            }
-        });
-        for off in leaked {
-            t.alloc.free(off);
-        }
+        t.alloc.free_unreachable(&reachable);
         if entries.is_empty() {
             entries.push((0, head));
         }

@@ -1,6 +1,7 @@
 //! The allocator proper: persistent chunk/bitmap layout, volatile
 //! per-class state, magazine caches and crash recovery.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -582,6 +583,22 @@ impl PmAllocator {
                     f(self.block_off(c as u32, class, bit));
                 }
             }
+        }
+    }
+
+    /// Index recovery's reachability GC: free every allocated block not
+    /// in `reachable` (blocks a crash left unlinked, e.g. a split's
+    /// replaced node whose free never persisted), in ascending offset
+    /// order. The structure must own the allocator exclusively.
+    pub fn free_unreachable(&self, reachable: &HashSet<u64>) {
+        let mut stale = Vec::new();
+        self.for_each_allocated(|off| {
+            if !reachable.contains(&off) {
+                stale.push(off);
+            }
+        });
+        for off in stale {
+            self.free(off);
         }
     }
 

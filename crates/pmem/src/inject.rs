@@ -117,9 +117,11 @@ pub struct ResidualLine {
     pub words: [u64; 8],
 }
 
-/// SplitMix64: the workspace's standard seeded mixer.
+/// SplitMix64: the workspace's standard seeded mixer (residual-image
+/// and crash-sweep seeds, poison junk, the learned index's on-media
+/// checksums).
 #[inline]
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

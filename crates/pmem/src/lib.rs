@@ -40,8 +40,8 @@ mod stats;
 
 pub use config::{PersistenceMode, PmConfig};
 pub use inject::{
-    CrashPointHit, CrashReport, MediaError, PersistEventKind, PoisonedRead, ResidualLine,
-    ResidualPolicy,
+    splitmix64, CrashPointHit, CrashReport, MediaError, PersistEventKind, PoisonedRead,
+    ResidualLine, ResidualPolicy,
 };
 pub use latency::LatencyModel;
 pub use off::{PmOff, NULL_OFF};

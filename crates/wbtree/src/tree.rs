@@ -329,16 +329,8 @@ impl WbTree {
         }
         // Pass 3: GC everything not in the chain (stale inner nodes,
         // leaked split siblings).
-        let reachable: std::collections::HashSet<u64> = chain.iter().copied().collect();
-        let mut stale = Vec::new();
-        core.alloc.for_each_allocated(|off| {
-            if !reachable.contains(&off) {
-                stale.push(off);
-            }
-        });
-        for off in stale {
-            core.alloc.free(off);
-        }
+        core.alloc
+            .free_unreachable(&chain.iter().copied().collect());
         // Pass 4: bulk-load PM inner nodes over the leaves.
         let mut level: Vec<(Key, u64)> = Vec::new();
         for &l in &chain {
