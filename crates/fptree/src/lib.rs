@@ -14,6 +14,11 @@
 //!   dramatically (especially negative lookups). The fingerprint probe
 //!   can be disabled ([`FpTreeConfig::use_fingerprints`]) for the E9
 //!   ablation.
+//! * **One cache line per record.** As in the paper's leaf, a record is
+//!   one 16-byte `(key, value)` cell ([`LeafLayout`]): a positive lookup
+//!   reads the header block and the record's block, and writing a
+//!   record flushes one pair line plus the fingerprint line before the
+//!   bitmap commit.
 //! * **Selective concurrency.** Traversals run as (emulated) HTM
 //!   transactions; leaf writers take a per-leaf version lock, which
 //!   doubles as the optimistic-read validation readers need (real HTM

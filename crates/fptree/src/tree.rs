@@ -6,10 +6,10 @@ use std::sync::Arc;
 use htm::{Abort, Htm};
 use index_api::{Footprint, Key, RangeIndex, Value};
 use pmalloc::PmAllocator;
-use pmem::{MediaError, PmPool};
+use pmem::{MediaError, PmOff, PmPool};
 
 use crate::inner::{self, Inner};
-use crate::layout::{LeafLayout, BITMAP_OFF, NEXT_OFF, VLOCK_OFF};
+use crate::layout::{LeafLayout, BITMAP_OFF, NEXT_OFF, PAIR_BYTES, VLOCK_OFF};
 use crate::{fingerprint, FpTreeConfig, KeyMode};
 
 // Root-area slots used by FPTree (8-byte slots; the allocator's own
@@ -134,15 +134,20 @@ impl FpTree {
             .store_u64(leaf + VLOCK_OFF, v + 1, Ordering::Release);
     }
 
-    /// The key stored in `slot` (dereferencing the key cell in pointer
-    /// mode — the extra PM read E14 measures).
+    /// The key a slot's key word stands for (dereferencing the key cell
+    /// in pointer mode — the extra PM read E14 measures).
+    #[inline]
+    fn key_of(&self, word: u64) -> Key {
+        match self.cfg.key_mode {
+            KeyMode::Inline => word,
+            KeyMode::Pointer => self.pool().read_u64(word),
+        }
+    }
+
+    /// The key stored in `slot`.
     #[inline]
     fn slot_key(&self, leaf: u64, slot: usize) -> Key {
-        let w = self.pool().read_u64(self.layout.key(leaf, slot));
-        match self.cfg.key_mode {
-            KeyMode::Inline => w,
-            KeyMode::Pointer => self.pool().read_u64(w),
-        }
+        self.key_of(self.pool().read_u64(self.layout.key(leaf, slot)))
     }
 
     /// Free the key cell referenced by `slot` (pointer mode only); call
@@ -154,9 +159,10 @@ impl FpTree {
         }
     }
 
-    /// Find `key` in a leaf. Returns `(slot, value)` if present. Callers
-    /// must hold the leaf lock or validate versions around the call.
-    fn find_in_leaf(&self, leaf: u64, key: Key) -> Option<(usize, Value)> {
+    /// Find `key` in a leaf. Returns its slot if present; only `lookup`
+    /// goes on to read the value. Callers must hold the leaf lock or
+    /// validate versions around the call.
+    fn find_in_leaf(&self, leaf: u64, key: Key) -> Option<usize> {
         let pool = self.pool();
         let bitmap = pool.read_u64(leaf + BITMAP_OFF) & self.layout.full_mask();
         if self.cfg.use_fingerprints {
@@ -168,7 +174,7 @@ impl FpTree {
                 let slot = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 if fps[slot] == want && self.slot_key(leaf, slot) == key {
-                    return Some((slot, pool.read_u64(self.layout.val(leaf, slot))));
+                    return Some(slot);
                 }
             }
         } else {
@@ -177,7 +183,7 @@ impl FpTree {
                 let slot = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 if self.slot_key(leaf, slot) == key {
-                    return Some((slot, pool.read_u64(self.layout.val(leaf, slot))));
+                    return Some(slot);
                 }
             }
         }
@@ -185,8 +191,8 @@ impl FpTree {
     }
 
     /// Write a record into `slot` of a locked leaf with FPTree's
-    /// persistence order: record + fingerprint first, then the atomic
-    /// bitmap publication.
+    /// persistence order: the (key, value) cell and the fingerprint
+    /// first — one line each — then the atomic bitmap publication.
     fn write_record(&self, leaf: u64, slot: usize, key: Key, value: Value) {
         let pool = self.pool();
         let key_word = match self.cfg.key_mode {
@@ -205,13 +211,10 @@ impl FpTree {
                 cell
             }
         };
-        pool.write_u64(self.layout.key(leaf, slot), key_word);
-        pool.write_u64(self.layout.val(leaf, slot), value);
-        let mut fp = [0u8; 1];
-        fp[0] = fingerprint(key);
-        pool.write_bytes(self.layout.fp(leaf, slot), &fp);
-        pool.clwb(self.layout.key(leaf, slot), 8);
-        pool.clwb(self.layout.val(leaf, slot), 8);
+        let pair = self.layout.pair(leaf, slot);
+        pool.write(PmOff::new(pair), &[key_word, value]);
+        pool.write_bytes(self.layout.fp(leaf, slot), &[fingerprint(key)]);
+        pool.clwb(pair, PAIR_BYTES as usize);
         pool.clwb(self.layout.fp(leaf, slot), 1);
         pool.sfence();
     }
@@ -304,12 +307,11 @@ impl FpTree {
         let mut new_bitmap = 0u64;
         let mut moved = 0u64;
         for (i, &(k, slot)) in recs[mid..].iter().enumerate() {
-            // Copy the raw key word: in pointer mode the cell is shared
+            // Copy the raw cell: in pointer mode the key cell is shared
             // by the new leaf, not re-allocated.
-            pool.write_u64(l.key(new, i), pool.read_u64(l.key(old, slot)));
-            pool.write_u64(l.val(new, i), pool.read_u64(l.val(old, slot)));
-            let fp = [fingerprint(k)];
-            pool.write_bytes(l.fp(new, i), &fp);
+            let pair: [u64; 2] = pool.read(PmOff::new(l.pair(old, slot)));
+            pool.write(PmOff::new(l.pair(new, i)), &pair);
+            pool.write_bytes(l.fp(new, i), &[fingerprint(k)]);
             new_bitmap |= 1 << i;
             moved |= 1 << slot;
         }
@@ -535,7 +537,9 @@ impl RangeIndex for FpTree {
             if v1 & 1 == 1 {
                 return Err(Abort);
             }
-            let r = self.find_in_leaf(leaf, key).map(|(_, v)| v);
+            let r = self
+                .find_in_leaf(leaf, key)
+                .map(|slot| self.pool().read_u64(self.layout.val(leaf, slot)));
             if self.pool().load_u64(leaf + VLOCK_OFF, Ordering::Acquire) != v1 {
                 return Err(Abort);
             }
@@ -547,7 +551,7 @@ impl RangeIndex for FpTree {
         let _site = obs::site("fptree_update");
         loop {
             let (leaf, _) = self.locate_and_lock(key);
-            let Some((slot, _)) = self.find_in_leaf(leaf, key) else {
+            let Some(slot) = self.find_in_leaf(leaf, key) else {
                 self.leaf_unlock(leaf);
                 return false;
             };
@@ -576,7 +580,7 @@ impl RangeIndex for FpTree {
     fn remove(&self, key: Key) -> bool {
         let _site = obs::site("fptree_remove");
         let (leaf, _) = self.locate_and_lock(key);
-        let Some((slot, _)) = self.find_in_leaf(leaf, key) else {
+        let Some(slot) = self.find_in_leaf(leaf, key) else {
             self.leaf_unlock(leaf);
             return false;
         };
@@ -613,9 +617,10 @@ impl RangeIndex for FpTree {
             while bits != 0 {
                 let slot = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let k = self.slot_key(leaf, slot);
+                let [w, v] = pool.read(PmOff::<[u64; 2]>::new(l.pair(leaf, slot)));
+                let k = self.key_of(w);
                 if k >= start {
-                    batch.push((k, pool.read_u64(l.val(leaf, slot))));
+                    batch.push((k, v));
                 }
             }
             let next = pool.read_u64(leaf + NEXT_OFF);
@@ -663,7 +668,7 @@ mod tests {
     use super::*;
     use index_api::oracle;
     use pmalloc::AllocMode;
-    use pmem::PmConfig;
+    use pmem::{PmConfig, MEDIA_BLOCK};
 
     fn fresh(pool_mib: usize, cfg: FpTreeConfig) -> Arc<FpTree> {
         let pool = Arc::new(PmPool::new(pool_mib << 20, PmConfig::real()));
@@ -997,6 +1002,52 @@ mod tests {
             alloc.live_bytes() < with_cells,
             "removes must release key cells"
         );
+    }
+
+    #[test]
+    fn writing_a_record_flushes_one_pair_line_and_one_fingerprint_line() {
+        let t = fresh(4, FpTreeConfig::default());
+        let pool = t.pool();
+        let counted = |op: &dyn Fn() -> bool| {
+            let before = pool.stats();
+            assert!(op());
+            let d = pool.stats().since(&before);
+            (d.clwb, d.fence, d.media_write_bytes / MEDIA_BLOCK as u64)
+        };
+        for k in 0..8u64 {
+            t.insert(k, k);
+        }
+        // Pair, fingerprint, bitmap: three lines, one fence before the
+        // commit and one after it.
+        assert_eq!(counted(&|| t.insert(100, 1)), (3, 2, 3), "insert");
+        assert_eq!(counted(&|| t.update(100, 2)), (3, 2, 3), "update");
+        // Only the bitmap.
+        assert_eq!(counted(&|| t.remove(100)), (1, 1, 1), "remove");
+        assert_eq!(t.inner_node_count(), 0, "no split on the way");
+    }
+
+    #[test]
+    fn a_cold_lookup_reads_at_most_two_media_blocks() {
+        let t = fresh(4, FpTreeConfig::default());
+        // A full leaf whose fingerprints are all distinct, so a lookup
+        // reads exactly one key: header block + the record's block.
+        let mut seen = std::collections::HashSet::new();
+        let keys: Vec<u64> = (0..)
+            .filter(|&k| seen.insert(fingerprint(k)))
+            .take(64)
+            .collect();
+        for &k in &keys {
+            assert!(t.insert(k, !k));
+        }
+        assert_eq!(t.inner_node_count(), 0, "one leaf");
+        for &k in &keys {
+            let before = t.pool().stats();
+            // A fresh thread starts with an empty modelled block cache.
+            let got = std::thread::scope(|s| s.spawn(|| t.lookup(k)).join().unwrap());
+            assert_eq!(got, Some(!k));
+            let blocks = t.pool().stats().since(&before).media_read_bytes / MEDIA_BLOCK as u64;
+            assert!(blocks <= 2, "key {k}: {blocks} media blocks");
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ mod tests {
         assert_eq!(class_for_size(17), Some(1));
         assert_eq!(class_for_size(256), Some(4));
         assert_eq!(class_for_size(257), Some(5));
-        assert_eq!(class_for_size(1112), Some(8)); // FPTree 64-entry leaf
+        assert_eq!(class_for_size(1120), Some(8)); // FPTree 64-entry leaf
         assert_eq!(class_for_size(32768), Some(16));
         assert_eq!(class_for_size(32769), None);
     }

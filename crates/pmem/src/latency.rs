@@ -43,7 +43,7 @@ impl LatencyModel {
     /// Rough Optane shape: reads ~170 ns/block, persisted writes
     /// ~90 ns/block, sequential accesses at 40 % of the random cost.
     /// Measured, not tuned (EXPERIMENTS.md E13, 2-vCPU box): an FPTree
-    /// lookup costs 3.5× the same tree with every charge elided and 4.5×
+    /// lookup costs 2.3× the same tree with every charge elided and 2.7×
     /// a DRAM B+-tree lookup, against the paper's ~2× on real Optane.
     pub const fn optane_like() -> Self {
         Self {

@@ -240,9 +240,11 @@ impl<'a> Node<'a> {
         Err(lo)
     }
 
-    /// Inner-node routing: the child covering `key`.
+    /// Inner-node routing: the child covering `key`. The caller has
+    /// already read the node's leaf flag (no assert re-reads it: a
+    /// debug-only PM read would make the counted accesses depend on the
+    /// build profile).
     pub fn route(&self, key: u64) -> u64 {
-        debug_assert!(!self.is_leaf());
         if !self.layout.use_slots {
             // Linear scan for the greatest separator ≤ key.
             let bitmap = self.bitmap() & self.layout.entries_mask();
