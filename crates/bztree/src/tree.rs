@@ -85,21 +85,15 @@ impl BzTree {
     /// Reopen after a crash: PMwCAS recovery makes every word
     /// consistent (instant recovery — no index rebuild), then a
     /// reachability sweep reclaims nodes leaked by interrupted SMOs.
-    /// Panics on a media error; use [`BzTree::try_recover`] to handle
-    /// poisoned lines gracefully.
-    pub fn recover(alloc: Arc<PmAllocator>, cfg: BzTreeConfig) -> Arc<BzTree> {
-        let _site = obs::site("bztree_recovery");
-        Self::try_recover(alloc, cfg).unwrap_or_else(|e| panic!("BzTree recovery failed: {e}"))
-    }
-
-    /// Fallible recovery: probes the root/config slots and every node
-    /// visited by the reachability sweep for media errors before
-    /// reading it, so a poisoned line surfaces as a reported
-    /// [`MediaError`], never as garbage routing entries.
+    /// Probes the root/config slots and every node visited by the
+    /// reachability sweep for media errors before reading it, so a
+    /// poisoned line surfaces as a reported [`MediaError`], never as
+    /// garbage routing entries.
     pub fn try_recover(
         alloc: Arc<PmAllocator>,
         cfg: BzTreeConfig,
     ) -> Result<Arc<BzTree>, MediaError> {
+        let _site = obs::site("bztree_recovery");
         let mw = PmwCas::try_recover(&alloc)?;
         let layout = BzLayout::new(cfg.node_entries);
         alloc
@@ -121,7 +115,7 @@ impl BzTree {
         let mut reachable: HashSet<u64> = HashSet::new();
         reachable.insert(t.mw.descriptor_area());
         let root = t.mw.read(ROOT_WORD);
-        assert!(root != 0, "recover() on an unformatted tree");
+        assert!(root != 0, "try_recover() on an unformatted tree");
         let mut stack = vec![root];
         while let Some(n) = stack.pop() {
             if !reachable.insert(n) {
@@ -749,7 +743,7 @@ mod tests {
         drop(t);
         pool.crash();
         let alloc = PmAllocator::recover(pool, AllocMode::General);
-        let t = BzTree::recover(alloc, cfg);
+        let t = BzTree::try_recover(alloc, cfg).expect("recovery");
         for k in 0..2_000u64 {
             let want = if k % 4 == 0 { None } else { Some(k + 9) };
             assert_eq!(t.lookup(k), want, "key {k}");
@@ -777,7 +771,7 @@ mod tests {
         drop(t);
         pool.crash();
         let alloc = PmAllocator::recover(pool, AllocMode::General);
-        let t = BzTree::recover(alloc.clone(), cfg);
+        let t = BzTree::try_recover(alloc.clone(), cfg).expect("recovery");
         assert!(alloc.live_bytes() < before, "GC should reclaim leaks");
         for k in 0..1_000u64 {
             assert_eq!(t.lookup(k), Some(k));

@@ -10,11 +10,12 @@
 //!
 //! Threads write disjoint key stripes, so the union of the per-thread
 //! models is an exact oracle and each in-flight key has exactly one
-//! owner. The crash may land inside any thread's operation; the other
-//! threads are cut by the device halt (see
-//! [`pmem::PmPool::set_halt_on_crash`]) at their next PM access, which
-//! also unwedges threads spinning on a leaf lock the crashed thread
-//! still holds.
+//! owner. The crash may land inside any thread's operation; a trip
+//! halts the device for every other thread until
+//! [`pmem::PmPool::disarm_crash`], so each is cut at its next PM access
+//! (see [`pmem::PmPool::arm_crash_after`]), which also unwedges threads
+//! spinning on a leaf lock the crashed thread still holds. The sweep
+//! driver disarms once every worker is joined.
 //!
 //! Concurrent schedules make the probe's event count only an estimate,
 //! so instead of striding, `max_boundaries` (default 8) pseudo-random
@@ -103,7 +104,6 @@ impl Scenario for Mt {
         let per_thread: Vec<Vec<Op>> = (0..self.threads as u64)
             .map(|tid| thread_workload(opts, tid))
             .collect();
-        pool.set_halt_on_crash(true);
         let outcomes: Vec<Acked> = std::thread::scope(|s| {
             let handles: Vec<_> = per_thread
                 .iter()
@@ -114,9 +114,6 @@ impl Scenario for Mt {
                 .map(|h| h.join().expect("worker catch_unwind never re-panics"))
                 .collect()
         });
-        // Every worker is joined: un-halt so the driver's snapshot and
-        // the front-end destructors can touch the pool again.
-        pool.set_halt_on_crash(false);
 
         let mut acked = Acked::default();
         for (tid, t) in outcomes.into_iter().enumerate() {

@@ -368,9 +368,9 @@ fn explore_boundary<S: Scenario>(
     let pool = &pools[armed];
     pool.arm_crash_after(boundary);
     let acked = scn.drive(&mut env, opts, &mut summary.counters);
-    if !pool.crash_fired() {
-        pool.disarm_crash();
-    }
+    // Lift the halt a trip left (the frozen image and the captured cut
+    // stay), or cancel a countdown the run never reached.
+    pool.disarm_crash();
     let report = pool.crash_report();
     // Snapshot the flight recorder at the trip instant, before the
     // recovery attempts below overwrite the ring with their own events.

@@ -70,18 +70,12 @@ impl FpTree {
 
     /// Reopen after a crash or shutdown: replay the split micro-log,
     /// clear leaf version locks, and rebuild the DRAM inner nodes by
-    /// bulk-loading from the persistent leaf chain. Panics on a media
-    /// error; use [`FpTree::try_recover`] to handle poisoned lines
-    /// gracefully.
-    pub fn recover(alloc: Arc<PmAllocator>, cfg: FpTreeConfig) -> Arc<FpTree> {
-        Self::try_recover(alloc, cfg).unwrap_or_else(|e| panic!("FPTree recovery failed: {e}"))
-    }
-
-    /// Fallible recovery: probes the root slots (head pointer, split
-    /// micro-log, config) and every leaf in the chain for media errors
-    /// before reading it — and before the vlock clears write to it —
-    /// so a poisoned line surfaces as a reported [`MediaError`], never
-    /// as garbage records or routing keys.
+    /// bulk-loading from the persistent leaf chain. Probes the root
+    /// slots (head pointer, split micro-log, config) and every leaf in
+    /// the chain for media errors before reading it — and before the
+    /// vlock clears write to it — so a poisoned line surfaces as a
+    /// reported [`MediaError`], never as garbage records or routing
+    /// keys.
     pub fn try_recover(
         alloc: Arc<PmAllocator>,
         cfg: FpTreeConfig,
@@ -92,7 +86,7 @@ impl FpTree {
         let persisted_entries = pool.read_u64(slot_off(SLOT_CFG)) as usize;
         assert_eq!(
             persisted_entries, cfg.leaf_entries,
-            "recover() config must match the on-media leaf layout"
+            "try_recover() config must match the on-media leaf layout"
         );
         let layout = LeafLayout::new(cfg.leaf_entries);
         let tree = FpTree {
@@ -450,7 +444,7 @@ impl FpTree {
         let pool = self.pool();
         let l = &self.layout;
         let head = pool.read_u64(slot_off(SLOT_HEAD));
-        assert!(head != 0, "recover() on an unformatted tree");
+        assert!(head != 0, "try_recover() on an unformatted tree");
         let mut level: Vec<(Key, u64)> = Vec::new();
         let mut leaf = head;
         while leaf != 0 {
@@ -759,7 +753,7 @@ mod tests {
         drop(t);
         pool.crash();
         let alloc = PmAllocator::recover(pool, AllocMode::General);
-        let t = FpTree::recover(alloc, cfg);
+        let t = FpTree::try_recover(alloc, cfg).expect("recovery");
         for k in 0..2_000u64 {
             assert_eq!(t.lookup(k), Some(k * 2), "key {k} lost after crash");
         }
@@ -785,7 +779,7 @@ mod tests {
         drop(t);
         pool.crash();
         let alloc = PmAllocator::recover(pool, AllocMode::General);
-        let t = FpTree::recover(alloc, cfg);
+        let t = FpTree::try_recover(alloc, cfg).expect("recovery");
         for k in 0..1_000u64 {
             assert_eq!(t.lookup(k), Some(k));
         }
@@ -806,7 +800,7 @@ mod tests {
         drop(t);
         pool.crash();
         let alloc = PmAllocator::recover(pool, AllocMode::General);
-        let t = FpTree::recover(alloc, cfg);
+        let t = FpTree::try_recover(alloc, cfg).expect("recovery");
         for k in 0..500u64 {
             assert_eq!(t.lookup(k), Some(2), "update of {k} lost");
         }
@@ -829,7 +823,7 @@ mod tests {
         drop(t);
         pool.crash();
         let alloc = PmAllocator::recover(pool, AllocMode::General);
-        let t = FpTree::recover(alloc, cfg);
+        let t = FpTree::try_recover(alloc, cfg).expect("recovery");
         for k in 0..500u64 {
             let want = if k % 2 == 0 { None } else { Some(k) };
             assert_eq!(t.lookup(k), want, "key {k}");
@@ -941,7 +935,7 @@ mod tests {
         drop(t);
         pool.crash();
         let alloc = PmAllocator::recover(pool, AllocMode::General);
-        let t = FpTree::recover(alloc, cfg);
+        let t = FpTree::try_recover(alloc, cfg).expect("recovery");
         for k in 0..1_500u64 {
             let want = if k % 3 == 0 { None } else { Some(k * 3) };
             assert_eq!(t.lookup(k), want, "key {k}");

@@ -515,14 +515,7 @@ impl LearnedIndex {
         })
     }
 
-    /// Reopen after a crash. Panics on a media error; use
-    /// [`LearnedIndex::try_recover`] to handle poisoned lines.
-    pub fn recover(alloc: Arc<PmAllocator>, cfg: LearnedConfig) -> Arc<LearnedIndex> {
-        Self::try_recover(alloc, cfg)
-            .unwrap_or_else(|e| panic!("learned index recovery failed: {e}"))
-    }
-
-    /// Fallible recovery: probes every reachable block for media errors
+    /// Reopen after a crash: probes every reachable block for media errors
     /// before interpreting it, rebuilds the DRAM mirrors (keys,
     /// segments, delta map) from the published generation, replays
     /// every valid entry of the delta log, garbage-collects
@@ -544,7 +537,7 @@ impl LearnedIndex {
             "config/layout mismatch"
         );
         let desc_off = pool.read_u64(SLOT_DESC * 8);
-        assert!(desc_off != 0, "recover() on an unformatted learned index");
+        assert!(desc_off != 0, "try_recover() on an unformatted index");
         pool.check_readable(desc_off, DESC_BYTES)
             .map_err(|e| e.context("learned descriptor"))?;
         let mut words = [0u64; DESC_WORDS];

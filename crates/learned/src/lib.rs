@@ -243,7 +243,7 @@ mod tests {
         drop(t);
         pool.crash();
         let alloc = PmAllocator::recover(pool, AllocMode::General);
-        let t = LearnedIndex::recover(alloc, cfg);
+        let t = LearnedIndex::try_recover(alloc, cfg).expect("recovery");
         for k in 0..2_000u64 {
             let want = if k % 5 == 0 { None } else { Some(k + 1) };
             assert_eq!(t.lookup(k), want, "key {k}");
@@ -269,7 +269,7 @@ mod tests {
         drop(t);
         pool.crash();
         let alloc = PmAllocator::recover(pool, AllocMode::General);
-        let t = LearnedIndex::recover(alloc, cfg);
+        let t = LearnedIndex::try_recover(alloc, cfg).expect("recovery");
         for k in 0..1_500u64 {
             assert_eq!(t.lookup(k), Some(k), "key {k}");
         }
@@ -330,7 +330,7 @@ mod tests {
         drop(t);
         pool.crash();
         let alloc = PmAllocator::recover(pool, AllocMode::General);
-        let t = LearnedIndex::recover(alloc, cfg);
+        let t = LearnedIndex::try_recover(alloc, cfg).expect("recovery");
         for tid in 0..8u64 {
             for i in 0..1_500u64 {
                 let want = if i % 5 == 0 {
@@ -368,7 +368,7 @@ mod tests {
         drop(t);
         pool.crash();
         let alloc = PmAllocator::recover(pool, AllocMode::General);
-        let t = LearnedIndex::recover(alloc, cfg);
+        let t = LearnedIndex::try_recover(alloc, cfg).expect("recovery");
         for k in 0..10_000u64 {
             assert_eq!(t.lookup(k * 3), Some(k), "key {k}");
         }

@@ -39,16 +39,6 @@ impl Segment {
     }
 }
 
-/// True when every key's predicted rank is within `eps` of its true
-/// rank under `seg` (keys are `keys[seg.base ..]` until the segment
-/// ends). Used by the verify pass and exported for the property tests.
-pub fn segment_respects_eps(seg: &Segment, keys: &[u64], end_rank: u64, eps: u64) -> bool {
-    (seg.base..end_rank).all(|r| {
-        let pred = seg.predict(keys[r as usize]);
-        pred.abs_diff(r) <= eps
-    })
-}
-
 /// Train an ε-bounded PLA over strictly-sorted `keys`. Every key's
 /// predicted rank is guaranteed within ±`eps` of its true rank.
 pub fn build_segments(keys: &[u64], eps: u64) -> Vec<Segment> {

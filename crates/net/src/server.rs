@@ -14,18 +14,19 @@
 //!
 //! Write operations (insert/update/delete) are executed immediately but
 //! their acks are *held back*: the worker executes until every
-//! connection's queue is empty, noting which shard pools the writes
-//! touched, then issues **one fence epoch** per loop iteration —
-//! `PmPool::fence_epoch` on each touched pool, under the
-//! `net_batch_fence` obs site — and only then releases the held acks to
-//! the output buffers. There is no size cap on a batch: output buffers
-//! reach the sockets only in the write phase, which follows the commit,
-//! so a fence issued earlier in the iteration could not deliver any ack
-//! sooner. An acked write therefore always sits behind a completed
-//! fence epoch on its shard's pool, which is what the crash harness
-//! ([`crate::crash::Net`]) proves end to end: arm any persistence
-//! boundary through this path and every acked write survives
-//! `try_recover`.
+//! connection's queue is empty, then issues **one fence epoch** per loop
+//! iteration that executed a write — `PmPool::fence_epoch` once on every
+//! pool the server holds, under the `net_batch_fence` obs site — and
+//! only then releases the held acks to the output buffers. Fencing every
+//! pool needs no guess of which pool a key lives on, which a published
+//! shard migration would make wrong. There is no size cap on a batch:
+//! output buffers reach the sockets only in the write phase, which
+//! follows the commit, so a fence issued earlier in the iteration could
+//! not deliver any ack sooner. An acked write therefore always sits
+//! behind a completed fence epoch on its shard's pool, which is what
+//! the crash harness ([`crate::crash::Net`]) proves end to end: arm
+//! any persistence boundary through this path and every acked write
+//! survives `try_recover`.
 //!
 //! If a crash point trips inside an operation or inside the fence
 //! epoch itself, the worker unwinds via [`CrashPointHit`], the server
@@ -486,7 +487,6 @@ fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>, woken: &UnixStream) 
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut scratch = vec![0u8; 64 << 10];
     let mut pending: Vec<PendingAck> = Vec::new();
-    let mut touched: Vec<bool> = vec![false; sh.pools.len()];
     let mut idle_since: Option<Instant> = None;
 
     'outer: loop {
@@ -562,7 +562,7 @@ fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>, woken: &UnixStream) 
                 };
                 let t0 = Instant::now();
                 // May unwind with `CrashPointHit` when a crash point is
-                // armed on the touched pool.
+                // armed on a pool the op reaches.
                 let result = {
                     let _site = obs::enabled().then(|| obs::site("net_exec"));
                     catch_unwind(AssertUnwindSafe(|| op.apply(&*sh.index, &mut Vec::new())))
@@ -588,7 +588,6 @@ fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>, woken: &UnixStream) 
                     obs::count_op();
                 }
                 if op.is_write() && !sh.pools.is_empty() {
-                    touched[engine::shard_of(op.key(), sh.pools.len())] = true;
                     pending.push(PendingAck { conn: ci, resp });
                 } else {
                     conn.push_response(&resp);
@@ -602,7 +601,7 @@ fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>, woken: &UnixStream) 
         // Group durability: one fence epoch covers every write this
         // iteration executed. Nothing more is queued right now, so
         // waiting longer would only add latency (linger = 0).
-        if !pending.is_empty() && !commit_batch(sh, &mut conns, &mut pending, &mut touched) {
+        if !pending.is_empty() && !commit_batch(sh, &mut conns, &mut pending) {
             continue 'outer;
         }
 
@@ -657,14 +656,15 @@ fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>, woken: &UnixStream) 
         }
         conns.retain(|c| c.is_some());
 
-        // Drain completion: everything read has been executed, acked
-        // and flushed.
+        // Drain completion: every complete frame read has been
+        // executed, acked and flushed. A partial trailing frame is
+        // discarded: nothing more is read, so it can never complete.
         if draining
             && pending.is_empty()
-            && conns.iter().flatten().all(|c| {
-                c.queue.is_empty() && c.out_pending() == 0 && c.inbuf.pending() < 4
-                // ignore a partial trailing frame
-            })
+            && conns
+                .iter()
+                .flatten()
+                .all(|c| c.queue.is_empty() && c.out_pending() == 0 && !c.inbuf.has_frame())
         {
             for c in conns.iter_mut().flatten() {
                 let _ = c.stream.shutdown(std::net::Shutdown::Both);
@@ -694,47 +694,32 @@ fn worker_loop(sh: &Shared, rx: &mpsc::Receiver<TcpStream>, woken: &UnixStream) 
     }
 }
 
-/// Commit one group-durability batch: fence every touched shard pool
-/// once, then release the held write acks. Returns false (after
-/// setting the halt flag) when the fence epoch itself trips a crash
-/// point — the acks are dropped, exactly like a power cut before the
+/// Commit one group-durability batch: fence every pool once, then
+/// release the held write acks. Returns false (after setting the halt
+/// flag) when the fence epoch itself trips a crash point — the acks are dropped, exactly like a power cut before the
 /// fence retired.
-fn commit_batch(
-    sh: &Shared,
-    conns: &mut [Option<Conn>],
-    pending: &mut Vec<PendingAck>,
-    touched: &mut [bool],
-) -> bool {
+fn commit_batch(sh: &Shared, conns: &mut [Option<Conn>], pending: &mut Vec<PendingAck>) -> bool {
     let t0 = Instant::now();
     let fenced = {
         let _site = obs::enabled().then(|| obs::site("net_batch_fence"));
         catch_unwind(AssertUnwindSafe(|| {
-            let mut fences = 0u64;
-            for (i, t) in touched.iter_mut().enumerate() {
-                if *t {
-                    sh.pools[i].fence_epoch();
-                    fences += 1;
-                    *t = false;
-                }
+            for pool in &sh.pools {
+                pool.fence_epoch();
             }
-            fences
         }))
     };
-    let fences = match fenced {
-        Ok(n) => n,
-        Err(payload) => {
-            if payload.downcast_ref::<CrashPointHit>().is_none() {
-                resume_unwind(payload);
-            }
-            sh.signal(|sh| sh.halt.store(true, Ordering::SeqCst));
-            pending.clear();
-            touched.iter_mut().for_each(|t| *t = false);
-            return false;
+    if let Err(payload) = fenced {
+        if payload.downcast_ref::<CrashPointHit>().is_none() {
+            resume_unwind(payload);
         }
-    };
+        sh.signal(|sh| sh.halt.store(true, Ordering::SeqCst));
+        pending.clear();
+        return false;
+    }
     sh.stats
         .fence_ns
         .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    let fences = sh.pools.len() as u64;
     sh.stats.fence_epochs.fetch_add(fences, Ordering::Relaxed);
     sh.stats.batches.fetch_add(1, Ordering::Relaxed);
     sh.stats

@@ -446,6 +446,16 @@ impl FrameBuf {
         self.buf.len() - self.at
     }
 
+    /// Whether the next frame is fully buffered (or its length prefix
+    /// is, and oversized: [`FrameBuf::next_frame`] reports that).
+    pub fn has_frame(&self) -> bool {
+        let avail = self.pending();
+        avail >= 4 && {
+            let len = u32::from_le_bytes(self.buf[self.at..self.at + 4].try_into().unwrap());
+            len as usize > MAX_FRAME || avail >= 4 + len as usize
+        }
+    }
+
     /// Pop the next complete frame payload, if one is fully buffered.
     /// An oversized length prefix is a protocol error (the stream is
     /// unrecoverable past it, so the caller must close the connection).

@@ -74,22 +74,16 @@ impl NvTree {
     /// Reopen after a crash: clear leaf locks, rebuild the routing
     /// snapshot from the leaf chain, and garbage-collect allocated
     /// blocks the chain cannot reach (replaced leaves whose free did
-    /// not persist). Panics on a media error; use
-    /// [`NvTree::try_recover`] to handle poisoned lines gracefully.
-    pub fn recover(alloc: Arc<PmAllocator>, cfg: NvTreeConfig) -> Arc<NvTree> {
-        let _site = obs::site("nvtree_recovery");
-        Self::try_recover(alloc, cfg).unwrap_or_else(|e| panic!("NV-Tree recovery failed: {e}"))
-    }
-
-    /// Fallible recovery: probes the root slots and every leaf in the
-    /// chain for media errors *before* reading it — and before the
-    /// vlock clear writes to it, since partial overwrites can mask the
+    /// not persist). Probes the root slots and every leaf in the chain
+    /// for media errors *before* reading it — and before the vlock
+    /// clear writes to it, since partial overwrites can mask the
     /// poison — so a poisoned line surfaces as a reported
     /// [`MediaError`], never as garbage records.
     pub fn try_recover(
         alloc: Arc<PmAllocator>,
         cfg: NvTreeConfig,
     ) -> Result<Arc<NvTree>, MediaError> {
+        let _site = obs::site("nvtree_recovery");
         let t = NvTree::shell(alloc, cfg);
         let pool = t.alloc.pool().clone();
         pool.check_readable(SLOT_HEAD * 8, 16)
@@ -97,7 +91,7 @@ impl NvTree {
         let persisted = pool.read_u64(SLOT_CFG * 8) as usize;
         assert_eq!(persisted, cfg.leaf_entries, "config/layout mismatch");
         let head = pool.read_u64(SLOT_HEAD * 8);
-        assert!(head != 0, "recover() on an unformatted tree");
+        assert!(head != 0, "try_recover() on an unformatted tree");
         let mut entries: Vec<(Key, u64)> = Vec::new();
         let mut reachable: HashSet<u64> = HashSet::new();
         let mut leaf = head;
@@ -614,7 +608,7 @@ mod tests {
         drop(t);
         pool.crash();
         let alloc = PmAllocator::recover(pool, AllocMode::General);
-        let t = NvTree::recover(alloc, cfg);
+        let t = NvTree::try_recover(alloc, cfg).expect("recovery");
         for k in 0..1_000u64 {
             let want = if k % 3 == 0 { None } else { Some(k) };
             assert_eq!(t.lookup(k), want, "key {k}");
@@ -639,7 +633,7 @@ mod tests {
         drop(t);
         pool.crash();
         let alloc = PmAllocator::recover(pool, AllocMode::General);
-        let t = NvTree::recover(alloc.clone(), cfg);
+        let t = NvTree::try_recover(alloc.clone(), cfg).expect("recovery");
         assert!(
             alloc.live_bytes() < live_with_leaks,
             "GC should reclaim leaked blocks"

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use pmem::{align_up, MediaError, PmPool, ThreadSlots, MEDIA_BLOCK, ROOT_AREA};
 
-use crate::classes::{class_for_size, class_size, CLASS_SIZES, NUM_CLASSES};
+use crate::classes::{class_for_size, class_size, NUM_CLASSES};
 use crate::AllocError;
 
 /// Chunk payload size. Every chunk serves exactly one size class.
@@ -24,9 +24,8 @@ const MAGAZINE_CAP: usize = 64;
 
 const MAGIC: u64 = 0x504D_414C_4C4F_4331; // "PMALLOC1"
 
-/// In-flight op codes (persisted in the slot's third word).
+/// The in-flight op code (persisted in the slot's third word).
 const OP_ALLOC: u64 = 1;
-const OP_FREE: u64 = 2;
 
 /// Allocation strategy, the subject of the E10 ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,23 +230,11 @@ impl PmAllocator {
                 .check_readable(dest, 8)
                 .map_err(|e| e.context("in-flight publication target"))?;
             let dest_val = self.pool.read_u64(dest);
-            match op {
-                OP_ALLOC => {
-                    if dest_val != block {
-                        // Publication did not complete: roll the
-                        // allocation back (idempotent if the bit was
-                        // never set).
-                        self.clear_bit_persist(block);
-                    }
-                }
-                OP_FREE => {
-                    if dest_val == 0 {
-                        // Unlink completed: finish the free.
-                        self.clear_bit_persist(block);
-                    }
-                    // Otherwise the free never took effect; keep the block.
-                }
-                _ => panic!("corrupt in-flight slot op {op}"),
+            assert_eq!(op, OP_ALLOC, "corrupt in-flight slot op");
+            if dest_val != block {
+                // Publication did not complete: roll the allocation
+                // back (idempotent if the bit was never set).
+                self.clear_bit_persist(block);
             }
             self.pool.write_u64(off, 0);
             self.pool.persist(off, 8);
@@ -448,16 +435,6 @@ impl PmAllocator {
         Ok(off)
     }
 
-    /// Allocate `size` bytes zeroed (zeroes are written but not flushed;
-    /// persist them with the rest of your initialization).
-    pub fn alloc_zeroed(&self, size: usize) -> Result<u64, AllocError> {
-        let off = self.alloc(size)?;
-        let class = class_for_size(size).expect("checked by alloc");
-        static ZEROS: [u8; 32768] = [0; 32768];
-        self.pool.write_bytes(off, &ZEROS[..class_size(class)]);
-        Ok(off)
-    }
-
     /// Atomically allocate and publish: on success, the 8-byte word at
     /// `dest` holds the new block's offset, durably. A crash at any
     /// point either completes the publication or frees the block on
@@ -483,27 +460,6 @@ impl PmAllocator {
         self.pool.write_u64(slot, 0);
         self.pool.persist(slot, 8);
         Ok(off)
-    }
-
-    /// Atomically unlink and free the block whose offset is stored at
-    /// `dest`: after recovery, either `dest` still holds the block and
-    /// it remains allocated, or `dest` is zero and the block is free.
-    pub fn free_linked(&self, dest: u64) {
-        let _site = obs::site("pmalloc_free_linked");
-        let stripe = self.stripes.slot();
-        let _guard = self.inflight_locks[stripe].lock();
-        let block = self.pool.read_u64(dest);
-        assert!(block != 0, "free_linked of null link");
-        let slot = Self::inflight_off_static(stripe as u64);
-        self.pool.write_u64(slot + 8, dest);
-        self.pool.write_u64(slot + 16, OP_FREE);
-        self.pool.write_u64(slot, block);
-        self.pool.persist(slot, 24);
-        self.pool.write_u64(dest, 0);
-        self.pool.persist(dest, 8);
-        self.free(block);
-        self.pool.write_u64(slot, 0);
-        self.pool.persist(slot, 8);
     }
 
     /// Return a block to the allocator.
@@ -639,11 +595,6 @@ impl PmAllocator {
     pub fn pool(&self) -> &Arc<PmPool> {
         &self.pool
     }
-
-    /// Largest allocatable size.
-    pub fn max_alloc_size(&self) -> usize {
-        *CLASS_SIZES.last().unwrap()
-    }
 }
 
 #[cfg(test)]
@@ -695,18 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn zeroed_allocation() {
-        let a = fresh(1 << 20, AllocMode::General);
-        let off = a.alloc(128).unwrap();
-        a.pool().write_bytes(off, &[0xAB; 128]);
-        a.free(off);
-        let off2 = a.alloc_zeroed(128).unwrap();
-        let mut buf = [0u8; 128];
-        a.pool().read_bytes(off2, &mut buf);
-        assert!(buf.iter().all(|&b| b == 0));
-    }
-
-    #[test]
     fn recovery_preserves_allocations() {
         let pool = Arc::new(PmPool::new(1 << 20, PmConfig::real()));
         let a = PmAllocator::format(pool.clone(), AllocMode::General);
@@ -738,22 +677,6 @@ mod tests {
         assert_eq!(pool.read_u64(dest), off, "publication must survive crash");
         let live = a2.live_bytes();
         assert_eq!(live, 256);
-    }
-
-    #[test]
-    fn free_linked_is_atomic() {
-        let pool = Arc::new(PmPool::new(1 << 20, PmConfig::real()));
-        let a = PmAllocator::format(pool.clone(), AllocMode::General);
-        let dest = 64;
-        a.alloc_linked(256, dest).unwrap();
-        a.free_linked(dest);
-        assert_eq!(pool.read_u64(dest), 0);
-        assert_eq!(a.live_bytes(), 0);
-        drop(a);
-        pool.crash();
-        let a2 = PmAllocator::recover(pool.clone(), AllocMode::General);
-        assert_eq!(a2.live_bytes(), 0);
-        assert_eq!(pool.read_u64(dest), 0);
     }
 
     #[test]
@@ -868,17 +791,6 @@ mod tests {
         let a2 = PmAllocator::recover(pool.clone(), AllocMode::General);
         assert!(a2.is_allocated(kept));
         assert_eq!(pool.read_u64(64), kept);
-    }
-
-    #[test]
-    fn alloc_zeroed_every_class() {
-        let a = fresh(8 << 20, AllocMode::General);
-        for &size in crate::classes::CLASS_SIZES.iter() {
-            let off = a.alloc_zeroed(size).unwrap();
-            let mut buf = vec![1u8; size.min(512)];
-            a.pool().read_bytes(off, &mut buf);
-            assert!(buf.iter().all(|&b| b == 0), "class {size} not zeroed");
-        }
     }
 
     #[test]

@@ -21,6 +21,15 @@
 //! * While frozen, every later persistence primitive is a no-op and
 //!   eviction chaos is disabled, so destructors and deferred frees that
 //!   run during unwinding cannot retroactively persist anything.
+//! * A trip halts every other thread until
+//!   [`crate::PmPool::disarm_crash`]: any PM access from a thread that
+//!   is not unwinding panics with [`CrashPointHit`] too — the device is
+//!   gone, so no thread can keep executing (and in particular no thread
+//!   can spin forever on a lock word the dead thread left set).
+//!   `disarm_crash` lifts the halt and keeps the frozen image, so the
+//!   harness calls it before dropping front-ends; a power cycle
+//!   ([`crate::PmPool::crash`], [`crate::PmPool::crash_with`],
+//!   [`crate::PmPool::restore_persisted`]) clears both.
 //!
 //! Arming also snapshots a pmemcheck-style **durability audit** at the
 //! moment of the crash: how many dirty (written but unflushed) words
@@ -28,12 +37,18 @@
 //! covering only already-clean lines) had been issued.
 //!
 //! Event counting is exact only when one thread drives the pool, which
-//! is what a deterministic boundary sweep needs. Multi-threaded crash
-//! runs use [`crate::PmPool::set_halt_on_crash`]: once the armed crash
-//! fires, every other thread's next PM access unwinds with
-//! [`CrashPointHit`] too — the device is gone, so no thread can keep
-//! executing (and in particular no thread can spin forever on a lock
-//! word the dead thread left set).
+//! is what a deterministic boundary sweep needs; under concurrent
+//! writers exactly one event still trips, and the halt cuts the rest.
+//!
+//! # The fault word
+//!
+//! The halt, the freeze, the armed countdown, poison and eviction chaos
+//! are one bit each of one word on the pool's gate cache line. Every
+//! load, store, flush and fence reads that word once; only when a bit
+//! that concerns it is set (loads and stores ignore the countdown and
+//! the freeze) does the access take the cold path that applies the
+//! active faults, so the accounting of a healthy pool never waits on
+//! injection bookkeeping.
 //!
 //! # The residual image
 //!

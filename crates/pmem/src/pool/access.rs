@@ -5,6 +5,7 @@ use std::cell::Cell;
 use std::mem::{align_of, size_of, MaybeUninit};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use super::inject::{Access, Pass};
 use super::{PmPool, PmSafe, CACHELINE, MEDIA_BLOCK};
 use crate::off::PmOff;
 
@@ -38,12 +39,12 @@ impl PmPool {
         (self.id << 40) | (block + 1)
     }
 
-    /// Account (and charge latency for) a read of `len` bytes at `off`,
-    /// consulting the modelled per-thread cache for media residency.
+    /// Pass the gate, then account (and charge latency for) a read of
+    /// `len` bytes at `off`, consulting the modelled per-thread cache
+    /// for media residency.
     #[inline]
     fn account_read(&self, off: u64, len: usize) {
-        self.check_halt();
-        self.raise_on_poison(off, len);
+        self.gate(Access::Read, off, len);
         let first = off / MEDIA_BLOCK as u64;
         let end = first + Self::blocks_in(off, len);
         let mut missed = 0u64;
@@ -70,15 +71,13 @@ impl PmPool {
         }
     }
 
-    /// Account a write of `len` bytes (store-buffer level; media traffic
-    /// is accounted at flush time). Populates the modelled cache
-    /// (write-allocate).
+    /// Pass the gate as a `kind` of write, then account a write of
+    /// `len` bytes (store-buffer level; media traffic is accounted at
+    /// flush time). Populates the modelled cache (write-allocate). The
+    /// caller calls [`Pass::stored`] after each word it stores.
     #[inline]
-    pub(super) fn account_write(&self, off: u64, len: usize) {
-        self.check_halt();
-        if self.gates.poison_lines.load(Ordering::Relaxed) != 0 {
-            self.note_poison_overwrite(off, len);
-        }
+    pub(super) fn account_write(&self, kind: Access, off: u64, len: usize) -> Pass<'_> {
+        let pass = self.gate(kind, off, len);
         let first = off / MEDIA_BLOCK as u64;
         BLOCK_CACHE.with(|cache| {
             for b in first..first + Self::blocks_in(off, len) {
@@ -88,6 +87,7 @@ impl PmPool {
         let stamp = self.stats.count_write(len as u64);
         obs::pm_write(off, len);
         self.mark_dirty(off, len, stamp);
+        pass
     }
 
     /// Mark the words covering `[off, off + len)` as written-but-unflushed
@@ -115,25 +115,6 @@ impl PmPool {
         }
     }
 
-    /// Eviction chaos: maybe spontaneously persist the word just written.
-    #[inline]
-    fn maybe_evict(&self, off: u64) {
-        if let Some(seed) = self.cfg.eviction_chaos {
-            if self.gates.crashed.load(Ordering::Relaxed) {
-                return;
-            }
-            let n = self.chaos_ctr.fetch_add(1, Ordering::Relaxed);
-            // SplitMix64-style mix of (seed, off, n).
-            let mut x = seed ^ off.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ n;
-            x ^= x >> 30;
-            x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x ^= x >> 27;
-            if x & 3 == 0 {
-                self.persist_word(off & !7);
-            }
-        }
-    }
-
     /// Load an aligned `u64` (relaxed; pair with your own synchronization).
     #[inline]
     pub fn read_u64(&self, off: u64) -> u64 {
@@ -156,21 +137,20 @@ impl PmPool {
     /// Store an aligned `u64` with an explicit memory ordering.
     #[inline]
     pub fn store_u64(&self, off: u64, v: u64, order: Ordering) {
-        self.account_write(off, 8);
+        let pass = self.account_write(Access::Write, off, 8);
         self.word(off).store(v, order);
-        self.maybe_evict(off);
+        pass.stored(off);
     }
 
     /// Compare-and-exchange on an aligned `u64`.
     #[inline]
     pub fn cas_u64(&self, off: u64, current: u64, new: u64) -> Result<u64, u64> {
-        self.raise_on_poison(off, 8);
-        self.account_write(off, 8);
+        let pass = self.account_write(Access::Rmw, off, 8);
         let r = self
             .word(off)
             .compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire);
         if r.is_ok() {
-            self.maybe_evict(off);
+            pass.stored(off);
         }
         r
     }
@@ -178,10 +158,9 @@ impl PmPool {
     /// The shape the atomic fetch-ops share.
     #[inline]
     fn fetch_op(&self, off: u64, op: impl FnOnce(&AtomicU64) -> u64) -> u64 {
-        self.raise_on_poison(off, 8);
-        self.account_write(off, 8);
+        let pass = self.account_write(Access::Rmw, off, 8);
         let r = op(self.word(off));
-        self.maybe_evict(off);
+        pass.stored(off);
         r
     }
 
@@ -236,7 +215,7 @@ impl PmPool {
         if src.is_empty() {
             return;
         }
-        self.account_write(off, src.len());
+        let pass = self.account_write(Access::Write, off, src.len());
         debug_assert!(
             off as usize + src.len() <= self.len,
             "PM write out of bounds"
@@ -244,19 +223,19 @@ impl PmPool {
         // Bytes up to the first word boundary, whole words, the rest.
         let head = (off.wrapping_neg() % 8).min(src.len() as u64);
         let (head, rest) = src.split_at(head as usize);
-        self.write_within_words(off, head);
+        self.write_within_words(off, head, &pass);
         let mut o = off + head.len() as u64;
         let mut words = rest.chunks_exact(8);
         for chunk in &mut words {
             let w = u64::from_le_bytes(chunk.try_into().expect("chunks of 8"));
             self.cpu[(o / 8) as usize].store(w, Ordering::Relaxed);
-            self.maybe_evict(o);
+            pass.stored(o);
             o += 8;
         }
-        self.write_within_words(o, words.remainder());
+        self.write_within_words(o, words.remainder(), &pass);
     }
 
-    fn write_within_words(&self, off: u64, src: &[u8]) {
+    fn write_within_words(&self, off: u64, src: &[u8], pass: &Pass) {
         for (o, &b) in (off..).zip(src) {
             let (word, shift) = (&self.cpu[(o / 8) as usize], (o % 8) * 8);
             let w = word.load(Ordering::Relaxed);
@@ -264,7 +243,7 @@ impl PmPool {
                 (w & !(0xff << shift)) | ((b as u64) << shift),
                 Ordering::Relaxed,
             );
-            self.maybe_evict(o & !7);
+            pass.stored(o & !7);
         }
     }
 
@@ -293,7 +272,7 @@ impl PmPool {
         let size = size_of::<T>();
         debug_assert_eq!(size % 8, 0);
         debug_assert_eq!(off.raw() % 8, 0);
-        self.account_write(off.raw(), size);
+        let pass = self.account_write(Access::Write, off.raw(), size);
         let src = v as *const T as *const u64;
         let base = (off.raw() / 8) as usize;
         for i in 0..size / 8 {
@@ -302,6 +281,6 @@ impl PmPool {
             let w = unsafe { src.add(i).read_unaligned() };
             self.cpu[base + i].store(w, Ordering::Relaxed);
         }
-        self.maybe_evict(off.raw());
+        pass.stored(off.raw());
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! This module holds the pool itself; its behaviour lives in
 //! [`access`] (loads, stores and their accounting), [`persist`]
-//! (flushes, fences, the dirty bitmap, power cycles), [`inject`] (armed
-//! crashes and residual images) and [`poison`] (media errors).
+//! (flushes, fences, the dirty bitmap, power cycles), [`inject`] (the
+//! fault gate, armed crashes and residual images) and [`poison`] (media
+//! errors).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 
 use crossbeam_utils::CachePadded;
@@ -88,38 +89,30 @@ pub struct PmPool {
     /// loaded before its neighbour's flushed store.
     wb_lock: Box<[AtomicU8]>,
     gates: CachePadded<Gates>,
-    /// Durability audit captured when the injected crash fired.
-    report: Mutex<Option<CrashReport>>,
-    /// Dirty lines (offset + CPU contents) captured at the instant the
-    /// armed crash fired — the residual-image candidate set, snapshotted
-    /// before unwinding code can dirty anything else.
-    residual: Mutex<Option<Vec<ResidualLine>>>,
-    /// One bit per cache line: set when the line is poisoned (reads
-    /// raise the emulated machine-check, [`PoisonedRead`]).
-    poison: Box<[AtomicU64]>,
-    /// Per poisoned line, which of its 8 words have been fully
-    /// rewritten; at 0xFF the line's poison clears (real PM clears
-    /// poison when the whole line is overwritten).
-    poison_fill: Mutex<HashMap<u64, u8>>,
+    /// What the armed crash captured at its trip: the durability audit
+    /// and the residual-image candidates (dirty lines + their CPU
+    /// contents), snapshotted before unwinding code can dirty anything
+    /// else.
+    cut: Mutex<Option<(CrashReport, Vec<ResidualLine>)>>,
+    /// The poisoned cache lines (reads raise the emulated
+    /// machine-check, [`crate::PoisonedRead`]), each with the mask of
+    /// its 8 words fully rewritten since; at 0xFF the line's poison
+    /// clears (real PM clears poison when the whole line is
+    /// overwritten).
+    poison: Mutex<HashMap<u64, u8>>,
 }
 
-/// The words every access checks and only crash/poison injection
-/// writes, on a cache line of their own: the unarmed hot path never
-/// shares a line with anything a running workload modifies.
+/// The fault state every access checks, on a cache line of its own:
+/// only injection writes it, so the unarmed hot path never shares a
+/// line with anything a running workload modifies.
 #[derive(Default)]
 struct Gates {
-    /// Set: any access from a non-panicking thread unwinds (the halt).
-    halted: AtomicBool,
-    /// Set once an injected crash fired; freezes the persisted image
-    /// until the next [`PmPool::crash`].
-    crashed: AtomicBool,
-    /// Multi-threaded crash mode: when the armed crash fires, also set
-    /// `halted` so other threads unwind ([`PmPool::set_halt_on_crash`]).
-    halt_on_crash: AtomicBool,
+    /// The fault word: one bit per active fault (`inject::HALTED`,
+    /// `FROZEN`, `ARMED`, `POISONED`, `CHAOS`). The data path reads
+    /// this word and nothing else; 0 means no fault is active.
+    faults: AtomicU64,
     /// Crash-point injection: events remaining until the trip (0 = off).
-    armed: AtomicU64,
-    /// Number of currently poisoned lines.
-    poison_lines: AtomicU64,
+    countdown: AtomicU64,
 }
 
 impl PmPool {
@@ -129,6 +122,7 @@ impl PmPool {
         let len = crate::align_up(len.max(MEDIA_BLOCK) as u64, MEDIA_BLOCK as u64) as usize;
         let words = len / 8;
         let alloc = |n: usize| -> Box<[AtomicU64]> { (0..n).map(|_| AtomicU64::new(0)).collect() };
+        let chaos = cfg.eviction_chaos.map_or(0, |_| inject::CHAOS);
         Self {
             cpu: alloc(words),
             persisted: alloc(words),
@@ -140,11 +134,12 @@ impl PmPool {
             dirty: alloc(words.div_ceil(64)),
             dirty_seq: alloc(len / CACHELINE),
             wb_lock: (0..len / CACHELINE).map(|_| AtomicU8::new(0)).collect(),
-            gates: CachePadded::new(Gates::default()),
-            report: Mutex::new(None),
-            residual: Mutex::new(None),
-            poison: alloc((len / CACHELINE).div_ceil(64)),
-            poison_fill: Mutex::new(HashMap::new()),
+            gates: CachePadded::new(Gates {
+                faults: AtomicU64::new(chaos),
+                ..Gates::default()
+            }),
+            cut: Mutex::new(None),
+            poison: Mutex::new(HashMap::new()),
         }
     }
 

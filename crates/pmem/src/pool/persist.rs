@@ -4,6 +4,7 @@
 
 use std::sync::atomic::Ordering;
 
+use super::inject::Access;
 use super::{PmPool, CACHELINE, MEDIA_BLOCK};
 use crate::config::PersistenceMode;
 use crate::inject::PersistEventKind;
@@ -41,12 +42,6 @@ impl PmPool {
     /// Cache lines containing at least one dirty word.
     pub fn dirty_line_count(&self) -> u64 {
         self.dirty_lines().count() as u64
-    }
-
-    /// Pool offsets of the first `limit` dirty cache lines, for
-    /// diagnostics in the crash-point explorer.
-    pub fn dirty_line_offsets(&self, limit: usize) -> Vec<u64> {
-        self.dirty_lines().take(limit).collect()
     }
 
     /// Run one write-back of the cache line holding word `w` under the
@@ -117,8 +112,8 @@ impl PmPool {
             let clean = !elided && lines().all(|l| self.line_dirty_bits(l) == 0);
             obs::pm_clwb(off, len, blocks * MEDIA_BLOCK as u64, clean);
         }
-        // `true`: an injected crash fired earlier, persisted image frozen.
-        if self.persistence_event(PersistEventKind::Clwb) || elided {
+        let pass = self.gate(Access::Event(PersistEventKind::Clwb), off, len);
+        if !pass.effective || elided {
             return;
         }
         // Durability audit: a write-back whose lines were all already
@@ -146,12 +141,11 @@ impl PmPool {
         let real = self.cfg.persistence == PersistenceMode::Real;
         let media_bytes = MEDIA_BLOCK as u64 * real as u64;
         obs::pm_ntstore(off, media_bytes);
-        // Trip before the store: at a power cut the instruction never
-        // retired, so neither image sees the value.
-        let frozen = self.persistence_event(PersistEventKind::Ntstore);
-        self.account_write(off, 8);
+        // The event comes before the store: at a power cut the
+        // instruction never retired, so neither image sees the value.
+        let pass = self.account_write(Access::Event(PersistEventKind::Ntstore), off, 8);
         self.word(off).store(v, Ordering::Relaxed);
-        if real && !frozen {
+        if real && pass.effective {
             self.persist_word(off);
             self.stats.count(stats::MEDIA_WRITE_BYTES, media_bytes);
             self.cfg.latency.charge_write(1, true);
@@ -165,7 +159,7 @@ impl PmPool {
     pub fn sfence(&self) {
         self.stats.count(stats::FENCE, 1);
         obs::pm_fence();
-        self.persistence_event(PersistEventKind::Sfence);
+        self.gate(Access::Event(PersistEventKind::Sfence), 0, 0);
         std::sync::atomic::fence(Ordering::SeqCst);
     }
 

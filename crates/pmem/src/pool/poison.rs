@@ -1,17 +1,19 @@
 //! Media errors: poisoned cache lines that raise on read until they
 //! are fully rewritten or scrubbed.
 
-use std::sync::atomic::Ordering;
+use std::collections::HashMap;
 
+use super::inject::POISONED;
 use super::{PmPool, CACHELINE};
 use crate::inject::{splitmix64, MediaError, PoisonedRead};
 use crate::lock;
 
 impl PmPool {
-    #[inline]
-    fn line_poisoned(&self, line_off: u64) -> bool {
-        let l = line_off / CACHELINE as u64;
-        self.poison[(l / 64) as usize].load(Ordering::Relaxed) & (1u64 << (l % 64)) != 0
+    /// Keep the fault word's poison bit equal to "some line is
+    /// poisoned"; called with the poison map locked.
+    fn sync_poison_bit(&self, lines: &HashMap<u64, u8>) {
+        let bit = if lines.is_empty() { 0 } else { POISONED };
+        self.set_faults(bit, POISONED);
     }
 
     /// Poison the cache line containing `off`: the media can no longer
@@ -30,29 +32,23 @@ impl PmPool {
             (line as usize) + CACHELINE <= self.len,
             "poison out of bounds"
         );
-        let l = line / CACHELINE as u64;
-        let prev = self.poison[(l / 64) as usize].fetch_or(1u64 << (l % 64), Ordering::Relaxed);
-        if prev & (1u64 << (l % 64)) == 0 {
-            self.gates.poison_lines.fetch_add(1, Ordering::Relaxed);
-        }
-        lock(&self.poison_fill).remove(&line);
+        let mut lines = lock(&self.poison);
+        lines.insert(line, 0);
+        self.sync_poison_bit(&lines);
         let junk = |j| splitmix64(0xBAD0_BAD0_0000_0000 ^ line ^ j as u64);
         self.set_line(line, std::array::from_fn(junk));
     }
 
     /// Currently poisoned cache lines.
     pub fn poisoned_line_count(&self) -> u64 {
-        self.gates.poison_lines.load(Ordering::Relaxed)
+        lock(&self.poison).len() as u64
     }
 
     /// Clear all poison without touching data (testing/reset helper).
     pub fn clear_all_poison(&self) {
-        if self.gates.poison_lines.swap(0, Ordering::Relaxed) != 0 {
-            for a in self.poison.iter() {
-                a.store(0, Ordering::Relaxed);
-            }
-        }
-        lock(&self.poison_fill).clear();
+        let mut lines = lock(&self.poison);
+        lines.clear();
+        self.sync_poison_bit(&lines);
     }
 
     /// Probe whether `[off, off + len)` is readable without raising the
@@ -60,37 +56,29 @@ impl PmPool {
     /// interpreting any structure so a media error becomes a graceful
     /// [`MediaError`] ("rebuild or report") instead of consumed garbage.
     pub fn check_readable(&self, off: u64, len: usize) -> Result<(), MediaError> {
-        if self.gates.poison_lines.load(Ordering::Relaxed) == 0 || len == 0 {
-            return Ok(());
-        }
-        self.poisoned_lines(off, len).next().map_or(Ok(()), |off| {
+        self.first_poisoned(off, len).map_or(Ok(()), |off| {
             let context = "pm range";
             Err(MediaError { off, context })
         })
     }
 
-    /// The poisoned cache lines touched by `[off, off + len)`, `len > 0`.
-    fn poisoned_lines(&self, off: u64, len: usize) -> impl Iterator<Item = u64> + '_ {
+    /// The first poisoned cache line touched by `[off, off + len)`.
+    fn first_poisoned(&self, off: u64, len: usize) -> Option<u64> {
+        if self.faults() & POISONED == 0 || len == 0 {
+            return None;
+        }
         let end = (off + len as u64).min(self.len as u64);
+        let lines = lock(&self.poison);
         (off & !(CACHELINE as u64 - 1)..end)
             .step_by(CACHELINE)
-            .filter(|&line| self.line_poisoned(line))
+            .find(|l| lines.contains_key(l))
     }
 
     /// Raise the emulated machine-check if `[off, off + len)` touches a
-    /// poisoned line. Atomic RMWs call it too: they consume the old
-    /// value, so they are reads for poison purposes though they account
-    /// as writes.
-    #[inline]
+    /// poisoned line.
     pub(super) fn raise_on_poison(&self, off: u64, len: usize) {
-        #[cold]
-        fn walk(pool: &PmPool, off: u64, len: usize) {
-            if let Some(off) = pool.poisoned_lines(off, len).next() {
-                std::panic::panic_any(PoisonedRead { off });
-            }
-        }
-        if self.gates.poison_lines.load(Ordering::Relaxed) != 0 {
-            walk(self, off, len);
+        if let Some(off) = self.first_poisoned(off, len) {
+            std::panic::panic_any(PoisonedRead { off });
         }
     }
 
@@ -98,34 +86,24 @@ impl PmPool {
     /// words of a line have been fully rewritten its poison clears.
     /// Only words *fully covered* by the write count — a partial-word
     /// write merges with unreadable bytes and cannot clear anything.
-    #[cold]
     pub(super) fn note_poison_overwrite(&self, off: u64, len: usize) {
         let first = off.div_ceil(8);
         let last_excl = (off + len as u64) / 8;
         if first >= last_excl {
             return;
         }
-        let mut fill = lock(&self.poison_fill);
+        let mut lines = lock(&self.poison);
         for w in first..last_excl {
             let line = (w * 8) & !(CACHELINE as u64 - 1);
-            if !self.line_poisoned(line) {
+            let Some(filled) = lines.get_mut(&line) else {
                 continue;
-            }
-            let entry = fill.entry(line).or_insert(0u8);
-            *entry |= 1 << ((w * 8 - line) / 8);
-            if *entry == 0xFF {
-                fill.remove(&line);
-                self.clear_poison_bit(line);
+            };
+            *filled |= 1 << ((w * 8 - line) / 8);
+            if *filled == 0xFF {
+                lines.remove(&line);
             }
         }
-    }
-
-    fn clear_poison_bit(&self, line: u64) {
-        let l = line / CACHELINE as u64;
-        let prev = self.poison[(l / 64) as usize].fetch_and(!(1u64 << (l % 64)), Ordering::Relaxed);
-        if prev & (1u64 << (l % 64)) != 0 {
-            self.gates.poison_lines.fetch_sub(1, Ordering::Relaxed);
-        }
+        self.sync_poison_bit(&lines);
     }
 
     /// Scrub the lines covering `[off, off + len)`: zero-fill any
@@ -134,13 +112,11 @@ impl PmPool {
     /// re-initializes a block before handing it out — the old contents
     /// are gone, but the media is usable again.
     pub fn scrub_poison(&self, off: u64, len: usize) {
-        if self.gates.poison_lines.load(Ordering::Relaxed) == 0 || len == 0 {
-            return;
-        }
-        for line in self.poisoned_lines(off, len) {
+        while let Some(line) = self.first_poisoned(off, len) {
             self.set_line(line, [0; 8]);
-            lock(&self.poison_fill).remove(&line);
-            self.clear_poison_bit(line);
+            let mut lines = lock(&self.poison);
+            lines.remove(&line);
+            self.sync_poison_bit(&lines);
         }
     }
 }

@@ -250,7 +250,6 @@ fn dirty_tracking_counts_unflushed_words() {
     p.write_u64(ROOT_AREA + 128, 3); // different line
     assert_eq!(p.dirty_word_count(), 3);
     assert_eq!(p.dirty_line_count(), 2);
-    assert_eq!(p.dirty_line_offsets(8), vec![ROOT_AREA, ROOT_AREA + 128]);
     p.persist(ROOT_AREA, 8); // flushes the whole first line
     assert_eq!(p.dirty_word_count(), 1);
     assert_eq!(p.dirty_line_count(), 1);
@@ -308,7 +307,8 @@ fn armed_crash_fires_at_exact_event_and_freezes_pool() {
     // persisted its line but the fence (event 5) was the trip; the
     // second iteration's ntstore never ran.
     assert_eq!(report.dirty_words, 0, "clwb already cleaned the line");
-    // While frozen, persistence is suppressed.
+    // Lift the halt; while frozen, persistence is suppressed.
+    p.disarm_crash();
     p.write_u64(ROOT_AREA + 1024, 7);
     p.persist(ROOT_AREA + 1024, 8);
     p.ntstore_u64(ROOT_AREA + 1032, 8);
@@ -370,6 +370,7 @@ fn chaos_eviction_is_disabled_while_frozen() {
     p.arm_crash_after(1);
     let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.sfence()));
     assert!(p.crash_fired());
+    p.disarm_crash();
     // A storm of unflushed writes while frozen: none may persist.
     for i in 0..1000u64 {
         p.write_u64(ROOT_AREA + i * 8, i + 1);
@@ -478,6 +479,7 @@ fn residual_candidates_are_frozen_at_the_trip_instant() {
     p.arm_crash_after(1);
     let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.sfence()));
     assert!(p.crash_fired());
+    p.disarm_crash();
     // Post-trip stores (e.g. from unwinding destructors) must not
     // enter the candidate set: they never happened.
     p.write_u64(ROOT_AREA + 512, 99);
@@ -567,12 +569,11 @@ fn scrub_poison_zero_fills_and_clears() {
 }
 
 #[test]
-fn halt_on_crash_unwinds_later_accesses() {
+fn a_trip_halts_every_access_until_disarm() {
     let p = pool(8192);
-    p.set_halt_on_crash(true);
+    p.write_u64(ROOT_AREA, 1); // dirty at trip time
     p.arm_crash_after(1);
     let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.sfence()));
-    assert!(p.is_halted());
     // Any PM access from a non-panicking thread now unwinds: the
     // device is gone.
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.read_u64(ROOT_AREA)));
@@ -586,9 +587,43 @@ fn halt_on_crash_unwinds_later_accesses() {
     assert!(r.is_err());
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.sfence()));
     assert!(r.is_err());
-    // The harness lifts the halt before dropping front-ends.
-    p.set_halt_on_crash(false);
-    assert!(!p.is_halted());
+    // The harness lifts the halt before dropping front-ends; the image
+    // stays frozen and the cut stays captured.
+    p.disarm_crash();
+    assert!(p.crash_fired());
+    assert_eq!(p.read_u64(ROOT_AREA), 1);
+    p.write_u64(ROOT_AREA + 64, 2);
+    p.persist(ROOT_AREA + 64, 8);
+    assert_eq!(p.residual_candidates().len(), 1);
+    assert_eq!(p.crash_report().unwrap().dirty_lines, 1);
     p.crash();
+    assert!(!p.crash_fired(), "crash() clears the freeze");
     assert_eq!(p.read_u64(ROOT_AREA), 0);
+    assert_eq!(
+        p.read_u64(ROOT_AREA + 64),
+        0,
+        "frozen persist was suppressed"
+    );
+}
+
+#[test]
+fn unwinding_threads_pass_the_halt() {
+    let p = pool(8192);
+    p.arm_crash_after(1);
+    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.sfence()));
+    // A destructor that stores to PM while its thread unwinds must not
+    // double-panic (which would abort the process).
+    struct StoreOnDrop<'a>(&'a PmPool);
+    impl Drop for StoreOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.write_u64(ROOT_AREA, 7);
+        }
+    }
+    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _guard = StoreOnDrop(&p);
+        p.read_u64(ROOT_AREA)
+    }));
+    assert!(r.is_err(), "the halted read unwinds");
+    p.disarm_crash();
+    assert_eq!(p.read_u64(ROOT_AREA), 7, "the unwinding store landed");
 }

@@ -260,22 +260,16 @@ impl WbTree {
 
     /// Reopen after a crash: repair half-finished splits (overlapping
     /// leaves), rebuild invalid slot arrays, garbage-collect
-    /// unreachable nodes, and bulk-load fresh inner nodes. Panics on a
-    /// media error; use [`WbTree::try_recover`] to handle poisoned
-    /// lines gracefully.
-    pub fn recover(alloc: Arc<PmAllocator>, cfg: WbTreeConfig) -> Arc<WbTree> {
-        let _site = obs::site("wbtree_recovery");
-        Self::try_recover(alloc, cfg).unwrap_or_else(|e| panic!("wB+Tree recovery failed: {e}"))
-    }
-
-    /// Fallible recovery: probes the root slots and every node in the
-    /// leaf chain for media errors *before* interpreting (or mutating)
-    /// them, so a poisoned line surfaces as a reported [`MediaError`] —
-    /// never as garbage records.
+    /// unreachable nodes, and bulk-load fresh inner nodes. Probes the
+    /// root slots and every node in the leaf chain for media errors
+    /// *before* interpreting (or mutating) them, so a poisoned line
+    /// surfaces as a reported [`MediaError`] — never as garbage
+    /// records.
     pub fn try_recover(
         alloc: Arc<PmAllocator>,
         cfg: WbTreeConfig,
     ) -> Result<Arc<WbTree>, MediaError> {
+        let _site = obs::site("wbtree_recovery");
         let layout = WbLayout::with_slots(cfg.node_entries, cfg.use_slot_array);
         let pool = alloc.pool().clone();
         pool.check_readable(SLOT_ROOT * 8, 24)
@@ -286,7 +280,7 @@ impl WbTree {
             "config/layout mismatch"
         );
         let head = pool.read_u64(SLOT_HEAD * 8);
-        assert!(head != 0, "recover() on an unformatted tree");
+        assert!(head != 0, "try_recover() on an unformatted tree");
         let mut core = Core {
             alloc,
             layout,
@@ -479,7 +473,7 @@ mod tests {
         drop(t);
         pool.crash();
         let alloc = PmAllocator::recover(pool, AllocMode::General);
-        let t = WbTree::recover(alloc, cfg);
+        let t = WbTree::try_recover(alloc, cfg).expect("recovery");
         for k in 0..2_000u64 {
             let want = if k % 5 == 0 { None } else { Some(k + 1) };
             assert_eq!(t.lookup(k), want, "key {k}");
@@ -505,7 +499,7 @@ mod tests {
         drop(t);
         pool.crash();
         let alloc = PmAllocator::recover(pool, AllocMode::General);
-        let t = WbTree::recover(alloc, cfg);
+        let t = WbTree::try_recover(alloc, cfg).expect("recovery");
         for k in 0..1_500u64 {
             assert_eq!(t.lookup(k), Some(k), "key {k}");
         }
@@ -529,7 +523,7 @@ mod tests {
         drop(t);
         pool.crash();
         let alloc = PmAllocator::recover(pool, AllocMode::General);
-        let t = WbTree::recover(alloc, cfg);
+        let t = WbTree::try_recover(alloc, cfg).expect("recovery");
         for k in 0..1_000u64 {
             let want = if k % 2 == 0 { None } else { Some(2) };
             assert_eq!(t.lookup(k), want, "key {k}");
@@ -589,7 +583,7 @@ mod tests {
         drop(t);
         pool.crash();
         let alloc = PmAllocator::recover(pool, AllocMode::General);
-        let t = WbTree::recover(alloc, cfg);
+        let t = WbTree::try_recover(alloc, cfg).expect("recovery");
         for k in 0..1_200u64 {
             assert_eq!(t.lookup(k), Some(k + 5), "key {k}");
         }

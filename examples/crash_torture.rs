@@ -85,9 +85,10 @@ fn torture(kind: &str, round_seed: u64) {
     // enough that the crash reliably fires inside the stream.
     pool.arm_crash_after(1 + (seed.rotate_left(17) % (n_ops * 2)));
     let mut acked = Acked::default();
-    if apply_until_cut(&*idx, &ops, &mut acked) {
-        pool.disarm_crash();
-    }
+    apply_until_cut(&*idx, &ops, &mut acked);
+    // Lift the halt of a trip (keeping its frozen image) or cancel an
+    // unreached countdown.
+    pool.disarm_crash();
     let idx = cut_and_verify(kind, idx, &pool, seed ^ 0x7061_7274_6961_6c31, &acked);
 
     // The in-flight op may have landed either way; sync the model with

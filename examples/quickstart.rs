@@ -47,9 +47,9 @@ fn main() {
 
     // 5. Recovery: the allocator replays its redo slots; FPTree replays
     //    its split micro-log and rebuilds inner nodes from the leaf
-    //    chain.
+    //    chain (a poisoned line would come back as a `MediaError`).
     let alloc = PmAllocator::recover(pool, AllocMode::General);
-    let tree = FpTree::recover(alloc, FpTreeConfig::default());
+    let tree = FpTree::try_recover(alloc, FpTreeConfig::default()).expect("no media error");
 
     assert_eq!(tree.lookup(42), Some(999), "update survived the crash");
     assert_eq!(tree.lookup(7), None, "delete survived the crash");

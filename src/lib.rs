@@ -46,7 +46,7 @@
 //!
 //! // ...and recovery brings the acknowledged state back.
 //! let alloc = PmAllocator::recover(pool, AllocMode::General);
-//! let tree = FpTree::recover(alloc, FpTreeConfig::default());
+//! let tree = FpTree::try_recover(alloc, FpTreeConfig::default()).expect("no media error");
 //! assert_eq!(tree.lookup(7), Some(70));
 //! ```
 

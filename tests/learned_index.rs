@@ -79,7 +79,7 @@ fn double_recovery_is_idempotent() {
     pool.crash();
 
     let alloc = PmAllocator::recover(pool.clone(), AllocMode::General);
-    let t1 = LearnedIndex::recover(alloc, cfg);
+    let t1 = LearnedIndex::try_recover(alloc, cfg).expect("recovery");
     let mut out1 = Vec::new();
     t1.scan(0, 2_000, &mut out1);
     drop(t1);
@@ -87,7 +87,7 @@ fn double_recovery_is_idempotent() {
     // The first restart is itself cut down before serving anything.
     pool.crash();
     let alloc = PmAllocator::recover(pool.clone(), AllocMode::General);
-    let t2 = LearnedIndex::recover(alloc, cfg);
+    let t2 = LearnedIndex::try_recover(alloc, cfg).expect("recovery");
     let mut out2 = Vec::new();
     t2.scan(0, 2_000, &mut out2);
     assert_eq!(out1, out2, "second recovery saw different state");

@@ -87,3 +87,23 @@ fn a_pm_backed_burst_is_acked_one_fence_epoch_per_window() {
         assert_eq!(env.index.lookup(k), Some(k + 100));
     }
 }
+
+/// A committed batch fences every pool the server holds, once each,
+/// wherever its writes landed: which pool a key lives on is the
+/// engine's routing, which a published migration changes.
+#[test]
+fn a_committed_batch_fences_every_pool_once() {
+    let env = build_sharded("dram", 3, 0, PmConfig::real());
+    let pools: Vec<Arc<PmPool>> = (0..3)
+        .map(|_| Arc::new(PmPool::new(1 << 20, PmConfig::real())))
+        .collect();
+    let server = three_windows_in_one_write(env.index.clone(), pools.clone(), 8);
+    // Every key the burst wrote lies in the first of three equal ranges.
+    assert!((0..24).all(|k| pm_index_bench::engine::shard_of(k, 3) == 0));
+    server.handle().drain();
+    let batches = server.join().stats.batches.load(Ordering::Relaxed);
+    assert!(batches > 0);
+    for (i, pool) in pools.iter().enumerate() {
+        assert_eq!(pool.stats().fence, batches, "pool {i}");
+    }
+}

@@ -231,3 +231,79 @@ fn a_peer_that_vanishes_with_replies_unsent_is_dropped() {
         std::thread::sleep(Duration::from_millis(1));
     }
 }
+
+#[test]
+fn drain_discards_a_partial_trailing_frame() {
+    let server = server(10);
+    // One lookup, then a length prefix and two payload bytes of a
+    // second: a frame that can never complete once the worker stops
+    // reading. Both go out in one write, so the lookup's reply proves
+    // the worker has read the partial frame too.
+    let mut out = Vec::new();
+    for req_id in [1, 2] {
+        let op = ReqOp::Lookup(3);
+        Request { req_id, op }.encode_into(&mut out);
+    }
+    out.truncate(out.len() / 2 + 6);
+    let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
+    sock.write_all(&out).expect("send");
+    sock.set_read_timeout(Some(ANSWER_BY)).expect("timeout");
+    let (mut inbuf, mut scratch) = (FrameBuf::new(), [0u8; 256]);
+    let reply = loop {
+        if let Some(frame) = inbuf.next_frame().expect("framing") {
+            break Response::decode(frame).expect("reply");
+        }
+        let n = sock.read(&mut scratch).expect("no reply");
+        assert!(n > 0, "server closed before replying");
+        inbuf.push(&scratch[..n]);
+    };
+    assert_eq!((reply.req_id, reply.value), (1, Some(4)));
+    server.handle().drain();
+    let report = within(Duration::from_secs(1), "join after drain", move || {
+        server.join()
+    });
+    assert!(!report.halted);
+}
+
+#[test]
+fn drain_answers_complete_frames_buffered_behind_a_full_window() {
+    let index = Arc::new(DramTree::new());
+    for k in 0..100 {
+        assert!(index.insert(k, k + 1));
+    }
+    let cfg = ServerConfig {
+        workers: 1,
+        window: 4,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(index, Vec::new(), cfg).expect("bind");
+    let mut conn = connect(&server);
+    // Three windows in one write: two of them wait in the worker's
+    // input buffer until the window has room.
+    let ids: Vec<u64> = (0..12).map(|k| conn.send(ReqOp::Lookup(k))).collect();
+    let deadline = Instant::now() + ANSWER_BY;
+    let mut replies = Vec::new();
+    while replies.is_empty() {
+        assert!(Instant::now() < deadline, "no answer");
+        replies.extend(conn.pump().expect("client io"));
+    }
+    server.handle().drain();
+    let report = within(Duration::from_secs(1), "join after drain", move || {
+        server.join()
+    });
+    assert!(!report.halted);
+    while !conn.server_closed {
+        assert!(
+            Instant::now() < deadline,
+            "the drained server kept the socket"
+        );
+        replies.extend(conn.pump().expect("client io"));
+    }
+    let got: Vec<(u64, Option<u64>)> = replies.iter().map(|r| (r.req_id, r.value)).collect();
+    let want: Vec<(u64, Option<u64>)> = ids
+        .iter()
+        .zip(0..)
+        .map(|(&id, k)| (id, Some(k + 1)))
+        .collect();
+    assert_eq!(got, want);
+}
