@@ -99,8 +99,7 @@ fn main() {
     let cfg = BenchConfig {
         threads,
         records,
-        ops_per_thread: Some((ops / threads as u64).max(1)),
-        duration: None,
+        ops_per_thread: (ops / threads as u64).max(1),
         mix: mix.unwrap_or(OpMix::pure(OpKind::Lookup)),
         distribution: dist.unwrap_or(Distribution::Uniform),
         scan_len: f.int("--scan-len").unwrap_or(100) as usize,

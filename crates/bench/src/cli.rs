@@ -72,8 +72,7 @@ impl ExpCtx {
         BenchConfig {
             threads,
             records: self.records,
-            ops_per_thread: Some((self.ops_per_point / threads as u64).max(1)),
-            duration: None,
+            ops_per_thread: (self.ops_per_point / threads as u64).max(1),
             mix,
             distribution: dist,
             scan_len: 100,
@@ -124,7 +123,7 @@ mod tests {
             OpMix::pure(pibench::OpKind::Lookup),
             Distribution::Uniform,
         );
-        assert_eq!(cfg.ops_per_thread, Some(2_500));
+        assert_eq!(cfg.ops_per_thread, 2_500);
         assert_eq!(cfg.threads, 4);
     }
 }

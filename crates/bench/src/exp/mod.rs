@@ -118,7 +118,7 @@ mod tests {
         assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
         // One thread: twenty experiments build BzTree some 25 times, and
         // two threads prefilling a small BzTree livelock about once in a
-        // few thousand builds (ROADMAP item 1(c)); the smoke tests below keep
+        // few thousand builds (ROADMAP item 1(a)); the smoke tests below keep
         // the two-thread paths covered.
         let ctx = ExpCtx {
             records: 1_500,

@@ -49,18 +49,13 @@ impl From<BuiltEnv> for Built {
 /// or `dram`) sized for `records`, on one pool with the given device
 /// config and the PMDK-like general allocator.
 pub fn build(kind: &str, records: u64, pm: PmConfig) -> Built {
-    build_as(kind, Shape::Default, AllocMode::General, records, pm)
+    shard(kind, Shape::Default, AllocMode::General, records, 1, pm).into()
 }
 
-/// Like [`build`], in an explicit shape (E12's node sizes) and
-/// allocation mode (E10's ablation).
-pub fn build_as(kind: &str, shape: Shape, mode: AllocMode, records: u64, pm: PmConfig) -> Built {
-    shard(kind, shape, mode, records, 1, pm).into()
-}
-
-/// One fresh shard of `kind` on its own pool, sized like one shard of a
-/// `shards`-way build over `records`: the whole of a flat index
-/// (`shards == 1`), or a part of a range-partitioned build or the
+/// One fresh shard of `kind` in an explicit shape (E12's node sizes)
+/// and allocation mode (E10's ablation) on its own pool, sized like one
+/// shard of a `shards`-way build over `records`: the whole of a flat
+/// index (`shards == 1`), or a part of a range-partitioned build or the
 /// destination of an online split ([`engine::Migrator`]).
 pub fn shard(
     kind: &str,
@@ -71,7 +66,7 @@ pub fn shard(
     pm: PmConfig,
 ) -> Shard {
     let bytes = pool_bytes_for_shard(records, shards);
-    net::build::shard(kind, shape, mode, bytes, pm)
+    crashpoint::fresh_shard(kind, shape, mode, bytes, pm)
 }
 
 /// Reopen a crashed pool as default-config `kind`, timing the full

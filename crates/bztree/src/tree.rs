@@ -742,7 +742,7 @@ mod tests {
         }
         drop(t);
         pool.crash();
-        let alloc = PmAllocator::recover(pool, AllocMode::General);
+        let alloc = PmAllocator::try_recover(pool).expect("allocator recovery");
         let t = BzTree::try_recover(alloc, cfg).expect("recovery");
         for k in 0..2_000u64 {
             let want = if k % 4 == 0 { None } else { Some(k + 9) };
@@ -770,7 +770,7 @@ mod tests {
         let before = alloc.live_bytes();
         drop(t);
         pool.crash();
-        let alloc = PmAllocator::recover(pool, AllocMode::General);
+        let alloc = PmAllocator::try_recover(pool).expect("allocator recovery");
         let t = BzTree::try_recover(alloc.clone(), cfg).expect("recovery");
         assert!(alloc.live_bytes() < before, "GC should reclaim leaks");
         for k in 0..1_000u64 {

@@ -1,6 +1,6 @@
 //! The multi-threaded benchmark runner: prefill + measured phase.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -25,10 +25,8 @@ pub struct BenchConfig {
     pub threads: usize,
     /// Records to prefill before measuring.
     pub records: u64,
-    /// Measured phase length: fixed op count per thread, …
-    pub ops_per_thread: Option<u64>,
-    /// …or a wall-clock duration (exactly one must be set).
-    pub duration: Option<Duration>,
+    /// Measured phase length: operations per thread.
+    pub ops_per_thread: u64,
     /// Operation mix.
     pub mix: OpMix,
     /// Access distribution for existing-key operations.
@@ -46,8 +44,7 @@ impl Default for BenchConfig {
         BenchConfig {
             threads: 1,
             records: 100_000,
-            ops_per_thread: Some(100_000),
-            duration: None,
+            ops_per_thread: 100_000,
             mix: OpMix::pure(crate::OpKind::Lookup),
             distribution: Distribution::Uniform,
             scan_len: 100,
@@ -144,12 +141,7 @@ pub fn run(
     cfg: &BenchConfig,
 ) -> RunResult {
     cfg.mix.validate();
-    assert!(
-        cfg.ops_per_thread.is_some() ^ cfg.duration.is_some(),
-        "exactly one of ops_per_thread / duration must be set"
-    );
     let sampler = cfg.distribution.sampler(keyspace.prefilled());
-    let stop = AtomicBool::new(false);
     let misses = AtomicU64::new(0);
     let sample_mask = (1u64 << LATENCY_SAMPLE_SHIFT) - 1;
 
@@ -167,12 +159,10 @@ pub fn run(
         let mut handles = Vec::with_capacity(cfg.threads);
         for t in 0..cfg.threads {
             let index = &index;
-            let stop = &stop;
             let misses = &misses;
             let stream = OpStream::new(cfg.mix, sampler, keyspace, cfg.scan_len)
                 .with_negative_lookups(cfg.negative_lookups);
             let seed = cfg.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let budget = cfg.ops_per_thread;
             handles.push(s.spawn(move || {
                 let mut rng = SmallRng::seed_from_u64(seed);
                 let mut out = ThreadOut {
@@ -181,15 +171,7 @@ pub fn run(
                 };
                 let mut scan_buf: Vec<(u64, u64)> = Vec::with_capacity(256);
                 let mut local_misses = 0u64;
-                let mut seq = 0u64;
-                loop {
-                    if let Some(b) = budget {
-                        if seq >= b {
-                            break;
-                        }
-                    } else if seq & 0xFF == 0 && stop.load(Ordering::Relaxed) {
-                        break;
-                    }
+                for seq in 0..cfg.ops_per_thread {
                     let op = stream.next_op(&mut rng);
                     let kind = op.kind() as usize;
                     let sampled = seq & sample_mask == 0;
@@ -208,15 +190,10 @@ pub fn run(
                     if let Outcome::Rows(rows) = outcome {
                         scan_buf = rows;
                     }
-                    seq += 1;
                 }
                 misses.fetch_add(local_misses, Ordering::Relaxed);
                 out
             }));
-        }
-        if let Some(d) = cfg.duration {
-            std::thread::sleep(d);
-            stop.store(true, Ordering::Relaxed);
         }
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
@@ -255,7 +232,7 @@ mod tests {
         let cfg = BenchConfig {
             threads: 4,
             records: 10_000,
-            ops_per_thread: Some(5_000),
+            ops_per_thread: 5_000,
             mix: OpMix::pure(OpKind::Lookup),
             ..Default::default()
         };
@@ -275,32 +252,13 @@ mod tests {
         let cfg = BenchConfig {
             threads: 4,
             records: 1_000,
-            ops_per_thread: Some(2_000),
+            ops_per_thread: 2_000,
             mix: OpMix::pure(OpKind::Insert),
             ..Default::default()
         };
         let r = run(&idx, &ks, &[], &cfg);
         assert_eq!(r.misses, 0, "insert keys must be fresh");
         assert_eq!(idx.len(), 1_000 + 8_000);
-    }
-
-    #[test]
-    fn duration_mode_stops() {
-        let idx = MapIndex::new();
-        let ks = KeySpace::new(100);
-        prefill(&idx, &ks, 1);
-        let cfg = BenchConfig {
-            threads: 2,
-            records: 100,
-            ops_per_thread: None,
-            duration: Some(Duration::from_millis(100)),
-            mix: OpMix::pure(OpKind::Lookup),
-            ..Default::default()
-        };
-        let t0 = Instant::now();
-        let r = run(&idx, &ks, &[], &cfg);
-        assert!(t0.elapsed() < Duration::from_secs(5));
-        assert!(r.total_ops() > 0);
     }
 
     #[test]
@@ -311,7 +269,7 @@ mod tests {
         let cfg = BenchConfig {
             threads: 2,
             records: 5_000,
-            ops_per_thread: Some(10_000),
+            ops_per_thread: 10_000,
             mix: OpMix::read_insert(90),
             ..Default::default()
         };
@@ -323,18 +281,5 @@ mod tests {
             (0.85..=0.95).contains(&(lookups as f64 / 20_000.0)),
             "lookup share {lookups}"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "exactly one")]
-    fn config_must_choose_one_phase_length() {
-        let idx = MapIndex::new();
-        let ks = KeySpace::new(10);
-        let cfg = BenchConfig {
-            ops_per_thread: None,
-            duration: None,
-            ..Default::default()
-        };
-        run(&idx, &ks, &[], &cfg);
     }
 }

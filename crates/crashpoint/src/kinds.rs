@@ -1,14 +1,20 @@
-//! The one table from index-kind name to a way of creating and
-//! recovering that index, read by every tool above the library stack:
-//! the crash scenarios here, `net::build` (and through it `pmserve`, the
+//! The one owner of index construction and recovery by name: a table
+//! from index-kind name to a way of creating and reopening that index,
+//! and the two shard-level entry points over it — [`fresh_shard`]
+//! (a new pool, allocator and index, or the volatile `dram` baseline
+//! with neither) and [`try_recover_shard_as`] (allocator, then index,
+//! from a pool's persisted image). The crash scenarios here,
+//! `net::build`'s sharded stack (and through it `pmserve`, the
 //! experiment harness and `pibench`), `pm_inspector`, `crash_torture`
-//! and `index_shootout`. Adding a kind, or a configuration variant such
-//! as `fptree-nofp`, is one row of [`KINDS`] (and, for a kind proper, its
-//! name in [`PM_KINDS`]); nothing else matches on kind names.
+//! and `index_shootout` all open indexes through them. Adding a kind, or
+//! a configuration variant such as `fptree-nofp`, is one row of
+//! [`KINDS`] (and, for a kind proper, its name in [`PM_KINDS`]); nothing
+//! else matches on kind names.
 
 use std::sync::Arc;
 
 use bztree::{BzTree, BzTreeConfig};
+use dram_index::DramTree;
 use engine::Shard;
 use fptree::{FpTree, FpTreeConfig, KeyMode};
 use index_api::RangeIndex;
@@ -227,7 +233,8 @@ impl Kind {
 }
 
 /// A fresh shard: an index of `kind` on its own freshly formatted pool
-/// of `pool_bytes` and its own allocator.
+/// of `pool_bytes` and its own allocator, or for `dram` the volatile
+/// baseline with neither.
 pub fn fresh_shard(
     kind: &str,
     shape: Shape,
@@ -235,6 +242,14 @@ pub fn fresh_shard(
     pool_bytes: usize,
     pm: PmConfig,
 ) -> Shard {
+    if kind == "dram" {
+        let index = Arc::new(DramTree::new());
+        return Shard {
+            index,
+            pool: None,
+            alloc: None,
+        };
+    }
     let pool = Arc::new(PmPool::new(pool_bytes, pm));
     let alloc = PmAllocator::format(pool.clone(), mode);
     Shard {
@@ -244,15 +259,14 @@ pub fn fresh_shard(
     }
 }
 
-/// Recover one pool's full stack (general-mode allocator + index) from
-/// its persisted image, reporting the first media error hit on either
-/// layer.
+/// Recover one pool's full stack (allocator + index) from its persisted
+/// image, reporting the first media error hit on either layer.
 pub fn try_recover_shard_as(
     kind: &str,
     shape: Shape,
     pool: Arc<PmPool>,
 ) -> Result<Shard, MediaError> {
-    let alloc = PmAllocator::try_recover(pool.clone(), AllocMode::General)?;
+    let alloc = PmAllocator::try_recover(pool.clone())?;
     Ok(Shard {
         index: self::kind(kind).try_recover(alloc.clone(), shape)?,
         pool: Some(pool),

@@ -95,13 +95,6 @@ pub fn build_index(kind: &str, alloc: Arc<pmalloc::PmAllocator>) -> Arc<dyn Rang
     self::kind(kind).create(alloc, Shape::Small)
 }
 
-/// Recovery entry point matching [`build_index`]. Panics on a media
-/// error; see [`Kind::try_recover`].
-pub fn recover_index(kind: &str, alloc: Arc<pmalloc::PmAllocator>) -> Arc<dyn RangeIndex> {
-    let recovered = self::kind(kind).try_recover(alloc, Shape::Small);
-    recovered.unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// `n` fresh shards, each a small-node index of `opts.kind` on its own
 /// freshly formatted `opts.pool_mib` pool and allocator.
 pub fn fresh_shards(opts: &SweepOptions, n: usize, cfg: PmConfig) -> Vec<Shard> {
@@ -113,11 +106,6 @@ pub fn fresh_shards(opts: &SweepOptions, n: usize, cfg: PmConfig) -> Vec<Shard> 
 /// [`try_recover_shard_as`] for the small-node config the sweeps build.
 pub fn try_recover_shard(kind: &str, pool: Arc<PmPool>) -> Result<Shard, MediaError> {
     try_recover_shard_as(kind, Shape::Small, pool)
-}
-
-/// [`try_recover_shard`], keeping only the index.
-pub fn try_recover_stack(kind: &str, pool: Arc<PmPool>) -> Result<Arc<dyn RangeIndex>, MediaError> {
-    try_recover_shard(kind, pool).map(|s| s.index)
 }
 
 // ---------------------------------------------------------------------------

@@ -138,9 +138,8 @@ impl Migration {
         pools: &[Arc<PmPool>],
     ) -> Result<Arc<ShardedIndex>, MediaError> {
         let (base, dst) = pools.split_at(self.base_shards);
-        ShardedIndex::recover_routed(base.to_vec(), dst.to_vec(), false, |_, pool| {
-            let s = try_recover_shard(&opts.kind, pool)?;
-            Ok((s.index, s.alloc.expect("recovered with its allocator")))
+        ShardedIndex::recover_routed(base.to_vec(), dst.to_vec(), false, |pool| {
+            try_recover_shard(&opts.kind, pool)
         })
     }
 

@@ -9,7 +9,7 @@ use engine::Shard;
 use pmem::{MediaError, PmConfig, PmPool};
 
 use crate::{
-    apply_until_cut, fresh_shards, try_recover_stack, verify_recovered, workload, Acked, Counters,
+    apply_until_cut, fresh_shards, try_recover_shard, verify_recovered, workload, Acked, Counters,
     Scenario, SweepOptions,
 };
 
@@ -38,7 +38,7 @@ pub(crate) fn check_one_pool(
     pools: &[Arc<PmPool>],
     acked: &Acked,
 ) -> Result<Result<(), String>, MediaError> {
-    let idx = try_recover_stack(&opts.kind, pools[0].clone())?;
+    let idx = try_recover_shard(&opts.kind, pools[0].clone())?.index;
     Ok(verify_recovered(&*idx, &acked.model, &acked.inflight))
 }
 

@@ -248,59 +248,43 @@ impl ShardedIndex {
         })
     }
 
-    /// Recover one shard per pool with `f` (allocator first, then
-    /// index), called once per pool — sequentially when `parallel` is
-    /// false, on one scoped thread per shard otherwise. The first
-    /// [`MediaError`] aborts the open (on the parallel path the error of
-    /// the lowest-indexed failing shard is reported, so both paths fail
-    /// deterministically).
+    /// Recover one shard per pool with `f` — sequentially when
+    /// `parallel` is false, on one scoped thread per shard otherwise.
+    /// The first [`MediaError`] aborts the open (on the parallel path the
+    /// error of the lowest-indexed failing shard is reported, so both
+    /// paths fail deterministically).
     fn recover_shards<F>(
         pools: &[Arc<PmPool>],
         parallel: bool,
         f: &F,
     ) -> Result<Vec<Shard>, MediaError>
     where
-        F: Fn(usize, Arc<PmPool>) -> Result<(Arc<dyn RangeIndex>, Arc<PmAllocator>), MediaError>
-            + Sync,
+        F: Fn(Arc<PmPool>) -> Result<Shard, MediaError> + Sync,
     {
-        let recovered: Result<Vec<_>, MediaError> = if parallel && pools.len() > 1 {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = pools
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| {
-                        let p = Arc::clone(p);
-                        s.spawn(move || f(i, p))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard recovery thread panicked"))
-                    .collect()
-            })
-        } else {
-            pools
+        if !parallel || pools.len() <= 1 {
+            return pools.iter().map(|p| f(Arc::clone(p))).collect();
+        }
+        std::thread::scope(|s| {
+            let handles: Vec<_> = pools
                 .iter()
-                .enumerate()
-                .map(|(i, p)| f(i, Arc::clone(p)))
+                .map(|p| {
+                    let p = Arc::clone(p);
+                    s.spawn(move || f(p))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard recovery thread panicked"))
                 .collect()
-        };
-        Ok(recovered?
-            .into_iter()
-            .zip(pools)
-            .map(|((index, alloc), pool)| Shard {
-                index,
-                pool: Some(Arc::clone(pool)),
-                alloc: Some(alloc),
-            })
-            .collect())
+        })
     }
 
     /// Re-open every shard from its pool's persisted image (`f` recovers
-    /// one, see `recover_shards`). `base_pools` are the original
-    /// arithmetic shards, positionally; `claim_pools` are migration
-    /// destinations (any order; empty for a deployment that never
-    /// migrated, whose routing table is then the arithmetic partition).
+    /// one pool's allocator and index, see `recover_shards`).
+    /// `base_pools` are the original arithmetic shards, positionally;
+    /// `claim_pools` are migration destinations (any order; empty for a
+    /// deployment that never migrated, whose routing table is then the
+    /// arithmetic partition).
     /// A claim pool whose root area carries a valid `ACTIVE`/`SETTLED`
     /// claim is recovered and its range overlaid on the routing table
     /// (in claim-sequence order); anything else — `PREPARING`, torn, or
@@ -316,8 +300,7 @@ impl ShardedIndex {
         f: F,
     ) -> Result<Arc<Self>, MediaError>
     where
-        F: Fn(usize, Arc<PmPool>) -> Result<(Arc<dyn RangeIndex>, Arc<PmAllocator>), MediaError>
-            + Sync,
+        F: Fn(Arc<PmPool>) -> Result<Shard, MediaError> + Sync,
     {
         let _site = obs::site("engine_recovery");
         assert!(!base_pools.is_empty(), "need at least one base shard");
@@ -935,19 +918,24 @@ mod tests {
 
     #[test]
     fn recover_with_runs_both_paths() {
+        let formatted = || {
+            let p = Arc::new(PmPool::new(4 << 20, PmConfig::default()));
+            PmAllocator::format(Arc::clone(&p), AllocMode::General);
+            p.persist_all();
+            p
+        };
+        let recover = |pool: Arc<PmPool>| {
+            let alloc = PmAllocator::try_recover(Arc::clone(&pool))?;
+            Ok(Shard {
+                index: Arc::new(MapIndex::new()) as Arc<dyn RangeIndex>,
+                pool: Some(pool),
+                alloc: Some(alloc),
+            })
+        };
+        // Lines allocator recovery reads: its header, an in-flight slot.
+        let (header, slot) = (pmem::ROOT_AREA, pmem::ROOT_AREA + 320);
         for parallel in [false, true] {
-            let pools: Vec<_> = (0..3)
-                .map(|_| {
-                    let p = Arc::new(PmPool::new(4 << 20, PmConfig::default()));
-                    PmAllocator::format(Arc::clone(&p), AllocMode::General);
-                    p.persist_all();
-                    p
-                })
-                .collect();
-            let recover = |_, pool| {
-                let alloc = PmAllocator::try_recover(pool, AllocMode::General)?;
-                Ok((Arc::new(MapIndex::new()) as Arc<dyn RangeIndex>, alloc))
-            };
+            let pools: Vec<_> = (0..3).map(|_| formatted()).collect();
             let idx = ShardedIndex::recover_routed(pools.clone(), Vec::new(), parallel, recover)
                 .expect("recovery succeeds");
             // No claim pools: pool `i` is shard `i` of the arithmetic
@@ -957,6 +945,15 @@ mod tests {
             assert_eq!(idx.pools().len(), 3);
             assert_eq!(idx.allocs().len(), 3);
             assert!(idx.insert(42, 42));
+
+            // Shards 1 and 2 both fail, at different lines: either path
+            // reports shard 1's.
+            let pools: Vec<_> = (0..3).map(|_| formatted()).collect();
+            pools[1].poison_line(slot);
+            pools[2].poison_line(header);
+            let opened = ShardedIndex::recover_routed(pools, Vec::new(), parallel, recover);
+            let err = opened.err().expect("a poisoned shard fails the open");
+            assert_eq!(err.off, slot, "parallel = {parallel}: {err}");
         }
     }
 

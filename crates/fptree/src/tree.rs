@@ -752,7 +752,7 @@ mod tests {
         }
         drop(t);
         pool.crash();
-        let alloc = PmAllocator::recover(pool, AllocMode::General);
+        let alloc = PmAllocator::try_recover(pool).expect("allocator recovery");
         let t = FpTree::try_recover(alloc, cfg).expect("recovery");
         for k in 0..2_000u64 {
             assert_eq!(t.lookup(k), Some(k * 2), "key {k} lost after crash");
@@ -778,7 +778,7 @@ mod tests {
         }
         drop(t);
         pool.crash();
-        let alloc = PmAllocator::recover(pool, AllocMode::General);
+        let alloc = PmAllocator::try_recover(pool).expect("allocator recovery");
         let t = FpTree::try_recover(alloc, cfg).expect("recovery");
         for k in 0..1_000u64 {
             assert_eq!(t.lookup(k), Some(k));
@@ -799,7 +799,7 @@ mod tests {
         }
         drop(t);
         pool.crash();
-        let alloc = PmAllocator::recover(pool, AllocMode::General);
+        let alloc = PmAllocator::try_recover(pool).expect("allocator recovery");
         let t = FpTree::try_recover(alloc, cfg).expect("recovery");
         for k in 0..500u64 {
             assert_eq!(t.lookup(k), Some(2), "update of {k} lost");
@@ -822,7 +822,7 @@ mod tests {
         }
         drop(t);
         pool.crash();
-        let alloc = PmAllocator::recover(pool, AllocMode::General);
+        let alloc = PmAllocator::try_recover(pool).expect("allocator recovery");
         let t = FpTree::try_recover(alloc, cfg).expect("recovery");
         for k in 0..500u64 {
             let want = if k % 2 == 0 { None } else { Some(k) };
@@ -934,7 +934,7 @@ mod tests {
         }
         drop(t);
         pool.crash();
-        let alloc = PmAllocator::recover(pool, AllocMode::General);
+        let alloc = PmAllocator::try_recover(pool).expect("allocator recovery");
         let t = FpTree::try_recover(alloc, cfg).expect("recovery");
         for k in 0..1_500u64 {
             let want = if k % 3 == 0 { None } else { Some(k * 3) };

@@ -242,7 +242,7 @@ mod tests {
         }
         drop(t);
         pool.crash();
-        let alloc = PmAllocator::recover(pool, AllocMode::General);
+        let alloc = PmAllocator::try_recover(pool).expect("allocator recovery");
         let t = LearnedIndex::try_recover(alloc, cfg).expect("recovery");
         for k in 0..2_000u64 {
             let want = if k % 5 == 0 { None } else { Some(k + 1) };
@@ -268,7 +268,7 @@ mod tests {
         }
         drop(t);
         pool.crash();
-        let alloc = PmAllocator::recover(pool, AllocMode::General);
+        let alloc = PmAllocator::try_recover(pool).expect("allocator recovery");
         let t = LearnedIndex::try_recover(alloc, cfg).expect("recovery");
         for k in 0..1_500u64 {
             assert_eq!(t.lookup(k), Some(k), "key {k}");
@@ -329,7 +329,7 @@ mod tests {
         assert!(t.model_stats().merges > 0, "merges must fire under load");
         drop(t);
         pool.crash();
-        let alloc = PmAllocator::recover(pool, AllocMode::General);
+        let alloc = PmAllocator::try_recover(pool).expect("allocator recovery");
         let t = LearnedIndex::try_recover(alloc, cfg).expect("recovery");
         for tid in 0..8u64 {
             for i in 0..1_500u64 {
@@ -367,7 +367,7 @@ mod tests {
         }
         drop(t);
         pool.crash();
-        let alloc = PmAllocator::recover(pool, AllocMode::General);
+        let alloc = PmAllocator::try_recover(pool).expect("allocator recovery");
         let t = LearnedIndex::try_recover(alloc, cfg).expect("recovery");
         for k in 0..10_000u64 {
             assert_eq!(t.lookup(k * 3), Some(k), "key {k}");

@@ -1,17 +1,14 @@
-//! Index construction for everything above the library stack.
-//!
+//! The sharded stack everything above the library stack serves:
 //! `pmserve`, the repo benchmark, the experiment harness and `pibench`
-//! all stand up indexes here, so every tool measures the same build:
-//! an inner index of the named kind from the one kind table
-//! ([`crashpoint::KINDS`]) or the volatile `dram` baseline, one pool +
-//! allocator per shard, sized by one heuristic, behind one
-//! [`engine::ShardedIndex`].
+//! all build and reopen it here, so every tool measures the same build —
+//! one shard per pool, each opened by name through the kind table
+//! ([`crashpoint::fresh_shard`], [`crashpoint::try_recover_shard_as`]),
+//! sized by one heuristic, behind one [`engine::ShardedIndex`].
 
 use std::sync::Arc;
 
 use crashpoint::{fresh_shard, kinds_and, try_recover_shard_as, Shape};
-use dram_index::DramTree;
-use engine::{Shard, ShardedIndex};
+use engine::ShardedIndex;
 use pmalloc::{AllocMode, PmAllocator};
 use pmem::{PmConfig, PmPool, ROOT_AREA};
 
@@ -50,34 +47,20 @@ pub fn pool_bytes_for_shard(total_records: u64, shards: usize) -> usize {
     budget.div_ceil(shards) + ROOT_AREA as usize + (4 << 20)
 }
 
-/// One fresh shard of `kind` (any row of the kind table, or `dram`) on
-/// its own pool of `pool_bytes`.
-pub fn shard(kind: &str, shape: Shape, mode: AllocMode, pool_bytes: usize, pm: PmConfig) -> Shard {
-    if kind == "dram" {
-        return Shard {
-            index: Arc::new(DramTree::new()),
-            pool: None,
-            alloc: None,
-        };
-    }
-    fresh_shard(kind, shape, mode, pool_bytes, pm)
-}
-
 /// Build a fresh default-config sharded index of `kind` sized for
 /// `records`, on `shards` independent pools. `shards == 1` still wraps,
 /// so the shard axis is uniform in reports (`sharded-<kind>`).
 pub fn build_sharded(kind: &str, shards: usize, records: u64, pm: PmConfig) -> BuiltEnv {
     let bytes = pool_bytes_for_shard(records, shards);
-    let one = || shard(kind, Shape::Default, AllocMode::General, bytes, pm.clone());
+    let one = || fresh_shard(kind, Shape::Default, AllocMode::General, bytes, pm.clone());
     ShardedIndex::from_parts((0..shards).map(|_| one()).collect()).into()
 }
 
 /// Reopen every shard of a crashed default-config sharded index, one
 /// thread per shard (the `pmserve --selfcheck` restart path).
 pub fn recover_sharded(kind: &str, pools: Vec<Arc<PmPool>>) -> BuiltEnv {
-    ShardedIndex::recover_routed(pools, Vec::new(), true, |_, pool| {
-        let s = try_recover_shard_as(kind, Shape::Default, pool)?;
-        Ok((s.index, s.alloc.expect("recovered with its allocator")))
+    ShardedIndex::recover_routed(pools, Vec::new(), true, |pool| {
+        try_recover_shard_as(kind, Shape::Default, pool)
     })
     .expect("shard recovery hit a media error")
     .into()

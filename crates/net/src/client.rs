@@ -240,6 +240,36 @@ impl LoadResult {
     pub fn mops(&self) -> f64 {
         self.acked as f64 / self.elapsed.as_secs_f64() / 1e6
     }
+
+    fn empty() -> LoadResult {
+        LoadResult {
+            sent: 0,
+            acked: 0,
+            misses: 0,
+            errors: 0,
+            elapsed: Duration::ZERO,
+            hists: (0..5).map(|_| LatencyHistogram::new()).collect(),
+            oracle_checked: 0,
+            oracle_violations: 0,
+            server_closed: false,
+        }
+    }
+
+    /// Fold in another connection's result, which ran beside this one.
+    fn merge(mut self, o: LoadResult) -> LoadResult {
+        self.sent += o.sent;
+        self.acked += o.acked;
+        self.misses += o.misses;
+        self.errors += o.errors;
+        self.elapsed = self.elapsed.max(o.elapsed);
+        for (dst, src) in self.hists.iter_mut().zip(&o.hists) {
+            dst.merge(src);
+        }
+        self.oracle_checked += o.oracle_checked;
+        self.oracle_violations += o.oracle_violations;
+        self.server_closed |= o.server_closed;
+        self
+    }
 }
 
 struct InFlight {
@@ -249,17 +279,6 @@ struct InFlight {
     /// send time, which is valid because a single connection's requests
     /// execute FIFO on the server.
     expect: Option<Response>,
-}
-
-struct ConnOutcome {
-    sent: u64,
-    acked: u64,
-    misses: u64,
-    errors: u64,
-    hists: Vec<LatencyHistogram>,
-    oracle_checked: u64,
-    oracle_violations: u64,
-    server_closed: bool,
 }
 
 /// Drive `cfg.ops` operations against a remote server and collect
@@ -277,7 +296,7 @@ pub fn run_load(cfg: &LoadConfig) -> std::io::Result<LoadResult> {
     let per_conn = cfg.ops / cfg.conns as u64;
     let qps_per_conn = cfg.open_loop_qps.map(|q| q / cfg.conns as f64);
 
-    let outcomes: Vec<std::io::Result<ConnOutcome>> = std::thread::scope(|scope| {
+    let outcomes: Vec<std::io::Result<LoadResult>> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for c in 0..cfg.conns {
             let keyspace = &keyspace;
@@ -293,32 +312,12 @@ pub fn run_load(cfg: &LoadConfig) -> std::io::Result<LoadResult> {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     let elapsed = start.elapsed();
-
-    let mut r = LoadResult {
-        sent: 0,
-        acked: 0,
-        misses: 0,
-        errors: 0,
-        elapsed,
-        hists: (0..5).map(|_| LatencyHistogram::new()).collect(),
-        oracle_checked: 0,
-        oracle_violations: 0,
-        server_closed: false,
-    };
+    let mut r = LoadResult::empty();
     for o in outcomes {
-        let o = o?;
-        r.sent += o.sent;
-        r.acked += o.acked;
-        r.misses += o.misses;
-        r.errors += o.errors;
-        r.oracle_checked += o.oracle_checked;
-        r.oracle_violations += o.oracle_violations;
-        r.server_closed |= o.server_closed;
-        for (dst, src) in r.hists.iter_mut().zip(o.hists.iter()) {
-            dst.merge(src);
-        }
+        r = r.merge(o?);
     }
-    Ok(r)
+    // The wall time of the whole run, connection set-up included.
+    Ok(LoadResult { elapsed, ..r })
 }
 
 #[allow(clippy::too_many_lines)]
@@ -328,7 +327,7 @@ fn drive_conn(
     seed: u64,
     ops: u64,
     qps: Option<f64>,
-) -> std::io::Result<ConnOutcome> {
+) -> std::io::Result<LoadResult> {
     let mut conn = ClientConn::connect(&cfg.addr)?;
     let mut rng = SmallRng::seed_from_u64(seed);
     let stream = OpStream::new(
@@ -347,16 +346,7 @@ fn drive_conn(
         prefilled
     });
 
-    let mut out = ConnOutcome {
-        sent: 0,
-        acked: 0,
-        misses: 0,
-        errors: 0,
-        hists: (0..5).map(|_| LatencyHistogram::new()).collect(),
-        oracle_checked: 0,
-        oracle_violations: 0,
-        server_closed: false,
-    };
+    let mut out = LoadResult::empty();
     let mut inflight: HashMap<u64, InFlight> = HashMap::new();
     let t0 = Instant::now();
     let mut next_arrival: Option<u64> = arrivals.as_mut().map(|a| a.next(&mut rng));
@@ -443,5 +433,6 @@ fn drive_conn(
         }
     }
     out.server_closed |= conn.server_closed;
+    out.elapsed = t0.elapsed();
     Ok(out)
 }

@@ -607,7 +607,7 @@ mod tests {
         }
         drop(t);
         pool.crash();
-        let alloc = PmAllocator::recover(pool, AllocMode::General);
+        let alloc = PmAllocator::try_recover(pool).expect("allocator recovery");
         let t = NvTree::try_recover(alloc, cfg).expect("recovery");
         for k in 0..1_000u64 {
             let want = if k % 3 == 0 { None } else { Some(k) };
@@ -632,7 +632,7 @@ mod tests {
         let live_with_leaks = alloc.live_bytes();
         drop(t);
         pool.crash();
-        let alloc = PmAllocator::recover(pool, AllocMode::General);
+        let alloc = PmAllocator::try_recover(pool).expect("allocator recovery");
         let t = NvTree::try_recover(alloc.clone(), cfg).expect("recovery");
         assert!(
             alloc.live_bytes() < live_with_leaks,

@@ -144,18 +144,14 @@ impl PmAllocator {
 
     /// Open a previously formatted pool after a (simulated) crash or
     /// clean shutdown: replays in-flight slots and rebuilds all volatile
-    /// state from persistent metadata. Panics on a media error; use
-    /// [`PmAllocator::try_recover`] to handle poisoned metadata.
-    pub fn recover(pool: Arc<PmPool>, mode: AllocMode) -> Arc<PmAllocator> {
-        Self::try_recover(pool, mode).unwrap_or_else(|e| panic!("allocator recovery failed: {e}"))
-    }
-
-    /// Fallible recovery: probes every persistent structure the
-    /// allocator must interpret (header, in-flight slots, chunk headers,
-    /// bitmaps, publication targets) for media errors before reading it,
-    /// so a poisoned line surfaces as a reported [`MediaError`] instead
-    /// of an emulated machine-check or silently consumed garbage.
-    pub fn try_recover(pool: Arc<PmPool>, mode: AllocMode) -> Result<Arc<PmAllocator>, MediaError> {
+    /// state from persistent metadata, in [`AllocMode::General`] (the
+    /// mode is volatile policy, not persisted state). Every persistent
+    /// structure the allocator must interpret (header, in-flight slots,
+    /// chunk headers, bitmaps, publication targets) is probed for media
+    /// errors before it is read, so a poisoned line surfaces as a
+    /// reported [`MediaError`] instead of an emulated machine-check or
+    /// silently consumed garbage.
+    pub fn try_recover(pool: Arc<PmPool>) -> Result<Arc<PmAllocator>, MediaError> {
         pool.check_readable(ROOT_AREA, 40)
             .map_err(|e| e.context("allocator header"))?;
         assert_eq!(pool.read_u64(ROOT_AREA), MAGIC, "pool is not formatted");
@@ -176,7 +172,7 @@ impl PmAllocator {
                 as usize,
         )
         .map_err(|e| e.context("allocator chunk metadata"))?;
-        Self::build(pool, mode, layout, false)
+        Self::build(pool, AllocMode::General, layout, false)
     }
 
     fn build(
@@ -655,7 +651,7 @@ mod tests {
         let live_before = a.live_bytes();
         drop(a);
         pool.crash();
-        let a2 = PmAllocator::recover(pool, AllocMode::General);
+        let a2 = PmAllocator::try_recover(pool).unwrap();
         assert_eq!(a2.live_bytes(), live_before);
         // x must not be handed out again.
         let mut got = Vec::new();
@@ -673,7 +669,7 @@ mod tests {
         let off = a.alloc_linked(256, dest).unwrap();
         drop(a);
         pool.crash();
-        let a2 = PmAllocator::recover(pool.clone(), AllocMode::General);
+        let a2 = PmAllocator::try_recover(pool.clone()).unwrap();
         assert_eq!(pool.read_u64(dest), off, "publication must survive crash");
         let live = a2.live_bytes();
         assert_eq!(live, 256);
@@ -688,7 +684,7 @@ mod tests {
         let _leak = a.alloc(256).unwrap();
         drop(a);
         pool.crash();
-        let a2 = PmAllocator::recover(pool, AllocMode::General);
+        let a2 = PmAllocator::try_recover(pool).unwrap();
         // The bare alloc leaks (that's the point alloc_linked exists).
         assert_eq!(a2.live_bytes(), 256);
     }
@@ -747,7 +743,7 @@ mod tests {
         let x = a.alloc(4096).unwrap();
         drop(a);
         pool.crash();
-        let a2 = PmAllocator::recover(pool, AllocMode::General);
+        let a2 = PmAllocator::try_recover(pool).unwrap();
         // Freeing x after recovery must find the right class.
         a2.free(x);
         assert_eq!(a2.live_bytes(), 0);
@@ -781,14 +777,15 @@ mod tests {
 
     #[test]
     fn recovery_across_alloc_modes() {
-        // A pool formatted in Striped mode must recover in General mode
+        // A pool formatted in Striped mode recovers in General mode
         // (the mode is volatile policy, not persistent state).
         let pool = Arc::new(PmPool::new(1 << 20, PmConfig::real()));
         let a = PmAllocator::format(pool.clone(), AllocMode::Striped);
         let kept = a.alloc_linked(512, 64).unwrap();
         drop(a);
         pool.crash();
-        let a2 = PmAllocator::recover(pool.clone(), AllocMode::General);
+        let a2 = PmAllocator::try_recover(pool.clone()).unwrap();
+        assert_eq!(a2.mode, AllocMode::General);
         assert!(a2.is_allocated(kept));
         assert_eq!(pool.read_u64(64), kept);
     }

@@ -6,7 +6,7 @@
 //!
 //! * **Persistent metadata.** The heap is carved into fixed-size chunks;
 //!   each chunk is bound to one size class and tracks its blocks in a
-//!   persistent bitmap. After a crash, [`PmAllocator::recover`] rebuilds
+//!   persistent bitmap. After a crash, [`PmAllocator::try_recover`] rebuilds
 //!   all volatile state from chunk headers and bitmaps alone.
 //! * **Atomic allocate-and-publish.** A bare `alloc` followed by linking
 //!   the block into a data structure leaves a crash window that leaks

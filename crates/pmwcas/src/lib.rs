@@ -116,23 +116,17 @@ impl PmwCas {
     }
 
     /// Reopen after a crash: complete or roll back every in-flight
-    /// descriptor, then scrub dirty bits from their target words.
-    /// Panics on a media error; use [`PmwCas::try_recover`] to handle
-    /// poisoned descriptors gracefully.
-    pub fn recover(alloc: &PmAllocator) -> Arc<PmwCas> {
-        Self::try_recover(alloc).unwrap_or_else(|e| panic!("PMwCAS recovery failed: {e}"))
-    }
-
-    /// Fallible recovery: probes the descriptor area and every in-flight
-    /// target word for media errors before interpreting them, so a
-    /// poisoned line surfaces as a reported [`MediaError`] instead of an
-    /// emulated machine-check.
+    /// descriptor, then scrub dirty bits from their target words. The
+    /// descriptor area and every in-flight target word are probed for
+    /// media errors before they are interpreted, so a poisoned line
+    /// surfaces as a reported [`MediaError`] instead of an emulated
+    /// machine-check.
     pub fn try_recover(alloc: &PmAllocator) -> Result<Arc<PmwCas>, MediaError> {
         let pool = alloc.pool().clone();
         pool.check_readable(SLOT_DESC_AREA * 8, 8)
             .map_err(|e| e.context("PMwCAS descriptor-area slot"))?;
         let base = pool.read_u64(SLOT_DESC_AREA * 8);
-        assert!(base != 0, "recover() without a descriptor area");
+        assert!(base != 0, "try_recover() without a descriptor area");
         pool.check_readable(base, N_DESC * DESC_BYTES as usize)
             .map_err(|e| e.context("PMwCAS descriptor area"))?;
         let s = Self::shell(pool, base);
@@ -537,8 +531,8 @@ mod tests {
         pool.write_u64(a, desc_ptr(0, seq));
         pool.persist_all();
         pool.crash();
-        let alloc = PmAllocator::recover(pool.clone(), AllocMode::General);
-        let mw = PmwCas::recover(&alloc);
+        let alloc = PmAllocator::try_recover(pool.clone()).unwrap();
+        let mw = PmwCas::try_recover(&alloc).unwrap();
         assert_eq!(mw.read(a), 9, "succeeded mwcas must roll forward");
     }
 
@@ -557,8 +551,8 @@ mod tests {
         pool.write_u64(a, desc_ptr(0, seq));
         pool.persist_all();
         pool.crash();
-        let alloc = PmAllocator::recover(pool.clone(), AllocMode::General);
-        let mw = PmwCas::recover(&alloc);
+        let alloc = PmAllocator::try_recover(pool.clone()).unwrap();
+        let mw = PmwCas::try_recover(&alloc).unwrap();
         assert_eq!(mw.read(a), 7, "undecided mwcas must roll back");
     }
 

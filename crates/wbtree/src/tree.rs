@@ -472,7 +472,7 @@ mod tests {
         }
         drop(t);
         pool.crash();
-        let alloc = PmAllocator::recover(pool, AllocMode::General);
+        let alloc = PmAllocator::try_recover(pool).expect("allocator recovery");
         let t = WbTree::try_recover(alloc, cfg).expect("recovery");
         for k in 0..2_000u64 {
             let want = if k % 5 == 0 { None } else { Some(k + 1) };
@@ -498,7 +498,7 @@ mod tests {
         }
         drop(t);
         pool.crash();
-        let alloc = PmAllocator::recover(pool, AllocMode::General);
+        let alloc = PmAllocator::try_recover(pool).expect("allocator recovery");
         let t = WbTree::try_recover(alloc, cfg).expect("recovery");
         for k in 0..1_500u64 {
             assert_eq!(t.lookup(k), Some(k), "key {k}");
@@ -522,7 +522,7 @@ mod tests {
         }
         drop(t);
         pool.crash();
-        let alloc = PmAllocator::recover(pool, AllocMode::General);
+        let alloc = PmAllocator::try_recover(pool).expect("allocator recovery");
         let t = WbTree::try_recover(alloc, cfg).expect("recovery");
         for k in 0..1_000u64 {
             let want = if k % 2 == 0 { None } else { Some(2) };
@@ -582,7 +582,7 @@ mod tests {
         }
         drop(t);
         pool.crash();
-        let alloc = PmAllocator::recover(pool, AllocMode::General);
+        let alloc = PmAllocator::try_recover(pool).expect("allocator recovery");
         let t = WbTree::try_recover(alloc, cfg).expect("recovery");
         for k in 0..1_200u64 {
             assert_eq!(t.lookup(k), Some(k + 5), "key {k}");

@@ -28,12 +28,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use pm_index_bench::crashpoint::{
-    apply_until_cut, install_quiet_crash_hook, kind as kind_row, verify_recovered, workload, Acked,
-    Shape, PM_KINDS as KINDS,
+    apply_until_cut, fresh_shard, install_quiet_crash_hook, try_recover_shard_as, verify_recovered,
+    workload, Acked, Shape, PM_KINDS as KINDS,
 };
 use pm_index_bench::index_api::RangeIndex;
 use pm_index_bench::pibench::cli::{Arg, Flags};
-use pm_index_bench::pmalloc::{AllocMode, PmAllocator};
+use pm_index_bench::pmalloc::AllocMode;
 use pm_index_bench::pmem::{PmConfig, PmPool, ResidualPolicy};
 
 // The indexes run in their default (large-node) shape, unlike the
@@ -55,10 +55,9 @@ fn cut_and_verify(
         seed,
         p_per_256: 128,
     });
-    let alloc = PmAllocator::recover(pool.clone(), AllocMode::General);
-    let idx = kind_row(kind)
-        .try_recover(alloc, Shape::Default)
-        .unwrap_or_else(|e| panic!("{kind}: {e}"));
+    let idx = try_recover_shard_as(kind, Shape::Default, pool.clone())
+        .unwrap_or_else(|e| panic!("{kind}: {e}"))
+        .index;
     if let Some(e) = acked.errors.first() {
         panic!("{kind}: {e}");
     }
@@ -70,12 +69,9 @@ fn cut_and_verify(
 
 fn torture(kind: &str, round_seed: u64) {
     let seed = round_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let pool = Arc::new(PmPool::new(
-        64 << 20,
-        PmConfig::real().with_eviction_chaos(seed),
-    ));
-    let alloc = PmAllocator::format(pool.clone(), AllocMode::General);
-    let idx = kind_row(kind).create(alloc, Shape::Default);
+    let pm = PmConfig::real().with_eviction_chaos(seed);
+    let shard = fresh_shard(kind, Shape::Default, AllocMode::General, 64 << 20, pm);
+    let (idx, pool) = (shard.index, shard.pool.expect("a PM shard"));
 
     let n_ops = 2_000 + (seed % 3_000);
     let ops = workload(seed, n_ops, 4_096);

@@ -7,8 +7,8 @@
 //! cargo run --release --example index_shootout
 //! ```
 
-use pm_index_bench::crashpoint::Shape;
-use pm_index_bench::net::build::{pool_bytes_for_shard, shard, ALL_KINDS};
+use pm_index_bench::crashpoint::{fresh_shard, Shape};
+use pm_index_bench::net::build::{pool_bytes_for_shard, ALL_KINDS};
 use pm_index_bench::pibench::report::Table;
 use pm_index_bench::pibench::{prefill, run, BenchConfig, Distribution, KeySpace, OpKind, OpMix};
 use pm_index_bench::pmalloc::AllocMode;
@@ -41,15 +41,14 @@ fn main() {
     for kind in ALL_KINDS {
         let bytes = pool_bytes_for_shard(RECORDS, 1);
         let (shape, mode) = (Shape::Default, AllocMode::General);
-        let built = shard(kind, shape, mode, bytes, PmConfig::optane_like());
+        let built = fresh_shard(kind, shape, mode, bytes, PmConfig::optane_like());
         let (idx, pool) = (built.index, built.pool);
         let ks = KeySpace::new(RECORDS);
         prefill(&*idx, &ks, threads);
         let cfg = BenchConfig {
             threads,
             records: RECORDS,
-            ops_per_thread: Some(OPS / threads as u64),
-            duration: None,
+            ops_per_thread: OPS / threads as u64,
             mix,
             distribution: Distribution::Uniform,
             scan_len: 100,

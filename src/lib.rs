@@ -45,7 +45,7 @@
 //! pool.crash();
 //!
 //! // ...and recovery brings the acknowledged state back.
-//! let alloc = PmAllocator::recover(pool, AllocMode::General);
+//! let alloc = PmAllocator::try_recover(pool).expect("no media error");
 //! let tree = FpTree::try_recover(alloc, FpTreeConfig::default()).expect("no media error");
 //! assert_eq!(tree.lookup(7), Some(70));
 //! ```

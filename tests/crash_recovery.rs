@@ -37,8 +37,7 @@ fn crash_roundtrip(kind: &str, chaos: Option<u64>, seed: u64) {
     apply_workload(&*idx, &mut model, seed, 5_000, 2_048);
     drop(idx);
     pool.crash();
-    let alloc = PmAllocator::recover(pool, AllocMode::General);
-    let idx = recover_small(kind, alloc);
+    let idx = recover_small(kind, pool);
     for (k, v) in model.iter() {
         assert_eq!(idx.lookup(k), Some(v), "{kind} seed={seed}: key {k}");
     }
@@ -87,15 +86,13 @@ fn double_crash_recovery_is_stable() {
 
         // The second workload's acks depend on the recovered state: one
         // model carried across the crash predicts them all.
-        let alloc = PmAllocator::recover(pool.clone(), AllocMode::General);
-        let idx = recover_small(kind, alloc);
+        let idx = recover_small(kind, pool.clone());
         apply_workload(&*idx, &mut model, 8, 3_000, 1_024);
         let truth: Vec<_> = model.iter().collect();
         drop(idx);
         pool.crash();
 
-        let alloc = PmAllocator::recover(pool, AllocMode::General);
-        let idx = recover_small(kind, alloc);
+        let idx = recover_small(kind, pool);
         let mut after = Vec::new();
         idx.scan(0, usize::MAX >> 1, &mut after);
         assert_eq!(truth, after, "{kind}: second crash lost state");
@@ -110,8 +107,7 @@ fn recovery_of_empty_index() {
         let idx = create_small(kind, alloc);
         drop(idx);
         pool.crash();
-        let alloc = PmAllocator::recover(pool, AllocMode::General);
-        let idx = recover_small(kind, alloc);
+        let idx = recover_small(kind, pool);
         assert_eq!(idx.lookup(1), None, "{kind}");
         let mut out = Vec::new();
         assert_eq!(idx.scan(0, 10, &mut out), 0, "{kind}");
@@ -134,8 +130,7 @@ fn recovery_after_total_deletion() {
         }
         drop(idx);
         pool.crash();
-        let alloc = PmAllocator::recover(pool, AllocMode::General);
-        let idx = recover_small(kind, alloc);
+        let idx = recover_small(kind, pool);
         let mut out = Vec::new();
         assert_eq!(idx.scan(0, 1_000, &mut out), 0, "{kind}");
         // Reusable after total deletion + crash.

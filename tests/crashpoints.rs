@@ -207,15 +207,13 @@ fn recovering_a_zero_op_pool_twice_is_idempotent() {
         drop(idx);
         pool.crash();
 
-        let alloc = PmAllocator::recover(pool.clone(), AllocMode::General);
-        let idx = recover_small(kind, alloc);
+        let idx = recover_small(kind, pool.clone());
         let mut out = Vec::new();
         assert_eq!(idx.scan(0, 100, &mut out), 0, "{kind}: first recovery");
         drop(idx);
         pool.crash();
 
-        let alloc = PmAllocator::recover(pool, AllocMode::General);
-        let idx = recover_small(kind, alloc);
+        let idx = recover_small(kind, pool);
         assert_eq!(idx.scan(0, 100, &mut out), 0, "{kind}: second recovery");
         assert_eq!(idx.lookup(9), None, "{kind}");
         assert!(idx.insert(9, 90), "{kind}: unusable after double recovery");
@@ -240,15 +238,13 @@ fn recovering_twice_with_no_intervening_ops_is_idempotent() {
         drop(idx);
         pool.crash();
 
-        let alloc = PmAllocator::recover(pool.clone(), AllocMode::General);
-        let idx = recover_small(kind, alloc);
+        let idx = recover_small(kind, pool.clone());
         let mut first = Vec::new();
         idx.scan(0, usize::MAX >> 1, &mut first);
         drop(idx);
         pool.crash();
 
-        let alloc = PmAllocator::recover(pool, AllocMode::General);
-        let idx = recover_small(kind, alloc);
+        let idx = recover_small(kind, pool);
         let mut second = Vec::new();
         idx.scan(0, usize::MAX >> 1, &mut second);
         assert_eq!(

@@ -78,7 +78,7 @@ fn double_recovery_is_idempotent() {
     drop(t);
     pool.crash();
 
-    let alloc = PmAllocator::recover(pool.clone(), AllocMode::General);
+    let alloc = PmAllocator::try_recover(pool.clone()).expect("allocator recovery");
     let t1 = LearnedIndex::try_recover(alloc, cfg).expect("recovery");
     let mut out1 = Vec::new();
     t1.scan(0, 2_000, &mut out1);
@@ -86,7 +86,7 @@ fn double_recovery_is_idempotent() {
 
     // The first restart is itself cut down before serving anything.
     pool.crash();
-    let alloc = PmAllocator::recover(pool.clone(), AllocMode::General);
+    let alloc = PmAllocator::try_recover(pool.clone()).expect("allocator recovery");
     let t2 = LearnedIndex::try_recover(alloc, cfg).expect("recovery");
     let mut out2 = Vec::new();
     t2.scan(0, 2_000, &mut out2);
@@ -143,7 +143,7 @@ fn crash_at_every_boundary_through_a_merge_recovers() {
         }
         drop(t);
         pool.crash();
-        let alloc = PmAllocator::recover(pool, AllocMode::General);
+        let alloc = PmAllocator::try_recover(pool).expect("allocator recovery");
         let t = LearnedIndex::try_recover(alloc, cfg)
             .unwrap_or_else(|e| panic!("boundary {boundary}: recovery failed: {e}"));
         for (&k, &v) in &model {

@@ -26,8 +26,7 @@ fn insert_cfg(records: u64, ops: u64) -> BenchConfig {
     BenchConfig {
         threads: 2,
         records,
-        ops_per_thread: Some(ops / 2),
-        duration: None,
+        ops_per_thread: ops / 2,
         mix: OpMix::pure(OpKind::Insert),
         distribution: Distribution::Uniform,
         scan_len: 25,

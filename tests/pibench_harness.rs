@@ -10,8 +10,7 @@ fn cfg(threads: usize, records: u64, ops: u64, mix: OpMix) -> BenchConfig {
     BenchConfig {
         threads,
         records,
-        ops_per_thread: Some(ops / threads as u64),
-        duration: None,
+        ops_per_thread: ops / threads as u64,
         mix,
         distribution: Distribution::Uniform,
         scan_len: 25,

@@ -9,7 +9,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use common::{create_small, PM_KINDS};
-use pm_index_bench::crashpoint::try_recover_stack;
+use pm_index_bench::crashpoint::try_recover_shard;
 use pm_index_bench::pmalloc::{AllocMode, PmAllocator};
 use pm_index_bench::pmem::{PmConfig, PmPool};
 
@@ -42,7 +42,7 @@ fn root_slot_line(kind: &str) -> u64 {
 }
 
 fn expect_reported(kind: &str, pool: Arc<PmPool>, what: &str) {
-    match catch_unwind(AssertUnwindSafe(|| try_recover_stack(kind, pool))) {
+    match catch_unwind(AssertUnwindSafe(|| try_recover_shard(kind, pool))) {
         Ok(Err(e)) => {
             let msg = format!("{e}");
             assert!(
@@ -93,8 +93,9 @@ fn poison_outside_the_recovery_path_does_not_block_recovery() {
     for kind in PM_KINDS {
         let pool = crashed_pool(kind);
         pool.poison_line(8 << 20); // deep in unreachable free space
-        let idx = try_recover_stack(kind, pool.clone())
-            .unwrap_or_else(|e| panic!("{kind}: unreferenced poison blocked recovery: {e}"));
+        let idx = try_recover_shard(kind, pool.clone())
+            .unwrap_or_else(|e| panic!("{kind}: unreferenced poison blocked recovery: {e}"))
+            .index;
         assert_eq!(idx.lookup(1), Some(2), "{kind}");
         assert!(idx.insert(1_000_000, 7), "{kind}");
         assert_eq!(pool.poisoned_line_count(), 1, "{kind}: poison lost");

@@ -62,8 +62,7 @@ proptest! {
             }
             drop(idx);
             pool.crash();
-            let alloc = PmAllocator::recover(pool, AllocMode::General);
-            let idx = recover_small(kind, alloc);
+            let idx = recover_small(kind, pool);
             for (k, v) in model.iter() {
                 prop_assert_eq!(idx.lookup(k), Some(v), "{} lost {} after crash", kind, k);
             }

@@ -9,10 +9,11 @@ mod common;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use common::{create_small, recover_small, PM_KINDS};
-use pm_index_bench::engine::{shard_of, shard_start, Shard, ShardedIndex};
+use common::PM_KINDS;
+use pm_index_bench::crashpoint::{fresh_shard, try_recover_shard, Shape};
+use pm_index_bench::engine::{shard_of, shard_start, ShardedIndex};
 use pm_index_bench::index_api::{oracle, Oracle, RangeIndex};
-use pm_index_bench::pmalloc::{AllocMode, PmAllocator};
+use pm_index_bench::pmalloc::AllocMode;
 use pm_index_bench::pmem::{PmConfig, PmPool};
 use proptest::prelude::*;
 
@@ -26,24 +27,14 @@ fn spread(k: u64, key_range: u64) -> u64 {
 /// A sharded stack of `kind` with small nodes, one 16 MiB pool per
 /// shard.
 fn build_sharded(kind: &str, shards: usize) -> Arc<ShardedIndex> {
-    let parts = (0..shards)
-        .map(|_| {
-            let pool = Arc::new(PmPool::new(16 << 20, PmConfig::real()));
-            let alloc = PmAllocator::format(pool.clone(), AllocMode::General);
-            Shard {
-                index: create_small(kind, alloc.clone()),
-                pool: Some(pool),
-                alloc: Some(alloc),
-            }
-        })
-        .collect();
-    ShardedIndex::from_parts(parts)
+    let (mode, pm) = (AllocMode::General, PmConfig::real());
+    let one = || fresh_shard(kind, Shape::Small, mode, 16 << 20, pm.clone());
+    ShardedIndex::from_parts((0..shards).map(|_| one()).collect())
 }
 
 fn recover_sharded(kind: &str, pools: Vec<Arc<PmPool>>, parallel: bool) -> Arc<ShardedIndex> {
-    ShardedIndex::recover_routed(pools, Vec::new(), parallel, |_, pool| {
-        let alloc = PmAllocator::try_recover(pool, AllocMode::General)?;
-        Ok((recover_small(kind, alloc.clone()), alloc))
+    ShardedIndex::recover_routed(pools, Vec::new(), parallel, |pool| {
+        try_recover_shard(kind, pool)
     })
     .expect("shard recovery failed")
 }
