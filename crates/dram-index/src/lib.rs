@@ -8,55 +8,59 @@
 //!   fingerprints, no bitmap),
 //! * **no persistence instructions** at all,
 //! * **optimistic concurrency**: per-leaf version locks for writers,
-//!   version-validated reads for lookups, and a global sequence lock
-//!   serializing structure modifications (the same concurrency skeleton
-//!   the PM indexes in this workspace use, so the comparison isolates
-//!   *node layout and persistence cost*, not synchronization strategy).
+//!   version-validated reads for lookups, and one HTM domain
+//!   serializing structure modifications.
+//!
+//! The inner nodes, and the HTM domain guarding them, are FPTree's own
+//! code: both trees route through [`htm::InnerLayer`], so the "PM index
+//! on DRAM" comparison isolates *leaf layout and persistence cost*, not
+//! inner nodes or synchronization. The leaves — sorted, in DRAM, chained
+//! for scans — are this crate's.
 //!
 //! All node fields readers can race past are atomics; torn values are
 //! discarded by version validation.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use htm::{Abort, Htm};
+use htm::{Abort, InnerLayer, WriteTxn};
 use index_api::{Footprint, Key, RangeIndex, Value};
 
-/// Node fanout (keys per node).
+/// Node fanout: records per leaf, separators per inner node.
 const FANOUT: usize = 64;
 
-/// A DRAM node: sorted keys, values (leaf) or tagged children (inner).
+/// A DRAM leaf: sorted keys and their values.
 struct Node {
     /// Seqlock: odd while a writer holds the node.
     version: AtomicU64,
     count: AtomicUsize,
     keys: Box<[AtomicU64]>,
-    /// Leaf: values; inner: tagged child words (`ptr` with bit 0 clear
-    /// for inner children, `ptr | 1` for leaf children).
     vals: Box<[AtomicU64]>,
     /// Leaf chain for scans (raw `*const Node` bits, 0 = none).
     next: AtomicU64,
-    is_leaf: bool,
 }
 
+/// A leaf's word in the inner layer (`ptr | 1`), and back.
 #[inline]
-fn tag(ptr: *const Node, leaf: bool) -> u64 {
-    ptr as u64 | leaf as u64
+fn leaf_word(ptr: *const Node) -> u64 {
+    ptr as u64 | 1
 }
 
+/// # Safety
+/// `word` must be a leaf word of this tree: leaves are freed only when
+/// the tree drops, so any word its inner layer hands back qualifies.
 #[inline]
-fn untag(word: u64) -> *const Node {
-    (word & !1) as *const Node
+unsafe fn leaf<'a>(word: u64) -> &'a Node {
+    &*((word & !1) as *const Node)
 }
 
 impl Node {
-    fn new(is_leaf: bool) -> Box<Node> {
+    fn new() -> Box<Node> {
         Box::new(Node {
             version: AtomicU64::new(0),
             count: AtomicUsize::new(0),
             keys: (0..FANOUT).map(|_| AtomicU64::new(0)).collect(),
-            vals: (0..FANOUT + 1).map(|_| AtomicU64::new(0)).collect(),
+            vals: (0..FANOUT).map(|_| AtomicU64::new(0)).collect(),
             next: AtomicU64::new(0),
-            is_leaf,
         })
     }
 
@@ -90,24 +94,13 @@ impl Node {
         Err(lo)
     }
 
-    /// Inner routing: child index for `key` (child i covers keys in
-    /// `[keys[i-1], keys[i])`, child 0 the underflow).
-    fn route(&self, key: Key) -> usize {
-        let n = self.count();
-        match self.search(n, key) {
-            Ok(i) => i + 1,
-            Err(i) => i,
-        }
-    }
-
-    fn try_lock(&self) -> Option<u64> {
+    fn try_lock(&self) -> bool {
         let v = self.version.load(Ordering::Acquire);
-        if v & 1 == 1 {
-            return None;
-        }
-        self.version
-            .compare_exchange(v, v + 1, Ordering::AcqRel, Ordering::Acquire)
-            .ok()
+        v & 1 == 0
+            && self
+                .version
+                .compare_exchange(v, v + 1, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
     }
 
     fn unlock(&self) {
@@ -140,91 +133,53 @@ impl Node {
         }
         self.count.store(n - 1, Ordering::Release);
     }
-
-    /// Inner separator insert (under the SMO transaction): key at `pos`,
-    /// right child at `pos + 1`.
-    fn inner_insert(&self, key: Key, right: u64) {
-        let n = self.count();
-        debug_assert!(n < FANOUT);
-        let pos = match self.search(n, key) {
-            Ok(_) => unreachable!("duplicate separator"),
-            Err(p) => p,
-        };
-        let mut i = n;
-        while i > pos {
-            self.keys[i].store(self.key(i - 1), Ordering::Release);
-            self.vals[i + 1].store(self.val(i), Ordering::Release);
-            i -= 1;
-        }
-        self.keys[pos].store(key, Ordering::Release);
-        self.vals[pos + 1].store(right, Ordering::Release);
-        self.count.store(n + 1, Ordering::Release);
-    }
 }
 
 /// Volatile B+-tree with optimistic lock coupling (see crate docs).
 pub struct DramTree {
-    smo: Htm,
-    root: AtomicU64,
-    node_count: AtomicU64,
+    /// The inner nodes over this tree's leaves.
+    inner: InnerLayer,
+    /// The leftmost leaf. A split moves the upper half to a new right
+    /// sibling, so it never changes; drop frees the chain from here.
+    head: *mut Node,
+    leaves: AtomicU64,
 }
 
-// SAFETY: raw node pointers are managed under the SMO protocol; nodes
-// are never freed while operations run (only on drop).
+// SAFETY: `head` is the only field that is not `Send + Sync` by itself.
+// Only `drop` reads it, and the leaves it and the inner layer's leaf
+// words reach hold nothing but atomics and are freed only on drop.
 unsafe impl Send for DramTree {}
 unsafe impl Sync for DramTree {}
 
 impl DramTree {
     /// Empty tree.
     pub fn new() -> DramTree {
-        let leaf = Box::into_raw(Node::new(true));
+        let head = Box::into_raw(Node::new());
         DramTree {
-            smo: Htm::new(),
-            root: AtomicU64::new(tag(leaf, true)),
-            node_count: AtomicU64::new(1),
+            inner: InnerLayer::new(FANOUT, leaf_word(head)),
+            head,
+            leaves: AtomicU64::new(1),
         }
     }
 
-    fn traverse(&self, key: Key) -> Result<&Node, Abort> {
-        let mut w = self.root.load(Ordering::Acquire);
-        for _ in 0..64 {
-            if w == 0 {
-                return Err(Abort);
-            }
-            // SAFETY: nodes are never freed while operations run.
-            let node = unsafe { &*untag(w) };
-            if node.is_leaf {
-                return Ok(node);
-            }
-            w = node.val(node.route(key));
-        }
-        Err(Abort)
-    }
-
-    fn locate_and_lock(&self, key: Key) -> &Node {
-        loop {
-            let (leaf, ver) = self
-                .smo
-                .speculative_read(|v| self.traverse(key).map(|l| (l as *const Node, v)));
-            // SAFETY: see traverse.
-            let leaf = unsafe { &*leaf };
-            if leaf.try_lock().is_none() {
-                std::hint::spin_loop();
-                continue;
-            }
-            if self.smo.version() != ver {
-                leaf.unlock();
-                continue;
-            }
-            return leaf;
+    /// Route to the leaf covering `key` and take its lock, with no SMO
+    /// committed in between.
+    fn lock_leaf(&self, key: Key) -> &Node {
+        // SAFETY: every word the inner layer hands back is a leaf word of
+        // this tree.
+        unsafe {
+            leaf(
+                self.inner
+                    .locate_and_lock(key, |w| leaf(w).try_lock(), |w| leaf(w).unlock()),
+            )
         }
     }
 
     /// Split a full, locked leaf inside the SMO transaction. Returns the
     /// leaf that now owns `key` (still locked; the other is unlocked).
-    fn split_leaf<'a>(&'a self, leaf: &'a Node, key: Key) -> &'a Node {
+    fn split_leaf<'a>(&'a self, txn: &WriteTxn<'_>, leaf: &'a Node, key: Key) -> &'a Node {
         debug_assert_eq!(leaf.count(), FANOUT);
-        let right = Node::new(true);
+        let right = Node::new();
         let mid = FANOUT / 2;
         let sep = leaf.key(mid);
         for i in mid..FANOUT {
@@ -237,12 +192,12 @@ impl DramTree {
             .store(leaf.next.load(Ordering::Acquire), Ordering::Release);
         right.version.store(1, Ordering::Release); // created locked
         let right_ptr = Box::into_raw(right);
-        self.node_count.fetch_add(1, Ordering::Relaxed);
+        self.leaves.fetch_add(1, Ordering::Relaxed);
         // SAFETY: fresh pointer from Box::into_raw.
         let right = unsafe { &*right_ptr };
-        leaf.next.store(tag(right_ptr, true), Ordering::Release);
+        leaf.next.store(right_ptr as u64, Ordering::Release);
         leaf.count.store(mid, Ordering::Release);
-        self.insert_separator(sep, tag(right_ptr, true), key);
+        self.inner.insert_separator(txn, sep, leaf_word(right_ptr));
         if key >= sep {
             leaf.unlock();
             right
@@ -252,75 +207,9 @@ impl DramTree {
         }
     }
 
-    /// Insert `(sep, right)` into the inner structure (inside the SMO
-    /// transaction), growing the root as needed. `probe` is a key that
-    /// routed to the split child (used to find the path).
-    fn insert_separator(&self, sep: Key, right: u64, probe: Key) {
-        let mut path: Vec<&Node> = Vec::new();
-        let mut w = self.root.load(Ordering::Acquire);
-        loop {
-            // SAFETY: nodes live until drop.
-            let node = unsafe { &*untag(w) };
-            if node.is_leaf {
-                break;
-            }
-            path.push(node);
-            w = node.val(node.route(probe));
-        }
-        let mut sep = sep;
-        let mut right = right;
-        loop {
-            match path.pop() {
-                None => {
-                    let old_root = self.root.load(Ordering::Acquire);
-                    let new_root = Node::new(false);
-                    new_root.keys[0].store(sep, Ordering::Release);
-                    new_root.vals[0].store(old_root, Ordering::Release);
-                    new_root.vals[1].store(right, Ordering::Release);
-                    new_root.count.store(1, Ordering::Release);
-                    self.node_count.fetch_add(1, Ordering::Relaxed);
-                    self.root
-                        .store(tag(Box::into_raw(new_root), false), Ordering::Release);
-                    return;
-                }
-                Some(node) => {
-                    if node.count() < FANOUT {
-                        node.inner_insert(sep, right);
-                        return;
-                    }
-                    // Split the inner node.
-                    let new_right = Node::new(false);
-                    let n = node.count();
-                    let mid = n / 2;
-                    let promote = node.key(mid);
-                    let moved = n - mid - 1;
-                    for i in 0..moved {
-                        new_right.keys[i].store(node.key(mid + 1 + i), Ordering::Release);
-                    }
-                    for i in 0..=moved {
-                        new_right.vals[i].store(node.val(mid + 1 + i), Ordering::Release);
-                    }
-                    new_right.count.store(moved, Ordering::Release);
-                    node.count.store(mid, Ordering::Release);
-                    let nr = Box::into_raw(new_right);
-                    self.node_count.fetch_add(1, Ordering::Relaxed);
-                    // SAFETY: fresh pointer.
-                    let nr_ref = unsafe { &*nr };
-                    if sep >= promote {
-                        nr_ref.inner_insert(sep, right);
-                    } else {
-                        node.inner_insert(sep, right);
-                    }
-                    sep = promote;
-                    right = tag(nr, false);
-                }
-            }
-        }
-    }
-
-    /// Number of allocated nodes (footprint reporting).
+    /// Number of allocated nodes, leaves and inner (footprint reporting).
     pub fn node_count(&self) -> u64 {
-        self.node_count.load(Ordering::Relaxed)
+        self.leaves.load(Ordering::Relaxed) + self.inner.node_count()
     }
 }
 
@@ -332,14 +221,14 @@ impl Default for DramTree {
 
 impl RangeIndex for DramTree {
     fn insert(&self, key: Key, value: Value) -> bool {
-        let mut leaf = self.locate_and_lock(key);
+        let mut leaf = self.lock_leaf(key);
         let n = leaf.count();
         if leaf.search(n, key).is_ok() {
             leaf.unlock();
             return false;
         }
         if n == FANOUT {
-            leaf = self.smo.write_txn(|| self.split_leaf(leaf, key));
+            leaf = self.inner.write_txn(|txn| self.split_leaf(txn, leaf, key));
         }
         let n = leaf.count();
         match leaf.search(n, key) {
@@ -356,8 +245,9 @@ impl RangeIndex for DramTree {
     }
 
     fn lookup(&self, key: Key) -> Option<Value> {
-        self.smo.speculative_read(|_| {
-            let leaf = self.traverse(key)?;
+        self.inner.speculative_route(key, |w| {
+            // SAFETY: a leaf word of this tree, as in `lock_leaf`.
+            let leaf = unsafe { leaf(w) };
             let v1 = leaf.version.load(Ordering::Acquire);
             if v1 & 1 == 1 {
                 return Err(Abort);
@@ -371,7 +261,7 @@ impl RangeIndex for DramTree {
     }
 
     fn update(&self, key: Key, value: Value) -> bool {
-        let leaf = self.locate_and_lock(key);
+        let leaf = self.lock_leaf(key);
         let r = match leaf.search(leaf.count(), key) {
             Ok(i) => {
                 leaf.vals[i].store(value, Ordering::Release);
@@ -384,7 +274,7 @@ impl RangeIndex for DramTree {
     }
 
     fn remove(&self, key: Key) -> bool {
-        let leaf = self.locate_and_lock(key);
+        let leaf = self.lock_leaf(key);
         let r = match leaf.search(leaf.count(), key) {
             Ok(i) => {
                 leaf.leaf_remove_at(i);
@@ -401,9 +291,8 @@ impl RangeIndex for DramTree {
         if count == 0 {
             return 0;
         }
-        let mut w = self
-            .smo
-            .speculative_read(|_| self.traverse(start).map(|l| l as *const Node));
+        // SAFETY: a leaf word of this tree, as in `lock_leaf`.
+        let mut w: *const Node = unsafe { leaf(self.inner.speculative_route(start, Ok)) };
         let mut batch = Vec::with_capacity(FANOUT);
         while !w.is_null() && out.len() < count {
             // SAFETY: nodes live until drop.
@@ -425,7 +314,7 @@ impl RangeIndex for DramTree {
                 }
                 let nx = leaf.next.load(Ordering::Acquire);
                 if leaf.version.load(Ordering::Acquire) == v1 {
-                    next = untag(nx);
+                    next = nx as *const Node;
                     break;
                 }
             }
@@ -443,27 +332,21 @@ impl RangeIndex for DramTree {
     fn footprint(&self) -> Footprint {
         Footprint {
             pm_bytes: 0,
-            dram_bytes: self.node_count()
-                * (std::mem::size_of::<Node>() as u64 + 16 * FANOUT as u64 + 24),
+            dram_bytes: self.leaves.load(Ordering::Relaxed)
+                * (std::mem::size_of::<Node>() + 16 * FANOUT) as u64
+                + self.inner.dram_bytes(),
         }
     }
 }
 
 impl Drop for DramTree {
     fn drop(&mut self) {
-        let mut stack = vec![self.root.load(Ordering::Relaxed)];
-        while let Some(w) = stack.pop() {
-            if w == 0 {
-                continue;
-            }
-            let ptr = untag(w) as *mut Node;
-            // SAFETY: exclusive access in drop; pointers from Box::into_raw.
-            let node = unsafe { Box::from_raw(ptr) };
-            if !node.is_leaf {
-                for i in 0..=node.count() {
-                    stack.push(node.val(i));
-                }
-            }
+        let mut p = self.head;
+        while !p.is_null() {
+            // SAFETY: exclusive access in drop; every leaf came from
+            // Box::into_raw and is on the chain once.
+            let node = unsafe { Box::from_raw(p) };
+            p = node.next.load(Ordering::Relaxed) as *mut Node;
         }
     }
 }

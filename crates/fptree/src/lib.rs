@@ -7,7 +7,10 @@
 //! * **Hybrid DRAM–PM architecture.** Inner nodes live in DRAM and only
 //!   guide traffic; leaf nodes live in PM and hold the truth. Inner
 //!   nodes are rebuilt from the leaf chain on recovery (bulk loading),
-//!   trading instant recovery for DRAM-speed traversal.
+//!   trading instant recovery for DRAM-speed traversal. The inner layer
+//!   is [`htm::InnerLayer`], shared with the DRAM B+-tree baseline
+//!   (`dram-index`); this crate owns the PM leaves and hands the layer
+//!   leaf words `off << 1 | 1`.
 //! * **Unsorted leaves with fingerprints.** Leaves keep a slot bitmap
 //!   and one-byte key hashes; a lookup probes fingerprints first and
 //!   touches PM-resident keys only on a hash match, cutting PM reads
@@ -31,7 +34,6 @@
 //!
 //! See [`FpTree`] for the API and `tree.rs` for the recovery protocol.
 
-mod inner;
 mod layout;
 mod tree;
 

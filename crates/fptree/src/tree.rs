@@ -1,14 +1,13 @@
 //! The FPTree proper: operations, splits, recovery.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use htm::{Abort, Htm};
+use htm::{Abort, InnerLayer, WriteTxn};
 use index_api::{Footprint, Key, RangeIndex, Value};
 use pmalloc::PmAllocator;
 use pmem::{MediaError, PmOff, PmPool};
 
-use crate::inner::{self, Inner};
 use crate::layout::{LeafLayout, BITMAP_OFF, NEXT_OFF, PAIR_BYTES, VLOCK_OFF};
 use crate::{fingerprint, FpTreeConfig, KeyMode};
 
@@ -19,30 +18,39 @@ const SLOT_LOG_OLD: u64 = 9; // split micro-log: leaf being split
 const SLOT_LOG_NEW: u64 = 10; // split micro-log: new right sibling
 const SLOT_LOG_KEY: u64 = 11; // split micro-log: separator key
 const SLOT_LOG_VALID: u64 = 12; // split micro-log: commit flag
-const SLOT_CFG: u64 = 13; // persisted leaf_entries for config validation
+const SLOT_CFG: u64 = 13; // persisted on-media format, see `format_word`
 
 #[inline]
 fn slot_off(slot: u64) -> u64 {
     slot * 8
 }
 
+/// The on-media format `SLOT_CFG` holds: the leaf size, and bit 32 for
+/// pointer-stored keys. Fingerprints are always written and inner nodes
+/// are volatile, so neither of their knobs is part of it.
+fn format_word(cfg: &FpTreeConfig) -> u64 {
+    cfg.leaf_entries as u64 | ((cfg.key_mode == KeyMode::Pointer) as u64) << 32
+}
+
+/// A leaf's word in the inner layer, and back.
+#[inline]
+fn leaf_word(off: u64) -> u64 {
+    off << 1 | 1
+}
+
+#[inline]
+fn leaf_off(word: u64) -> u64 {
+    word >> 1
+}
+
 /// FPTree: hybrid DRAM–PM persistent B+-tree (see crate docs).
 pub struct FpTree {
     alloc: Arc<PmAllocator>,
-    htm: Htm,
-    /// Tagged root child word (leaf offset or inner pointer).
-    root: AtomicU64,
+    /// The DRAM inner nodes over this tree's PM leaves.
+    inner: InnerLayer,
     layout: LeafLayout,
     cfg: FpTreeConfig,
-    /// DRAM inner nodes currently allocated (for footprint reporting).
-    inner_count: AtomicU64,
 }
-
-// SAFETY: the only non-auto-Send/Sync state is the tagged pointers in
-// `root`/inner nodes, which are managed under the documented HTM
-// protocol (inner nodes are never freed while operations run).
-unsafe impl Send for FpTree {}
-unsafe impl Sync for FpTree {}
 
 impl FpTree {
     /// Create a fresh tree on a formatted allocator/pool.
@@ -56,15 +64,13 @@ impl FpTree {
         pool.write_u64(head + VLOCK_OFF, 0);
         pool.write_u64(head + NEXT_OFF, 0);
         pool.persist(head, 24);
-        pool.write_u64(slot_off(SLOT_CFG), cfg.leaf_entries as u64);
+        pool.write_u64(slot_off(SLOT_CFG), format_word(&cfg));
         pool.persist(slot_off(SLOT_CFG), 8);
         Arc::new(FpTree {
             alloc,
-            htm: Htm::new(),
-            root: AtomicU64::new(inner::tag_leaf(head)),
+            inner: InnerLayer::new(cfg.inner_fanout, leaf_word(head)),
             layout,
             cfg,
-            inner_count: AtomicU64::new(0),
         })
     }
 
@@ -83,22 +89,21 @@ impl FpTree {
         let pool = alloc.pool().clone();
         pool.check_readable(slot_off(SLOT_HEAD), 48)
             .map_err(|e| e.context("FPTree root slots"))?;
-        let persisted_entries = pool.read_u64(slot_off(SLOT_CFG)) as usize;
         assert_eq!(
-            persisted_entries, cfg.leaf_entries,
-            "try_recover() config must match the on-media leaf layout"
+            pool.read_u64(slot_off(SLOT_CFG)),
+            format_word(&cfg),
+            "try_recover() config must match the on-media leaf layout and key mode"
         );
-        let layout = LeafLayout::new(cfg.leaf_entries);
-        let tree = FpTree {
+        let mut tree = FpTree {
             alloc,
-            htm: Htm::new(),
-            root: AtomicU64::new(0),
-            layout,
+            // Offset 0 is no leaf: the bulk load below sets the root.
+            inner: InnerLayer::new(cfg.inner_fanout, leaf_word(0)),
+            layout: LeafLayout::new(cfg.leaf_entries),
             cfg,
-            inner_count: AtomicU64::new(0),
         };
         tree.replay_split_log()?;
-        tree.rebuild_from_leaves()?;
+        let level = tree.leaf_level()?;
+        tree.inner.bulk_load(level);
         Ok(Arc::new(tree))
     }
 
@@ -109,14 +114,10 @@ impl FpTree {
 
     // ----- leaf primitives -------------------------------------------------
 
-    /// Try to acquire a leaf's version lock. Returns the pre-lock (even)
-    /// version on success.
-    fn leaf_try_lock(&self, leaf: u64) -> Option<u64> {
+    /// Try to acquire a leaf's version lock.
+    fn leaf_try_lock(&self, leaf: u64) -> bool {
         let v = self.pool().load_u64(leaf + VLOCK_OFF, Ordering::Acquire);
-        if v & 1 == 1 {
-            return None;
-        }
-        self.pool().cas_u64(leaf + VLOCK_OFF, v, v + 1).ok()
+        v & 1 == 0 && self.pool().cas_u64(leaf + VLOCK_OFF, v, v + 1).is_ok()
     }
 
     /// Release a leaf lock, bumping the version so optimistic readers
@@ -220,52 +221,23 @@ impl FpTree {
         pool.persist(leaf + BITMAP_OFF, 8);
     }
 
-    // ----- traversal ---------------------------------------------------------
-
-    /// Descend the DRAM inner nodes to the leaf covering `key`.
-    /// Tolerates torn reads (returns `Err(Abort)` on anything odd); the
-    /// caller validates via the HTM version.
-    fn traverse(&self, key: Key) -> Result<u64, Abort> {
-        let mut w = self.root.load(Ordering::Acquire);
-        for _ in 0..64 {
-            if w == 0 {
-                return Err(Abort);
-            }
-            if inner::is_leaf(w) {
-                return Ok(inner::leaf_off(w));
-            }
-            // SAFETY: inner nodes are never freed while operations run.
-            let node = unsafe { inner::inner_ref(w) };
-            w = node.child_for(key);
-        }
-        Err(Abort)
-    }
-
-    /// Traverse and lock the target leaf, validating that no SMO
-    /// committed between the traversal and the lock acquisition.
-    fn locate_and_lock(&self, key: Key) -> (u64, u64) {
-        loop {
-            let (leaf, ver) = self
-                .htm
-                .speculative_read(|v| self.traverse(key).map(|l| (l, v)));
-            let Some(prev) = self.leaf_try_lock(leaf) else {
-                std::hint::spin_loop();
-                continue;
-            };
-            if self.htm.version() != ver {
-                // An SMO slipped in; the leaf may no longer cover `key`.
-                self.leaf_unlock(leaf);
-                continue;
-            }
-            return (leaf, prev);
-        }
+    /// Route to the leaf covering `key` and take its lock, with no SMO
+    /// committed in between.
+    fn lock_leaf(&self, key: Key) -> u64 {
+        let word = self.inner.locate_and_lock(
+            key,
+            |w| self.leaf_try_lock(leaf_off(w)),
+            |w| self.leaf_unlock(leaf_off(w)),
+        );
+        leaf_off(word)
     }
 
     // ----- splits ------------------------------------------------------------
 
-    /// Split a full, locked leaf. Runs inside the HTM write transaction.
-    /// Returns `(separator, new_leaf)`; the new leaf is created locked.
-    fn split_leaf_locked(&self, old: u64) -> (Key, u64) {
+    /// Split a full, locked leaf inside the inner layer's write
+    /// transaction. Returns `(separator, new_leaf)`; the new leaf is
+    /// created locked.
+    fn split_leaf_locked(&self, txn: &WriteTxn<'_>, old: u64) -> (Key, u64) {
         let _site = obs::site("fptree_leaf_split");
         let pool = self.pool();
         let l = &self.layout;
@@ -325,56 +297,9 @@ impl FpTree {
         pool.persist(slot_off(SLOT_LOG_NEW), 8);
 
         // Reflect the split in the DRAM inner nodes.
-        self.insert_separator(split_key, inner::tag_leaf(new));
+        let _inner = obs::site("fptree_inner_insert");
+        self.inner.insert_separator(txn, split_key, leaf_word(new));
         (split_key, new)
-    }
-
-    /// Insert `(key, right)` into the inner structure, splitting inner
-    /// nodes / growing the root as needed. Runs inside the write txn.
-    fn insert_separator(&self, key: Key, right: u64) {
-        let _site = obs::site("fptree_inner_insert");
-        // Collect the inner path to the leaf that covered `key`.
-        let mut path: Vec<&Inner> = Vec::new();
-        let mut w = self.root.load(Ordering::Acquire);
-        while !inner::is_leaf(w) {
-            // SAFETY: write txn holds the global lock; pointers are live.
-            let node = unsafe { inner::inner_ref(w) };
-            path.push(node);
-            w = node.child_for(key);
-        }
-        let mut key = key;
-        let mut right = right;
-        loop {
-            match path.pop() {
-                None => {
-                    // Grow a new root above the old one.
-                    let old_root = self.root.load(Ordering::Acquire);
-                    let node = Inner::new(self.cfg.inner_fanout);
-                    node.init_root(key, old_root, right);
-                    self.inner_count.fetch_add(1, Ordering::Relaxed);
-                    self.root
-                        .store(inner::tag_inner(Box::into_raw(node)), Ordering::Release);
-                    return;
-                }
-                Some(node) => {
-                    if !node.is_full() {
-                        node.insert(key, right);
-                        return;
-                    }
-                    // Split the inner node and keep propagating.
-                    let new_right = Inner::new(self.cfg.inner_fanout);
-                    let promote = node.split_into(&new_right);
-                    if key >= promote {
-                        new_right.insert(key, right);
-                    } else {
-                        node.insert(key, right);
-                    }
-                    self.inner_count.fetch_add(1, Ordering::Relaxed);
-                    key = promote;
-                    right = inner::tag_inner(Box::into_raw(new_right));
-                }
-            }
-        }
     }
 
     // ----- recovery ----------------------------------------------------------
@@ -436,10 +361,11 @@ impl FpTree {
         Ok(())
     }
 
-    /// Rebuild inner nodes by walking the persistent leaf chain
-    /// (bulk loading). Also clears leaf version locks left over from
-    /// the crash.
-    fn rebuild_from_leaves(&self) -> Result<(), MediaError> {
+    /// Walk the persistent leaf chain for the inner layer's bulk load:
+    /// each non-empty leaf's least key and word, in key order (the head
+    /// leaf alone if every leaf is empty). Also clears leaf version
+    /// locks left over from the crash.
+    fn leaf_level(&self) -> Result<Vec<(Key, u64)>, MediaError> {
         let _site = obs::site("fptree_recovery");
         let pool = self.pool();
         let l = &self.layout;
@@ -462,50 +388,30 @@ impl FpTree {
                 min = min.min(self.checked_slot_key(leaf, slot)?);
             }
             if bitmap != 0 {
-                level.push((min, inner::tag_leaf(leaf)));
+                level.push((min, leaf_word(leaf)));
             }
             leaf = pool.read_u64(leaf + NEXT_OFF);
         }
         if level.is_empty() {
-            self.root.store(inner::tag_leaf(head), Ordering::Release);
-            return Ok(());
+            level.push((0, leaf_word(head)));
         }
-        debug_assert!(level.windows(2).all(|w| w[0].0 < w[1].0));
-        // Build inner levels bottom-up.
-        let fanout = self.cfg.inner_fanout;
-        while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len() / fanout + 1);
-            for group in level.chunks(fanout + 1) {
-                let node = Inner::new(fanout);
-                let keys: Vec<Key> = group[1..].iter().map(|&(k, _)| k).collect();
-                let children: Vec<u64> = group.iter().map(|&(_, c)| c).collect();
-                node.load(&keys, &children);
-                self.inner_count.fetch_add(1, Ordering::Relaxed);
-                next.push((group[0].0, inner::tag_inner(Box::into_raw(node))));
-            }
-            level = next;
-        }
-        self.root.store(level[0].1, Ordering::Release);
-        Ok(())
-    }
-
-    /// Number of DRAM inner nodes (exposed for tests/experiments).
-    pub fn inner_node_count(&self) -> u64 {
-        self.inner_count.load(Ordering::Relaxed)
+        Ok(level)
     }
 }
 
 impl RangeIndex for FpTree {
     fn insert(&self, key: Key, value: Value) -> bool {
         let _site = obs::site("fptree_insert");
-        let (leaf, _) = self.locate_and_lock(key);
+        let leaf = self.lock_leaf(key);
         if self.find_in_leaf(leaf, key).is_some() {
             self.leaf_unlock(leaf);
             return false;
         }
         let bitmap = self.pool().read_u64(leaf + BITMAP_OFF) & self.layout.full_mask();
         if bitmap == self.layout.full_mask() {
-            let (split_key, new) = self.htm.write_txn(|| self.split_leaf_locked(leaf));
+            let (split_key, new) = self
+                .inner
+                .write_txn(|txn| self.split_leaf_locked(txn, leaf));
             let target = if key >= split_key { new } else { leaf };
             let tb = self.pool().read_u64(target + BITMAP_OFF) & self.layout.full_mask();
             let slot = (!tb).trailing_zeros() as usize;
@@ -525,8 +431,8 @@ impl RangeIndex for FpTree {
 
     fn lookup(&self, key: Key) -> Option<Value> {
         let _site = obs::site("fptree_lookup");
-        self.htm.speculative_read(|_| {
-            let leaf = self.traverse(key)?;
+        self.inner.speculative_route(key, |w| {
+            let leaf = leaf_off(w);
             let v1 = self.pool().load_u64(leaf + VLOCK_OFF, Ordering::Acquire);
             if v1 & 1 == 1 {
                 return Err(Abort);
@@ -544,7 +450,7 @@ impl RangeIndex for FpTree {
     fn update(&self, key: Key, value: Value) -> bool {
         let _site = obs::site("fptree_update");
         loop {
-            let (leaf, _) = self.locate_and_lock(key);
+            let leaf = self.lock_leaf(key);
             let Some(slot) = self.find_in_leaf(leaf, key) else {
                 self.leaf_unlock(leaf);
                 return false;
@@ -554,7 +460,9 @@ impl RangeIndex for FpTree {
             if free == 0 {
                 // Out-of-place update needs a spare slot: split first,
                 // then retry (the key's new home has room).
-                let (_, new) = self.htm.write_txn(|| self.split_leaf_locked(leaf));
+                let (_, new) = self
+                    .inner
+                    .write_txn(|txn| self.split_leaf_locked(txn, leaf));
                 self.leaf_unlock(leaf);
                 self.leaf_unlock(new);
                 continue;
@@ -573,7 +481,7 @@ impl RangeIndex for FpTree {
 
     fn remove(&self, key: Key) -> bool {
         let _site = obs::site("fptree_remove");
-        let (leaf, _) = self.locate_and_lock(key);
+        let leaf = self.lock_leaf(key);
         let Some(slot) = self.find_in_leaf(leaf, key) else {
             self.leaf_unlock(leaf);
             return false;
@@ -593,16 +501,13 @@ impl RangeIndex for FpTree {
         }
         let pool = self.pool();
         let l = &self.layout;
-        let mut leaf = self.htm.speculative_read(|_| self.traverse(start));
+        let mut leaf = leaf_off(self.inner.speculative_route(start, Ok));
         let mut batch: Vec<(Key, Value)> = Vec::with_capacity(l.entries);
         while leaf != 0 && out.len() < count {
             // FPTree scans lock each leaf while copying (the paper's
             // behaviour, and the source of its scan-under-contention
             // weakness).
-            loop {
-                if self.leaf_try_lock(leaf).is_some() {
-                    break;
-                }
+            while !self.leaf_try_lock(leaf) {
                 std::hint::spin_loop();
             }
             batch.clear();
@@ -634,25 +539,7 @@ impl RangeIndex for FpTree {
     fn footprint(&self) -> Footprint {
         Footprint {
             pm_bytes: self.alloc.live_bytes(),
-            dram_bytes: self.inner_count.load(Ordering::Relaxed)
-                * Inner::dram_bytes(self.cfg.inner_fanout),
-        }
-    }
-}
-
-impl Drop for FpTree {
-    fn drop(&mut self) {
-        // Free the DRAM inner nodes; leaves live in the pool.
-        let mut stack = vec![self.root.load(Ordering::Relaxed)];
-        while let Some(w) = stack.pop() {
-            if w != 0 && !inner::is_leaf(w) {
-                // SAFETY: exclusive access in drop; pointer came from
-                // Box::into_raw.
-                let node = unsafe { Box::from_raw(w as *mut Inner) };
-                for i in 0..=node.nkeys() {
-                    stack.push(node.child(i));
-                }
-            }
+            dram_bytes: self.inner.dram_bytes(),
         }
     }
 }
@@ -703,7 +590,7 @@ mod tests {
         for k in 0..5_000u64 {
             assert!(t.lookup(k).is_some(), "lookup {k}");
         }
-        assert!(t.inner_node_count() > 10, "splits should build inners");
+        assert!(t.inner.node_count() > 10, "splits should build inners");
     }
 
     #[test]
@@ -943,6 +830,37 @@ mod tests {
     }
 
     #[test]
+    fn a_pointer_key_pool_reopens_only_in_pointer_mode() {
+        let pool = Arc::new(PmPool::new(16 << 20, PmConfig::real()));
+        let alloc = PmAllocator::format(pool.clone(), AllocMode::General);
+        let cfg = FpTreeConfig {
+            key_mode: crate::KeyMode::Pointer,
+            ..small_cfg()
+        };
+        let t = FpTree::create(alloc, cfg);
+        for k in 0..300u64 {
+            t.insert(k, k + 7);
+        }
+        drop(t);
+        pool.crash();
+        let alloc = PmAllocator::try_recover(pool).expect("allocator recovery");
+        // Key words are cell offsets here: read inline, they would be
+        // bulk-loaded as routing keys.
+        let inline = FpTreeConfig {
+            key_mode: crate::KeyMode::Inline,
+            ..cfg
+        };
+        let reopened = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            FpTree::try_recover(alloc.clone(), inline)
+        }));
+        assert!(reopened.is_err(), "an inline reopen of a pointer pool");
+        let t = FpTree::try_recover(alloc, cfg).expect("recovery");
+        for k in 0..300u64 {
+            assert_eq!(t.lookup(k), Some(k + 7), "key {k}");
+        }
+    }
+
+    #[test]
     fn pointer_key_mode_reads_more_pm_than_inline() {
         let mk = |mode: crate::KeyMode| {
             let pool = Arc::new(PmPool::new(64 << 20, PmConfig::real()));
@@ -1017,7 +935,7 @@ mod tests {
         assert_eq!(counted(&|| t.update(100, 2)), (3, 2, 3), "update");
         // Only the bitmap.
         assert_eq!(counted(&|| t.remove(100)), (1, 1, 1), "remove");
-        assert_eq!(t.inner_node_count(), 0, "no split on the way");
+        assert_eq!(t.inner.node_count(), 0, "no split on the way");
     }
 
     #[test]
@@ -1033,7 +951,7 @@ mod tests {
         for &k in &keys {
             assert!(t.insert(k, !k));
         }
-        assert_eq!(t.inner_node_count(), 0, "one leaf");
+        assert_eq!(t.inner.node_count(), 0, "one leaf");
         for &k in &keys {
             let before = t.pool().stats();
             // A fresh thread starts with an empty modelled block cache.

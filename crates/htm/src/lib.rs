@@ -1,4 +1,12 @@
-//! # htm — software emulation of restricted transactional memory
+//! # htm — emulated restricted transactional memory, and the DRAM inner layer it guards
+//!
+//! Two parts:
+//!
+//! * [`Htm`], one emulated transactional-memory domain (below).
+//! * [`InnerLayer`], the DRAM B+-tree inner nodes FPTree and the DRAM
+//!   B+-tree share: it owns an [`Htm`] domain, the root word and the
+//!   inner nodes, and routes over opaque leaf words, so each tree keeps
+//!   only its leaves (see `inner.rs`).
 //!
 //! FPTree synchronizes inner-node traversals with Intel TSX/RTM
 //! hardware transactions (via TBB's `speculative_spin_rw_mutex`). TSX
@@ -32,6 +40,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
+
+mod inner;
+
+pub use inner::{InnerLayer, WriteTxn};
 
 /// Marker error: the closure observed state that requires an abort
 /// (e.g. a locked leaf) and wants the transaction retried.
