@@ -216,11 +216,8 @@ mod tests {
         let r = e20(&tiny());
         assert!(r.text.contains("E20"), "{}", r.text);
         assert!(r.text.contains("cached-64MiB"), "{}", r.text);
-        assert!(r.text.contains("migrate-during"), "{}", r.text);
         assert!(r.json.contains("\"cache_tier\":{"), "{}", r.json);
         assert!(r.json.contains("\"storm_speedup\""), "{}", r.json);
-        assert!(r.json.contains("\"migration\":{"), "{}", r.json);
-        assert!(r.json.contains("\"routes_after\":3"), "{}", r.json);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use super::sweep::{
 };
 use super::{pm_cfg, render, ExpReport};
 use crate::cli::ExpCtx;
-use crate::registry::{self, AllocMode, Shape, PM_KINDS};
+use crate::registry::{self, AllocMode, PM_KINDS};
 
 use Distribution::Uniform;
 
@@ -240,51 +240,11 @@ const E20_MIX: OpMix = OpMix {
     scan: 0,
 };
 
-/// Throughput of `threads` workers hammering `engine` with the E20 mix
-/// under `sampler` (keys are `index * stride`). Used by the migration
-/// ladder, which needs a *contiguous* hot key range — `pibench::run`'s
-/// [`KeySpace`] permutes keys across the space, which would smear the
-/// hot set over every shard.
-fn e20_drive(
-    engine: &Arc<engine::ShardedIndex>,
-    sampler: &pibench::dist::Sampler,
-    stride: u64,
-    threads: usize,
-    total_ops: u64,
-) -> f64 {
-    use index_api::RangeIndex;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-    let per_thread = (total_ops / threads as u64).max(1);
-    let t0 = std::time::Instant::now();
-    std::thread::scope(|s| {
-        for tid in 0..threads as u64 {
-            let engine = engine.clone();
-            let sampler = *sampler;
-            s.spawn(move || {
-                let mut rng = SmallRng::seed_from_u64(0x20E0 + tid);
-                for i in 0..per_thread {
-                    let key = sampler.sample(&mut rng) * stride;
-                    if i % 10 == 0 {
-                        engine.update(key, i);
-                    } else {
-                        engine.lookup(key);
-                    }
-                }
-            });
-        }
-    });
-    (per_thread * threads as u64) as f64 / t0.elapsed().as_secs_f64() / 1e6
-}
-
-/// E20 — the DRAM hot-key tier and online shard-range migration under
-/// skew. Three parts: (a) cached vs uncached throughput on the same
-/// fptree build under self-similar 80/20 and hot-storm access; (b) tail
-/// latency of the cached storm vs the uncached *uniform* baseline (the
-/// tier's promise: a hot-key storm should not be worse than an even
-/// load); (c) a migration-under-load ladder — throughput before,
-/// during, and after an online split of the hot shard, driven through
-/// [`engine::Migrator`] while workers hammer a contiguous hot range.
+/// E20 — the DRAM hot-key tier under skew. Two parts: (a) cached vs
+/// uncached throughput on the same fptree build under self-similar
+/// 80/20 and hot-storm access; (b) tail latency of the cached storm vs
+/// the uncached *uniform* baseline (the tier's promise: a hot-key storm
+/// should not be worse than an even load).
 pub fn e20(ctx: &ExpCtx) -> ExpReport {
     use cache::CachedIndex;
     use index_api::RangeIndex;
@@ -343,62 +303,12 @@ pub fn e20(ctx: &ExpCtx) -> ExpReport {
     // Part B: the uncached uniform baseline the storm tail is held to.
     let (_, uniform_p99) = measure("B", false, "uniform", Distribution::Uniform);
 
-    // Part C: online split of the hot shard while workers hammer a
-    // *contiguous* hot range at the bottom of shard 0.
-    let base_shards = 2usize;
-    let stride = u64::MAX / ctx.records;
-    let shard = || {
-        let (shape, mode) = (Shape::Default, AllocMode::General);
-        registry::shard("fptree", shape, mode, ctx.records, base_shards, pm_cfg())
-    };
-    let eng = engine::ShardedIndex::from_parts((0..base_shards).map(|_| shard()).collect());
-    for i in 0..ctx.records {
-        eng.insert(i * stride, i);
-    }
-    let hot = (ctx.records / 10).max(2); // hot range: bottom 10%, all in shard 0
-    let sampler = Distribution::HotStorm { hot, frac: 0.9 }.sampler(ctx.records);
-    let window = ctx.ops_per_point;
-    let before = e20_drive(&eng, &sampler, stride, threads, window);
-    let split_at = (hot / 2) * stride; // cleave the hot range itself
-    let mut mig = eng.begin_migration(split_at, shard());
-    let (during, mig_ms) = std::thread::scope(|s| {
-        let h = s.spawn(move || {
-            let m0 = std::time::Instant::now();
-            mig.run(256);
-            m0.elapsed().as_secs_f64() * 1e3
-        });
-        let d = e20_drive(&eng, &sampler, stride, threads, window);
-        (d, h.join().expect("migration thread"))
-    });
-    let after = e20_drive(&eng, &sampler, stride, threads, window);
-    let routes_after = eng.routes().len();
-    assert_eq!(routes_after, base_shards + 1, "split must add a route");
-    for (phase, mops) in [("before", before), ("during", during), ("after", after)] {
-        // No latency or hit-rate columns: the ladder drives the engine
-        // itself, not `pibench::run`.
-        let mut cells = labels(&["C", &format!("migrate-{phase}"), "storm(contig)"]);
-        cells.push(fmt_mops(mops));
-        cells.resize(7, "-".to_string());
-        t.row(cells);
-    }
-    let mut mig_json = JsonObj::new();
-    mig_json
-        .u64("base_shards", base_shards as u64)
-        .u64("hot_keys", hot)
-        .f64("before_mops", before)
-        .f64("during_mops", during)
-        .f64("after_mops", after)
-        .f64("migration_ms", mig_ms)
-        .u64("routes_after", routes_after as u64);
-
     let mut tails = JsonObj::new();
     tails
         .u64("storm_p99_cached_ns", storm_cached_p99)
         .u64("uniform_p99_uncached_ns", uniform_p99);
 
-    let title = format!(
-        "E20: DRAM hot-key tier + online shard split under skew ({threads} threads, fptree)"
-    );
+    let title = format!("E20: DRAM hot-key tier under skew ({threads} threads, fptree)");
     render(
         &title,
         ctx,
@@ -406,7 +316,6 @@ pub fn e20(ctx: &ExpCtx) -> ExpReport {
         &[
             ("cache_tier".to_string(), part_a.finish()),
             ("tail".to_string(), tails.finish()),
-            ("migration".to_string(), mig_json.finish()),
         ],
     )
 }

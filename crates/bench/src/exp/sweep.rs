@@ -46,7 +46,7 @@ pub fn subject(kind: &'static str, pm: PmConfig) -> Subject {
 /// subject.
 pub fn subject_as(kind: &'static str, shape: Shape, mode: AllocMode) -> Subject {
     Box::new(move |ctx| {
-        let b = registry::shard(kind, shape, mode, ctx.records, 1, pm_cfg());
+        let b = registry::shard(kind, shape, mode, ctx.records, pm_cfg());
         prefilled(b.into(), ctx)
     })
 }

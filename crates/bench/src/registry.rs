@@ -49,23 +49,14 @@ impl From<BuiltEnv> for Built {
 /// or `dram`) sized for `records`, on one pool with the given device
 /// config and the PMDK-like general allocator.
 pub fn build(kind: &str, records: u64, pm: PmConfig) -> Built {
-    shard(kind, Shape::Default, AllocMode::General, records, 1, pm).into()
+    shard(kind, Shape::Default, AllocMode::General, records, pm).into()
 }
 
-/// One fresh shard of `kind` in an explicit shape (E12's node sizes)
-/// and allocation mode (E10's ablation) on its own pool, sized like one
-/// shard of a `shards`-way build over `records`: the whole of a flat
-/// index (`shards == 1`), or a part of a range-partitioned build or the
-/// destination of an online split ([`engine::Migrator`]).
-pub fn shard(
-    kind: &str,
-    shape: Shape,
-    mode: AllocMode,
-    records: u64,
-    shards: usize,
-    pm: PmConfig,
-) -> Shard {
-    let bytes = pool_bytes_for_shard(records, shards);
+/// One fresh flat index of `kind` in an explicit shape (E12's node
+/// sizes) and allocation mode (E10's ablation) on its own pool sized
+/// for `records`.
+pub fn shard(kind: &str, shape: Shape, mode: AllocMode, records: u64, pm: PmConfig) -> Shard {
+    let bytes = pool_bytes_for_shard(records, 1);
     crashpoint::fresh_shard(kind, shape, mode, bytes, pm)
 }
 

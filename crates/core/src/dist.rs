@@ -25,8 +25,7 @@ pub enum Distribution {
     /// space; the rest are uniform over everything. Unlike
     /// [`Distribution::SelfSimilar`], the hot set is a single dense
     /// range, which is what drives one shard (and one cache region)
-    /// hot — the worst case the DRAM tier and online shard-range
-    /// migration are built for.
+    /// hot — the worst case the DRAM tier is built for.
     HotStorm {
         /// Hot-window size in indexes (clamped to the key space).
         hot: u64,

@@ -28,9 +28,8 @@
 //! under eviction chaos), [`mt::Mt`] (2–8 threads on one index, the
 //! device halted at the trip), [`sharded::Sharded`] (a
 //! range-partitioned engine, one shard armed at a time, siblings
-//! checked byte for byte), [`migration::Migration`] (an online
-//! shard-range migration in flight) and `net::crash::Net` (the same
-//! workload through a live TCP server: acked implies durable).
+//! checked byte for byte) and `net::crash::Net` (the same workload
+//! through a live TCP server: acked implies durable).
 //!
 //! **Determinism contract.** A single-threaded scenario is a pure
 //! function of its [`SweepOptions`]: the same options give the same
@@ -78,7 +77,6 @@ use pmalloc::AllocMode;
 use pmem::{CrashPointHit, MediaError, PmConfig, PmPool};
 
 mod kinds;
-pub mod migration;
 pub mod mt;
 pub mod sharded;
 pub mod single;

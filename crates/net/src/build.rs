@@ -59,7 +59,7 @@ pub fn build_sharded(kind: &str, shards: usize, records: u64, pm: PmConfig) -> B
 /// Reopen every shard of a crashed default-config sharded index, one
 /// thread per shard (the `pmserve --selfcheck` restart path).
 pub fn recover_sharded(kind: &str, pools: Vec<Arc<PmPool>>) -> BuiltEnv {
-    ShardedIndex::recover_routed(pools, Vec::new(), true, |pool| {
+    ShardedIndex::recover(&pools, true, |pool| {
         try_recover_shard_as(kind, Shape::Default, pool)
     })
     .expect("shard recovery hit a media error")

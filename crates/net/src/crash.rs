@@ -203,11 +203,8 @@ impl Scenario for Net {
         acked: &Acked,
         _counters: &mut Counters,
     ) -> Result<Result<(), String>, MediaError> {
-        let parts = pools
-            .iter()
-            .map(|pool| try_recover_shard(&opts.kind, pool.clone()))
-            .collect::<Result<Vec<_>, _>>()?;
-        let recovered = ShardedIndex::from_parts(parts);
+        let recovered =
+            ShardedIndex::recover(pools, false, |pool| try_recover_shard(&opts.kind, pool))?;
 
         let mut last_err = String::new();
         // FIFO execution: the executed prefix is applied exactly as the

@@ -18,8 +18,10 @@
 //! iteration that executed a write — `PmPool::fence_epoch` once on every
 //! pool the server holds, under the `net_batch_fence` obs site — and
 //! only then releases the held acks to the output buffers. Fencing every
-//! pool needs no guess of which pool a key lives on, which a published
-//! shard migration would make wrong. There is no size cap on a batch:
+//! pool keeps the server blind to which pool a key lives on: it holds an
+//! opaque front-end and a list of pools, and routing stays inside the
+//! front-end (an engine, a cache over one, or one flat index). There is
+//! no size cap on a batch:
 //! output buffers reach the sockets only in the write phase, which
 //! follows the commit, so a fence issued earlier in the iteration could
 //! not deliver any ack sooner. An acked write therefore always sits

@@ -31,12 +31,6 @@
 //!   the served index with the DRAM hot-key tier; recovery still reads
 //!   the raw pools, so a green sweep proves the cache never serves an
 //!   acked-but-lost write.
-//! * `migcrash` — crash-mid-migration consistency: run the workload
-//!   over a sharded engine while a shard-range migration (copy →
-//!   publish → GC) is in flight, arm each pool at every persistence
-//!   boundary, and verify the routing table is never half-copied and
-//!   every acked write survives whichever side of the publish the cut
-//!   landed on.
 //! * `cachestat` — run a skewed read-mostly workload through the DRAM
 //!   hot-key tier over an FPTree and print hit/miss/eviction counters;
 //!   exits non-zero if the cache never hits (CI smoke for the tier).
@@ -50,7 +44,6 @@
 //! cargo run --release --example pm_inspector -- shardcrash --kind all --shards 4 --stride 17
 //! cargo run --release --example pm_inspector -- netcrash --kind all --ops 1000 --stride 1
 //! cargo run --release --example pm_inspector -- netcrash --kind fptree --stride 101 --cache
-//! cargo run --release --example pm_inspector -- migcrash --kind wbtree --stride 131
 //! cargo run --release --example pm_inspector -- cachestat --records 50000 --cache-mb 16
 //! ```
 //!
@@ -74,10 +67,6 @@
 //! `--window N`, `--cache`, `--cache-mb N` (each shard's pool is armed
 //! in turn).
 //!
-//! `migcrash` flags: `--kind <name|all>`, `--shards N` (base shards),
-//! `--ops N`, `--key-range N`, `--seed N`, `--stride N`,
-//! `--max-boundaries N` (per armed pool).
-//!
 //! `cachestat` flags: `--records N`, `--ops N`, `--cache-mb N`.
 //!
 //! Every run prints its seed; any failure is exactly reproducible by
@@ -87,7 +76,6 @@
 
 use std::sync::Arc;
 
-use pm_index_bench::crashpoint::migration::Migration;
 use pm_index_bench::crashpoint::mt::Mt;
 use pm_index_bench::crashpoint::sharded::Sharded;
 use pm_index_bench::crashpoint::single::Single;
@@ -138,7 +126,7 @@ fn main() {
         "cachestat" => cachestat(&flags(&[("--records", Arg::Int(1)), OPS, CACHE_MB])),
         other => cli::fail(&format!(
             "unknown subcommand {other:?}; expected `footprint`, `crashpoints`, `mtcrash`, \
-             `shardcrash`, `netcrash`, `migcrash` or `cachestat`"
+             `shardcrash`, `netcrash` or `cachestat`"
         )),
     }
 }
@@ -286,7 +274,7 @@ fn net_scenario(f: &Flags) -> Net {
     }
 }
 
-static SWEEPS: [SweepRow; 5] = [
+static SWEEPS: [SweepRow; 4] = [
     SweepRow {
         name: "crashpoints",
         flags: &[
@@ -452,44 +440,6 @@ static SWEEPS: [SweepRow; 5] = [
         green: "every boundary cut behind the serving layer recovered \
                 correctly — every acked write survives, the unacked pipeline \
                 reconciles as a clean prefix, nothing is torn.",
-    },
-    SweepRow {
-        name: "migcrash",
-        flags: &[KIND, SHARDS, OPS, KEY_RANGE, SEED, STRIDE, MAX_BOUNDARIES],
-        ops: 400,
-        key_range: 96,
-        pool_mib: 8,
-        residual: ResidualConfig::Frozen,
-        describe: |f| {
-            format!(
-                "{} base shards + 1 migration destination, arming each pool in turn",
-                shards(f, 2)
-            )
-        },
-        run: |f, o| {
-            let scenario = Migration {
-                base_shards: shards(f, 2),
-                ..Migration::default()
-            };
-            vec![sweep(&scenario, &o)]
-        },
-        title: "Crash-mid-migration consistency",
-        columns: &[
-            PROBE,
-            BOUNDARIES,
-            CRASHES,
-            ("preparing rec", |_, s| {
-                s.counter("preparing_recoveries").to_string()
-            }),
-            ("claimed rec", |_, s| {
-                s.counter("claimed_recoveries").to_string()
-            }),
-        ],
-        violations: "migration",
-        green: "every mid-migration cut recovered correctly — the \
-                routing table is never half-copied, acked writes survive on \
-                whichever side of the publish the cut landed, and recovery is \
-                idempotent.",
     },
 ];
 

@@ -45,7 +45,7 @@ fn bad_flags_exit_2_before_anything_runs() {
         "--ops expects an integer",
     );
     rejected(&["crashpoints", "--ops"], "--ops expects a value");
-    rejected(&["migcrash", "--kind", "btree"], "--kind expects one of");
+    rejected(&["shardcrash", "--kind", "btree"], "--kind expects one of");
     // A flag of another sweep is as unknown as a typo.
     rejected(&["shardcrash", "--threads", "4"], "unknown flag");
     rejected(&["cachestat", "--record", "10"], "unknown flag");

@@ -90,7 +90,7 @@ fn a_pm_backed_burst_is_acked_one_fence_epoch_per_window() {
 
 /// A committed batch fences every pool the server holds, once each,
 /// wherever its writes landed: which pool a key lives on is the
-/// engine's routing, which a published migration changes.
+/// front-end's routing, which the server never asks about.
 #[test]
 fn a_committed_batch_fences_every_pool_once() {
     let env = build_sharded("dram", 3, 0, PmConfig::real());

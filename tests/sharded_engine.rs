@@ -7,12 +7,12 @@
 mod common;
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use common::PM_KINDS;
 use pm_index_bench::crashpoint::{fresh_shard, try_recover_shard, Shape};
 use pm_index_bench::engine::{shard_of, shard_start, ShardedIndex};
-use pm_index_bench::index_api::{oracle, Oracle, RangeIndex};
+use pm_index_bench::index_api::{oracle, Op, Oracle, RangeIndex};
 use pm_index_bench::pmalloc::AllocMode;
 use pm_index_bench::pmem::{PmConfig, PmPool};
 use proptest::prelude::*;
@@ -32,11 +32,9 @@ fn build_sharded(kind: &str, shards: usize) -> Arc<ShardedIndex> {
     ShardedIndex::from_parts((0..shards).map(|_| one()).collect())
 }
 
-fn recover_sharded(kind: &str, pools: Vec<Arc<PmPool>>, parallel: bool) -> Arc<ShardedIndex> {
-    ShardedIndex::recover_routed(pools, Vec::new(), parallel, |pool| {
-        try_recover_shard(kind, pool)
-    })
-    .expect("shard recovery failed")
+fn recover_sharded(kind: &str, pools: &[Arc<PmPool>], parallel: bool) -> Arc<ShardedIndex> {
+    ShardedIndex::recover(pools, parallel, |pool| try_recover_shard(kind, pool))
+        .expect("shard recovery failed")
 }
 
 #[test]
@@ -70,6 +68,55 @@ fn sharded_conformance_for_every_pm_kind() {
     }
 }
 
+/// Two threads drive one 3-shard fptree engine at once, on disjoint key
+/// stripes (even and odd narrow keys) that each span every shard.
+/// Nothing above the kind serialises routed ops, so every point op must
+/// still answer as its thread's own model does, and the final full scan
+/// must equal the union of both models.
+#[test]
+fn two_threads_on_disjoint_stripes_match_their_models() {
+    const KEY_RANGE: u64 = 512;
+    let shards = 3;
+    let idx = build_sharded("fptree", shards);
+    let start = Barrier::new(2);
+    let models: Vec<Oracle> = std::thread::scope(|s| {
+        let drivers: Vec<_> = (0..2u64)
+            .map(|t| {
+                let (idx, start) = (&idx, &start);
+                s.spawn(move || {
+                    let mut model = Oracle::new();
+                    start.wait();
+                    let mut rows = Vec::new();
+                    for op in oracle::random_ops(0x57A1_9E5E + t, 4_000, KEY_RANGE / 2) {
+                        // A scan would also see the other thread's stripe.
+                        if matches!(op, Op::Scan(..)) {
+                            continue;
+                        }
+                        let op = op.map_key(|k| spread(2 * k + t, KEY_RANGE));
+                        assert_eq!(op.apply(&**idx, &mut rows), model.apply(op), "{t}: {op:?}");
+                    }
+                    model
+                })
+            })
+            .collect();
+        drivers
+            .into_iter()
+            .map(|h| h.join().expect("driver"))
+            .collect()
+    });
+    for (t, model) in models.iter().enumerate() {
+        for i in 0..shards {
+            let hit = model.iter().any(|(k, _)| shard_of(k, shards) == i);
+            assert!(hit, "thread {t} left shard {i} empty");
+        }
+    }
+    let want: BTreeMap<u64, u64> = models.iter().flat_map(|m| m.iter()).collect();
+    let want: Vec<(u64, u64)> = want.into_iter().collect();
+    let mut got = Vec::new();
+    idx.scan(0, want.len() + 1, &mut got);
+    assert_eq!(got, want, "full scan is not the union of both models");
+}
+
 #[test]
 fn double_recovery_is_idempotent() {
     for kind in PM_KINDS {
@@ -88,7 +135,7 @@ fn double_recovery_is_idempotent() {
         for p in &pools {
             p.crash();
         }
-        let r1 = recover_sharded(kind, pools.clone(), false);
+        let r1 = recover_sharded(kind, &pools, false);
         let mut after1 = Vec::new();
         r1.scan(0, 600, &mut after1);
         assert_eq!(after1, before, "{kind}: first recovery diverged");
@@ -99,7 +146,7 @@ fn double_recovery_is_idempotent() {
         for p in &pools {
             p.crash();
         }
-        let r2 = recover_sharded(kind, pools, true);
+        let r2 = recover_sharded(kind, &pools, true);
         let mut after2 = Vec::new();
         r2.scan(0, 600, &mut after2);
         assert_eq!(after2, before, "{kind}: second recovery diverged");

@@ -12,7 +12,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use pm_index_bench::crashpoint::migration::Migration;
 use pm_index_bench::crashpoint::sharded::Sharded;
 use pm_index_bench::crashpoint::single::Single;
 use pm_index_bench::crashpoint::{
@@ -96,7 +95,6 @@ fn concurrent_sweeps_of_the_same_options_agree() {
         };
         twice("nvtree under chaos", &chaos, &opts("nvtree", 5));
         twice("sharded", &Sharded { shards: 3 }, &opts("nvtree", 13));
-        twice("migration", &Migration::default(), &opts("bztree", 41));
     });
 }
 
@@ -135,13 +133,6 @@ fn sampled(kind: &str, stride: u64) -> SweepOptions {
         },
         ..opts(kind, stride)
     }
-}
-
-#[test]
-fn migration_sweep_under_sampled_images() {
-    let s = sweep(&Migration::default(), &sampled("wbtree", 29));
-    assert_green("migration", &s);
-    assert_eq!(s.samples_run, 3 * s.boundaries_tested);
 }
 
 #[test]
