@@ -8,8 +8,9 @@
 //!   fingerprints, no bitmap),
 //! * **no persistence instructions** at all,
 //! * **optimistic concurrency**: per-leaf version locks for writers,
-//!   version-validated reads for lookups, and one HTM domain
-//!   serializing structure modifications.
+//!   version-validated reads for lookups, and one HTM domain whose
+//!   write transaction only publishes a split's separator: the leaf
+//!   split itself runs under the leaf lock, as FPTree's does.
 //!
 //! The inner nodes, and the HTM domain guarding them, are FPTree's own
 //! code: both trees route through [`htm::InnerLayer`], so the "PM index
@@ -22,7 +23,7 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use htm::{Abort, InnerLayer, WriteTxn};
+use htm::{Abort, InnerLayer};
 use index_api::{Footprint, Key, RangeIndex, Value};
 
 /// Node fanout: records per leaf, separators per inner node.
@@ -175,9 +176,11 @@ impl DramTree {
         }
     }
 
-    /// Split a full, locked leaf inside the SMO transaction. Returns the
-    /// leaf that now owns `key` (still locked; the other is unlocked).
-    fn split_leaf<'a>(&'a self, txn: &WriteTxn<'_>, leaf: &'a Node, key: Key) -> &'a Node {
+    /// Split a full, locked leaf: build and link its right sibling
+    /// (created locked) under the leaf lock, publish the separator, and
+    /// only then unlock the half that does not own `key`. Returns the
+    /// half that does, still locked.
+    fn split_leaf<'a>(&'a self, leaf: &'a Node, key: Key) -> &'a Node {
         debug_assert_eq!(leaf.count(), FANOUT);
         let right = Node::new();
         let mid = FANOUT / 2;
@@ -197,7 +200,7 @@ impl DramTree {
         let right = unsafe { &*right_ptr };
         leaf.next.store(right_ptr as u64, Ordering::Release);
         leaf.count.store(mid, Ordering::Release);
-        self.inner.insert_separator(txn, sep, leaf_word(right_ptr));
+        self.inner.publish_split(sep, leaf_word(right_ptr));
         if key >= sep {
             leaf.unlock();
             right
@@ -228,7 +231,7 @@ impl RangeIndex for DramTree {
             return false;
         }
         if n == FANOUT {
-            leaf = self.inner.write_txn(|txn| self.split_leaf(txn, leaf, key));
+            leaf = self.split_leaf(leaf, key);
         }
         let n = leaf.count();
         match leaf.search(n, key) {
@@ -420,6 +423,29 @@ mod tests {
                 assert_eq!(t.lookup(k), Some(k), "key {k}");
             }
         }
+    }
+
+    #[test]
+    fn two_writers_split_at_once() {
+        // Interleaved stripes: both threads fill, and split, the same
+        // leaves.
+        let t = DramTree::new();
+        let stripe = |tid: u64| (0..20_000u64).map(move |i| (2 * i + tid) * 11);
+        std::thread::scope(|s| {
+            for tid in 0..2 {
+                let t = &t;
+                s.spawn(move || {
+                    for k in stripe(tid) {
+                        assert!(t.insert(k, k + 1), "insert {k}");
+                    }
+                });
+            }
+        });
+        let mut want: Vec<(u64, u64)> = stripe(0).chain(stripe(1)).map(|k| (k, k + 1)).collect();
+        want.sort_unstable();
+        let mut out = Vec::new();
+        t.scan(0, want.len() + 1, &mut out);
+        assert_eq!(out, want);
     }
 
     #[test]

@@ -26,11 +26,17 @@
 //!   transactions; leaf writers take a per-leaf version lock, which
 //!   doubles as the optimistic-read validation readers need (real HTM
 //!   provides that validation in hardware; see the `htm` crate docs).
+//!   A leaf split runs under the leaf lock alone; only the separator
+//!   insert that publishes it is a write transaction
+//!   ([`htm::InnerLayer::publish_split`]), so two threads split two
+//!   leaves at once.
 //! * **Crash-consistent inserts and splits.** An insert persists the
 //!   record and fingerprint before atomically publishing the slot
 //!   bitmap (8-byte write). A split runs under a persistent micro-log
-//!   (allocate-and-publish via `pmalloc`), so recovery either completes
-//!   a published split or rolls back an unpublished one.
+//!   (allocate-and-publish via `pmalloc`), one per thread — 32 in the
+//!   root area, claimed through `pmem::ThreadSlots` — so recovery
+//!   replays each log: it completes a published split or rolls back an
+//!   unpublished one.
 //!
 //! See [`FpTree`] for the API and `tree.rs` for the recovery protocol.
 

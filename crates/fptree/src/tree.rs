@@ -3,10 +3,11 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use htm::{Abort, InnerLayer, WriteTxn};
+use htm::{Abort, InnerLayer};
 use index_api::{Footprint, Key, RangeIndex, Value};
+use parking_lot::Mutex;
 use pmalloc::PmAllocator;
-use pmem::{MediaError, PmOff, PmPool};
+use pmem::{MediaError, PmOff, PmPool, ThreadSlots};
 
 use crate::layout::{LeafLayout, BITMAP_OFF, NEXT_OFF, PAIR_BYTES, VLOCK_OFF};
 use crate::{fingerprint, FpTreeConfig, KeyMode};
@@ -14,16 +15,35 @@ use crate::{fingerprint, FpTreeConfig, KeyMode};
 // Root-area slots used by FPTree (8-byte slots; the allocator's own
 // metadata lives past the root area).
 const SLOT_HEAD: u64 = 8; // leftmost leaf (entry point for recovery)
-const SLOT_LOG_OLD: u64 = 9; // split micro-log: leaf being split
-const SLOT_LOG_NEW: u64 = 10; // split micro-log: new right sibling
-const SLOT_LOG_KEY: u64 = 11; // split micro-log: separator key
-const SLOT_LOG_VALID: u64 = 12; // split micro-log: commit flag
 const SLOT_CFG: u64 = 13; // persisted on-media format, see `format_word`
+
+// Split micro-logs: one per thread, `SPLIT_LOGS` of them. A log is four
+// slots from its base (`log_off`).
+const SPLIT_LOGS: usize = 32;
+const LOG_OLD: u64 = 0; // leaf being split
+const LOG_NEW: u64 = 1; // new right sibling
+const LOG_KEY: u64 = 2; // separator key
+const LOG_VALID: u64 = 3; // commit flag
 
 #[inline]
 fn slot_off(slot: u64) -> u64 {
     slot * 8
 }
+
+/// Offset of word `field` of split log `log`. Log 0 keeps slots 9–12,
+/// between the head and the config, so a one-thread run writes the
+/// offsets it always wrote; log `i >= 1` has a cache line of its own
+/// from slot `64 + 8 (i - 1)`.
+#[inline]
+fn log_off(log: usize, field: u64) -> u64 {
+    let base = match log {
+        0 => 9,
+        i => 64 + 8 * (i as u64 - 1),
+    };
+    slot_off(base + field)
+}
+
+const _: () = assert!(64 + 8 * (SPLIT_LOGS as u64 - 1) + LOG_VALID < 512);
 
 /// The on-media format `SLOT_CFG` holds: the leaf size, and bit 32 for
 /// pointer-stored keys. Fingerprints are always written and inner nodes
@@ -50,6 +70,11 @@ pub struct FpTree {
     inner: InnerLayer,
     layout: LeafLayout,
     cfg: FpTreeConfig,
+    /// Which split log each thread writes.
+    logs: ThreadSlots,
+    /// One claim lock per split log: threads past the `SPLIT_LOGS`-th
+    /// share logs.
+    log_claims: Box<[Mutex<()>]>,
 }
 
 impl FpTree {
@@ -66,22 +91,30 @@ impl FpTree {
         pool.persist(head, 24);
         pool.write_u64(slot_off(SLOT_CFG), format_word(&cfg));
         pool.persist(slot_off(SLOT_CFG), 8);
-        Arc::new(FpTree {
-            alloc,
-            inner: InnerLayer::new(cfg.inner_fanout, leaf_word(head)),
-            layout,
-            cfg,
-        })
+        Arc::new(FpTree::with_root(alloc, head, cfg))
     }
 
-    /// Reopen after a crash or shutdown: replay the split micro-log,
+    /// A tree over `alloc`'s pool whose inner layer routes every key to
+    /// the leaf at `root`, with no split log claimed yet.
+    fn with_root(alloc: Arc<PmAllocator>, root: u64, cfg: FpTreeConfig) -> FpTree {
+        FpTree {
+            alloc,
+            inner: InnerLayer::new(cfg.inner_fanout, leaf_word(root)),
+            layout: LeafLayout::new(cfg.leaf_entries),
+            cfg,
+            logs: ThreadSlots::new(SPLIT_LOGS),
+            log_claims: (0..SPLIT_LOGS).map(|_| Mutex::new(())).collect(),
+        }
+    }
+
+    /// Reopen after a crash or shutdown: replay the split micro-logs,
     /// clear leaf version locks, and rebuild the DRAM inner nodes by
     /// bulk-loading from the persistent leaf chain. Probes the root
-    /// slots (head pointer, split micro-log, config) and every leaf in
-    /// the chain for media errors before reading it — and before the
-    /// vlock clears write to it — so a poisoned line surfaces as a
-    /// reported [`MediaError`], never as garbage records or routing
-    /// keys.
+    /// slots (head pointer, split log 0, config), every split log's line
+    /// and every leaf in the chain for media errors before reading it —
+    /// and before the vlock clears write to it — so a poisoned line
+    /// surfaces as a reported [`MediaError`], never as garbage records
+    /// or routing keys.
     pub fn try_recover(
         alloc: Arc<PmAllocator>,
         cfg: FpTreeConfig,
@@ -94,14 +127,11 @@ impl FpTree {
             format_word(&cfg),
             "try_recover() config must match the on-media leaf layout and key mode"
         );
-        let mut tree = FpTree {
-            alloc,
-            // Offset 0 is no leaf: the bulk load below sets the root.
-            inner: InnerLayer::new(cfg.inner_fanout, leaf_word(0)),
-            layout: LeafLayout::new(cfg.leaf_entries),
-            cfg,
-        };
-        tree.replay_split_log()?;
+        // Offset 0 is no leaf: the bulk load below sets the root.
+        let mut tree = FpTree::with_root(alloc, 0, cfg);
+        for log in 0..SPLIT_LOGS {
+            tree.replay_split_log(log)?;
+        }
         let level = tree.leaf_level()?;
         tree.inner.bulk_load(level);
         Ok(Arc::new(tree))
@@ -234,10 +264,12 @@ impl FpTree {
 
     // ----- splits ------------------------------------------------------------
 
-    /// Split a full, locked leaf inside the inner layer's write
-    /// transaction. Returns `(separator, new_leaf)`; the new leaf is
-    /// created locked.
-    fn split_leaf_locked(&self, txn: &WriteTxn<'_>, old: u64) -> (Key, u64) {
+    /// Split a full, locked leaf under its lock and this thread's split
+    /// micro-log, then publish the separator in the inner layer. Returns
+    /// `(separator, new_leaf)`; the new leaf is created locked, and the
+    /// caller unlocks both leaves, which is only safe once the separator
+    /// is published.
+    fn split_leaf_locked(&self, old: u64) -> (Key, u64) {
         let _site = obs::site("fptree_leaf_split");
         let pool = self.pool();
         let l = &self.layout;
@@ -257,15 +289,17 @@ impl FpTree {
         // Micro-log: allocate-and-publish the new leaf into the log slot
         // (atomic with allocation), then persist the rest of the log and
         // set the valid flag last.
+        let log = self.logs.slot();
+        let claim = self.log_claims[log].lock();
         let new = self
             .alloc
-            .alloc_linked(l.size, slot_off(SLOT_LOG_NEW))
+            .alloc_linked(l.size, log_off(log, LOG_NEW))
             .expect("PM pool exhausted during split");
-        pool.write_u64(slot_off(SLOT_LOG_OLD), old);
-        pool.write_u64(slot_off(SLOT_LOG_KEY), split_key);
-        pool.persist(slot_off(SLOT_LOG_OLD), 24);
-        pool.write_u64(slot_off(SLOT_LOG_VALID), 1);
-        pool.persist(slot_off(SLOT_LOG_VALID), 8);
+        pool.write_u64(log_off(log, LOG_OLD), old);
+        pool.write_u64(log_off(log, LOG_KEY), split_key);
+        pool.persist(log_off(log, LOG_OLD), 24);
+        pool.write_u64(log_off(log, LOG_VALID), 1);
+        pool.persist(log_off(log, LOG_VALID), 8);
 
         // Initialize the new (locked) leaf with the upper half.
         pool.write_u64(new + VLOCK_OFF, 1);
@@ -291,14 +325,16 @@ impl FpTree {
         self.publish_bitmap(old, bitmap & !moved);
 
         // Retire the log.
-        pool.write_u64(slot_off(SLOT_LOG_VALID), 0);
-        pool.persist(slot_off(SLOT_LOG_VALID), 8);
-        pool.write_u64(slot_off(SLOT_LOG_NEW), 0);
-        pool.persist(slot_off(SLOT_LOG_NEW), 8);
+        pool.write_u64(log_off(log, LOG_VALID), 0);
+        pool.persist(log_off(log, LOG_VALID), 8);
+        pool.write_u64(log_off(log, LOG_NEW), 0);
+        pool.persist(log_off(log, LOG_NEW), 8);
+        drop(claim);
 
-        // Reflect the split in the DRAM inner nodes.
+        // Reflect the split in the DRAM inner nodes: the only step that
+        // excludes other threads' routes.
         let _inner = obs::site("fptree_inner_insert");
-        self.inner.insert_separator(txn, split_key, leaf_word(new));
+        self.inner.publish_split(split_key, leaf_word(new));
         (split_key, new)
     }
 
@@ -320,19 +356,34 @@ impl FpTree {
         }
     }
 
-    /// Replay the split micro-log: roll a published split forward,
-    /// roll an unpublished one back.
-    fn replay_split_log(&self) -> Result<(), MediaError> {
+    /// Replay split log `log` after probing its line: roll a published
+    /// split forward, roll an unpublished one back. A clear log is
+    /// neither written nor persisted.
+    fn replay_split_log(&self, log: usize) -> Result<(), MediaError> {
         let pool = self.pool();
         let l = &self.layout;
-        let valid = pool.read_u64(slot_off(SLOT_LOG_VALID));
-        let new = pool.read_u64(slot_off(SLOT_LOG_NEW));
-        if valid == 1 {
-            let old = pool.read_u64(slot_off(SLOT_LOG_OLD));
-            let split_key = pool.read_u64(slot_off(SLOT_LOG_KEY));
+        pool.check_readable(log_off(log, LOG_OLD), 32)
+            .map_err(|e| e.context("FPTree split log"))?;
+        let valid = pool.read_u64(log_off(log, LOG_VALID));
+        let new = pool.read_u64(log_off(log, LOG_NEW));
+        if valid != 1 && new == 0 {
+            return Ok(());
+        }
+        let old = pool.read_u64(log_off(log, LOG_OLD));
+        // Whether the split of `old` linked `new` into the leaf chain.
+        // Leaves are never freed, so a stale `old` (the log's previous
+        // split) never points at a freshly allocated `new`.
+        let linked = || -> Result<bool, MediaError> {
+            if old == 0 {
+                return Ok(false);
+            }
             pool.check_readable(old, l.size)
                 .map_err(|e| e.context("FPTree split-log leaf"))?;
-            if pool.read_u64(old + NEXT_OFF) == new {
+            Ok(pool.read_u64(old + NEXT_OFF) == new)
+        };
+        if valid == 1 {
+            let split_key = pool.read_u64(log_off(log, LOG_KEY));
+            if linked()? {
                 // Published: redo the bitmap shrink (idempotent).
                 let bitmap = pool.read_u64(old + BITMAP_OFF) & l.full_mask();
                 let mut keep = bitmap;
@@ -349,15 +400,17 @@ impl FpTree {
                 // Unpublished: the new leaf is unreachable; reclaim it.
                 self.alloc.free(new);
             }
-            pool.write_u64(slot_off(SLOT_LOG_VALID), 0);
-            pool.persist(slot_off(SLOT_LOG_VALID), 8);
-        } else if new != 0 && self.alloc.is_allocated(new) {
+            pool.write_u64(log_off(log, LOG_VALID), 0);
+            pool.persist(log_off(log, LOG_VALID), 8);
+        } else if !linked()? && self.alloc.is_allocated(new) {
             // Allocation was published into the log but the log never
-            // became valid: reclaim.
+            // became valid: reclaim. (A cut between the two retiring
+            // stores leaves the same words behind a finished split,
+            // whose new leaf is linked and stays.)
             self.alloc.free(new);
         }
-        pool.write_u64(slot_off(SLOT_LOG_NEW), 0);
-        pool.persist(slot_off(SLOT_LOG_NEW), 8);
+        pool.write_u64(log_off(log, LOG_NEW), 0);
+        pool.persist(log_off(log, LOG_NEW), 8);
         Ok(())
     }
 
@@ -409,9 +462,7 @@ impl RangeIndex for FpTree {
         }
         let bitmap = self.pool().read_u64(leaf + BITMAP_OFF) & self.layout.full_mask();
         if bitmap == self.layout.full_mask() {
-            let (split_key, new) = self
-                .inner
-                .write_txn(|txn| self.split_leaf_locked(txn, leaf));
+            let (split_key, new) = self.split_leaf_locked(leaf);
             let target = if key >= split_key { new } else { leaf };
             let tb = self.pool().read_u64(target + BITMAP_OFF) & self.layout.full_mask();
             let slot = (!tb).trailing_zeros() as usize;
@@ -460,9 +511,7 @@ impl RangeIndex for FpTree {
             if free == 0 {
                 // Out-of-place update needs a spare slot: split first,
                 // then retry (the key's new home has room).
-                let (_, new) = self
-                    .inner
-                    .write_txn(|txn| self.split_leaf_locked(txn, leaf));
+                let (_, new) = self.split_leaf_locked(leaf);
                 self.leaf_unlock(leaf);
                 self.leaf_unlock(new);
                 continue;
@@ -779,6 +828,84 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn two_writers_split_at_once_on_their_own_logs() {
+        // Interleaved stripes: both threads fill, and split, the same
+        // leaves, each through the split log it claimed.
+        let pool = Arc::new(PmPool::new(32 << 20, PmConfig::real()));
+        let alloc = PmAllocator::format(pool.clone(), AllocMode::General);
+        let t = FpTree::create(alloc, small_cfg());
+        let stripe = |tid: u64| (0..3_000u64).map(move |i| (2 * i + tid) * 11);
+        std::thread::scope(|s| {
+            for tid in 0..2 {
+                let t = &t;
+                s.spawn(move || {
+                    for k in stripe(tid) {
+                        assert!(t.insert(k, k + 1), "insert {k}");
+                    }
+                });
+            }
+        });
+        let mut want: Vec<(u64, u64)> = stripe(0).chain(stripe(1)).map(|k| (k, k + 1)).collect();
+        want.sort_unstable();
+        let mut out = Vec::new();
+        t.scan(0, want.len() + 1, &mut out);
+        assert_eq!(out, want);
+        for log in 0..2 {
+            assert_ne!(
+                pool.read_u64(log_off(log, LOG_OLD)),
+                0,
+                "log {log} never split"
+            );
+            assert_eq!(
+                pool.read_u64(log_off(log, LOG_VALID)),
+                0,
+                "log {log} not retired"
+            );
+        }
+        drop(t);
+        pool.crash();
+        let alloc = PmAllocator::try_recover(pool).expect("allocator recovery");
+        let t = FpTree::try_recover(alloc, small_cfg()).expect("recovery");
+        t.scan(0, want.len() + 1, &mut out);
+        assert_eq!(out, want);
+    }
+
+    #[test]
+    fn a_cut_between_the_retiring_stores_keeps_the_new_leaf() {
+        // Power fails after a split's log is marked invalid but before
+        // its new-leaf word is cleared: the new leaf is linked, so
+        // recovery must keep it allocated, or a later split reuses the
+        // block while the chain still runs through it.
+        let pool = Arc::new(PmPool::new(16 << 20, PmConfig::real()));
+        let alloc = PmAllocator::format(pool.clone(), AllocMode::General);
+        let cfg = small_cfg();
+        let t = FpTree::create(alloc, cfg);
+        for k in 0..=8u64 {
+            assert!(t.insert(k, k));
+        }
+        let head = pool.read_u64(slot_off(SLOT_HEAD));
+        let new = pool.read_u64(head + NEXT_OFF);
+        assert_eq!(
+            pool.read_u64(log_off(0, LOG_OLD)),
+            head,
+            "one split, on log 0"
+        );
+        drop(t);
+        pool.write_u64(log_off(0, LOG_NEW), new);
+        pool.persist(log_off(0, LOG_NEW), 8);
+        pool.crash();
+        let alloc = PmAllocator::try_recover(pool).expect("allocator recovery");
+        let t = FpTree::try_recover(alloc.clone(), cfg).expect("recovery");
+        assert!(alloc.is_allocated(new), "a linked leaf was freed");
+        for k in 9..200u64 {
+            assert!(t.insert(k, k));
+        }
+        let mut out = Vec::new();
+        t.scan(0, 1_000, &mut out);
+        assert_eq!(out, (0..200).map(|k| (k, k)).collect::<Vec<_>>());
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! the layer hands back but never dereferences (FPTree uses
 //! `off << 1 | 1`, the DRAM tree `ptr | 1`) — or a pointer to an inner
 //! node (bit 0 clear). Inner nodes only guide traffic; nothing here is
-//! persisted. All node fields are atomics: a write transaction mutates
-//! them in place while speculative readers may race past, tolerating
-//! torn values and relying on version validation to discard any result
-//! computed from them. Inner nodes are freed only on drop.
+//! persisted. After the recovery bulk load, the one way to change them
+//! is [`InnerLayer::publish_split`], the layer's only write
+//! transaction. All node fields are atomics: it mutates them in place
+//! while speculative readers may race past, tolerating torn values and
+//! relying on version validation to discard any result computed from
+//! them. Inner nodes are freed only on drop.
 //!
 //! Every word a caller passes in is checked to be a leaf word, so the
 //! only words the layer dereferences are the nodes it allocated itself.
@@ -128,10 +130,6 @@ pub struct InnerLayer {
     nodes: AtomicU64,
 }
 
-/// Proof of running inside [`InnerLayer::write_txn`], which is the only
-/// way to get one; [`InnerLayer::insert_separator`] asks for it.
-pub struct WriteTxn<'a>(&'a InnerLayer);
-
 impl InnerLayer {
     /// A layer of `fanout`-separator nodes with no inner node yet: every
     /// key routes to the leaf word `leaf`.
@@ -209,17 +207,22 @@ impl InnerLayer {
         }
     }
 
-    /// Run `f` as the layer's write (structure-modifying) transaction.
-    pub fn write_txn<R>(&self, f: impl FnOnce(&WriteTxn<'_>) -> R) -> R {
-        self.htm.write_txn(|| f(&WriteTxn(self)))
+    /// Publish a leaf split: separator `key` with the leaf word `right`
+    /// as the child to its right, in the node above the leaf covering
+    /// `key`. This is the layer's only write transaction, and it runs
+    /// nothing but this DRAM insert: the caller builds `right` and
+    /// links it into its leaf chain first, under the split leaf's lock,
+    /// and unlocks both leaves only after this returns, so a writer that
+    /// routed before the split fails [`InnerLayer::locate_and_lock`]'s
+    /// version check.
+    pub fn publish_split(&self, key: u64, right: u64) {
+        assert!(is_leaf(right), "not a leaf word: {right:#x}");
+        self.htm.write_txn(|| self.insert_separator(key, right));
     }
 
-    /// Publish separator `key` with the leaf word `right` as the child
-    /// to its right, in the node above the leaf covering `key`: full
-    /// nodes on the way up split, and a full root grows a new root.
-    pub fn insert_separator(&self, txn: &WriteTxn<'_>, key: u64, right: u64) {
-        assert!(std::ptr::eq(txn.0, self), "another layer's transaction");
-        assert!(is_leaf(right), "not a leaf word: {right:#x}");
+    /// The body of [`InnerLayer::publish_split`]: full nodes on the way
+    /// up split, and a full root grows a new root.
+    fn insert_separator(&self, key: u64, right: u64) {
         let mut path = Vec::new();
         let mut w = self.root.load(Ordering::Acquire);
         while !is_leaf(w) {
@@ -309,10 +312,11 @@ mod tests {
         (i as u64) << 1 | 1
     }
 
-    /// Build one layer by inserting `seps` one at a time (leaf `i + 1`
-    /// right of `seps[i]`, leaf 0 leftmost) and one by bulk-loading the
-    /// same pairs sorted; both must route every separator, its
-    /// neighbours, 0 and `u64::MAX` to the leaf a range lookup predicts.
+    /// Build one layer by publishing `seps` one split at a time (leaf
+    /// `i + 1` right of `seps[i]`, leaf 0 leftmost) and one by
+    /// bulk-loading the same pairs sorted; both must route every
+    /// separator, its neighbours, 0 and `u64::MAX` to the leaf a range
+    /// lookup predicts.
     fn routes_like_a_range_map(fanout: usize, seps: &[u64]) {
         let want: BTreeMap<u64, u64> = seps
             .iter()
@@ -321,7 +325,7 @@ mod tests {
             .collect();
         let grown = InnerLayer::new(fanout, leaf(0));
         for (i, &s) in seps.iter().enumerate() {
-            grown.write_txn(|txn| grown.insert_separator(txn, s, leaf(i + 1)));
+            grown.publish_split(s, leaf(i + 1));
         }
         let mut loaded = InnerLayer::new(fanout, leaf(0));
         loaded.bulk_load([(0, leaf(0))].into_iter().chain(want.clone()).collect());

@@ -21,11 +21,16 @@
 //!   scale exactly like real HTM (no cacheline ping-pong).
 //! * **Writers** ([`Htm::write_txn`]) — structure-modifying operations —
 //!   bump the version around their critical section and hold the
-//!   fallback mutex. This is *more* serializing than real HTM (which
-//!   admits disjoint writers in parallel), a pessimism we accept: SMOs
-//!   are rare, and the paper itself reports FPTree collapsing under
-//!   SMO-heavy contention because of HTM aborts, a shape this emulation
-//!   reproduces.
+//!   fallback mutex. Real HTM admits disjoint writers in parallel; here
+//!   they take turns, so a write section must stay short. The inner
+//!   layer's one writer, [`InnerLayer::publish_split`], is a DRAM
+//!   separator insert and nothing else: a leaf split's PM work
+//!   (allocation, micro-log, leaf copy and persists) runs before it
+//!   under the leaf's own lock, as FPTree's selective concurrency has
+//!   it, so two threads split two leaves at once and only their
+//!   publications serialize. Each publication still bumps the one
+//!   version and restarts every in-flight reader, which is how the
+//!   paper's FPTree collapses under SMO-heavy contention.
 //! * **Bounded retries, then fallback** — after `MAX_RETRIES` (10) failed
 //!   speculative attempts a reader acquires the fallback mutex, exactly
 //!   like TBB's fallback path after repeated RTM aborts (the behaviour
@@ -43,7 +48,7 @@ use parking_lot::Mutex;
 
 mod inner;
 
-pub use inner::{InnerLayer, WriteTxn};
+pub use inner::InnerLayer;
 
 /// Marker error: the closure observed state that requires an abort
 /// (e.g. a locked leaf) and wants the transaction retried.
@@ -106,9 +111,10 @@ impl Htm {
         }
         // Fallback: serialize against writers, like TBB's
         // non-speculative path. The mutex is released between attempts
-        // so that a conflicting writer (e.g. a leaf-lock holder that
-        // needs a write transaction to finish its split) can make
-        // progress — holding it across retries would deadlock.
+        // so that a conflicting writer can make progress: `f` aborts on
+        // a locked leaf, and a splitting thread unlocks its leaves only
+        // after publishing the separator in a write transaction —
+        // holding the mutex across retries would deadlock.
         loop {
             {
                 let _g = self.fallback.lock();

@@ -46,7 +46,7 @@ fn main() {
     pool.crash();
 
     // 5. Recovery: the allocator replays its redo slots; FPTree replays
-    //    its split micro-log and rebuilds inner nodes from the leaf
+    //    its split micro-logs and rebuilds inner nodes from the leaf
     //    chain (a poisoned line would come back as a `MediaError`).
     let alloc = PmAllocator::try_recover(pool).expect("no media error");
     let tree = FpTree::try_recover(alloc, FpTreeConfig::default()).expect("no media error");

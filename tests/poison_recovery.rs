@@ -32,7 +32,7 @@ fn crashed_pool(kind: &str) -> Arc<PmPool> {
 /// The root-area line each index's recovery probes first.
 fn root_slot_line(kind: &str) -> u64 {
     match kind {
-        "fptree" => 64,   // slots 8–13: head, split log, cfg
+        "fptree" => 64,   // slots 8–13: head, split log 0, cfg
         "nvtree" => 128,  // slots 16–17: head, cfg
         "wbtree" => 192,  // slots 24–26: root, head, cfg
         "bztree" => 256,  // slots 32–34: PMwCAS area, root, cfg
@@ -61,6 +61,18 @@ fn poisoned_root_slots_are_reported_on_every_index() {
         let pool = crashed_pool(kind);
         pool.poison_line(root_slot_line(kind));
         expect_reported(kind, pool, "root slot line");
+    }
+}
+
+#[test]
+fn a_poisoned_fptree_split_log_line_is_reported() {
+    // Split logs 1–31 have a line each from slot 64 on (byte 512), past
+    // the root slots: recovery probes every one before replaying it,
+    // clear or not.
+    for log in [1u64, 31] {
+        let pool = crashed_pool("fptree");
+        pool.poison_line(512 + 64 * (log - 1));
+        expect_reported("fptree", pool, "split log line");
     }
 }
 
