@@ -2,8 +2,8 @@
 //! and write the collected reports to `results/experiments.txt` (and
 //! stdout), plus one machine-readable `results/BENCH_E*.json` per
 //! experiment so the perf trajectory can be tracked across commits.
-//! Scale: `--records N --ops N --threads N --shards N`, `--quick`
-//! (10× fewer records and ops), `--csv`.
+//! Scale: `--records N --ops N --threads N --shards N`
+//! (`--records 30000` is the smoke scale CI runs).
 
 use std::io::Write;
 

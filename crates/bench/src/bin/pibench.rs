@@ -4,15 +4,15 @@
 //! ```text
 //! pibench --index fptree --records 1000000 --threads 8 --shards 4 \
 //!         --mix 90,10,0,0,0 --dist uniform --ops 1000000 \
-//!         [--dram] [--csv] [--json out.json]
+//!         [--dram] [--json out.json]
 //! ```
 //!
 //! `--index` takes one of the five PM kinds or `dram`; `--mix` is
 //! `lookup,insert,update,remove,scan` percentages; `--dist` one of
 //! `uniform|selfsimilar|zipfian|storm` (`--theta X` skews zipfian,
 //! default 0.99). `--trace PATH` / `--sample-ms N` turn the `obs` layer
-//! on around the measured phase; `--cache [--cache-mb N]` fronts the
-//! index with the DRAM hot-key tier. A bad flag or value prints one line
+//! on around the measured phase; `--cache-mb N` fronts the index with
+//! an N MiB DRAM hot-key tier. A bad flag or value prints one line
 //! and exits 2 before anything is built.
 //!
 //! ```text
@@ -41,11 +41,9 @@ const FLAGS: Spec = &[
     ("--scan-len", Arg::Int(0)),
     ("--seed", Arg::Int(0)),
     ("--dram", Arg::Switch),
-    ("--csv", Arg::Switch),
     ("--json", Arg::Text),
     ("--trace", Arg::Text),
     ("--sample-ms", Arg::Int(1)),
-    ("--cache", Arg::Switch),
     ("--cache-mb", Arg::Int(1)),
 ];
 
@@ -66,8 +64,7 @@ fn main() {
     let dist = f.parsed("--dist", |name| Distribution::parse(name, theta, records));
     let (json_path, trace_path) = (f.text("--json"), f.text("--trace"));
     let sample_ms = f.int("--sample-ms");
-    let cache_mb = f.int("--cache-mb").unwrap_or(64) as usize;
-    let use_cache = f.on("--cache") || f.on("--cache-mb");
+    let cache_mb = f.int("--cache-mb").map(|mb| mb as usize);
 
     let pm_cfg = if f.on("--dram") {
         PmConfig::dram()
@@ -90,7 +87,7 @@ fn main() {
     // The DRAM hot-key tier wraps the built index *after* prefill so
     // the cache starts cold, as a freshly warmed server would.
     let cached: Option<Arc<CachedIndex>> =
-        use_cache.then(|| Arc::new(CachedIndex::new(built.index.clone(), cache_mb << 20)));
+        cache_mb.map(|mb| Arc::new(CachedIndex::new(built.index.clone(), mb << 20)));
     let under_test: Arc<dyn RangeIndex> = match &cached {
         Some(c) => c.clone(),
         None => built.index.clone(),
@@ -166,9 +163,6 @@ fn main() {
         cache_rows(&mut t, cc.hits, cc.misses, churn);
     }
     print!("{}", t.to_text());
-    if f.on("--csv") {
-        print!("{}", t.to_csv());
-    }
 
     let sites = if tracing {
         obs::site_table()
@@ -212,7 +206,7 @@ fn main() {
             fp,
             &sites,
             series.as_ref(),
-            cache_counters.as_ref().map(|cc| (cache_mb, cc)),
+            cache_mb.zip(cache_counters.as_ref()),
         );
         std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
         eprintln!("json written to {path}");

@@ -15,8 +15,6 @@ pub struct ExpCtx {
     /// Shards per index (1 = classic single-pool build; >1 routes every
     /// build through the range-partitioned [`engine::ShardedIndex`]).
     pub shards: usize,
-    /// Also emit CSV blocks.
-    pub csv: bool,
 }
 
 /// The flags of `e00_run_all`: the one way to set an experiment's
@@ -26,25 +24,20 @@ pub const FLAGS: Spec<'static> = &[
     ("--ops", Arg::Int(1)),
     ("--threads", Arg::Int(1)),
     ("--shards", Arg::Int(1)),
-    ("--quick", Arg::Switch),
-    ("--csv", Arg::Switch),
     ("--only", Arg::Text),
 ];
 
 impl ExpCtx {
-    /// Scale from [`FLAGS`]: 300 000 records (`--quick`: 30 000), as
-    /// many ops per point, up to min(8, cores) threads, one shard.
+    /// Scale from [`FLAGS`]: 300 000 records, as many ops per point, up
+    /// to min(8, cores) threads, one shard.
     pub fn from_flags(f: &Flags) -> ExpCtx {
-        let records = f
-            .int("--records")
-            .unwrap_or(if f.on("--quick") { 30_000 } else { 300_000 });
+        let records = f.int("--records").unwrap_or(300_000);
         let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
         ExpCtx {
             records,
             ops_per_point: f.int("--ops").unwrap_or(records),
             max_threads: f.int("--threads").map_or(cores.min(8), |t| t as usize),
             shards: f.int("--shards").unwrap_or(1) as usize,
-            csv: f.on("--csv"),
         }
     }
 
@@ -93,7 +86,6 @@ mod tests {
             ops_per_point: 1000,
             max_threads: 6,
             shards: 1,
-            csv: false,
         };
         assert_eq!(ctx.thread_ladder(), vec![1, 2, 4, 6]);
         let ctx2 = ExpCtx {
@@ -116,7 +108,6 @@ mod tests {
             ops_per_point: 10_000,
             max_threads: 4,
             shards: 1,
-            csv: false,
         };
         let cfg = ctx.point(
             4,

@@ -27,7 +27,7 @@ pub fn pm_cfg() -> PmConfig {
 /// machine-readable JSON document (for `BENCH_E*.json` trajectory
 /// tracking across PRs).
 pub struct ExpReport {
-    /// Title, scale line and text table (plus optional CSV block).
+    /// Title, scale line and text table.
     pub text: String,
     /// JSON object: run parameters plus the table as row objects.
     pub json: String,
@@ -38,19 +38,14 @@ pub struct ExpReport {
 /// goes through the shared [`JsonObj`] builder, the same emitter the
 /// `pibench --json` path uses.
 fn render(title: &str, ctx: &ExpCtx, table: &Table, extra: &[(String, String)]) -> ExpReport {
-    let mut out = format!(
-        "== {title} ==\n(records={}, ops/point={}, max_threads={}, shards={})\n\n{}",
+    let text = format!(
+        "== {title} ==\n(records={}, ops/point={}, max_threads={}, shards={})\n\n{}\n",
         ctx.records,
         ctx.ops_per_point,
         ctx.max_threads,
         ctx.shards,
         table.to_text()
     );
-    if ctx.csv {
-        out.push_str("\n[csv]\n");
-        out.push_str(&table.to_csv());
-    }
-    out.push('\n');
     let mut o = JsonObj::new();
     o.str("title", title)
         .u64("records", ctx.records)
@@ -62,7 +57,7 @@ fn render(title: &str, ctx: &ExpCtx, table: &Table, extra: &[(String, String)]) 
         o.raw(key, value);
     }
     ExpReport {
-        text: out,
+        text,
         json: o.finish(),
     }
 }
@@ -108,7 +103,6 @@ mod tests {
             ops_per_point: 2_000,
             max_threads: 2,
             shards: 1,
-            csv: true,
         }
     }
 
@@ -137,10 +131,7 @@ mod tests {
 
     #[test]
     fn e18_smoke() {
-        let r = e18(&ExpCtx {
-            csv: false,
-            ..tiny()
-        });
+        let r = e18(&tiny());
         let rows: Vec<&str> = r.text.lines().filter(|l| l.contains("closed")).collect();
         let (local, remote) = (
             rows.iter().filter(|l| l.contains("local")).count(),
@@ -163,7 +154,6 @@ mod tests {
         for kind in ALL_KINDS {
             assert!(out.contains(kind), "{kind} missing:\n{out}");
         }
-        assert!(out.contains("[csv]"));
     }
 
     #[test]
@@ -189,7 +179,6 @@ mod tests {
             ops_per_point: 1_000,
             max_threads: 2,
             shards: 2,
-            csv: false,
         });
         assert!(r.text.contains("E16"));
         assert!(r.text.contains("shards"));
@@ -239,7 +228,6 @@ mod tests {
             ops_per_point: 1_000,
             max_threads: 2,
             shards: 3,
-            csv: false,
         };
         let (b, ks) = fresh("wbtree", &ctx, pm_cfg());
         assert_eq!(b.pools.len(), 3);

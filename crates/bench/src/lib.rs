@@ -18,8 +18,6 @@
 //! | `--ops N` | = records | operations per data point |
 //! | `--threads N` | min(8, cores) | max worker threads |
 //! | `--shards N` | 1 | shards per index (engine layer when > 1) |
-//! | `--quick` | off | 30 000 records (and ops) unless given |
-//! | `--csv` | off | append CSV blocks to reports |
 
 pub mod cli;
 pub mod exp;

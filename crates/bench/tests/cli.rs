@@ -67,6 +67,17 @@ fn pibench_rejects_input_it_used_to_panic_on_or_misread() {
         &[&fptree[..], &["--conns", "2"]].concat(),
         "unknown flag \"--conns\"",
     );
+    // Removed: the JSON report is the machine-readable one, and
+    // `--cache-mb N` alone turns the cache tier on. (Small scale, so a
+    // binary that still takes them runs briefly and fails the check.)
+    let small = ["--index", "fptree", "--records", "1000", "--ops", "1000"];
+    for removed in ["--csv", "--cache"] {
+        rejected(
+            pibench,
+            &[&small[..], &[removed]].concat(),
+            &format!("unknown flag {removed:?}"),
+        );
+    }
 }
 
 #[test]
@@ -127,18 +138,19 @@ fn run_all_rejects_unknown_experiments_and_runs_a_known_one() {
         "--threads expects an integer >= 1",
     );
     rejected(run_all, &["--index", "fptree"], "unknown flag \"--index\"");
+    // Removed: `--records 30000` is the smoke scale, BENCH_E*.json the
+    // machine-readable report.
+    for removed in ["--quick", "--csv"] {
+        rejected(
+            run_all,
+            &[removed, "--only", "e01", "--records", "1000"],
+            &format!("unknown flag {removed:?}"),
+        );
+    }
 
     let dir = std::env::temp_dir().join(format!("run-all-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let args = [
-        "--quick",
-        "--only",
-        "e01",
-        "--records",
-        "3000",
-        "--threads",
-        "2",
-    ];
+    let args = ["--only", "e01", "--records", "3000", "--threads", "2"];
     let out = run(run_all, &args, &dir);
     assert_eq!(
         out.status.code(),

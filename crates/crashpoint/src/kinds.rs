@@ -5,11 +5,11 @@
 //! with neither) and [`try_recover_shard_as`] (allocator, then index,
 //! from a pool's persisted image). The crash scenarios here,
 //! `net::build`'s sharded stack (and through it `pmserve`, the
-//! experiment harness and `pibench`), `pm_inspector`, `crash_torture`
-//! and `index_shootout` all open indexes through them. Adding a kind, or
-//! a configuration variant such as `fptree-nofp`, is one row of
-//! [`KINDS`] (and, for a kind proper, its name in [`PM_KINDS`]); nothing
-//! else matches on kind names.
+//! experiment harness and `pibench`), `pm_inspector` and
+//! `crash_torture` all open indexes through them. Adding a kind, or a
+//! configuration variant such as `fptree-nofp`, is one row of [`KINDS`]
+//! (and, for a kind proper, its name in [`PM_KINDS`]); nothing else
+//! matches on kind names.
 
 use std::sync::Arc;
 

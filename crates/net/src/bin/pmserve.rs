@@ -12,7 +12,8 @@
 //! recovered index matches the served one record for record — the
 //! durable-ack invariant at process scale. With `--sample-ms N` an
 //! `obs::Sampler` records per-interval served-QPS / batch-size /
-//! fence-rate next to the PM bandwidth columns.
+//! fence-rate next to the PM bandwidth columns. With `--cache-mb N`
+//! the served index sits behind an N MiB DRAM hot-key tier.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -38,7 +39,6 @@ const FLAGS: Spec = &[
     ("--sample-ms", Arg::Int(1)),
     ("--selfcheck", Arg::Switch),
     ("--trace", Arg::Switch),
-    ("--cache", Arg::Switch),
     ("--cache-mb", Arg::Int(1)),
 ];
 
@@ -81,8 +81,7 @@ fn main() {
     };
     let sample_ms = f.int("--sample-ms");
     let trace = f.on("--trace");
-    let cache_mb = f.int("--cache-mb").unwrap_or(64) as usize;
-    let use_cache = f.on("--cache") || f.on("--cache-mb");
+    let cache_mb = f.int("--cache-mb").map(|mb| mb as usize);
 
     install_signal_handlers();
 
@@ -94,25 +93,22 @@ fn main() {
         p.reset_stats();
     }
 
-    // With --cache the served index is wrapped in the DRAM hot-key tier;
-    // `env.index` stays raw so the selfcheck below compares persistent
-    // state, not cache contents.
-    let cached = use_cache.then(|| {
-        Arc::new(cache::CachedIndex::new(
+    // With --cache-mb the served index is wrapped in the DRAM hot-key
+    // tier; `env.index` stays raw so the selfcheck below compares
+    // persistent state, not cache contents.
+    let cached = cache_mb.map(|mb| {
+        let c = Arc::new(cache::CachedIndex::new(
             env.index.clone() as Arc<dyn RangeIndex>,
-            cache_mb << 20,
-        ))
+            mb << 20,
+        ));
+        let slots = c.cache().capacity();
+        eprintln!("pmserve: cache tier on ({mb} MiB, {slots} slots)");
+        c
     });
     let served: Arc<dyn RangeIndex> = match &cached {
         Some(c) => c.clone(),
         None => env.index.clone(),
     };
-    if let Some(c) = &cached {
-        eprintln!(
-            "pmserve: cache tier on ({cache_mb} MiB, {} slots)",
-            c.cache().capacity()
-        );
-    }
 
     let server = Server::start(served, env.pools.clone(), cfg)
         .unwrap_or_else(|e| panic!("bind failed: {e}"));

@@ -392,7 +392,7 @@ fn drive_conn(
         for resp in conn.pump()? {
             progressed = true;
             match resp.status {
-                Status::Overload | Status::Draining => {
+                Status::Overload => {
                     out.errors += 1;
                     out.server_closed = true;
                     continue;

@@ -21,7 +21,6 @@
 //!   status Miss:     empty (absent key / duplicate insert)
 //!   status Overload: empty (admission control shed the request)
 //!   status Bad:      empty (malformed frame; connection closes)
-//!   status Draining: empty (server is shutting down)
 //! ```
 //!
 //! Decoding is incremental: [`FrameBuf`] accumulates raw bytes from the
@@ -88,8 +87,6 @@ pub enum Status {
     Overload = 2,
     /// The request could not be parsed; the connection will close.
     Bad = 3,
-    /// The server is draining and no longer accepts new work.
-    Draining = 4,
 }
 
 impl Status {
@@ -99,7 +96,6 @@ impl Status {
             1 => Status::Miss,
             2 => Status::Overload,
             3 => Status::Bad,
-            4 => Status::Draining,
             other => return Err(WireError::BadStatus(other)),
         })
     }
@@ -527,7 +523,7 @@ mod tests {
             },
             Response::basic(3, Opcode::Insert, Status::Miss),
             Response::basic(4, Opcode::Update, Status::Overload),
-            Response::basic(5, Opcode::Remove, Status::Draining),
+            Response::basic(5, Opcode::Remove, Status::Bad),
         ] {
             let mut bytes = Vec::new();
             r.encode_into(&mut bytes);
@@ -600,5 +596,15 @@ mod tests {
             Request::decode(&p),
             Err(WireError::ScanTooLarge(MAX_SCAN + 1))
         );
+    }
+
+    #[test]
+    fn status_byte_past_bad_is_unknown() {
+        // No status is numbered past `Bad` (3).
+        let mut p = Vec::new();
+        put_u64(&mut p, 1);
+        p.push(Opcode::Remove as u8);
+        p.push(4);
+        assert_eq!(Response::decode(&p), Err(WireError::BadStatus(4)));
     }
 }

@@ -39,6 +39,13 @@ fn pmserve_rejects_input_it_used_to_assert_on() {
         "unknown flag \"--batch-max\"",
     );
     rejected(pmserve, &["--conns", "2"], "unknown flag \"--conns\"");
+    // Removed: `--cache-mb N` alone turns the cache tier on. (A port
+    // that cannot bind, so a binary that still takes it stops.)
+    rejected(
+        pmserve,
+        &["--cache", "--records", "1000", "--addr", "127.0.0.1:99999"],
+        "unknown flag \"--cache\"",
+    );
 }
 
 #[test]

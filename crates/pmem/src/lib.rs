@@ -44,7 +44,7 @@ pub use inject::{
     ResidualLine, ResidualPolicy,
 };
 pub use latency::LatencyModel;
-pub use off::{PmOff, NULL_OFF};
+pub use off::PmOff;
 pub use pool::{PmPool, PmSafe, CACHELINE, MEDIA_BLOCK, ROOT_AREA};
 pub use slots::ThreadSlots;
 

@@ -7,13 +7,7 @@
 //! moral equivalent of PMDK's `PMEMoid` or an offset-based smart
 //! pointer.
 
-use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
-
-/// The null offset. Offset 0 is inside the reserved root area and is
-/// never handed out by the allocator, so it is safe as a sentinel.
-pub const NULL_OFF: u64 = 0;
 
 /// A typed offset into a [`crate::PmPool`].
 ///
@@ -26,12 +20,6 @@ pub struct PmOff<T> {
 }
 
 impl<T> PmOff<T> {
-    /// The null (sentinel) offset.
-    pub const NULL: Self = Self {
-        raw: NULL_OFF,
-        _marker: PhantomData,
-    };
-
     /// Wrap a raw byte offset.
     #[inline]
     pub const fn new(raw: u64) -> Self {
@@ -46,24 +34,6 @@ impl<T> PmOff<T> {
     pub const fn raw(self) -> u64 {
         self.raw
     }
-
-    /// Whether this is the null sentinel.
-    #[inline]
-    pub const fn is_null(self) -> bool {
-        self.raw == NULL_OFF
-    }
-
-    /// Reinterpret as an offset to a different type (same address).
-    #[inline]
-    pub const fn cast<U>(self) -> PmOff<U> {
-        PmOff::new(self.raw)
-    }
-
-    /// Offset of a field / element at byte offset `delta` from this one.
-    #[inline]
-    pub const fn byte_add(self, delta: u64) -> u64 {
-        self.raw + delta
-    }
 }
 
 // Manual impls: `derive` would bound them on `T`, which is wrong for a
@@ -75,32 +45,6 @@ impl<T> Clone for PmOff<T> {
     }
 }
 impl<T> Copy for PmOff<T> {}
-impl<T> PartialEq for PmOff<T> {
-    #[inline]
-    fn eq(&self, other: &Self) -> bool {
-        self.raw == other.raw
-    }
-}
-impl<T> Eq for PmOff<T> {}
-impl<T> Hash for PmOff<T> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.raw.hash(state);
-    }
-}
-impl<T> fmt::Debug for PmOff<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_null() {
-            write!(f, "PmOff(NULL)")
-        } else {
-            write!(f, "PmOff({:#x})", self.raw)
-        }
-    }
-}
-impl<T> Default for PmOff<T> {
-    fn default() -> Self {
-        Self::NULL
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -109,38 +53,10 @@ mod tests {
     struct Node;
 
     #[test]
-    fn null_roundtrip() {
-        let n: PmOff<Node> = PmOff::NULL;
-        assert!(n.is_null());
-        assert_eq!(n.raw(), NULL_OFF);
-        assert_eq!(n, PmOff::<Node>::default());
-    }
-
-    #[test]
-    fn cast_preserves_raw() {
-        let a: PmOff<u64> = PmOff::new(4096);
-        let b: PmOff<Node> = a.cast();
-        assert_eq!(b.raw(), 4096);
-        assert!(!b.is_null());
-    }
-
-    #[test]
-    fn byte_add() {
-        let a: PmOff<Node> = PmOff::new(100);
-        assert_eq!(a.byte_add(28), 128);
-    }
-
-    #[test]
-    fn debug_format() {
-        assert_eq!(format!("{:?}", PmOff::<Node>::NULL), "PmOff(NULL)");
-        assert_eq!(format!("{:?}", PmOff::<Node>::new(255)), "PmOff(0xff)");
-    }
-
-    #[test]
-    fn copy_and_eq_do_not_require_t_bounds() {
-        // Node is neither Clone nor Eq; PmOff<Node> still is.
+    fn copy_does_not_require_t_bounds() {
+        // Node is not Clone; PmOff<Node> still is Copy.
         let a: PmOff<Node> = PmOff::new(8);
         let b = a;
-        assert_eq!(a, b);
+        assert_eq!((a.raw(), b.raw()), (8, 8));
     }
 }

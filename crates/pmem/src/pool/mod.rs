@@ -44,11 +44,6 @@ pub const ROOT_AREA: u64 = 4096;
 ///   invalid discriminants, no references, no niches).
 pub unsafe trait PmSafe: Copy {}
 
-unsafe impl PmSafe for u64 {}
-unsafe impl PmSafe for i64 {}
-unsafe impl PmSafe for [u8; 8] {}
-unsafe impl PmSafe for [u8; 16] {}
-unsafe impl PmSafe for [u8; 32] {}
 unsafe impl PmSafe for [u64; 2] {}
 unsafe impl PmSafe for [u64; 4] {}
 
@@ -181,20 +176,6 @@ impl PmPool {
             self.cpu[(line / 8) as usize + j].store(w, Ordering::Relaxed);
             self.persisted[(line / 8) as usize + j].store(w, Ordering::Relaxed);
         }
-    }
-
-    /// Read root-area slot `slot` (8 bytes each, `slot < 512`).
-    #[inline]
-    pub fn read_root(&self, slot: u64) -> u64 {
-        assert!(slot * 8 < ROOT_AREA, "root slot out of range");
-        self.read_u64(slot * 8)
-    }
-
-    /// Write and persist root-area slot `slot`.
-    pub fn write_root(&self, slot: u64, v: u64) {
-        assert!(slot * 8 < ROOT_AREA, "root slot out of range");
-        self.write_u64(slot * 8, v);
-        self.persist(slot * 8, 8);
     }
 
     /// Aggregate counters since creation or the last [`PmPool::reset_stats`].

@@ -44,8 +44,8 @@ impl PmPool {
         lock(&self.poison).len() as u64
     }
 
-    /// Clear all poison without touching data (testing/reset helper).
-    pub fn clear_all_poison(&self) {
+    /// Clear all poison without touching data.
+    pub(super) fn clear_all_poison(&self) {
         let mut lines = lock(&self.poison);
         lines.clear();
         self.sync_poison_bit(&lines);

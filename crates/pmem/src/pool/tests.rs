@@ -142,21 +142,6 @@ fn flush_media_write_accounting() {
 }
 
 #[test]
-fn root_slots() {
-    let p = pool(8192);
-    p.write_root(3, 777);
-    p.crash();
-    assert_eq!(p.read_root(3), 777);
-}
-
-#[test]
-#[should_panic(expected = "root slot out of range")]
-fn root_slot_bounds() {
-    let p = pool(8192);
-    p.write_root(512, 1);
-}
-
-#[test]
 fn eviction_chaos_persists_some_unflushed_words() {
     let p = PmPool::new(1 << 16, PmConfig::real().with_eviction_chaos(42));
     for i in 0..1000u64 {

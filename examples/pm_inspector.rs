@@ -27,13 +27,10 @@
 //!   durability, arm one shard's pool at every persistence boundary,
 //!   and verify after each cut that every **acked** write survives
 //!   recovery and the unacked pipeline reconciles as a clean prefix
-//!   (at most one torn in-flight op). `--cache [--cache-mb N]` fronts
-//!   the served index with the DRAM hot-key tier; recovery still reads
-//!   the raw pools, so a green sweep proves the cache never serves an
+//!   (at most one torn in-flight op). `--cache-mb N` fronts the served
+//!   index with an N MiB DRAM hot-key tier; recovery still reads the
+//!   raw pools, so a green sweep proves the cache never serves an
 //!   acked-but-lost write.
-//! * `cachestat` — run a skewed read-mostly workload through the DRAM
-//!   hot-key tier over an FPTree and print hit/miss/eviction counters;
-//!   exits non-zero if the cache never hits (CI smoke for the tier).
 //!
 //! ```sh
 //! cargo run --release --example pm_inspector
@@ -43,8 +40,7 @@
 //! cargo run --release --example pm_inspector -- mtcrash --kind all --threads 4
 //! cargo run --release --example pm_inspector -- shardcrash --kind all --shards 4 --stride 17
 //! cargo run --release --example pm_inspector -- netcrash --kind all --ops 1000 --stride 1
-//! cargo run --release --example pm_inspector -- netcrash --kind fptree --stride 101 --cache
-//! cargo run --release --example pm_inspector -- cachestat --records 50000 --cache-mb 16
+//! cargo run --release --example pm_inspector -- netcrash --kind fptree --stride 101 --cache-mb 4
 //! ```
 //!
 //! `crashpoints` flags: `--kind <name|all>`, `--ops N`, `--key-range N`,
@@ -64,10 +60,7 @@
 //!
 //! `netcrash` flags: `--kind <name|all>`, `--shards N`, `--ops N`,
 //! `--key-range N`, `--seed N`, `--stride N`, `--max-boundaries N`,
-//! `--window N`, `--cache`, `--cache-mb N` (each shard's pool is armed
-//! in turn).
-//!
-//! `cachestat` flags: `--records N`, `--ops N`, `--cache-mb N`.
+//! `--window N`, `--cache-mb N` (each shard's pool is armed in turn).
 //!
 //! Every run prints its seed; any failure is exactly reproducible by
 //! re-running with the printed flags. An unknown flag, a missing or
@@ -80,20 +73,19 @@ use pm_index_bench::crashpoint::mt::Mt;
 use pm_index_bench::crashpoint::sharded::Sharded;
 use pm_index_bench::crashpoint::single::Single;
 use pm_index_bench::crashpoint::{
-    fresh_shard, kind as kind_row, kinds_and, sweep, ResidualConfig, Shape, SweepOptions,
-    SweepSummary, PM_KINDS,
+    kind as kind_row, kinds_and, sweep, ResidualConfig, Shape, SweepOptions, SweepSummary, PM_KINDS,
 };
 use pm_index_bench::index_api::RangeIndex;
 use pm_index_bench::learned::{LearnedConfig, LearnedIndex};
 use pm_index_bench::net::crash::Net;
 use pm_index_bench::pibench::cli::{self, Arg, Flags, Spec};
-use pm_index_bench::pibench::report::{cache_rows, Table};
+use pm_index_bench::pibench::report::Table;
 use pm_index_bench::pmalloc::{AllocMode, PmAllocator};
 use pm_index_bench::pmem::{PmConfig, PmPool, PmStatsSnapshot};
 
 type Flag = (&'static str, Arg);
 
-/// `--kind <name|all>`, taken by every subcommand but `cachestat`.
+/// `--kind <name|all>`, taken by every subcommand.
 const KIND: Flag = ("--kind", Arg::OneOf(&kinds_and("all")));
 const OPS: Flag = ("--ops", Arg::Int(1));
 const KEY_RANGE: Flag = ("--key-range", Arg::Int(1));
@@ -106,7 +98,6 @@ const SAMPLES: Flag = ("--samples", Arg::Int(0));
 const P_PER_256: Flag = ("--p-per-256", Arg::Int(0));
 const EXHAUSTIVE: Flag = ("--exhaustive", Arg::Int(0));
 const POISON: Flag = ("--poison", Arg::Switch);
-const CACHE_MB: Flag = ("--cache-mb", Arg::Int(0));
 
 fn main() {
     let args = cli::args();
@@ -123,10 +114,9 @@ fn main() {
         "footprint" => kinds(&flags(&[KIND]), "fptree")
             .into_iter()
             .for_each(footprint_one),
-        "cachestat" => cachestat(&flags(&[("--records", Arg::Int(1)), OPS, CACHE_MB])),
         other => cli::fail(&format!(
             "unknown subcommand {other:?}; expected `footprint`, `crashpoints`, `mtcrash`, \
-             `shardcrash`, `netcrash` or `cachestat`"
+             `shardcrash` or `netcrash`"
         )),
     }
 }
@@ -266,11 +256,7 @@ fn net_scenario(f: &Flags) -> Net {
     Net {
         shards: shards(f, 2),
         window: f.int("--window").unwrap_or(32) as usize,
-        cache_mb: match f.int("--cache-mb") {
-            Some(mb) => mb as usize,
-            None if f.on("--cache") => 4,
-            None => 0,
-        },
+        cache_mb: f.int("--cache-mb").unwrap_or(0) as usize,
     }
 }
 
@@ -399,8 +385,7 @@ static SWEEPS: [SweepRow; 4] = [
             STRIDE,
             MAX_BOUNDARIES,
             ("--window", Arg::Int(1)),
-            CACHE_MB,
-            ("--cache", Arg::Switch),
+            ("--cache-mb", Arg::Int(0)),
         ],
         ops: 400,
         key_range: 96,
@@ -569,63 +554,4 @@ fn crash_sweep(row: &SweepRow, f: &Flags) {
         std::process::exit(1);
     }
     println!("\nRESULT: {}", row.green);
-}
-
-fn cachestat(f: &Flags) {
-    use pm_index_bench::cache::CachedIndex;
-    use pm_index_bench::pibench::dist::Distribution;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-
-    let records = f.int("--records").unwrap_or(50_000);
-    let ops = f.int("--ops").unwrap_or(200_000);
-    let cache_mb = f.int("--cache-mb").unwrap_or(16) as usize;
-
-    let (shape, mode) = (Shape::Default, AllocMode::General);
-    let shard = fresh_shard("fptree", shape, mode, 256 << 20, PmConfig::real());
-    let pool = shard.pool.expect("a PM shard");
-    for k in 0..records {
-        shard.index.insert(k, k);
-    }
-    let cached = CachedIndex::new(shard.index, cache_mb << 20);
-
-    // 90/10 lookup/update under a hot-key storm: the worst case the
-    // tier is built for, so the hit rate must be substantial.
-    let sampler = Distribution::storm(records).sampler(records);
-    let mut rng = SmallRng::seed_from_u64(0xCAC4E);
-    pool.reset_stats();
-    let t0 = std::time::Instant::now();
-    for i in 0..ops {
-        let k = sampler.sample(&mut rng);
-        if i % 10 == 0 {
-            cached.update(k, rng.gen());
-        } else {
-            cached.lookup(k);
-        }
-    }
-    let dt = t0.elapsed().as_secs_f64();
-
-    let cc = cached.counters();
-    let pm = pool.stats();
-    let mut t = Table::new(vec!["metric", "value"]);
-    t.kv("ops", ops);
-    t.kv("Mops/s", format!("{:.2}", ops as f64 / dt / 1e6));
-    t.kv("cache slots", cached.cache().capacity());
-    let churn = [cc.fills, cc.evictions, cc.invalidations];
-    cache_rows(&mut t, cc.hits, cc.misses, churn);
-    t.kv("PM read bytes", pm.read_bytes);
-    t.kv("PM write bytes", pm.write_bytes);
-    println!(
-        "cachestat: {records} records, {cache_mb} MiB tier, hot-storm 90/10 \
-         lookup/update:\n"
-    );
-    print!("{}", t.to_text());
-    if cc.hits == 0 {
-        println!("\nRESULT: cache tier never hit — the DRAM tier is not working.");
-        std::process::exit(1);
-    }
-    println!(
-        "\nRESULT: cache tier serving — {:.1}% of lookups never touched PM.",
-        cc.hit_rate() * 100.0
-    );
 }

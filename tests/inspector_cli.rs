@@ -48,13 +48,22 @@ fn bad_flags_exit_2_before_anything_runs() {
     rejected(&["shardcrash", "--kind", "btree"], "--kind expects one of");
     // A flag of another sweep is as unknown as a typo.
     rejected(&["shardcrash", "--threads", "4"], "unknown flag");
-    rejected(&["cachestat", "--record", "10"], "unknown flag");
+    // A removed flag: `--cache-mb N` alone turns the cache tier on.
+    rejected(
+        &[
+            "netcrash", "--cache", "--kind", "wbtree", "--ops", "20", "--stride", "40",
+        ],
+        "unknown flag \"--cache\"",
+    );
     // A removed flag: the server has no batch size to sweep.
     rejected(
         &["netcrash", "--batch-max", "8"],
         "unknown flag \"--batch-max\"",
     );
     rejected(&["crashpoint"], "unknown subcommand");
+    // A removed subcommand: CI's pibench storm smoke checks the cache
+    // tier hits.
+    rejected(&["cachestat"], "unknown subcommand \"cachestat\"");
 }
 
 #[test]

@@ -29,7 +29,6 @@ fn arb_status() -> impl Strategy<Value = Status> {
         2 => Just(Status::Miss),
         1 => Just(Status::Overload),
         1 => Just(Status::Bad),
-        1 => Just(Status::Draining),
     ]
 }
 
