@@ -9,12 +9,23 @@
 //! (instant recovery, no inner-node rebuild).
 //!
 //! * **Node = sorted base + unsorted append area.** A consolidated node
-//!   starts with its records sorted (binary-searchable). Inserts,
-//!   updates (new versions) and logical deletes append to the free
-//!   space, coordinated by a per-record metadata word: `FREE →
-//!   RESERVED → VISIBLE` (or `ABORTED`), with a fingerprint byte to
-//!   skip key probes. Lookups scan the append area newest-first, then
-//!   binary-search the base.
+//!   starts with its records sorted (binary-searchable). Inserts and
+//!   updates (new versions) append to the free space, coordinated by a
+//!   per-record metadata word: `FREE → RESERVED → VISIBLE` (or
+//!   `ABORTED`), with a fingerprint byte to skip key probes; a delete
+//!   turns the newest version's word into a tombstone. Lookups scan the
+//!   append area newest-first, then binary-search the base.
+//! * **Two PMwCAS per append.** One 2-word PMwCAS reserves a slot: it
+//!   bumps the node's used count and claims the slot's metadata
+//!   (`FREE → RESERVED`) together, so no slot below the count is ever
+//!   `FREE`. The record is then written and persisted, and a second
+//!   2-word PMwCAS makes it `VISIBLE` while checking the node is not
+//!   frozen. An insert's probe also returns the first slot its
+//!   duplicate re-check must see: the count it read, or the lowest
+//!   in-flight slot below it with the key's fingerprint. After the
+//!   reservation the re-check scans only from there up to its own slot;
+//!   below it the probe already decided, and a final entry never turns
+//!   live again.
 //! * **Copy-on-write SMOs.** A full node is *frozen* (PMwCAS on its
 //!   status word), compacted or split into fresh nodes, and swapped
 //!   into its parent with a PMwCAS that simultaneously verifies the

@@ -106,9 +106,12 @@ pub fn read_info(mw: &PmwCas, layout: &BzLayout, node: u64) -> (bool, usize) {
     (info & INFO_LEAF != 0, (info & COUNT_MASK) as usize)
 }
 
-/// Build a fully persisted node from sorted records. All records start
-/// `VISIBLE`; the remaining slots are `FREE`. Returns nothing — the
-/// node is unreachable until the caller installs it.
+/// Build a persisted node from sorted records. All records start
+/// `VISIBLE`; the remaining slots are `FREE`. The used prefix (header,
+/// the whole meta array and the records) is written with one store and
+/// persisted; the record slots past it are only read once an append
+/// has written them. Returns nothing — the node is unreachable until
+/// the caller installs it.
 pub fn build_node(
     mw: &PmwCas,
     layout: &BzLayout,
@@ -116,28 +119,30 @@ pub fn build_node(
     is_leaf: bool,
     records: &[(u64, u64)],
 ) {
-    let pool = mw.pool();
     debug_assert!(records.len() <= layout.entries);
     debug_assert!(
         records.windows(2).all(|w| w[0].0 < w[1].0),
         "unsorted build: {records:?}"
     );
-    pool.write_u64(layout.status(node), records.len() as u64);
+    let n = records.len() as u64;
     let leaf_flag = if is_leaf { INFO_LEAF } else { 0 };
-    pool.write_u64(layout.info(node), leaf_flag | records.len() as u64);
-    for i in 0..layout.entries {
-        let m = if i < records.len() {
-            ST_VISIBLE | crate::fingerprint(records[i].0) as u64
-        } else {
-            ST_FREE
-        };
-        pool.write_u64(layout.meta(node, i), m);
+    let metas = (0..layout.entries).map(|i| match records.get(i) {
+        Some(&(k, _)) => ST_VISIBLE | crate::fingerprint(k) as u64,
+        None => ST_FREE,
+    });
+    let words = [n, leaf_flag | n]
+        .into_iter()
+        .chain(metas)
+        .chain(records.iter().flat_map(|&(k, v)| [k, v]));
+    let used = layout.recs_off as usize + 16 * records.len();
+    let mut prefix = Vec::with_capacity(used);
+    for w in words {
+        prefix.extend_from_slice(&w.to_le_bytes());
     }
-    for (i, &(k, v)) in records.iter().enumerate() {
-        pool.write_u64(layout.key(node, i), k);
-        pool.write_u64(layout.val(node, i), v);
-    }
-    pool.persist(node, layout.size);
+    debug_assert_eq!(prefix.len(), used);
+    let pool = mw.pool();
+    pool.write_bytes(node, &prefix);
+    pool.persist(node, used);
 }
 
 #[cfg(test)]

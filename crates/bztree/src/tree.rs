@@ -21,7 +21,7 @@ const SLOT_CFG: u64 = 34;
 
 const ROOT_WORD: u64 = SLOT_ROOT * 8;
 
-/// Spins before a stuck `RESERVED`/`FREE` slot is forcibly aborted.
+/// Spins before a stuck `RESERVED` slot is forcibly aborted.
 const STEAL_SPINS: usize = 1 << 14;
 
 #[inline]
@@ -201,20 +201,30 @@ impl BzTree {
 
     // ----- leaf probing --------------------------------------------------------
 
-    fn find_in_leaf(&self, leaf: u64, key: Key) -> Found {
+    /// Probe `leaf` for `key`. Besides what it found, returns the first
+    /// slot an insert's duplicate re-check must see: the used count the
+    /// probe read, or the lowest in-flight (`RESERVED`) slot below it
+    /// that carries the key's fingerprint. Every slot below that was
+    /// decided by this probe.
+    fn find_in_leaf(&self, leaf: u64, key: Key) -> (Found, usize) {
         let (_, sorted) = read_info(&self.mw, &self.layout, leaf);
         let st = read_status(&self.mw, &self.layout, leaf);
         let fp = fingerprint(key) as u64;
+        let mut recheck = st.count;
         // Append area, newest first.
         for i in (sorted..st.count).rev() {
             let meta_off = self.layout.meta(leaf, i);
             let m = self.mw.read(meta_off);
             let state = m & ST_STATE_MASK;
-            if (state == ST_VISIBLE || state == ST_DELETED)
-                && m & 0xFF == fp
+            if m & 0xFF != fp {
+                continue;
+            }
+            if state == ST_RESERVED {
+                recheck = i;
+            } else if (state == ST_VISIBLE || state == ST_DELETED)
                 && self.pool().read_u64(self.layout.key(leaf, i)) == key
             {
-                return if state == ST_VISIBLE {
+                let found = if state == ST_VISIBLE {
                     Found::Live {
                         meta_off,
                         meta: m,
@@ -223,6 +233,7 @@ impl BzTree {
                 } else {
                     Found::Dead
                 };
+                return (found, recheck);
             }
         }
         // Sorted base: binary search.
@@ -237,7 +248,7 @@ impl BzTree {
                 std::cmp::Ordering::Equal => {
                     let meta_off = self.layout.meta(leaf, mid);
                     let m = self.mw.read(meta_off);
-                    return match m & ST_STATE_MASK {
+                    let found = match m & ST_STATE_MASK {
                         ST_VISIBLE => Found::Live {
                             meta_off,
                             meta: m,
@@ -246,34 +257,27 @@ impl BzTree {
                         ST_DELETED => Found::Dead,
                         _ => Found::Absent,
                     };
+                    return (found, recheck);
                 }
             }
         }
-        Found::Absent
+        (Found::Absent, recheck)
     }
 
     /// Duplicate re-check for an insert that reserved `my_slot`: is a
-    /// live entry for `key` visible below it? Waits out (and eventually
-    /// aborts) unresolved in-flight slots.
-    fn dup_below(&self, leaf: u64, key: Key, my_slot: usize) -> bool {
-        let (_, sorted) = read_info(&self.mw, &self.layout, leaf);
+    /// live entry for `key` visible in `from..my_slot`? Below `from` the
+    /// insert's probe already decided, and a final entry never turns
+    /// live again. Waits out (and eventually aborts) in-flight slots
+    /// that carry the key's fingerprint.
+    fn dup_below(&self, leaf: u64, key: Key, from: usize, my_slot: usize) -> bool {
         let fp = fingerprint(key) as u64;
-        for i in (sorted..my_slot).rev() {
+        for i in (from..my_slot).rev() {
             let meta_off = self.layout.meta(leaf, i);
             let mut spins = 0usize;
             loop {
                 let m = self.mw.read(meta_off);
                 let state = m & ST_STATE_MASK;
                 match state {
-                    ST_FREE => {
-                        // Reserved in the status word but meta not yet
-                        // claimed: must resolve before we can decide.
-                        spins += 1;
-                        if spins > STEAL_SPINS {
-                            let _ = self.mw.mwcas(&[wd(meta_off, m, ST_ABORTED)]);
-                        }
-                        std::hint::spin_loop();
-                    }
                     ST_RESERVED if m & 0xFF == fp => {
                         spins += 1;
                         if spins > STEAL_SPINS {
@@ -291,64 +295,50 @@ impl BzTree {
                 }
             }
         }
-        // Sorted base.
-        matches!(self.find_sorted(leaf, key), Some(true))
-    }
-
-    /// Sorted-base probe: `Some(visible?)` when the key is present.
-    fn find_sorted(&self, leaf: u64, key: Key) -> Option<bool> {
-        let (_, sorted) = read_info(&self.mw, &self.layout, leaf);
-        let pool = self.pool();
-        let mut lo = 0usize;
-        let mut hi = sorted;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            match pool.read_u64(self.layout.key(leaf, mid)).cmp(&key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => {
-                    let m = self.mw.read(self.layout.meta(leaf, mid));
-                    return Some(m & ST_STATE_MASK == ST_VISIBLE);
-                }
-            }
-        }
-        None
+        false
     }
 
     // ----- appends -----------------------------------------------------------
 
     /// Reserve a slot and publish `(key, value)`; shared by insert and
-    /// update. Returns `Ok(true)` on success, `Ok(false)` when a
-    /// duplicate blocks an insert, `Err(())` to retry from the root.
-    fn append(&self, leaf: u64, key: Key, value: Value, dedup: bool) -> Result<bool, ()> {
+    /// update. An insert passes the first slot its duplicate re-check
+    /// must see (from its probe); an update passes `None`. Returns
+    /// `Ok(true)` on success, `Ok(false)` when a duplicate blocks an
+    /// insert, `Err(())` to retry from the root.
+    fn append(
+        &self,
+        leaf: u64,
+        key: Key,
+        value: Value,
+        recheck_from: Option<usize>,
+    ) -> Result<bool, ()> {
         let _site = obs::site("bztree_append");
         let st = read_status(&self.mw, &self.layout, leaf);
         if st.frozen || st.count == self.layout.entries {
             return Err(());
         }
-        if !self
-            .mw
-            .mwcas(&[wd(self.layout.status(leaf), st.raw, st.raw + 1)])
-        {
-            return Err(());
-        }
         let slot = st.count;
         let fp = fingerprint(key) as u64;
         let meta_off = self.layout.meta(leaf, slot);
-        if !self.mw.mwcas(&[wd(meta_off, ST_FREE, ST_RESERVED | fp)]) {
-            // A dup-checker stole our slot before we claimed it.
+        // Reserve: bump the used count and claim the slot in one
+        // PMwCAS, so no slot below the count is ever FREE.
+        if !self.mw.mwcas(&[
+            wd(self.layout.status(leaf), st.raw, st.raw + 1),
+            wd(meta_off, ST_FREE, ST_RESERVED | fp),
+        ]) {
             return Err(());
         }
         let pool = self.pool();
         pool.write_u64(self.layout.key(leaf, slot), key);
         pool.write_u64(self.layout.val(leaf, slot), value);
-        pool.clwb(self.layout.key(leaf, slot), 16);
-        pool.sfence();
-        if dedup && self.dup_below(leaf, key, slot) {
-            let _ = self
-                .mw
-                .mwcas(&[wd(meta_off, ST_RESERVED | fp, ST_ABORTED | fp)]);
-            return Ok(false);
+        pool.persist(self.layout.key(leaf, slot), 16);
+        if let Some(from) = recheck_from {
+            if self.dup_below(leaf, key, from, slot) {
+                let _ = self
+                    .mw
+                    .mwcas(&[wd(meta_off, ST_RESERVED | fp, ST_ABORTED | fp)]);
+                return Ok(false);
+            }
         }
         // Make visible, re-verifying the node is not frozen.
         loop {
@@ -551,7 +541,8 @@ impl RangeIndex for BzTree {
         let guard = self.epoch.pin();
         loop {
             let d = self.descend(key);
-            if let Found::Live { .. } = self.find_in_leaf(d.leaf, key) {
+            let (found, recheck_from) = self.find_in_leaf(d.leaf, key);
+            if let Found::Live { .. } = found {
                 return false;
             }
             let st = read_status(&self.mw, &self.layout, d.leaf);
@@ -559,7 +550,7 @@ impl RangeIndex for BzTree {
                 self.freeze_and_smo(d.leaf, &d.path, &guard);
                 continue;
             }
-            match self.append(d.leaf, key, value, true) {
+            match self.append(d.leaf, key, value, Some(recheck_from)) {
                 Ok(r) => return r,
                 Err(()) => continue,
             }
@@ -570,7 +561,7 @@ impl RangeIndex for BzTree {
         let _site = obs::site("bztree_lookup");
         let _guard = self.epoch.pin();
         let d = self.descend(key);
-        match self.find_in_leaf(d.leaf, key) {
+        match self.find_in_leaf(d.leaf, key).0 {
             Found::Live { value, .. } => Some(value),
             _ => None,
         }
@@ -581,7 +572,7 @@ impl RangeIndex for BzTree {
         let guard = self.epoch.pin();
         loop {
             let d = self.descend(key);
-            let Found::Live { .. } = self.find_in_leaf(d.leaf, key) else {
+            let (Found::Live { .. }, _) = self.find_in_leaf(d.leaf, key) else {
                 return false;
             };
             let st = read_status(&self.mw, &self.layout, d.leaf);
@@ -589,7 +580,7 @@ impl RangeIndex for BzTree {
                 self.freeze_and_smo(d.leaf, &d.path, &guard);
                 continue;
             }
-            match self.append(d.leaf, key, value, false) {
+            match self.append(d.leaf, key, value, None) {
                 Ok(_) => return true,
                 Err(()) => continue,
             }
@@ -601,7 +592,7 @@ impl RangeIndex for BzTree {
         let guard = self.epoch.pin();
         loop {
             let d = self.descend(key);
-            let Found::Live { meta_off, meta, .. } = self.find_in_leaf(d.leaf, key) else {
+            let (Found::Live { meta_off, meta, .. }, _) = self.find_in_leaf(d.leaf, key) else {
                 return false;
             };
             let st = read_status(&self.mw, &self.layout, d.leaf);
@@ -856,6 +847,46 @@ mod tests {
                 });
             }
         });
+    }
+
+    /// A second insert of a key whose first insert holds a `RESERVED`
+    /// slot below the count the second probe reads must still re-check
+    /// that slot. The steps are `insert`'s own, interleaved by hand: a
+    /// raced second thread aborts the held slot after `STEAL_SPINS`
+    /// whenever the committing thread is descheduled that long.
+    #[test]
+    fn insert_rechecks_a_reserved_slot_below_its_probe() {
+        let t = fresh(8, BzTreeConfig::default());
+        let key = 42;
+        assert!(t.insert(7, 70));
+        // The first insert reserves a slot and writes its record.
+        let leaf = t.descend(key).leaf;
+        let st = read_status(&t.mw, &t.layout, leaf);
+        let slot = st.count;
+        let fp = fingerprint(key) as u64;
+        let meta_off = t.layout.meta(leaf, slot);
+        assert!(t.mw.mwcas(&[
+            wd(t.layout.status(leaf), st.raw, st.raw + 1),
+            wd(meta_off, ST_FREE, ST_RESERVED | fp),
+        ]));
+        t.pool().write_u64(t.layout.key(leaf, slot), key);
+        t.pool().write_u64(t.layout.val(leaf, slot), 1);
+        t.pool().persist(t.layout.key(leaf, slot), 16);
+        // The second insert's probe reads a count past the held slot,
+        // yet names it as the first slot its re-check must see.
+        let (found, from) = t.find_in_leaf(leaf, key);
+        assert!(matches!(found, Found::Absent));
+        assert_eq!(from, slot);
+        // The first insert commits.
+        let st = read_status(&t.mw, &t.layout, leaf);
+        assert!(t.mw.mwcas(&[
+            wd(t.layout.status(leaf), st.raw, st.raw),
+            wd(meta_off, ST_RESERVED | fp, ST_VISIBLE | fp),
+        ]));
+        // The second insert appends above it and finds the duplicate.
+        assert_eq!(t.append(leaf, key, 2, Some(from)), Ok(false));
+        assert_eq!(t.lookup(key), Some(1));
+        assert!(!t.insert(key, 3));
     }
 
     #[test]

@@ -7,22 +7,44 @@
 //!
 //! ## Protocol
 //!
-//! 1. **Describe.** The operation records `(address, expected, new)`
-//!    for each word in a persistent *descriptor*, then publishes the
-//!    descriptor by persisting its status word (sequence + `Undecided`).
+//! A k-word operation that meets no other costs 2k + 2 write-backs and
+//! 4 fences.
+//!
+//! 1. **Describe.** The owner stores the descriptor body — the count and
+//!    `(address, expected, new)` per word — with one store, then the
+//!    status word (sequence + `Undecided`), and writes both back with
+//!    one persist (one cache line for k ≤ 2). Nothing points at the
+//!    descriptor yet, so nothing can depend on it before that fence.
 //! 2. **Phase 1 — install.** For every word in address order, CAS
 //!    `expected → descriptor pointer` (a tagged sentinel with bit 63
-//!    set). Any thread that reads a descriptor pointer *helps* complete
-//!    the operation instead of blocking. A mismatch decides `Failed`.
+//!    set) and write the word back; one fence follows the last install.
+//!    Any thread that reads a descriptor pointer *helps* complete the
+//!    operation instead of blocking. A mismatch decides `Failed`.
 //! 3. **Decide.** CAS the status to `Succeeded`/`Failed` and persist it
 //!    — the linearization and durability point.
 //! 4. **Phase 2 — propagate.** Replace descriptor pointers with the new
-//!    (or, on failure, old) values, marked *dirty* until flushed;
-//!    readers that encounter a dirty word flush it and clear the bit
-//!    before use, guaranteeing no one depends on unpersisted data.
+//!    (or, on failure, old) values marked *dirty*, write each back, then
+//!    one fence, then clear the dirty bits. A reader that meets a dirty
+//!    word flushes it and clears the bit before use, so no one depends
+//!    on unpersisted data.
+//! 5. **Retire.** A plain store of a free status. After phase 2's fence
+//!    no word holds the descriptor's pointer, so recovery has nothing to
+//!    do with it and the store need not persist.
 //!
-//! Recovery scans the descriptor pool: `Succeeded` descriptors roll
-//! forward, anything else rolls back, and dirty bits are scrubbed.
+//! The owner works from its own (DRAM) copy of the words. A helper
+//! reads the descriptor's fields, then re-checks that the status still
+//! names the operation's sequence number before acting on them. A
+//! helper always finishes with phase 2 — as a failure if the operation
+//! has retired — so a pointer it installed too late goes back to the
+//! `old` value it displaced.
+//!
+//! **Recovery** rolls every word that holds a descriptor's *own*
+//! pointer forward (`Succeeded`) or back (anything else) and touches
+//! nothing else: a descriptor's fields on PM may predate its status
+//! (they are described before the status, under one write-back), but
+//! only an operation whose description was fenced can have installed
+//! its pointer anywhere. Dirty bits are left for [`PmwCas::read`] to
+//! clear.
 //!
 //! ## Reserved bits
 //!
@@ -31,13 +53,14 @@
 //! bits — BzTree only stores node offsets and small metadata in managed
 //! words, so this costs nothing.
 
+use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use pmalloc::PmAllocator;
 use pmem::{MediaError, PmPool, ThreadSlots};
 
-/// Maximum words per operation (BzTree needs at most 3).
+/// Maximum words per operation (BzTree needs at most 2).
 pub const MAX_WORDS: usize = 4;
 
 /// Bit 63: the word currently holds a descriptor pointer.
@@ -75,7 +98,7 @@ fn ptr_seq(ptr: u64) -> u64 {
 }
 
 /// One word of an operation.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct WordDescriptor {
     /// Pool offset of the target word (8-aligned).
     pub addr: u64,
@@ -152,8 +175,7 @@ impl PmwCas {
 
     #[inline]
     fn status_seq(&self, idx: usize) -> u64 {
-        self.pool
-            .load_u64(self.d_off(idx), std::sync::atomic::Ordering::Acquire)
+        self.pool.load_u64(self.d_off(idx), Ordering::Acquire)
     }
 
     fn word_of(&self, idx: usize, w: usize) -> WordDescriptor {
@@ -185,25 +207,30 @@ impl PmwCas {
         let pool = &*self.pool;
         let d = self.d_off(idx);
 
-        // Describe: fields first, then the status word that makes the
-        // descriptor live.
-        let mut sorted: Vec<WordDescriptor> = entries.to_vec();
-        sorted.sort_unstable_by_key(|e| e.addr);
-        pool.write_u64(d + 8, sorted.len() as u64);
-        for (w, e) in sorted.iter().enumerate() {
-            let o = d + 16 + w as u64 * 24;
-            pool.write_u64(o, e.addr);
-            pool.write_u64(o + 8, e.old);
-            pool.write_u64(o + 16, e.new);
+        // Describe: the body with one store, then the status word that
+        // makes the descriptor live, then one write-back over both.
+        let mut copy = [WordDescriptor::default(); MAX_WORDS];
+        let words = &mut copy[..entries.len()];
+        words.copy_from_slice(entries);
+        words.sort_unstable_by_key(|e| e.addr);
+        let mut body = [0u8; 8 + 24 * MAX_WORDS];
+        let fields = std::iter::once(words.len() as u64)
+            .chain(words.iter().flat_map(|e| [e.addr, e.old, e.new]));
+        for (chunk, v) in body.chunks_exact_mut(8).zip(fields) {
+            chunk.copy_from_slice(&v.to_le_bytes());
         }
-        pool.persist(d + 8, 8 + sorted.len() * 24);
+        let body = &body[..8 + 24 * words.len()];
         let seq = (self.status_seq(idx) >> 3) + 1;
         let status = seq << 3 | ST_UNDECIDED;
-        pool.store_u64(d, status, std::sync::atomic::Ordering::Release);
-        pool.persist(d, 8);
+        // A helper that read the previous operation's status must not
+        // see this body before the retire store that ended it.
+        fence(Ordering::Release);
+        pool.write_bytes(d + 8, body);
+        pool.store_u64(d, status, Ordering::Release);
+        pool.persist(d, 8 + body.len());
 
         let ptr = desc_ptr(idx, seq);
-        let ok = self.run_phase1(idx, seq, ptr);
+        let ok = self.run_phase1(idx, seq, ptr, words);
         // Decide + persist (linearization point). A concurrent helper
         // may have decided differently (it can observe a word become
         // installable after we saw a mismatch, or vice versa), so the
@@ -215,30 +242,30 @@ impl PmwCas {
         let final_status = self.status_seq(idx);
         debug_assert_eq!(final_status >> 3, seq, "claimed descriptor reused");
         let ok = final_status & ST_MASK == ST_SUCCEEDED;
-        // Propagate.
-        self.run_phase2(idx, seq, ptr);
-        // Retire.
-        pool.store_u64(d, seq << 3 | ST_FREE, std::sync::atomic::Ordering::Release);
-        pool.persist(d, 8);
+        self.run_phase2(ptr, words, ok);
+        // Retire: no word holds `ptr` any more, so recovery would do
+        // nothing with this descriptor; the store need not persist.
+        pool.store_u64(d, seq << 3 | ST_FREE, Ordering::Release);
         ok
     }
 
-    /// Install descriptor pointers (phase 1). Returns whether all
-    /// words matched.
-    fn run_phase1(&self, idx: usize, seq: u64, ptr: u64) -> bool {
+    /// Install descriptor pointers (phase 1), writing each word back,
+    /// then fence once. Returns whether all words matched.
+    fn run_phase1(&self, idx: usize, seq: u64, ptr: u64, words: &[WordDescriptor]) -> bool {
         let pool = &*self.pool;
-        let count = self.count_of(idx);
-        for w in 0..count {
-            let e = self.word_of(idx, w);
+        for e in words {
             loop {
                 // Stop if another helper already decided us.
                 let st = self.status_seq(idx);
                 if st >> 3 != seq || st & ST_MASK != ST_UNDECIDED {
                     return st & ST_MASK == ST_SUCCEEDED || st >> 3 != seq;
                 }
-                let cur = pool.load_u64(e.addr, std::sync::atomic::Ordering::Acquire);
+                let cur = pool.load_u64(e.addr, Ordering::Acquire);
                 if cur == ptr {
-                    break; // already installed (by a helper)
+                    // Installed by a helper: write it back too, so the
+                    // fence below covers it before anyone decides.
+                    pool.clwb(e.addr, 8);
+                    break;
                 }
                 if cur & DESC_FLAG != 0 {
                     self.help(cur);
@@ -252,28 +279,36 @@ impl PmwCas {
                     return false;
                 }
                 if pool.cas_u64(e.addr, cur, ptr).is_ok() {
-                    pool.persist(e.addr, 8);
+                    pool.clwb(e.addr, 8);
                     break;
                 }
             }
         }
+        pool.sfence();
         true
     }
 
-    /// Replace descriptor pointers with final values (phase 2).
-    fn run_phase2(&self, idx: usize, seq: u64, ptr: u64) {
+    /// Replace descriptor pointers with final values (phase 2): store
+    /// each value dirty and write it back, fence once, then clear the
+    /// dirty bits this thread set.
+    fn run_phase2(&self, ptr: u64, words: &[WordDescriptor], succeeded: bool) {
         let pool = &*self.pool;
-        let st = self.status_seq(idx);
-        if st >> 3 != seq {
-            return; // descriptor reused; someone finished for us
+        let val = |e: &WordDescriptor| if succeeded { e.new } else { e.old };
+        let mut mine = [false; MAX_WORDS];
+        for (w, e) in words.iter().enumerate() {
+            match pool.cas_u64(e.addr, ptr, val(e) | DIRTY) {
+                Ok(_) => mine[w] = true,
+                // A helper propagated it: write its value back too, so
+                // our fence covers it before the descriptor is reused.
+                Err(cur) if cur & DIRTY != 0 => {}
+                Err(_) => continue,
+            }
+            pool.clwb(e.addr, 8);
         }
-        let succeeded = st & ST_MASK == ST_SUCCEEDED;
-        let count = self.count_of(idx);
-        for w in 0..count {
-            let e = self.word_of(idx, w);
-            let val = if succeeded { e.new } else { e.old };
-            if pool.cas_u64(e.addr, ptr, val | DIRTY).is_ok() {
-                self.flush_word(e.addr, val | DIRTY);
+        pool.sfence();
+        for (w, e) in words.iter().enumerate() {
+            if mine[w] {
+                let _ = pool.cas_u64(e.addr, val(e) | DIRTY, val(e));
             }
         }
     }
@@ -285,6 +320,27 @@ impl PmwCas {
         let _ = self.pool.cas_u64(addr, observed, observed & !DIRTY);
     }
 
+    /// The words of descriptor `idx` while it still runs operation
+    /// `seq`, and that operation's status; `None` once it retired. The
+    /// status is re-read after the fields, so they belong to `seq`.
+    fn words_of(&self, idx: usize, seq: u64) -> Option<(u64, [WordDescriptor; MAX_WORDS], usize)> {
+        let running = |st: u64| st >> 3 == seq && st & ST_MASK != ST_FREE;
+        if !running(self.status_seq(idx)) {
+            return None;
+        }
+        let n = self.count_of(idx);
+        let mut words = [WordDescriptor::default(); MAX_WORDS];
+        for (w, e) in words[..n].iter_mut().enumerate() {
+            *e = self.word_of(idx, w);
+        }
+        // Pairs with the release fence in `mwcas`: a later operation
+        // writes its body after `seq`'s retire store, so if any field
+        // above came from it, this second status load sees the retire.
+        fence(Ordering::Acquire);
+        let st = self.status_seq(idx);
+        running(st).then_some((st, words, n))
+    }
+
     /// Help complete the operation behind a descriptor pointer.
     fn help(&self, ptr: u64) {
         let idx = ptr_idx(ptr);
@@ -292,26 +348,29 @@ impl PmwCas {
         if idx >= N_DESC {
             return;
         }
-        let st = self.status_seq(idx);
-        if st >> 3 != seq {
-            return; // already completed and reused
-        }
+        let Some((st, words, n)) = self.words_of(idx, seq) else {
+            return; // already completed and retired
+        };
+        let words = &words[..n];
         if st & ST_MASK == ST_UNDECIDED {
-            let ok = self.run_phase1(idx, seq, ptr);
+            let ok = self.run_phase1(idx, seq, ptr, words);
             let decided = seq << 3 | if ok { ST_SUCCEEDED } else { ST_FAILED };
             let _ = self.pool.cas_u64(self.d_off(idx), st, decided);
             self.pool.persist(self.d_off(idx), 8);
         }
-        self.run_phase2(idx, seq, ptr);
+        // Propagate even if the operation has retired meanwhile: a word
+        // that still holds its pointer then got it from an install that
+        // came too late (ours or another helper's), and goes back to the
+        // `old` value that install displaced.
+        let st = self.status_seq(idx);
+        self.run_phase2(ptr, words, st >> 3 == seq && st & ST_MASK == ST_SUCCEEDED);
     }
 
     /// Read a PMwCAS-managed word, resolving descriptor pointers and
     /// dirty bits. This is the only legal way to read managed words.
     pub fn read(&self, addr: u64) -> u64 {
         loop {
-            let v = self
-                .pool
-                .load_u64(addr, std::sync::atomic::Ordering::Acquire);
+            let v = self.pool.load_u64(addr, Ordering::Acquire);
             if v & DESC_FLAG != 0 {
                 self.help(v);
                 continue;
@@ -331,9 +390,12 @@ impl PmwCas {
         self.pool.persist(addr, 8);
     }
 
-    /// Recovery for one descriptor slot. Probes each in-flight target
-    /// word before reading it — the descriptor names arbitrary
-    /// application offsets that may sit on poisoned lines.
+    /// Recovery for one descriptor slot: roll every word that holds
+    /// this descriptor's pointer forward or back, then free the slot.
+    /// Only words holding the pointer are touched — the fields may
+    /// predate the status — and dirty bits are left for `read`. Probes
+    /// each named word before reading it, since the fields name
+    /// arbitrary application offsets that may sit on poisoned lines.
     fn recover_descriptor(&self, idx: usize) -> Result<(), MediaError> {
         let pool = &*self.pool;
         let st = self.status_seq(idx);
@@ -348,13 +410,8 @@ impl PmwCas {
             let e = self.word_of(idx, w);
             pool.check_readable(e.addr, 8)
                 .map_err(|err| err.context("PMwCAS in-flight target word"))?;
-            let cur = pool.read_u64(e.addr);
-            if cur == ptr {
-                let val = if succeeded { e.new } else { e.old };
-                pool.write_u64(e.addr, val);
-                pool.persist(e.addr, 8);
-            } else if cur & DIRTY != 0 && cur & DESC_FLAG == 0 {
-                pool.write_u64(e.addr, cur & !DIRTY);
+            if pool.read_u64(e.addr) == ptr {
+                pool.write_u64(e.addr, if succeeded { e.new } else { e.old });
                 pool.persist(e.addr, 8);
             }
         }
@@ -554,6 +611,114 @@ mod tests {
         let alloc = PmAllocator::try_recover(pool.clone()).unwrap();
         let mw = PmwCas::try_recover(&alloc).unwrap();
         assert_eq!(mw.read(a), 7, "undecided mwcas must roll back");
+    }
+
+    /// Words `a, a + 8, …` initialised to `1, 2, …`, and the entries of
+    /// a k-word `mwcas` that adds 100 to each.
+    fn words(alloc: &PmAllocator, mw: &PmwCas, k: usize) -> Vec<WordDescriptor> {
+        let a = alloc.alloc(64).unwrap();
+        (0..k as u64)
+            .map(|w| {
+                mw.init_word(a + 8 * w, w + 1);
+                WordDescriptor {
+                    addr: a + 8 * w,
+                    old: w + 1,
+                    new: w + 101,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn uncontended_mwcas_writes_back_2k_plus_2_lines_and_fences_4_times() {
+        for k in [1, 2, 4] {
+            let (pool, alloc, mw) = setup();
+            let entries = words(&alloc, &mw, k);
+            let before = pool.stats();
+            assert!(mw.mwcas(&entries));
+            let op = pool.stats().since(&before);
+            assert_eq!(op.clwb, 2 * k as u64 + 2, "{k}-word write-backs");
+            assert_eq!(op.fence, 4, "{k}-word fences");
+            assert!(entries.iter().all(|e| mw.read(e.addr) == e.new));
+        }
+    }
+
+    /// Crash a k-word `mwcas` at every persistence event it issues,
+    /// with each residual image of its last written lines, recover, and
+    /// check the words are all old or all new with no descriptor
+    /// pointer left; a second recovery must change nothing.
+    fn crash_at_every_boundary(k: usize) {
+        static QUIET: std::sync::Once = std::sync::Once::new();
+        QUIET.call_once(|| {
+            let prev = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                if info
+                    .payload()
+                    .downcast_ref::<pmem::CrashPointHit>()
+                    .is_none()
+                {
+                    prev(info);
+                }
+            }));
+        });
+        let events = {
+            let (pool, alloc, mw) = setup();
+            let entries = words(&alloc, &mw, k);
+            let before = pool.persist_event_count();
+            assert!(mw.mwcas(&entries));
+            pool.persist_event_count() - before
+        };
+        assert_eq!(events, 2 * k as u64 + 6, "2k + 2 write-backs and 4 fences");
+        for n in 1..=events {
+            for mask in 0..8u64 {
+                let (pool, alloc, mw) = setup();
+                let entries = words(&alloc, &mw, k);
+                pool.arm_crash_after(n);
+                let r =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mw.mwcas(&entries)));
+                let hit = r.expect_err("every boundary of the op trips");
+                assert!(hit.downcast_ref::<pmem::CrashPointHit>().is_some());
+                drop((alloc, mw));
+                pool.crash_with(pmem::ResidualPolicy::Subset { mask });
+                let raw = |pool: &PmPool| -> Vec<u64> {
+                    entries.iter().map(|e| pool.read_u64(e.addr)).collect()
+                };
+                let recover = || {
+                    let alloc = PmAllocator::try_recover(pool.clone()).unwrap();
+                    PmwCas::try_recover(&alloc).unwrap()
+                };
+                recover();
+                let first = raw(&pool);
+                assert!(
+                    first.iter().all(|v| v & DESC_FLAG == 0),
+                    "k={k} n={n} mask={mask}: descriptor pointer survived {first:x?}"
+                );
+                pool.crash();
+                let mw = recover();
+                assert_eq!(
+                    raw(&pool),
+                    first,
+                    "k={k} n={n} mask={mask}: second recovery moved"
+                );
+                let got: Vec<u64> = entries.iter().map(|e| mw.read(e.addr)).collect();
+                let old: Vec<u64> = entries.iter().map(|e| e.old).collect();
+                let new: Vec<u64> = entries.iter().map(|e| e.new).collect();
+                assert!(
+                    got == old || got == new,
+                    "k={k} n={n} mask={mask}: torn {got:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_word_mwcas_survives_a_crash_at_every_boundary() {
+        crash_at_every_boundary(1);
+    }
+
+    #[test]
+    fn two_word_mwcas_survives_a_crash_at_every_boundary() {
+        crash_at_every_boundary(2);
     }
 
     #[test]

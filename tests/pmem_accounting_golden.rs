@@ -165,7 +165,8 @@ fn moved<const N: usize>(what: &str, actual: &[[u64; N]], golden: &[[u64; N]]) -
 }
 
 // Recorded from commit a156a18 (the parent of the data-path rework),
-// then re-recorded on purpose for two kinds, in the commit after e615c77:
+// then re-recorded on purpose, kind by kind. Two kinds in the commit
+// after e615c77:
 // - fptree (rows 0..4, sweeps 0 and 5): its leaf stores each record as
 //   one 16-byte (key, value) cell, so writing a record flushes one pair
 //   line instead of a key line and a value line, and insert / update /
@@ -173,6 +174,12 @@ fn moved<const N: usize>(what: &str, actual: &[[u64; N]], golden: &[[u64; N]]) -
 // - wbtree (rows 8..12): `Node::route` lost a `debug_assert` that read
 //   the node bitmap through the counted path, so these rows are the
 //   release-build counts, and debug and release now agree for every kind.
+// And bztree (rows 12..16, sweep 3) in the commit after 8e6c60f: a k-word
+// PMwCAS writes back 2k + 2 lines and fences 4 times (one describe
+// persist, one fence per phase, an unpersisted retire), an append runs
+// two 2-word PMwCAS (reserve, commit) instead of three, an insert
+// re-checks only the slots its probe did not decide, and a new node
+// writes and persists only its used prefix.
 #[rustfmt::skip]
 const GOLDEN_KINDS: [Row; 20] = [
     [229, 1111, 9496, 16922, 135425, 132352, 165376, 131, 1, 0, 98, 188, 33, 33, 8779647027965650296],
@@ -187,10 +194,10 @@ const GOLDEN_KINDS: [Row; 20] = [
     [1029, 4664, 37096, 17347, 138909, 143872, 273664, 557, 1, 0, 472, 187, 32, 32, 17120724689833639400],
     [2023, 9927, 79164, 17995, 144219, 175872, 412160, 1097, 1, 0, 926, 186, 31, 31, 13481685062997594245],
     [10832, 70617, 567328, 23377, 188413, 932608, 1630720, 5857, 1, 0, 4975, 186, 31, 31, 13481685062997594245],
-    [233, 1108, 8864, 17885, 143080, 132608, 169216, 117, 0, 0, 116, 197, 34, 34, 5587487070862108974],
-    [1031, 2754, 22032, 18688, 149504, 133120, 272128, 516, 0, 0, 515, 200, 40, 40, 8970471285369708009],
-    [2025, 5433, 43464, 19745, 157960, 140288, 400896, 1013, 0, 0, 1012, 213, 53, 53, 6288257894920268714],
-    [40840, 130694, 1045552, 60327, 482616, 1574400, 5410304, 20420, 0, 0, 20420, 494, 334, 334, 16791197435376458427],
+    [233, 1058, 8464, 17886, 144184, 132864, 173824, 136, 0, 0, 97, 202, 35, 35, 6862848875245412488],
+    [1031, 3296, 26368, 18650, 155584, 140800, 293376, 598, 0, 0, 433, 211, 51, 51, 13484566424171294570],
+    [2025, 6168, 49344, 19612, 169600, 146688, 442368, 1174, 0, 0, 851, 227, 67, 67, 14073206204726850790],
+    [22564, 92031, 736248, 39618, 457144, 1584128, 3537920, 13174, 0, 0, 9390, 501, 335, 335, 10520299578853944158],
     [235, 1799, 14392, 16758, 137432, 135680, 162048, 118, 0, 0, 117, 196, 33, 33, 14507940570667793046],
     [1033, 8310, 66480, 17157, 163816, 209152, 275968, 517, 0, 0, 516, 193, 33, 33, 657970459889291762],
     [2027, 16396, 131168, 17654, 192272, 304384, 413952, 1014, 0, 0, 1013, 196, 33, 33, 2901773323763845982],
@@ -202,7 +209,7 @@ const GOLDEN_SWEEPS: [Sweep; 7] = [
     [169, 19, 19, 0, 11, 0, 8, 35, 207, 2, 19, 0, 35],
     [157, 18, 18, 0, 10, 0, 8, 35, 192, 2, 18, 0, 35],
     [343, 39, 39, 0, 18, 0, 21, 33, 196, 1, 39, 0, 33],
-    [1272, 142, 142, 0, 71, 0, 71, 41, 227, 0, 142, 0, 41],
+    [678, 76, 76, 0, 45, 0, 31, 42, 208, 0, 76, 0, 42],
     [60, 7, 7, 0, 4, 0, 3, 33, 196, 0, 7, 0, 33],
     [169, 19, 19, 0, 11, 0, 8, 35, 207, 2, 171, 19, 35],
     [343, 39, 39, 0, 18, 0, 21, 33, 196, 1, 351, 39, 33],
