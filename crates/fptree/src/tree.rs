@@ -7,7 +7,7 @@ use htm::{Abort, InnerLayer};
 use index_api::{Footprint, Key, RangeIndex, Value};
 use parking_lot::Mutex;
 use pmalloc::PmAllocator;
-use pmem::{MediaError, PmOff, PmPool, ThreadSlots};
+use pmem::{MediaError, PmPool, ThreadSlots};
 
 use crate::layout::{LeafLayout, BITMAP_OFF, NEXT_OFF, PAIR_BYTES, VLOCK_OFF};
 use crate::{fingerprint, FpTreeConfig, KeyMode};
@@ -237,7 +237,7 @@ impl FpTree {
             }
         };
         let pair = self.layout.pair(leaf, slot);
-        pool.write(PmOff::new(pair), &[key_word, value]);
+        pool.write_words(pair, &[key_word, value]);
         pool.write_bytes(self.layout.fp(leaf, slot), &[fingerprint(key)]);
         pool.clwb(pair, PAIR_BYTES as usize);
         pool.clwb(self.layout.fp(leaf, slot), 1);
@@ -309,8 +309,9 @@ impl FpTree {
         for (i, &(k, slot)) in recs[mid..].iter().enumerate() {
             // Copy the raw cell: in pointer mode the key cell is shared
             // by the new leaf, not re-allocated.
-            let pair: [u64; 2] = pool.read(PmOff::new(l.pair(old, slot)));
-            pool.write(PmOff::new(l.pair(new, i)), &pair);
+            let mut pair = [0; 2];
+            pool.read_words(l.pair(old, slot), &mut pair);
+            pool.write_words(l.pair(new, i), &pair);
             pool.write_bytes(l.fp(new, i), &[fingerprint(k)]);
             new_bitmap |= 1 << i;
             moved |= 1 << slot;
@@ -565,7 +566,9 @@ impl RangeIndex for FpTree {
             while bits != 0 {
                 let slot = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let [w, v] = pool.read(PmOff::<[u64; 2]>::new(l.pair(leaf, slot)));
+                let mut pair = [0; 2];
+                pool.read_words(l.pair(leaf, slot), &mut pair);
+                let [w, v] = pair;
                 let k = self.key_of(w);
                 if k >= start {
                     batch.push((k, v));

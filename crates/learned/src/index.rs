@@ -1,4 +1,4 @@
-//! The PM-resident learned index: descriptor + chunked model arrays +
+//! The PM-resident learned index: descriptor + chunked sorted pairs +
 //! durable delta log, with a crash-consistent merge that atomically
 //! swaps the model root.
 //!
@@ -10,12 +10,14 @@
 //! ```text
 //! root slot 40 ──► descriptor { magic, epoch, n,
 //!                               data_dir, data_chunks,
-//!                               seg_dir,  seg_chunks, seg_count,
 //!                               log_dir,  log_chunks, checksum }
 //!                     data_dir ──► [chunk off; data_chunks] ──► (key,value) pairs
-//!                     seg_dir  ──► [chunk off; seg_chunks]  ──► segment records
 //!                     log_dir  ──► [chunk off; log_chunks]  ──► delta-log entries
 //! ```
+//!
+//! PM holds only what recovery cannot rebuild. The trained segments are
+//! a pure function of the sorted keys, which recovery reads anyway, so
+//! they live in DRAM and recovery retrains them.
 //!
 //! All arrays are **chunked** (the allocator's largest size class is
 //! 32 KiB) and **immutable once published**: mutations append to the
@@ -56,15 +58,14 @@ pub const SLOT_DESC: u64 = 40;
 /// Root-area slot holding the encoded [`LearnedConfig`].
 pub const SLOT_CFG: u64 = 41;
 
-const MAGIC: u64 = 0x4C45_4152_4E44_5831; // "LEARNDX1"
-const DESC_WORDS: usize = 11;
+const MAGIC: u64 = 0x4C45_4152_4E44_5832; // "LEARNDX2"
+const DESC_WORDS: usize = 8;
 const DESC_BYTES: usize = DESC_WORDS * 8;
 
 const OP_PUT: u64 = 1;
 const OP_DEL: u64 = 2;
 const LOG_ENTRY_BYTES: usize = 32;
 const PAIR_BYTES: usize = 16;
-const SEG_REC_WORDS: usize = 4; // first_key, base, slope bits, reserved
 
 fn entry_sum(key: u64, value: u64, meta: u64) -> u64 {
     splitmix64(key ^ value.rotate_left(32) ^ meta.wrapping_mul(0xD6E8_FEB8_6659_FD93))
@@ -81,9 +82,6 @@ struct Desc {
     n: u64,
     data_dir: u64,
     data_chunks: u64,
-    seg_dir: u64,
-    seg_chunks: u64,
-    seg_count: u64,
     log_dir: u64,
     log_chunks: u64,
 }
@@ -96,9 +94,6 @@ impl Desc {
             self.n,
             self.data_dir,
             self.data_chunks,
-            self.seg_dir,
-            self.seg_chunks,
-            self.seg_count,
             self.log_dir,
             self.log_chunks,
             0,
@@ -125,17 +120,14 @@ impl Desc {
             n: w[2],
             data_dir: w[3],
             data_chunks: w[4],
-            seg_dir: w[5],
-            seg_chunks: w[6],
-            seg_count: w[7],
-            log_dir: w[8],
-            log_chunks: w[9],
+            log_dir: w[5],
+            log_chunks: w[6],
         }
     }
 }
 
 /// Model shape, for `pm_inspector` and the E19 report.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelStats {
     /// Current model generation (bumped by every merge).
     pub epoch: u64,
@@ -149,7 +141,8 @@ pub struct ModelStats {
     pub delta_len: u64,
     /// Log capacity before the next merge triggers.
     pub delta_cap: u64,
-    /// Merges performed by this handle since create/recover.
+    /// Merges performed by this handle since create/recover (the
+    /// generation `create` publishes is not one).
     pub merges: u64,
 }
 
@@ -160,11 +153,10 @@ struct Core {
     epoch: u64,
     /// DRAM mirror of the model's sorted keys (values stay in PM).
     keys: Vec<u64>,
+    /// The model trained over `keys`; never persisted.
     segs: Vec<Segment>,
     data_dir: u64,
     data_chunks: Vec<u64>,
-    seg_dir: u64,
-    seg_chunks: Vec<u64>,
     log_dir: u64,
     log_chunks: Vec<u64>,
     log_cap: usize,
@@ -265,6 +257,8 @@ impl Core {
             self.log_chunks[self.log_len / ce] + ((self.log_len % ce) * LOG_ENTRY_BYTES) as u64;
         self.log_len += 1;
         let meta = self.epoch << 8 | op;
+        // Byte-wise, so eviction chaos can persist each word of the
+        // entry on its own and tear it, as a power cut can.
         let mut buf = [0u8; LOG_ENTRY_BYTES];
         buf[0..8].copy_from_slice(&key.to_le_bytes());
         buf[8..16].copy_from_slice(&value.to_le_bytes());
@@ -291,57 +285,43 @@ impl Core {
     }
 
     /// Write `words` to a fresh allocation and flush it.
-    fn write_words(&self, words: &[u64]) -> u64 {
-        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        let off = self.alloc.alloc(bytes.len()).expect("PM pool exhausted");
-        self.pool().write_bytes(off, &bytes);
-        self.pool().persist(off, bytes.len());
+    fn write_fresh(&self, words: &[u64]) -> u64 {
+        let off = self
+            .alloc
+            .alloc(words.len() * 8)
+            .expect("PM pool exhausted");
+        self.pool().write_words(off, words);
+        self.pool().persist(off, words.len() * 8);
         off
     }
 
-    /// Write a record array as `chunk_entries`-record chunks plus a
-    /// chunk directory. Returns `(dir, chunk_offs)`; `(0, [])` when
-    /// empty.
-    fn write_record_chunks(&self, words: &[u64], rec_words: usize) -> (u64, Vec<u64>) {
-        if words.is_empty() {
+    /// Write `pairs` as `chunk_entries`-pair chunks plus a chunk
+    /// directory. Returns `(dir, chunk_offs)`; `(0, [])` when empty.
+    fn write_pairs(&self, pairs: &[(Key, Value)]) -> (u64, Vec<u64>) {
+        if pairs.is_empty() {
             return (0, Vec::new());
         }
-        let chunk_words = self.cfg.chunk_entries * rec_words;
-        let mut offs = Vec::with_capacity(words.len().div_ceil(chunk_words));
-        for chunk in words.chunks(chunk_words) {
-            let off = self
-                .alloc
-                .alloc(chunk_words * 8)
-                .expect("PM pool exhausted");
-            let bytes: Vec<u8> = chunk.iter().flat_map(|w| w.to_le_bytes()).collect();
-            self.pool().write_bytes(off, &bytes);
-            self.pool().persist(off, bytes.len());
-            offs.push(off);
-        }
-        (self.write_words(&offs), offs)
-    }
-
-    /// Allocate an (uninitialized) log of `cap` entries; stale bytes
-    /// are harmless because entries of other epochs never validate.
-    fn alloc_log(&self, cap: usize) -> (u64, Vec<u64>) {
         let ce = self.cfg.chunk_entries;
-        debug_assert_eq!(cap % ce, 0);
-        let offs: Vec<u64> = (0..cap / ce)
-            .map(|_| {
-                self.alloc
-                    .alloc(ce * LOG_ENTRY_BYTES)
-                    .expect("PM pool exhausted")
+        let offs: Vec<u64> = pairs
+            .chunks(ce)
+            .map(|chunk| {
+                let off = self
+                    .alloc
+                    .alloc(ce * PAIR_BYTES)
+                    .expect("PM pool exhausted");
+                let words: Vec<u64> = chunk.iter().flat_map(|&(k, v)| [k, v]).collect();
+                self.pool().write_words(off, &words);
+                self.pool().persist(off, words.len() * 8);
+                off
             })
             .collect();
-        (self.write_words(&offs), offs)
-    }
-
-    fn write_desc(&self, d: &Desc) -> u64 {
-        self.write_words(&d.words())
+        (self.write_fresh(&offs), offs)
     }
 
     /// Retrain the model over (model ∪ delta), publish the new
     /// generation with one fenced root store, then retire the old one.
+    /// `create` publishes the first generation this way too, as the
+    /// merge of an empty core (which has nothing to retire).
     ///
     /// Crash-ordering contract: every PM write before the root store
     /// touches only fresh allocations (the old generation is
@@ -356,37 +336,38 @@ impl Core {
         //    back from PM; keys come from the DRAM mirror).
         let mut merged = Vec::with_capacity(self.keys.len() + self.delta.len());
         merged.extend(self.merged_from(0));
-        // 2. Retrain the ε-bounded segments.
+        // 2. Retrain the ε-bounded segments (DRAM only).
         let new_keys: Vec<u64> = merged.iter().map(|&(k, _)| k).collect();
         let new_segs = pla::build_segments(&new_keys, self.cfg.epsilon);
         // 3. Write the new generation into fresh allocations.
-        let pair_words: Vec<u64> = merged.iter().flat_map(|&(k, v)| [k, v]).collect();
-        let (data_dir, data_chunks) = self.write_record_chunks(&pair_words, 2);
-        let seg_words: Vec<u64> = new_segs
-            .iter()
-            .flat_map(|s| [s.first_key, s.base, s.slope.to_bits(), 0])
-            .collect();
-        let (seg_dir, seg_chunks) = self.write_record_chunks(&seg_words, SEG_REC_WORDS);
+        let (data_dir, data_chunks) = self.write_pairs(&merged);
         let new_cap = self.desired_cap(merged.len());
         let reuse_log = new_cap == self.log_cap;
         let (log_dir, log_chunks) = if reuse_log {
             // Epoch bump invalidates every existing entry in place.
             (self.log_dir, self.log_chunks.clone())
         } else {
-            self.alloc_log(new_cap)
+            // A fresh log, left uninitialized: stale bytes are harmless
+            // because entries of other epochs never validate.
+            let ce = self.cfg.chunk_entries;
+            let offs: Vec<u64> = (0..new_cap / ce)
+                .map(|_| {
+                    self.alloc
+                        .alloc(ce * LOG_ENTRY_BYTES)
+                        .expect("PM pool exhausted")
+                })
+                .collect();
+            (self.write_fresh(&offs), offs)
         };
         let desc = Desc {
             epoch: self.epoch + 1,
             n: merged.len() as u64,
             data_dir,
             data_chunks: data_chunks.len() as u64,
-            seg_dir,
-            seg_chunks: seg_chunks.len() as u64,
-            seg_count: new_segs.len() as u64,
             log_dir,
             log_chunks: log_chunks.len() as u64,
         };
-        let desc_off = self.write_desc(&desc);
+        let desc_off = self.write_fresh(&desc.words());
         // 4. Publish: one fenced 8-byte store flips generations.
         {
             let _site = obs::site("learned_publish");
@@ -394,27 +375,19 @@ impl Core {
             self.pool().persist(SLOT_DESC * 8, 8);
         }
         // 5. Volatile switch (no PM ops — cannot be cut mid-way).
-        let old = (
-            self.desc_off,
-            self.data_dir,
-            std::mem::take(&mut self.data_chunks),
-            self.seg_dir,
-            std::mem::take(&mut self.seg_chunks),
-            if reuse_log { 0 } else { self.log_dir },
-            if reuse_log {
-                Vec::new()
-            } else {
-                std::mem::take(&mut self.log_chunks)
-            },
-        );
+        let mut old = vec![self.desc_off];
+        old.append(&mut self.data_chunks);
+        old.push(self.data_dir);
+        if !reuse_log {
+            old.append(&mut self.log_chunks);
+            old.push(self.log_dir);
+        }
         self.desc_off = desc_off;
         self.epoch += 1;
         self.keys = new_keys;
         self.segs = new_segs;
         self.data_dir = data_dir;
         self.data_chunks = data_chunks;
-        self.seg_dir = seg_dir;
-        self.seg_chunks = seg_chunks;
         self.log_dir = log_dir;
         self.log_chunks = log_chunks;
         self.log_cap = new_cap;
@@ -422,26 +395,10 @@ impl Core {
         self.delta.clear();
         self.merges += 1;
         // 6. Retire the old generation (crash-safe: recovery GC redoes
-        //    any free we don't reach).
-        let (old_desc, old_data_dir, old_data, old_seg_dir, old_segs, old_log_dir, old_log) = old;
-        self.alloc.free(old_desc);
-        for off in old_data {
+        //    any free we don't reach). Offset 0 is no block: an empty
+        //    model has no data, the empty core no descriptor or log.
+        for off in old.into_iter().filter(|&off| off != 0) {
             self.alloc.free(off);
-        }
-        if old_data_dir != 0 {
-            self.alloc.free(old_data_dir);
-        }
-        for off in old_segs {
-            self.alloc.free(off);
-        }
-        if old_seg_dir != 0 {
-            self.alloc.free(old_seg_dir);
-        }
-        for off in old_log {
-            self.alloc.free(off);
-        }
-        if old_log_dir != 0 {
-            self.alloc.free(old_log_dir);
         }
     }
 
@@ -468,21 +425,23 @@ pub struct LearnedIndex {
 }
 
 impl LearnedIndex {
-    /// Create a fresh (empty) learned index on a formatted allocator.
+    /// Create a fresh (empty) learned index on a formatted allocator:
+    /// persist the config, then publish generation 1 as the merge of an
+    /// empty core, so one function publishes every generation.
     pub fn create(alloc: Arc<PmAllocator>, cfg: LearnedConfig) -> Arc<LearnedIndex> {
         cfg.validate();
         let pool = alloc.pool().clone();
+        pool.write_u64(SLOT_CFG * 8, encode_cfg(&cfg));
+        pool.persist(SLOT_CFG * 8, 8);
         let mut core = Core {
             alloc,
             cfg,
             desc_off: 0,
-            epoch: 1,
+            epoch: 0,
             keys: Vec::new(),
             segs: Vec::new(),
             data_dir: 0,
             data_chunks: Vec::new(),
-            seg_dir: 0,
-            seg_chunks: Vec::new(),
             log_dir: 0,
             log_chunks: Vec::new(),
             log_cap: 0,
@@ -490,38 +449,20 @@ impl LearnedIndex {
             delta: BTreeMap::new(),
             merges: 0,
         };
-        core.log_cap = core.desired_cap(0);
-        let (log_dir, log_chunks) = core.alloc_log(core.log_cap);
-        core.log_dir = log_dir;
-        core.log_chunks = log_chunks;
-        let desc = Desc {
-            epoch: 1,
-            n: 0,
-            data_dir: 0,
-            data_chunks: 0,
-            seg_dir: 0,
-            seg_chunks: 0,
-            seg_count: 0,
-            log_dir,
-            log_chunks: core.log_chunks.len() as u64,
-        };
-        core.desc_off = core.write_desc(&desc);
-        pool.write_u64(SLOT_CFG * 8, encode_cfg(&core.cfg));
-        pool.persist(SLOT_CFG * 8, 8);
-        pool.write_u64(SLOT_DESC * 8, core.desc_off);
-        pool.persist(SLOT_DESC * 8, 8);
+        core.merge();
+        core.merges = 0;
         Arc::new(LearnedIndex {
             core: RwLock::new(core),
         })
     }
 
     /// Reopen after a crash: probes every reachable block for media errors
-    /// before interpreting it, rebuilds the DRAM mirrors (keys,
-    /// segments, delta map) from the published generation, replays
-    /// every valid entry of the delta log, garbage-collects
-    /// allocations the crash left unreachable (half-built merge
-    /// output), and completes an interrupted merge whose log had
-    /// already filled.
+    /// before interpreting it, rebuilds the DRAM key mirror from the
+    /// published generation and retrains the segments over it, replays
+    /// every valid entry of the delta log into the delta map,
+    /// garbage-collects allocations the crash left unreachable
+    /// (half-built merge output), and completes an interrupted merge
+    /// whose log had already filled.
     pub fn try_recover(
         alloc: Arc<PmAllocator>,
         cfg: LearnedConfig,
@@ -541,9 +482,7 @@ impl LearnedIndex {
         pool.check_readable(desc_off, DESC_BYTES)
             .map_err(|e| e.context("learned descriptor"))?;
         let mut words = [0u64; DESC_WORDS];
-        for (i, w) in words.iter_mut().enumerate() {
-            *w = pool.read_u64(desc_off + i as u64 * 8);
-        }
+        pool.read_words(desc_off, &mut words);
         let desc = Desc::from_words(&words);
         let ce = cfg.chunk_entries;
         let read_dir = |dir: u64, count: u64, what: &'static str| -> Result<Vec<u64>, MediaError> {
@@ -554,7 +493,8 @@ impl LearnedIndex {
                 .map_err(|e| e.context(what))?;
             Ok((0..count).map(|i| pool.read_u64(dir + i * 8)).collect())
         };
-        // Model data: rebuild the DRAM key mirror.
+        // Model data: rebuild the DRAM key mirror (the segments are
+        // retrained over it below).
         let data_chunks = read_dir(desc.data_dir, desc.data_chunks, "learned data directory")?;
         let n = desc.n as usize;
         let mut keys = Vec::with_capacity(n);
@@ -567,23 +507,7 @@ impl LearnedIndex {
             }
         }
         assert_eq!(keys.len(), n, "data chunks inconsistent with n");
-        // Segments.
-        let seg_chunks = read_dir(desc.seg_dir, desc.seg_chunks, "learned segment directory")?;
-        let seg_count = desc.seg_count as usize;
-        let mut segs = Vec::with_capacity(seg_count);
-        for (i, &off) in seg_chunks.iter().enumerate() {
-            let used = ce.min(seg_count - i * ce);
-            pool.check_readable(off, used * SEG_REC_WORDS * 8)
-                .map_err(|e| e.context("learned segment chunk"))?;
-            for r in 0..used {
-                let base_off = off + (r * SEG_REC_WORDS * 8) as u64;
-                segs.push(Segment {
-                    first_key: pool.read_u64(base_off),
-                    base: pool.read_u64(base_off + 8),
-                    slope: f64::from_bits(pool.read_u64(base_off + 16)),
-                });
-            }
-        }
+        let segs = pla::build_segments(&keys, cfg.epsilon);
         // Delta log: replay every acknowledged entry, in slot order.
         let log_chunks = read_dir(desc.log_dir, desc.log_chunks, "learned log directory")?;
         for &off in &log_chunks {
@@ -595,10 +519,9 @@ impl LearnedIndex {
         let mut log_len = 0usize;
         for i in 0..log_cap {
             let off = log_chunks[i / ce] + ((i % ce) * LOG_ENTRY_BYTES) as u64;
-            let key = pool.read_u64(off);
-            let value = pool.read_u64(off + 8);
-            let meta = pool.read_u64(off + 16);
-            let sum = pool.read_u64(off + 24);
+            let mut entry = [0u64; LOG_ENTRY_BYTES / 8];
+            pool.read_words(off, &mut entry);
+            let [key, value, meta, sum] = entry;
             let op = meta & 0xFF;
             if meta >> 8 != desc.epoch
                 || !(op == OP_PUT || op == OP_DEL)
@@ -613,15 +536,11 @@ impl LearnedIndex {
         // half-built generations or half-freed old ones; everything not
         // reachable from the published descriptor goes back to the
         // allocator.
-        let mut reachable: HashSet<u64> = HashSet::new();
-        reachable.insert(desc_off);
-        for dir in [desc.data_dir, desc.seg_dir, desc.log_dir] {
-            if dir != 0 {
-                reachable.insert(dir);
-            }
-        }
+        let mut reachable: HashSet<u64> = [desc_off, desc.data_dir, desc.log_dir]
+            .into_iter()
+            .filter(|&off| off != 0)
+            .collect();
         reachable.extend(data_chunks.iter().copied());
-        reachable.extend(seg_chunks.iter().copied());
         reachable.extend(log_chunks.iter().copied());
         alloc.free_unreachable(&reachable);
         let mut core = Core {
@@ -633,8 +552,6 @@ impl LearnedIndex {
             segs,
             data_dir: desc.data_dir,
             data_chunks,
-            seg_dir: desc.seg_dir,
-            seg_chunks,
             log_dir: desc.log_dir,
             log_chunks,
             log_cap,

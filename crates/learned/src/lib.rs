@@ -9,9 +9,8 @@
 //! that durable on PM; this crate follows the same recipe scaled to
 //! this workspace's substrate:
 //!
-//! * an **immutable model generation** in PM (sorted key/value pairs
-//!   plus trained segments, both in ≤32 KiB chunks behind chunk
-//!   directories),
+//! * an **immutable generation** in PM: the sorted key/value pairs, in
+//!   ≤32 KiB chunks behind a chunk directory,
 //! * a **durable delta log** absorbing inserts/updates/removes — one
 //!   checksummed, epoch-tagged 32-byte entry per acknowledged
 //!   mutation, whose flush is the commit point,
@@ -20,10 +19,14 @@
 //!   8-byte root store; recovery at *any* persistence-event boundary
 //!   lands on a complete generation plus a replayable log.
 //!
-//! DRAM holds rebuildable acceleration state only (the sorted-key
-//! mirror, the segments, the delta map), mirroring how FPTree and
-//! NV-Tree keep their inner nodes volatile; it is re-derived on
-//! recovery and reported via [`index_api::Footprint::dram_bytes`].
+//! PM holds only what recovery cannot rebuild. The model itself (the
+//! trained segments) is a pure function of the sorted keys, so it lives
+//! in DRAM beside the sorted-key mirror and the delta map, the way
+//! FPTree and NV-Tree keep their inner nodes volatile: recovery reads
+//! the keys back, retrains the segments over them and replays the log
+//! into the delta map. (APEX persists its models because they decide
+//! where records go; a model over a sorted array places nothing.)
+//! [`index_api::Footprint::dram_bytes`] reports the DRAM side.
 //!
 //! See `DESIGN.md` ("Learned index") for the full recovery-state
 //! matrix and `tests/learned_index.rs` + the `crashpoint` harness for
@@ -45,9 +48,9 @@ pub struct LearnedConfig {
     /// and the capacity grows with the model (max(floor, n/4)) so
     /// merges stay amortized-linear.
     pub delta_min_cap: usize,
-    /// Records per storage chunk (data pairs, segment records, log
-    /// entries). Bounded by the allocator's 32 KiB largest size class;
-    /// small values force multi-chunk layouts in small tests.
+    /// Records per storage chunk (data pairs, log entries). Bounded by
+    /// the allocator's 32 KiB largest size class; small values force
+    /// multi-chunk layouts in small tests.
     pub chunk_entries: usize,
 }
 

@@ -84,33 +84,82 @@ impl LatencyModel {
             100
         };
         let ns = ns_per_block as u64 * blocks * pct as u64 / 100;
-        DEBT.with(|d| d.charge(ns as i64, ns_per_block as i64, spin));
+        DEBT.with(|d| {
+            d.charge(ns as i64, ns_per_block as i64, spin);
+            if d.waits.get() == WARM_WAITS {
+                d.calibrate(|| self.charge(CALIBRATION_NS, 1, false));
+            }
+        });
     }
 }
 
 thread_local! {
-    static DEBT: Debt = const { Debt(Cell::new(0)) };
+    static DEBT: Debt = const {
+        Debt {
+            owed: Cell::new(0),
+            waits: Cell::new(0),
+            unseen: Cell::new(0),
+        }
+    };
 }
 
-/// A thread's latency account, in ns: positive = charged but not yet
-/// waited for, negative = credit from a wait that ran long. A busy-wait
-/// overshoots (by up to a clock read, by a time slice when preempted);
-/// carrying the overshoot forward as credit makes the time paid per
-/// charge converge to the model's value. Credit is capped at one
-/// block's charge, so a preemption cannot buy a burst of free accesses.
-struct Debt(Cell<i64>);
+/// Waits a thread makes before it calibrates: enough to warm the clock
+/// path, whose first reads run long.
+const WARM_WAITS: u64 = 1024;
+/// The charge the calibration waits for: long enough that a wait takes
+/// several clock reads, as the model's own charges do.
+const CALIBRATION_NS: u32 = 200;
+
+/// A thread's latency account. A busy-wait overshoots (by up to a clock
+/// read, by a time slice when preempted); carrying the overshoot
+/// forward as credit makes the time paid per charge converge to the
+/// model's value. Credit is capped at one block's charge, so a
+/// preemption cannot buy a burst of free accesses.
+struct Debt {
+    /// In ns: positive = charged but not yet waited for, negative =
+    /// credit from a wait that ran long.
+    owed: Cell<i64>,
+    /// Waits so far; the thread calibrates at [`WARM_WAITS`].
+    waits: Cell<u64>,
+    /// What a wait costs beyond what it reads off the clock, in ns
+    /// (0 until calibrated).
+    unseen: Cell<i64>,
+}
 
 impl Debt {
     /// Add `ns` to the account and settle it: `wait(owed)` waits at
     /// least `owed` ns and returns how long it really took.
     #[inline]
     fn charge(&self, ns: i64, max_credit: i64, wait: impl FnOnce(i64) -> i64) {
-        let owed = self.0.get() + ns;
-        self.0.set(if owed <= 0 {
+        let owed = self.owed.get() + ns;
+        self.owed.set(if owed <= 0 {
             owed
         } else {
-            -(wait(owed) - owed).min(max_credit)
+            self.waits.set(self.waits.get() + 1);
+            -(wait(owed) + self.unseen.get() - owed).min(max_credit)
         });
+    }
+
+    /// Measure what a wait costs beyond what [`spin`] reads off the
+    /// clock: the call into it, the bookkeeping around it, the loop's
+    /// exit (4–13 ns on a 2-vCPU VM, where a clock read is 50–60 ns).
+    /// `charge_one` charges [`CALIBRATION_NS`] through the path every
+    /// charge takes; runs of back-to-back charges are timed whole
+    /// against what they paid, and the lower quartile of the runs'
+    /// excess per wait is kept: a preemption or a slow spell of the
+    /// host only ever adds time, and the quartile holds while such a
+    /// spell spans fewer than three quarters of the runs.
+    #[cold]
+    #[inline(never)]
+    fn calibrate(&self, mut charge_one: impl FnMut()) {
+        let ns = CALIBRATION_NS as i64;
+        let mut excess: [i64; 15] = std::array::from_fn(|_| {
+            let (before, t) = (self.owed.get(), Instant::now());
+            (0..64).for_each(|_| charge_one());
+            (t.elapsed().as_nanos() as i64 - 64 * ns - before + self.owed.get()) / 64
+        });
+        excess.sort_unstable();
+        self.unseen.set(excess[15 / 4].clamp(0, ns / 4));
     }
 }
 
@@ -119,8 +168,9 @@ impl Debt {
 /// About one clock read's worth of a wait — before its first read
 /// returns, after its last was taken — lies outside what it reads off
 /// the clock, and the gap between its last two reads is what one read
-/// costs right now. No `spin_loop` hint: its `pause` would widen the gap
-/// without widening the unseen part.
+/// costs right now; the rest of what it does not see is the thread's
+/// calibrated `Debt::unseen`. No `spin_loop` hint: its `pause` would
+/// widen the gap without widening the unseen part.
 #[inline(never)]
 fn spin(owed: i64) -> i64 {
     let start = Instant::now();
@@ -139,6 +189,14 @@ fn spin(owed: i64) -> i64 {
 mod tests {
     use super::*;
 
+    fn debt() -> Debt {
+        Debt {
+            owed: Cell::new(0),
+            waits: Cell::new(0),
+            unseen: Cell::new(0),
+        }
+    }
+
     #[test]
     fn off_charges_nothing() {
         let m = LatencyModel::off();
@@ -152,26 +210,43 @@ mod tests {
 
     #[test]
     fn a_long_stall_buys_at_most_one_block_of_credit() {
-        let d = Debt(Cell::new(0));
+        let d = debt();
         // The wait for one 170 ns block is preempted for 10 ms...
         d.charge(170, 170, |owed| owed + 10_000_000);
-        assert_eq!(d.0.get(), -170, "credit is capped at one block");
+        assert_eq!(d.owed.get(), -170, "credit is capped at one block");
         // ...which prepays exactly the next block and nothing more.
         d.charge(170, 170, |_| panic!("the credit covers this block"));
-        assert_eq!(d.0.get(), 0);
+        assert_eq!(d.owed.get(), 0);
         let mut waited = 0;
         d.charge(170, 170, |owed| {
             waited = owed;
             owed + 30
         });
         assert_eq!(waited, 170, "the third block is waited for in full");
-        assert_eq!(d.0.get(), -30, "a normal overshoot carries over");
+        assert_eq!(d.owed.get(), -30, "a normal overshoot carries over");
         // Credit shortens the next wait instead of being dropped.
         d.charge(68, 170, |owed| {
             waited = owed;
             owed
         });
         assert_eq!(waited, 38);
+    }
+
+    #[test]
+    fn the_unseen_part_of_a_wait_counts_as_paid() {
+        let d = debt();
+        d.unseen.set(8);
+        // A wait that read off the clock exactly what it owed took 8 ns
+        // more than that...
+        d.charge(170, 170, |owed| owed);
+        assert_eq!(d.owed.get(), -8);
+        // ...which the next wait does not wait for again.
+        let mut waited = 0;
+        d.charge(170, 170, |owed| {
+            waited = owed;
+            owed
+        });
+        assert_eq!(waited, 162);
     }
 
     #[test]

@@ -30,10 +30,11 @@
 //! All counters are striped across cache-padded cells so that statistics
 //! collection does not serialize multi-threaded benchmarks.
 
+#![forbid(unsafe_code)]
+
 mod config;
 mod inject;
 mod latency;
-mod off;
 mod pool;
 mod slots;
 mod stats;
@@ -44,8 +45,7 @@ pub use inject::{
     ResidualLine, ResidualPolicy,
 };
 pub use latency::LatencyModel;
-pub use off::PmOff;
-pub use pool::{PmPool, PmSafe, CACHELINE, MEDIA_BLOCK, ROOT_AREA};
+pub use pool::{PmPool, CACHELINE, MEDIA_BLOCK, ROOT_AREA};
 pub use slots::ThreadSlots;
 
 /// A point-in-time aggregate of a pool's counters: the one PM counter

@@ -2,12 +2,10 @@
 //! each one is counted and charged as.
 
 use std::cell::Cell;
-use std::mem::{align_of, size_of, MaybeUninit};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use super::inject::{Access, Pass};
-use super::{PmPool, PmSafe, CACHELINE, MEDIA_BLOCK};
-use crate::off::PmOff;
+use super::{PmPool, CACHELINE, MEDIA_BLOCK};
 
 /// Number of entries in the per-thread direct-mapped media-block cache
 /// that stands in for the CPU cache hierarchy when accounting media
@@ -247,40 +245,28 @@ impl PmPool {
         }
     }
 
-    /// Typed read of a [`PmSafe`] value at an 8-aligned offset.
-    pub fn read<T: PmSafe>(&self, off: PmOff<T>) -> T {
-        let size = size_of::<T>();
-        debug_assert_eq!(size % 8, 0, "PmSafe types must be a multiple of 8 bytes");
-        debug_assert!(align_of::<T>() <= 8);
-        debug_assert_eq!(off.raw() % 8, 0);
-        self.account_read(off.raw(), size);
-        let mut buf = MaybeUninit::<T>::uninit();
-        let dst = buf.as_mut_ptr() as *mut u64;
-        let base = (off.raw() / 8) as usize;
-        for i in 0..size / 8 {
-            let w = self.cpu[base + i].load(Ordering::Relaxed);
-            // SAFETY: dst points at size/8 u64 slots inside `buf`.
-            unsafe { dst.add(i).write_unaligned(w) };
+    /// Read `dst.len()` words starting at the 8-aligned `off`: one
+    /// access of `8 · dst.len()` bytes.
+    #[inline]
+    pub fn read_words(&self, off: u64, dst: &mut [u64]) {
+        debug_assert_eq!(off % 8, 0);
+        self.account_read(off, dst.len() * 8);
+        let cells = &self.cpu[(off / 8) as usize..][..dst.len()];
+        for (w, cell) in dst.iter_mut().zip(cells) {
+            *w = cell.load(Ordering::Relaxed);
         }
-        // SAFETY: PmSafe guarantees every bit pattern is a valid T.
-        unsafe { buf.assume_init() }
     }
 
-    /// Typed write of a [`PmSafe`] value at an 8-aligned offset.
-    /// Volatile until flushed.
-    pub fn write<T: PmSafe>(&self, off: PmOff<T>, v: &T) {
-        let size = size_of::<T>();
-        debug_assert_eq!(size % 8, 0);
-        debug_assert_eq!(off.raw() % 8, 0);
-        let pass = self.account_write(Access::Write, off.raw(), size);
-        let src = v as *const T as *const u64;
-        let base = (off.raw() / 8) as usize;
-        for i in 0..size / 8 {
-            // SAFETY: PmSafe guarantees T has no padding, so all bytes
-            // are initialized and readable as u64 words.
-            let w = unsafe { src.add(i).read_unaligned() };
-            self.cpu[base + i].store(w, Ordering::Relaxed);
+    /// Write `src` as words starting at the 8-aligned `off`: one access
+    /// of `8 · src.len()` bytes. Volatile until flushed.
+    #[inline]
+    pub fn write_words(&self, off: u64, src: &[u64]) {
+        debug_assert_eq!(off % 8, 0);
+        let pass = self.account_write(Access::Write, off, src.len() * 8);
+        let cells = &self.cpu[(off / 8) as usize..][..src.len()];
+        for (cell, &w) in cells.iter().zip(src) {
+            cell.store(w, Ordering::Relaxed);
         }
-        pass.stored(off.raw());
+        pass.stored(off);
     }
 }

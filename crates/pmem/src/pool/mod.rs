@@ -33,28 +33,16 @@ pub const MEDIA_BLOCK: usize = 256;
 /// (the moral equivalent of PMDK's root object).
 pub const ROOT_AREA: u64 = 4096;
 
-/// Marker for plain-old-data types that may live in persistent memory.
-///
-/// # Safety
-///
-/// Implementors must guarantee:
-/// * `T` is `Copy` and has no padding bytes (every byte is initialized),
-/// * `size_of::<T>()` is a multiple of 8 and `align_of::<T>() <= 8`,
-/// * any bit pattern read back from PM is a valid `T` (no enums with
-///   invalid discriminants, no references, no niches).
-pub unsafe trait PmSafe: Copy {}
-
-unsafe impl PmSafe for [u64; 2] {}
-unsafe impl PmSafe for [u64; 4] {}
-
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
 
 /// An emulated persistent-memory pool.
 ///
-/// The pool address space is `[0, len)`, byte-addressed via offsets (see
-/// [`crate::PmOff`]). Loads and stores observe the *CPU image*; only data moved
-/// to the *persisted image* by [`PmPool::clwb`] / [`PmPool::ntstore_u64`]
-/// survives [`PmPool::crash`].
+/// The pool address space is `[0, len)`, byte-addressed by offsets from
+/// the pool base: what lives in PM refers to other PM locations by
+/// offset, never by virtual address, as a pool can be mapped elsewhere
+/// after a restart. Loads and stores observe the *CPU image*; only data
+/// moved to the *persisted image* by [`PmPool::clwb`] /
+/// [`PmPool::ntstore_u64`] survives [`PmPool::crash`].
 ///
 /// All accessors take `&self`: the images are arrays of `AtomicU64`, and
 /// every access compiles to a plain load/store with the requested

@@ -1,14 +1,15 @@
 //! The learned index's own integration suite: the trained-model
-//! ε-bound under arbitrary key sets, recovery idempotence, and
-//! crash-at-every-boundary through a model merge (the one operation
-//! that rewrites everything the index owns).
+//! ε-bound under arbitrary key sets, recovery retraining the model the
+//! last merge trained, recovery idempotence, and crash-at-every-boundary
+//! through a model merge (the one operation that rewrites everything
+//! the index owns).
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use pm_index_bench::index_api::RangeIndex;
-use pm_index_bench::learned::{pla, LearnedConfig, LearnedIndex};
+use pm_index_bench::learned::{pla, LearnedConfig, LearnedIndex, ModelStats};
 use pm_index_bench::pmalloc::{AllocMode, PmAllocator};
 use pm_index_bench::pmem::{CrashPointHit, PmConfig, PmPool};
 use proptest::prelude::*;
@@ -57,6 +58,51 @@ proptest! {
             );
         }
     }
+}
+
+/// The segments live in DRAM only: recovery retrains them from the
+/// persisted keys and must arrive at the model the last merge trained,
+/// with the same delta on top — the same shape, the same answer to
+/// every lookup and the same scan.
+#[test]
+fn recovery_returns_the_model_that_merge_trained() {
+    let cfg = small_cfg();
+    let pool = Arc::new(PmPool::new(32 << 20, PmConfig::real()));
+    let alloc = PmAllocator::format(pool.clone(), AllocMode::General);
+    let t = LearnedIndex::create(alloc, cfg);
+    // Quadratic keys: no one line fits them, so the model has many
+    // segments.
+    let key = |i: u64| i * i * 13 + i;
+    let mut n = 0;
+    while t.model_stats().merges < 2 {
+        assert!(t.insert(key(n), n));
+        n += 1;
+    }
+    // Delta entries over the model: new keys, an update, a tombstone.
+    for i in n..n + 10 {
+        assert!(t.insert(key(i), i));
+    }
+    assert!(t.update(key(3), 333) && t.remove(key(5)));
+    let n = n + 10;
+    let before = t.model_stats();
+    assert!(before.segments > 1 && before.delta_len == 13, "{before:?}");
+    let probes: Vec<u64> = (0..n).flat_map(|i| [key(i), key(i) + 1]).collect();
+    let lookups = |t: &LearnedIndex| probes.iter().map(|&k| t.lookup(k)).collect::<Vec<_>>();
+    let scan = |t: &LearnedIndex| {
+        let mut out = Vec::new();
+        t.scan(0, 2 * n as usize, &mut out);
+        out
+    };
+    let (want_lookups, want_scan) = (lookups(&t), scan(&t));
+    drop(t);
+    pool.crash();
+    let alloc = PmAllocator::try_recover(pool).expect("allocator recovery");
+    let t = LearnedIndex::try_recover(alloc, cfg).expect("recovery");
+    let shape = |s: ModelStats| ModelStats { merges: 0, ..s };
+    assert_eq!(shape(t.model_stats()), shape(before));
+    assert_eq!(lookups(&t), want_lookups);
+    assert_eq!(scan(&t), want_scan);
+    assert_eq!(want_scan.len() as u64, n - 1);
 }
 
 /// Recovery is idempotent: recovering the same crashed image twice in a

@@ -180,6 +180,13 @@ fn moved<const N: usize>(what: &str, actual: &[[u64; N]], golden: &[[u64; N]]) -
 // two 2-word PMwCAS (reserve, commit) instead of three, an insert
 // re-checks only the slots its probe did not decide, and a new node
 // writes and persists only its used prefix.
+// And learned (rows 16..20) in the commit after ebebdd3: a generation
+// no longer persists its trained segments (a chunk, a chunk directory
+// and 3 descriptor words; recovery retrains them from the keys), so a
+// merge writes, flushes and frees less, and each armed boundary falls
+// later in the workload (rows 16..18 read more: they run more ops, and
+// their block-cache eviction passes, before the trip). Its frozen sweep
+// (sweep 4, 60 ops) never merges and did not move.
 #[rustfmt::skip]
 const GOLDEN_KINDS: [Row; 20] = [
     [229, 1111, 9496, 16922, 135425, 132352, 165376, 131, 1, 0, 98, 188, 33, 33, 8779647027965650296],
@@ -198,10 +205,10 @@ const GOLDEN_KINDS: [Row; 20] = [
     [1031, 3296, 26368, 18650, 155584, 140800, 293376, 598, 0, 0, 433, 211, 51, 51, 13484566424171294570],
     [2025, 6168, 49344, 19612, 169600, 146688, 442368, 1174, 0, 0, 851, 227, 67, 67, 14073206204726850790],
     [22564, 92031, 736248, 39618, 457144, 1584128, 3537920, 13174, 0, 0, 9390, 501, 335, 335, 10520299578853944158],
-    [235, 1799, 14392, 16758, 137432, 135680, 162048, 118, 0, 0, 117, 196, 33, 33, 14507940570667793046],
-    [1033, 8310, 66480, 17157, 163816, 209152, 275968, 517, 0, 0, 516, 193, 33, 33, 657970459889291762],
-    [2027, 16396, 131168, 17654, 192272, 304384, 413952, 1014, 0, 0, 1013, 196, 33, 33, 2901773323763845982],
-    [2660, 22202, 177616, 17970, 212400, 368896, 503296, 1330, 0, 0, 1330, 192, 32, 32, 10133909501135342628],
+    [235, 2309, 18472, 16758, 137424, 138752, 162048, 118, 0, 0, 117, 196, 33, 33, 964687993648681745],
+    [1033, 8807, 70456, 17157, 163792, 212736, 275968, 517, 0, 0, 516, 196, 33, 33, 18241358908674399658],
+    [2027, 17671, 141368, 17654, 194384, 303360, 414720, 1014, 0, 0, 1013, 320, 48, 48, 2719999653718536999],
+    [2530, 22160, 177280, 17905, 210464, 353280, 486656, 1265, 0, 0, 1265, 192, 32, 32, 10133909501135342628],
 ];
 
 #[rustfmt::skip]
@@ -282,7 +289,7 @@ fn learned_counts_exactly_what_the_parent_counted() {
 
 /// A script over the bare pool that reaches what index code rarely
 /// does: unaligned byte ranges across words, lines and media blocks,
-/// multi-line and redundant flushes, RMWs, ntstores, typed accesses.
+/// multi-line and redundant flushes, RMWs, ntstores, word-array accesses.
 fn raw_script(pool: &PmPool, rounds: u64) {
     let span = pool.len() as u64 - ROOT_AREA - 4096;
     let mut x = SEED;
@@ -308,9 +315,10 @@ fn raw_script(pool: &PmPool, rounds: u64) {
             7 => drop(pool.cas_u64(word, 0, x)),
             8 => drop(pool.fetch_add_u64(word, 1, Ordering::AcqRel)),
             9 => {
-                let at = pm_index_bench::pmem::PmOff::<[u64; 4]>::new(word);
-                pool.write(at, &[x; 4]);
-                assert_eq!(pool.read(at), [x; 4]);
+                pool.write_words(word, &[x; 4]);
+                let mut back = [0; 4];
+                pool.read_words(word, &mut back);
+                assert_eq!(back, [x; 4]);
             }
             _ => pool.sfence(),
         }
