@@ -6,7 +6,7 @@ use std::sync::Arc;
 use crossbeam_epoch as epoch;
 use index_api::{Footprint, Key, RangeIndex, Value};
 use pmalloc::PmAllocator;
-use pmem::MediaError;
+use pmem::{MediaError, MEDIA_BLOCK};
 use pmwcas::{PmwCas, WordDescriptor};
 
 use crate::node::{
@@ -43,11 +43,62 @@ enum Found {
     Absent,
 }
 
+/// Deepest root-to-leaf path [`Descent`] holds. Every inner node has
+/// at least two children, so 48 levels would take 2^47 leaves.
+const MAX_DEPTH: usize = 48;
+
 struct Descent {
     leaf: u64,
-    path: Vec<u64>,
+    /// The inner nodes from the root down, in `nodes[..depth]`.
+    nodes: [u64; MAX_DEPTH],
+    depth: usize,
     /// Exclusive upper bound of the leaf's key range (None = rightmost).
     upper: Option<Key>,
+}
+
+impl Descent {
+    /// The inner nodes from the root to the leaf's parent.
+    fn path(&self) -> &[u64] {
+        &self.nodes[..self.depth]
+    }
+}
+
+/// An ascending run of PM words, copied through [`PmwCas::read_words`]
+/// one media block per access.
+struct Words<'a> {
+    mw: &'a PmwCas,
+    /// Offset of the first word not copied yet, and of the run's end.
+    next: u64,
+    end: u64,
+    buf: [u64; MEDIA_BLOCK / 8],
+    /// Position of the next word in `buf[..len]`.
+    at: usize,
+    len: usize,
+}
+
+impl<'a> Words<'a> {
+    fn new(mw: &'a PmwCas, from: u64, to: u64) -> Words<'a> {
+        Words {
+            mw,
+            next: from,
+            end: to,
+            buf: [0; MEDIA_BLOCK / 8],
+            at: 0,
+            len: 0,
+        }
+    }
+
+    /// The copy of the next word of the run.
+    fn word(&mut self) -> u64 {
+        if self.at == self.len {
+            let stop = ((self.next | (MEDIA_BLOCK as u64 - 1)) + 1).min(self.end);
+            self.len = ((stop - self.next) / 8) as usize;
+            self.mw.read_words(self.next, &mut self.buf[..self.len]);
+            (self.next, self.at) = (stop, 0);
+        }
+        self.at += 1;
+        self.buf[self.at - 1]
+    }
 }
 
 /// BzTree: latch-free PM-only B+-tree over PMwCAS (see crate docs).
@@ -178,24 +229,25 @@ impl BzTree {
     }
 
     fn descend(&self, key: Key) -> Descent {
-        let mut node = self.mw.read(ROOT_WORD);
-        let mut path = Vec::new();
-        let mut upper = None;
+        let mut d = Descent {
+            leaf: self.mw.read(ROOT_WORD),
+            nodes: [0; MAX_DEPTH],
+            depth: 0,
+            upper: None,
+        };
         loop {
+            let node = d.leaf;
             let (is_leaf, sorted) = read_info(&self.mw, &self.layout, node);
             if is_leaf {
-                return Descent {
-                    leaf: node,
-                    path,
-                    upper,
-                };
+                return d;
             }
             let idx = self.inner_route(node, sorted, key);
             if idx + 1 < sorted {
-                upper = Some(self.pool().read_u64(self.layout.key(node, idx + 1)));
+                d.upper = Some(self.pool().read_u64(self.layout.key(node, idx + 1)));
             }
-            path.push(node);
-            node = self.mw.read(self.layout.val(node, idx));
+            d.nodes[d.depth] = node;
+            d.depth += 1;
+            d.leaf = self.mw.read(self.layout.val(node, idx));
         }
     }
 
@@ -211,30 +263,41 @@ impl BzTree {
         let st = read_status(&self.mw, &self.layout, leaf);
         let fp = fingerprint(key) as u64;
         let mut recheck = st.count;
-        // Append area, newest first.
-        for i in (sorted..st.count).rev() {
-            let meta_off = self.layout.meta(leaf, i);
-            let m = self.mw.read(meta_off);
-            let state = m & ST_STATE_MASK;
-            if m & 0xFF != fp {
-                continue;
+        // Append area, newest first: its meta words one media block per
+        // access, the highest block first.
+        let lo = self.layout.meta(leaf, sorted);
+        let mut hi = self.layout.meta(leaf, st.count);
+        let mut buf = [0u64; MEDIA_BLOCK / 8];
+        while hi > lo {
+            let start = ((hi - 1) & !(MEDIA_BLOCK as u64 - 1)).max(lo);
+            let metas = &mut buf[..((hi - start) / 8) as usize];
+            self.mw.read_words(start, metas);
+            for (j, &copy) in metas.iter().enumerate().rev() {
+                let meta_off = start + 8 * j as u64;
+                let m = self.mw.resolve(meta_off, copy);
+                let state = m & ST_STATE_MASK;
+                if m & 0xFF != fp {
+                    continue;
+                }
+                let i = sorted + ((meta_off - lo) / 8) as usize;
+                if state == ST_RESERVED {
+                    recheck = i;
+                } else if (state == ST_VISIBLE || state == ST_DELETED)
+                    && self.pool().read_u64(self.layout.key(leaf, i)) == key
+                {
+                    let found = if state == ST_VISIBLE {
+                        Found::Live {
+                            meta_off,
+                            meta: m,
+                            value: self.pool().read_u64(self.layout.val(leaf, i)),
+                        }
+                    } else {
+                        Found::Dead
+                    };
+                    return (found, recheck);
+                }
             }
-            if state == ST_RESERVED {
-                recheck = i;
-            } else if (state == ST_VISIBLE || state == ST_DELETED)
-                && self.pool().read_u64(self.layout.key(leaf, i)) == key
-            {
-                let found = if state == ST_VISIBLE {
-                    Found::Live {
-                        meta_off,
-                        meta: m,
-                        value: self.pool().read_u64(self.layout.val(leaf, i)),
-                    }
-                } else {
-                    Found::Dead
-                };
-                return (found, recheck);
-            }
+            hi = start;
         }
         // Sorted base: binary search.
         let pool = self.pool();
@@ -365,45 +428,58 @@ impl BzTree {
     // ----- SMOs ----------------------------------------------------------------
 
     /// Live records of a node. Leaves apply newest-wins and drop
-    /// tombstones; inner nodes return `(separator, current child)`.
+    /// tombstones; inner nodes return `(separator, current child)`. The
+    /// used meta words and records are read in ascending order, one
+    /// media block per access each.
     fn live_records(&self, node: u64) -> Vec<(Key, u64)> {
         let (is_leaf, sorted) = read_info(&self.mw, &self.layout, node);
         let st = read_status(&self.mw, &self.layout, node);
-        let pool = self.pool();
+        let l = &self.layout;
+        let count = if is_leaf { st.count } else { sorted };
+        let mut recs = Words::new(&self.mw, l.key(node, 0), l.key(node, count));
         if !is_leaf {
             return (0..sorted)
                 .map(|i| {
-                    (
-                        pool.read_u64(self.layout.key(node, i)),
-                        self.mw.read(self.layout.val(node, i)),
-                    )
+                    let sep = recs.word();
+                    (sep, self.mw.resolve(l.val(node, i), recs.word()))
                 })
                 .collect();
         }
-        let mut seen: HashSet<Key> = HashSet::new();
-        let mut out: Vec<(Key, u64)> = Vec::new();
-        for i in (sorted..st.count).rev() {
-            let m = self.mw.read(self.layout.meta(node, i));
-            let state = m & ST_STATE_MASK;
-            if state != ST_VISIBLE && state != ST_DELETED {
-                continue;
-            }
-            let k = pool.read_u64(self.layout.key(node, i));
-            if seen.insert(k) && state == ST_VISIBLE {
-                out.push((k, pool.read_u64(self.layout.val(node, i))));
-            }
-        }
-        for i in 0..sorted {
-            let k = pool.read_u64(self.layout.key(node, i));
-            if seen.contains(&k) {
-                continue;
-            }
-            let m = self.mw.read(self.layout.meta(node, i));
-            if m & ST_STATE_MASK == ST_VISIBLE {
-                out.push((k, pool.read_u64(self.layout.val(node, i))));
+        let mut metas = Words::new(&self.mw, l.meta(node, 0), l.meta(node, count));
+        // The visible base records, ascending, and the appended
+        // (key, value, visible) entries, oldest first.
+        let mut base: Vec<(Key, u64)> = Vec::with_capacity(sorted);
+        let mut appended = Vec::with_capacity(count.saturating_sub(sorted));
+        for i in 0..count {
+            let state = self.mw.resolve(l.meta(node, i), metas.word()) & ST_STATE_MASK;
+            let (k, v) = (recs.word(), recs.word());
+            if i < sorted {
+                if state == ST_VISIBLE {
+                    base.push((k, v));
+                }
+            } else if state == ST_VISIBLE || state == ST_DELETED {
+                appended.push((k, v, state == ST_VISIBLE));
             }
         }
-        out.sort_unstable();
+        // Newest wins: the stable sort keeps each key's entries oldest
+        // first, so only the last of a run counts, and it replaces the
+        // base record of its key. Both lists ascend: merge them.
+        appended.sort_by_key(|&(k, ..)| k);
+        let mut out = Vec::with_capacity(base.len() + appended.len());
+        let mut base = base.into_iter().peekable();
+        for (j, &(k, v, visible)) in appended.iter().enumerate() {
+            if appended.get(j + 1).is_some_and(|&(next, ..)| next == k) {
+                continue;
+            }
+            while let Some(b) = base.next_if(|&(bk, _)| bk < k) {
+                out.push(b);
+            }
+            base.next_if(|&(bk, _)| bk == k);
+            if visible {
+                out.push((k, v));
+            }
+        }
+        out.extend(base);
         out
     }
 
@@ -547,7 +623,7 @@ impl RangeIndex for BzTree {
             }
             let st = read_status(&self.mw, &self.layout, d.leaf);
             if st.frozen || st.count == self.layout.entries {
-                self.freeze_and_smo(d.leaf, &d.path, &guard);
+                self.freeze_and_smo(d.leaf, d.path(), &guard);
                 continue;
             }
             match self.append(d.leaf, key, value, Some(recheck_from)) {
@@ -577,7 +653,7 @@ impl RangeIndex for BzTree {
             };
             let st = read_status(&self.mw, &self.layout, d.leaf);
             if st.frozen || st.count == self.layout.entries {
-                self.freeze_and_smo(d.leaf, &d.path, &guard);
+                self.freeze_and_smo(d.leaf, d.path(), &guard);
                 continue;
             }
             match self.append(d.leaf, key, value, None) {
@@ -597,7 +673,7 @@ impl RangeIndex for BzTree {
             };
             let st = read_status(&self.mw, &self.layout, d.leaf);
             if st.frozen {
-                self.freeze_and_smo(d.leaf, &d.path, &guard);
+                self.freeze_and_smo(d.leaf, d.path(), &guard);
                 continue;
             }
             // Tombstone the newest version, verifying the freeze bit.
@@ -648,10 +724,13 @@ impl RangeIndex for BzTree {
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
     use super::*;
-    use index_api::oracle;
+    use index_api::{oracle, Op, Oracle};
     use pmalloc::AllocMode;
-    use pmem::{PmConfig, PmPool};
+    use pmem::{CrashPointHit, PmConfig, PmPool};
+    use pmwcas::{DESC_FLAG, DIRTY};
 
     fn fresh(pool_mib: usize, cfg: BzTreeConfig) -> Arc<BzTree> {
         let pool = Arc::new(PmPool::new(pool_mib << 20, PmConfig::real()));
@@ -887,6 +966,156 @@ mod tests {
         assert_eq!(t.append(leaf, key, 2, Some(from)), Ok(false));
         assert_eq!(t.lookup(key), Some(1));
         assert!(!t.insert(key, 3));
+    }
+
+    /// Apply `ops` to `t` and to `o`, asserting every outcome agrees.
+    fn agree(t: &BzTree, o: &mut Oracle, ops: impl IntoIterator<Item = Op>) {
+        let mut buf = Vec::new();
+        for op in ops {
+            assert_eq!(op.apply(t, &mut buf), o.apply(op), "{op:?}");
+        }
+    }
+
+    /// One leaf whose meta words and records each span two media
+    /// blocks. With 45 slots, meta words from slot 30 on start block 1,
+    /// and the records start at +376, so record 8's key ends block 1 and
+    /// its value starts block 2.
+    #[test]
+    fn leaf_reads_across_media_blocks_match_the_oracle() {
+        let t = fresh(8, BzTreeConfig { node_entries: 45 });
+        let mut o = Oracle::new();
+        // Twenty keys and 25 updates fill the leaf; the next write
+        // consolidates it into a sorted base of keys 1..=20, then
+        // appends at slot 20.
+        agree(&t, &mut o, (1..=20).map(|k| Op::Insert(k, k)));
+        agree(
+            &t,
+            &mut o,
+            (1..=25).map(|i| Op::Update(i % 20 + 1, 100 + i)),
+        );
+        agree(&t, &mut o, [Op::Update(2, 200)]);
+        let leaf = t.descend(0).leaf;
+        assert_eq!(read_info(&t.mw, &t.layout, leaf), (true, 20));
+        // Slots 21..=29 (meta block 0), then in meta block 1: key 2's
+        // third version, key 21's second, key 23's second, tombstoned
+        // in place, and a new key 30.
+        agree(&t, &mut o, (21..=29).map(|k| Op::Insert(k, k)));
+        agree(
+            &t,
+            &mut o,
+            [
+                Op::Update(2, 201),
+                Op::Update(21, 2100),
+                Op::Update(23, 2300),
+                Op::Remove(23),
+                Op::Insert(30, 30),
+            ],
+        );
+        assert_eq!(read_status(&t.mw, &t.layout, leaf).count, 34);
+        // A hit in the first meta block read, a hit and a tombstone in
+        // its second, a miss that reads every block, the sorted base.
+        agree(&t, &mut o, [30, 21, 23, 9_999, 9, 3].map(Op::Lookup));
+        agree(&t, &mut o, (0..=31).map(Op::Lookup));
+        agree(
+            &t,
+            &mut o,
+            [Op::Scan(0, 100), Op::Scan(8, 3), Op::Scan(22, 2)],
+        );
+    }
+
+    /// A one-leaf tree over keys 0..40, all appended. Key 33 gets a
+    /// second version by hand: a reserved slot, its record, and a
+    /// one-word PMwCAS committing it that is cut right after installing
+    /// its descriptor pointer in the slot's meta word (describing
+    /// persists and fences: two events; the install's write-back is the
+    /// third). Returns the tree and that meta word.
+    fn with_installed_descriptor() -> (Arc<BzTree>, u64) {
+        let t = fresh(8, BzTreeConfig::default());
+        for k in 0..40 {
+            assert!(t.insert(k, k));
+        }
+        let leaf = t.descend(33).leaf;
+        let st = read_status(&t.mw, &t.layout, leaf);
+        let (slot, fp) = (st.count, fingerprint(33) as u64);
+        let meta_off = t.layout.meta(leaf, slot);
+        assert!(t.mw.mwcas(&[
+            wd(t.layout.status(leaf), st.raw, st.raw + 1),
+            wd(meta_off, ST_FREE, ST_RESERVED | fp),
+        ]));
+        t.pool().write_u64(t.layout.key(leaf, slot), 33);
+        t.pool().write_u64(t.layout.val(leaf, slot), 3300);
+        t.pool().persist(t.layout.key(leaf, slot), 16);
+        t.pool().arm_crash_after(3);
+        let commit = wd(meta_off, ST_RESERVED | fp, ST_VISIBLE | fp);
+        let cut = catch_unwind(AssertUnwindSafe(|| t.mw.mwcas(&[commit])));
+        assert!(cut.is_err_and(|p| p.is::<CrashPointHit>()));
+        t.pool().disarm_crash();
+        assert_ne!(t.pool().read_u64(meta_off) & DESC_FLAG, 0);
+        (t, meta_off)
+    }
+
+    /// A one-leaf tree over keys 0..40, all appended, in which key 21's
+    /// meta word carries the dirty bit, stored and written back: what a
+    /// power cut between a PMwCAS's second-phase write-back and its bit
+    /// clear leaves. Returns the tree, the word and its clean value.
+    fn with_dirty_meta() -> (Arc<BzTree>, u64, u64) {
+        let t = fresh(8, BzTreeConfig::default());
+        for k in 0..40 {
+            assert!(t.insert(k, k));
+        }
+        let leaf = t.descend(21).leaf;
+        let Found::Live { meta_off, meta, .. } = t.find_in_leaf(leaf, 21).0 else {
+            panic!("key 21 is live");
+        };
+        t.pool().write_u64(meta_off, meta | DIRTY);
+        t.pool().persist(meta_off, 8);
+        (t, meta_off, meta)
+    }
+
+    /// Lookups and scans copy a leaf's meta words a media block at a
+    /// time; a copied word holding a descriptor pointer or a dirty bit
+    /// must come out as `PmwCas::read` has it.
+    #[test]
+    fn bulk_leaf_reads_resolve_managed_words() {
+        // `PmwCas::read` helps the cut commit to success.
+        let (twin, meta_off) = with_installed_descriptor();
+        assert_eq!(twin.mw.read(meta_off) & ST_STATE_MASK, ST_VISIBLE);
+        let want = [(32, 32), (33, 3300), (34, 34)];
+        let (t, meta_off) = with_installed_descriptor();
+        assert_eq!(t.lookup(33), Some(3300));
+        assert_eq!(t.pool().read_u64(meta_off) & (DESC_FLAG | DIRTY), 0);
+        let (t, meta_off) = with_installed_descriptor();
+        let mut out = Vec::new();
+        assert_eq!(t.scan(32, 3, &mut out), 3);
+        assert_eq!(out, want);
+        assert_eq!(t.pool().read_u64(meta_off) & (DESC_FLAG | DIRTY), 0);
+
+        // `PmwCas::read` writes the dirty word back, then clears its bit.
+        let (twin, meta_off, meta) = with_dirty_meta();
+        assert_eq!(twin.mw.read(meta_off), meta);
+        let persisted = |t: &BzTree| t.pool().snapshot_persisted()[(meta_off / 8) as usize];
+        for scan in [false, true] {
+            let (t, meta_off, meta) = with_dirty_meta();
+            if scan {
+                assert_eq!(t.scan(20, 3, &mut out), 3);
+                assert_eq!(out, [(20, 20), (21, 21), (22, 22)]);
+            } else {
+                assert_eq!(t.lookup(21), Some(21));
+            }
+            assert_eq!(t.pool().read_u64(meta_off), meta, "clear in the CPU image");
+            // The persisted copy holds the same value; its bit, written
+            // back before the clear, is left for the first reader after
+            // a power cut, as PMwCAS recovery expects.
+            assert_eq!(
+                persisted(&t) & !DIRTY,
+                meta,
+                "durable in the persisted image"
+            );
+            assert_eq!(
+                twin.pool().snapshot_persisted(),
+                t.pool().snapshot_persisted()
+            );
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! snapshot rebuilds and recovery with unreachable-block GC.
 
 use std::collections::HashSet;
+use std::ops::ControlFlow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -9,7 +10,7 @@ use crossbeam_epoch::{self as epoch, Atomic, Owned};
 use htm::{Abort, Htm};
 use index_api::{Footprint, Key, RangeIndex, Value};
 use pmalloc::PmAllocator;
-use pmem::{MediaError, PmPool};
+use pmem::{MediaError, PmPool, MEDIA_BLOCK};
 
 use crate::snapshot::Snapshot;
 use crate::NvTreeConfig;
@@ -184,53 +185,83 @@ impl NvTree {
             .store_u64(leaf + VLOCK_OFF, v + 1, Ordering::Release);
     }
 
-    /// Newest entry for `key`: `None` = no entry, `Some(None)` =
-    /// tombstone, `Some(Some(v))` = live.
-    fn read_latest(&self, leaf: u64, key: Key) -> Option<Option<Value>> {
-        let pool = self.pool();
-        let count = self.leaf_count(leaf);
-        for i in (0..count).rev() {
-            if pool.read_u64(self.key_off(leaf, i)) == key {
-                let flags = pool.read_u64(self.flag_off(leaf, i));
-                return if flags >> (i % 64) & 1 == 1 {
-                    Some(Some(pool.read_u64(self.val_off(leaf, i))))
-                } else {
-                    Some(None)
-                };
+    /// Visit the first `count` entries of `leaf` newest-first as
+    /// `f(index, key, value)` until `f` breaks. The entry array is read
+    /// one media block per access, highest block first, so every word
+    /// is read once and every block is charged where the newest-first
+    /// word loop first touched it. An entry whose value starts the next
+    /// block takes it from the block read before.
+    fn entries_newest_first<B>(
+        &self,
+        leaf: u64,
+        count: usize,
+        mut f: impl FnMut(usize, Key, Value) -> ControlFlow<B>,
+    ) -> Option<B> {
+        let base = self.key_off(leaf, 0);
+        let mut end = self.key_off(leaf, count);
+        let mut buf = [0u64; MEDIA_BLOCK / 8];
+        let mut value = 0;
+        while end > base {
+            let start = ((end - 1) & !(MEDIA_BLOCK as u64 - 1)).max(base);
+            let words = &mut buf[..((end - start) / 8) as usize];
+            self.pool().read_words(start, words);
+            let first = ((start - base) / 8) as usize;
+            for (j, &word) in words.iter().enumerate().rev() {
+                let w = first + j;
+                if w % 2 == 1 {
+                    value = word;
+                } else if let ControlFlow::Break(b) = f(w / 2, word, value) {
+                    return Some(b);
+                }
             }
+            end = start;
         }
         None
     }
 
+    /// Newest of the first `count` entries for `key`: `None` = no entry,
+    /// `Some(None)` = tombstone, `Some(Some(v))` = live.
+    fn read_latest(&self, leaf: u64, count: usize, key: Key) -> Option<Option<Value>> {
+        self.entries_newest_first(leaf, count, |i, k, v| {
+            if k != key {
+                return ControlFlow::Continue(());
+            }
+            let flags = self.pool().read_u64(self.flag_off(leaf, i));
+            ControlFlow::Break((flags >> (i % 64) & 1 == 1).then_some(v))
+        })
+    }
+
     /// All live records of a leaf (latest entry per key, tombstones
-    /// dropped), sorted by key.
+    /// dropped), sorted by key. Each flag word is read once, when the
+    /// newest-first visit first needs it.
     fn live_records(&self, leaf: u64) -> Vec<(Key, Value)> {
-        let pool = self.pool();
         let count = self.leaf_count(leaf);
-        let mut seen: Vec<Key> = Vec::with_capacity(count);
+        let mut stack = [0; SEEN_ON_STACK];
+        let mut heap = Vec::new();
+        let mut seen = KeySet::new(count, &mut stack, &mut heap);
         let mut out: Vec<(Key, Value)> = Vec::with_capacity(count);
-        for i in (0..count).rev() {
-            let k = pool.read_u64(self.key_off(leaf, i));
-            if seen.contains(&k) {
-                continue;
+        let mut flags = (usize::MAX, 0u64); // (flag word index, its bits)
+        self.entries_newest_first(leaf, count, |i, k, v| {
+            if seen.insert(k) {
+                if flags.0 != i / 64 {
+                    flags = (i / 64, self.pool().read_u64(self.flag_off(leaf, i)));
+                }
+                if flags.1 >> (i % 64) & 1 == 1 {
+                    out.push((k, v));
+                }
             }
-            seen.push(k);
-            let flags = pool.read_u64(self.flag_off(leaf, i));
-            if flags >> (i % 64) & 1 == 1 {
-                out.push((k, pool.read_u64(self.val_off(leaf, i))));
-            }
-        }
+            ControlFlow::<()>::Continue(())
+        });
         out.sort_unstable();
         out
     }
 
-    /// Append one entry to a locked, non-full leaf with NV-Tree's
-    /// persistence order: entry + flag first, count-increment commit
-    /// second.
-    fn append(&self, leaf: u64, key: Key, value: Value, live: bool) {
+    /// Append one entry at `slot`, the count of a locked, non-full leaf,
+    /// with NV-Tree's persistence order: entry + flag first,
+    /// count-increment commit second.
+    fn append(&self, leaf: u64, slot: usize, key: Key, value: Value, live: bool) {
         let _site = obs::site("nvtree_log_append");
         let pool = self.pool();
-        let slot = self.leaf_count(leaf);
         debug_assert!(slot < self.cfg.leaf_entries);
         pool.write_u64(self.key_off(leaf, slot), key);
         pool.write_u64(self.val_off(leaf, slot), value);
@@ -384,7 +415,8 @@ impl NvTree {
         let guard = self.epoch.pin();
         {
             let leaf = self.locate_and_lock(key, &guard);
-            let latest = self.read_latest(leaf, key).flatten();
+            let count = self.leaf_count(leaf);
+            let latest = self.read_latest(leaf, count, key).flatten();
             let proceed = match kind {
                 WriteKind::Insert => latest.is_none(),
                 WriteKind::Update | WriteKind::Remove => latest.is_some(),
@@ -393,10 +425,12 @@ impl NvTree {
                 self.leaf_unlock(leaf);
                 return false;
             }
-            if self.leaf_count(leaf) < self.cfg.leaf_entries {
+            if count < self.cfg.leaf_entries {
                 match kind {
-                    WriteKind::Insert | WriteKind::Update => self.append(leaf, key, value, true),
-                    WriteKind::Remove => self.append(leaf, key, 0, false),
+                    WriteKind::Insert | WriteKind::Update => {
+                        self.append(leaf, count, key, value, true)
+                    }
+                    WriteKind::Remove => self.append(leaf, count, key, 0, false),
                 }
                 self.leaf_unlock(leaf);
                 return true;
@@ -410,6 +444,55 @@ impl NvTree {
                 .write_txn(|| self.replace_split(leaf, key, pending, &guard));
             self.leaf_unlock(leaf); // stale readers may still spin on it
             true
+        }
+    }
+}
+
+/// Table slots [`NvTree::live_records`] keeps on the stack: enough for
+/// leaves of up to 128 entries.
+const SEEN_ON_STACK: usize = 256;
+
+/// The keys a newest-first leaf visit has met: linear probing over a
+/// power-of-two table at least twice the entry count. A zero slot is
+/// empty, so key 0 is tracked by a flag.
+struct KeySet<'a> {
+    slots: &'a mut [Key],
+    has_zero: bool,
+}
+
+impl<'a> KeySet<'a> {
+    /// A set for up to `n` keys, in `stack` when it is large enough,
+    /// else in `heap`.
+    fn new(n: usize, stack: &'a mut [Key], heap: &'a mut Vec<Key>) -> KeySet<'a> {
+        let len = (2 * n).next_power_of_two();
+        let slots = if len <= stack.len() {
+            &mut stack[..len]
+        } else {
+            heap.resize(len, 0);
+            &mut heap[..]
+        };
+        KeySet {
+            slots,
+            has_zero: false,
+        }
+    }
+
+    /// Add `k`; whether it was not in the set yet.
+    fn insert(&mut self, k: Key) -> bool {
+        if k == 0 {
+            return !std::mem::replace(&mut self.has_zero, true);
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        loop {
+            match self.slots[i] {
+                0 => {
+                    self.slots[i] = k;
+                    return true;
+                }
+                s if s == k => return false,
+                _ => i = (i + 1) & mask,
+            }
         }
     }
 }
@@ -435,7 +518,7 @@ impl RangeIndex for NvTree {
             if v1 & 1 == 1 {
                 return Err(Abort);
             }
-            let r = self.read_latest(leaf, key).flatten();
+            let r = self.read_latest(leaf, self.leaf_count(leaf), key).flatten();
             if self.pool().load_u64(leaf + VLOCK_OFF, Ordering::Acquire) != v1 {
                 return Err(Abort);
             }
@@ -517,7 +600,7 @@ impl Drop for NvTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use index_api::oracle;
+    use index_api::{oracle, Op, Oracle};
     use pmalloc::AllocMode;
     use pmem::PmConfig;
 
@@ -696,6 +779,86 @@ mod tests {
                 });
             }
         });
+    }
+
+    /// Apply `ops` to `t` and to `o`, asserting every outcome agrees.
+    fn agree(t: &NvTree, o: &mut Oracle, ops: impl IntoIterator<Item = Op>) {
+        let mut buf = Vec::new();
+        for op in ops {
+            assert_eq!(op.apply(t, &mut buf), o.apply(op), "{op:?}");
+        }
+    }
+
+    /// One leaf whose entries span two media blocks, read newest-first
+    /// one block per access. With 70 entries two flag words put the
+    /// entry array at +40, so the entry holding key 3's newer version
+    /// (entry 13) has its key at the end of block 0 and its value at
+    /// the start of block 1.
+    #[test]
+    fn leaf_reads_across_media_blocks_match_the_oracle() {
+        for leaf_entries in [24, 70] {
+            let cfg = NvTreeConfig {
+                leaf_entries,
+                pln_entries: 8,
+            };
+            let pool = Arc::new(PmPool::new(4 << 20, PmConfig::real()));
+            let t = NvTree::create(PmAllocator::format(pool.clone(), AllocMode::General), cfg);
+            let mut o = Oracle::new();
+            // Entries 0..=12 hold keys 1..=13, all in block 0.
+            agree(&t, &mut o, (1..=13).map(|k| Op::Insert(k, k)));
+            // Entry 13: key 3's newer version (straddling at 70 entries);
+            // entries 14..=16 in block 1: key 5's tombstone, key 7's
+            // newer version, a new key 100.
+            agree(
+                &t,
+                &mut o,
+                [
+                    Op::Update(3, 33),
+                    Op::Remove(5),
+                    Op::Update(7, 77),
+                    Op::Insert(100, 100),
+                ],
+            );
+            let leaf = t.route(0, &t.epoch.pin()).unwrap();
+            let count = t.leaf_count(leaf);
+            let blocks = (t.key_off(leaf, count) - 1) / MEDIA_BLOCK as u64
+                - t.key_off(leaf, 0) / MEDIA_BLOCK as u64
+                + 1;
+            assert_eq!((count, blocks), (17, 2), "{leaf_entries} entries");
+            // A lookup reads the version lock twice, the count once, one
+            // access per block it visits and, on a hit, the flag word.
+            let reads = |k| {
+                let before = pool.stats().read_ops;
+                t.lookup(k);
+                pool.stats().read_ops - before
+            };
+            assert_eq!(reads(100), 5, "a hit in the first block read");
+            assert_eq!(reads(3), 6, "a hit in the second block read");
+            assert_eq!(reads(9_999), 3 + blocks, "a miss reads every block once");
+            agree(&t, &mut o, (0..=101).chain([9_999]).map(Op::Lookup));
+            agree(
+                &t,
+                &mut o,
+                [Op::Scan(0, 100), Op::Scan(4, 3), Op::Scan(6, 2)],
+            );
+        }
+    }
+
+    /// The key set dedups with its table on the stack and, for leaves
+    /// of more than 128 entries (E12 sweeps up to 256), on the heap.
+    #[test]
+    fn key_set_admits_each_key_once() {
+        for n in [5usize, 128, 256] {
+            let (mut stack, mut heap) = ([0; SEEN_ON_STACK], Vec::new());
+            let mut seen = KeySet::new(n, &mut stack, &mut heap);
+            // Distinct keys, key 0 first: the multiplier is odd.
+            let keys: Vec<Key> = (0..n as u64)
+                .map(|i| i.wrapping_mul(0x0123_4567_89AB_CDEF))
+                .collect();
+            assert!(keys.iter().all(|&k| seen.insert(k)), "{n}: first sight");
+            assert!(keys.iter().all(|&k| !seen.insert(k)), "{n}: seen");
+            assert_eq!(heap.is_empty(), n <= 128, "{n}");
+        }
     }
 
     #[test]

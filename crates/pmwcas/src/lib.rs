@@ -367,7 +367,9 @@ impl PmwCas {
     }
 
     /// Read a PMwCAS-managed word, resolving descriptor pointers and
-    /// dirty bits. This is the only legal way to read managed words.
+    /// dirty bits. This and [`PmwCas::resolve`] are the only legal ways
+    /// to read managed words.
+    #[inline]
     pub fn read(&self, addr: u64) -> u64 {
         loop {
             let v = self.pool.load_u64(addr, Ordering::Acquire);
@@ -380,6 +382,29 @@ impl PmwCas {
                 return v & !DIRTY;
             }
             return v;
+        }
+    }
+
+    /// Copy `dst.len()` words starting at `addr` with one PM access,
+    /// then fence as [`PmwCas::read`]'s acquire load would. A copy of a
+    /// managed word may still hold a descriptor pointer or a dirty bit:
+    /// pass it through [`PmwCas::resolve`] before using it.
+    #[inline]
+    pub fn read_words(&self, addr: u64, dst: &mut [u64]) {
+        self.pool.read_words(addr, dst);
+        fence(Ordering::Acquire);
+    }
+
+    /// The value of the managed word at `addr`, given `copy` from
+    /// [`PmwCas::read_words`]: the copy itself when it is a plain value,
+    /// else what [`PmwCas::read`] returns after helping the descriptor
+    /// or flushing the dirty word.
+    #[inline]
+    pub fn resolve(&self, addr: u64, copy: u64) -> u64 {
+        if copy & (DESC_FLAG | DIRTY) == 0 {
+            copy
+        } else {
+            self.read(addr)
         }
     }
 

@@ -12,6 +12,8 @@
 //! +V   vals    [u64] leaf: values; inner: right child of the entry key
 //! ```
 
+use std::ops::Deref;
+
 use pmem::{align_up, PmPool};
 
 /// Bit 0 of the bitmap: the slot array reflects the bitmap.
@@ -22,6 +24,48 @@ pub const IS_LEAF: u64 = 1 << 63;
 const BITMAP_OFF: u64 = 0;
 const LINK_OFF: u64 = 8;
 const SLOTS_OFF: u64 = 16;
+
+/// Most entries a node holds: the bitmap reserves bits 0 and 63.
+const MAX_ENTRIES: usize = 62;
+
+/// A slot array in DRAM, on the stack, in its PM format: byte 0 the
+/// count, then the entry indices in ascending key order. Derefs to the
+/// indices.
+#[derive(Clone, Copy)]
+pub struct Slots([u8; MAX_ENTRIES + 1]);
+
+impl Slots {
+    pub(crate) fn empty() -> Slots {
+        Slots([0; MAX_ENTRIES + 1])
+    }
+
+    pub(crate) fn push(&mut self, e: u8) {
+        let n = self.len();
+        self.0[1 + n] = e;
+        self.0[0] += 1;
+    }
+
+    fn insert(&mut self, rank: usize, e: u8) {
+        let n = self.len();
+        self.0.copy_within(1 + rank..1 + n, 2 + rank);
+        self.0[1 + rank] = e;
+        self.0[0] += 1;
+    }
+
+    fn remove(&mut self, rank: usize) {
+        let n = self.len();
+        self.0.copy_within(2 + rank..1 + n, 1 + rank);
+        self.0[0] -= 1;
+    }
+}
+
+impl Deref for Slots {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0[1..=self.0[0] as usize]
+    }
+}
 
 /// Runtime node layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +91,10 @@ impl WbLayout {
 
     /// Layout selecting the slot+bitmap or bitmap-only variant.
     pub fn with_slots(entries: usize, use_slots: bool) -> WbLayout {
-        assert!((2..=62).contains(&entries), "node entries must be 2..=62");
+        assert!(
+            (2..=MAX_ENTRIES).contains(&entries),
+            "node entries must be 2..=62"
+        );
         let keys_off = align_up(SLOTS_OFF + entries as u64 + 1, 8);
         let vals_off = keys_off + 8 * entries as u64;
         let size = (vals_off + 8 * entries as u64) as usize;
@@ -104,7 +151,7 @@ impl<'a> Node<'a> {
         self.pool
             .write_u64(self.off + BITMAP_OFF, flags | SLOTS_VALID);
         self.pool.write_u64(self.off + LINK_OFF, link);
-        self.write_slots(&[]);
+        self.write_slots(&Slots::empty());
     }
 
     #[inline]
@@ -138,12 +185,13 @@ impl<'a> Node<'a> {
         self.pool.read_u64(self.layout.val_off(self.off, i))
     }
 
-    /// The slot array as (count, indices).
-    pub fn slots(&self) -> Vec<u8> {
-        let mut buf = vec![0u8; self.layout.entries + 1];
-        self.pool.read_bytes(self.off + SLOTS_OFF, &mut buf);
-        let count = (buf[0] as usize).min(self.layout.entries);
-        buf[1..=count].to_vec()
+    /// The slot array, with one read of its PM bytes.
+    pub fn slots(&self) -> Slots {
+        let mut s = Slots::empty();
+        self.pool
+            .read_bytes(self.off + SLOTS_OFF, &mut s.0[..=self.layout.entries]);
+        s.0[0] = s.0[0].min(self.layout.entries as u8);
+        s
     }
 
     /// Number of live entries.
@@ -162,13 +210,15 @@ impl<'a> Node<'a> {
         self.count() == self.layout.entries
     }
 
-    /// Rewrite the slot array wholesale (count + indices), persisting it.
-    fn write_slots(&self, sorted: &[u8]) {
-        let mut buf = vec![0u8; self.layout.entries + 1];
-        buf[0] = sorted.len() as u8;
-        buf[1..=sorted.len()].copy_from_slice(sorted);
-        self.pool.write_bytes(self.off + SLOTS_OFF, &buf);
-        self.pool.persist(self.off + SLOTS_OFF, buf.len());
+    /// Rewrite the slot array wholesale (count + indices, zeros after
+    /// them), persisting it.
+    pub(crate) fn write_slots(&self, sorted: &[u8]) {
+        let mut buf = Slots::empty();
+        buf.0[0] = sorted.len() as u8;
+        buf.0[1..=sorted.len()].copy_from_slice(sorted);
+        let bytes = &buf.0[..=self.layout.entries];
+        self.pool.write_bytes(self.off + SLOTS_OFF, bytes);
+        self.pool.persist(self.off + SLOTS_OFF, bytes.len());
     }
 
     /// Sorted `(key, entry_index)` pairs, via the slot array when valid,
@@ -177,8 +227,8 @@ impl<'a> Node<'a> {
         let bitmap = self.bitmap();
         if self.layout.use_slots && bitmap & SLOTS_VALID != 0 {
             self.slots()
-                .into_iter()
-                .map(|s| (self.key(s as usize), s as usize))
+                .iter()
+                .map(|&s| (self.key(s as usize), s as usize))
                 .collect()
         } else {
             let mut v: Vec<(u64, usize)> = (0..self.layout.entries)
@@ -208,10 +258,16 @@ impl<'a> Node<'a> {
         self.pool.persist(self.off + BITMAP_OFF, 8);
     }
 
-    /// Binary search for `key` through the slot array. Returns
-    /// `Ok(rank)` if present (rank = position in sorted order), else
-    /// `Err(rank)` of the insertion point.
+    /// Search for `key`: `Ok((rank, entry))` if present (rank =
+    /// position in sorted order), else `Err(rank)` of the insertion
+    /// point.
     pub fn search(&self, key: u64) -> Result<(usize, usize), usize> {
+        self.probe(key).1
+    }
+
+    /// [`Node::search`], also returning the slot array it read (empty
+    /// in the bitmap-only variant) for a write to reuse.
+    pub fn probe(&self, key: u64) -> (Slots, Result<(usize, usize), usize>) {
         if !self.layout.use_slots {
             // Bitmap-only variant: linear probe of valid entries.
             let bitmap = self.bitmap() & self.layout.entries_mask();
@@ -220,10 +276,10 @@ impl<'a> Node<'a> {
                 let e = bits.trailing_zeros() as usize - 1;
                 bits &= bits - 1;
                 if self.key(e) == key {
-                    return Ok((0, e));
+                    return (Slots::empty(), Ok((0, e)));
                 }
             }
-            return Err(0);
+            return (Slots::empty(), Err(0));
         }
         let slots = self.slots();
         let mut lo = 0usize;
@@ -234,10 +290,13 @@ impl<'a> Node<'a> {
             match mk.cmp(&key) {
                 std::cmp::Ordering::Less => lo = mid + 1,
                 std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Ok((mid, slots[mid] as usize)),
+                std::cmp::Ordering::Equal => {
+                    let e = slots[mid] as usize;
+                    return (slots, Ok((mid, e)));
+                }
             }
         }
-        Err(lo)
+        (slots, Err(lo))
     }
 
     /// Inner-node routing: the child covering `key`. The caller has
@@ -282,66 +341,63 @@ impl<'a> Node<'a> {
         }
     }
 
-    /// First free entry index, if any.
-    fn free_entry(&self) -> Option<usize> {
+    /// The bitmap and its first free entry index.
+    fn free_entry(&self) -> (u64, Option<usize>) {
         let bitmap = self.bitmap();
-        (0..self.layout.entries).find(|&i| bitmap & WbLayout::entry_bit(i) == 0)
+        let free = (0..self.layout.entries).find(|&i| bitmap & WbLayout::entry_bit(i) == 0);
+        (bitmap, free)
     }
 
-    /// The write-atomic insert protocol (see crate docs). The caller
-    /// guarantees the node is not full and the key absent.
-    pub fn insert(&self, key: u64, val: u64) {
-        let e = self.free_entry().expect("insert into full node");
-        // (1) entry write + persist.
+    /// Write `(key, val)` into free entry `e` and persist it.
+    fn write_entry(&self, e: usize, key: u64, val: u64) {
         self.pool.write_u64(self.layout.key_off(self.off, e), key);
         self.pool.write_u64(self.layout.val_off(self.off, e), val);
         self.pool.clwb(self.layout.key_off(self.off, e), 8);
         self.pool.clwb(self.layout.val_off(self.off, e), 8);
         self.pool.sfence();
+    }
+
+    /// Insert `key`, which the caller guarantees absent, into a node it
+    /// guarantees not full.
+    pub fn insert(&self, key: u64, val: u64) {
+        let (slots, Err(rank)) = self.probe(key) else {
+            unreachable!("insert of existing key")
+        };
+        self.insert_at(&slots, rank, key, val);
+    }
+
+    /// The write-atomic insert protocol (see crate docs), given the slot
+    /// array and insertion rank of the caller's [`Node::probe`].
+    pub fn insert_at(&self, slots: &Slots, rank: usize, key: u64, val: u64) {
+        let (bitmap, e) = self.free_entry();
+        let e = e.expect("insert into full node");
+        // (1) entry write + persist.
+        self.write_entry(e, key, val);
         if !self.layout.use_slots {
             // Bitmap-only variant: one atomic publication, done.
-            self.publish_bitmap(self.bitmap() | WbLayout::entry_bit(e));
+            self.publish_bitmap(bitmap | WbLayout::entry_bit(e));
             return;
         }
         // (2) invalidate the slot array.
-        let bitmap = self.bitmap();
         self.publish_bitmap(bitmap & !SLOTS_VALID);
         // (3) rewrite the slot array with the new entry in place.
-        let mut slots = self.slots();
-        let rank = match self.search_slots(&slots, key) {
-            Err(r) => r,
-            Ok(_) => unreachable!("insert of existing key"),
-        };
+        let mut slots = *slots;
         slots.insert(rank, e as u8);
         self.write_slots(&slots);
         // (4) atomic publication: entry bit + valid flag.
         self.publish_bitmap(bitmap | WbLayout::entry_bit(e) | SLOTS_VALID);
     }
 
-    fn search_slots(&self, slots: &[u8], key: u64) -> Result<usize, usize> {
-        let mut lo = 0usize;
-        let mut hi = slots.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let mk = self.key(slots[mid] as usize);
-            match mk.cmp(&key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Ok(mid),
-            }
-        }
-        Err(lo)
-    }
-
-    /// Write-atomic delete of the entry at sorted `rank` / index `e`.
-    pub fn delete(&self, rank: usize, e: usize) {
+    /// Write-atomic delete of the entry at sorted `rank` / index `e`,
+    /// given the slot array of the caller's [`Node::probe`].
+    pub fn delete(&self, slots: &Slots, rank: usize, e: usize) {
+        let bitmap = self.bitmap();
         if !self.layout.use_slots {
-            self.publish_bitmap(self.bitmap() & !WbLayout::entry_bit(e));
+            self.publish_bitmap(bitmap & !WbLayout::entry_bit(e));
             return;
         }
-        let bitmap = self.bitmap();
         self.publish_bitmap(bitmap & !SLOTS_VALID);
-        let mut slots = self.slots();
+        let mut slots = *slots;
         debug_assert_eq!(slots[rank] as usize, e);
         slots.remove(rank);
         self.write_slots(&slots);
@@ -349,34 +405,30 @@ impl<'a> Node<'a> {
     }
 
     /// Write-atomic out-of-place update of entry `e` (sorted `rank`)
-    /// with a new value. The caller guarantees a free entry exists.
-    pub fn update(&self, rank: usize, e: usize, key: u64, val: u64) {
-        let f = self.free_entry().expect("update without spare entry");
-        self.pool.write_u64(self.layout.key_off(self.off, f), key);
-        self.pool.write_u64(self.layout.val_off(self.off, f), val);
-        self.pool.clwb(self.layout.key_off(self.off, f), 8);
-        self.pool.clwb(self.layout.val_off(self.off, f), 8);
-        self.pool.sfence();
+    /// with a new value, given the slot array of the caller's
+    /// [`Node::probe`]. The caller guarantees a free entry exists.
+    pub fn update(&self, slots: &Slots, rank: usize, e: usize, key: u64, val: u64) {
+        let (bitmap, f) = self.free_entry();
+        let f = f.expect("update without spare entry");
+        self.write_entry(f, key, val);
+        let moved = (bitmap & !WbLayout::entry_bit(e)) | WbLayout::entry_bit(f);
         if !self.layout.use_slots {
-            self.publish_bitmap((self.bitmap() & !WbLayout::entry_bit(e)) | WbLayout::entry_bit(f));
+            self.publish_bitmap(moved);
             return;
         }
-        let bitmap = self.bitmap();
         self.publish_bitmap(bitmap & !SLOTS_VALID);
-        let mut slots = self.slots();
+        let mut slots = *slots;
         debug_assert_eq!(slots[rank] as usize, e);
-        slots[rank] = f as u8;
+        slots.0[1 + rank] = f as u8;
         self.write_slots(&slots);
-        self.publish_bitmap(
-            (bitmap & !WbLayout::entry_bit(e)) | WbLayout::entry_bit(f) | SLOTS_VALID,
-        );
+        self.publish_bitmap(moved | SLOTS_VALID);
     }
 
     /// Bulk-fill a fresh node with sorted records and persist it fully.
     pub fn fill(&self, records: &[(u64, u64)]) {
         debug_assert!(records.len() <= self.layout.entries);
         let mut bitmap = self.bitmap() & (IS_LEAF | SLOTS_VALID);
-        let mut slots = Vec::with_capacity(records.len());
+        let mut slots = Slots::empty();
         for (i, &(k, v)) in records.iter().enumerate() {
             self.pool.write_u64(self.layout.key_off(self.off, i), k);
             self.pool.write_u64(self.layout.val_off(self.off, i), v);
@@ -436,12 +488,14 @@ mod tests {
         for k in [1u64, 2, 3] {
             n.insert(k, k);
         }
-        let (rank, e) = n.search(2).unwrap();
-        n.delete(rank, e);
+        let (slots, found) = n.probe(2);
+        let (rank, e) = found.unwrap();
+        n.delete(&slots, rank, e);
         assert_eq!(n.count(), 2);
         assert!(n.search(2).is_err());
-        let (rank, e) = n.search(3).unwrap();
-        n.update(rank, e, 3, 33);
+        let (slots, found) = n.probe(3);
+        let (rank, e) = found.unwrap();
+        n.update(&slots, rank, e, 3, 33);
         let (_, e) = n.search(3).unwrap();
         assert_eq!(n.val(e), 33);
     }

@@ -7,7 +7,7 @@ use parking_lot::Mutex;
 use pmalloc::PmAllocator;
 use pmem::{MediaError, PmPool};
 
-use crate::node::{Node, WbLayout, SLOTS_VALID};
+use crate::node::{Node, Slots, WbLayout, SLOTS_VALID};
 use crate::WbTreeConfig;
 
 // Root-area slots owned by wB+Tree.
@@ -100,18 +100,21 @@ impl Core {
         }
     }
 
-    /// Rewrite a node's live set to exactly `records` using the
-    /// slot-invalidate / rewrite / publish protocol.
+    /// Rewrite a node's live set to exactly `records`, a sorted subset
+    /// of its entries, using the slot-invalidate / rewrite / publish
+    /// protocol.
     fn shrink_to(&self, off: u64, records: &[(Key, u64)]) {
         let n = self.node(off);
-        let keep: std::collections::HashSet<Key> = records.iter().map(|&(k, _)| k).collect();
         let entries = n.sorted_entries();
         let bitmap = n.bitmap();
         let mut new_bitmap = bitmap & !((1u64 << 63) - 2); // clear all entry bits
         new_bitmap |= bitmap & (1 << 63); // keep IS_LEAF
-        let mut slots = Vec::new();
+        let mut slots = Slots::empty();
+        // Both lists ascend by key: walk them together.
+        let mut keep = records.iter().map(|&(k, _)| k).peekable();
         for &(k, e) in &entries {
-            if keep.contains(&k) {
+            while keep.next_if(|&r| r < k).is_some() {}
+            if keep.next_if_eq(&k).is_some() {
                 new_bitmap |= 1u64 << (e + 1);
                 slots.push(e as u8);
             }
@@ -119,17 +122,9 @@ impl Core {
         // Invalidate, rewrite, publish.
         self.pool().write_u64(off, bitmap & !SLOTS_VALID);
         self.pool().persist(off, 8);
-        self.rewrite_slots(off, &slots);
+        n.write_slots(&slots);
         self.pool().write_u64(off, new_bitmap | SLOTS_VALID);
         self.pool().persist(off, 8);
-    }
-
-    fn rewrite_slots(&self, off: u64, slots: &[u8]) {
-        let mut buf = vec![0u8; self.layout.entries + 1];
-        buf[0] = slots.len() as u8;
-        buf[1..=slots.len()].copy_from_slice(slots);
-        self.pool().write_bytes(off + 16, &buf);
-        self.pool().persist(off + 16, buf.len());
     }
 
     /// Split a full node and propagate separators up to the root.
@@ -165,14 +160,14 @@ impl Core {
         loop {
             let (leaf, path) = self.find_leaf(key);
             let n = self.node(leaf);
-            if n.search(key).is_ok() {
+            let (slots, Err(rank)) = n.probe(key) else {
                 return false;
-            }
+            };
             if n.is_full() {
                 self.split_and_propagate(leaf, path);
                 continue;
             }
-            n.insert(key, value);
+            n.insert_at(&slots, rank, key, value);
             return true;
         }
     }
@@ -187,7 +182,7 @@ impl Core {
         loop {
             let (leaf, path) = self.find_leaf(key);
             let n = self.node(leaf);
-            let Ok((rank, e)) = n.search(key) else {
+            let (slots, Ok((rank, e))) = n.probe(key) else {
                 return false;
             };
             if n.is_full() {
@@ -195,7 +190,7 @@ impl Core {
                 self.split_and_propagate(leaf, path);
                 continue;
             }
-            n.update(rank, e, key, value);
+            n.update(&slots, rank, e, key, value);
             return true;
         }
     }
@@ -203,12 +198,12 @@ impl Core {
     fn remove(&mut self, key: Key) -> bool {
         let (leaf, _) = self.find_leaf(key);
         let n = self.node(leaf);
-        match n.search(key) {
-            Ok((rank, e)) => {
-                n.delete(rank, e);
+        match n.probe(key) {
+            (slots, Ok((rank, e))) => {
+                n.delete(&slots, rank, e);
                 true
             }
-            Err(_) => false,
+            (_, Err(_)) => false,
         }
     }
 

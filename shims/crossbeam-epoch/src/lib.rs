@@ -11,7 +11,9 @@
 //! never runs while any guard that could have observed the unlinked
 //! pointer is still pinned), at the cost of a mutex per collector on
 //! pin/unpin — an acceptable trade for a test/bench substrate whose
-//! deferred work is rare (SMO garbage only).
+//! deferred work is rare (SMO garbage only). The active set is a plain
+//! vector whose capacity outlives the guards, so a pin/unpin pair
+//! allocates nothing once a collector has seen its peak of guards.
 //!
 //! As upstream, collectors are independent: a guard of one never
 //! delays, and never runs, another's deferred closures. A guard keeps
@@ -22,7 +24,6 @@
 //! nothing when it drops). The free [`pin`] uses one process-wide
 //! default collector.
 
-use std::collections::BTreeSet;
 use std::marker::PhantomData;
 use std::mem;
 use std::ptr;
@@ -38,8 +39,8 @@ type Deferred = Box<dyn FnOnce() + Send>;
 struct Registry {
     /// Next sequence number (guards and defer tags share the space).
     next_seq: u64,
-    /// Sequence numbers of currently pinned guards.
-    active: BTreeSet<u64>,
+    /// Sequence numbers of currently pinned guards, unordered.
+    active: Vec<u64>,
     /// Deferred closures tagged with the sequence current at defer time.
     deferred: Vec<(u64, Deferred)>,
 }
@@ -56,7 +57,7 @@ impl Registry {
         if self.deferred.is_empty() {
             return Vec::new(); // the common unpin: nothing was retired
         }
-        let min_active = self.active.first().copied().unwrap_or(u64::MAX);
+        let min_active = self.active.iter().copied().min().unwrap_or(u64::MAX);
         let (ready, keep): (Vec<_>, Vec<_>) = mem::take(&mut self.deferred)
             .into_iter()
             .partition(|(tag, _)| *tag < min_active);
@@ -89,7 +90,7 @@ impl Collector {
             global: Arc::new(Global {
                 registry: Mutex::new(Registry {
                     next_seq: 0,
-                    active: BTreeSet::new(),
+                    active: Vec::new(),
                     deferred: Vec::new(),
                 }),
             }),
@@ -100,7 +101,7 @@ impl Collector {
     pub fn pin(&self) -> Guard {
         let seq = self.global.with(|reg| {
             let seq = reg.take_seq();
-            reg.active.insert(seq);
+            reg.active.push(seq);
             seq
         });
         Guard {
@@ -196,7 +197,9 @@ impl Drop for Guard {
     fn drop(&mut self) {
         if let Some((global, seq)) = self.pinned.take() {
             let ready = global.with(|reg| {
-                reg.active.remove(&seq);
+                let at = reg.active.iter().position(|&s| s == seq);
+                reg.active
+                    .swap_remove(at.expect("a pinned guard is active"));
                 reg.take_ready()
             });
             // Outside the registry lock, so a closure may pin.
