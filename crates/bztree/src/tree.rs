@@ -43,24 +43,11 @@ enum Found {
     Absent,
 }
 
-/// Deepest root-to-leaf path [`Descent`] holds. Every inner node has
-/// at least two children, so 48 levels would take 2^47 leaves.
-const MAX_DEPTH: usize = 48;
-
 struct Descent {
     leaf: u64,
-    /// The inner nodes from the root down, in `nodes[..depth]`.
-    nodes: [u64; MAX_DEPTH],
-    depth: usize,
+    path: Vec<u64>,
     /// Exclusive upper bound of the leaf's key range (None = rightmost).
     upper: Option<Key>,
-}
-
-impl Descent {
-    /// The inner nodes from the root to the leaf's parent.
-    fn path(&self) -> &[u64] {
-        &self.nodes[..self.depth]
-    }
 }
 
 /// An ascending run of PM words, copied through [`PmwCas::read_words`]
@@ -94,6 +81,8 @@ impl<'a> Words<'a> {
             let stop = ((self.next | (MEDIA_BLOCK as u64 - 1)) + 1).min(self.end);
             self.len = ((stop - self.next) / 8) as usize;
             self.mw.read_words(self.next, &mut self.buf[..self.len]);
+            #[cfg(test)]
+            tests::copied(self.next, stop);
             (self.next, self.at) = (stop, 0);
         }
         self.at += 1;
@@ -229,25 +218,24 @@ impl BzTree {
     }
 
     fn descend(&self, key: Key) -> Descent {
-        let mut d = Descent {
-            leaf: self.mw.read(ROOT_WORD),
-            nodes: [0; MAX_DEPTH],
-            depth: 0,
-            upper: None,
-        };
+        let mut node = self.mw.read(ROOT_WORD);
+        let mut path = Vec::new();
+        let mut upper = None;
         loop {
-            let node = d.leaf;
             let (is_leaf, sorted) = read_info(&self.mw, &self.layout, node);
             if is_leaf {
-                return d;
+                return Descent {
+                    leaf: node,
+                    path,
+                    upper,
+                };
             }
             let idx = self.inner_route(node, sorted, key);
             if idx + 1 < sorted {
-                d.upper = Some(self.pool().read_u64(self.layout.key(node, idx + 1)));
+                upper = Some(self.pool().read_u64(self.layout.key(node, idx + 1)));
             }
-            d.nodes[d.depth] = node;
-            d.depth += 1;
-            d.leaf = self.mw.read(self.layout.val(node, idx));
+            path.push(node);
+            node = self.mw.read(self.layout.val(node, idx));
         }
     }
 
@@ -429,15 +417,13 @@ impl BzTree {
 
     /// Live records of a node. Leaves apply newest-wins and drop
     /// tombstones; inner nodes return `(separator, current child)`. The
-    /// used meta words and records are read in ascending order, one
-    /// media block per access each.
+    /// used meta words and the records are each read in ascending order,
+    /// one media block per access.
     fn live_records(&self, node: u64) -> Vec<(Key, u64)> {
         let (is_leaf, sorted) = read_info(&self.mw, &self.layout, node);
-        let st = read_status(&self.mw, &self.layout, node);
         let l = &self.layout;
-        let count = if is_leaf { st.count } else { sorted };
-        let mut recs = Words::new(&self.mw, l.key(node, 0), l.key(node, count));
         if !is_leaf {
+            let mut recs = Words::new(&self.mw, l.key(node, 0), l.key(node, sorted));
             return (0..sorted)
                 .map(|i| {
                     let sep = recs.word();
@@ -445,13 +431,21 @@ impl BzTree {
                 })
                 .collect();
         }
+        // Every used meta word before any record: an append writes its
+        // record before it turns the slot `VISIBLE`, so a record read
+        // after these (past `read_words`' acquire fence) is at least as
+        // new as the state read for it.
+        let count = read_status(&self.mw, l, node).count;
         let mut metas = Words::new(&self.mw, l.meta(node, 0), l.meta(node, count));
+        let states: Vec<u64> = (0..count)
+            .map(|i| self.mw.resolve(l.meta(node, i), metas.word()) & ST_STATE_MASK)
+            .collect();
+        let mut recs = Words::new(&self.mw, l.key(node, 0), l.key(node, count));
         // The visible base records, ascending, and the appended
         // (key, value, visible) entries, oldest first.
         let mut base: Vec<(Key, u64)> = Vec::with_capacity(sorted);
         let mut appended = Vec::with_capacity(count.saturating_sub(sorted));
-        for i in 0..count {
-            let state = self.mw.resolve(l.meta(node, i), metas.word()) & ST_STATE_MASK;
+        for (i, state) in states.into_iter().enumerate() {
             let (k, v) = (recs.word(), recs.word());
             if i < sorted {
                 if state == ST_VISIBLE {
@@ -623,7 +617,7 @@ impl RangeIndex for BzTree {
             }
             let st = read_status(&self.mw, &self.layout, d.leaf);
             if st.frozen || st.count == self.layout.entries {
-                self.freeze_and_smo(d.leaf, d.path(), &guard);
+                self.freeze_and_smo(d.leaf, &d.path, &guard);
                 continue;
             }
             match self.append(d.leaf, key, value, Some(recheck_from)) {
@@ -653,7 +647,7 @@ impl RangeIndex for BzTree {
             };
             let st = read_status(&self.mw, &self.layout, d.leaf);
             if st.frozen || st.count == self.layout.entries {
-                self.freeze_and_smo(d.leaf, d.path(), &guard);
+                self.freeze_and_smo(d.leaf, &d.path, &guard);
                 continue;
             }
             match self.append(d.leaf, key, value, None) {
@@ -673,7 +667,7 @@ impl RangeIndex for BzTree {
             };
             let st = read_status(&self.mw, &self.layout, d.leaf);
             if st.frozen {
-                self.freeze_and_smo(d.leaf, d.path(), &guard);
+                self.freeze_and_smo(d.leaf, &d.path, &guard);
                 continue;
             }
             // Tombstone the newest version, verifying the freeze bit.
@@ -966,6 +960,78 @@ mod tests {
         assert_eq!(t.append(leaf, key, 2, Some(from)), Ok(false));
         assert_eq!(t.lookup(key), Some(1));
         assert!(!t.insert(key, 3));
+    }
+
+    /// A step to run once, and the offset whose copy triggers it.
+    type Step = (u64, Box<dyn FnOnce()>);
+
+    thread_local! {
+        /// A step [`copied`] runs once, right after a [`Words`] run
+        /// copies the block holding its offset.
+        static ON_COPY: std::cell::Cell<Option<Step>> = const { std::cell::Cell::new(None) };
+    }
+
+    /// Run the pending [`ON_COPY`] step if `from..to`, just copied,
+    /// holds its offset.
+    pub(super) fn copied(from: u64, to: u64) {
+        match ON_COPY.take() {
+            Some((at, step)) if (from..to).contains(&at) => step(),
+            pending => ON_COPY.set(pending),
+        }
+    }
+
+    /// A leaf copy reads every used meta word before any record. The
+    /// steps of a scan and of an append, interleaved by hand: the
+    /// append reserves a slot, the scan copies the record block holding
+    /// it, the append writes its record and commits, the scan goes on.
+    /// The slot is the first whose record block starts at a lower slot
+    /// than its meta block does, so reading each block when the slot
+    /// loop first reaches it would load the slot's committed state
+    /// after its stale record. The scan must return the leaf as it was
+    /// before the append.
+    #[test]
+    fn leaf_copy_reads_states_before_records() {
+        let t = fresh(8, BzTreeConfig::default());
+        let l = t.layout;
+        let leaf = t.descend(0).leaf;
+        let block = |off: u64| off / MEDIA_BLOCK as u64;
+        let first_in_block = |off: fn(&BzLayout, u64, usize) -> u64, s: usize| {
+            (0..=s).find(|&i| block(off(&l, leaf, i)) == block(off(&l, leaf, s)))
+        };
+        let slot = (0..l.entries)
+            .find(|&s| first_in_block(BzLayout::key, s) < first_in_block(BzLayout::meta, s))
+            .expect("a record block starts below its meta block");
+        let before: Vec<(Key, u64)> = (0..slot as u64).map(|k| (2 * k, k + 100)).collect();
+        for &(k, v) in before.iter().rev() {
+            assert!(t.insert(k, v));
+        }
+        let st = read_status(&t.mw, &l, leaf);
+        assert_eq!((st.count, read_info(&t.mw, &l, leaf)), (slot, (true, 0)));
+        let (key, fp) = (1, fingerprint(1) as u64);
+        let meta_off = l.meta(leaf, slot);
+        assert!(t.mw.mwcas(&[
+            wd(l.status(leaf), st.raw, st.raw + 1),
+            wd(meta_off, ST_FREE, ST_RESERVED | fp),
+        ]));
+        let append = t.clone();
+        let commit = move || {
+            let pool = append.pool();
+            pool.write_u64(l.key(leaf, slot), key);
+            pool.write_u64(l.val(leaf, slot), 700);
+            pool.persist(l.key(leaf, slot), 16);
+            let st = read_status(&append.mw, &l, leaf);
+            assert!(append.mw.mwcas(&[
+                wd(l.status(leaf), st.raw, st.raw),
+                wd(meta_off, ST_RESERVED | fp, ST_VISIBLE | fp),
+            ]));
+        };
+        ON_COPY.set(Some((l.key(leaf, slot), Box::new(commit))));
+        let mut out = Vec::new();
+        t.scan(0, 100, &mut out);
+        assert!(ON_COPY.take().is_none(), "the append committed mid-scan");
+        assert_eq!(out, before);
+        t.scan(0, 100, &mut out);
+        assert_eq!(out[..2], [(0, 100), (key, 700)]);
     }
 
     /// Apply `ops` to `t` and to `o`, asserting every outcome agrees.

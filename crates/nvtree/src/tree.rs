@@ -236,24 +236,22 @@ impl NvTree {
     /// newest-first visit first needs it.
     fn live_records(&self, leaf: u64) -> Vec<(Key, Value)> {
         let count = self.leaf_count(leaf);
-        let mut stack = [0; SEEN_ON_STACK];
-        let mut heap = Vec::new();
-        let mut seen = KeySet::new(count, &mut stack, &mut heap);
-        let mut out: Vec<(Key, Value)> = Vec::with_capacity(count);
+        let mut all: Vec<(Key, Value, bool)> = Vec::with_capacity(count);
         let mut flags = (usize::MAX, 0u64); // (flag word index, its bits)
         self.entries_newest_first(leaf, count, |i, k, v| {
-            if seen.insert(k) {
-                if flags.0 != i / 64 {
-                    flags = (i / 64, self.pool().read_u64(self.flag_off(leaf, i)));
-                }
-                if flags.1 >> (i % 64) & 1 == 1 {
-                    out.push((k, v));
-                }
+            if flags.0 != i / 64 {
+                flags = (i / 64, self.pool().read_u64(self.flag_off(leaf, i)));
             }
+            all.push((k, v, flags.1 >> (i % 64) & 1 == 1));
             ControlFlow::<()>::Continue(())
         });
-        out.sort_unstable();
-        out
+        // Newest first: the stable sort leads each key's run with its
+        // newest entry, the one that counts.
+        all.sort_by_key(|&(k, ..)| k);
+        all.dedup_by_key(|&mut (k, ..)| k);
+        all.into_iter()
+            .filter_map(|(k, v, live)| live.then_some((k, v)))
+            .collect()
     }
 
     /// Append one entry at `slot`, the count of a locked, non-full leaf,
@@ -444,55 +442,6 @@ impl NvTree {
                 .write_txn(|| self.replace_split(leaf, key, pending, &guard));
             self.leaf_unlock(leaf); // stale readers may still spin on it
             true
-        }
-    }
-}
-
-/// Table slots [`NvTree::live_records`] keeps on the stack: enough for
-/// leaves of up to 128 entries.
-const SEEN_ON_STACK: usize = 256;
-
-/// The keys a newest-first leaf visit has met: linear probing over a
-/// power-of-two table at least twice the entry count. A zero slot is
-/// empty, so key 0 is tracked by a flag.
-struct KeySet<'a> {
-    slots: &'a mut [Key],
-    has_zero: bool,
-}
-
-impl<'a> KeySet<'a> {
-    /// A set for up to `n` keys, in `stack` when it is large enough,
-    /// else in `heap`.
-    fn new(n: usize, stack: &'a mut [Key], heap: &'a mut Vec<Key>) -> KeySet<'a> {
-        let len = (2 * n).next_power_of_two();
-        let slots = if len <= stack.len() {
-            &mut stack[..len]
-        } else {
-            heap.resize(len, 0);
-            &mut heap[..]
-        };
-        KeySet {
-            slots,
-            has_zero: false,
-        }
-    }
-
-    /// Add `k`; whether it was not in the set yet.
-    fn insert(&mut self, k: Key) -> bool {
-        if k == 0 {
-            return !std::mem::replace(&mut self.has_zero, true);
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
-        loop {
-            match self.slots[i] {
-                0 => {
-                    self.slots[i] = k;
-                    return true;
-                }
-                s if s == k => return false,
-                _ => i = (i + 1) & mask,
-            }
         }
     }
 }
@@ -841,23 +790,6 @@ mod tests {
                 &mut o,
                 [Op::Scan(0, 100), Op::Scan(4, 3), Op::Scan(6, 2)],
             );
-        }
-    }
-
-    /// The key set dedups with its table on the stack and, for leaves
-    /// of more than 128 entries (E12 sweeps up to 256), on the heap.
-    #[test]
-    fn key_set_admits_each_key_once() {
-        for n in [5usize, 128, 256] {
-            let (mut stack, mut heap) = ([0; SEEN_ON_STACK], Vec::new());
-            let mut seen = KeySet::new(n, &mut stack, &mut heap);
-            // Distinct keys, key 0 first: the multiplier is odd.
-            let keys: Vec<Key> = (0..n as u64)
-                .map(|i| i.wrapping_mul(0x0123_4567_89AB_CDEF))
-                .collect();
-            assert!(keys.iter().all(|&k| seen.insert(k)), "{n}: first sight");
-            assert!(keys.iter().all(|&k| !seen.insert(k)), "{n}: seen");
-            assert_eq!(heap.is_empty(), n <= 128, "{n}");
         }
     }
 
