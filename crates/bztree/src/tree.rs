@@ -1,12 +1,13 @@
 //! The BzTree proper: latch-free operations and copy-on-write SMOs.
 
 use std::collections::HashSet;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use crossbeam_epoch as epoch;
 use index_api::{Footprint, Key, RangeIndex, Value};
 use pmalloc::PmAllocator;
-use pmem::{MediaError, MEDIA_BLOCK};
+use pmem::MediaError;
 use pmwcas::{PmwCas, WordDescriptor};
 
 use crate::node::{
@@ -48,46 +49,6 @@ struct Descent {
     path: Vec<u64>,
     /// Exclusive upper bound of the leaf's key range (None = rightmost).
     upper: Option<Key>,
-}
-
-/// An ascending run of PM words, copied through [`PmwCas::read_words`]
-/// one media block per access.
-struct Words<'a> {
-    mw: &'a PmwCas,
-    /// Offset of the first word not copied yet, and of the run's end.
-    next: u64,
-    end: u64,
-    buf: [u64; MEDIA_BLOCK / 8],
-    /// Position of the next word in `buf[..len]`.
-    at: usize,
-    len: usize,
-}
-
-impl<'a> Words<'a> {
-    fn new(mw: &'a PmwCas, from: u64, to: u64) -> Words<'a> {
-        Words {
-            mw,
-            next: from,
-            end: to,
-            buf: [0; MEDIA_BLOCK / 8],
-            at: 0,
-            len: 0,
-        }
-    }
-
-    /// The copy of the next word of the run.
-    fn word(&mut self) -> u64 {
-        if self.at == self.len {
-            let stop = ((self.next | (MEDIA_BLOCK as u64 - 1)) + 1).min(self.end);
-            self.len = ((stop - self.next) / 8) as usize;
-            self.mw.read_words(self.next, &mut self.buf[..self.len]);
-            #[cfg(test)]
-            tests::copied(self.next, stop);
-            (self.next, self.at) = (stop, 0);
-        }
-        self.at += 1;
-        self.buf[self.at - 1]
-    }
 }
 
 /// BzTree: latch-free PM-only B+-tree over PMwCAS (see crate docs).
@@ -251,15 +212,11 @@ impl BzTree {
         let st = read_status(&self.mw, &self.layout, leaf);
         let fp = fingerprint(key) as u64;
         let mut recheck = st.count;
-        // Append area, newest first: its meta words one media block per
-        // access, the highest block first.
+        // Append area, newest first, its meta words a media block per
+        // access: a hit reads no block below its own.
         let lo = self.layout.meta(leaf, sorted);
-        let mut hi = self.layout.meta(leaf, st.count);
-        let mut buf = [0u64; MEDIA_BLOCK / 8];
-        while hi > lo {
-            let start = ((hi - 1) & !(MEDIA_BLOCK as u64 - 1)).max(lo);
-            let metas = &mut buf[..((hi - start) / 8) as usize];
-            self.mw.read_words(start, metas);
+        let hi = self.layout.meta(leaf, st.count);
+        let appended = self.mw.read_blocks_rev(lo, hi, |start, metas| {
             for (j, &copy) in metas.iter().enumerate().rev() {
                 let meta_off = start + 8 * j as u64;
                 let m = self.mw.resolve(meta_off, copy);
@@ -273,7 +230,7 @@ impl BzTree {
                 } else if (state == ST_VISIBLE || state == ST_DELETED)
                     && self.pool().read_u64(self.layout.key(leaf, i)) == key
                 {
-                    let found = if state == ST_VISIBLE {
+                    return ControlFlow::Break(if state == ST_VISIBLE {
                         Found::Live {
                             meta_off,
                             meta: m,
@@ -281,11 +238,13 @@ impl BzTree {
                         }
                     } else {
                         Found::Dead
-                    };
-                    return (found, recheck);
+                    });
                 }
             }
-            hi = start;
+            ControlFlow::Continue(())
+        });
+        if let Some(found) = appended {
+            return (found, recheck);
         }
         // Sorted base: binary search.
         let pool = self.pool();
@@ -416,19 +375,19 @@ impl BzTree {
     // ----- SMOs ----------------------------------------------------------------
 
     /// Live records of a node. Leaves apply newest-wins and drop
-    /// tombstones; inner nodes return `(separator, current child)`. The
-    /// used meta words and the records are each read in ascending order,
-    /// one media block per access.
+    /// tombstones; inner nodes return `(separator, current child)`. A
+    /// leaf's used meta words are read with one access, then its records
+    /// with another; an inner node's records with one.
     fn live_records(&self, node: u64) -> Vec<(Key, u64)> {
         let (is_leaf, sorted) = read_info(&self.mw, &self.layout, node);
         let l = &self.layout;
         if !is_leaf {
-            let mut recs = Words::new(&self.mw, l.key(node, 0), l.key(node, sorted));
-            return (0..sorted)
-                .map(|i| {
-                    let sep = recs.word();
-                    (sep, self.mw.resolve(l.val(node, i), recs.word()))
-                })
+            let mut recs = vec![0u64; 2 * sorted];
+            self.mw.read_words(l.key(node, 0), &mut recs);
+            return recs
+                .chunks_exact(2)
+                .enumerate()
+                .map(|(i, r)| (r[0], self.mw.resolve(l.val(node, i), r[1])))
                 .collect();
         }
         // Every used meta word before any record: an append writes its
@@ -436,45 +395,21 @@ impl BzTree {
         // after these (past `read_words`' acquire fence) is at least as
         // new as the state read for it.
         let count = read_status(&self.mw, l, node).count;
-        let mut metas = Words::new(&self.mw, l.meta(node, 0), l.meta(node, count));
-        let states: Vec<u64> = (0..count)
-            .map(|i| self.mw.resolve(l.meta(node, i), metas.word()) & ST_STATE_MASK)
-            .collect();
-        let mut recs = Words::new(&self.mw, l.key(node, 0), l.key(node, count));
-        // The visible base records, ascending, and the appended
-        // (key, value, visible) entries, oldest first.
-        let mut base: Vec<(Key, u64)> = Vec::with_capacity(sorted);
-        let mut appended = Vec::with_capacity(count.saturating_sub(sorted));
-        for (i, state) in states.into_iter().enumerate() {
-            let (k, v) = (recs.word(), recs.word());
-            if i < sorted {
-                if state == ST_VISIBLE {
-                    base.push((k, v));
-                }
-            } else if state == ST_VISIBLE || state == ST_DELETED {
-                appended.push((k, v, state == ST_VISIBLE));
-            }
+        let mut words = vec![0u64; 3 * count];
+        let (metas, recs) = words.split_at_mut(count);
+        self.mw.read_words(l.meta(node, 0), metas);
+        for (i, m) in metas.iter_mut().enumerate() {
+            *m = self.mw.resolve(l.meta(node, i), *m) & ST_STATE_MASK;
         }
-        // Newest wins: the stable sort keeps each key's entries oldest
-        // first, so only the last of a run counts, and it replaces the
-        // base record of its key. Both lists ascend: merge them.
-        appended.sort_by_key(|&(k, ..)| k);
-        let mut out = Vec::with_capacity(base.len() + appended.len());
-        let mut base = base.into_iter().peekable();
-        for (j, &(k, v, visible)) in appended.iter().enumerate() {
-            if appended.get(j + 1).is_some_and(|&(next, ..)| next == k) {
-                continue;
-            }
-            while let Some(b) = base.next_if(|&(bk, _)| bk < k) {
-                out.push(b);
-            }
-            base.next_if(|&(bk, _)| bk == k);
-            if visible {
-                out.push((k, v));
-            }
-        }
-        out.extend(base);
-        out
+        self.mw.read_words(l.key(node, 0), recs);
+        // Slot order is write order (the sorted base predates every
+        // append); a reserved or aborted slot holds no entry.
+        let log = metas
+            .iter()
+            .zip(recs.chunks_exact(2))
+            .filter(|&(&state, _)| state == ST_VISIBLE || state == ST_DELETED)
+            .map(|(&state, r)| (r[0], r[1], state == ST_VISIBLE));
+        index_api::newest_wins(log.collect())
     }
 
     /// Freeze `node` (if not already) and complete its SMO.
@@ -960,78 +895,6 @@ mod tests {
         assert_eq!(t.append(leaf, key, 2, Some(from)), Ok(false));
         assert_eq!(t.lookup(key), Some(1));
         assert!(!t.insert(key, 3));
-    }
-
-    /// A step to run once, and the offset whose copy triggers it.
-    type Step = (u64, Box<dyn FnOnce()>);
-
-    thread_local! {
-        /// A step [`copied`] runs once, right after a [`Words`] run
-        /// copies the block holding its offset.
-        static ON_COPY: std::cell::Cell<Option<Step>> = const { std::cell::Cell::new(None) };
-    }
-
-    /// Run the pending [`ON_COPY`] step if `from..to`, just copied,
-    /// holds its offset.
-    pub(super) fn copied(from: u64, to: u64) {
-        match ON_COPY.take() {
-            Some((at, step)) if (from..to).contains(&at) => step(),
-            pending => ON_COPY.set(pending),
-        }
-    }
-
-    /// A leaf copy reads every used meta word before any record. The
-    /// steps of a scan and of an append, interleaved by hand: the
-    /// append reserves a slot, the scan copies the record block holding
-    /// it, the append writes its record and commits, the scan goes on.
-    /// The slot is the first whose record block starts at a lower slot
-    /// than its meta block does, so reading each block when the slot
-    /// loop first reaches it would load the slot's committed state
-    /// after its stale record. The scan must return the leaf as it was
-    /// before the append.
-    #[test]
-    fn leaf_copy_reads_states_before_records() {
-        let t = fresh(8, BzTreeConfig::default());
-        let l = t.layout;
-        let leaf = t.descend(0).leaf;
-        let block = |off: u64| off / MEDIA_BLOCK as u64;
-        let first_in_block = |off: fn(&BzLayout, u64, usize) -> u64, s: usize| {
-            (0..=s).find(|&i| block(off(&l, leaf, i)) == block(off(&l, leaf, s)))
-        };
-        let slot = (0..l.entries)
-            .find(|&s| first_in_block(BzLayout::key, s) < first_in_block(BzLayout::meta, s))
-            .expect("a record block starts below its meta block");
-        let before: Vec<(Key, u64)> = (0..slot as u64).map(|k| (2 * k, k + 100)).collect();
-        for &(k, v) in before.iter().rev() {
-            assert!(t.insert(k, v));
-        }
-        let st = read_status(&t.mw, &l, leaf);
-        assert_eq!((st.count, read_info(&t.mw, &l, leaf)), (slot, (true, 0)));
-        let (key, fp) = (1, fingerprint(1) as u64);
-        let meta_off = l.meta(leaf, slot);
-        assert!(t.mw.mwcas(&[
-            wd(l.status(leaf), st.raw, st.raw + 1),
-            wd(meta_off, ST_FREE, ST_RESERVED | fp),
-        ]));
-        let append = t.clone();
-        let commit = move || {
-            let pool = append.pool();
-            pool.write_u64(l.key(leaf, slot), key);
-            pool.write_u64(l.val(leaf, slot), 700);
-            pool.persist(l.key(leaf, slot), 16);
-            let st = read_status(&append.mw, &l, leaf);
-            assert!(append.mw.mwcas(&[
-                wd(l.status(leaf), st.raw, st.raw),
-                wd(meta_off, ST_RESERVED | fp, ST_VISIBLE | fp),
-            ]));
-        };
-        ON_COPY.set(Some((l.key(leaf, slot), Box::new(commit))));
-        let mut out = Vec::new();
-        t.scan(0, 100, &mut out);
-        assert!(ON_COPY.take().is_none(), "the append committed mid-scan");
-        assert_eq!(out, before);
-        t.scan(0, 100, &mut out);
-        assert_eq!(out[..2], [(0, 100), (key, 700)]);
     }
 
     /// Apply `ops` to `t` and to `o`, asserting every outcome agrees.

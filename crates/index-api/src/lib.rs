@@ -111,9 +111,80 @@ pub fn prefixed_name(prefix: &str, inner: &str) -> &'static str {
     leaked
 }
 
+/// The records a log of entries leaves, sorted by key: `log` holds
+/// `(key, value, live)` in the order the entries were written, a
+/// tombstone has `live == false`. Each key's newest entry wins, and a
+/// key whose newest entry is a tombstone is dropped. (NV-Tree's leaves
+/// and BzTree's nodes are such logs.)
+pub fn newest_wins(mut log: Vec<(Key, Value, bool)>) -> Vec<(Key, Value)> {
+    // An ascending prefix (a node's sorted base) holds each of its keys
+    // once, oldest of all: it is merged, not sorted again.
+    let sorted = (log.windows(2).take_while(|w| w[0].0 < w[1].0).count() + 1).min(log.len());
+    let (base, rest) = log.split_at_mut(sorted);
+    // The rest newest first: the stable sort then leads each key's run
+    // with its newest entry, the one that counts.
+    rest.reverse();
+    rest.sort_by_key(|&(k, ..)| k);
+    let mut out = Vec::with_capacity(base.len() + rest.len());
+    let mut base = base.iter().peekable();
+    let mut last = None;
+    for &(k, v, live) in rest.iter() {
+        if last.replace(k) == Some(k) {
+            continue;
+        }
+        while let Some(&(bk, bv, blive)) = base.next_if(|b| b.0 < k) {
+            if blive {
+                out.push((bk, bv));
+            }
+        }
+        base.next_if(|b| b.0 == k);
+        if live {
+            out.push((k, v));
+        }
+    }
+    out.extend(base.filter(|b| b.2).map(|&(k, v, _)| (k, v)));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn newest_wins_keeps_each_keys_last_entry_and_drops_tombstones() {
+        let log = vec![
+            (5, 50, true),
+            (3, 30, true),
+            (5, 51, true),
+            (9, 90, true),
+            (3, 0, false),
+            (7, 70, false),
+            (9, 0, false),
+            (9, 92, true),
+            (1, 10, true),
+        ];
+        assert_eq!(newest_wins(log), [(1, 10), (5, 51), (9, 92)]);
+        assert_eq!(newest_wins(Vec::new()), []);
+        assert_eq!(newest_wins(vec![(4, 0, false), (4, 40, true)]), [(4, 40)]);
+        // A sorted base, then appends that replace, delete and add.
+        let log = vec![
+            (1, 10, true),
+            (2, 20, true),
+            (4, 0, false),
+            (6, 60, true),
+            (8, 80, true),
+            (2, 21, true),
+            (6, 0, false),
+            (3, 30, true),
+            (2, 22, true),
+            (8, 81, true),
+            (8, 82, true),
+        ];
+        assert_eq!(newest_wins(log), [(1, 10), (2, 22), (3, 30), (8, 82)]);
+        // A repeat right after the ascending run is newer than its base.
+        let log = vec![(1, 10, true), (3, 30, true), (3, 31, true)];
+        assert_eq!(newest_wins(log), [(1, 10), (3, 31)]);
+    }
 
     #[test]
     fn prefixed_names_are_interned() {

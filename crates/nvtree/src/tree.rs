@@ -10,7 +10,7 @@ use crossbeam_epoch::{self as epoch, Atomic, Owned};
 use htm::{Abort, Htm};
 use index_api::{Footprint, Key, RangeIndex, Value};
 use pmalloc::PmAllocator;
-use pmem::{MediaError, PmPool, MEDIA_BLOCK};
+use pmem::{MediaError, PmPool};
 
 use crate::snapshot::Snapshot;
 use crate::NvTreeConfig;
@@ -185,73 +185,46 @@ impl NvTree {
             .store_u64(leaf + VLOCK_OFF, v + 1, Ordering::Release);
     }
 
-    /// Visit the first `count` entries of `leaf` newest-first as
-    /// `f(index, key, value)` until `f` breaks. The entry array is read
-    /// one media block per access, highest block first, so every word
-    /// is read once and every block is charged where the newest-first
-    /// word loop first touched it. An entry whose value starts the next
-    /// block takes it from the block read before.
-    fn entries_newest_first<B>(
-        &self,
-        leaf: u64,
-        count: usize,
-        mut f: impl FnMut(usize, Key, Value) -> ControlFlow<B>,
-    ) -> Option<B> {
-        let base = self.key_off(leaf, 0);
-        let mut end = self.key_off(leaf, count);
-        let mut buf = [0u64; MEDIA_BLOCK / 8];
-        let mut value = 0;
-        while end > base {
-            let start = ((end - 1) & !(MEDIA_BLOCK as u64 - 1)).max(base);
-            let words = &mut buf[..((end - start) / 8) as usize];
-            self.pool().read_words(start, words);
-            let first = ((start - base) / 8) as usize;
-            for (j, &word) in words.iter().enumerate().rev() {
-                let w = first + j;
-                if w % 2 == 1 {
-                    value = word;
-                } else if let ControlFlow::Break(b) = f(w / 2, word, value) {
-                    return Some(b);
-                }
-            }
-            end = start;
-        }
-        None
-    }
-
     /// Newest of the first `count` entries for `key`: `None` = no entry,
-    /// `Some(None)` = tombstone, `Some(Some(v))` = live.
+    /// `Some(None)` = tombstone, `Some(Some(v))` = live. The entry array
+    /// is read newest-first, one media block per access, so a hit reads
+    /// no block below its own; an entry whose value starts the next
+    /// block takes it from the block read before.
     fn read_latest(&self, leaf: u64, count: usize, key: Key) -> Option<Option<Value>> {
-        self.entries_newest_first(leaf, count, |i, k, v| {
-            if k != key {
-                return ControlFlow::Continue(());
-            }
-            let flags = self.pool().read_u64(self.flag_off(leaf, i));
-            ControlFlow::Break((flags >> (i % 64) & 1 == 1).then_some(v))
-        })
+        let base = self.key_off(leaf, 0);
+        let mut value = 0;
+        self.pool()
+            .read_blocks_rev(base, self.key_off(leaf, count), |start, words| {
+                let first = ((start - base) / 8) as usize;
+                for (j, &word) in words.iter().enumerate().rev() {
+                    let w = first + j;
+                    if w % 2 == 1 {
+                        value = word;
+                    } else if word == key {
+                        let i = w / 2;
+                        let flags = self.pool().read_u64(self.flag_off(leaf, i));
+                        return ControlFlow::Break((flags >> (i % 64) & 1 == 1).then_some(value));
+                    }
+                }
+                ControlFlow::Continue(())
+            })
     }
 
     /// All live records of a leaf (latest entry per key, tombstones
-    /// dropped), sorted by key. Each flag word is read once, when the
-    /// newest-first visit first needs it.
+    /// dropped), sorted by key: its entries with one access, then its
+    /// used flag words with one more.
     fn live_records(&self, leaf: u64) -> Vec<(Key, Value)> {
+        let pool = self.pool();
         let count = self.leaf_count(leaf);
-        let mut all: Vec<(Key, Value, bool)> = Vec::with_capacity(count);
-        let mut flags = (usize::MAX, 0u64); // (flag word index, its bits)
-        self.entries_newest_first(leaf, count, |i, k, v| {
-            if flags.0 != i / 64 {
-                flags = (i / 64, self.pool().read_u64(self.flag_off(leaf, i)));
-            }
-            all.push((k, v, flags.1 >> (i % 64) & 1 == 1));
-            ControlFlow::<()>::Continue(())
-        });
-        // Newest first: the stable sort leads each key's run with its
-        // newest entry, the one that counts.
-        all.sort_by_key(|&(k, ..)| k);
-        all.dedup_by_key(|&mut (k, ..)| k);
-        all.into_iter()
-            .filter_map(|(k, v, live)| live.then_some((k, v)))
-            .collect()
+        let mut entries = vec![0u64; 2 * count];
+        pool.read_words(self.key_off(leaf, 0), &mut entries);
+        let mut flags = vec![0u64; count.div_ceil(64)];
+        pool.read_words(self.flag_off(leaf, 0), &mut flags);
+        let log = entries
+            .chunks_exact(2)
+            .enumerate()
+            .map(|(i, e)| (e[0], e[1], flags[i / 64] >> (i % 64) & 1 == 1));
+        index_api::newest_wins(log.collect())
     }
 
     /// Append one entry at `slot`, the count of a locked, non-full leaf,
@@ -551,7 +524,7 @@ mod tests {
     use super::*;
     use index_api::{oracle, Op, Oracle};
     use pmalloc::AllocMode;
-    use pmem::PmConfig;
+    use pmem::{PmConfig, MEDIA_BLOCK};
 
     fn fresh(pool_mib: usize, cfg: NvTreeConfig) -> Arc<NvTree> {
         let pool = Arc::new(PmPool::new(pool_mib << 20, PmConfig::real()));

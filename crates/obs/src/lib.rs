@@ -39,6 +39,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
+/// The emulated device's internal media granularity (DCPMM's
+/// "XPLine"): every media access moves this many bytes regardless of
+/// the request size. Declared here, beside the traces that count media
+/// bytes, and re-exported by `pmem`, which depends on this crate.
+pub const MEDIA_BLOCK: usize = 256;
+
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Whether tracing/attribution is currently on. This is the fast gate:

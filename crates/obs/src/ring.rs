@@ -187,7 +187,7 @@ impl ThreadRing {
 // fidelity, not accounting (the counters carry exact values).
 #[inline]
 fn pack(kind: u8, site: u8, media_bytes: u64, len: u64) -> u64 {
-    let blocks = (media_bytes / crate::site::MEDIA_BLOCK_BYTES).min((1 << 20) - 1);
+    let blocks = (media_bytes / crate::MEDIA_BLOCK as u64).min((1 << 20) - 1);
     let len = len.min((1 << 20) - 1);
     kind as u64 | (site as u64) << 8 | blocks << 16 | len << 36
 }
@@ -313,7 +313,7 @@ pub(crate) fn collect_events(max: usize) -> Vec<Event> {
                 kind,
                 off,
                 len: ((packed >> 36) & ((1 << 20) - 1)) as u32,
-                media_bytes: (((packed >> 16) & ((1 << 20) - 1)) * crate::site::MEDIA_BLOCK_BYTES)
+                media_bytes: (((packed >> 16) & ((1 << 20) - 1)) * crate::MEDIA_BLOCK as u64)
                     as u32,
                 dur_ns,
             });

@@ -20,10 +20,6 @@ pub const SITE_OTHER: &str = "other";
 /// Site id of [`SITE_OTHER`] (always the first interned entry).
 pub(crate) const SITE_OTHER_ID: u8 = 0;
 
-/// Media access granularity of the emulated device (kept in sync with
-/// `pmem::MEDIA_BLOCK`; obs cannot depend on pmem).
-pub(crate) const MEDIA_BLOCK_BYTES: u64 = 256;
-
 fn interner() -> std::sync::MutexGuard<'static, Vec<&'static str>> {
     static NAMES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
     let mut g = NAMES.lock().unwrap_or_else(|p| p.into_inner());

@@ -24,9 +24,9 @@ pub struct LatencyModel {
     /// Charged per media block written back by `clwb`/`clflushopt`
     /// at the next fence, or by `ntstore`.
     pub write_ns: u32,
-    /// Multiplier numerator applied when an access hits the same media
-    /// block as the previous access from the same thread (sequential
-    /// pattern); the charged cost is `ns * seq_discount_pct / 100`.
+    /// Multiplier numerator applied to a sequential media block: one
+    /// that is the block touched just before it, or that block's
+    /// successor; the charged cost is `ns * seq_discount_pct / 100`.
     pub seq_discount_pct: u32,
 }
 
@@ -59,35 +59,31 @@ impl LatencyModel {
         self.read_ns != 0 || self.write_ns != 0
     }
 
-    /// Charge `blocks` read penalties to the calling thread.
-    /// `sequential` selects the discounted rate.
+    /// Charge `random` read penalties at the full rate and `sequential`
+    /// ones at the discounted rate to the calling thread.
     #[inline]
-    pub fn charge_read(&self, blocks: u64, sequential: bool) {
+    pub fn charge_read(&self, random: u64, sequential: u64) {
         if self.read_ns != 0 {
-            self.charge(self.read_ns, blocks, sequential);
+            self.charge(self.read_ns, random, sequential);
         }
     }
 
-    /// Charge `blocks` write penalties to the calling thread.
+    /// Charge write penalties, as [`LatencyModel::charge_read`] does reads.
     #[inline]
-    pub fn charge_write(&self, blocks: u64, sequential: bool) {
+    pub fn charge_write(&self, random: u64, sequential: u64) {
         if self.write_ns != 0 {
-            self.charge(self.write_ns, blocks, sequential);
+            self.charge(self.write_ns, random, sequential);
         }
     }
 
     #[inline]
-    fn charge(&self, ns_per_block: u32, blocks: u64, sequential: bool) {
-        let pct = if sequential {
-            self.seq_discount_pct
-        } else {
-            100
-        };
-        let ns = ns_per_block as u64 * blocks * pct as u64 / 100;
+    fn charge(&self, ns_per_block: u32, random: u64, sequential: u64) {
+        let hundredths = random * 100 + sequential * self.seq_discount_pct as u64;
+        let ns = ns_per_block as u64 * hundredths / 100;
         DEBT.with(|d| {
             d.charge(ns as i64, ns_per_block as i64, spin);
             if d.waits.get() == WARM_WAITS {
-                d.calibrate(|| self.charge(CALIBRATION_NS, 1, false));
+                d.calibrate(|| self.charge(CALIBRATION_NS, 1, 0));
             }
         });
     }
@@ -202,8 +198,8 @@ mod tests {
         let m = LatencyModel::off();
         assert!(!m.enabled());
         let t = Instant::now();
-        m.charge_read(1_000_000, false);
-        m.charge_write(1_000_000, false);
+        m.charge_read(1_000_000, 0);
+        m.charge_write(1_000_000, 0);
         // A million blocks at zero cost must return ~instantly.
         assert!(t.elapsed() < std::time::Duration::from_millis(50));
     }
@@ -257,7 +253,7 @@ mod tests {
             seq_discount_pct: 10,
         };
         let t = Instant::now();
-        m.charge_read(1_000, true); // 0.1 ms total
+        m.charge_read(0, 1_000); // 0.1 ms total
         let seq = t.elapsed();
         assert!(
             seq < std::time::Duration::from_micros(800),

@@ -2,6 +2,7 @@
 //! each one is counted and charged as.
 
 use std::cell::Cell;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use super::inject::{Access, Pass};
@@ -19,7 +20,7 @@ thread_local! {
     static BLOCK_CACHE: [Cell<u64>; BLOCK_CACHE_SLOTS] =
         const { [const { Cell::new(0) }; BLOCK_CACHE_SLOTS] };
     /// Last media block touched by this thread (for the sequential-access
-    /// latency discount), same tag format.
+    /// latency discount of its next access), same tag format.
     static LAST_BLOCK: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -38,35 +39,50 @@ impl PmPool {
     }
 
     /// Pass the gate, then account (and charge latency for) a read of
-    /// `len` bytes at `off`, consulting the modelled per-thread cache
-    /// for media residency.
+    /// `len > 0` bytes at `off`.
     #[inline]
     fn account_read(&self, off: u64, len: usize) {
         self.gate(Access::Read, off, len);
+        let (random, sequential) = self.read_misses(off, len);
+        let missed = random + sequential;
+        self.stats.count_read(len as u64, missed);
+        obs::pm_read(off, len, missed * MEDIA_BLOCK as u64);
+        if missed > 0 {
+            self.cfg.latency.charge_read(random, sequential);
+        }
+    }
+
+    /// The media blocks of a read of `len > 0` bytes at `off` that miss
+    /// the modelled per-thread cache, as `(random, sequential)`, and
+    /// the cache and last block updated past them. A block is
+    /// sequential when it is the block touched just before it or that
+    /// block's successor: the read's first block is compared with the
+    /// thread's last block, every later one with the block before it in
+    /// the read. So a k-block read costs what k one-block reads of the
+    /// same blocks cost.
+    #[inline]
+    pub(super) fn read_misses(&self, off: u64, len: usize) -> (u64, u64) {
         let first = off / MEDIA_BLOCK as u64;
         let end = first + Self::blocks_in(off, len);
-        let mut missed = 0u64;
-        let mut sequential = true;
+        let (mut random, mut sequential) = (0u64, 0u64);
         BLOCK_CACHE.with(|cache| {
-            let last = LAST_BLOCK.get();
+            let mut prev = LAST_BLOCK.get();
             for b in first..end {
                 let tag = self.block_tag(b);
                 let slot = &cache[(b as usize) & (BLOCK_CACHE_SLOTS - 1)];
                 if slot.get() != tag {
                     slot.set(tag);
-                    missed += 1;
-                    if tag != last && tag != last + 1 {
-                        sequential = false;
+                    if tag == prev || tag == prev + 1 {
+                        sequential += 1;
+                    } else {
+                        random += 1;
                     }
                 }
+                prev = tag;
             }
-            LAST_BLOCK.set(self.block_tag(end - 1));
+            LAST_BLOCK.set(prev);
         });
-        self.stats.count_read(len as u64, missed);
-        obs::pm_read(off, len, missed * MEDIA_BLOCK as u64);
-        if missed > 0 {
-            self.cfg.latency.charge_read(missed, sequential);
-        }
+        (random, sequential)
     }
 
     /// Pass the gate as a `kind` of write, then account a write of
@@ -246,15 +262,44 @@ impl PmPool {
     }
 
     /// Read `dst.len()` words starting at the 8-aligned `off`: one
-    /// access of `8 · dst.len()` bytes.
+    /// access of `8 · dst.len()` bytes, none when `dst` is empty.
     #[inline]
     pub fn read_words(&self, off: u64, dst: &mut [u64]) {
         debug_assert_eq!(off % 8, 0);
+        if dst.is_empty() {
+            return;
+        }
         self.account_read(off, dst.len() * 8);
         let cells = &self.cpu[(off / 8) as usize..][..dst.len()];
         for (w, cell) in dst.iter_mut().zip(cells) {
             *w = cell.load(Ordering::Relaxed);
         }
+    }
+
+    /// Read the words of `[lo, hi)` (8-aligned) one media block per
+    /// access, the highest block first, and hand each block's copy to
+    /// `f(off, words)` (`off` is the offset of `words[0]`) until `f`
+    /// breaks: a newest-first search of an append-ordered array that
+    /// reads no block past the one holding its answer.
+    #[inline]
+    pub fn read_blocks_rev<B>(
+        &self,
+        lo: u64,
+        hi: u64,
+        mut f: impl FnMut(u64, &[u64]) -> ControlFlow<B>,
+    ) -> Option<B> {
+        let mut buf = [0u64; MEDIA_BLOCK / 8];
+        let mut end = hi;
+        while end > lo {
+            let start = ((end - 1) & !(MEDIA_BLOCK as u64 - 1)).max(lo);
+            let words = &mut buf[..((end - start) / 8) as usize];
+            self.read_words(start, words);
+            if let ControlFlow::Break(b) = f(start, words) {
+                return Some(b);
+            }
+            end = start;
+        }
+        None
     }
 
     /// Write `src` as words starting at the 8-aligned `off`: one access

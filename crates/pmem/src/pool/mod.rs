@@ -26,9 +26,7 @@ mod tests;
 
 /// CPU cache-line size; `clwb` operates at this granularity.
 pub const CACHELINE: usize = 64;
-/// DCPMM internal media granularity (the "XPLine"): every media access
-/// moves this many bytes regardless of the request size.
-pub const MEDIA_BLOCK: usize = 256;
+pub use obs::MEDIA_BLOCK;
 /// First bytes of every pool reserved for application root pointers
 /// (the moral equivalent of PMDK's root object).
 pub const ROOT_AREA: u64 = 4096;

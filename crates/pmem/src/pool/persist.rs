@@ -123,7 +123,7 @@ impl PmPool {
         }
         let media_bytes = blocks * MEDIA_BLOCK as u64;
         self.stats.count(stats::MEDIA_WRITE_BYTES, media_bytes);
-        self.cfg.latency.charge_write(blocks, false);
+        self.cfg.latency.charge_write(blocks, 0);
     }
 
     /// `clwb` + `sfence`: the common "persist this range" idiom.
@@ -148,7 +148,7 @@ impl PmPool {
         if real && pass.effective {
             self.persist_word(off);
             self.stats.count(stats::MEDIA_WRITE_BYTES, media_bytes);
-            self.cfg.latency.charge_write(1, true);
+            self.cfg.latency.charge_write(0, 1);
         }
     }
 

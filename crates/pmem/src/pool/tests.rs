@@ -102,6 +102,71 @@ fn elided_mode_skips_shadow() {
     assert_eq!(s.fence, 1);
 }
 
+/// A multi-block `read_words` misses and is charged block for block as
+/// the same bytes read one block per access: a cold run, a run that
+/// starts at the thread's last block and one that starts at the block
+/// after it.
+#[test]
+fn a_multi_block_read_is_charged_like_one_block_per_access() {
+    let block = MEDIA_BLOCK as u64;
+    // (block the thread read last, first block of the run, charges)
+    let runs = [
+        (None, 64, (1, 3)),
+        (Some(64), 64, (0, 3)),
+        (Some(64), 65, (0, 4)),
+    ];
+    for (last, first, want) in runs {
+        let charges = |per_block: bool| {
+            let p = pool(1 << 20);
+            if let Some(b) = last {
+                p.read_u64(b * block);
+            }
+            if !per_block {
+                return p.read_misses(first * block, 4 * MEDIA_BLOCK);
+            }
+            (first..first + 4).fold((0, 0), |(r, s), b| {
+                let (dr, ds) = p.read_misses(b * block, MEDIA_BLOCK);
+                (r + dr, s + ds)
+            })
+        };
+        assert_eq!(charges(false), want, "one access from {first}");
+        assert_eq!(charges(true), want, "a block per access from {first}");
+    }
+    // `read_words` takes that path: the run misses its four blocks.
+    let p = pool(1 << 20);
+    p.read_words(64 * block, &mut [0; 4 * MEDIA_BLOCK / 8]);
+    assert_eq!(p.stats().media_read_bytes, 4 * block);
+}
+
+/// `read_blocks_rev` hands over each block's words, highest first, and
+/// reads no block after the one its visitor stops in.
+#[test]
+fn read_blocks_rev_walks_down_a_block_per_access() {
+    use std::ops::ControlFlow::{Break, Continue};
+    let p = pool(1 << 20);
+    // 50 words, word i holding i, over parts of three blocks.
+    let (lo, hi) = (ROOT_AREA + 200, ROOT_AREA + 600);
+    p.write_words(lo, &(0..50).collect::<Vec<u64>>());
+    p.reset_stats();
+    let mut seen = Vec::new();
+    let walked = p.read_blocks_rev(lo, hi, |off, w| {
+        seen.push((off, w.len(), w[0]));
+        Continue::<()>(())
+    });
+    let (b1, b2) = (ROOT_AREA + 256, ROOT_AREA + 512);
+    assert_eq!(walked, None);
+    assert_eq!(seen, [(b2, 11, 39), (b1, 32, 7), (lo, 7, 0)]);
+    assert_eq!(p.stats().read_ops, 3);
+    let found = p.read_blocks_rev(lo, hi, |off, w| {
+        if w.contains(&20) {
+            Break(off)
+        } else {
+            Continue(())
+        }
+    });
+    assert_eq!((found, p.stats().read_ops), (Some(b1), 5));
+}
+
 #[test]
 fn stats_media_granularity() {
     let p = pool(1 << 20);

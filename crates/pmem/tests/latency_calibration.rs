@@ -23,7 +23,7 @@ fn time_charges() -> f64 {
         .map(|_| {
             let t = Instant::now();
             for _ in 0..PER_BLOCK {
-                m.charge_read(1, false);
+                m.charge_read(1, 0);
             }
             t.elapsed().as_nanos()
         })

@@ -53,6 +53,7 @@
 //! bits — BzTree only stores node offsets and small metadata in managed
 //! words, so this costs nothing.
 
+use std::ops::ControlFlow;
 use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 
@@ -395,10 +396,25 @@ impl PmwCas {
         fence(Ordering::Acquire);
     }
 
+    /// [`PmPool::read_blocks_rev`] with [`PmwCas::read_words`]' acquire
+    /// fence after each block's copy.
+    #[inline]
+    pub fn read_blocks_rev<B>(
+        &self,
+        lo: u64,
+        hi: u64,
+        mut f: impl FnMut(u64, &[u64]) -> ControlFlow<B>,
+    ) -> Option<B> {
+        self.pool.read_blocks_rev(lo, hi, |off, words| {
+            fence(Ordering::Acquire);
+            f(off, words)
+        })
+    }
+
     /// The value of the managed word at `addr`, given `copy` from
-    /// [`PmwCas::read_words`]: the copy itself when it is a plain value,
-    /// else what [`PmwCas::read`] returns after helping the descriptor
-    /// or flushing the dirty word.
+    /// [`PmwCas::read_words`] or [`PmwCas::read_blocks_rev`]: the copy
+    /// itself when it is a plain value, else what [`PmwCas::read`]
+    /// returns after helping the descriptor or flushing the dirty word.
     #[inline]
     pub fn resolve(&self, addr: u64, copy: u64) -> u64 {
         if copy & (DESC_FLAG | DIRTY) == 0 {

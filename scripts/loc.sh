@@ -1,9 +1,11 @@
 #!/bin/sh
 # Code lines per crate and example: non-blank, non-comment lines before
-# the first `#[cfg(test)]` item of each .rs file (ROADMAP: "line count is
-# a tracked number"). A `#[cfg(test)]` on a `mod name;` line skips that
-# declaration only — the tests are in `name.rs`, the code goes on — and
-# a file named `tests.rs` is such a module: not counted.
+# the first item-level `#[cfg(test)]` (in column 0) of each .rs file
+# (ROADMAP: "line count is a tracked number"); an indented one sits on a
+# statement or an inner item and is counted as code. A `#[cfg(test)]` on
+# a `mod name;` line skips that declaration only — the tests are in
+# `name.rs`, the code goes on — and a file named `tests.rs` is such a
+# module: not counted.
 # With arguments, counts just those files/directories.
 #
 #   scripts/loc.sh                      # every crate, example and tests/common,
@@ -16,7 +18,7 @@ count() {
     find "$@" -name '*.rs' ! -name tests.rs -print0 | xargs -0 awk '
         FNR == 1 { live = 1; attr = 0 }
         attr { attr = 0; if (/^[[:space:]]*mod [a-z_0-9]+;/) next; live = 0 }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { attr = live; next }
+        /^#\[cfg\(test\)\]/ { attr = live; next }
         live && !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { n++ }
         END { print n + 0 }'
 }

@@ -4,14 +4,17 @@
 
 mod common;
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use common::fresh;
+use pm_index_bench::bztree::{BzTree, BzTreeConfig};
 use pm_index_bench::crashpoint::{self, single::Single, SweepOptions};
+use pm_index_bench::index_api::RangeIndex;
 use pm_index_bench::obs;
 use pm_index_bench::pibench::{
     prefill, run, trace, BenchConfig, Distribution, KeySpace, OpKind, OpMix,
 };
+use pm_index_bench::pmalloc::{AllocMode, PmAllocator};
 use pm_index_bench::pmem::{PmConfig, PmPool, PmStatsSnapshot};
 
 /// `obs` is process-global state (one enabled flag, one site interner,
@@ -152,4 +155,45 @@ fn disabled_tracing_records_nothing() {
     assert!(obs::flight_events(usize::MAX).is_empty());
     assert_eq!(obs::total_ops(), 0);
     assert!(obs::site_table().iter().all(|s| s.counts.events() == 0));
+}
+
+/// A BzTree scan copies a leaf's used meta words with one access and
+/// only then its records with another: an append writes its record
+/// before it turns the slot `VISIBLE`, so a record copied after its
+/// state is at least as new as that state.
+#[test]
+fn a_bztree_leaf_copy_reads_every_state_before_any_record() {
+    let _g = lock();
+    let pool = Arc::new(PmPool::new(8 << 20, PmConfig::real()));
+    let alloc = PmAllocator::format(pool, AllocMode::General);
+    let t = BzTree::create(alloc, BzTreeConfig::default());
+    // 40 appends to the root leaf: 320 B of meta words and 640 B of
+    // records, each across more than one media block.
+    let count = 40u32;
+    for k in (0..count as u64).rev() {
+        assert!(t.insert(k, k + 1));
+    }
+    obs::reset();
+    obs::set_enabled(true);
+    let mut out = Vec::new();
+    t.scan(0, 100, &mut out);
+    obs::set_enabled(false);
+    assert_eq!(
+        out,
+        (0..count as u64).map(|k| (k, k + 1)).collect::<Vec<_>>()
+    );
+    let names = obs::site_names();
+    let reads: Vec<(u64, u32)> = obs::flight_events(usize::MAX)
+        .iter()
+        .filter(|e| e.kind == obs::EventKind::Read && names[e.site as usize] == "bztree_scan")
+        .map(|e| (e.off, e.len))
+        .collect();
+    let copy = |len: u32| {
+        let at: Vec<usize> = (0..reads.len()).filter(|&i| reads[i].1 == len).collect();
+        assert_eq!(at.len(), 1, "one {len}-byte copy in {reads:?}");
+        at[0]
+    };
+    let (metas, records) = (copy(8 * count), copy(16 * count));
+    assert!(metas < records, "states after records: {reads:?}");
+    assert!(reads[metas].0 < reads[records].0);
 }
